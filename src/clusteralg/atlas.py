@@ -15,10 +15,10 @@ store size and the search depth; hitting either leaves ``complete``
 false, which downstream verification refuses rather than guessing.
 
 Expansions of a variable with respect to an arbitrary stored cluster are
-computed by re-rooting: start a fresh pattern whose root carries that
-cluster's matrix and coefficients with unit-monomial variables, replay
-the reversed discovery path back to the pattern root and onward to a
-seed containing the target variable, and read off the variable there.
+computed by re-rooting: give that cluster's seed unit-monomial variables,
+replay its reversed discovery path once back to the pattern root, then walk
+the prefix-closed discovery tree to a seed containing the target variable,
+memoizing each seed walked so no tree node is mutated twice per host.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class PatternAtlas:
         self.cluster_to_seed: dict[Cluster, int] = {}
         self.edges: dict[tuple[int, int], int] = {}
         self._seed_keys: dict[tuple, int] = {}
-        self._expand_cache: dict[tuple[int, int], LaurentPoly] = {}
+        self._expand_cache: dict[int, dict[tuple[int, ...], Seed]] = {}
         self._ireach_cache: dict[frozenset, dict[Cluster, Seed]] = {}
         self.derived: dict = {}
         self._store_seed(root, _canonical_seed_key(root))
@@ -196,25 +196,22 @@ class PatternAtlas:
 
     def _expand_at_seed(self, sid: int, v: int) -> LaurentPoly:
         """Expansion of v in the coordinate order of stored seed sid."""
-        cached = self._expand_cache.get((sid, v))
-        if cached is not None:
-            return cached
         ids = self.seed_variable_ids[sid]
         if v in ids:
-            result = LaurentPoly.variable(self.n, self.m, ids.index(v) + 1)
-        else:
+            return LaurentPoly.variable(self.n, self.m, ids.index(v) + 1)
+        memo = self._expand_cache.get(sid)
+        if memo is None:
             seed = self.seeds[sid]
-            tid = self.first_seed_of_variable[v]
-            path = tuple(reversed(seed.path)) + self.seeds[tid].path
             fresh = Seed(
                 seed.b,
                 seed.y,
                 [LaurentPoly.variable(self.n, self.m, i) for i in range(1, self.n + 1)],
             )
-            landed = mutate_path(fresh, path)
-            result = landed.x[self.seed_variable_ids[tid].index(v)]
-        self._expand_cache[(sid, v)] = result
-        return result
+            memo = {(): mutate_path(fresh, reversed(seed.path))}
+            self._expand_cache[sid] = memo
+        tid = self.first_seed_of_variable[v]
+        landed = replay(memo, self.seeds[tid].path)
+        return landed.x[self.seed_variable_ids[tid].index(v)]
 
     # ------------------------------------------------------------------
     # restricted-direction reachability over exact (ordered) seeds
@@ -343,6 +340,20 @@ def _classify_coefficients(root: Seed) -> str:
     ):
         return "principal"
     return "custom"
+
+
+def replay(memo: dict[tuple[int, ...], Seed], path: tuple[int, ...]) -> Seed:
+    """Seed at the end of path, mutating from its longest prefix in memo
+    (which holds the empty path) and memoizing every seed passed.
+    Iterative, because ``max_depth`` lets paths outgrow the recursion limit."""
+    depth = len(path)
+    while path[:depth] not in memo:
+        depth -= 1
+    seed = memo[path[:depth]]
+    for i in range(depth, len(path)):
+        seed = mutate(seed, path[i])
+        memo[path[: i + 1]] = seed
+    return seed
 
 
 def explore(root: Seed, caps: ExploreCaps | None = None) -> PatternAtlas:

@@ -5,8 +5,8 @@ componentwise minimum of the x exponents over its Laurent expansion in
 that cluster's coordinates.  The compatibility degree d(x, z) reads the
 x coordinate of z's d-vector in any cluster containing x; the choice of
 cluster does not matter, which is one of the verified properties rather
-than an assumption, so the default computation uses the first containing
-cluster in atlas order and the sweep re-checks every choice.
+than an assumption, so the degree uses the first containing cluster in
+atlas order and the degree-properties sweep re-checks every choice.
 
 Two variables are d-compatible when the degree is <= 0.  Maximal
 d-compatible sets are maximal cliques of that relation, enumerated
@@ -30,14 +30,12 @@ def d_vector(v: int, cluster: Iterable[int], atlas: PatternAtlas) -> DVector:
     return tuple(-e for e in atlas.expand(v, cluster).x_min_exponents())
 
 
-def compatibility_degree(
-    xj: int, xi: int, atlas: PatternAtlas, check_all_hosts: bool = False
-) -> int:
-    """Coordinate of xj in the d-vector of xi over a cluster through xj.
+def compatibility_degree(xj: int, xi: int, atlas: PatternAtlas) -> int:
+    """Coordinate of xj in the d-vector of xi over the first cluster
+    through xj in atlas order.
 
-    ``check_all_hosts`` recomputes over every containing cluster and
-    raises if the choices ever disagree; the sweeps use it, the default
-    path trusts the verified independence.
+    The choice of cluster is immaterial; ``verify_degree_properties``
+    checks that over every containing cluster.
     """
     atlas.require_variable(xi)
     hosts = atlas.clusters_containing(xj)
@@ -45,15 +43,8 @@ def compatibility_degree(
         raise IncompleteAtlasError(
             f"no stored cluster contains variable {xj}; atlas is incomplete"
         )
-    if not check_all_hosts:
-        hosts = hosts[:1]
-    values = {d_vector(xi, c, atlas)[c.index(xj)] for c in hosts}
-    if len(values) > 1:
-        raise RuntimeError(
-            f"compatibility degree of ({xj}, {xi}) depends on the containing "
-            f"cluster: {sorted(values)}"
-        )
-    return values.pop()
+    c = hosts[0]
+    return d_vector(xi, c, atlas)[c.index(xj)]
 
 
 def is_d_compatible(x: int, z: int, atlas: PatternAtlas) -> bool:

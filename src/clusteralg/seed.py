@@ -142,7 +142,11 @@ class ExchangeMatrix:
                     sign = 1 if b[i][kk] > 0 else (-1 if b[i][kk] < 0 else 0)
                     row.append(b[i][j] + sign * max(b[i][kk] * b[kk][j], 0))
             new.append(tuple(row))
-        return ExchangeMatrix(tuple(new))
+        # Mutation keeps the minimal symmetrizer (Fomin-Zelevinsky, 2002).
+        out = object.__new__(ExchangeMatrix)
+        out.rows = tuple(new)
+        out.symmetrizer = self.symmetrizer
+        return out
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)

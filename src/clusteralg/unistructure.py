@@ -21,8 +21,8 @@ variables in a pattern with the same variable set is thereby ruled out.
 Cross-atlas verification aligns two trivial-coefficient atlases by an
 explicit identification: an anchor seed of the first atlas (a stored
 seed, possibly with positions permuted) whose matrix matches the second
-root's; replaying the second atlas's discovery paths from the anchor
-maps every variable of the second atlas to a first-atlas expansion.  On
+root's; walking the second atlas's discovery tree from the anchor maps
+every variable of the second atlas to a first-atlas expansion.  On
 success the cluster sets, labeled exchange graphs, and full
 d-compatibility matrices are compared.
 """
@@ -40,11 +40,12 @@ from .atlas import (
     IncompleteAtlasError,
     PatternAtlas,
     graphs_equal,
+    replay,
 )
 from .compat import compatibility_matrix
 from .laurent import CoefRingElement, Exponents, LaurentPoly
 from .reports import VerificationReport
-from .seed import ExchangeMatrix, Seed, mutate_path
+from .seed import ExchangeMatrix, Seed
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -267,21 +268,9 @@ def certify_incompatible_pairs(
     ]
 
 
-def _permuted_seed(seed: Seed, perm: tuple[int, ...]) -> Seed:
-    """Simultaneous position permutation: position i of the result takes
-    position perm[i] of the input."""
-    n = seed.n
-    rows = tuple(
-        tuple(seed.b.rows[perm[i]][perm[j]] for j in range(n)) for i in range(n)
-    )
-    return Seed(
-        ExchangeMatrix(rows),
-        [seed.y[perm[i]] for i in range(n)],
-        [seed.x[perm[i]] for i in range(n)],
-    )
-
-
-def _identification_candidates(a1: PatternAtlas, target_rows) -> Iterable[tuple[int, tuple[int, ...], Seed]]:
+def _identification_candidates(a1: PatternAtlas, b2: ExchangeMatrix) -> Iterable[tuple[int, tuple[int, ...], Seed]]:
+    """Stored seeds of a1 under a simultaneous position permutation
+    (position i takes position perm[i]) whose matrix equals b2."""
     n = a1.n
     for sid, seed in enumerate(a1.seeds):
         for perm in permutations(range(n)):
@@ -289,8 +278,10 @@ def _identification_candidates(a1: PatternAtlas, target_rows) -> Iterable[tuple[
                 tuple(seed.b.rows[perm[i]][perm[j]] for j in range(n))
                 for i in range(n)
             )
-            if rows == target_rows:
-                yield sid, perm, _permuted_seed(seed, perm)
+            if rows == b2.rows:
+                yield sid, perm, Seed(
+                    b2, [seed.y[i] for i in perm], [seed.x[i] for i in perm]
+                )
 
 
 def verify_unistructural(a1: PatternAtlas, a2: PatternAtlas) -> VerificationReport:
@@ -373,22 +364,22 @@ def _find_identification(
     """Map every a2 variable id to an a1 variable id, or record why not.
 
     Anchors are permuted stored seeds of a1 whose matrix equals a2's
-    root matrix; replaying a2's discovery paths from an anchor expresses
+    root matrix; walking a2's discovery tree from an anchor expresses
     every a2 variable in a1's root coordinates, where the interning
     table decides membership.  A simultaneous permutation of a pattern
-    seed generates the same pattern, so a successful replay stays inside
+    seed generates the same pattern, so a successful walk stays inside
     a1's variable set and certifies the identification.
     """
     n = a1.n
-    target_rows = a2.root.b.rows
     tried = 0
     last_reason = "no stored seed of the first atlas matches the second root matrix"
-    for sid, perm, anchor in _identification_candidates(a1, target_rows):
+    for sid, perm, anchor in _identification_candidates(a1, a2.root.b):
         tried += 1
         mapping: dict[int, int] = {}
+        memo = {(): anchor}
         reason = ""
         for tid in range(len(a2.seeds)):
-            landed = mutate_path(anchor, a2.seeds[tid].path)
+            landed = replay(memo, a2.seeds[tid].path)
             for pos in range(n):
                 v2 = a2.seed_variable_ids[tid][pos]
                 v1 = a1.variable_id(landed.x[pos])

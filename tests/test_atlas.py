@@ -9,13 +9,16 @@ from clusteralg import (
     ExchangeMatrix,
     ExploreCaps,
     LaurentPoly,
+    Seed,
     explore,
     graphs_equal,
     mutate_path,
     root_seed,
 )
+import clusteralg.atlas
+import clusteralg.seed
 from clusteralg.atlas import _canonical_seed_key
-from conftest import A2_ROWS, B2_ROWS
+from conftest import A2_ROWS, A3_ROWS, B2_ROWS
 
 A2_VARIABLES = [
     "x1",
@@ -198,6 +201,49 @@ class TestExpand:
         with pytest.raises(KeyError):
             a.normalize_cluster((1, 3))
         assert a.normalize_cluster((1, 0)) == (0, 1)
+
+    def test_tree_replay_matches_per_pair_replay(
+        self, a2_trivial, b2_trivial, g2_trivial, a3_trivial, a3_principal
+    ):
+        # Reference: one full replay per (host seed, variable), host to
+        # root and on to the variable's first seed.
+        atlases = (a2_trivial, b2_trivial, g2_trivial, a3_trivial, a3_principal)
+        for atlas in atlases + (infinite_rank2(),):
+            n, m = atlas.n, atlas.m
+            for sid, host in enumerate(atlas.seeds):
+                fresh = Seed(
+                    host.b,
+                    host.y,
+                    [LaurentPoly.variable(n, m, i) for i in range(1, n + 1)],
+                )
+                for v in range(len(atlas.variables)):
+                    tid = atlas.first_seed_of_variable[v]
+                    path = tuple(reversed(host.path)) + atlas.seeds[tid].path
+                    landed = mutate_path(fresh, path)
+                    want = landed.x[atlas.seed_variable_ids[tid].index(v)]
+                    assert atlas._expand_at_seed(sid, v) == want
+
+    def test_rerooting_mutates_each_tree_node_once(self, monkeypatch):
+        atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
+        calls = []
+        for module in (clusteralg.atlas, clusteralg.seed):
+            original = module.mutate
+
+            def counted(seed, k, original=original):
+                calls.append(k)
+                return original(seed, k)
+
+            monkeypatch.setattr(module, "mutate", counted)
+        depth, host = max(
+            (len(atlas.seeds[sid].path), c) for c, sid in atlas.cluster_to_seed.items()
+        )
+        for v in range(len(atlas.variables)):
+            atlas.expand(v, host)
+        assert 0 < len(calls) <= depth + len(atlas.seeds) - 1
+        del calls[:]
+        for v in range(len(atlas.variables)):
+            atlas.expand(v, host)
+        assert calls == []
 
     def test_variable_id_round_trip(self, a2_trivial):
         a = a2_trivial
