@@ -19,6 +19,13 @@ computed by re-rooting: give that cluster's seed unit-monomial variables,
 replay its reversed discovery path once back to the pattern root, then walk
 the prefix-closed discovery tree to a seed containing the target variable,
 memoizing each seed walked so no tree node is mutated twice per host.
+
+Walks that only need to know which variables a seed holds do no
+arithmetic at all.  An exact seed (positions intact) is the pair of its
+stored seed id and its variable ids by position, and the edge table
+mutates it by lookup: each entry stands for a mutation computed, and
+positivity-checked, once during exploration.  Restricted reachability
+and cross-atlas identification are such walks.
 """
 
 from __future__ import annotations
@@ -26,13 +33,14 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .laurent import LaurentPoly
 from .seed import Seed, mutate, mutate_path
 
 Cluster = tuple[int, ...]
+# An exact seed, positions intact: (stored seed id, variable ids by position).
+State = tuple[int, tuple[int, ...]]
 
 
 class IncompleteAtlasError(RuntimeError):
@@ -86,7 +94,7 @@ class PatternAtlas:
         self.edges: dict[tuple[int, int], int] = {}
         self._seed_keys: dict[tuple, int] = {}
         self._expand_cache: dict[int, dict[tuple[int, ...], Seed]] = {}
-        self._ireach_cache: dict[frozenset, dict[Cluster, Seed]] = {}
+        self._ireach_cache: dict[frozenset, dict[Cluster, tuple[int, ...]]] = {}
         self.derived: dict = {}
         self._store_seed(root, _canonical_seed_key(root))
         self.complete = self._explore()
@@ -214,18 +222,38 @@ class PatternAtlas:
         return landed.x[self.seed_variable_ids[tid].index(v)]
 
     # ------------------------------------------------------------------
-    # restricted-direction reachability over exact (ordered) seeds
+    # table walks over exact seeds
 
-    def i_reachable(self, subset: Iterable[int]) -> dict[Cluster, Seed]:
+    def mutate_state(self, state: State, k: int) -> State | None:
+        """Exact seed ``(stored seed id, variable ids by position)`` mutated
+        in direction k by lookup: the stored seed's position of the k-th
+        variable names the edge, and the new variable is the one id of the
+        target seed not already held.  None when the edge leaves a capped
+        atlas; on a complete atlas every edge is stored, so a missing one
+        means exploration is broken."""
+        sid, ids = state
+        position = self.seed_variable_ids[sid].index(ids[k - 1])
+        target = self.edges.get((sid, position + 1))
+        if target is None:
+            if self.complete:
+                raise RuntimeError(
+                    f"seed {sid} has no edge in direction {k} on a complete "
+                    f"atlas; exploration is broken"
+                )
+            return None
+        (new,) = set(self.seed_variable_ids[target]).difference(ids)
+        return target, ids[: k - 1] + (new,) + ids[k:]
+
+    def i_reachable(self, subset: Iterable[int]) -> dict[Cluster, tuple[int, ...]]:
         """Clusters reachable from the root seed by mutations confined to
-        the given directions, each mapped to the first exact seed (with
-        positions intact) realizing it.
+        the given directions, each mapped to the variable ids by position
+        of the first exact seed realizing it.
 
-        The walk runs over exact seeds, not permutation classes, because
-        direction labels are positional.  On a complete atlas the walk
-        is exhaustive; on an incomplete one it is confined to stored
-        variables and capped, so a negative answer is only "not found
-        within caps".
+        The breadth-first walk runs over exact seeds, not permutation
+        classes, because direction labels are positional; every step is a
+        ``mutate_state`` lookup.  On a capped atlas the answer is the
+        clusters reachable over stored edges, so a negative answer only
+        means "not found within caps".
         """
         key = frozenset(subset)
         if any(not 1 <= i <= self.n for i in key):
@@ -233,45 +261,20 @@ class PatternAtlas:
         cached = self._ireach_cache.get(key)
         if cached is not None:
             return cached
-        if self.complete:
-            bound = 10 * factorial(self.n) * len(self.seeds) + 10
-        else:
-            bound = self.caps.max_seeds
-        root = self.seeds[0]
-        seen = {root.sort_key()}
-        out: dict[Cluster, Seed] = {
-            tuple(sorted(self.seed_variable_ids[0])): root
-        }
+        root = (0, self.seed_variable_ids[0])
+        seen = {root}
+        out = {tuple(sorted(root[1])): root[1]}
         frontier = [root]
         directions = sorted(key)
         while frontier:
             nxt = []
-            for seed in frontier:
+            for state in frontier:
                 for k in directions:
-                    child = mutate(seed, k)
-                    ck = child.sort_key()
-                    if ck in seen:
+                    child = self.mutate_state(state, k)
+                    if child is None or child in seen:
                         continue
-                    ids = [self._var_ids.get(p) for p in child.x]
-                    if any(i is None for i in ids):
-                        if self.complete:
-                            raise RuntimeError(
-                                "restricted walk left the variable table of a "
-                                "complete atlas; exploration is broken"
-                            )
-                        continue
-                    seen.add(ck)
-                    if len(seen) > bound:
-                        if self.complete:
-                            raise RuntimeError(
-                                "restricted walk exceeded its bound on a "
-                                "complete atlas; exploration is broken"
-                            )
-                        self._ireach_cache[key] = out
-                        return out
-                    cluster = tuple(sorted(ids))
-                    if cluster not in out:
-                        out[cluster] = child
+                    seen.add(child)
+                    out.setdefault(tuple(sorted(child[1])), child[1])
                     nxt.append(child)
             frontier = nxt
         self._ireach_cache[key] = out

@@ -10,17 +10,17 @@ expansion really is homogeneous.
 A g-pair check along a direction subset I asks, for every variable of a
 cluster t, whether some monomial on an I-connected cluster t' supported
 on I has the same projection to the I coordinates of the grading.  The
-off-I columns of t's G-matrix are unit vectors for I-connected clusters
-(asserted at runtime), so the projected system reduces to the I x I
-block, which is invertible over the integers; the candidate exponent
-vector is therefore unique and only needs integrality and nonnegativity
-checks.
+off-I columns of the G-matrix of t' are unit vectors (asserted at
+runtime), so the projected system reduces to the I x I block.  G-matrices
+have determinant ±1 (Nakanishi-Zelevinsky, "On tropical dualities in
+cluster algebras"), so the block is unimodular: it is inverted once per
+candidate over the integers, and the unique, integral exponent vector of
+each variable only needs a sign check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .atlas import Cluster, PatternAtlas
@@ -138,29 +138,6 @@ def connected_by_I_sequence(
     return c in atlas.i_reachable(subset)
 
 
-def _solve_fraction_system(
-    mat: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> list[Fraction] | None:
-    """Solve a square system exactly; None when singular."""
-    size = len(mat)
-    aug = [
-        [Fraction(mat[i][j]) for j in range(size)] + [Fraction(rhs[i])]
-        for i in range(size)
-    ]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][size] for i in range(size)]
-
-
 def _unit(n: int, pos: int) -> GradedDegree:
     return tuple(int(i == pos) for i in range(n))
 
@@ -179,10 +156,9 @@ def check_g_pair(
     I = sorted(set(subset))
     if any(not 1 <= i <= n for i in I):
         raise ValueError(f"directions {I} out of range 1..{n}")
-    exact = atlas.i_reachable(I).get(tp)
-    if exact is None:
+    ids = atlas.i_reachable(I).get(tp)
+    if ids is None:
         return False
-    ids = [atlas.variable_id(p) for p in exact.x]
     cols = [g_vector(v, atlas) for v in ids]
     for pos in range(n):
         # Positions never mutated along an I-walk still hold root
@@ -193,15 +169,25 @@ def check_g_pair(
                 f"I-connected seed; the grading engine is inconsistent"
             )
     block = [[cols[j - 1][i - 1] for j in I] for i in I]
+    det = _det(block)
+    if det not in (1, -1):
+        raise RuntimeError(
+            f"I-block of a G-matrix has determinant {det}; it must be ±1"
+        )
+    # The inverse of a unimodular block is det times its adjugate, so the
+    # unique solution is integral and only its signs need checking.
+    inverse = [
+        [
+            det * (-1) ** (r + c)
+            * _det([row[:r] + row[r + 1:] for i, row in enumerate(block) if i != c])
+            for c in range(len(I))
+        ]
+        for r in range(len(I))
+    ]
     for v in tc:
         g = g_vector(v, atlas)
         rhs = [g[i - 1] for i in I]
-        sol = _solve_fraction_system(block, rhs)
-        if sol is None:
-            raise RuntimeError(
-                "singular I-block in a G-matrix; determinant must be ±1"
-            )
-        if any(val.denominator != 1 or val < 0 for val in sol):
+        if any(sum(a * b for a, b in zip(row, rhs)) < 0 for row in inverse):
             return False
     return True
 

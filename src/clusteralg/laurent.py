@@ -289,10 +289,6 @@ class LaurentPoly:
         return LaurentPoly(n, m, {(0,) * (n + m): 1})
 
     @staticmethod
-    def constant(n: int, m: int, c: int) -> "LaurentPoly":
-        return LaurentPoly(n, m, {(0,) * (n + m): c})
-
-    @staticmethod
     def variable(n: int, m: int, i: int) -> "LaurentPoly":
         """The cluster variable ``xi`` as a polynomial, 1-based."""
         if not 1 <= i <= n:
@@ -360,12 +356,6 @@ class LaurentPoly:
 
     def has_positive_coefficients(self) -> bool:
         return bool(self.terms) and all(c > 0 for c in self.terms.values())
-
-    def x_part(self, key: Exponents) -> Exponents:
-        return key[: self.n]
-
-    def y_part(self, key: Exponents) -> Exponents:
-        return key[self.n:]
 
     def x_terms(self) -> list[tuple[Exponents, CoefRingElement]]:
         """Terms grouped by x exponents, in canonical x order (largest first)."""

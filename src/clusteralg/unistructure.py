@@ -21,10 +21,11 @@ variables in a pattern with the same variable set is thereby ruled out.
 Cross-atlas verification aligns two trivial-coefficient atlases by an
 explicit identification: an anchor seed of the first atlas (a stored
 seed, possibly with positions permuted) whose matrix matches the second
-root's; walking the second atlas's discovery tree from the anchor maps
-every variable of the second atlas to a first-atlas expansion.  On
-success the cluster sets, labeled exchange graphs, and full
-d-compatibility matrices are compared.
+root's; walking the second atlas's discovery tree from the anchor over
+the first atlas's edge table, a lookup per step with no Laurent
+arithmetic, maps every variable of the second atlas to a first-atlas
+variable id.  On success the cluster sets, labeled exchange graphs, and
+full d-compatibility matrices are compared.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ from .atlas import (
     IncompleteAtlasError,
     PatternAtlas,
     graphs_equal,
-    replay,
 )
 from .compat import compatibility_matrix
 from .laurent import CoefRingElement, Exponents, LaurentPoly
 from .reports import VerificationReport
-from .seed import ExchangeMatrix, Seed
+from .seed import ExchangeMatrix
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -268,7 +268,9 @@ def certify_incompatible_pairs(
     ]
 
 
-def _identification_candidates(a1: PatternAtlas, b2: ExchangeMatrix) -> Iterable[tuple[int, tuple[int, ...], Seed]]:
+def _identification_candidates(
+    a1: PatternAtlas, b2: ExchangeMatrix
+) -> Iterable[tuple[int, tuple[int, ...]]]:
     """Stored seeds of a1 under a simultaneous position permutation
     (position i takes position perm[i]) whose matrix equals b2."""
     n = a1.n
@@ -279,9 +281,7 @@ def _identification_candidates(a1: PatternAtlas, b2: ExchangeMatrix) -> Iterable
                 for i in range(n)
             )
             if rows == b2.rows:
-                yield sid, perm, Seed(
-                    b2, [seed.y[i] for i in perm], [seed.x[i] for i in perm]
-                )
+                yield sid, perm
 
 
 def verify_unistructural(a1: PatternAtlas, a2: PatternAtlas) -> VerificationReport:
@@ -364,35 +364,26 @@ def _find_identification(
     """Map every a2 variable id to an a1 variable id, or record why not.
 
     Anchors are permuted stored seeds of a1 whose matrix equals a2's
-    root matrix; walking a2's discovery tree from an anchor expresses
-    every a2 variable in a1's root coordinates, where the interning
-    table decides membership.  A simultaneous permutation of a pattern
-    seed generates the same pattern, so a successful walk stays inside
-    a1's variable set and certifies the identification.
+    root matrix.  With trivial coefficients an anchor generates a1's
+    pattern just as a2's root generates a2's, so walking a2's discovery
+    tree (prefix-closed, stored parent-first) from the anchor over a1's
+    edge table pairs every a2 seed with an exact a1 seed; matching them
+    position by position must give a consistent bijection of variables.
     """
-    n = a1.n
     tried = 0
     last_reason = "no stored seed of the first atlas matches the second root matrix"
-    for sid, perm, anchor in _identification_candidates(a1, a2.root.b):
+    for sid, perm in _identification_candidates(a1, a2.root.b):
         tried += 1
         mapping: dict[int, int] = {}
-        memo = {(): anchor}
+        states = {(): (sid, tuple(a1.seed_variable_ids[sid][i] for i in perm))}
         reason = ""
-        for tid in range(len(a2.seeds)):
-            landed = replay(memo, a2.seeds[tid].path)
-            for pos in range(n):
-                v2 = a2.seed_variable_ids[tid][pos]
-                v1 = a1.variable_id(landed.x[pos])
-                if v1 is None:
-                    reason = (
-                        f"variable {v2} of the second atlas has no counterpart "
-                        f"in the first (anchor seed {sid}, permutation {perm})"
-                    )
-                    break
-                prev = mapping.get(v2)
-                if prev is None:
-                    mapping[v2] = v1
-                elif prev != v1:
+        for seed, ids2 in zip(a2.seeds, a2.seed_variable_ids):
+            path = seed.path
+            if path:
+                states[path] = a1.mutate_state(states[path[:-1]], path[-1])
+            for v2, v1 in zip(ids2, states[path][1]):
+                prev = mapping.setdefault(v2, v1)
+                if prev != v1:
                     reason = (
                         f"variable {v2} of the second atlas maps to both "
                         f"{prev} and {v1} (anchor seed {sid})"

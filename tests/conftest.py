@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import clusteralg.atlas
+import clusteralg.seed
 from clusteralg import ExchangeMatrix, explore, random_exchange_matrix, root_seed
 
 __all__ = ["random_exchange_matrix"]
@@ -12,6 +14,21 @@ A2_ROWS = [[0, 1], [-1, 0]]
 B2_ROWS = [[0, 2], [-1, 0]]
 G2_ROWS = [[0, 3], [-1, 0]]
 A3_ROWS = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
+
+
+def count_mutations(monkeypatch) -> list[int]:
+    """Record the direction of every seed mutation from here on, under
+    both names the engine calls it by."""
+    calls: list[int] = []
+    for module in (clusteralg.atlas, clusteralg.seed):
+        original = module.mutate
+
+        def counted(seed, k, original=original):
+            calls.append(k)
+            return original(seed, k)
+
+        monkeypatch.setattr(module, "mutate", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

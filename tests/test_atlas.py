@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from clusteralg import (
@@ -15,10 +17,9 @@ from clusteralg import (
     mutate_path,
     root_seed,
 )
-import clusteralg.atlas
-import clusteralg.seed
 from clusteralg.atlas import _canonical_seed_key
-from conftest import A2_ROWS, A3_ROWS, B2_ROWS
+from clusteralg.seed import mutate
+from conftest import A2_ROWS, A3_ROWS, B2_ROWS, count_mutations
 
 A2_VARIABLES = [
     "x1",
@@ -43,9 +44,39 @@ A2_PENTAGON_DOT = """graph exchange {
 """
 
 
+A4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
+
+
 def infinite_rank2(max_seeds=12):
     root = root_seed(ExchangeMatrix([[0, 2], [-2, 0]]), "trivial")
     return explore(root, ExploreCaps(max_seeds=max_seeds))
+
+
+def all_subsets(n):
+    return [I for size in range(n + 1) for I in combinations(range(1, n + 1), size)]
+
+
+def laurent_i_reachable(atlas, subset):
+    """Reference for ``i_reachable`` on a complete atlas: the same
+    breadth-first walk, mutating full Laurent seeds and interning each
+    one's variables."""
+    root = atlas.seeds[0]
+    seen = {root.sort_key()}
+    out = {tuple(sorted(atlas.seed_variable_ids[0])): atlas.seed_variable_ids[0]}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for seed in frontier:
+            for k in sorted(set(subset)):
+                child = mutate(seed, k)
+                if child.sort_key() in seen:
+                    continue
+                seen.add(child.sort_key())
+                ids = tuple(atlas.variable_id(p) for p in child.x)
+                out.setdefault(tuple(sorted(ids)), ids)
+                nxt.append(child)
+        frontier = nxt
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -225,15 +256,7 @@ class TestExpand:
 
     def test_rerooting_mutates_each_tree_node_once(self, monkeypatch):
         atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
-        calls = []
-        for module in (clusteralg.atlas, clusteralg.seed):
-            original = module.mutate
-
-            def counted(seed, k, original=original):
-                calls.append(k)
-                return original(seed, k)
-
-            monkeypatch.setattr(module, "mutate", counted)
+        calls = count_mutations(monkeypatch)
         depth, host = max(
             (len(atlas.seeds[sid].path), c) for c, sid in atlas.cluster_to_seed.items()
         )
@@ -266,9 +289,18 @@ class TestRestrictedReachability:
         assert list(a.i_reachable(())) == [(0, 1)]
 
     def test_full_direction_set_reaches_everything(self, a2_trivial, a3_trivial):
-        for atlas in (a2_trivial, a3_trivial):
+        capped = [
+            explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"), ExploreCaps(5)),
+            explore(root_seed(ExchangeMatrix(A4_ROWS), "trivial"), ExploreCaps(20)),
+            infinite_rank2(max_seeds=12),
+        ]
+        for atlas in [a2_trivial, a3_trivial] + capped:
             reach = atlas.i_reachable(tuple(range(1, atlas.n + 1)))
             assert sorted(reach) == sorted(atlas.clusters)
+        for atlas in capped:
+            # A walk over stored edges only returns stored clusters.
+            for I in all_subsets(atlas.n):
+                assert all(c in atlas.cluster_to_seed for c in atlas.i_reachable(I))
 
     def test_walk_starts_at_the_root_seed(self, a2_trivial):
         # Reachability is from the root seed specifically: cluster {3, 4}
@@ -278,10 +310,25 @@ class TestRestrictedReachability:
         assert (3, 4) in a.i_reachable((1, 2))
 
     def test_exact_seeds_are_returned(self, a2_trivial):
-        reach = a2_trivial.i_reachable((1,))
-        seed = reach[(1, 2)]
-        assert seed.path == (1,)
-        assert str(seed.x[0]) == "x1^-1*x2 + x1^-1"
+        a = a2_trivial
+        ids = a.i_reachable((1,))[(1, 2)]
+        assert ids == tuple(a.variable_id(p) for p in mutate(a.root, 1).x)
+        assert str(a.expansion(ids[0])) == "x1^-1*x2 + x1^-1"
+
+    def test_table_walk_matches_laurent_walk(
+        self, a2_trivial, b2_trivial, g2_trivial, a3_trivial, a3_principal
+    ):
+        for atlas in (a2_trivial, b2_trivial, g2_trivial, a3_trivial, a3_principal):
+            for I in all_subsets(atlas.n):
+                want = laurent_i_reachable(atlas, I)
+                assert list(atlas.i_reachable(I).items()) == list(want.items())
+
+    def test_table_walk_does_no_mutations(self, monkeypatch):
+        atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "principal"))
+        calls = count_mutations(monkeypatch)
+        for I in all_subsets(atlas.n):
+            atlas.i_reachable(I)
+        assert calls == []
 
     def test_direction_bounds_checked(self, a2_trivial):
         with pytest.raises(ValueError):

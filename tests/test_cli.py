@@ -12,6 +12,11 @@ from clusteralg.cli import main
 A2_TRIVIAL = {"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "trivial"}
 A2_PRINCIPAL = {"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "principal"}
 INFINITE = {"n": 2, "B": [[0, 2], [-2, 0]], "coefficients": "trivial"}
+A3_PRINCIPAL = {
+    "n": 3,
+    "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
+    "coefficients": "principal",
+}
 
 
 @pytest.fixture()
@@ -20,6 +25,7 @@ def seeds(tmp_path):
     for name, data in [
         ("a2", A2_TRIVIAL),
         ("a2p", A2_PRINCIPAL),
+        ("a3p", A3_PRINCIPAL),
         ("inf", INFINITE),
         ("a2_moved", {"n": 2, "B": [[0, -1], [1, 0]], "coefficients": "trivial"}),
     ]:
@@ -110,6 +116,18 @@ class TestCommands:
         )
         assert code == 0
         assert capsys.readouterr().out == "{1,2}\n"
+
+    def test_gpair_on_a_capped_atlas_stays_on_stored_seeds(self, seeds, capsys):
+        # Along every direction a cluster is its own partner; the walk
+        # must reach stored cluster {0,5,7} over stored edges.
+        code = main(
+            [
+                "gpair", "--seed", seeds["a3p"], "--max-seeds", "8",
+                "--cluster", "0 5 7", "--subset", "1 2 3",
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "{0,5,7}\n"
 
     def test_witness(self, seeds, capsys):
         code = main(

@@ -36,10 +36,9 @@ def brute_force_g_pair(t, t_prime, subset, atlas, bound=6):
     supported on the I positions, and compare graded degrees on the I
     coordinates only."""
     I = sorted(set(subset))
-    exact = atlas.i_reachable(I).get(tuple(sorted(t_prime)))
-    if exact is None:
+    ids = atlas.i_reachable(I).get(tuple(sorted(t_prime)))
+    if ids is None:
         return False
-    ids = [atlas.variable_id(p) for p in exact.x]
     cols = [g_vector(v, atlas) for v in ids]
     for v in atlas.normalize_cluster(t):
         g = g_vector(v, atlas)
@@ -171,10 +170,10 @@ class TestConnectivity:
         atlas = a3_principal
         for size in range(atlas.n + 1):
             for I in combinations(range(1, atlas.n + 1), size):
-                for cluster, seed in atlas.i_reachable(I).items():
+                for cluster, ids in atlas.i_reachable(I).items():
                     for pos in range(atlas.n):
                         if (pos + 1) not in I:
-                            assert str(seed.x[pos]) == f"x{pos + 1}"
+                            assert str(atlas.expansion(ids[pos])) == f"x{pos + 1}"
 
 
 # ----------------------------------------------------------------------
@@ -201,15 +200,17 @@ class TestGPairs:
     def test_non_connected_candidate_is_not_a_pair(self, a2_principal):
         assert not check_g_pair((0, 1), (3, 4), (1,), a2_principal)
 
-    def test_matches_brute_force_definition(self, a2_principal):
-        atlas = a2_principal
-        for size in range(3):
-            for I in combinations((1, 2), size):
-                reachable = sorted(atlas.i_reachable(I))
-                for t in atlas.clusters:
-                    for tp in reachable:
-                        got = check_g_pair(t, tp, I, atlas)
-                        assert got == brute_force_g_pair(t, tp, I, atlas)
+    def test_matches_brute_force_definition(
+        self, a2_principal, b2_principal, a3_principal
+    ):
+        for atlas in (a2_principal, b2_principal, a3_principal):
+            for size in range(atlas.n + 1):
+                for I in combinations(range(1, atlas.n + 1), size):
+                    reachable = sorted(atlas.i_reachable(I))
+                    for t in atlas.clusters:
+                        for tp in reachable:
+                            got = check_g_pair(t, tp, I, atlas)
+                            assert got == brute_force_g_pair(t, tp, I, atlas)
 
     def test_direction_validation(self, a2_principal):
         with pytest.raises(ValueError):

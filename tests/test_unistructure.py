@@ -27,7 +27,9 @@ from clusteralg import (
     verify_unistructural,
     witness_sweep,
 )
-from conftest import A2_ROWS, A3_ROWS, B2_ROWS
+from clusteralg.reports import VerificationReport
+from clusteralg.unistructure import _find_identification
+from conftest import A2_ROWS, A3_ROWS, B2_ROWS, count_mutations
 
 A2_INCOMPATIBLE_PAIRS = [
     (0, 2), (0, 4), (1, 3), (1, 4), (2, 0),
@@ -226,6 +228,15 @@ class TestVerifyUnistructural:
         other = explore(root_seed(ExchangeMatrix(reversed_rows), "trivial"))
         report = verify_unistructural(a3_trivial, other)
         assert report.passed
+
+    def test_identification_does_no_mutations(self, a3_trivial, monkeypatch):
+        reversed_rows = [[0, -1, 0], [1, 0, -1], [0, 1, 0]]
+        other = explore(root_seed(ExchangeMatrix(reversed_rows), "trivial"))
+        calls = count_mutations(monkeypatch)
+        report = VerificationReport(suite="unistructural")
+        mapping = _find_identification(a3_trivial, other, report)
+        assert sorted(mapping.values()) == list(range(len(a3_trivial.variables)))
+        assert calls == []
 
     def test_rank_mismatch_is_an_error(self, a2_trivial, a3_trivial):
         report = verify_unistructural(a2_trivial, a3_trivial)
