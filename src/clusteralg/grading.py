@@ -15,7 +15,8 @@ runtime), so the projected system reduces to the I x I block.  G-matrices
 have determinant ±1 (Nakanishi-Zelevinsky, "On tropical dualities in
 cluster algebras"), so the block is unimodular: it is inverted once per
 candidate over the integers, and the unique, integral exponent vector of
-each variable only needs a sign check.
+each variable only needs a sign check.  The inverse depends only on
+(t', I), so it is computed once per pair and kept in ``atlas.derived``.
 """
 
 from __future__ import annotations
@@ -142,23 +143,23 @@ def _unit(n: int, pos: int) -> GradedDegree:
     return tuple(int(i == pos) for i in range(n))
 
 
-def check_g_pair(
-    t: Iterable[int],
-    t_prime: Iterable[int],
-    subset: Iterable[int],
-    atlas: PatternAtlas,
-) -> bool:
-    """Whether (t, t_prime) is a g-pair along the direction subset."""
-    _require_principal(atlas)
+def _i_block_inverse(
+    t_prime: Cluster, I: tuple[int, ...], atlas: PatternAtlas
+) -> list[list[int]] | None:
+    """Inverse of the I x I block of the G-matrix of an I-connected seed
+    on t_prime (positions by the seed, not by id), or None when t_prime
+    is not I-connected.  Memoised per (t_prime, I)."""
+    cache = atlas.derived.setdefault("i_block_inverses", {})
+    if (t_prime, I) not in cache:
+        ids = atlas.i_reachable(I).get(t_prime)
+        cache[t_prime, I] = None if ids is None else _invert_i_block(ids, I, atlas)
+    return cache[t_prime, I]
+
+
+def _invert_i_block(
+    ids: Sequence[int], I: tuple[int, ...], atlas: PatternAtlas
+) -> list[list[int]]:
     n = atlas.n
-    tc = atlas.normalize_cluster(t)
-    tp = tuple(sorted(t_prime))
-    I = sorted(set(subset))
-    if any(not 1 <= i <= n for i in I):
-        raise ValueError(f"directions {I} out of range 1..{n}")
-    ids = atlas.i_reachable(I).get(tp)
-    if ids is None:
-        return False
     cols = [g_vector(v, atlas) for v in ids]
     for pos in range(n):
         # Positions never mutated along an I-walk still hold root
@@ -176,7 +177,7 @@ def check_g_pair(
         )
     # The inverse of a unimodular block is det times its adjugate, so the
     # unique solution is integral and only its signs need checking.
-    inverse = [
+    return [
         [
             det * (-1) ** (r + c)
             * _det([row[:r] + row[r + 1:] for i, row in enumerate(block) if i != c])
@@ -184,6 +185,24 @@ def check_g_pair(
         ]
         for r in range(len(I))
     ]
+
+
+def check_g_pair(
+    t: Iterable[int],
+    t_prime: Iterable[int],
+    subset: Iterable[int],
+    atlas: PatternAtlas,
+) -> bool:
+    """Whether (t, t_prime) is a g-pair along the direction subset."""
+    _require_principal(atlas)
+    n = atlas.n
+    tc = atlas.normalize_cluster(t)
+    I = tuple(sorted(set(subset)))
+    if any(not 1 <= i <= n for i in I):
+        raise ValueError(f"directions {list(I)} out of range 1..{n}")
+    inverse = _i_block_inverse(tuple(sorted(t_prime)), I, atlas)
+    if inverse is None:
+        return False
     for v in tc:
         g = g_vector(v, atlas)
         rhs = [g[i - 1] for i in I]

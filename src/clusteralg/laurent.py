@@ -19,6 +19,13 @@ returns :class:`fractions.Fraction`.
 Canonical term order is lexicographic on the combined exponent tuple,
 largest first.  Serialization and iteration follow that order, so equal
 polynomials always print identically.
+
+Large products (at least ``PACKED_PRODUCT_PAIRS`` term pairs) pack each
+exponent tuple into one integer for the duration of the call, so a
+monomial product is one integer add; the field layout comes from the
+operands' exponent ranges, so no field overflows.  The result is
+unpacked to tuple keys: ``terms`` always has tuple keys, and the order
+above is unchanged.
 """
 
 from __future__ import annotations
@@ -26,10 +33,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from heapq import heapify, heappop, heappush
+from operator import add, mul, sub
+from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 GradedDegree = tuple[int, ...]
+
+# Products with at least this many term pairs multiply packed integer keys.
+PACKED_PRODUCT_PAIRS = 256
 
 
 class NotDivisibleError(ArithmeticError):
@@ -184,10 +196,6 @@ class CoefRingElement:
     def one(m: int) -> "CoefRingElement":
         return CoefRingElement(m, {(0,) * m: 1})
 
-    @staticmethod
-    def from_tropical(t: TropicalElement, coeff: int = 1) -> "CoefRingElement":
-        return CoefRingElement(t.rank, {t.exponents: coeff})
-
     def sort_key(self) -> tuple:
         if self._key is None:
             self._key = (self.m, tuple(sorted(self.terms.items(), reverse=True)))
@@ -201,45 +209,12 @@ class CoefRingElement:
     def __hash__(self) -> int:
         return hash(self.sort_key())
 
-    def _check_rank(self, other: "CoefRingElement") -> None:
-        if self.m != other.m:
-            raise ValueError(f"coefficient rank mismatch: {self.m} vs {other.m}")
-
-    def __add__(self, other: "CoefRingElement") -> "CoefRingElement":
-        self._check_rank(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return CoefRingElement(self.m, out)
-
-    def __neg__(self) -> "CoefRingElement":
-        return CoefRingElement(self.m, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "CoefRingElement") -> "CoefRingElement":
-        return self + (-other)
-
-    def __mul__(self, other: "CoefRingElement") -> "CoefRingElement":
-        self._check_rank(other)
-        out: dict[Exponents, int] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, 0) + c1 * c2
-        return CoefRingElement(self.m, out)
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_positive(self) -> bool:
-        """True when every stored integer coefficient is > 0 (and nonzero)."""
-        return bool(self.terms) and all(c > 0 for c in self.terms.values())
 
     def coefficient_sum(self) -> int:
         """Sum of the integer coefficients (the image when every y maps to 1)."""
         return sum(self.terms.values())
-
-    def is_single_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def __str__(self) -> str:
         if not self.terms:
@@ -367,16 +342,6 @@ class LaurentPoly:
             for x, ys in sorted(grouped.items(), reverse=True)
         ]
 
-    def coefficient(self, x_exponents: Sequence[int]) -> CoefRingElement:
-        """The coefficient-ring element attached to one x monomial."""
-        xs = tuple(x_exponents)
-        if len(xs) != self.n:
-            raise ValueError("x exponent length does not match rank")
-        out = {
-            key[self.n:]: c for key, c in self.terms.items() if key[: self.n] == xs
-        }
-        return CoefRingElement(self.m, out)
-
     # ------------------------------------------------------------------
     # ring operations
 
@@ -386,15 +351,30 @@ class LaurentPoly:
                 f"rank mismatch: ({self.n},{self.m}) vs ({other.n},{other.m})"
             )
 
+    @staticmethod
+    def _trusted(n: int, m: int, terms: dict[Exponents, int]) -> "LaurentPoly":
+        """Wrap a kernel result whose keys are tuples of length ``n + m``
+        and whose coefficients are all nonzero, without re-validating."""
+        p = object.__new__(LaurentPoly)
+        p.n = n
+        p.m = m
+        p.terms = terms
+        p._key = None
+        return p
+
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_ranks(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
-        return LaurentPoly(self.n, self.m, out)
+        return LaurentPoly._trusted(
+            self.n, self.m, {k: c for k, c in out.items() if c}
+        )
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.n, self.m, {k: -c for k, c in self.terms.items()})
+        return LaurentPoly._trusted(
+            self.n, self.m, {k: -c for k, c in self.terms.items()}
+        )
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -406,32 +386,39 @@ class LaurentPoly:
         if len(self.terms) == 1:
             # Monomial shift: every product key is distinct.
             ((k1, c1),) = self.terms.items()
-            return LaurentPoly(
+            return LaurentPoly._trusted(
                 self.n,
                 self.m,
-                {
-                    tuple(a + b for a, b in zip(k1, k2)): c1 * c2
-                    for k2, c2 in other.terms.items()
-                },
+                {tuple(map(add, k1, k2)): c1 * c2 for k2, c2 in other.terms.items()},
             )
-        out: dict[Exponents, int] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, 0) + c1 * c2
-        return LaurentPoly(self.n, self.m, out)
+        if len(self.terms) * len(other.terms) >= PACKED_PRODUCT_PAIRS:
+            out = _packed_product(self.terms, other.terms)
+        else:
+            out = {}
+            get = out.get
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    k = tuple(map(add, k1, k2))
+                    out[k] = get(k, 0) + c1 * c2
+            out = {k: c for k, c in out.items() if c}
+        return LaurentPoly._trusted(self.n, self.m, out)
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        """Binary powering.  The base is squared only while exponent bits
+        remain, so no power of ``self`` above the k-th is computed."""
         if k < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly.one(self.n, self.m)
+        if k == 0:
+            return LaurentPoly.one(self.n, self.m)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __truediv__(self, other: "LaurentPoly") -> "LaurentPoly":
         return exact_div(self, other)
@@ -555,62 +542,103 @@ class LaurentPoly:
         return LaurentPoly(n, m, out)
 
 
+def _packed_product(
+    a: dict[Exponents, int], b: dict[Exponents, int]
+) -> dict[Exponents, int]:
+    """The product of two term dicts, multiplied over packed integer keys.
+
+    Each exponent tuple becomes one integer with a bit field per
+    coordinate, the first coordinate most significant.  A field is wide
+    enough for that coordinate's range in the product, so fields never
+    carry into each other and packing is additive: the packed sum of two
+    keys is the packed key of their product.  Zero coefficients are
+    dropped.
+    """
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    low_a = [min(x) for x in cols_a]
+    low_b = [min(y) for y in cols_b]
+    bits = [
+        (max(x) - la + max(y) - lb).bit_length()
+        for x, y, la, lb in zip(cols_a, cols_b, low_a, low_b)
+    ]
+    shifts = []
+    total = 0
+    for width in reversed(bits):
+        shifts.append(total)
+        total += width
+    shifts.reverse()
+    weights = [1 << s for s in shifts]
+    # Keys are packed relative to their operand's lowest exponents, so
+    # every field of a packed product is nonnegative.
+    base_a = sum(map(mul, low_a, weights))
+    base_b = sum(map(mul, low_b, weights))
+    packed_b = [(sum(map(mul, k, weights)) - base_b, c) for k, c in b.items()]
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in a.items():
+        p1 = sum(map(mul, k1, weights)) - base_a
+        for p2, c2 in packed_b:
+            p = p1 + p2
+            out[p] = get(p, 0) + c1 * c2
+    fields = [
+        (s, (1 << w) - 1, la + lb)
+        for s, w, la, lb in zip(shifts, bits, low_a, low_b)
+    ]
+    return {
+        tuple([((p >> s) & mask) + low for s, mask, low in fields]): c
+        for p, c in out.items()
+        if c
+    }
+
+
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact division of Laurent polynomials; raises NotDivisibleError
     when no Laurent polynomial quotient with integer coefficients exists.
 
     Both arguments are shifted by their minimal exponents to honest
     polynomials, which are divided by repeatedly cancelling leading
-    terms in lexicographic order.  Any exponent or coefficient failure
-    during that loop proves non-divisibility.
+    terms in lexicographic order.  The leading term of the remainder
+    comes from a heap (Johnson 1974; Monagan and Pearce 2011) rather than
+    a scan, so the leading terms, the quotient and the failure
+    conditions are those of the plain loop.  Any exponent or coefficient
+    failure during that loop proves non-divisibility.
     """
     num._check_ranks(den)
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(num.n, num.m)
-    width = num.n + num.m
-
-    def full_mins(terms: dict) -> Exponents:
-        mins = None
-        for key in terms:
-            if mins is None:
-                mins = list(key)
-            else:
-                for i in range(width):
-                    if key[i] < mins[i]:
-                        mins[i] = key[i]
-        return tuple(mins)
-
-    na = full_mins(num.terms)
-    db = full_mins(den.terms)
-    shifted_num = {
-        tuple(k[i] - na[i] for i in range(width)): c for k, c in num.terms.items()
-    }
-    shifted_den = {
-        tuple(k[i] - db[i] for i in range(width)): c for k, c in den.terms.items()
-    }
-    den_lead = max(shifted_den)
-    den_lc = shifted_den[den_lead]
+    na = tuple(map(min, zip(*num.terms)))
+    db = tuple(map(min, zip(*den.terms)))
+    # Keys are negated shifted exponents, so the lexicographically largest
+    # remaining term is the heap minimum.
+    rem = {tuple(map(sub, na, k)): c for k, c in num.terms.items()}
+    divisor = sorted((tuple(map(sub, db, k)), c) for k, c in den.terms.items())
+    (den_lead, den_lc), tail = divisor[0], divisor[1:]
+    heap = list(rem)
+    heapify(heap)
     quotient: dict[Exponents, int] = {}
-    rem = dict(shifted_num)
-    while rem:
-        lead = max(rem)
-        diff = tuple(a - b for a, b in zip(lead, den_lead))
-        c, leftover = divmod(rem[lead], den_lc)
-        if leftover or any(d < 0 for d in diff):
+    while heap:
+        lead = heappop(heap)
+        lc = rem.pop(lead, None)
+        if lc is None:
+            continue  # cancelled since it was pushed
+        c, leftover = divmod(lc, den_lc)
+        diff = tuple(map(sub, lead, den_lead))
+        if leftover or any(d > 0 for d in diff):
             raise NotDivisibleError(f"({num}) is not divisible by ({den})")
         quotient[diff] = c
-        for k2, c2 in shifted_den.items():
-            kk = tuple(a + b for a, b in zip(diff, k2))
-            v = rem.get(kk, 0) - c * c2
-            if v:
-                rem[kk] = v
+        for k2, c2 in tail:
+            kk = tuple(map(add, diff, k2))
+            old = rem.get(kk)
+            if old is None:
+                rem[kk] = -c * c2
+                heappush(heap, kk)
+            elif old == c * c2:
+                del rem[kk]
             else:
-                rem.pop(kk, None)
-    shift = tuple(a - b for a, b in zip(na, db))
-    return LaurentPoly(
-        num.n,
-        num.m,
-        {tuple(a + b for a, b in zip(k, shift)): c for k, c in quotient.items()},
+                rem[kk] = old - c * c2
+    shift = tuple(map(sub, na, db))
+    return LaurentPoly._trusted(
+        num.n, num.m, {tuple(map(sub, shift, k)): c for k, c in quotient.items()}
     )

@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
+import clusteralg.grading
 from clusteralg import (
     ClusterMonomial,
     ExchangeMatrix,
@@ -26,6 +27,7 @@ from clusteralg import (
     root_seed,
     verify_g_pairs,
 )
+from conftest import A3_ROWS
 
 A2_G_VECTORS = [(1, 0), (0, 1), (-1, 1), (0, -1), (-1, 0)]
 
@@ -223,6 +225,20 @@ class TestGPairs:
             assert report.suite == "g-pairs"
             assert ("pairs-checked", str(pairs)) in report.context
             assert "result: pass" in report.lines()
+
+    def test_sweep_inverts_each_block_once(self, monkeypatch):
+        inversions = []
+        original = clusteralg.grading._invert_i_block
+
+        def counted(ids, I, atlas):
+            inversions.append((tuple(sorted(ids)), I))
+            return original(ids, I, atlas)
+
+        monkeypatch.setattr(clusteralg.grading, "_invert_i_block", counted)
+        atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "principal"))
+        assert verify_g_pairs(atlas).passed
+        # One inversion per distinct (t', I): 35 on A3, against 302 checks.
+        assert len(inversions) == len(set(inversions)) == 35
 
     def test_sweep_requires_principal_and_complete(self, a2_trivial):
         with pytest.raises(NotPrincipalError):
