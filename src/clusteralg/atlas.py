@@ -14,6 +14,13 @@ serialized atlas never depends on hashing or scheduling.  Caps bound the
 store size and the search depth; hitting either leaves ``complete``
 false, which downstream verification refuses rather than guessing.
 
+Each exchange edge is mutated once.  Mutation is an involution, so the
+edge from s in direction k to stored seed t also names t's edge back to
+s: the direction is the position, in t, of the variable the mutation
+made.  That reverse edge is written, with no arithmetic, when t's level
+runs, and a reverse edge that contradicts a computed one is an engine
+fault.
+
 Expansions of a variable with respect to an arbitrary stored cluster are
 computed by re-rooting: give that cluster's seed unit-monomial variables,
 replay its reversed discovery path once back to the pattern root, then walk
@@ -24,8 +31,8 @@ Walks that only need to know which variables a seed holds do no
 arithmetic at all.  An exact seed (positions intact) is the pair of its
 stored seed id and its variable ids by position, and the edge table
 mutates it by lookup: each entry stands for a mutation computed, and
-positivity-checked, once during exploration.  Restricted reachability
-and cross-atlas identification are such walks.
+positivity-checked, during exploration, or for its inverse.  Restricted
+reachability and cross-atlas identification are such walks.
 """
 
 from __future__ import annotations
@@ -125,17 +132,42 @@ class PatternAtlas:
     def _explore(self) -> bool:
         n = self.n
         truncated = False
+        # Mutation is an involution, so each computed edge (s, k) -> t also
+        # gives t's edge back to s.  Those reverse edges wait here until t's
+        # level runs: a seed cap can stop exploration before then, and a
+        # seed whose level never ran stores no edges.
+        reverse: dict[tuple[int, int], int] = {}
+
+        def link(sid: int, k: int, target: int, child: Seed) -> None:
+            # child = mutate(seeds[sid], k); target mutated at the position
+            # of child's new variable is sid again.
+            self.edges[(sid, k)] = target
+            new = self._var_ids[child.x[k - 1]]
+            edge = (target, self.seed_variable_ids[target].index(new) + 1)
+            for known in (self.edges.get(edge), reverse.get(edge)):
+                if known is not None and known != sid:
+                    raise RuntimeError(
+                        f"seed {target} in direction {edge[1]} reaches seed "
+                        f"{known}, but mutation is an involution and seed "
+                        f"{sid} in direction {k} reaches seed {target}"
+                    )
+            reverse[edge] = sid
+
         level = [0]
         while level:
             candidates: list[tuple[tuple, Seed, int, int]] = []
             for sid in level:
                 seed = self.seeds[sid]
                 for k in range(1, n + 1):
+                    back = reverse.pop((sid, k), None)
+                    if back is not None:
+                        self.edges[(sid, k)] = back
+                        continue
                     child = mutate(seed, k)
                     key = _canonical_seed_key(child)
                     target = self._seed_keys.get(key)
                     if target is not None:
-                        self.edges[(sid, k)] = target
+                        link(sid, k, target, child)
                     else:
                         candidates.append((key, child, sid, k))
             if not candidates:
@@ -155,7 +187,7 @@ class PatternAtlas:
             for key, child, sid, k in candidates:
                 target = self._seed_keys.get(key)
                 if target is not None:
-                    self.edges[(sid, k)] = target
+                    link(sid, k, target, child)
                 else:
                     truncated = True
             if truncated and len(self.seeds) >= self.caps.max_seeds:

@@ -5,7 +5,8 @@ row-major lists, "coefficients": "trivial"|"principal"}), explores as
 needed under explicit caps, and prints deterministic text: identical
 inputs give byte-identical output.  Exit codes: 0 success or verified,
 1 a verification ran and the property failed, 2 usage or input error
-(including incomplete atlases handed to verification suites).
+(including incomplete atlases handed to verification suites), 3 engine
+fault (a broken invariant or an arithmetic failure inside the engine).
 """
 
 from __future__ import annotations
@@ -296,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"engine fault: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

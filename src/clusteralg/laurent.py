@@ -608,6 +608,17 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero(num.n, num.m)
+    if len(den.terms) == 1:
+        # Monomial divisor: a key shift, exact iff its coefficient divides
+        # every numerator coefficient.
+        ((k1, c1),) = den.terms.items()
+        quotient = {}
+        for k2, c2 in num.terms.items():
+            c, leftover = divmod(c2, c1)
+            if leftover:
+                raise NotDivisibleError(f"({num}) is not divisible by ({den})")
+            quotient[tuple(map(sub, k2, k1))] = c
+        return LaurentPoly._trusted(num.n, num.m, quotient)
     na = tuple(map(min, zip(*num.terms)))
     db = tuple(map(min, zip(*den.terms)))
     # Keys are negated shifted exponents, so the lexicographically largest

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import clusteralg.atlas
 from clusteralg import (
     ExchangeGraph,
     ExchangeMatrix,
@@ -17,9 +18,9 @@ from clusteralg import (
     mutate_path,
     root_seed,
 )
-from clusteralg.atlas import _canonical_seed_key
+from clusteralg.atlas import PatternAtlas, _canonical_seed_key
 from clusteralg.seed import mutate
-from conftest import A2_ROWS, A3_ROWS, B2_ROWS, count_mutations
+from conftest import A2_ROWS, A3_ROWS, B2_ROWS, G2_ROWS, count_mutations
 
 A2_VARIABLES = [
     "x1",
@@ -45,11 +46,61 @@ A2_PENTAGON_DOT = """graph exchange {
 
 
 A4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
+B3_ROWS = [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]
+C3_ROWS = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
+D4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
+MARKOV_ROWS = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
 
 
 def infinite_rank2(max_seeds=12):
     root = root_seed(ExchangeMatrix([[0, 2], [-2, 0]]), "trivial")
     return explore(root, ExploreCaps(max_seeds=max_seeds))
+
+
+class EveryDirectionAtlas(PatternAtlas):
+    """Reference exploration: mutate every stored seed in every direction,
+    computing each exchange edge from both of its ends."""
+
+    def _explore(self) -> bool:
+        n = self.n
+        truncated = False
+        level = [0]
+        while level:
+            candidates = []
+            for sid in level:
+                seed = self.seeds[sid]
+                for k in range(1, n + 1):
+                    child = mutate(seed, k)
+                    key = _canonical_seed_key(child)
+                    target = self._seed_keys.get(key)
+                    if target is not None:
+                        self.edges[(sid, k)] = target
+                    else:
+                        candidates.append((key, child, sid, k))
+            if not candidates:
+                break
+            depth = len(self.seeds[level[0]].path) + 1
+            next_level = []
+            if depth <= self.caps.max_depth:
+                for key, child, sid, k in sorted(candidates, key=lambda c: c[0]):
+                    if key in self._seed_keys:
+                        continue
+                    if len(self.seeds) >= self.caps.max_seeds:
+                        truncated = True
+                        break
+                    next_level.append(self._store_seed(child, key))
+            else:
+                truncated = True
+            for key, child, sid, k in candidates:
+                target = self._seed_keys.get(key)
+                if target is not None:
+                    self.edges[(sid, k)] = target
+                else:
+                    truncated = True
+            if truncated and len(self.seeds) >= self.caps.max_seeds:
+                break
+            level = next_level
+        return not truncated
 
 
 def all_subsets(n):
@@ -141,6 +192,53 @@ class TestClosures:
                 assert _canonical_seed_key(child) == _canonical_seed_key(
                     atlas.seeds[tid]
                 )
+
+    @pytest.mark.parametrize(
+        "rows, coefficients, caps",
+        [
+            (A2_ROWS, "trivial", ExploreCaps()),
+            (B2_ROWS, "trivial", ExploreCaps()),
+            (G2_ROWS, "trivial", ExploreCaps()),
+            (A3_ROWS, "trivial", ExploreCaps()),
+            (A3_ROWS, "principal", ExploreCaps()),
+            (B3_ROWS, "principal", ExploreCaps()),
+            (A4_ROWS, "principal", ExploreCaps(max_seeds=7)),
+            (A4_ROWS, "principal", ExploreCaps(max_seeds=20)),
+            ([[0, 2], [-2, 0]], "trivial", ExploreCaps(max_depth=6)),
+            (MARKOV_ROWS, "trivial", ExploreCaps(max_depth=3)),
+        ],
+    )
+    def test_one_sided_exploration_matches_every_direction(
+        self, rows, coefficients, caps
+    ):
+        root = root_seed(ExchangeMatrix(rows), coefficients)
+        atlas = explore(root, caps)
+        reference = EveryDirectionAtlas(root, caps)
+        assert atlas.to_json() == reference.to_json()
+        assert list(atlas.edges.items()) == list(reference.edges.items())
+
+    @pytest.mark.parametrize("rows", [A3_ROWS, B3_ROWS, C3_ROWS, D4_ROWS])
+    def test_exploration_mutates_each_exchange_edge_once(self, rows, monkeypatch):
+        root = root_seed(ExchangeMatrix(rows), "principal")
+        calls = count_mutations(monkeypatch)
+        atlas = explore(root)
+        assert atlas.complete
+        assert len(atlas.edges) == atlas.n * len(atlas.seeds)
+        assert len(calls) == len(atlas.edges) // 2
+
+    def test_a_broken_involution_is_an_engine_fault(self, monkeypatch):
+        # Seed (2,) mutated in direction 1 lands one step too far, so an edge
+        # computed from one end disagrees with the reverse derived from the
+        # other.
+        original = clusteralg.atlas.mutate
+
+        def broken(seed, k):
+            child = original(seed, k)
+            return original(child, 3 - k) if seed.path == (2,) and k == 1 else child
+
+        monkeypatch.setattr(clusteralg.atlas, "mutate", broken)
+        with pytest.raises(RuntimeError, match="involution"):
+            explore(root_seed(ExchangeMatrix(A2_ROWS), "trivial"))
 
     def test_exploring_a_mutated_root_gives_the_same_pattern(self, a2_trivial):
         moved = mutate_path(a2_trivial.root, [1])

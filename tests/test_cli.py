@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from clusteralg import VerificationReport
 from clusteralg.cli import main
+from clusteralg.seed import PositivityError
 
 A2_TRIVIAL = {"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "trivial"}
 A2_PRINCIPAL = {"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "principal"}
@@ -15,6 +17,11 @@ INFINITE = {"n": 2, "B": [[0, 2], [-2, 0]], "coefficients": "trivial"}
 A3_PRINCIPAL = {
     "n": 3,
     "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
+    "coefficients": "principal",
+}
+A4_PRINCIPAL = {
+    "n": 4,
+    "B": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
     "coefficients": "principal",
 }
 
@@ -26,6 +33,7 @@ def seeds(tmp_path):
         ("a2", A2_TRIVIAL),
         ("a2p", A2_PRINCIPAL),
         ("a3p", A3_PRINCIPAL),
+        ("a4p", A4_PRINCIPAL),
         ("inf", INFINITE),
         ("a2_moved", {"n": 2, "B": [[0, -1], [1, 0]], "coefficients": "trivial"}),
     ]:
@@ -260,6 +268,19 @@ class TestErrorHandling:
     def test_unknown_suite(self, seeds, capsys):
         assert main(["verify", "nonsense", "--seed", seeds["a2"]]) == 2
 
+    @pytest.mark.parametrize(
+        "fault", [PositivityError("negative coefficient"), RuntimeError("broken")]
+    )
+    def test_engine_fault_exits_three(self, seeds, capsys, monkeypatch, fault):
+        def failing(seed, k):
+            raise fault
+
+        monkeypatch.setattr("clusteralg.atlas.mutate", failing)
+        assert main(["explore", "--seed", seeds["a2"]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"engine fault: {fault}\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -277,3 +298,32 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert main(argv) in (0, 1)
         assert capsys.readouterr().out == first
+
+    # Pinned digests: repeat runs only compare one commit with itself, so
+    # drift in the atlas or its JSON export across commits shows only here.
+    @pytest.mark.parametrize(
+        "name, caps, digest",
+        [
+            (
+                "a3p",
+                [],
+                "d5a9944e888151c3348c854bbaef1846f8b300fe734169b6fe4dbcb3e663107f",
+            ),
+            (
+                "a4p",
+                ["--max-seeds", "20"],
+                "8f6a0c447e30fe78509b665c0719f3f252fcdcfa1eeb292ebda0c501f7cb1a7e",
+            ),
+            (
+                "inf",
+                ["--max-depth", "6"],
+                "03b2b4ae29dcd8277454f51378887a088a8c1e8c18ff26b734e6a729968fb154",
+            ),
+        ],
+    )
+    def test_explore_json_matches_golden_digest(
+        self, seeds, capsys, name, caps, digest
+    ):
+        assert main(["explore", "--seed", seeds[name], "--format", "json"] + caps) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

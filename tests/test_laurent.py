@@ -454,6 +454,35 @@ class TestKernelMatchesReference:
         assume(not b.is_zero())
         assert outcome(exact_div, a, b) == outcome(reference_div, a, b)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kernel_operands(count=1, sizes=[1, 2, 7, 20]),
+        st.sampled_from(["unit", "divides", "does not divide"]),
+        st.integers(2, 5),
+        st.sampled_from([1, -1]),
+        st.data(),
+    )
+    def test_monomial_divisors(self, ops, case, c, sign, data):
+        (a,) = ops
+        width = a.n + a.m
+        shift = data.draw(st.lists(st.integers(-8, 8), min_size=width, max_size=width))
+        scale = 1 if case == "unit" else c
+        terms = {k: scale * v for k, v in a.terms.items()}
+        if case == "does not divide":
+            first = next(iter(terms))
+            terms[first] += 1
+        num = LaurentPoly(a.n, a.m, terms)
+        den = LaurentPoly(a.n, a.m, {tuple(shift): sign * scale})
+        got = outcome(exact_div, num, den)
+        assert got == outcome(reference_div, num, den)
+        if case == "does not divide":
+            assert got is NotDivisibleError
+        else:
+            assert got == LaurentPoly(a.n, a.m, {
+                tuple(x - y for x, y in zip(k, shift)): sign * v
+                for k, v in a.terms.items()
+            })
+
     def test_both_product_paths_are_taken(self, monkeypatch):
         packed = []
         original = clusteralg.laurent._packed_product
