@@ -69,7 +69,7 @@ def _canonical_seed_key(seed: Seed) -> tuple:
     n = seed.n
     order = sorted(range(n), key=lambda i: seed.x[i].sort_key())
     xs = tuple(seed.x[i].sort_key() for i in order)
-    ys = tuple(seed.y[i].exponents for i in order)
+    ys = tuple(seed.y[i] for i in order)
     bb = tuple(tuple(seed.b.rows[oi][oj] for oj in order) for oi in order)
     return (xs, ys, bb)
 
@@ -351,7 +351,7 @@ class PatternAtlas:
                 {
                     "path": list(s.path),
                     "b": [list(row) for row in s.b.rows],
-                    "y": [list(t.exponents) for t in s.y],
+                    "y": [list(t) for t in s.y],
                     "variables": list(self.seed_variable_ids[i]),
                 }
                 for i, s in enumerate(self.seeds)
@@ -370,7 +370,7 @@ def _classify_coefficients(root: Seed) -> str:
         return "trivial"
     n = root.n
     if root.m == n and all(
-        root.y[i].exponents == tuple(int(j == i) for j in range(n))
+        root.y[i] == tuple(int(j == i) for j in range(n))
         for i in range(n)
     ):
         return "principal"

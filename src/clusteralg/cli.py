@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import compat as compat_mod
 from . import grading as grading_mod
@@ -35,16 +34,6 @@ _FORMATS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    seed_file: str
-    caps: ExploreCaps
-    fmt: str
-    out: str | None
-    verbose: bool
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clusteralg",
@@ -59,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     caps_parent = argparse.ArgumentParser(add_help=False)
-    caps_parent.add_argument("--max-seeds", type=int, default=10000)
-    caps_parent.add_argument("--max-depth", type=int, default=64)
+    caps_parent.add_argument("--max-seeds", type=int, default=ExploreCaps.max_seeds)
+    caps_parent.add_argument("--max-depth", type=int, default=ExploreCaps.max_depth)
 
     out_parent = argparse.ArgumentParser(add_help=False)
     out_parent.add_argument(
@@ -119,7 +108,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ValueError(f"cannot parse {what} {text!r}: expected integers") from None
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> None:
+    """Check the output format and build the caps, in place on ``args``.
+
+    Commands without cap options (``mutate``) get ``ExploreCaps()``, so
+    the verbose preamble prints the same defaults everywhere.
+    """
     default, allowed = _FORMATS[args.command]
     fmt = args.fmt or default
     if fmt not in allowed:
@@ -127,52 +121,47 @@ def _config(args: argparse.Namespace) -> RunConfig:
             f"format {fmt!r} is not valid for {args.command}; "
             f"choose from {sorted(allowed)}"
         )
-    max_seeds = getattr(args, "max_seeds", 10000)
-    max_depth = getattr(args, "max_depth", 64)
-    return RunConfig(
-        command=args.command,
-        seed_file=args.seed,
-        caps=ExploreCaps(max_seeds=max_seeds, max_depth=max_depth),
-        fmt=fmt,
-        out=args.out,
-        verbose=args.verbose,
-    )
+    args.fmt = fmt
+    if "max_seeds" in args:
+        args.caps = ExploreCaps(max_seeds=args.max_seeds, max_depth=args.max_depth)
+    else:
+        args.caps = ExploreCaps()
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _preamble(config: RunConfig) -> str:
-    if not config.verbose:
+def _preamble(args: argparse.Namespace) -> str:
+    if not args.verbose:
         return ""
     return (
-        f"seed-file: {config.seed_file}\n"
-        f"caps: max_seeds={config.caps.max_seeds} max_depth={config.caps.max_depth}\n"
+        f"seed-file: {args.seed}\n"
+        f"caps: max_seeds={args.caps.max_seeds} max_depth={args.caps.max_depth}\n"
     )
 
 
-def _load_atlas(config: RunConfig) -> PatternAtlas:
-    return explore(load_seed_file(config.seed_file), config.caps)
+def _load_atlas(args: argparse.Namespace) -> PatternAtlas:
+    return explore(load_seed_file(args.seed), args.caps)
 
 
-def _cmd_mutate(args: argparse.Namespace, config: RunConfig) -> int:
-    seed = load_seed_file(config.seed_file)
+def _cmd_mutate(args: argparse.Namespace) -> int:
+    seed = load_seed_file(args.seed)
     path = _parse_int_list(args.path, "path")
     result = mutate_path(seed, path)
-    _emit(_preamble(config) + format_seed(result) + "\n", config)
+    _emit(_preamble(args) + format_seed(result) + "\n", args)
     return 0
 
 
-def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
-    atlas = _load_atlas(config)
-    if config.fmt == "json":
+def _cmd_explore(args: argparse.Namespace) -> int:
+    atlas = _load_atlas(args)
+    if args.fmt == "json":
         body = atlas.to_json()
-    elif config.fmt == "dot":
+    elif args.fmt == "dot":
         body = atlas.exchange_graph().to_dot()
     else:
         body = (
@@ -180,73 +169,73 @@ def _cmd_explore(args: argparse.Namespace, config: RunConfig) -> int:
             f"clusters: {len(atlas.clusters)}, "
             f"complete: {'true' if atlas.complete else 'false'}\n"
         )
-    _emit(_preamble(config) + body, config)
+    _emit(_preamble(args) + body, args)
     return 0
 
 
-def _cmd_expand(args: argparse.Namespace, config: RunConfig) -> int:
-    atlas = _load_atlas(config)
+def _cmd_expand(args: argparse.Namespace) -> int:
+    atlas = _load_atlas(args)
     cluster = _parse_int_list(args.cluster, "cluster")
     poly = atlas.expand(args.var, cluster)
-    _emit(_preamble(config) + str(poly) + "\n", config)
+    _emit(_preamble(args) + str(poly) + "\n", args)
     return 0
 
 
-def _cmd_gvector(args: argparse.Namespace, config: RunConfig) -> int:
-    atlas = _load_atlas(config)
+def _cmd_gvector(args: argparse.Namespace) -> int:
+    atlas = _load_atlas(args)
     if args.var is not None:
         atlas.require_variable(args.var)
         body = grading_mod.g_vector_table(atlas, [args.var])
     else:
         body = grading_mod.g_vector_table(atlas)
-    _emit(_preamble(config) + body, config)
+    _emit(_preamble(args) + body, args)
     return 0
 
 
-def _cmd_dvector(args: argparse.Namespace, config: RunConfig) -> int:
-    atlas = _load_atlas(config)
+def _cmd_dvector(args: argparse.Namespace) -> int:
+    atlas = _load_atlas(args)
     cluster = _parse_int_list(args.cluster, "cluster")
     vec = compat_mod.d_vector(args.var, cluster, atlas)
-    _emit(_preamble(config) + " ".join(str(v) for v in vec) + "\n", config)
+    _emit(_preamble(args) + " ".join(str(v) for v in vec) + "\n", args)
     return 0
 
 
-def _cmd_compat(args: argparse.Namespace, config: RunConfig) -> int:
-    atlas = _load_atlas(config)
-    _emit(_preamble(config) + compat_mod.compatibility_matrix_tsv(atlas), config)
+def _cmd_compat(args: argparse.Namespace) -> int:
+    atlas = _load_atlas(args)
+    _emit(_preamble(args) + compat_mod.compatibility_matrix_tsv(atlas), args)
     return 0
 
 
-def _cmd_exchange_graph(args: argparse.Namespace, config: RunConfig) -> int:
-    atlas = _load_atlas(config)
+def _cmd_exchange_graph(args: argparse.Namespace) -> int:
+    atlas = _load_atlas(args)
     graph = atlas.exchange_graph()
-    body = graph.to_dot() if config.fmt == "dot" else graph.to_text()
-    _emit(_preamble(config) + body, config)
+    body = graph.to_dot() if args.fmt == "dot" else graph.to_text()
+    _emit(_preamble(args) + body, args)
     return 0
 
 
-def _cmd_gpair(args: argparse.Namespace, config: RunConfig) -> int:
-    atlas = _load_atlas(config)
+def _cmd_gpair(args: argparse.Namespace) -> int:
+    atlas = _load_atlas(args)
     cluster = _parse_int_list(args.cluster, "cluster")
     subset = _parse_int_list(args.subset, "subset")
     partner = grading_mod.find_g_pair(cluster, subset, atlas)
     _emit(
-        _preamble(config)
+        _preamble(args)
         + "{" + ",".join(str(v) for v in partner) + "}" + "\n",
-        config,
+        args,
     )
     return 0
 
 
-def _cmd_witness(args: argparse.Namespace, config: RunConfig) -> int:
-    atlas = _load_atlas(config)
+def _cmd_witness(args: argparse.Namespace) -> int:
+    atlas = _load_atlas(args)
     witness = unistructure_mod.laurent_witness(args.ref, args.target, atlas)
-    _emit(_preamble(config) + "\n".join(witness.describe()) + "\n", config)
+    _emit(_preamble(args) + "\n".join(witness.describe()) + "\n", args)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
-    atlas = _load_atlas(config)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    atlas = _load_atlas(args)
     if args.suite == "degree-properties":
         report = compat_mod.verify_degree_properties(atlas)
     elif args.suite == "maximal-sets":
@@ -258,9 +247,9 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     else:
         if not args.seed2:
             raise ValueError("verify unistructural needs --seed2")
-        atlas2 = explore(load_seed_file(args.seed2), config.caps)
+        atlas2 = explore(load_seed_file(args.seed2), args.caps)
         report = unistructure_mod.verify_unistructural(atlas, atlas2)
-    _emit(_preamble(config) + report.text(), config)
+    _emit(_preamble(args) + report.text(), args)
     return {"pass": 0, "fail": 1, "error": 2}[report.resolve_status()]
 
 
@@ -285,8 +274,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config = _config(args)
-        return _HANDLERS[args.command](args, config)
+        _resolve(args)
+        return _HANDLERS[args.command](args)
     except (
         ValueError,
         KeyError,

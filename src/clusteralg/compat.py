@@ -47,10 +47,6 @@ def compatibility_degree(xj: int, xi: int, atlas: PatternAtlas) -> int:
     return d_vector(xi, c, atlas)[c.index(xj)]
 
 
-def is_d_compatible(x: int, z: int, atlas: PatternAtlas) -> bool:
-    return compatibility_degree(x, z, atlas) <= 0
-
-
 def compatibility_matrix(atlas: PatternAtlas) -> list[list[int]]:
     """Full degree matrix; entry [j][i] is the degree of (var j, var i)."""
     if not atlas.complete:

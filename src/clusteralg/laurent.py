@@ -1,12 +1,10 @@
 """Exact arithmetic for Laurent polynomials over a tropical coefficient ring.
 
-The coefficient semifield is the tropical semifield on generators
-``y1..ym``: its elements are Laurent monomials in the generators,
-multiplication adds exponent vectors, and the auxiliary addition
-``oplus`` takes componentwise minima of exponent vectors.  ``m = 0``
-gives the trivial semifield with a single element.  The coefficient
-*ring* is the integer group ring over that semifield: finite integer
-combinations of tropical monomials.
+A coefficient is an element of the tropical semifield on generators
+``y1..ym``: a Laurent monomial in the generators, stored as its
+exponent tuple of length ``m`` (the empty tuple when ``m = 0``, the
+trivial semifield).  The coefficient *ring*, integer combinations of
+such monomials, is :class:`LaurentPoly` with ``n = 0``.
 
 The workhorse type is :class:`LaurentPoly`, a Laurent polynomial in
 cluster variables ``x1..xn`` over the coefficient ring.  It is stored
@@ -31,7 +29,6 @@ above is unchanged.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, mul, sub
@@ -50,63 +47,6 @@ class NotDivisibleError(ArithmeticError):
 
 class NotHomogeneousError(ValueError):
     """The terms of a polynomial do not share a common graded degree."""
-
-
-@dataclass(frozen=True)
-class TropicalElement:
-    """A Laurent monomial in the tropical generators, as an exponent vector.
-
-    ``exponents`` has one entry per generator; the empty tuple is the
-    unique element of the trivial semifield.
-    """
-
-    exponents: Exponents
-
-    @staticmethod
-    def one(m: int) -> "TropicalElement":
-        return TropicalElement((0,) * m)
-
-    @staticmethod
-    def generator(m: int, i: int) -> "TropicalElement":
-        """The i-th generator, 1-based."""
-        if not 1 <= i <= m:
-            raise IndexError(f"generator index {i} out of range 1..{m}")
-        return TropicalElement(tuple(int(j == i - 1) for j in range(m)))
-
-    @property
-    def rank(self) -> int:
-        return len(self.exponents)
-
-    def _check_rank(self, other: "TropicalElement") -> None:
-        if len(self.exponents) != len(other.exponents):
-            raise ValueError(
-                f"tropical rank mismatch: {len(self.exponents)} vs {len(other.exponents)}"
-            )
-
-    def __mul__(self, other: "TropicalElement") -> "TropicalElement":
-        self._check_rank(other)
-        return TropicalElement(
-            tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        )
-
-    def __pow__(self, k: int) -> "TropicalElement":
-        return TropicalElement(tuple(a * k for a in self.exponents))
-
-    def inverse(self) -> "TropicalElement":
-        return TropicalElement(tuple(-a for a in self.exponents))
-
-    def oplus(self, other: "TropicalElement") -> "TropicalElement":
-        """Auxiliary addition: componentwise minimum of exponent vectors."""
-        self._check_rank(other)
-        return TropicalElement(
-            tuple(min(a, b) for a, b in zip(self.exponents, other.exponents))
-        )
-
-    def is_one(self) -> bool:
-        return not any(self.exponents)
-
-    def __str__(self) -> str:
-        return _format_term(1, self.exponents, 0, len(self.exponents))
 
 
 def _format_term(coeff: int, key: Exponents, n: int, m: int) -> str:
@@ -167,68 +107,6 @@ def _parse_term(part: str, n: int, m: int) -> tuple[Exponents, int]:
     return tuple(key), sign * coeff
 
 
-class CoefRingElement:
-    """An integer combination of tropical monomials.
-
-    Keys of ``terms`` are y-exponent tuples of length ``m``; values are
-    nonzero ints.  Instances are immutable by convention.
-    """
-
-    __slots__ = ("m", "terms", "_key")
-
-    def __init__(self, m: int, terms: Mapping[Exponents, int] | Iterable = ()):
-        self.m = m
-        clean: dict[Exponents, int] = {}
-        for key, c in dict(terms).items():
-            key = tuple(key)
-            if len(key) != m:
-                raise ValueError(f"exponent tuple {key} has length != {m}")
-            if c:
-                clean[key] = clean.get(key, 0) + c
-        self.terms = {k: c for k, c in clean.items() if c}
-        self._key: tuple | None = None
-
-    @staticmethod
-    def zero(m: int) -> "CoefRingElement":
-        return CoefRingElement(m)
-
-    @staticmethod
-    def one(m: int) -> "CoefRingElement":
-        return CoefRingElement(m, {(0,) * m: 1})
-
-    def sort_key(self) -> tuple:
-        if self._key is None:
-            self._key = (self.m, tuple(sorted(self.terms.items(), reverse=True)))
-        return self._key
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoefRingElement):
-            return NotImplemented
-        return self.sort_key() == other.sort_key()
-
-    def __hash__(self) -> int:
-        return hash(self.sort_key())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient_sum(self) -> int:
-        """Sum of the integer coefficients (the image when every y maps to 1)."""
-        return sum(self.terms.values())
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [
-            _format_term(c, k, 0, self.m)
-            for k, c in sorted(self.terms.items(), reverse=True)
-        ]
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"CoefRingElement(m={self.m}, {str(self)!r})"
-
-
 class LaurentPoly:
     """A Laurent polynomial in x1..xn over the tropical coefficient ring.
 
@@ -287,7 +165,7 @@ class LaurentPoly:
 
     @staticmethod
     def from_x_terms(
-        n: int, m: int, x_terms: Iterable[tuple[Exponents, CoefRingElement]]
+        n: int, m: int, x_terms: Iterable[tuple[Exponents, "LaurentPoly"]]
     ) -> "LaurentPoly":
         flat: dict[Exponents, int] = {}
         for x_exps, coef in x_terms:
@@ -326,19 +204,17 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self.terms == {(0,) * (self.n + self.m): 1}
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def has_positive_coefficients(self) -> bool:
         return bool(self.terms) and all(c > 0 for c in self.terms.values())
 
-    def x_terms(self) -> list[tuple[Exponents, CoefRingElement]]:
-        """Terms grouped by x exponents, in canonical x order (largest first)."""
+    def x_terms(self) -> list[tuple[Exponents, "LaurentPoly"]]:
+        """Terms grouped by x exponents, in canonical x order (largest
+        first); each group's coefficient is a ``LaurentPoly`` with n = 0."""
         grouped: dict[Exponents, dict[Exponents, int]] = {}
         for key, c in self.terms.items():
             grouped.setdefault(key[: self.n], {})[key[self.n:]] = c
         return [
-            (x, CoefRingElement(self.m, ys))
+            (x, LaurentPoly._trusted(0, self.m, ys))
             for x, ys in sorted(grouped.items(), reverse=True)
         ]
 

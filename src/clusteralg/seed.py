@@ -7,6 +7,13 @@ root seed of a pattern has unit-monomial variables; every other seed is
 produced by a sequence of mutations, and ``path`` records the directions
 used, so any stored seed can be reproduced by replaying its path.
 
+A coefficient y_i is a Laurent monomial in the tropical generators,
+stored as its exponent tuple.  Tropical addition takes componentwise
+minima, so mutation needs only the positive part [y_k]+ (componentwise
+max with 0) and [-y_k]+ of one tuple: y_k becomes -y_k, and y_i with
+b_ki != 0 gains b_ki * [y_k]+ if b_ki > 0 and b_ki * [-y_k]+ if b_ki < 0
+(Fomin and Zelevinsky, "Cluster algebras IV", 2007).
+
 Mutation in direction k replaces x_k by the exchange binomial divided by
 x_k; the division is exact Laurent division and its success in every
 case is a structural guarantee of the arithmetic, so failure raises.
@@ -23,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .laurent import LaurentPoly, TropicalElement, exact_div
+from .laurent import Exponents, LaurentPoly, exact_div
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -121,10 +128,6 @@ class ExchangeMatrix:
     def __hash__(self) -> int:
         return hash(self.rows)
 
-    def column(self, k: int) -> tuple[int, ...]:
-        """Column k, 1-based."""
-        return tuple(row[k - 1] for row in self.rows)
-
     def mutated(self, k: int) -> "ExchangeMatrix":
         """Matrix mutation in direction k, 1-based."""
         n = self.n
@@ -168,19 +171,19 @@ class Seed:
     def __init__(
         self,
         b: ExchangeMatrix,
-        y: Sequence[TropicalElement],
+        y: Sequence[Sequence[int]],
         x: Sequence[LaurentPoly],
         path: Sequence[int] = (),
     ):
         self.b = b
-        self.y = tuple(y)
+        self.y = tuple(map(tuple, y))
         self.x = tuple(x)
         self.path = tuple(path)
         n = b.n
         if len(self.y) != n or len(self.x) != n:
             raise ValueError("coefficient and variable counts must equal the rank")
-        m = self.y[0].rank if n else 0
-        if any(t.rank != m for t in self.y):
+        m = len(self.y[0]) if n else 0
+        if any(len(t) != m for t in self.y):
             raise ValueError("coefficients have mixed ranks")
         if any(p.m != m for p in self.x):
             raise ValueError("variables and coefficients disagree on the y rank")
@@ -192,13 +195,13 @@ class Seed:
 
     @property
     def m(self) -> int:
-        return self.y[0].rank
+        return len(self.y[0])
 
     def sort_key(self) -> tuple:
         if self._key is None:
             self._key = (
                 self.b.rows,
-                tuple(t.exponents for t in self.y),
+                self.y,
                 tuple(p.sort_key() for p in self.x),
             )
         return self._key
@@ -219,16 +222,17 @@ def root_seed(b: ExchangeMatrix, coefficients: str = "trivial") -> Seed:
     """Root seed with unit-monomial variables.
 
     ``coefficients`` selects the tropical semifield: 'trivial' has no
-    generators; 'principal' has one generator per direction, with the
-    i-th coefficient equal to the i-th generator.
+    generators, so every coefficient is ``()``; 'principal' has one
+    generator per direction, with the i-th coefficient equal to the i-th
+    generator, the i-th unit tuple.
     """
     n = b.n
     if coefficients == "trivial":
         m = 0
-        y = [TropicalElement.one(0) for _ in range(n)]
+        y = [()] * n
     elif coefficients == "principal":
         m = n
-        y = [TropicalElement.generator(m, i) for i in range(1, n + 1)]
+        y = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     else:
         raise ValueError(f"unknown coefficient choice {coefficients!r}")
     x = [LaurentPoly.variable(n, m, i) for i in range(1, n + 1)]
@@ -258,20 +262,27 @@ def random_exchange_matrix(
     return ExchangeMatrix(rows)
 
 
+def _positive_parts(yk: Exponents) -> tuple[Exponents, Exponents]:
+    """[y_k]+ and [-y_k]+: the exponents of y_k / (1 (+) y_k) and of
+    1 / (1 (+) y_k), since 1 (+) y_k has exponents min(y_k, 0)."""
+    return (
+        tuple(e if e > 0 else 0 for e in yk),
+        tuple(-e if e < 0 else 0 for e in yk),
+    )
+
+
 def exchange_binomial(seed: Seed, k: int) -> LaurentPoly:
     """The two-term exchange relation numerator in direction k, 1-based.
 
-    One term carries the positive column entries of B, the other the
-    negative ones; the tropical prefactors are y_k/(1 (+) y_k) and
-    1/(1 (+) y_k), which are single tropical monomials by construction.
+    One term carries the positive column entries of B and the y exponents
+    [y_k]+, the other the negative entries and [-y_k]+.
     """
     n, m = seed.n, seed.m
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
-    yk = seed.y[k - 1]
-    denom = yk.oplus(TropicalElement.one(m))
-    pos = LaurentPoly.monomial(n, m, y_exponents=(yk * denom.inverse()).exponents)
-    neg = LaurentPoly.monomial(n, m, y_exponents=denom.inverse().exponents)
+    up, down = _positive_parts(seed.y[k - 1])
+    pos = LaurentPoly.monomial(n, m, y_exponents=up)
+    neg = LaurentPoly.monomial(n, m, y_exponents=down)
     for i in range(n):
         b_ik = seed.b.rows[i][k - 1]
         if b_ik > 0:
@@ -283,19 +294,18 @@ def exchange_binomial(seed: Seed, k: int) -> LaurentPoly:
 
 def mutate(seed: Seed, k: int) -> Seed:
     """Seed mutation in direction k, 1-based.  Involutive."""
-    n, m = seed.n, seed.m
+    n = seed.n
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
     b_new = seed.b.mutated(k)
     yk = seed.y[k - 1]
-    denom = yk.oplus(TropicalElement.one(m))
-    y_new = []
-    for i in range(1, n + 1):
-        if i == k:
-            y_new.append(yk.inverse())
-        else:
-            b_ki = seed.b.rows[k - 1][i - 1]
-            y_new.append(seed.y[i - 1] * yk ** max(b_ki, 0) * denom ** (-b_ki))
+    up, down = _positive_parts(yk)
+    y_new = list(seed.y)
+    y_new[k - 1] = tuple(-e for e in yk)
+    for i, b_ki in enumerate(seed.b.rows[k - 1]):
+        if b_ki:  # b_kk = 0, so y_k is left as set above
+            part = up if b_ki > 0 else down
+            y_new[i] = tuple(a + b_ki * e for a, e in zip(seed.y[i], part))
     x_new = list(seed.x)
     x_new[k - 1] = exact_div(exchange_binomial(seed, k), seed.x[k - 1])
     if not x_new[k - 1].has_positive_coefficients():
@@ -317,7 +327,8 @@ def format_seed(seed: Seed) -> str:
     """Readable multi-line form: matrix rows, coefficients, variables."""
     lines = [f"n: {seed.n}", f"m: {seed.m}", "B:"]
     lines.extend("  " + " ".join(str(v) for v in row) for row in seed.b.rows)
-    lines.append("y: " + "; ".join(str(t) for t in seed.y))
+    ys = (str(LaurentPoly(0, seed.m, {t: 1})) for t in seed.y)
+    lines.append("y: " + "; ".join(ys))
     lines.append("x:")
     lines.extend(f"  x{i + 1} = {p}" for i, p in enumerate(seed.x))
     return "\n".join(lines)

@@ -43,7 +43,7 @@ from .atlas import (
     graphs_equal,
 )
 from .compat import compatibility_matrix
-from .laurent import CoefRingElement, Exponents, LaurentPoly
+from .laurent import Exponents, LaurentPoly
 from .reports import VerificationReport
 from .seed import ExchangeMatrix
 
@@ -80,7 +80,7 @@ class WitnessMonomial:
     cluster: Cluster
     k_position: int
     exponents: Exponents
-    coefficient: CoefRingElement
+    coefficient: LaurentPoly  # n = 0: the coefficient ring
 
     def __post_init__(self) -> None:
         if any(
@@ -228,7 +228,7 @@ def incompatibility_certificate(
     values = [Fraction(1)] * atlas.n
     values[witness.k_position] = Fraction(1, 2)
     lhs = 1 - erased.specialize(values)
-    c_int = witness.coefficient.coefficient_sum()
+    c_int = sum(witness.coefficient.terms.values())
     v_exp = -witness.k_exponent
     if lhs != 1 - c_int * Fraction(2) ** v_exp or lhs >= 0 or v_exp < 1:
         raise RuntimeError(

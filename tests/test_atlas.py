@@ -319,7 +319,7 @@ class TestExpand:
                 for cluster in atlas.clusters:
                     p = atlas.expand(v, cluster)
                     assert p.has_positive_coefficients()
-                    assert p.is_monomial() == (v in cluster)
+                    assert (len(p.terms) == 1) == (v in cluster)
 
     def test_bad_lookups_raise(self, a2_trivial):
         a = a2_trivial

@@ -13,6 +13,7 @@ from clusteralg.seed import PositivityError
 
 A2_TRIVIAL = {"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "trivial"}
 A2_PRINCIPAL = {"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "principal"}
+B2_PRINCIPAL = {"n": 2, "B": [[0, 2], [-1, 0]], "coefficients": "principal"}
 INFINITE = {"n": 2, "B": [[0, 2], [-2, 0]], "coefficients": "trivial"}
 A3_PRINCIPAL = {
     "n": 3,
@@ -33,6 +34,7 @@ def seeds(tmp_path):
         ("a2", A2_TRIVIAL),
         ("a2p", A2_PRINCIPAL),
         ("a3p", A3_PRINCIPAL),
+        ("b2p", B2_PRINCIPAL),
         ("a4p", A4_PRINCIPAL),
         ("inf", INFINITE),
         ("a2_moved", {"n": 2, "B": [[0, -1], [1, 0]], "coefficients": "trivial"}),
@@ -325,5 +327,31 @@ class TestDeterminism:
         self, seeds, capsys, name, caps, digest
     ):
         assert main(["explore", "--seed", seeds[name], "--format", "json"] + caps) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # Pinned at the commit before coefficients became plain exponent
+    # tuples: these print the y line and a witness coefficient.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["mutate", "--seed", "{b2p}", "--path", "1 2 1"],
+                "bb18087ba8af3d4ca1437236ba0e0cbbddb8cadfdf353e90b878fc87c119207a",
+            ),
+            (
+                ["mutate", "--seed", "{a3p}", "--path", "1 2 1"],
+                "75e70173d6648595263ed04b4f255f7b0d56b4ea3db91bc2f4c1f40b6976cfdb",
+            ),
+            (
+                ["witness", "--seed", "{b2p}", "--ref", "1", "--target", "4"],
+                "1a0d4234c4d14c93c3a947727dff852e6398d860e10065dd5876b4c17b567316",
+            ),
+        ],
+    )
+    def test_coefficient_output_matches_golden_digest(
+        self, seeds, capsys, argv, digest
+    ):
+        assert main([a.format(**seeds) for a in argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest

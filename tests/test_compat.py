@@ -13,7 +13,6 @@ from clusteralg import (
     compatibility_matrix_tsv,
     d_vector,
     explore,
-    is_d_compatible,
     maximal_d_compatible_sets,
     root_seed,
     verify_degree_properties,
@@ -86,10 +85,10 @@ class TestCompatibilityDegree:
                         assert d_vector(i, c, atlas)[c.index(j)] == degree
 
     def test_compatibility_predicate(self, a2_trivial):
-        assert is_d_compatible(0, 1, a2_trivial)
-        assert is_d_compatible(0, 0, a2_trivial)
-        assert not is_d_compatible(0, 2, a2_trivial)
-        assert not is_d_compatible(2, 0, a2_trivial)
+        assert compatibility_degree(0, 1, a2_trivial) <= 0
+        assert compatibility_degree(0, 0, a2_trivial) <= 0
+        assert compatibility_degree(0, 2, a2_trivial) > 0
+        assert compatibility_degree(2, 0, a2_trivial) > 0
 
     def test_tsv_format(self, a2_trivial):
         text = compatibility_matrix_tsv(a2_trivial)

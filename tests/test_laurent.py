@@ -1,4 +1,4 @@
-"""Tropical coefficients and exact Laurent arithmetic."""
+"""Exact Laurent arithmetic, and the coefficient ring as LaurentPoly at n = 0."""
 
 from __future__ import annotations
 
@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 import clusteralg.laurent
 from clusteralg import (
-    CoefRingElement,
     LaurentPoly,
     NotDivisibleError,
     NotHomogeneousError,
-    TropicalElement,
     exact_div,
 )
 
@@ -26,95 +24,28 @@ def lp(text: str, n: int = 2, m: int = 0) -> LaurentPoly:
 
 
 # ----------------------------------------------------------------------
-# tropical semifield
-
-
-class TestTropical:
-    def test_one_and_generators(self):
-        one = TropicalElement.one(2)
-        assert one.exponents == (0, 0)
-        assert one.is_one()
-        assert TropicalElement.generator(2, 1).exponents == (1, 0)
-        assert TropicalElement.generator(2, 2).exponents == (0, 1)
-        with pytest.raises(IndexError):
-            TropicalElement.generator(2, 3)
-
-    def test_trivial_semifield_has_one_element(self):
-        t = TropicalElement.one(0)
-        assert t.exponents == ()
-        assert (t * t).is_one()
-        assert t.oplus(t).is_one()
-
-    def test_multiplication_adds_exponents(self):
-        a = TropicalElement((1, 0))
-        b = TropicalElement((-1, 1))
-        assert (a * b).exponents == (0, 1)
-        assert (a ** 3).exponents == (3, 0)
-        assert (a * a.inverse()).is_one()
-
-    def test_auxiliary_addition_takes_minima(self):
-        a = TropicalElement((1, 0))
-        b = TropicalElement((-1, 1))
-        assert a.oplus(b).exponents == (-1, 0)
-        assert TropicalElement((0, 0)).oplus(TropicalElement((2, 3))).exponents == (0, 0)
-
-    def test_rank_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TropicalElement((1,)) * TropicalElement((1, 2))
-        with pytest.raises(ValueError):
-            TropicalElement((1,)).oplus(TropicalElement((1, 2)))
-
-    def test_str(self):
-        assert str(TropicalElement((1, -1))) == "y1*y2^-1"
-        assert str(TropicalElement.one(2)) == "1"
-
-
-trop = st.builds(
-    TropicalElement,
-    st.lists(st.integers(-4, 4), min_size=3, max_size=3).map(tuple),
-)
-
-
-class TestTropicalLaws:
-    @given(trop, trop)
-    def test_oplus_commutes(self, a, b):
-        assert a.oplus(b) == b.oplus(a)
-
-    @given(trop, trop, trop)
-    def test_oplus_associates(self, a, b, c):
-        assert a.oplus(b).oplus(c) == a.oplus(b.oplus(c))
-
-    @given(trop)
-    def test_oplus_idempotent(self, a):
-        assert a.oplus(a) == a
-
-    @given(trop, trop, trop)
-    def test_multiplication_distributes_over_oplus(self, a, b, c):
-        assert a * b.oplus(c) == (a * b).oplus(a * c)
-
-    @given(trop)
-    def test_inverse(self, a):
-        assert (a * a.inverse()).is_one()
-
-
-# ----------------------------------------------------------------------
-# coefficient ring
+# coefficient ring: LaurentPoly with no x variables
 
 
 class TestCoefRing:
     def test_zero_and_one(self):
-        assert CoefRingElement.zero(2).is_zero()
-        one = CoefRingElement.one(2)
+        assert LaurentPoly.zero(0, 2).is_zero()
+        one = LaurentPoly.one(0, 2)
         assert one.terms == {(0, 0): 1}
         assert not one.is_zero()
 
     def test_positivity_and_sum(self):
-        assert CoefRingElement(1, {(0,): 1, (1,): -1}).coefficient_sum() == 0
-        assert CoefRingElement(1, {(0,): 2, (3,): 5}).coefficient_sum() == 7
+        assert sum(LaurentPoly(0, 1, {(0,): 1, (1,): -1}).terms.values()) == 0
+        assert sum(LaurentPoly(0, 1, {(0,): 2, (3,): 5}).terms.values()) == 7
 
     def test_str_orders_terms(self):
-        c = CoefRingElement(2, {(0, 1): 1, (1, 0): -1})
+        c = LaurentPoly(0, 2, {(0, 1): 1, (1, 0): -1})
         assert str(c) == "-y1 + y2"
+
+    def test_str_of_a_tropical_monomial(self):
+        assert str(LaurentPoly(0, 2, {(1, -1): 1})) == "y1*y2^-1"
+        assert str(LaurentPoly(0, 2, {(0, 0): 1})) == "1"
+        assert str(LaurentPoly(0, 0, {(): 1})) == "1"
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +106,7 @@ class TestLaurentBasics:
         p = LaurentPoly(2, 2, {(-1, 0, 1, 0): 1, (-1, 1, 0, 0): 1, (0, 0, 0, 1): 2})
         groups = p.x_terms()
         assert [x for x, _ in groups] == [(0, 0), (-1, 1), (-1, 0)]
+        assert all((c.n, c.m) == (0, 2) for _, c in groups)
         assert groups[1][1].terms == {(0, 0): 1}
         assert groups[2][1].terms == {(1, 0): 1}
         assert LaurentPoly.from_x_terms(2, 2, groups) == p

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clusteralg import (
-    CoefRingElement,
     ExchangeMatrix,
     ExploreCaps,
     IncompleteAtlasError,
@@ -75,7 +74,7 @@ class TestWitness:
         assert w.cluster == (0, 1)
         assert w.k_position == 0
         assert w.exponents == (-1, 0)
-        assert w.coefficient == CoefRingElement.one(0)
+        assert w.coefficient == LaurentPoly.one(0, 0)
         assert w.k_exponent == -1
 
     def test_shared_cluster_pair_has_zero_exponent(self, a2_trivial):
@@ -124,7 +123,7 @@ class TestWitness:
 
     def test_admissibility_is_validated(self):
         with pytest.raises(ValueError):
-            WitnessMonomial((0, 1), 0, (-1, -1), CoefRingElement.one(0))
+            WitnessMonomial((0, 1), 0, (-1, -1), LaurentPoly.one(0, 0))
 
     def test_sweeps_pass(self, a2_trivial, b2_trivial):
         for atlas, pairs in [(a2_trivial, 25), (b2_trivial, 36)]:
