@@ -23,6 +23,7 @@ from clusteralg import (
     root_seed,
     seed_from_dict,
 )
+from clusteralg.seed import _positive_parts
 from conftest import A2_ROWS, A3_ROWS, B2_ROWS, G2_ROWS, random_exchange_matrix
 
 
@@ -96,6 +97,35 @@ def reference_exchange_binomial(seed, k):
         elif b_ik < 0:
             neg = neg * seed.x[i] ** (-b_ik)
     return pos + neg
+
+
+# ----------------------------------------------------------------------
+# positive parts of a coefficient exponent tuple
+
+exponent_tuples = st.lists(st.integers(-5, 5), min_size=0, max_size=4).map(tuple)
+
+
+class TestPositiveParts:
+    @given(exponent_tuples)
+    def test_parts_split_the_exponent(self, yk):
+        # y_k = [y_k]+ * [-y_k]+^-1, both parts nonnegative with disjoint support.
+        up, down = _positive_parts(yk)
+        assert len(up) == len(down) == len(yk)
+        assert tuple(a - b for a, b in zip(up, down)) == yk
+        assert all(a >= 0 and b >= 0 and min(a, b) == 0 for a, b in zip(up, down))
+
+    @given(exponent_tuples)
+    def test_parts_are_the_tropical_quotients(self, yk):
+        # [y_k]+ = y_k / (1 (+) y_k) and [-y_k]+ = 1 / (1 (+) y_k).
+        denom = _t_oplus(yk, (0,) * len(yk))
+        assert _positive_parts(yk) == (_t_mul(yk, _t_inverse(denom)), _t_inverse(denom))
+
+    @given(exponent_tuples)
+    def test_inversion_swaps_the_parts(self, yk):
+        # Mutation sends y_k to its inverse, so mutating twice in direction k
+        # reads the two parts in swapped roles.
+        up, down = _positive_parts(yk)
+        assert _positive_parts(_t_inverse(yk)) == (down, up)
 
 
 # ----------------------------------------------------------------------
@@ -237,6 +267,19 @@ class TestSeedMutation:
         s = mutate(root_seed(ExchangeMatrix(A2_ROWS), "principal"), 1)
         assert str(s.x[0]) == "x1^-1*x2 + y1*x1^-1"
         assert s.y == ((-1, 0), (1, 1))
+
+    def test_trivial_coefficients_stay_empty(self):
+        # The trivial semifield has one element, so every coefficient stays ().
+        rng = random.Random(23)
+        for _ in range(20):
+            b = random_exchange_matrix(rng, rng.randint(2, 3), max_sym=2)
+            s = root_seed(b, "trivial")
+            for _ in range(5):
+                if max(len(p.terms) for p in s.x) > 200:
+                    break
+                s = mutate(s, rng.randint(1, s.n))
+                assert s.y == ((),) * s.n
+                assert all(p.m == 0 for p in s.x)
 
     def test_coefficient_walk_principal(self):
         # By hand: after direction 1 the coefficients are (y1^-1, y1*y2);
