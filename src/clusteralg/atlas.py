@@ -33,14 +33,20 @@ stored seed id and its variable ids by position, and the edge table
 mutates it by lookup: each entry stands for a mutation computed, and
 positivity-checked, during exploration, or for its inverse.  Restricted
 reachability and cross-atlas identification are such walks.
+
+The JSON export is ``to_json_dict()`` written by a small writer that gives
+exactly the text of ``json.dumps(indent=2, sort_keys=True)``, each list of
+ints in one join, which the standard library's indented encoder does one
+item at a time in pure Python.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping
 
 from .laurent import LaurentPoly
 from .seed import Seed, mutate, mutate_path
@@ -66,12 +72,11 @@ class ExploreCaps:
 
 def _canonical_seed_key(seed: Seed) -> tuple:
     """Canonical form under simultaneous position permutation."""
-    n = seed.n
-    order = sorted(range(n), key=lambda i: seed.x[i].sort_key())
-    xs = tuple(seed.x[i].sort_key() for i in order)
-    ys = tuple(seed.y[i] for i in order)
-    bb = tuple(tuple(seed.b.rows[oi][oj] for oj in order) for oi in order)
-    return (xs, ys, bb)
+    xs = [p.sort_key() for p in seed.x]
+    if len(xs) == 1:  # itemgetter of one index returns the item, not a tuple
+        return (tuple(xs), seed.y, seed.b.rows)
+    pick = itemgetter(*sorted(range(len(xs)), key=xs.__getitem__))
+    return (pick(xs), pick(seed.y), tuple(map(pick, pick(seed.b.rows))))
 
 
 class PatternAtlas:
@@ -362,7 +367,51 @@ class PatternAtlas:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        text = _IntText().__getitem__
+        return _json_text(self.to_json_dict(), "\n", text) + "\n"
+
+
+class _IntText(dict):
+    """``str`` of each int, computed once per export."""
+
+    def __missing__(self, i: int) -> str:
+        text = self[i] = str(i)
+        return text
+
+
+_INT_ONLY = frozenset({int})
+
+
+def _json_text(value: object, newline: str, text: Callable[[int], str]) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it, ``newline`` being the line break and indentation it is nested at
+    and ``text`` rendering ints.  Only dict, list, str, bool and int are
+    written; a list of ints is written in one join."""
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if _INT_ONLY.issuperset(map(type, value)):
+            items = map(text, value)
+        else:
+            items = [_json_text(v, inner, text) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner, text)}"
+            for key in sorted(value)
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return text(value)
+    raise TypeError(f"{type(value).__name__} is not written as JSON")
 
 
 def _classify_coefficients(root: Seed) -> str:

@@ -129,22 +129,32 @@ class ExchangeMatrix:
         return hash(self.rows)
 
     def mutated(self, k: int) -> "ExchangeMatrix":
-        """Matrix mutation in direction k, 1-based."""
+        """Matrix mutation in direction k, 1-based.
+
+        Row k and column k change sign.  Any other entry b_ij gains
+        |b_ik| * b_kj where b_ik and b_kj share a sign, so a row with
+        b_ik = 0 is kept as it is.
+        """
         n = self.n
         if not 1 <= k <= n:
             raise IndexError(f"direction {k} out of range 1..{n}")
         kk = k - 1
-        b = self.rows
+        row_k = self.rows[kk]
+        up = [(j, v) for j, v in enumerate(row_k) if v > 0]
+        down = [(j, v) for j, v in enumerate(row_k) if v < 0]
         new = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                if i == kk or j == kk:
-                    row.append(-b[i][j])
-                else:
-                    sign = 1 if b[i][kk] > 0 else (-1 if b[i][kk] < 0 else 0)
-                    row.append(b[i][j] + sign * max(b[i][kk] * b[kk][j], 0))
-            new.append(tuple(row))
+        for row in self.rows:
+            c = row[kk]
+            if not c:
+                new.append(row)
+                continue
+            r = list(row)
+            r[kk] = -c
+            a = abs(c)
+            for j, v in up if c > 0 else down:
+                r[j] += a * v
+            new.append(tuple(r))
+        new[kk] = tuple(-v for v in row_k)
         # Mutation keeps the minimal symmetrizer (Fomin-Zelevinsky, 2002).
         out = object.__new__(ExchangeMatrix)
         out.rows = tuple(new)
@@ -188,6 +198,20 @@ class Seed:
         if any(p.m != m for p in self.x):
             raise ValueError("variables and coefficients disagree on the y rank")
         self._key: tuple | None = None
+
+    @staticmethod
+    def _trusted(
+        b: ExchangeMatrix, y: tuple, x: tuple, path: tuple[int, ...]
+    ) -> "Seed":
+        """Wrap a mutation result, whose shapes hold by construction,
+        without re-validating."""
+        s = object.__new__(Seed)
+        s.b = b
+        s.y = y
+        s.x = x
+        s.path = path
+        s._key = None
+        return s
 
     @property
     def n(self) -> int:
@@ -281,8 +305,9 @@ def exchange_binomial(seed: Seed, k: int) -> LaurentPoly:
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
     up, down = _positive_parts(seed.y[k - 1])
-    pos = LaurentPoly.monomial(n, m, y_exponents=up)
-    neg = LaurentPoly.monomial(n, m, y_exponents=down)
+    no_x = (0,) * n
+    pos = LaurentPoly._trusted(n, m, {no_x + up: 1})
+    neg = LaurentPoly._trusted(n, m, {no_x + down: 1})
     for i in range(n):
         b_ik = seed.b.rows[i][k - 1]
         if b_ik > 0:
@@ -306,14 +331,13 @@ def mutate(seed: Seed, k: int) -> Seed:
         if b_ki:  # b_kk = 0, so y_k is left as set above
             part = up if b_ki > 0 else down
             y_new[i] = tuple(a + b_ki * e for a, e in zip(seed.y[i], part))
-    x_new = list(seed.x)
-    x_new[k - 1] = exact_div(exchange_binomial(seed, k), seed.x[k - 1])
-    if not x_new[k - 1].has_positive_coefficients():
+    x_k = exact_div(exchange_binomial(seed, k), seed.x[k - 1])
+    if not x_k.has_positive_coefficients():
         raise PositivityError(
-            f"mutation in direction {k} produced nonpositive coefficients: "
-            f"{x_new[k - 1]}"
+            f"mutation in direction {k} produced nonpositive coefficients: {x_k}"
         )
-    return Seed(b_new, y_new, x_new, path=seed.path + (k,))
+    x_new = seed.x[: k - 1] + (x_k,) + seed.x[k:]
+    return Seed._trusted(b_new, tuple(y_new), x_new, seed.path + (k,))
 
 
 def mutate_path(seed: Seed, path: Iterable[int]) -> Seed:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,7 @@ from clusteralg import (
     mutate_path,
     root_seed,
 )
-from clusteralg.atlas import PatternAtlas, _canonical_seed_key
+from clusteralg.atlas import PatternAtlas, _canonical_seed_key, _json_text
 from clusteralg.seed import mutate
 from conftest import A2_ROWS, A3_ROWS, B2_ROWS, G2_ROWS, count_mutations
 
@@ -101,6 +102,16 @@ class EveryDirectionAtlas(PatternAtlas):
                 break
             level = next_level
         return not truncated
+
+
+def entrywise_canonical_seed_key(seed):
+    """Reference for ``_canonical_seed_key``: the entrywise permutation."""
+    n = seed.n
+    order = sorted(range(n), key=lambda i: seed.x[i].sort_key())
+    xs = tuple(seed.x[i].sort_key() for i in order)
+    ys = tuple(seed.y[i] for i in order)
+    bb = tuple(tuple(seed.b.rows[oi][oj] for oj in order) for oi in order)
+    return (xs, ys, bb)
 
 
 def all_subsets(n):
@@ -239,6 +250,23 @@ class TestClosures:
         monkeypatch.setattr(clusteralg.atlas, "mutate", broken)
         with pytest.raises(RuntimeError, match="involution"):
             explore(root_seed(ExchangeMatrix(A2_ROWS), "trivial"))
+
+    @pytest.mark.parametrize(
+        "rows, caps",
+        [
+            ([[0]], ExploreCaps()),
+            (A3_ROWS, ExploreCaps()),
+            (B3_ROWS, ExploreCaps()),
+            (D4_ROWS, ExploreCaps()),
+            ([[0, 2], [-2, 0]], ExploreCaps(max_depth=6)),
+        ],
+    )
+    def test_canonical_key_matches_entrywise_permutation(self, rows, caps):
+        atlas = explore(root_seed(ExchangeMatrix(rows), "principal"), caps)
+        for seed in atlas.seeds:
+            key = _canonical_seed_key(seed)
+            assert key == entrywise_canonical_seed_key(seed)
+            assert atlas._seed_keys[key] == atlas.seeds.index(seed)
 
     def test_exploring_a_mutated_root_gives_the_same_pattern(self, a2_trivial):
         moved = mutate_path(a2_trivial.root, [1])
@@ -532,6 +560,35 @@ class TestSerialization:
             "variables": [0, 1],
         }
         assert len(d["edges"]) == 10
+
+    @pytest.mark.parametrize(
+        "rows, coefficients, caps",
+        [
+            ([[0]], "principal", ExploreCaps()),
+            *[
+                (rows, coefficients, ExploreCaps())
+                for rows in (A2_ROWS, B2_ROWS, G2_ROWS, A3_ROWS)
+                for coefficients in ("trivial", "principal")
+            ],
+            (A4_ROWS, "principal", ExploreCaps(max_seeds=1)),
+            (A2_ROWS, "trivial", ExploreCaps(max_depth=0)),
+            ([[0, 2], [-2, 0]], "principal", ExploreCaps(max_depth=6)),
+            (MARKOV_ROWS, "trivial", ExploreCaps(max_depth=3)),
+        ],
+    )
+    def test_writer_matches_json_dumps(self, rows, coefficients, caps):
+        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients), caps)
+        d = atlas.to_json_dict()
+        text = atlas.to_json()
+        assert text == json.dumps(d, indent=2, sort_keys=True) + "\n"
+        assert json.loads(text) == d
+        if caps.max_depth == 0:
+            assert d["edges"] == []
+
+    @pytest.mark.parametrize("value", [1.5, None, (1, 2), [0, 1.0], {"a": [None]}])
+    def test_writer_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value, "\n", str)
 
     def test_exploration_is_deterministic(self):
         runs = [

@@ -6,6 +6,12 @@ import importlib
 import importlib.util
 import os
 
+import clusteralg.atlas
+import clusteralg.seed
+from clusteralg import ExchangeMatrix, explore, root_seed
+from clusteralg.atlas import PatternAtlas
+from conftest import A3_ROWS
+
 TRACER = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "perfbench",
@@ -23,3 +29,25 @@ def test_every_traced_name_resolves():
         if cls:
             owner = getattr(owner, cls)
         assert callable(getattr(owner, attr, None)), (mod, cls, attr, name)
+
+
+def test_traced_layers_are_called_through_their_names(monkeypatch):
+    # The tracer times a layer only while the engine calls it by the patched
+    # name; inlining one of these would silently zero its per-layer metric.
+    calls = {}
+    for owner, attr in [
+        (clusteralg.atlas, "mutate"),
+        (clusteralg.seed, "exchange_binomial"),
+        (clusteralg.seed, "exact_div"),
+        (PatternAtlas, "to_json"),
+    ]:
+        original = getattr(owner, attr)
+        calls[attr] = 0
+
+        def counted(*args, original=original, attr=attr):
+            calls[attr] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+    explore(root_seed(ExchangeMatrix(A3_ROWS), "principal")).to_json()
+    assert all(calls.values()), calls

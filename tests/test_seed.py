@@ -9,11 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clusteralg.seed
 from clusteralg import (
     ExchangeMatrix,
     LaurentPoly,
+    NotDivisibleError,
     NotSkewSymmetrizableError,
+    PositivityError,
     Seed,
+    exact_div,
     exchange_binomial,
     find_skew_symmetrizer,
     format_seed,
@@ -208,6 +212,29 @@ class TestMatrixMutation:
         with pytest.raises(IndexError):
             ExchangeMatrix(A2_ROWS).mutated(3)
 
+    def test_sparse_rows_match_entrywise_formula(self):
+        # mutated() keeps rows with b_ik = 0 and touches only the entries
+        # where b_kj has the sign of b_ik; the entrywise formula is the
+        # reference, in every direction of every draw.
+        rng = random.Random(29)
+        kept_rows = 0
+        for n in range(1, 7):
+            for max_sym in range(1, 4):
+                for _ in range(15):
+                    b = random_exchange_matrix(rng, n, max_sym=max_sym)
+                    for k in range(1, n + 1):
+                        bk = b.mutated(k)
+                        assert bk.rows == reference_matrix_mutation(b.rows, k)
+                        assert all(type(row) is tuple for row in bk.rows)
+                        assert bk.symmetrizer == b.symmetrizer
+                        kept_rows += sum(
+                            row is old for row, old in zip(bk.rows, b.rows)
+                        )
+                    for k in (0, n + 1):
+                        with pytest.raises(IndexError):
+                            b.mutated(k)
+        assert kept_rows > 0  # the b_ik = 0 shortcut was exercised
+
 
 # ----------------------------------------------------------------------
 # exchange binomials and seed mutation
@@ -326,6 +353,51 @@ class TestSeedMutation:
                     break
                 s = mutate(s, rng.randint(1, b.n))
                 assert all(p.has_positive_coefficients() for p in s.x)
+
+    def test_mutation_output_passes_the_validating_constructor(self):
+        # mutate() builds its child without Seed.__init__'s shape checks;
+        # rebuilding every child through them must give the same seed.
+        rng = random.Random(31)
+        for _ in range(40):
+            b = random_exchange_matrix(rng, rng.randint(1, 4), max_sym=2)
+            s = root_seed(b, "principal")
+            for _ in range(6):
+                if max(len(p.terms) for p in s.x) > 200:
+                    break
+                k = rng.randint(1, s.n)
+                x_k = exact_div(exchange_binomial(s, k), s.x[k - 1])
+                child = mutate(s, k)
+                checked = Seed(child.b, child.y, child.x, child.path)
+                assert child == checked
+                assert child.path == checked.path == s.path + (k,)
+                assert child.y == checked.y and child.x == checked.x
+                assert type(child.y) is tuple and type(child.x) is tuple
+                assert child.x[k - 1] == x_k
+                assert child.x[: k - 1] + child.x[k:] == s.x[: k - 1] + s.x[k:]
+                s = child
+
+    def test_mutation_keeps_its_checks(self, monkeypatch):
+        s = root_seed(ExchangeMatrix(A3_ROWS), "principal")
+        for k in (0, 4):
+            with pytest.raises(IndexError):
+                mutate(s, k)
+            with pytest.raises(IndexError):
+                exchange_binomial(s, k)
+        # mutate() reaches the binomial and the division through the module,
+        # so a broken one of either is caught by the checks that stay.
+        s = mutate(s, 1)  # x1 is no longer a monomial
+        one = LaurentPoly.one(s.n, s.m)
+        monkeypatch.setattr(
+            clusteralg.seed, "exchange_binomial", lambda seed, k: one + one
+        )
+        with pytest.raises(NotDivisibleError):
+            mutate(s, 1)
+        monkeypatch.undo()
+        monkeypatch.setattr(
+            clusteralg.seed, "exact_div", lambda num, den: -exact_div(num, den)
+        )
+        with pytest.raises(PositivityError):
+            mutate(s, 1)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10 ** 9), st.integers(1, 3), st.integers(0, 4))
