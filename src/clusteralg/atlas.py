@@ -25,7 +25,10 @@ Expansions of a variable with respect to an arbitrary stored cluster are
 computed by re-rooting: give that cluster's seed unit-monomial variables,
 replay its reversed discovery path once back to the pattern root, then walk
 the prefix-closed discovery tree to a seed containing the target variable,
-memoizing each seed walked so no tree node is mutated twice per host.
+memoizing each seed walked so no tree node is mutated twice per host.  The
+host's variables are ranked by id: the one at position p is x_r, r being
+the rank of its id in the sorted cluster, so every expansion comes out of
+the walk in ascending-id coordinates and none is permuted afterwards.
 
 Walks that only need to know which variables a seed holds do no
 arithmetic at all.  An exact seed (positions intact) is the pair of its
@@ -233,24 +236,19 @@ class PatternAtlas:
         cluster, ordered by ascending variable id."""
         self.require_variable(v)
         c = self.normalize_cluster(cluster)
+        if v in c:
+            return LaurentPoly.variable(self.n, self.m, c.index(v) + 1)
         sid = self.cluster_to_seed[c]
-        poly = self._expand_at_seed(sid, v)
-        ids = self.seed_variable_ids[sid]
-        order = sorted(range(self.n), key=lambda i: ids[i])
-        return poly.permute_x(order)
-
-    def _expand_at_seed(self, sid: int, v: int) -> LaurentPoly:
-        """Expansion of v in the coordinate order of stored seed sid."""
-        ids = self.seed_variable_ids[sid]
-        if v in ids:
-            return LaurentPoly.variable(self.n, self.m, ids.index(v) + 1)
         memo = self._expand_cache.get(sid)
         if memo is None:
             seed = self.seeds[sid]
             fresh = Seed(
                 seed.b,
                 seed.y,
-                [LaurentPoly.variable(self.n, self.m, i) for i in range(1, self.n + 1)],
+                [
+                    LaurentPoly.variable(self.n, self.m, c.index(u) + 1)
+                    for u in self.seed_variable_ids[sid]
+                ],
             )
             memo = {(): mutate_path(fresh, reversed(seed.path))}
             self._expand_cache[sid] = memo

@@ -6,7 +6,9 @@ that cluster's coordinates.  The compatibility degree d(x, z) reads the
 x coordinate of z's d-vector in any cluster containing x; the choice of
 cluster does not matter, which is one of the verified properties rather
 than an assumption, so the degree uses the first containing cluster in
-atlas order and the degree-properties sweep re-checks every choice.
+atlas order.  The degree-properties sweep compares every choice: it reads
+each (variable, cluster) d-vector once and records its coordinate at every
+variable of the cluster.
 
 Two variables are d-compatible when the degree is <= 0.  Maximal
 d-compatible sets are maximal cliques of that relation, enumerated
@@ -114,11 +116,15 @@ def verify_degree_properties(atlas: PatternAtlas) -> VerificationReport:
     report.add_context(
         "atlas", f"n={atlas.n} variables={count} clusters={len(atlas.clusters)}"
     )
-    values: dict[tuple[int, int], set[int]] = {}
-    for j in range(count):
-        hosts = atlas.clusters_containing(j)
+    # Keyed j-major, so the first failing pair found below does not depend
+    # on the order the loop fills the sets in.
+    values: dict[tuple[int, int], set[int]] = {
+        (j, i): set() for j in range(count) for i in range(count)
+    }
+    for c in atlas.clusters:
         for i in range(count):
-            values[(j, i)] = {d_vector(i, c, atlas)[c.index(j)] for c in hosts}
+            for j, degree_ji in zip(c, d_vector(i, c, atlas)):
+                values[(j, i)].add(degree_ji)
 
     bad = next(((j, i) for (j, i), v in values.items() if len(v) > 1), None)
     report.add_check(

@@ -22,10 +22,12 @@ each variable only needs a sign check.  The inverse depends only on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .atlas import Cluster, PatternAtlas
+from .atlas import Cluster, IncompleteAtlasError, PatternAtlas
 from .laurent import GradedDegree, LaurentPoly
+from .reports import VerificationReport
 
 
 class NotPrincipalError(ValueError):
@@ -228,17 +230,12 @@ def find_g_pair(
     )
 
 
-def verify_g_pairs(atlas: PatternAtlas) -> "VerificationReport":
+def verify_g_pairs(atlas: PatternAtlas) -> VerificationReport:
     """Exhaustive g-pair search over every (cluster, direction subset).
 
     A complete principal atlas must yield a partner for every pair; a
     single miss fails the sweep.
     """
-    from itertools import combinations
-
-    from .atlas import IncompleteAtlasError
-    from .reports import VerificationReport
-
     _require_principal(atlas)
     if not atlas.complete:
         raise IncompleteAtlasError("g-pair sweep needs a complete atlas")

@@ -150,20 +150,6 @@ class LaurentPoly:
         return LaurentPoly(n, m, {key: 1})
 
     @staticmethod
-    def monomial(
-        n: int,
-        m: int,
-        x_exponents: Sequence[int] = (),
-        y_exponents: Sequence[int] = (),
-        coeff: int = 1,
-    ) -> "LaurentPoly":
-        xs = tuple(x_exponents) or (0,) * n
-        ys = tuple(y_exponents) or (0,) * m
-        if len(xs) != n or len(ys) != m:
-            raise ValueError("exponent lengths do not match ranks")
-        return LaurentPoly(n, m, {xs + ys: coeff})
-
-    @staticmethod
     def from_x_terms(
         n: int, m: int, x_terms: Iterable[tuple[Exponents, "LaurentPoly"]]
     ) -> "LaurentPoly":
@@ -372,17 +358,6 @@ class LaurentPoly:
                 if mins[i] is None or key[i] < mins[i]:
                     mins[i] = key[i]
         return tuple(mins)
-
-    def permute_x(self, perm: Sequence[int]) -> "LaurentPoly":
-        """Reorder x coordinates: coordinate i of the result reads the
-        exponent of old coordinate ``perm[i]`` (0-based)."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError(f"{perm} is not a permutation of 0..{self.n - 1}")
-        out = {}
-        for key, c in self.terms.items():
-            new = tuple(key[perm[i]] for i in range(self.n)) + key[self.n:]
-            out[new] = c
-        return LaurentPoly(self.n, self.m, out)
 
     # ------------------------------------------------------------------
     # serialization

@@ -19,6 +19,7 @@ from itertools import product
 
 import pytest
 
+import clusteralg
 from clusteralg import (
     ClusterMonomial,
     ExchangeMatrix,
@@ -306,6 +307,9 @@ def test_10_cli_output_is_deterministic(tmp_path):
     principal.write_text(
         json.dumps({"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "principal"})
     )
+    # The child process imports the package this test imported.
+    src = os.path.dirname(os.path.dirname(clusteralg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     with criterion(10, "CLI determinism", 120.0):
         for template in CLI_COMMANDS:
             argv = [
@@ -313,7 +317,7 @@ def test_10_cli_output_is_deterministic(tmp_path):
             ]
             outputs = []
             for hash_seed in ("0", "1"):
-                env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+                env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
                 proc = subprocess.run(
                     [sys.executable, "-m", "clusteralg.cli", *argv],
                     capture_output=True,

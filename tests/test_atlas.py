@@ -21,7 +21,7 @@ from clusteralg import (
 )
 from clusteralg.atlas import PatternAtlas, _canonical_seed_key, _json_text
 from clusteralg.seed import mutate
-from conftest import A2_ROWS, A3_ROWS, B2_ROWS, G2_ROWS, count_mutations
+from conftest import A2_ROWS, A3_ROWS, B2_ROWS, B3_ROWS, G2_ROWS, count_mutations
 
 A2_VARIABLES = [
     "x1",
@@ -47,7 +47,6 @@ A2_PENTAGON_DOT = """graph exchange {
 
 
 A4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
-B3_ROWS = [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]
 C3_ROWS = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
 D4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
 MARKOV_ROWS = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
@@ -363,22 +362,35 @@ class TestExpand:
         self, a2_trivial, b2_trivial, g2_trivial, a3_trivial, a3_principal
     ):
         # Reference: one full replay per (host seed, variable), host to
-        # root and on to the variable's first seed.
+        # root and on to the variable's first seed, in the host's position
+        # coordinates, then permuted to ascending variable id.
         atlases = (a2_trivial, b2_trivial, g2_trivial, a3_trivial, a3_principal)
         for atlas in atlases + (infinite_rank2(),):
             n, m = atlas.n, atlas.m
-            for sid, host in enumerate(atlas.seeds):
+            assert len(atlas.cluster_to_seed) == len(atlas.seeds)
+            for cluster, sid in atlas.cluster_to_seed.items():
+                host = atlas.seeds[sid]
                 fresh = Seed(
                     host.b,
                     host.y,
                     [LaurentPoly.variable(n, m, i) for i in range(1, n + 1)],
                 )
+                ids = atlas.seed_variable_ids[sid]
+                order = sorted(range(n), key=ids.__getitem__)
                 for v in range(len(atlas.variables)):
                     tid = atlas.first_seed_of_variable[v]
                     path = tuple(reversed(host.path)) + atlas.seeds[tid].path
                     landed = mutate_path(fresh, path)
-                    want = landed.x[atlas.seed_variable_ids[tid].index(v)]
-                    assert atlas._expand_at_seed(sid, v) == want
+                    positional = landed.x[atlas.seed_variable_ids[tid].index(v)]
+                    want = LaurentPoly(
+                        n,
+                        m,
+                        {
+                            tuple(key[p] for p in order) + key[n:]: c
+                            for key, c in positional.terms.items()
+                        },
+                    )
+                    assert atlas.expand(v, cluster) == want
 
     def test_rerooting_mutates_each_tree_node_once(self, monkeypatch):
         atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import clusteralg.compat
 from clusteralg import (
     ExchangeMatrix,
     ExploreCaps,
@@ -18,6 +19,7 @@ from clusteralg import (
     verify_degree_properties,
     verify_maximal_sets,
 )
+from conftest import A3_ROWS, B3_ROWS
 
 A2_DEGREE_MATRIX = [
     [-1, 0, 1, 0, 1],
@@ -132,6 +134,21 @@ class TestVerification:
                 "compatible-iff-shared-cluster",
                 "positive-iff-no-shared-cluster",
             ]
+
+    @pytest.mark.parametrize("rows", [A3_ROWS, B3_ROWS])
+    def test_degree_sweep_reads_each_d_vector_once(self, monkeypatch, rows):
+        atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
+        calls = []
+        original = clusteralg.compat.d_vector
+
+        def counted(v, cluster, atlas):
+            calls.append((v, tuple(cluster)))
+            return original(v, cluster, atlas)
+
+        monkeypatch.setattr(clusteralg.compat, "d_vector", counted)
+        assert verify_degree_properties(atlas).passed
+        assert len(calls) == len(atlas.clusters) * len(atlas.variables)
+        assert len(set(calls)) == len(calls)
 
     def test_report_lines(self, a2_trivial):
         lines = verify_degree_properties(a2_trivial).lines()

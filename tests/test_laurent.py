@@ -59,7 +59,7 @@ class TestLaurentBasics:
 
     def test_variable_and_monomial(self):
         assert LaurentPoly.variable(2, 1, 2).terms == {(0, 1, 0): 1}
-        p = LaurentPoly.monomial(2, 1, (1, -1), (2,), coeff=-3)
+        p = LaurentPoly(2, 1, {(1, -1) + (2,): -3})
         assert p.terms == {(1, -1, 2): -3}
         with pytest.raises(IndexError):
             LaurentPoly.variable(2, 0, 3)
@@ -110,14 +110,6 @@ class TestLaurentBasics:
         assert groups[1][1].terms == {(0, 0): 1}
         assert groups[2][1].terms == {(1, 0): 1}
         assert LaurentPoly.from_x_terms(2, 2, groups) == p
-
-    def test_permute_x(self):
-        p = lp("x1^2*x2")
-        assert p.permute_x([1, 0]) == lp("x1*x2^2")
-        q = LaurentPoly(2, 1, {(2, -1, 5): 3})
-        assert q.permute_x([1, 0]).terms == {(-1, 2, 5): 3}
-        with pytest.raises(ValueError):
-            p.permute_x([0, 0])
 
     def test_x_min_exponents(self):
         assert lp("x1^-1*x2 + x1^-1").x_min_exponents() == (-1, 0)

@@ -92,8 +92,9 @@ def reference_exchange_binomial(seed, k):
     n, m = seed.n, seed.m
     yk = seed.y[k - 1]
     denom = _t_oplus(yk, (0,) * m)
-    pos = LaurentPoly.monomial(n, m, y_exponents=_t_mul(yk, _t_inverse(denom)))
-    neg = LaurentPoly.monomial(n, m, y_exponents=_t_inverse(denom))
+    x = (0,) * n
+    pos = LaurentPoly(n, m, {x + _t_mul(yk, _t_inverse(denom)): 1})
+    neg = LaurentPoly(n, m, {x + _t_inverse(denom): 1})
     for i in range(n):
         b_ik = seed.b.rows[i][k - 1]
         if b_ik > 0:
