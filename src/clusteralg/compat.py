@@ -18,6 +18,7 @@ stored clusters.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable
 
 from .atlas import Cluster, IncompleteAtlasError, PatternAtlas
@@ -50,14 +51,23 @@ def compatibility_degree(xj: int, xi: int, atlas: PatternAtlas) -> int:
 
 
 def compatibility_matrix(atlas: PatternAtlas) -> list[list[int]]:
-    """Full degree matrix; entry [j][i] is the degree of (var j, var i)."""
+    """Full degree matrix; entry [j][i] is the degree of (var j, var i).
+
+    Row j reads the first cluster through j, as ``compatibility_degree``
+    does, and each (variable, first cluster) d-vector is read once.
+    """
     if not atlas.complete:
         raise IncompleteAtlasError("degree matrix needs a complete atlas")
     count = len(atlas.variables)
-    return [
-        [compatibility_degree(j, i, atlas) for i in range(count)]
-        for j in range(count)
-    ]
+    first: dict[int, Cluster] = {}
+    for c in atlas.clusters:
+        for v in c:
+            first.setdefault(v, c)
+    d_vectors = {
+        c: [d_vector(i, c, atlas) for i in range(count)]
+        for c in dict.fromkeys(first.values())
+    }
+    return [[d[c.index(j)] for d in d_vectors[c]] for j, c in sorted(first.items())]
 
 
 def compatibility_matrix_tsv(atlas: PatternAtlas) -> str:
@@ -68,10 +78,6 @@ def compatibility_matrix_tsv(atlas: PatternAtlas) -> str:
     for j in range(count):
         lines.append(str(j) + "\t" + "\t".join(str(v) for v in matrix[j]))
     return "\n".join(lines) + "\n"
-
-
-def _shares_cluster(x: int, z: int, atlas: PatternAtlas) -> bool:
-    return any(x in c and z in c for c in atlas.clusters)
 
 
 def maximal_d_compatible_sets(atlas: PatternAtlas) -> list[tuple[int, ...]]:
@@ -133,11 +139,7 @@ def verify_degree_properties(atlas: PatternAtlas) -> VerificationReport:
         "" if bad is None else f"pair {bad} gives degrees {sorted(values[bad])}",
     )
     degree = {pair: min(vals) for pair, vals in values.items()}
-    shares = {
-        (j, i): _shares_cluster(j, i, atlas)
-        for j in range(count)
-        for i in range(count)
-    }
+    shares = {pair for c in atlas.clusters for pair in product(c, repeat=2)}
 
     def first_failure(predicate) -> tuple[int, int] | None:
         for j in range(count):
@@ -154,16 +156,16 @@ def verify_degree_properties(atlas: PatternAtlas) -> VerificationReport:
         ),
         (
             "zero-iff-shared-cluster",
-            lambda j, i: (degree[(j, i)] == 0) == (j != i and shares[(j, i)])
+            lambda j, i: (degree[(j, i)] == 0) == (j != i and (j, i) in shares)
             and (degree[(j, i)] == 0) == (degree[(i, j)] == 0),
         ),
         (
             "compatible-iff-shared-cluster",
-            lambda j, i: (degree[(j, i)] <= 0) == shares[(j, i)],
+            lambda j, i: (degree[(j, i)] <= 0) == ((j, i) in shares),
         ),
         (
             "positive-iff-no-shared-cluster",
-            lambda j, i: (degree[(j, i)] > 0) == (not shares[(j, i)])
+            lambda j, i: (degree[(j, i)] > 0) == ((j, i) not in shares)
             and (degree[(j, i)] > 0) == (degree[(i, j)] > 0),
         ),
     ]
@@ -174,7 +176,7 @@ def verify_degree_properties(atlas: PatternAtlas) -> VerificationReport:
             j, i = bad
             detail = (
                 f"pair ({j}, {i}): degree {degree[(j, i)]}, reverse "
-                f"{degree[(i, j)]}, shared cluster {shares[(j, i)]}"
+                f"{degree[(i, j)]}, shared cluster {(j, i) in shares}"
             )
         report.add_check(name, bad is None, detail)
     report.add_context("ordered-pairs", str(count * count))

@@ -317,6 +317,24 @@ def exchange_binomial(seed: Seed, k: int) -> LaurentPoly:
     return pos + neg
 
 
+def exchange(seed: Seed, k: int) -> LaurentPoly:
+    """The variable that replaces x_k when the seed mutates in direction k,
+    1-based: the exchange binomial divided exactly by x_k.
+
+    Only the seed's B, y and variables are read, so a walk that already
+    holds a stored seed's B and y needs no matrix or coefficient mutation.
+    Raises NotDivisibleError when the division is not exact and
+    PositivityError when the quotient has a nonpositive coefficient;
+    either means the engine is broken.
+    """
+    x_k = exact_div(exchange_binomial(seed, k), seed.x[k - 1])
+    if not x_k.has_positive_coefficients():
+        raise PositivityError(
+            f"mutation in direction {k} produced nonpositive coefficients: {x_k}"
+        )
+    return x_k
+
+
 def mutate(seed: Seed, k: int) -> Seed:
     """Seed mutation in direction k, 1-based.  Involutive."""
     n = seed.n
@@ -331,12 +349,7 @@ def mutate(seed: Seed, k: int) -> Seed:
         if b_ki:  # b_kk = 0, so y_k is left as set above
             part = up if b_ki > 0 else down
             y_new[i] = tuple(a + b_ki * e for a, e in zip(seed.y[i], part))
-    x_k = exact_div(exchange_binomial(seed, k), seed.x[k - 1])
-    if not x_k.has_positive_coefficients():
-        raise PositivityError(
-            f"mutation in direction {k} produced nonpositive coefficients: {x_k}"
-        )
-    x_new = seed.x[: k - 1] + (x_k,) + seed.x[k:]
+    x_new = seed.x[: k - 1] + (exchange(seed, k),) + seed.x[k:]
     return Seed._trusted(b_new, tuple(y_new), x_new, seed.path + (k,))
 
 

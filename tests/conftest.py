@@ -15,6 +15,8 @@ B2_ROWS = [[0, 2], [-1, 0]]
 G2_ROWS = [[0, 3], [-1, 0]]
 A3_ROWS = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
 B3_ROWS = [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]
+A4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
+D4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
 
 
 def count_mutations(monkeypatch) -> list[int]:

@@ -8,11 +8,13 @@ from itertools import combinations
 import pytest
 
 import clusteralg.atlas
+import clusteralg.seed
 from clusteralg import (
     ExchangeGraph,
     ExchangeMatrix,
     ExploreCaps,
     LaurentPoly,
+    PositivityError,
     Seed,
     explore,
     graphs_equal,
@@ -21,7 +23,16 @@ from clusteralg import (
 )
 from clusteralg.atlas import PatternAtlas, _canonical_seed_key, _json_text
 from clusteralg.seed import mutate
-from conftest import A2_ROWS, A3_ROWS, B2_ROWS, B3_ROWS, G2_ROWS, count_mutations
+from conftest import (
+    A2_ROWS,
+    A3_ROWS,
+    A4_ROWS,
+    B2_ROWS,
+    B3_ROWS,
+    D4_ROWS,
+    G2_ROWS,
+    count_mutations,
+)
 
 A2_VARIABLES = [
     "x1",
@@ -46,9 +57,7 @@ A2_PENTAGON_DOT = """graph exchange {
 """
 
 
-A4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
 C3_ROWS = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
-D4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
 MARKOV_ROWS = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
 
 
@@ -151,7 +160,6 @@ class TestClosures:
         assert (a.n, a.m, a.coefficients) == (2, 0, "trivial")
         assert [str(p) for p in a.variables] == A2_VARIABLES
         assert a.clusters == [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4)]
-        assert a.first_seed_of_variable == [0, 0, 1, 2, 3]
         assert a.seed_variable_ids == [(0, 1), (2, 1), (0, 3), (2, 4), (4, 3)]
         assert [s.path for s in a.seeds] == [(), (1,), (2,), (1, 2), (2, 1)]
 
@@ -365,8 +373,20 @@ class TestExpand:
         # root and on to the variable's first seed, in the host's position
         # coordinates, then permuted to ascending variable id.
         atlases = (a2_trivial, b2_trivial, g2_trivial, a3_trivial, a3_principal)
-        for atlas in atlases + (infinite_rank2(),):
+        capped = explore(
+            root_seed(ExchangeMatrix(A4_ROWS), "principal"), ExploreCaps(20)
+        )
+        # Seeds whose level never ran store no edges; the walk must not need them.
+        assert any(
+            all((sid, k) not in capped.edges for k in range(1, capped.n + 1))
+            for sid in range(len(capped.seeds))
+        )
+        for atlas in atlases + (infinite_rank2(), capped):
             n, m = atlas.n, atlas.m
+            first_seed = {}
+            for tid, ids in enumerate(atlas.seed_variable_ids):
+                for v in ids:
+                    first_seed.setdefault(v, tid)
             assert len(atlas.cluster_to_seed) == len(atlas.seeds)
             for cluster, sid in atlas.cluster_to_seed.items():
                 host = atlas.seeds[sid]
@@ -378,7 +398,7 @@ class TestExpand:
                 ids = atlas.seed_variable_ids[sid]
                 order = sorted(range(n), key=ids.__getitem__)
                 for v in range(len(atlas.variables)):
-                    tid = atlas.first_seed_of_variable[v]
+                    tid = first_seed[v]
                     path = tuple(reversed(host.path)) + atlas.seeds[tid].path
                     landed = mutate_path(fresh, path)
                     positional = landed.x[atlas.seed_variable_ids[tid].index(v)]
@@ -392,19 +412,50 @@ class TestExpand:
                     )
                     assert atlas.expand(v, cluster) == want
 
-    def test_rerooting_mutates_each_tree_node_once(self, monkeypatch):
+    def test_rerooting_exchanges_once_per_variable_not_held(self, monkeypatch):
+        # A host reaches each variable it does not hold by one exchange at a
+        # stored seed's B and y, mutating no seed; a second round reads the
+        # cache.
+        atlases = [
+            explore(root_seed(ExchangeMatrix(rows), coefficients))
+            for rows, coefficients in [
+                (A3_ROWS, "trivial"),
+                (B3_ROWS, "trivial"),
+                (A3_ROWS, "principal"),
+            ]
+        ]
+        mutations = count_mutations(monkeypatch)
+        binomials = []
+        original = clusteralg.seed.exchange_binomial
+
+        def counted(seed, k):
+            binomials.append(k)
+            return original(seed, k)
+
+        monkeypatch.setattr(clusteralg.seed, "exchange_binomial", counted)
+        for atlas in atlases:
+            count = len(atlas.variables)
+            for cluster in atlas.clusters:
+                for v in range(count):
+                    atlas.expand(v, cluster)
+                assert len(binomials) == count - atlas.n
+                assert mutations == []
+                del binomials[:]
+            for cluster in atlas.clusters:
+                for v in range(count):
+                    atlas.expand(v, cluster)
+            assert binomials == mutations == []
+
+    def test_expansion_walk_keeps_the_positivity_check(self, monkeypatch):
         atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
-        calls = count_mutations(monkeypatch)
-        depth, host = max(
-            (len(atlas.seeds[sid].path), c) for c, sid in atlas.cluster_to_seed.items()
+        original = clusteralg.seed.exchange_binomial
+        monkeypatch.setattr(
+            clusteralg.seed, "exchange_binomial", lambda seed, k: -original(seed, k)
         )
-        for v in range(len(atlas.variables)):
-            atlas.expand(v, host)
-        assert 0 < len(calls) <= depth + len(atlas.seeds) - 1
-        del calls[:]
-        for v in range(len(atlas.variables)):
-            atlas.expand(v, host)
-        assert calls == []
+        root_cluster = atlas.clusters[0]
+        outside = next(v for v in range(len(atlas.variables)) if v not in root_cluster)
+        with pytest.raises(PositivityError):
+            atlas.expand(outside, root_cluster)
 
     def test_variable_id_round_trip(self, a2_trivial):
         a = a2_trivial

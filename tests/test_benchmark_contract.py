@@ -49,5 +49,11 @@ def test_traced_layers_are_called_through_their_names(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(owner, attr, counted)
-    explore(root_seed(ExchangeMatrix(A3_ROWS), "principal")).to_json()
+    atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "principal"))
+    atlas.to_json()
     assert all(calls.values()), calls
+    # Re-rooting reaches the binomial and the division by the same names.
+    calls.update(exchange_binomial=0, exact_div=0)
+    for v in range(len(atlas.variables)):
+        atlas.expand(v, atlas.clusters[-1])
+    assert calls["exchange_binomial"] and calls["exact_div"], calls

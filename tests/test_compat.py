@@ -19,7 +19,7 @@ from clusteralg import (
     verify_degree_properties,
     verify_maximal_sets,
 )
-from conftest import A3_ROWS, B3_ROWS
+from conftest import A3_ROWS, A4_ROWS, B3_ROWS, D4_ROWS
 
 A2_DEGREE_MATRIX = [
     [-1, 0, 1, 0, 1],
@@ -149,6 +149,29 @@ class TestVerification:
         assert verify_degree_properties(atlas).passed
         assert len(calls) == len(atlas.clusters) * len(atlas.variables)
         assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("rows, reads", [(A4_ROWS, 154), (D4_ROWS, 208)])
+    def test_degree_matrix_reads_each_first_cluster_d_vector_once(
+        self, monkeypatch, rows, reads
+    ):
+        # One read per (variable, distinct first cluster through a variable):
+        # 14 x 11 on A4, 16 x 13 on D4.
+        atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
+        count = len(atlas.variables)
+        want = [
+            [compatibility_degree(j, i, atlas) for i in range(count)]
+            for j in range(count)
+        ]
+        calls = []
+        original = clusteralg.compat.d_vector
+
+        def counted(v, cluster, atlas):
+            calls.append((v, tuple(cluster)))
+            return original(v, cluster, atlas)
+
+        monkeypatch.setattr(clusteralg.compat, "d_vector", counted)
+        assert compatibility_matrix(atlas) == want
+        assert len(calls) == len(set(calls)) == reads
 
     def test_report_lines(self, a2_trivial):
         lines = verify_degree_properties(a2_trivial).lines()
