@@ -44,18 +44,19 @@ def run(config: WalkConfig, verbose: bool = False) -> dict[str, int]:
         n = rng.randint(2, config.max_rank)
         matrix = random_exchange_matrix(rng, n, max_sym=config.max_sym)
         seed = root_seed(matrix, "principal")
-        steps = 0
+        path: tuple[int, ...] = ()
         for _ in range(config.length):
-            seed = mutate(seed, rng.randint(1, n))
+            k = rng.randint(1, n)
+            seed = mutate(seed, k)
+            path += (k,)
             biggest = max(len(p.terms) for p in seed.x)
             stats["max_terms"] = max(stats["max_terms"], biggest)
-            steps += 1
             for poly in seed.x:
                 if any(c <= 0 for c in poly.terms.values()):
                     stats["nonpositive"] += 1
                     print(
                         f"nonpositive coefficient, matrix {matrix.rows}, "
-                        f"path {seed.path}",
+                        f"path {path}",
                         file=sys.stderr,
                     )
                 stats["variables"] += 1
@@ -63,9 +64,9 @@ def run(config: WalkConfig, verbose: bool = False) -> dict[str, int]:
                 stats["truncated"] += 1
                 break
         stats["walks"] += 1
-        stats["steps"] += steps
+        stats["steps"] += len(path)
         if verbose:
-            print(f"walk {index}: rank {n}, steps {steps}, matrix {matrix.rows}")
+            print(f"walk {index}: rank {n}, steps {len(path)}, matrix {matrix.rows}")
     return stats
 
 

@@ -47,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     for sid, stored in enumerate(atlas.seeds):
         rerooted = explore(root_seed(stored.b, "trivial"))
         report = verify_unistructural(atlas, rerooted)
-        print(f"reroot at seed {sid} (path {list(stored.path)}): {report.status}")
+        print(f"reroot at seed {sid} (path {list(atlas.path(sid))}): {report.status}")
         if report.status != "pass":
             failures += 1
             print(report.text(), end="")

@@ -17,7 +17,6 @@ from .atlas import (
     graphs_equal,
 )
 from .compat import (
-    compatibility_degree,
     compatibility_matrix,
     compatibility_matrix_tsv,
     d_vector,
@@ -106,7 +105,6 @@ __all__ = [
     "certify_incompatible_pairs",
     "check_g_pair",
     "cluster_monomial_expansion",
-    "compatibility_degree",
     "compatibility_matrix",
     "compatibility_matrix_tsv",
     "connected_by_I_sequence",

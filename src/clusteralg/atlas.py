@@ -25,14 +25,14 @@ Expansions with respect to an arbitrary stored cluster are computed by
 re-rooting, all of the cluster's at once.  The host seed's variables become
 unit variables, ranked by id: the one with the r-th smallest id is x_r, so
 every expansion is in ascending-id coordinates and none is permuted
-afterwards.  The walk then crosses the discovery tree, read as an undirected
-tree, breadth first outward from the host.  A stored child keeps its
-parent's positions, so the edge between them is direction k = the child's
-last path step at both ends, and the two seeds differ only in the variable
-at position k.  Crossing from u to w exchanges once, at u's stored B and y
-with the expansions of u's variables, only when w's k-th variable is still
-unknown.  So a host costs exactly (variables - n) exchanges and no matrix
-or coefficient mutation.
+afterwards.  The walk then crosses the discovery tree breadth first
+outward from the host.  The atlas records that tree once, as each seed is
+stored: a stored child keeps its parent's positions, so the edge between
+them is the direction k the child was made in at both ends, and the two
+seeds differ only in the variable at position k.  Crossing from u to w
+exchanges once, at u's stored B and y with the expansions of u's
+variables, only when w's k-th variable is still unknown.  So a host costs
+exactly (variables - n) exchanges and no matrix or coefficient mutation.
 
 Walks that only need to know which variables a seed holds do no
 arithmetic at all.  An exact seed (positions intact) is the pair of its
@@ -92,16 +92,17 @@ def _canonical_seed_key(seed: Seed) -> tuple:
 class PatternAtlas:
     """Deduplicated closure of mutation from a root seed.
 
-    Public data: ``seeds`` (store order; index 0 is the root with an
-    empty path), ``variables`` (interning table, id = index),
-    ``seed_variable_ids`` (per seed, variable ids by position),
-    ``clusters`` (discovery order), ``cluster_to_seed``, ``edges``
-    (mapping (seed index, direction) to seed index), ``complete``.
+    Public data: ``seeds`` (store order; index 0 is the root),
+    ``variables`` (interning table, id = index), ``seed_variable_ids``
+    (per seed, variable ids by position), ``clusters`` (discovery order),
+    ``cluster_to_seed``, ``edges`` (mapping (seed index, direction) to
+    seed index), ``tree`` (the discovery tree: per seed, its (seed index,
+    direction) neighbours, the parent first for every seed but the root),
+    ``complete``; ``path(sid)`` replays the tree from the root.
     """
 
     def __init__(self, root: Seed, caps: ExploreCaps | None = None):
         self.caps = caps or ExploreCaps()
-        root = Seed(root.b, root.y, root.x, path=())
         self.root = root
         self.n = root.n
         self.m = root.m
@@ -113,19 +114,27 @@ class PatternAtlas:
         self.clusters: list[Cluster] = []
         self.cluster_to_seed: dict[Cluster, int] = {}
         self.edges: dict[tuple[int, int], int] = {}
+        self.tree: list[list[tuple[int, int]]] = []
         self._seed_keys: dict[tuple, int] = {}
         self._expand_cache: dict[Cluster, dict[int, LaurentPoly]] = {}
         self._ireach_cache: dict[frozenset, dict[Cluster, tuple[int, ...]]] = {}
         self.derived: dict = {}
-        self._store_seed(root, _canonical_seed_key(root))
+        self._store_seed(root, _canonical_seed_key(root), None)
         self.complete = self._explore()
 
     # ------------------------------------------------------------------
     # construction
 
-    def _store_seed(self, seed: Seed, key: tuple) -> int:
+    def _store_seed(
+        self, seed: Seed, key: tuple, parent: tuple[int, int] | None
+    ) -> int:
+        # parent: the (seed index, direction) the seed was made from, None
+        # for the root.  Only here is the discovery tree written.
         sid = len(self.seeds)
         self.seeds.append(seed)
+        self.tree.append([] if parent is None else [parent])
+        if parent is not None:
+            self.tree[parent[0]].append((sid, parent[1]))
         self._seed_keys[key] = sid
         ids = []
         for p in seed.x:
@@ -166,7 +175,7 @@ class PatternAtlas:
                     )
             reverse[edge] = sid
 
-        level = [0]
+        level, depth = [0], 0
         while level:
             candidates: list[tuple[tuple, Seed, int, int]] = []
             for sid in level:
@@ -185,7 +194,7 @@ class PatternAtlas:
                         candidates.append((key, child, sid, k))
             if not candidates:
                 break
-            depth = len(self.seeds[level[0]].path) + 1
+            depth += 1
             next_level: list[int] = []
             if depth <= self.caps.max_depth:
                 for key, child, sid, k in sorted(candidates, key=lambda c: c[0]):
@@ -194,7 +203,7 @@ class PatternAtlas:
                     if len(self.seeds) >= self.caps.max_seeds:
                         truncated = True
                         break
-                    next_level.append(self._store_seed(child, key))
+                    next_level.append(self._store_seed(child, key, (sid, k)))
             else:
                 truncated = True
             for key, child, sid, k in candidates:
@@ -233,6 +242,15 @@ class PatternAtlas:
             raise KeyError(f"cluster {c} is not in the atlas")
         return c
 
+    def path(self, sid: int) -> tuple[int, ...]:
+        """Directions that mutate the root into stored seed sid along the
+        discovery tree."""
+        steps = []
+        while sid:
+            sid, k = self.tree[sid][0]
+            steps.append(k)
+        return tuple(reversed(steps))
+
     # ------------------------------------------------------------------
     # expansions by re-rooting
 
@@ -248,15 +266,6 @@ class PatternAtlas:
         n, m = self.n, self.m
         known = {u: LaurentPoly.variable(n, m, r) for r, u in enumerate(c, 1)}
         seeds, ids = self.seeds, self.seed_variable_ids
-        # The discovery tree, undirected: each stored seed but the root is
-        # joined to its parent, the stored seed at its path less the last
-        # step k, by direction k.
-        at = {s.path: sid for sid, s in enumerate(seeds)}
-        near: list[list[tuple[int, int]]] = [[] for _ in seeds]
-        for w, s in enumerate(seeds[1:], 1):
-            u, k = at[s.path[:-1]], s.path[-1]
-            near[u].append((w, k))
-            near[w].append((u, k))
         # Breadth first from the host, so each variable is exchanged at a
         # seed nearest the host.  Expansions tend to grow with that distance:
         # walking down from the root instead made E6 degree-properties 2.5
@@ -266,7 +275,7 @@ class PatternAtlas:
         for u, came_from in walked:
             if len(known) == count:
                 break
-            for w, k in near[u]:
+            for w, k in self.tree[u]:
                 if w == came_from:
                     continue
                 walked.append((w, u))
@@ -359,6 +368,10 @@ class PatternAtlas:
     # export
 
     def to_json_dict(self) -> dict:
+        # Parents are stored before their children.
+        paths = [[]]
+        for (u, k), *_ in self.tree[1:]:
+            paths.append(paths[u] + [k])
         return {
             "n": self.n,
             "m": self.m,
@@ -373,7 +386,7 @@ class PatternAtlas:
             "clusters": [list(c) for c in self.clusters],
             "seeds": [
                 {
-                    "path": list(s.path),
+                    "path": paths[i],
                     "b": [list(row) for row in s.b.rows],
                     "y": [list(t) for t in s.y],
                     "variables": list(self.seed_variable_ids[i]),

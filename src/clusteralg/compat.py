@@ -5,10 +5,10 @@ componentwise minimum of the x exponents over its Laurent expansion in
 that cluster's coordinates.  The compatibility degree d(x, z) reads the
 x coordinate of z's d-vector in any cluster containing x; the choice of
 cluster does not matter, which is one of the verified properties rather
-than an assumption, so the degree uses the first containing cluster in
-atlas order.  The degree-properties sweep compares every choice: it reads
-each (variable, cluster) d-vector once and records its coordinate at every
-variable of the cluster.
+than an assumption, so the degree matrix reads the first containing
+cluster in atlas order.  The degree-properties sweep compares every
+choice: it reads each (variable, cluster) d-vector once and records its
+coordinate at every variable of the cluster.
 
 Two variables are d-compatible when the degree is <= 0.  Maximal
 d-compatible sets are maximal cliques of that relation, enumerated
@@ -33,28 +33,11 @@ def d_vector(v: int, cluster: Iterable[int], atlas: PatternAtlas) -> DVector:
     return tuple(-e for e in atlas.expand(v, cluster).x_min_exponents())
 
 
-def compatibility_degree(xj: int, xi: int, atlas: PatternAtlas) -> int:
-    """Coordinate of xj in the d-vector of xi over the first cluster
-    through xj in atlas order.
-
-    The choice of cluster is immaterial; ``verify_degree_properties``
-    checks that over every containing cluster.
-    """
-    atlas.require_variable(xi)
-    hosts = atlas.clusters_containing(xj)
-    if not hosts:
-        raise IncompleteAtlasError(
-            f"no stored cluster contains variable {xj}; atlas is incomplete"
-        )
-    c = hosts[0]
-    return d_vector(xi, c, atlas)[c.index(xj)]
-
-
 def compatibility_matrix(atlas: PatternAtlas) -> list[list[int]]:
     """Full degree matrix; entry [j][i] is the degree of (var j, var i).
 
-    Row j reads the first cluster through j, as ``compatibility_degree``
-    does, and each (variable, first cluster) d-vector is read once.
+    Row j reads the first cluster through j in atlas order, and each
+    (variable, first cluster) d-vector is read once.
     """
     if not atlas.complete:
         raise IncompleteAtlasError("degree matrix needs a complete atlas")

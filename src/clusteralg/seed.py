@@ -4,8 +4,8 @@ A seed bundles an exchange matrix B, a tuple of tropical coefficients
 (one per direction), and a tuple of cluster variables stored as exact
 Laurent polynomials in the variables of the pattern's root seed.  The
 root seed of a pattern has unit-monomial variables; every other seed is
-produced by a sequence of mutations, and ``path`` records the directions
-used, so any stored seed can be reproduced by replaying its path.
+produced by a sequence of mutations.  A seed does not record that
+sequence: the atlas keeps the tree its seeds were discovered along.
 
 A coefficient y_i is a Laurent monomial in the tropical generators,
 stored as its exponent tuple.  Tropical addition takes componentwise
@@ -169,26 +169,23 @@ class ExchangeMatrix:
 
 
 class Seed:
-    """A seed of a cluster pattern: matrix, coefficients, variables, path.
+    """A seed of a cluster pattern: matrix, coefficients, variables.
 
-    ``path`` is provenance only: two seeds are equal when matrix,
-    coefficients, and variables agree, regardless of how they were
-    reached.
+    Two seeds are equal when matrix, coefficients, and variables agree,
+    regardless of how they were reached.
     """
 
-    __slots__ = ("b", "y", "x", "path", "_key")
+    __slots__ = ("b", "y", "x", "_key")
 
     def __init__(
         self,
         b: ExchangeMatrix,
         y: Sequence[Sequence[int]],
         x: Sequence[LaurentPoly],
-        path: Sequence[int] = (),
     ):
         self.b = b
         self.y = tuple(map(tuple, y))
         self.x = tuple(x)
-        self.path = tuple(path)
         n = b.n
         if len(self.y) != n or len(self.x) != n:
             raise ValueError("coefficient and variable counts must equal the rank")
@@ -200,16 +197,13 @@ class Seed:
         self._key: tuple | None = None
 
     @staticmethod
-    def _trusted(
-        b: ExchangeMatrix, y: tuple, x: tuple, path: tuple[int, ...]
-    ) -> "Seed":
+    def _trusted(b: ExchangeMatrix, y: tuple, x: tuple) -> "Seed":
         """Wrap a mutation result, whose shapes hold by construction,
         without re-validating."""
         s = object.__new__(Seed)
         s.b = b
         s.y = y
         s.x = x
-        s.path = path
         s._key = None
         return s
 
@@ -239,7 +233,7 @@ class Seed:
         return hash(self.sort_key())
 
     def __repr__(self) -> str:
-        return f"Seed(n={self.n}, m={self.m}, path={self.path})"
+        return f"Seed(n={self.n}, m={self.m})"
 
 
 def root_seed(b: ExchangeMatrix, coefficients: str = "trivial") -> Seed:
@@ -260,7 +254,7 @@ def root_seed(b: ExchangeMatrix, coefficients: str = "trivial") -> Seed:
     else:
         raise ValueError(f"unknown coefficient choice {coefficients!r}")
     x = [LaurentPoly.variable(n, m, i) for i in range(1, n + 1)]
-    return Seed(b, y, x, path=())
+    return Seed(b, y, x)
 
 
 def random_exchange_matrix(
@@ -350,7 +344,7 @@ def mutate(seed: Seed, k: int) -> Seed:
             part = up if b_ki > 0 else down
             y_new[i] = tuple(a + b_ki * e for a, e in zip(seed.y[i], part))
     x_new = seed.x[: k - 1] + (exchange(seed, k),) + seed.x[k:]
-    return Seed._trusted(b_new, tuple(y_new), x_new, seed.path + (k,))
+    return Seed._trusted(b_new, tuple(y_new), x_new)
 
 
 def mutate_path(seed: Seed, path: Iterable[int]) -> Seed:

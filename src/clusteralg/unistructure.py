@@ -366,22 +366,23 @@ def _find_identification(
     Anchors are permuted stored seeds of a1 whose matrix equals a2's
     root matrix.  With trivial coefficients an anchor generates a1's
     pattern just as a2's root generates a2's, so walking a2's discovery
-    tree (prefix-closed, stored parent-first) from the anchor over a1's
-    edge table pairs every a2 seed with an exact a1 seed; matching them
-    position by position must give a consistent bijection of variables.
+    tree from the anchor over a1's edge table, each a2 seed from its
+    parent in store order, pairs every a2 seed with an exact a1 seed;
+    matching them position by position must give a consistent bijection
+    of variables.
     """
     tried = 0
     last_reason = "no stored seed of the first atlas matches the second root matrix"
     for sid, perm in _identification_candidates(a1, a2.root.b):
         tried += 1
         mapping: dict[int, int] = {}
-        states = {(): (sid, tuple(a1.seed_variable_ids[sid][i] for i in perm))}
+        states = [(sid, tuple(a1.seed_variable_ids[sid][i] for i in perm))]
         reason = ""
-        for seed, ids2 in zip(a2.seeds, a2.seed_variable_ids):
-            path = seed.path
-            if path:
-                states[path] = a1.mutate_state(states[path[:-1]], path[-1])
-            for v2, v1 in zip(ids2, states[path][1]):
+        for w, ids2 in enumerate(a2.seed_variable_ids):
+            if w:
+                u, k = a2.tree[w][0]
+                states.append(a1.mutate_state(states[u], k))
+            for v2, v1 in zip(ids2, states[w][1]):
                 prev = mapping.setdefault(v2, v1)
                 if prev != v1:
                     reason = (

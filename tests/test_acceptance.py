@@ -87,10 +87,14 @@ def criterion(number: int, name: str, budget_s: float | None = None):
 
 def _guarded_walk(seed, rng: random.Random, length: int, cap: int = TERM_CAP):
     """Random mutation walk that stops after a term blowup; yields every
-    seed it reaches, including the oversized final one."""
+    seed it reaches, including the oversized final one, with the directions
+    taken to reach it."""
+    path: tuple[int, ...] = ()
     for _ in range(length):
-        seed = mutate(seed, rng.randint(1, seed.n))
-        yield seed
+        k = rng.randint(1, seed.n)
+        seed = mutate(seed, k)
+        path += (k,)
+        yield path, seed
         if max(len(p.terms) for p in seed.x) > cap:
             return
 
@@ -104,7 +108,7 @@ def test_01_mutation_is_an_involution():
             matrix = random_exchange_matrix(rng, n, max_sym=rng.choice((2, 2, 3)))
             seed = root_seed(matrix, rng.choice(["trivial", "principal"]))
             # Base the involution pairs at the deepest tame seed reached.
-            for reached in _guarded_walk(seed, rng, rng.randint(0, 3)):
+            for _, reached in _guarded_walk(seed, rng, rng.randint(0, 3)):
                 if max(len(p.terms) for p in reached.x) <= TERM_CAP:
                     seed = reached
             for _ in range(rng.randint(1, 4)):
@@ -133,11 +137,11 @@ def test_02_laurent_positivity_along_random_walks():
             matrix = random_exchange_matrix(rng, n, max_sym=3 if wild else 2)
             seed = root_seed(matrix, "principal")
             cap = 150 if wild else TERM_CAP
-            for reached in _guarded_walk(seed, rng, 12, cap):
+            for path, reached in _guarded_walk(seed, rng, 12, cap):
                 for poly in reached.x:
                     assert poly.terms, "cluster variable expansion vanished"
                     assert all(c > 0 for c in poly.terms.values()), (
-                        f"negative coefficient after path {reached.path}"
+                        f"negative coefficient after path {path}"
                     )
                     variables_checked += 1
             walks += 1

@@ -73,7 +73,7 @@ class EveryDirectionAtlas(PatternAtlas):
     def _explore(self) -> bool:
         n = self.n
         truncated = False
-        level = [0]
+        level, depth = [0], 0
         while level:
             candidates = []
             for sid in level:
@@ -88,7 +88,7 @@ class EveryDirectionAtlas(PatternAtlas):
                         candidates.append((key, child, sid, k))
             if not candidates:
                 break
-            depth = len(self.seeds[level[0]].path) + 1
+            depth += 1
             next_level = []
             if depth <= self.caps.max_depth:
                 for key, child, sid, k in sorted(candidates, key=lambda c: c[0]):
@@ -97,7 +97,7 @@ class EveryDirectionAtlas(PatternAtlas):
                     if len(self.seeds) >= self.caps.max_seeds:
                         truncated = True
                         break
-                    next_level.append(self._store_seed(child, key))
+                    next_level.append(self._store_seed(child, key, (sid, k)))
             else:
                 truncated = True
             for key, child, sid, k in candidates:
@@ -161,7 +161,7 @@ class TestClosures:
         assert [str(p) for p in a.variables] == A2_VARIABLES
         assert a.clusters == [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4)]
         assert a.seed_variable_ids == [(0, 1), (2, 1), (0, 3), (2, 4), (4, 3)]
-        assert [s.path for s in a.seeds] == [(), (1,), (2,), (1, 2), (2, 1)]
+        assert [a.path(sid) for sid in range(5)] == [(), (1,), (2,), (1, 2), (2, 1)]
 
     def test_closure_sizes(self, b2_trivial, g2_trivial, a3_trivial):
         for atlas, seeds, variables, clusters in [
@@ -192,10 +192,31 @@ class TestClosures:
             "y1*y2*x2^-1 + x1^-1 + y1*x1^-1*x2^-1",
         ]
 
-    def test_stored_seeds_replay_from_root(self, a2_trivial, a3_trivial):
-        for atlas in (a2_trivial, a3_trivial):
-            for seed in atlas.seeds:
-                assert mutate_path(atlas.root, seed.path) == seed
+    def test_stored_seeds_replay_from_root(
+        self, a2_trivial, a3_trivial, a3_principal
+    ):
+        # Every stored seed but the root is joined to its parent by a stored
+        # exchange edge, and its tree path, the one exported, replays to it.
+        atlases = [a2_trivial, a3_trivial, a3_principal] + [
+            explore(root_seed(ExchangeMatrix(rows), coefficients), caps)
+            for rows, coefficients, caps in [
+                (B3_ROWS, "principal", ExploreCaps()),
+                (A4_ROWS, "principal", ExploreCaps(20)),
+                ([[0, 2], [-2, 0]], "trivial", ExploreCaps(max_depth=6)),
+            ]
+        ]
+        for atlas in atlases:
+            exported = json.loads(atlas.to_json())["seeds"]
+            assert sum(map(len, atlas.tree)) == 2 * (len(atlas.seeds) - 1)
+            for sid, seed in enumerate(atlas.seeds):
+                path = atlas.path(sid)
+                if sid:
+                    parent, k = atlas.tree[sid][0]
+                    assert parent < sid and path[-1] == k
+                    assert atlas.edges[(parent, k)] == sid
+                    assert (sid, k) in atlas.tree[parent]
+                assert mutate_path(atlas.root, path) == seed
+                assert exported[sid]["path"] == list(path)
 
     def test_edges_are_total_and_consistent(self, a2_trivial, a3_trivial):
         for atlas in (a2_trivial, a3_trivial):
@@ -249,14 +270,16 @@ class TestClosures:
         # computed from one end disagrees with the reverse derived from the
         # other.
         original = clusteralg.atlas.mutate
+        root = root_seed(ExchangeMatrix(A2_ROWS), "trivial")
+        seed_2 = original(root, 2)
 
         def broken(seed, k):
             child = original(seed, k)
-            return original(child, 3 - k) if seed.path == (2,) and k == 1 else child
+            return original(child, 3 - k) if seed.x == seed_2.x and k == 1 else child
 
         monkeypatch.setattr(clusteralg.atlas, "mutate", broken)
         with pytest.raises(RuntimeError, match="involution"):
-            explore(root_seed(ExchangeMatrix(A2_ROWS), "trivial"))
+            explore(root)
 
     @pytest.mark.parametrize(
         "rows, caps",
@@ -399,7 +422,7 @@ class TestExpand:
                 order = sorted(range(n), key=ids.__getitem__)
                 for v in range(len(atlas.variables)):
                     tid = first_seed[v]
-                    path = tuple(reversed(host.path)) + atlas.seeds[tid].path
+                    path = tuple(reversed(atlas.path(sid))) + atlas.path(tid)
                     landed = mutate_path(fresh, path)
                     positional = landed.x[atlas.seed_variable_ids[tid].index(v)]
                     want = LaurentPoly(

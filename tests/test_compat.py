@@ -9,7 +9,6 @@ from clusteralg import (
     ExchangeMatrix,
     ExploreCaps,
     IncompleteAtlasError,
-    compatibility_degree,
     compatibility_matrix,
     compatibility_matrix_tsv,
     d_vector,
@@ -20,6 +19,20 @@ from clusteralg import (
     verify_maximal_sets,
 )
 from conftest import A3_ROWS, A4_ROWS, B3_ROWS, D4_ROWS
+
+
+def compatibility_degree(xj, xi, atlas):
+    """Reference for one ``compatibility_matrix`` entry: the coordinate of
+    xj in the d-vector of xi over the first cluster through xj in atlas
+    order."""
+    atlas.require_variable(xi)
+    hosts = atlas.clusters_containing(xj)
+    if not hosts:
+        raise IncompleteAtlasError(
+            f"no stored cluster contains variable {xj}; atlas is incomplete"
+        )
+    c = hosts[0]
+    return d_vector(xi, c, atlas)[c.index(xj)]
 
 A2_DEGREE_MATRIX = [
     [-1, 0, 1, 0, 1],
@@ -63,9 +76,9 @@ class TestDVectors:
 
     def test_coordinates_follow_ascending_ids(self, a2_trivial):
         # Cluster {3, 4}: first coordinate belongs to variable 3.
-        assert d_vector(0, (3, 4), a2_trivial)[0] == compatibility_degree(
-            3, 0, a2_trivial
-        )
+        matrix = compatibility_matrix(a2_trivial)
+        assert d_vector(0, (3, 4), a2_trivial) == (matrix[3][0], matrix[4][0])
+        assert matrix[3][0] != matrix[4][0]
 
 
 class TestCompatibilityDegree:
@@ -79,18 +92,18 @@ class TestCompatibilityDegree:
 
     def test_choice_of_containing_cluster_is_immaterial(self, a2_trivial, b2_trivial):
         for atlas in (a2_trivial, b2_trivial):
-            count = len(atlas.variables)
-            for j in range(count):
-                for i in range(count):
-                    degree = compatibility_degree(j, i, atlas)
+            matrix = compatibility_matrix(atlas)
+            for j, row in enumerate(matrix):
+                for i, degree in enumerate(row):
                     for c in atlas.clusters_containing(j):
                         assert d_vector(i, c, atlas)[c.index(j)] == degree
 
     def test_compatibility_predicate(self, a2_trivial):
-        assert compatibility_degree(0, 1, a2_trivial) <= 0
-        assert compatibility_degree(0, 0, a2_trivial) <= 0
-        assert compatibility_degree(0, 2, a2_trivial) > 0
-        assert compatibility_degree(2, 0, a2_trivial) > 0
+        matrix = compatibility_matrix(a2_trivial)
+        assert matrix[0][1] <= 0
+        assert matrix[0][0] <= 0
+        assert matrix[0][2] > 0
+        assert matrix[2][0] > 0
 
     def test_tsv_format(self, a2_trivial):
         text = compatibility_matrix_tsv(a2_trivial)
@@ -102,9 +115,9 @@ class TestCompatibilityDegree:
 
     def test_unknown_variable_rejected(self, a2_trivial):
         with pytest.raises(KeyError):
-            compatibility_degree(0, 99, a2_trivial)
+            d_vector(99, (0, 1), a2_trivial)
         with pytest.raises(KeyError):
-            compatibility_degree(99, 0, a2_trivial)
+            d_vector(0, (0, 99), a2_trivial)
 
 
 class TestMaximalSets:

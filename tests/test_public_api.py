@@ -13,7 +13,8 @@ def test_every_exported_name_resolves():
 
 
 @pytest.mark.parametrize(
-    "name", ["TropicalElement", "CoefRingElement", "is_d_compatible"]
+    "name",
+    ["TropicalElement", "CoefRingElement", "is_d_compatible", "compatibility_degree"],
 )
 def test_removed_names_are_gone(name):
     assert not hasattr(clusteralg, name)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import os
 import sys
@@ -26,13 +27,26 @@ def load_script(name):
     return module
 
 
+# sha256 of each script's stdout, pinned so that output can only change on
+# purpose; the re-root report prints every stored seed's discovery path.
+STDOUT_DIGESTS = {
+    "reroot_and_compare": (
+        "231126bc6a5f82e1bf3e6a81943465ab98adcfe7fe0068f088c576dc8482b635"
+    ),
+    "run_verifications": (
+        "3355e770260ab86224ab98567f9538b1a65ba462ab7894c4180bfae8120acbd2"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [("reroot_and_compare", ["--type", "A3"]), ("run_verifications", [])],
 )
 def test_script_passes(name, argv, capsys):
     assert load_script(name).main(argv) == 0
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[name]
 
 
 def test_random_walks_at_defaults(capsys):
@@ -46,11 +60,17 @@ def test_random_walks_at_defaults(capsys):
 def test_random_walks_fails_on_a_nonpositive_coefficient(monkeypatch, capsys):
     script = load_script("random_walks")
     real_mutate = script.mutate
+    steps = []
 
     def negated(seed, k):
+        steps.append((seed.b.rows, k))
         out = real_mutate(seed, k)
-        return Seed(out.b, out.y, [-p for p in out.x], path=out.path)
+        return Seed(out.b, out.y, [-p for p in out.x])
 
     monkeypatch.setattr(script, "mutate", negated)
     assert script.main(["--walks", "1", "--length", "1"]) == 1
-    assert "nonpositive coefficient" in capsys.readouterr().err
+    # Every variable of the one seed reached is flagged, each line naming
+    # the root matrix and the walk's single step.
+    [(rows, k)] = steps
+    line = f"nonpositive coefficient, matrix {rows}, path ({k},)\n"
+    assert capsys.readouterr().err == line * len(rows)
