@@ -281,7 +281,9 @@ class PatternAtlas:
                 walked.append((w, u))
                 new = ids[w][k - 1]
                 if new not in known:
-                    seed = Seed(seeds[u].b, seeds[u].y, [known[i] for i in ids[u]])
+                    seed = Seed._trusted(
+                        seeds[u].b, seeds[u].y, tuple([known[i] for i in ids[u]])
+                    )
                     known[new] = exchange(seed, k)
         self._expand_cache[c] = known
         return known[v]

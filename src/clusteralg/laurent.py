@@ -18,12 +18,19 @@ Canonical term order is lexicographic on the combined exponent tuple,
 largest first.  Serialization and iteration follow that order, so equal
 polynomials always print identically.
 
-Large products (at least ``PACKED_PRODUCT_PAIRS`` term pairs) pack each
-exponent tuple into one integer for the duration of the call, so a
-monomial product is one integer add; the field layout comes from the
-operands' exponent ranges, so no field overflows.  The result is
-unpacked to tuple keys: ``terms`` always has tuple keys, and the order
-above is unchanged.
+Large products and exact divisions (at least ``PACKED_PRODUCT_PAIRS``
+term pairs) pack each exponent tuple into one integer for the duration
+of the call, one bit field per coordinate with the first coordinate most
+significant, so a monomial product or quotient is one integer add or
+subtract and lexicographic order is integer order.  A product's fields
+are sized by the operands' exponent ranges, so no field overflows.  A
+division's fields are sized by the numerator's degrees, which bound every
+remainder key of an exact division, plus one guard bit per field: a
+candidate quotient term that leaves that bound, or goes negative in some
+field and borrows from the next, shows a guard bit and proves the
+division inexact before anything can carry.  Results are unpacked to
+tuple keys: ``terms`` always has tuple keys, and the order above is
+unchanged.
 """
 
 from __future__ import annotations
@@ -31,13 +38,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, mul, sub
+from operator import add, gt, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 GradedDegree = tuple[int, ...]
 
-# Products with at least this many term pairs multiply packed integer keys.
+# Products and exact divisions with at least this many term pairs (terms of
+# one operand times terms of the other) run over packed integer keys.
 PACKED_PRODUCT_PAIRS = 256
 
 
@@ -393,66 +401,158 @@ class LaurentPoly:
         return LaurentPoly(n, m, out)
 
 
+class _PackedKeys:
+    """Bit fields that hold an exponent tuple in one integer, the first
+    coordinate most significant and field i ``widths[i]`` bits wide.
+
+    A key is packed relative to an exponent tuple ``low``, as the sum of
+    ``(k_i - low_i) << shift_i``.  While every coordinate lies in
+    ``[low_i, low_i + 2**widths[i])``, each field holds its coordinate,
+    integer order is lexicographic order, and the packed sum of two keys is
+    the packed key of their sum: no field carries into the next.
+    """
+
+    __slots__ = ("weights", "fields")
+
+    def __init__(self, widths: Sequence[int]):
+        shifts = []
+        total = 0
+        for width in reversed(widths):
+            shifts.append(total)
+            total += width
+        shifts.reverse()
+        self.weights = [1 << s for s in shifts]
+        self.fields = [(s, (1 << w) - 1) for s, w in zip(shifts, widths)]
+
+    def pack(self, terms: dict[Exponents, int], low: Sequence[int]) -> dict[int, int]:
+        weights = self.weights
+        base = sum(map(mul, low, weights))
+        return {sum(map(mul, k, weights)) - base: c for k, c in terms.items()}
+
+    def unpack(
+        self, packed: dict[int, int], low: Iterable[int]
+    ) -> dict[Exponents, int]:
+        """Tuple keys for packed keys whose fields are all in range, with
+        zero coefficients dropped."""
+        fields = [(s, mask, lo) for (s, mask), lo in zip(self.fields, low)]
+        return {
+            tuple([((p >> s) & mask) + lo for s, mask, lo in fields]): c
+            for p, c in packed.items()
+            if c
+        }
+
+
 def _packed_product(
     a: dict[Exponents, int], b: dict[Exponents, int]
 ) -> dict[Exponents, int]:
     """The product of two term dicts, multiplied over packed integer keys.
 
-    Each exponent tuple becomes one integer with a bit field per
-    coordinate, the first coordinate most significant.  A field is wide
-    enough for that coordinate's range in the product, so fields never
-    carry into each other and packing is additive: the packed sum of two
-    keys is the packed key of their product.  Zero coefficients are
-    dropped.
+    Each operand is packed relative to its lowest exponents, and a field
+    is wide enough for that coordinate's range in the product, so every
+    field of a packed product is in range.  Zero coefficients are dropped.
     """
     cols_a, cols_b = list(zip(*a)), list(zip(*b))
     low_a = [min(x) for x in cols_a]
     low_b = [min(y) for y in cols_b]
-    bits = [
+    keys = _PackedKeys([
         (max(x) - la + max(y) - lb).bit_length()
         for x, y, la, lb in zip(cols_a, cols_b, low_a, low_b)
-    ]
-    shifts = []
-    total = 0
-    for width in reversed(bits):
-        shifts.append(total)
-        total += width
-    shifts.reverse()
-    weights = [1 << s for s in shifts]
-    # Keys are packed relative to their operand's lowest exponents, so
-    # every field of a packed product is nonnegative.
-    base_a = sum(map(mul, low_a, weights))
-    base_b = sum(map(mul, low_b, weights))
-    packed_b = [(sum(map(mul, k, weights)) - base_b, c) for k, c in b.items()]
+    ])
+    packed_b = list(keys.pack(b, low_b).items())
     out: dict[int, int] = {}
     get = out.get
-    for k1, c1 in a.items():
-        p1 = sum(map(mul, k1, weights)) - base_a
+    for p1, c1 in keys.pack(a, low_a).items():
         for p2, c2 in packed_b:
             p = p1 + p2
             out[p] = get(p, 0) + c1 * c2
-    fields = [
-        (s, (1 << w) - 1, la + lb)
-        for s, w, la, lb in zip(shifts, bits, low_a, low_b)
-    ]
-    return {
-        tuple([((p >> s) & mask) + low for s, mask, low in fields]): c
-        for p, c in out.items()
-        if c
-    }
+    return keys.unpack(out, map(add, low_a, low_b))
+
+
+def _packed_quotient(
+    num: dict[Exponents, int], den: dict[Exponents, int]
+) -> dict[Exponents, int] | None:
+    """The exact quotient of two term dicts (the divisor of at least two
+    terms), divided over packed integer keys; None when it does not exist.
+
+    Both are shifted by their minimum exponents, so in coordinate i the
+    numerator's keys lie in [0, M_i] and the divisor's in [0, D_i].  An
+    exact quotient has degree M_i - D_i there, so none exists when some
+    D_i > M_i, and a quotient term outside [0, M_i - D_i] proves that none
+    exists.  Every accepted quotient term is inside that box, so every
+    remainder key stays in [0, M_i] and packed addition never carries.
+
+    Field i is ``M_i.bit_length() + 1`` bits, and its top bit is a guard
+    bit.  Every key that takes part in a subtraction (remainder and
+    divisor keys, the bound, a candidate with no guard bit set) has each
+    field below half the field's span, so a field that goes negative and
+    borrows from the next is left with its guard bit set; the first field
+    also makes the whole integer negative.  A candidate q is in the box
+    exactly when q >= 0 and neither q nor ``bound - q`` (bound the packed
+    M - D) has a guard bit set.
+    """
+    cols_num, cols_den = list(zip(*num)), list(zip(*den))
+    low_num = [min(x) for x in cols_num]
+    low_den = [min(y) for y in cols_den]
+    top_num = [max(x) - lo for x, lo in zip(cols_num, low_num)]
+    top_den = [max(y) - lo for y, lo in zip(cols_den, low_den)]
+    if any(map(gt, top_den, top_num)):
+        return None
+    keys = _PackedKeys([t.bit_length() + 1 for t in top_num])
+    bound = sum(map(mul, map(sub, top_num, top_den), keys.weights))
+    guard = sum((mask + 1) >> 1 << s for s, mask in keys.fields)
+    rem = keys.pack(num, low_num)
+    divisor = sorted(keys.pack(den, low_den).items(), reverse=True)
+    (den_lead, den_lc), tail = divisor[0], divisor[1:]
+    # Negated keys, so the largest remaining term is the heap minimum.
+    heap = [-p for p in rem]
+    heapify(heap)
+    quotient: dict[int, int] = {}
+    while heap:
+        lead = -heappop(heap)
+        lc = rem.pop(lead, None)
+        if lc is None:
+            continue  # cancelled since it was pushed
+        c, leftover = divmod(lc, den_lc)
+        q = lead - den_lead
+        if leftover or q < 0 or q & guard or (bound - q) & guard:
+            return None
+        quotient[q] = c
+        for k2, c2 in tail:
+            kk = q + k2
+            old = rem.get(kk)
+            if old is None:
+                rem[kk] = -c * c2
+                heappush(heap, -kk)
+            elif old == c * c2:
+                del rem[kk]
+            else:
+                rem[kk] = old - c * c2
+    return keys.unpack(quotient, map(sub, low_num, low_den))
+
+
+def _not_divisible(num: LaurentPoly, den: LaurentPoly) -> NotDivisibleError:
+    return NotDivisibleError(f"({num}) is not divisible by ({den})")
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact division of Laurent polynomials; raises NotDivisibleError
     when no Laurent polynomial quotient with integer coefficients exists.
 
-    Both arguments are shifted by their minimal exponents to honest
-    polynomials, which are divided by repeatedly cancelling leading
-    terms in lexicographic order.  The leading term of the remainder
-    comes from a heap (Johnson 1974; Monagan and Pearce 2011) rather than
-    a scan, so the leading terms, the quotient and the failure
-    conditions are those of the plain loop.  Any exponent or coefficient
-    failure during that loop proves non-divisibility.
+    A monomial divisor is a key shift.  Otherwise both arguments are
+    shifted by their minimal exponents to honest polynomials, which are
+    divided by repeatedly cancelling leading terms in lexicographic order.
+    The leading term of the remainder comes from a heap (Johnson 1974;
+    Monagan and Pearce 2011) rather than a scan, so the leading terms, the
+    quotient and the failure conditions are those of the plain loop.  Any
+    exponent or coefficient failure during that loop proves
+    non-divisibility.
+
+    Divisions of at least ``PACKED_PRODUCT_PAIRS`` term pairs run that
+    loop over packed integer keys (``_packed_quotient``).  Their fields
+    are sized by the numerator's degrees, which bound every remainder key
+    of an exact division; a guard bit per field catches a candidate
+    quotient term that leaves that bound, which proves non-divisibility
+    too, so no field ever carries.
     """
     num._check_ranks(den)
     if den.is_zero():
@@ -467,8 +567,13 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         for k2, c2 in num.terms.items():
             c, leftover = divmod(c2, c1)
             if leftover:
-                raise NotDivisibleError(f"({num}) is not divisible by ({den})")
+                raise _not_divisible(num, den)
             quotient[tuple(map(sub, k2, k1))] = c
+        return LaurentPoly._trusted(num.n, num.m, quotient)
+    if len(num.terms) * len(den.terms) >= PACKED_PRODUCT_PAIRS:
+        quotient = _packed_quotient(num.terms, den.terms)
+        if quotient is None:
+            raise _not_divisible(num, den)
         return LaurentPoly._trusted(num.n, num.m, quotient)
     na = tuple(map(min, zip(*num.terms)))
     db = tuple(map(min, zip(*den.terms)))
@@ -488,7 +593,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         c, leftover = divmod(lc, den_lc)
         diff = tuple(map(sub, lead, den_lead))
         if leftover or any(d > 0 for d in diff):
-            raise NotDivisibleError(f"({num}) is not divisible by ({den})")
+            raise _not_divisible(num, den)
         quotient[diff] = c
         for k2, c2 in tail:
             kk = tuple(map(add, diff, k2))

@@ -198,8 +198,9 @@ class Seed:
 
     @staticmethod
     def _trusted(b: ExchangeMatrix, y: tuple, x: tuple) -> "Seed":
-        """Wrap a mutation result, whose shapes hold by construction,
-        without re-validating."""
+        """Wrap a seed whose shapes hold by construction, such as a
+        mutation result or a stored seed's B and y with n expansions,
+        without re-validating.  ``y`` and ``x`` must be tuples."""
         s = object.__new__(Seed)
         s.b = b
         s.y = y
@@ -336,15 +337,22 @@ def mutate(seed: Seed, k: int) -> Seed:
         raise IndexError(f"direction {k} out of range 1..{n}")
     b_new = seed.b.mutated(k)
     yk = seed.y[k - 1]
-    up, down = _positive_parts(yk)
-    y_new = list(seed.y)
-    y_new[k - 1] = tuple(-e for e in yk)
-    for i, b_ki in enumerate(seed.b.rows[k - 1]):
-        if b_ki:  # b_kk = 0, so y_k is left as set above
-            part = up if b_ki > 0 else down
-            y_new[i] = tuple(a + b_ki * e for a, e in zip(seed.y[i], part))
+    y_new = seed.y  # trivial coefficients: every y_i is () and stays so
+    if yk:
+        y_new = list(seed.y)
+        y_new[k - 1] = tuple(-e for e in yk)
+        for i, b_ki in enumerate(seed.b.rows[k - 1]):
+            if b_ki:  # b_kk = 0, so y_k is left as set above
+                # b_ki * [y_k]+ or b_ki * [-y_k]+ is |b_ki| times the
+                # entries of y_k with the sign of b_ki.
+                a_ki = abs(b_ki)
+                y_new[i] = tuple(
+                    a + a_ki * e if e * b_ki > 0 else a
+                    for a, e in zip(seed.y[i], yk)
+                )
+        y_new = tuple(y_new)
     x_new = seed.x[: k - 1] + (exchange(seed, k),) + seed.x[k:]
-    return Seed._trusted(b_new, tuple(y_new), x_new)
+    return Seed._trusted(b_new, y_new, x_new)
 
 
 def mutate_path(seed: Seed, path: Iterable[int]) -> Seed:

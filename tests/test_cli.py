@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import clusteralg.laurent
 from clusteralg import VerificationReport
 from clusteralg.cli import main
 from clusteralg.seed import PositivityError
@@ -15,6 +16,12 @@ A2_TRIVIAL = {"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "trivial"}
 A2_PRINCIPAL = {"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "principal"}
 B2_PRINCIPAL = {"n": 2, "B": [[0, 2], [-1, 0]], "coefficients": "principal"}
 INFINITE = {"n": 2, "B": [[0, 2], [-2, 0]], "coefficients": "trivial"}
+KRONECKER_3 = {"n": 2, "B": [[0, 3], [-3, 0]], "coefficients": "trivial"}
+MARKOV = {
+    "n": 3,
+    "B": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]],
+    "coefficients": "trivial",
+}
 A3_PRINCIPAL = {
     "n": 3,
     "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
@@ -50,6 +57,8 @@ def seeds(tmp_path):
         ("a4_rerooted", A4_REROOTED),
         ("a4p", A4_PRINCIPAL),
         ("inf", INFINITE),
+        ("kron3", KRONECKER_3),
+        ("markov", MARKOV),
         ("a2_moved", {"n": 2, "B": [[0, -1], [1, 0]], "coefficients": "trivial"}),
     ]:
         path = tmp_path / f"{name}.json"
@@ -334,6 +343,18 @@ class TestDeterminism:
                 ["--max-depth", "6"],
                 "03b2b4ae29dcd8277454f51378887a088a8c1e8c18ff26b734e6a729968fb154",
             ),
+            # Pinned before divisions of PACKED_PRODUCT_PAIRS or more term
+            # pairs ran over packed keys; both reach that path.
+            (
+                "markov",
+                ["--max-depth", "4"],
+                "bf51af3eca1aea01b66e79d3cef8dcc02cfb338f5e383c67798c957aa90504e1",
+            ),
+            (
+                "kron3",
+                ["--max-depth", "4"],
+                "910a7c6fec99d079a599f20545674632ae808352601d7f8d55b18438a7316f31",
+            ),
         ],
     )
     def test_explore_json_matches_golden_digest(
@@ -342,6 +363,22 @@ class TestDeterminism:
         assert main(["explore", "--seed", seeds[name], "--format", "json"] + caps) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["markov", "kron3"])
+    def test_golden_wild_explorations_divide_over_packed_keys(
+        self, seeds, capsys, monkeypatch, name
+    ):
+        packed = []
+        original = clusteralg.laurent._packed_quotient
+
+        def counted(num, den):
+            packed.append(len(num) * len(den))
+            return original(num, den)
+
+        monkeypatch.setattr(clusteralg.laurent, "_packed_quotient", counted)
+        argv = ["explore", "--seed", seeds[name], "--format", "json"]
+        assert main(argv + ["--max-depth", "4"]) == 0
+        assert packed and min(packed) >= clusteralg.laurent.PACKED_PRODUCT_PAIRS
 
     # Pinned at the commit before coefficients became plain exponent
     # tuples: these print the y line and a witness coefficient.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -335,6 +336,19 @@ THRESHOLD = clusteralg.laurent.PACKED_PRODUCT_PAIRS
 SIZES = [0, 1, 2, 7, 20, 40]
 
 
+def count_packed_quotients(monkeypatch) -> list[int]:
+    """Record the term pairs of every packed division from here on."""
+    packed = []
+    original = clusteralg.laurent._packed_quotient
+
+    def counted(num, den):
+        packed.append(len(num) * len(den))
+        return original(num, den)
+
+    monkeypatch.setattr(clusteralg.laurent, "_packed_quotient", counted)
+    return packed
+
+
 @st.composite
 def kernel_operands(draw, count: int = 2, sizes=SIZES):
     """``count`` polynomials of one rank, n in 1..3 and m in {0, n}, with
@@ -423,6 +437,54 @@ class TestKernelMatchesReference:
         assert row * row == reference_mul(row, row)
         assert packed == [THRESHOLD]
 
+    def test_both_division_paths_are_taken(self, monkeypatch):
+        packed = count_packed_quotients(monkeypatch)
+        # (1 + x + x^2)(1 + ... + x^82) has 85 terms, (1 + x)(1 + ... + x^126)
+        # has 128.
+        below = LaurentPoly(1, 0, {(e,): 1 for e in range(3)})
+        at = LaurentPoly(1, 0, {(e,): 1 for e in range(2)})
+        for den, count, pairs in [(below, 83, THRESHOLD - 1), (at, 127, THRESHOLD)]:
+            num = den * LaurentPoly(1, 0, {(e,): 1 for e in range(count)})
+            assert len(num.terms) * len(den.terms) == pairs
+            assert exact_div(num, den) == reference_div(num, den)
+        assert packed == [THRESHOLD]
+
+    # Shifted exponents (x1, x2) of numerator and divisor, each a packed-size
+    # division that is not exact.
+    @pytest.mark.parametrize(
+        "num, den",
+        [
+            # D_2 = 5 exceeds M_2 = 3.
+            (
+                {(i, j): 1 for i in range(32) for j in range(4)},
+                {(1, 0): 1, (0, 5): 1},
+            ),
+            # Candidate (4, 25) is above M - D = (4, 22) in x2, and 2 divides 4.
+            (
+                {(5, 25): 4} | {(i, j): 2 for i in range(5) for j in range(26)},
+                {(1, 0): 2, (0, 3): 2},
+            ),
+            # Candidate (3, 0) - (1, 2) = (2, -2) borrows from the x1 field.
+            (
+                {(3, 0): 1} | {(i, j): 1 for i in range(3) for j in range(43)},
+                {(1, 2): 1, (0, 0): 1},
+            ),
+        ],
+        ids=["divisor-degree", "above-bound", "borrow"],
+    )
+    def test_packed_division_failures(self, monkeypatch, num, den):
+        packed = count_packed_quotients(monkeypatch)
+        num, den = (
+            LaurentPoly(2, 0, {(i - 3, j + 5): c for (i, j), c in t.items()})
+            for t in (num, den)
+        )
+        assert outcome(reference_div, num, den) is NotDivisibleError
+        with pytest.raises(NotDivisibleError) as failure:
+            exact_div(num, den)
+        assert str(failure.value) == f"({num}) is not divisible by ({den})"
+        assert packed == [len(num.terms) * len(den.terms)]
+        assert packed[0] >= THRESHOLD
+
     def test_packed_fields_hold_extreme_exponents(self):
         a = LaurentPoly(2, 2, {
             (10**6 * i, -(10**9) + i, i * i, -i): i - 7 for i in range(20) if i != 7
@@ -474,6 +536,17 @@ class TestKernelMatchesSympy:
             expr += term
         return expr, gens
 
+    @staticmethod
+    def to_poly(p: LaurentPoly, low, sympy):
+        """p divided by the monomial with exponents ``low``, as a polynomial
+        over QQ."""
+        gens = sympy.symbols(
+            [f"x{i + 1}" for i in range(p.n)] + [f"y{j + 1}" for j in range(p.m)]
+        )
+        low = tuple(low)
+        shifted = {tuple(map(sub, k, low)): c for k, c in p.terms.items()}
+        return sympy.Poly.from_dict(shifted, *gens, domain="QQ")
+
     @settings(max_examples=40, deadline=None)
     @given(kernel_operands(sizes=[0, 1, 3, 20]))
     def test_products(self, ops):
@@ -484,26 +557,24 @@ class TestKernelMatchesSympy:
         sab, _ = self.to_sympy(a * b, sympy)
         assert sympy.expand(sa * sb - sab) == 0
 
+    # Sizes 16 and 20 make divisions of at least 256 term pairs, which run
+    # over packed keys, unless n + m = 1 caps the sizes at 8.
+    @pytest.mark.parametrize("sizes", [[1, 2, 3, 5], [16, 20]], ids=["small", "large"])
     @settings(max_examples=40, deadline=None)
-    @given(kernel_operands(sizes=[1, 2, 3, 5]), st.booleans())
-    def test_quotients(self, ops, make_divisible):
+    @given(st.data(), st.booleans())
+    def test_quotients(self, sizes, data, make_divisible):
         sympy = pytest.importorskip("sympy")
-        a, b = ops
+        a, b = data.draw(kernel_operands(sizes=sizes))
         num = a * b if make_divisible else a
         assume(not num.is_zero())
-        snum, gens = self.to_sympy(num, sympy)
-        sden, _ = self.to_sympy(b, sympy)
         # Clear the negative exponents; the shifted divisor has no monomial
         # factor, so Laurent divisibility is polynomial divisibility.
-        pnum, pden = snum, sden
-        for g, lo in zip(gens, map(min, zip(*num.terms))):
-            pnum *= g ** -lo
-        for g, lo in zip(gens, map(min, zip(*b.terms))):
-            pden *= g ** -lo
-        q, r = sympy.div(sympy.expand(pnum), sympy.expand(pden), *gens, domain="QQ")
+        low_num = tuple(map(min, zip(*num.terms)))
+        low_den = tuple(map(min, zip(*b.terms)))
+        q, r = self.to_poly(num, low_num, sympy).div(self.to_poly(b, low_den, sympy))
         got = outcome(exact_div, num, b)
-        if r == 0 and all(c.is_integer for c in sympy.Poly(q, *gens).coeffs()):
+        if r.is_zero and all(c.is_integer for c in q.coeffs()):
             assert got is not NotDivisibleError
-            assert sympy.expand(self.to_sympy(got, sympy)[0] * sden - snum) == 0
+            assert self.to_poly(got, map(sub, low_num, low_den), sympy) == q
         else:
             assert got is NotDivisibleError

@@ -282,6 +282,35 @@ class TestExchangeBinomial:
                 assert s.y == expected
         assert zero_entries > 0  # the b_ki = 0 branch was exercised
 
+    def test_matches_reference_on_mixed_sign_coefficients(self):
+        # Principal walks keep each y_k sign-coherent; arbitrary coefficients
+        # put entries of both signs into one y_k.
+        rng = random.Random(29)
+        for _ in range(60):
+            b = random_exchange_matrix(rng, rng.randint(2, 4), max_sym=3)
+            m = rng.randint(1, 4)
+            y = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(b.n)]
+            x = [LaurentPoly.variable(b.n, m, i) for i in range(1, b.n + 1)]
+            s = Seed(b, y, x)
+            k = rng.randint(1, b.n)
+            assert mutate(s, k).y == reference_coefficient_mutation(s, k)
+
+    def test_mutation_takes_the_positive_parts_once(self, monkeypatch):
+        parts = []
+        original = clusteralg.seed._positive_parts
+
+        def counted(yk):
+            parts.append(yk)
+            return original(yk)
+
+        monkeypatch.setattr(clusteralg.seed, "_positive_parts", counted)
+        s = root_seed(ExchangeMatrix(A3_ROWS), "principal")
+        mutate(s, 2)
+        assert parts == [s.y[1]]
+        # Trivial coefficients are all (), so mutation keeps the tuple.
+        trivial = root_seed(ExchangeMatrix(A3_ROWS), "trivial")
+        assert mutate(trivial, 2).y is trivial.y
+
 
 class TestSeedMutation:
     def test_first_mutation_trivial(self):
