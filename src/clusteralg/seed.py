@@ -332,9 +332,14 @@ def exchange(seed: Seed, k: int) -> LaurentPoly:
 
 def mutate(seed: Seed, k: int) -> Seed:
     """Seed mutation in direction k, 1-based.  Involutive."""
-    n = seed.n
-    if not 1 <= k <= n:
-        raise IndexError(f"direction {k} out of range 1..{n}")
+    return mutate_with(seed, k, exchange(seed, k))
+
+
+def mutate_with(seed: Seed, k: int, x_k: LaurentPoly) -> Seed:
+    """Seed mutation in direction k, 1-based, given the new variable
+    ``x_k``, which must be ``exchange(seed, k)``: B and y are mutated and
+    x_k replaces the k-th variable, which is neither recomputed nor
+    checked."""
     b_new = seed.b.mutated(k)
     yk = seed.y[k - 1]
     y_new = seed.y  # trivial coefficients: every y_i is () and stays so
@@ -351,7 +356,7 @@ def mutate(seed: Seed, k: int) -> Seed:
                     for a, e in zip(seed.y[i], yk)
                 )
         y_new = tuple(y_new)
-    x_new = seed.x[: k - 1] + (exchange(seed, k),) + seed.x[k:]
+    x_new = seed.x[: k - 1] + (x_k,) + seed.x[k:]
     return Seed._trusted(b_new, y_new, x_new)
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Iterable
 
 from .atlas import (
@@ -45,7 +44,7 @@ from .atlas import (
 from .compat import compatibility_matrix
 from .laurent import Exponents, LaurentPoly
 from .reports import VerificationReport
-from .seed import ExchangeMatrix
+from .seed import ExchangeMatrix, Rows
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -272,16 +271,36 @@ def _identification_candidates(
     a1: PatternAtlas, b2: ExchangeMatrix
 ) -> Iterable[tuple[int, tuple[int, ...]]]:
     """Stored seeds of a1 under a simultaneous position permutation
-    (position i takes position perm[i]) whose matrix equals b2."""
+    (position i takes position perm[i]) whose matrix equals b2, each
+    seed's permutations in lexicographic order.
+
+    perm is assigned one position at a time, smallest value first, and a
+    value is kept only if every entry it fixes against the positions
+    already assigned matches b2; diagonals are zero in both matrices.
+    """
     n = a1.n
+    want = b2.rows
+
+    def extend(rows: Rows, perm: list[int]) -> Iterable[tuple[int, ...]]:
+        i = len(perm)
+        if i == n:
+            yield tuple(perm)
+            return
+        for p in range(n):
+            if p in perm:
+                continue
+            row = rows[p]
+            if all(
+                row[q] == want[i][j] and rows[q][p] == want[j][i]
+                for j, q in enumerate(perm)
+            ):
+                perm.append(p)
+                yield from extend(rows, perm)
+                perm.pop()
+
     for sid, seed in enumerate(a1.seeds):
-        for perm in permutations(range(n)):
-            rows = tuple(
-                tuple(seed.b.rows[perm[i]][perm[j]] for j in range(n))
-                for i in range(n)
-            )
-            if rows == b2.rows:
-                yield sid, perm
+        for perm in extend(seed.b.rows, []):
+            yield sid, perm
 
 
 def verify_unistructural(a1: PatternAtlas, a2: PatternAtlas) -> VerificationReport:

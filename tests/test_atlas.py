@@ -58,6 +58,13 @@ A2_PENTAGON_DOT = """graph exchange {
 
 
 C3_ROWS = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
+A5_ROWS = [
+    [0, 1, 0, 0, 0],
+    [-1, 0, 1, 0, 0],
+    [0, -1, 0, 1, 0],
+    [0, 0, -1, 0, 1],
+    [0, 0, 0, -1, 0],
+]
 MARKOV_ROWS = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
 
 
@@ -256,14 +263,47 @@ class TestClosures:
         assert atlas.to_json() == reference.to_json()
         assert list(atlas.edges.items()) == list(reference.edges.items())
 
-    @pytest.mark.parametrize("rows", [A3_ROWS, B3_ROWS, C3_ROWS, D4_ROWS])
-    def test_exploration_mutates_each_exchange_edge_once(self, rows, monkeypatch):
-        root = root_seed(ExchangeMatrix(rows), "principal")
-        calls = count_mutations(monkeypatch)
-        atlas = explore(root)
+    @pytest.mark.parametrize(
+        "rows, coefficients",
+        [
+            (A3_ROWS, "principal"),
+            (B3_ROWS, "principal"),
+            (C3_ROWS, "principal"),
+            (D4_ROWS, "principal"),
+            (A5_ROWS, "trivial"),
+        ],
+    )
+    def test_exploration_mutates_each_exchange_edge_once(
+        self, rows, coefficients, monkeypatch
+    ):
+        # Each edge is made once, from one end.  Its new variable is computed
+        # by mutate only the first time its exchange input is met; a repeat
+        # is served from the memo through mutate_with.
+        computed, served = [], []
+        original_mutate = clusteralg.atlas.mutate
+        original_with = clusteralg.atlas.mutate_with
+
+        def counted(seed, k):
+            column = [row[k - 1] for row in seed.b.rows]
+            neighbours = sorted(
+                (p.sort_key(), b) for p, b in zip(seed.x, column) if b
+            )
+            given = (seed.x[k - 1].sort_key(), seed.y[k - 1], tuple(neighbours))
+            computed.append(given)
+            return original_mutate(seed, k)
+
+        def counted_with(seed, k, x_k):
+            served.append(k)
+            return original_with(seed, k, x_k)
+
+        monkeypatch.setattr(clusteralg.atlas, "mutate", counted)
+        monkeypatch.setattr(clusteralg.atlas, "mutate_with", counted_with)
+        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients))
         assert atlas.complete
         assert len(atlas.edges) == atlas.n * len(atlas.seeds)
-        assert len(calls) == len(atlas.edges) // 2
+        assert len(computed) + len(served) == len(atlas.edges) // 2
+        assert len(set(computed)) == len(computed)
+        assert served
 
     def test_a_broken_involution_is_an_engine_fault(self, monkeypatch):
         # Seed (2,) mutated in direction 1 lands one step too far, so an edge

@@ -43,6 +43,30 @@ A4_PRINCIPAL = {
     "B": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
     "coefficients": "principal",
 }
+A5_PRINCIPAL = {
+    "n": 5,
+    "B": [
+        [0, 1, 0, 0, 0],
+        [-1, 0, 1, 0, 0],
+        [0, -1, 0, 1, 0],
+        [0, 0, -1, 0, 1],
+        [0, 0, 0, -1, 0],
+    ],
+    "coefficients": "principal",
+}
+# D5 as the benchmark catalogue orients it: the chain 1-2-3-4 and the
+# branch 3-5.
+D5_TRIVIAL = {
+    "n": 5,
+    "B": [
+        [0, 1, 0, 0, 0],
+        [-1, 0, 1, 0, 0],
+        [0, -1, 0, 1, 1],
+        [0, 0, -1, 0, 0],
+        [0, 0, -1, 0, 0],
+    ],
+    "coefficients": "trivial",
+}
 
 
 @pytest.fixture()
@@ -56,6 +80,8 @@ def seeds(tmp_path):
         ("a4", A4_TRIVIAL),
         ("a4_rerooted", A4_REROOTED),
         ("a4p", A4_PRINCIPAL),
+        ("a5p", A5_PRINCIPAL),
+        ("d5", D5_TRIVIAL),
         ("inf", INFINITE),
         ("kron3", KRONECKER_3),
         ("markov", MARKOV),
@@ -354,6 +380,18 @@ class TestDeterminism:
                 "kron3",
                 ["--max-depth", "4"],
                 "910a7c6fec99d079a599f20545674632ae808352601d7f8d55b18438a7316f31",
+            ),
+            # Pinned before exploration computed each distinct exchange
+            # once: most of their edges repeat an exchange already made.
+            (
+                "a5p",
+                [],
+                "1f94953d3bf74ab3484b8b6d47753376d7d496009c91616feee1bc1f84283881",
+            ),
+            (
+                "d5",
+                [],
+                "d0d344b9527e7488abf1ccdb8a981737264253d84539911aaee1dad36c4f32dc",
             ),
         ],
     )

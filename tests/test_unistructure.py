@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -27,13 +28,36 @@ from clusteralg import (
     witness_sweep,
 )
 from clusteralg.reports import VerificationReport
-from clusteralg.unistructure import _find_identification
-from conftest import A2_ROWS, A3_ROWS, B2_ROWS, count_mutations
+from clusteralg.unistructure import _find_identification, _identification_candidates
+from conftest import (
+    A2_ROWS,
+    A3_ROWS,
+    A4_ROWS,
+    B2_ROWS,
+    B3_ROWS,
+    D4_ROWS,
+    count_mutations,
+)
 
 A2_INCOMPATIBLE_PAIRS = [
     (0, 2), (0, 4), (1, 3), (1, 4), (2, 0),
     (2, 3), (3, 1), (3, 2), (4, 0), (4, 1),
 ]
+
+
+def brute_force_candidates(atlas, b2):
+    """Reference for ``_identification_candidates``: every permutation of
+    every stored seed's matrix, in lexicographic order."""
+    n = atlas.n
+    return [
+        (sid, perm)
+        for sid, seed in enumerate(atlas.seeds)
+        for perm in permutations(range(n))
+        if b2.rows
+        == tuple(
+            tuple(seed.b.rows[perm[i]][perm[j]] for j in range(n)) for i in range(n)
+        )
+    ]
 
 
 def poly_strategy(n: int = 2, m: int = 2):
@@ -236,6 +260,19 @@ class TestVerifyUnistructural:
         mapping = _find_identification(a3_trivial, other, report)
         assert sorted(mapping.values()) == list(range(len(a3_trivial.variables)))
         assert calls == []
+
+    @pytest.mark.parametrize("rows", [A3_ROWS, A4_ROWS, D4_ROWS, B3_ROWS])
+    def test_anchor_search_matches_brute_force(self, rows):
+        atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
+        n = atlas.n
+        for b in (atlas.root.b, mutate_path(atlas.root, [2, 1]).b):
+            for sigma in (range(n - 1, -1, -1), [*range(1, n), 0]):
+                permuted = ExchangeMatrix(
+                    [[b.rows[i][j] for j in sigma] for i in sigma]
+                )
+                want = brute_force_candidates(atlas, permuted)
+                assert want
+                assert list(_identification_candidates(atlas, permuted)) == want
 
     def test_rank_mismatch_is_an_error(self, a2_trivial, a3_trivial):
         report = verify_unistructural(a2_trivial, a3_trivial)
