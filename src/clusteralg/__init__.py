@@ -31,7 +31,6 @@ from .grading import (
     NotPrincipalError,
     check_g_pair,
     cluster_monomial_expansion,
-    connected_by_I_sequence,
     find_g_pair,
     g_matrix,
     g_vector,
@@ -107,7 +106,6 @@ __all__ = [
     "cluster_monomial_expansion",
     "compatibility_matrix",
     "compatibility_matrix_tsv",
-    "connected_by_I_sequence",
     "d_vector",
     "exact_div",
     "exchange_binomial",

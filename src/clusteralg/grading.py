@@ -131,16 +131,6 @@ def cluster_monomial_expansion(cm: ClusterMonomial, atlas: PatternAtlas) -> Laur
     return out
 
 
-def connected_by_I_sequence(
-    cluster: Iterable[int], subset: Iterable[int], atlas: PatternAtlas
-) -> bool:
-    """True iff the cluster is reached from the root seed by mutations
-    confined to the given directions; on an incomplete atlas a negative
-    answer only means "not found within caps"."""
-    c = atlas.normalize_cluster(cluster)
-    return c in atlas.i_reachable(subset)
-
-
 def _unit(n: int, pos: int) -> GradedDegree:
     return tuple(int(i == pos) for i in range(n))
 

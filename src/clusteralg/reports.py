@@ -31,12 +31,6 @@ class VerificationReport:
     def add_check(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name, passed, detail))
 
-    @property
-    def passed(self) -> bool:
-        if self.status:
-            return self.status == "pass"
-        return all(c.passed for c in self.checks)
-
     def resolve_status(self) -> str:
         if not self.status:
             self.status = "pass" if all(c.passed for c in self.checks) else "fail"

@@ -108,13 +108,13 @@ def find_skew_symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 
 class ExchangeMatrix:
-    """A skew-symmetrizable integer matrix with its minimal symmetrizer."""
+    """A skew-symmetrizable integer matrix."""
 
-    __slots__ = ("rows", "symmetrizer")
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         self.rows = _as_rows(rows)
-        self.symmetrizer = find_skew_symmetrizer(self.rows)
+        find_skew_symmetrizer(self.rows)  # raises unless skew-symmetrizable
 
     @property
     def n(self) -> int:
@@ -155,10 +155,10 @@ class ExchangeMatrix:
                 r[j] += a * v
             new.append(tuple(r))
         new[kk] = tuple(-v for v in row_k)
-        # Mutation keeps the minimal symmetrizer (Fomin-Zelevinsky, 2002).
+        # Mutation keeps the minimal symmetrizer (Fomin-Zelevinsky, 2002),
+        # so the result needs no skew-symmetrizability check.
         out = object.__new__(ExchangeMatrix)
         out.rows = tuple(new)
-        out.symmetrizer = self.symmetrizer
         return out
 
     def __str__(self) -> str:

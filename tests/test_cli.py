@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import importlib
 import json
 
 import pytest
 
+import clusteralg.cli
 import clusteralg.laurent
 from clusteralg import VerificationReport
 from clusteralg.cli import main
@@ -248,13 +251,20 @@ class TestVerifyCommand:
         assert main(["verify", "unistructural", "--seed", seeds["a2"]]) == 2
         assert "error: verify unistructural needs --seed2" in capsys.readouterr().err
 
-    def test_failing_suite_exits_one(self, seeds, capsys, monkeypatch):
-        report = VerificationReport(suite="degree-properties")
+    @pytest.mark.parametrize(
+        "suite, target",
+        [
+            ("degree-properties", "clusteralg.compat.verify_degree_properties"),
+            ("maximal-sets", "clusteralg.compat.verify_maximal_sets"),
+            ("g-pairs", "clusteralg.grading.verify_g_pairs"),
+            ("witnesses", "clusteralg.unistructure.witness_sweep"),
+        ],
+    )
+    def test_failing_suite_exits_one(self, seeds, capsys, monkeypatch, suite, target):
+        report = VerificationReport(suite=suite)
         report.add_check("choice-independence", False, "synthetic failure")
-        monkeypatch.setattr(
-            "clusteralg.compat.verify_degree_properties", lambda atlas: report
-        )
-        assert main(["verify", "degree-properties", "--seed", seeds["a2"]]) == 1
+        monkeypatch.setattr(target, lambda atlas: report)
+        assert main(["verify", suite, "--seed", seeds["a2"]]) == 1
         out = capsys.readouterr().out
         assert "choice-independence: fail" in out
         assert out.endswith("result: fail\n")
@@ -330,6 +340,95 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"engine fault: {fault}\n"
+
+
+# sha256 of the help text of each parser and of stderr for four usage
+# errors, pinned before the commands were declared once each.  argparse
+# wraps to the terminal width, so COLUMNS is fixed.
+HELP_DIGESTS = {
+    "": "bc4097915036211aabdacf00ff3fc171495a5e99004a06803bf9a20c9d3ad461",
+    "mutate": "4ef8a3a7db4d8cb1a5e3decc912f80c66daa9fd27613964ecb44d57ef7302c0e",
+    "explore": "5cdf0b18b431ec5008d841072fe89f1cddde32811dc9f1bf10456b292124e4b5",
+    "expand": "01555fc3bc78fd6e5dcc01c2097a0029017952d28b7a5729168ddd0fda58874e",
+    "gvector": "4a6ab30970078ee099fcfc6886a7c65328460248ed8092ce77a710df67cdc147",
+    "dvector": "f3d8661865dca39fb77285d4309099315198fe23fc3945f4660fff4c87a4643a",
+    "compat": "9df9fe6610abf8c1d8f2721bc7a17ef1e2510acb336a7ac7770717e87262da59",
+    "exchange-graph": "3f06ebd1a86eacad755d298786a504d6cd503dbfbecd4c9692233d63e121e6ad",
+    "gpair": "b8b80dc2ef1a25534c63c0f7c88c6fc9fd083c95c4a2317985e31239ca1d0129",
+    "witness": "26bea632e35b9a1a6a84b88d6e152f57e62332e1e016f158a381b69bb43da0e0",
+    "verify": "7c140eb51e64df0af09ff218ed11e57008d84720ce79959caaa9c1acdfa2ca24",
+}
+
+
+def _count_parsers(monkeypatch) -> list[object]:
+    """Record every ArgumentParser built from here on."""
+    built: list[object] = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+    def test_help_matches_golden_digest(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([command, "--help"] if command else ["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert digest == HELP_DIGESTS[command]
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["frobnicate"],
+                "761de1d6684a194f993fe7d43ec2e94d43b4abf561ca42c34680155182b83c6a",
+            ),
+            (
+                ["verify", "nonsense", "--seed", "x"],
+                "f620d6460e8ff1ca84437b26209aad4e491ad6db10ac5c9be965e44773f03414",
+            ),
+            (
+                ["explore"],
+                "54c1cdbde972473001d80cbd4d7d416f3d1b7a20487b5d6fbf7b9563ff403209",
+            ),
+            (
+                ["explore", "--seed", "{a2}", "--format", "tsv"],
+                "e3de29c80a90e4c17ea7f2750bd126b8c7bb31452f87a14e60629506b20b7e30",
+            ),
+        ],
+    )
+    def test_usage_error_matches_golden_digest(
+        self, seeds, capsys, monkeypatch, argv, digest
+    ):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([a.format(**seeds) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert hashlib.sha256(captured.err.encode()).hexdigest() == digest
+
+    def test_import_builds_no_parser(self, seeds, capsys, monkeypatch):
+        built = _count_parsers(monkeypatch)
+        importlib.reload(clusteralg.cli)
+        assert built == []
+        assert main(["explore", "--seed", seeds["a2"]]) == 0
+        assert built
+
+    def test_repeat_calls_build_no_parser(self, seeds, capsys, monkeypatch):
+        argv = ["explore", "--seed", seeds["a2"], "--format", "json"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        built = _count_parsers(monkeypatch)
+        assert main(["frobnicate"]) == 2
+        assert main(argv) == 0
+        assert built == []
+        assert capsys.readouterr().out == first
 
 
 class TestDeterminism:

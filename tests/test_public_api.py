@@ -14,7 +14,13 @@ def test_every_exported_name_resolves():
 
 @pytest.mark.parametrize(
     "name",
-    ["TropicalElement", "CoefRingElement", "is_d_compatible", "compatibility_degree"],
+    [
+        "TropicalElement",
+        "CoefRingElement",
+        "is_d_compatible",
+        "compatibility_degree",
+        "connected_by_I_sequence",
+    ],
 )
 def test_removed_names_are_gone(name):
     assert not hasattr(clusteralg, name)

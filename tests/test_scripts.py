@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import os
 import sys
 
@@ -74,3 +75,64 @@ def test_random_walks_fails_on_a_nonpositive_coefficient(monkeypatch, capsys):
     [(rows, k)] = steps
     line = f"nonpositive coefficient, matrix {rows}, path ({k},)\n"
     assert capsys.readouterr().err == line * len(rows)
+
+
+def _work_tree(root, runs):
+    """A synthetic benchmark work tree: run directory -> job records."""
+    for run, records in runs.items():
+        (root / run).mkdir(parents=True)
+        lines = [json.dumps(r, sort_keys=True) + "\n" for r in records]
+        (root / run / "jobs.jsonl").write_text("".join(lines))
+    return str(root)
+
+
+def _job(pass_index, job, **fields):
+    record = {"pass": pass_index, "job": job, "exit_code": 0, "stderr": ""}
+    record["stdout_sha256"] = "ab" * 32
+    record.update(fields)
+    return record
+
+
+def test_compare_job_outputs(tmp_path, capsys):
+    script = load_script("compare_job_outputs")
+    parent = _work_tree(
+        tmp_path / "parent",
+        {
+            "finite-explore-seed1-trace0": [_job(0, "a"), _job(0, "b"), _job(1, "a")],
+            "suite-sweep-seed1-trace0": [_job(0, "a")],
+        },
+    )
+    # Timings differ and the change ran one pass fewer: neither counts.
+    same = _work_tree(
+        tmp_path / "same",
+        {
+            "finite-explore-seed1-trace0": [_job(0, "a", seconds=1.0), _job(0, "b")],
+            "suite-sweep-seed1-trace0": [_job(0, "a")],
+        },
+    )
+    assert script.main([parent, same]) == 0
+    assert capsys.readouterr().out == "common jobs: 3\ndiffering jobs: 0\n"
+
+    changed = _work_tree(
+        tmp_path / "changed",
+        {
+            "finite-explore-seed1-trace0": [
+                _job(0, "a", exit_code=3, stderr="engine fault: x\n"),
+                _job(0, "b", stdout_sha256="cd" * 32),
+            ],
+            # Same job names, but another run directory: not common.
+            "finite-explore-seed2-trace0": [_job(1, "a", exit_code=1)],
+        },
+    )
+    assert script.main([parent, changed]) == 1
+    assert capsys.readouterr().out == (
+        "common jobs: 2\n"
+        "differs: finite-explore-seed1-trace0 pass 0 a: exit_code, stderr\n"
+        "differs: finite-explore-seed1-trace0 pass 0 b: stdout_sha256\n"
+        "differing jobs: 2\n"
+    )
+
+    assert script.main([parent, str(tmp_path / "empty")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "common jobs: 0\n"
+    assert captured.err == "error: the two trees share no job\n"

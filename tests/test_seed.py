@@ -166,7 +166,7 @@ class TestSymmetrizer:
         rng = random.Random(7)
         for _ in range(50):
             b = random_exchange_matrix(rng, rng.randint(1, 4))
-            s = b.symmetrizer
+            s = find_skew_symmetrizer(b.rows)
             n = b.n
             for i in range(n):
                 for j in range(n):
@@ -194,17 +194,17 @@ class TestMatrixMutation:
             assert b.mutated(k).rows == reference_matrix_mutation(b.rows, k)
 
     def test_involution_and_symmetrizer_stability(self):
-        # mutated() carries the symmetrizer instead of recomputing it, so
-        # compare the carried value with a fresh derivation along walks.
+        # mutated() skips the skew-symmetrizability check, so derive the
+        # symmetrizer afresh along walks and compare it with the root's.
         rng = random.Random(13)
         for _ in range(100):
             b = random_exchange_matrix(rng, rng.randint(2, 4))
+            s = find_skew_symmetrizer(b.rows)
             bk = b
             for _ in range(6):
                 k = rng.randint(1, b.n)
                 prev, bk = bk, bk.mutated(k)
-                assert bk.symmetrizer == find_skew_symmetrizer(bk.rows)
-                assert bk.symmetrizer == b.symmetrizer
+                assert find_skew_symmetrizer(bk.rows) == s
                 assert bk.mutated(k) == prev
 
     def test_direction_bounds(self):
@@ -223,11 +223,12 @@ class TestMatrixMutation:
             for max_sym in range(1, 4):
                 for _ in range(15):
                     b = random_exchange_matrix(rng, n, max_sym=max_sym)
+                    s = find_skew_symmetrizer(b.rows)
                     for k in range(1, n + 1):
                         bk = b.mutated(k)
                         assert bk.rows == reference_matrix_mutation(b.rows, k)
                         assert all(type(row) is tuple for row in bk.rows)
-                        assert bk.symmetrizer == b.symmetrizer
+                        assert find_skew_symmetrizer(bk.rows) == s
                         kept_rows += sum(
                             row is old for row, old in zip(bk.rows, b.rows)
                         )
