@@ -25,16 +25,11 @@ from .compat import (
     verify_maximal_sets,
 )
 from .grading import (
-    ClusterMonomial,
-    GMatrix,
     GPairNotFoundError,
     NotPrincipalError,
     check_g_pair,
-    cluster_monomial_expansion,
     find_g_pair,
-    g_matrix,
     g_vector,
-    g_vector_monomial,
     g_vector_table,
     verify_g_pairs,
 )
@@ -78,11 +73,9 @@ from .unistructure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterMonomial",
     "ExchangeGraph",
     "ExchangeMatrix",
     "ExploreCaps",
-    "GMatrix",
     "GPairNotFoundError",
     "GraphComparison",
     "IncompatibilityCertificate",
@@ -103,7 +96,6 @@ __all__ = [
     "CheckResult",
     "certify_incompatible_pairs",
     "check_g_pair",
-    "cluster_monomial_expansion",
     "compatibility_matrix",
     "compatibility_matrix_tsv",
     "d_vector",
@@ -113,9 +105,7 @@ __all__ = [
     "find_g_pair",
     "find_skew_symmetrizer",
     "format_seed",
-    "g_matrix",
     "g_vector",
-    "g_vector_monomial",
     "g_vector_table",
     "graphs_equal",
     "incompatibility_certificate",

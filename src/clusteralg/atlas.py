@@ -57,7 +57,6 @@ item at a time in pure Python.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -251,10 +250,6 @@ class PatternAtlas:
     # ------------------------------------------------------------------
     # lookups
 
-    def variable_id(self, p: LaurentPoly) -> int | None:
-        """Id of a variable given by its root expansion, or None."""
-        return self._var_ids.get(p)
-
     def expansion(self, v: int) -> LaurentPoly:
         return self.variables[v]
 
@@ -328,10 +323,19 @@ class PatternAtlas:
         variable names the edge, and the new variable is the one id of the
         target seed not already held.  None when the edge leaves a capped
         atlas; on a complete atlas every edge is stored, so a missing one
-        means exploration is broken."""
+        means exploration is broken, as does an edge that does not exchange
+        exactly one variable."""
         sid, ids = state
-        position = self.seed_variable_ids[sid].index(ids[k - 1])
-        target = self.edges.get((sid, position + 1))
+        try:
+            position = self.seed_variable_ids[sid].index(ids[k - 1])
+            target = self.edges.get((sid, position + 1))
+            if target is not None:
+                (new,) = set(self.seed_variable_ids[target]).difference(ids)
+        except ValueError:
+            raise RuntimeError(
+                f"the edge table is broken: seed {sid} in direction {k} does "
+                f"not exchange one variable"
+            ) from None
         if target is None:
             if self.complete:
                 raise RuntimeError(
@@ -339,7 +343,6 @@ class PatternAtlas:
                     f"atlas; exploration is broken"
                 )
             return None
-        (new,) = set(self.seed_variable_ids[target]).difference(ids)
         return target, ids[: k - 1] + (new,) + ids[k:]
 
     def i_reachable(self, subset: Iterable[int]) -> dict[Cluster, tuple[int, ...]]:
@@ -382,19 +385,20 @@ class PatternAtlas:
     # exchange graph
 
     def exchange_graph(self) -> "ExchangeGraph":
-        if not self.complete:
-            warnings.warn(
-                "exchange graph of an incomplete atlas may be a proper subgraph",
-                stacklevel=2,
-            )
+        """Clusters joined when they share n - 1 variables, that is, one
+        (n - 1)-subset: grouping the clusters by each of their (n - 1)-subsets
+        finds every edge once.  A capped atlas may give a proper subgraph."""
         vertices = tuple(sorted(self.clusters))
-        n = self.n
-        edges = []
-        for i, a in enumerate(vertices):
-            sa = set(a)
-            for b in vertices[i + 1:]:
-                if len(sa.intersection(b)) == n - 1:
-                    edges.append((a, b))
+        by_face: dict[Cluster, list[Cluster]] = {}
+        for c in vertices:
+            for i in range(self.n):
+                by_face.setdefault(c[:i] + c[i + 1:], []).append(c)
+        edges = sorted(
+            (a, b)
+            for group in by_face.values()
+            for j, b in enumerate(group)
+            for a in group[:j]
+        )
         return ExchangeGraph(self, vertices, tuple(edges))
 
     # ------------------------------------------------------------------
@@ -523,13 +527,6 @@ class ExchangeGraph:
         edges = tuple(sorted(tuple(sorted((conv(a), conv(b)))) for a, b in self.edges))
         return ExchangeGraph(table, vertices, edges)
 
-    def degrees(self) -> dict[Cluster, int]:
-        out = {c: 0 for c in self.vertices}
-        for a, b in self.edges:
-            out[a] += 1
-            out[b] += 1
-        return out
-
     def to_dot(self) -> str:
         names = {c: f"c{i}" for i, c in enumerate(self.vertices)}
         lines = ["graph exchange {"]
@@ -570,30 +567,14 @@ def graphs_equal(g1: ExchangeGraph, g2: ExchangeGraph) -> GraphComparison:
         raise ValueError(
             "graphs label clusters from different variable tables; relabel first"
         )
-    v1, v2 = set(g1.vertices), set(g2.vertices)
-    if v1 != v2:
-        only1 = sorted(v1 - v2)
-        only2 = sorted(v2 - v1)
-        if only1:
-            return GraphComparison(
-                False, f"vertex {_format_cluster(only1[0])} only in first graph"
-            )
-        return GraphComparison(
-            False, f"vertex {_format_cluster(only2[0])} only in second graph"
-        )
-    e1, e2 = set(g1.edges), set(g2.edges)
-    if e1 != e2:
-        only1 = sorted(e1 - e2)
-        only2 = sorted(e2 - e1)
-        if only1:
-            a, b = only1[0]
-            return GraphComparison(
-                False,
-                f"edge {_format_cluster(a)} -- {_format_cluster(b)} only in first graph",
-            )
-        a, b = only2[0]
-        return GraphComparison(
-            False,
-            f"edge {_format_cluster(a)} -- {_format_cluster(b)} only in second graph",
-        )
+    # A vertex is compared as the 1-tuple of its cluster, an edge as the
+    # pair of its clusters, so both print as their clusters joined by " -- ".
+    for kind, s1, s2 in (
+        ("vertex", {(c,) for c in g1.vertices}, {(c,) for c in g2.vertices}),
+        ("edge", set(g1.edges), set(g2.edges)),
+    ):
+        for which, only in (("first", s1 - s2), ("second", s2 - s1)):
+            if only:
+                shown = " -- ".join(map(_format_cluster, min(only)))
+                return GraphComparison(False, f"{kind} {shown} only in {which} graph")
     return GraphComparison(True, "")

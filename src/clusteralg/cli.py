@@ -7,6 +7,7 @@ inputs give byte-identical output.  Exit codes: 0 success or verified,
 1 a verification ran and the property failed, 2 usage or input error
 (including incomplete atlases handed to verification suites), 3 engine
 fault (a broken invariant or an arithmetic failure inside the engine).
+The exchange graph of a capped atlas comes with one warning on stderr.
 
 Each command is declared once, where its subparser is added: its
 options, its handler and its output formats (the first is the default).
@@ -25,7 +26,7 @@ import sys
 from . import compat as compat_mod
 from . import grading as grading_mod
 from . import unistructure as unistructure_mod
-from .atlas import ExploreCaps, IncompleteAtlasError, PatternAtlas, explore
+from .atlas import ExchangeGraph, ExploreCaps, IncompleteAtlasError, PatternAtlas, explore
 from .seed import format_seed, load_seed_file, mutate_path
 
 # Suite name -> (module, function name).  The function is looked up when
@@ -52,6 +53,15 @@ def _load_atlas(args: argparse.Namespace) -> PatternAtlas:
     return explore(load_seed_file(args.seed), args.caps)
 
 
+def _exchange_graph(atlas: PatternAtlas) -> ExchangeGraph:
+    if not atlas.complete:
+        print(
+            "warning: exchange graph of an incomplete atlas may be a proper subgraph",
+            file=sys.stderr,
+        )
+    return atlas.exchange_graph()
+
+
 def _cmd_mutate(args: argparse.Namespace) -> tuple[str, int]:
     seed = load_seed_file(args.seed)
     path = _parse_int_list(args.path, "path")
@@ -63,7 +73,7 @@ def _cmd_explore(args: argparse.Namespace) -> tuple[str, int]:
     if args.fmt == "json":
         return atlas.to_json(), 0
     if args.fmt == "dot":
-        return atlas.exchange_graph().to_dot(), 0
+        return _exchange_graph(atlas).to_dot(), 0
     return (
         f"variables: {len(atlas.variables)}, "
         f"clusters: {len(atlas.clusters)}, "
@@ -97,7 +107,7 @@ def _cmd_compat(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_exchange_graph(args: argparse.Namespace) -> tuple[str, int]:
-    graph = _load_atlas(args).exchange_graph()
+    graph = _exchange_graph(_load_atlas(args))
     return (graph.to_dot() if args.fmt == "dot" else graph.to_text()), 0
 
 

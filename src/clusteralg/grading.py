@@ -1,4 +1,4 @@
-"""g-vectors, G-matrices, and g-pairs for principal-coefficient atlases.
+"""g-vectors and g-pairs for principal-coefficient atlases.
 
 With principal coefficients at the root, every cluster variable is
 homogeneous for the Z^n grading in which deg(x_i) = e_i and deg(y_j) is
@@ -21,12 +21,11 @@ each variable only needs a sign check.  The inverse depends only on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .atlas import Cluster, IncompleteAtlasError, PatternAtlas
-from .laurent import GradedDegree, LaurentPoly
+from .laurent import GradedDegree
 from .reports import VerificationReport
 
 
@@ -69,66 +68,6 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
             minor = [r[:j] + r[j + 1:] for r in rows[1:]]
             total += (-1) ** j * rows[0][j] * _det(minor)
     return total
-
-
-@dataclass(frozen=True)
-class GMatrix:
-    """Columns are the g-vectors of a cluster's variables, ascending id."""
-
-    cluster: Cluster
-    columns: tuple[GradedDegree, ...]
-
-    def det(self) -> int:
-        n = len(self.columns)
-        return _det([[self.columns[j][i] for j in range(n)] for i in range(n)])
-
-    def multiply(self, a: Sequence[int]) -> GradedDegree:
-        if len(a) != len(self.columns):
-            raise ValueError("vector length does not match the cluster size")
-        n = len(self.columns[0]) if self.columns else 0
-        return tuple(
-            sum(self.columns[j][i] * a[j] for j in range(len(a))) for i in range(n)
-        )
-
-
-def g_matrix(cluster: Iterable[int], atlas: PatternAtlas) -> GMatrix:
-    _require_principal(atlas)
-    c = atlas.normalize_cluster(cluster)
-    cache = atlas.derived.setdefault("g_matrices", {})
-    got = cache.get(c)
-    if got is None:
-        got = GMatrix(c, tuple(g_vector(v, atlas) for v in c))
-        cache[c] = got
-    return got
-
-
-@dataclass(frozen=True)
-class ClusterMonomial:
-    """A product of one cluster's variables with nonnegative exponents,
-    aligned with the cluster's ascending-id order."""
-
-    cluster: Cluster
-    powers: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.powers) != len(self.cluster):
-            raise ValueError("exponent count does not match the cluster size")
-        if any(p < 0 for p in self.powers):
-            raise ValueError("cluster monomials need nonnegative exponents")
-
-
-def g_vector_monomial(cm: ClusterMonomial, atlas: PatternAtlas) -> GradedDegree:
-    """G_t times the exponent vector."""
-    return g_matrix(cm.cluster, atlas).multiply(cm.powers)
-
-
-def cluster_monomial_expansion(cm: ClusterMonomial, atlas: PatternAtlas) -> LaurentPoly:
-    """The monomial as a Laurent polynomial in root coordinates."""
-    out = LaurentPoly.one(atlas.n, atlas.m)
-    for v, p in zip(cm.cluster, cm.powers):
-        if p:
-            out = out * atlas.expansion(v) ** p
-    return out
 
 
 def _unit(n: int, pos: int) -> GradedDegree:

@@ -185,18 +185,11 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash(self.sort_key())
 
-    def items_canonical(self) -> list[tuple[Exponents, int]]:
-        """Terms sorted in canonical order (lex on exponents, largest first)."""
-        return sorted(self.terms.items(), reverse=True)
-
     # ------------------------------------------------------------------
     # predicates and views
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * (self.n + self.m): 1}
 
     def has_positive_coefficients(self) -> bool:
         return bool(self.terms) and all(c > 0 for c in self.terms.values())
@@ -373,10 +366,10 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = [
-            _format_term(c, k, self.n, self.m) for k, c in self.items_canonical()
-        ]
-        return " + ".join(parts)
+        # sort_key() holds the terms in canonical order, computed once.
+        return " + ".join(
+            _format_term(c, k, self.n, self.m) for k, c in self.sort_key()[2]
+        )
 
     def __repr__(self) -> str:
         return f"LaurentPoly(n={self.n}, m={self.m}, {str(self)!r})"

@@ -123,21 +123,19 @@ def laurent_witness(xk: int, xi: int, atlas: PatternAtlas) -> WitnessMonomial:
 
 
 def _validate_trichotomy(w: WitnessMonomial, xk: int, xi: int) -> None:
+    # The sign of the xk exponent: +1 for xi = xk, 0 for another variable
+    # of the cluster, -1 for a variable outside it.
+    if xi == xk:
+        want, sign = 1, "positive"
+    elif xi in w.cluster:
+        want, sign = 0, "zero"
+    else:
+        want, sign = -1, "negative"
     e = w.k_exponent
-    in_cluster = xi in w.cluster
-    if e > 0 and xi != xk:
+    if (e > 0) - (e < 0) != want:
         raise TrichotomyViolationError(
-            f"positive reference exponent but ({xk}, {xi}) are distinct"
-        )
-    if e == 0 and (not in_cluster or xi == xk):
-        raise TrichotomyViolationError(
-            f"zero reference exponent but variable {xi} is "
-            f"{'the reference' if xi == xk else 'outside the cluster'}"
-        )
-    if not in_cluster and e >= 0:
-        raise TrichotomyViolationError(
-            f"variable {xi} is outside cluster {w.cluster} but the "
-            f"reference exponent is {e} >= 0"
+            f"pair ({xk}, {xi}) in cluster {{{','.join(map(str, w.cluster))}}}: "
+            f"the reference exponent is {e}, but it must be {sign}"
         )
 
 
@@ -204,7 +202,7 @@ class IncompatibilityCertificate:
 
 
 def incompatibility_certificate(
-    x: int, z: int, atlas: PatternAtlas, host: Iterable[int] | None = None
+    x: int, z: int, atlas: PatternAtlas
 ) -> IncompatibilityCertificate:
     """Certificate that no cluster over the same variable set can contain
     both x and z, given that none does in this atlas."""
@@ -216,9 +214,6 @@ def incompatibility_certificate(
         raise PreconditionViolatedError(
             f"variables {x} and {z} share a cluster; nothing to certify"
         )
-    host_t = tuple(sorted(set(host))) if host is not None else tuple(sorted((x, z)))
-    if x not in host_t or z not in host_t:
-        raise ValueError("host must contain both variables")
     witness = laurent_witness(x, z, atlas)
     mono = LaurentPoly.from_x_terms(
         atlas.n, atlas.m, [(witness.exponents, witness.coefficient)]
@@ -237,7 +232,7 @@ def incompatibility_certificate(
     return IncompatibilityCertificate(
         reference=x,
         target=z,
-        host=host_t,
+        host=tuple(sorted((x, z))),
         witness=witness,
         phi_coefficient=c_int,
         denominator_exponent=v_exp,

@@ -15,8 +15,41 @@ B2_ROWS = [[0, 2], [-1, 0]]
 G2_ROWS = [[0, 3], [-1, 0]]
 A3_ROWS = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
 B3_ROWS = [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]
+C3_ROWS = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
 A4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
 D4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
+A5_ROWS = [
+    [0, 1, 0, 0, 0],
+    [-1, 0, 1, 0, 0],
+    [0, -1, 0, 1, 0],
+    [0, 0, -1, 0, 1],
+    [0, 0, 0, -1, 0],
+]
+# D5: the chain 1-2-3-4 and the branch 3-5.
+D5_ROWS = [
+    [0, 1, 0, 0, 0],
+    [-1, 0, 1, 0, 0],
+    [0, -1, 0, 1, 1],
+    [0, 0, -1, 0, 0],
+    [0, 0, -1, 0, 0],
+]
+A6_ROWS = [
+    [0, 1, 0, 0, 0, 0],
+    [-1, 0, 1, 0, 0, 0],
+    [0, -1, 0, 1, 0, 0],
+    [0, 0, -1, 0, 1, 0],
+    [0, 0, 0, -1, 0, 1],
+    [0, 0, 0, 0, -1, 0],
+]
+# E6: the chain 1-2-3-4-5 and the branch 3-6.
+E6_ROWS = [
+    [0, 1, 0, 0, 0, 0],
+    [-1, 0, 1, 0, 0, 0],
+    [0, -1, 0, 1, 0, 1],
+    [0, 0, -1, 0, 1, 0],
+    [0, 0, 0, -1, 0, 0],
+    [0, 0, -1, 0, 0, 0],
+]
 
 
 def count_mutations(monkeypatch) -> list[int]:
@@ -32,6 +65,17 @@ def count_mutations(monkeypatch) -> list[int]:
 
         monkeypatch.setattr(module, "mutate", counted)
     return calls
+
+
+def corrupt_first_edge(atlas):
+    """Point the root's edge in direction 1 at a seed whose cluster differs
+    from the root's in two variables, not one."""
+    root = set(atlas.seed_variable_ids[0])
+    atlas.edges[(0, 1)] = next(
+        sid
+        for sid, ids in enumerate(atlas.seed_variable_ids)
+        if len(root.difference(ids)) == 2
+    )
 
 
 @pytest.fixture(scope="session")

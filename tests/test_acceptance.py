@@ -21,12 +21,11 @@ import pytest
 
 import clusteralg
 from clusteralg import (
-    ClusterMonomial,
     ExchangeMatrix,
+    LaurentPoly,
     certify_incompatible_pairs,
-    cluster_monomial_expansion,
     explore,
-    g_vector_monomial,
+    g_vector,
     mutate,
     root_seed,
     verify_degree_properties,
@@ -221,9 +220,13 @@ def test_04_distinct_cluster_monomials_have_distinct_g_vectors(
                     if key in seen:
                         continue
                     seen.add(key)
-                    cm = ClusterMonomial(cluster, powers)
-                    g = g_vector_monomial(cm, atlas)
-                    poly = cluster_monomial_expansion(cm, atlas)
+                    # The monomial's expansion, and its g-vector predicted as
+                    # the G-matrix of the cluster times the powers.
+                    poly = LaurentPoly.one(atlas.n, atlas.m)
+                    g = (0,) * atlas.n
+                    for v, p in key:
+                        poly = poly * power(v, p)
+                        g = tuple(a + p * b for a, b in zip(g, g_vector(v, atlas)))
                     assert poly.homogeneous_degree(atlas.root.b.rows) == g
                     by_g.setdefault(g, []).append(poly)
                     checked += 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from itertools import combinations
 
 import pytest
@@ -27,10 +28,16 @@ from conftest import (
     A2_ROWS,
     A3_ROWS,
     A4_ROWS,
+    A5_ROWS,
+    A6_ROWS,
     B2_ROWS,
     B3_ROWS,
+    C3_ROWS,
     D4_ROWS,
+    D5_ROWS,
+    E6_ROWS,
     G2_ROWS,
+    corrupt_first_edge,
     count_mutations,
 )
 
@@ -57,14 +64,6 @@ A2_PENTAGON_DOT = """graph exchange {
 """
 
 
-C3_ROWS = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
-A5_ROWS = [
-    [0, 1, 0, 0, 0],
-    [-1, 0, 1, 0, 0],
-    [0, -1, 0, 1, 0],
-    [0, 0, -1, 0, 1],
-    [0, 0, 0, -1, 0],
-]
 MARKOV_ROWS = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
 
 
@@ -129,6 +128,20 @@ def entrywise_canonical_seed_key(seed):
     return (xs, ys, bb)
 
 
+def degrees(graph):
+    """Vertex degrees of an exchange graph, counted from its edges."""
+    out = dict.fromkeys(graph.vertices, 0)
+    for a, b in graph.edges:
+        out[a] += 1
+        out[b] += 1
+    return out
+
+
+def variable_ids(atlas, seed):
+    """Interned ids of a seed's variables, by position."""
+    return tuple(atlas.variables.index(p) for p in seed.x)
+
+
 def all_subsets(n):
     return [I for size in range(n + 1) for I in combinations(range(1, n + 1), size)]
 
@@ -149,7 +162,7 @@ def laurent_i_reachable(atlas, subset):
                 if child.sort_key() in seen:
                     continue
                 seen.add(child.sort_key())
-                ids = tuple(atlas.variable_id(p) for p in child.x)
+                ids = variable_ids(atlas, child)
                 out.setdefault(tuple(sorted(ids)), ids)
                 nxt.append(child)
         frontier = nxt
@@ -180,6 +193,35 @@ class TestClosures:
             assert len(atlas.seeds) == seeds
             assert len(atlas.variables) == variables
             assert len(atlas.clusters) == clusters
+
+    # Cluster variables and clusters of the finite types, from Fomin and
+    # Zelevinsky, "Y-systems and generalized associahedra" (2003).
+    @pytest.mark.parametrize(
+        "rows, coefficients, variables, clusters",
+        [
+            pytest.param(
+                rows, coefficients, variables, clusters, id=f"{name}-{coefficients}"
+            )
+            for name, rows, variables, clusters, choices in [
+                ("A4", A4_ROWS, 14, 42, ("trivial", "principal")),
+                ("A5", A5_ROWS, 20, 132, ("trivial", "principal")),
+                ("A6", A6_ROWS, 27, 429, ("trivial",)),
+                ("B3", B3_ROWS, 12, 20, ("trivial", "principal")),
+                ("C3", C3_ROWS, 12, 20, ("trivial", "principal")),
+                ("D4", D4_ROWS, 16, 50, ("trivial", "principal")),
+                ("D5", D5_ROWS, 25, 182, ("trivial", "principal")),
+                ("E6", E6_ROWS, 42, 833, ("trivial",)),
+            ]
+            for coefficients in choices
+        ],
+    )
+    def test_finite_type_counts(self, rows, coefficients, variables, clusters):
+        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients))
+        assert atlas.complete
+        assert len(atlas.variables) == variables
+        assert len(atlas.clusters) == clusters
+        graph = atlas.exchange_graph()
+        assert set(degrees(graph).values()) == {atlas.n}
 
     def test_rank_one(self):
         a = explore(root_seed(ExchangeMatrix([[0]]), "trivial"))
@@ -374,11 +416,6 @@ class TestCaps:
         assert a.complete
         assert len(a.seeds) == 5
 
-    def test_incomplete_exchange_graph_warns(self):
-        a = infinite_rank2()
-        with pytest.warns(UserWarning, match="incomplete"):
-            a.exchange_graph()
-
 
 # ----------------------------------------------------------------------
 # expansions
@@ -520,13 +557,11 @@ class TestExpand:
         with pytest.raises(PositivityError):
             atlas.expand(outside, root_cluster)
 
-    def test_variable_id_round_trip(self, a2_trivial):
+    def test_variables_are_interned_once(self, a2_trivial):
         a = a2_trivial
-        z = LaurentPoly.parse("x1^-1*x2 + x1^-1", 2, 0)
-        assert a.variable_id(z) == 2
-        assert a.variable_id(LaurentPoly.parse("x1 + x2", 2, 0)) is None
-        for v, p in enumerate(a.variables):
-            assert a.variable_id(p) == v
+        assert a.variables.index(LaurentPoly.parse("x1^-1*x2 + x1^-1", 2, 0)) == 2
+        assert LaurentPoly.parse("x1 + x2", 2, 0) not in a.variables
+        assert len(set(a.variables)) == len(a.variables)
 
 
 # ----------------------------------------------------------------------
@@ -564,7 +599,7 @@ class TestRestrictedReachability:
     def test_exact_seeds_are_returned(self, a2_trivial):
         a = a2_trivial
         ids = a.i_reachable((1,))[(1, 2)]
-        assert ids == tuple(a.variable_id(p) for p in mutate(a.root, 1).x)
+        assert ids == variable_ids(a, mutate(a.root, 1))
         assert str(a.expansion(ids[0])) == "x1^-1*x2 + x1^-1"
 
     def test_table_walk_matches_laurent_walk(
@@ -588,6 +623,12 @@ class TestRestrictedReachability:
         with pytest.raises(ValueError):
             a2_trivial.i_reachable((3,))
 
+    def test_a_broken_edge_table_is_an_engine_fault(self):
+        atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
+        corrupt_first_edge(atlas)
+        with pytest.raises(RuntimeError, match="seed 0 in direction 1 "):
+            atlas.i_reachable((1,))
+
     def test_capped_atlas_gives_partial_answers(self):
         a = infinite_rank2()
         reach = a.i_reachable((1,))
@@ -610,13 +651,13 @@ class TestExchangeGraph:
             ((1, 2), (2, 4)),
             ((2, 4), (3, 4)),
         )
-        assert all(d == 2 for d in g.degrees().values())
+        assert set(degrees(g).values()) == {2}
         assert g.to_dot() == A2_PENTAGON_DOT
 
     def test_regularity(self, b2_trivial, g2_trivial, a3_trivial):
         for atlas, degree in [(b2_trivial, 2), (g2_trivial, 2), (a3_trivial, 3)]:
             g = atlas.exchange_graph()
-            assert all(d == degree for d in g.degrees().values())
+            assert set(degrees(g).values()) == {degree}
         assert len(a3_trivial.exchange_graph().edges) == 21
 
     def test_to_text(self, a2_trivial):
@@ -647,6 +688,8 @@ class TestExchangeGraph:
         cmp = graphs_equal(g1, g2)
         assert not cmp
         assert cmp.detail == "vertex {3,4} only in first graph"
+        fewer = ExchangeGraph(g1.table, g1.vertices[:-1], ())
+        assert graphs_equal(fewer, g1).detail == "vertex {3,4} only in second graph"
 
     def test_edge_difference_is_reported(self, a2_trivial):
         g1 = a2_trivial.exchange_graph()
@@ -654,6 +697,14 @@ class TestExchangeGraph:
         cmp = graphs_equal(g1, g2)
         assert not cmp
         assert cmp.detail == "edge {0,1} -- {0,3} only in first graph"
+        assert graphs_equal(g2, g1).detail == "edge {0,1} -- {0,3} only in second graph"
+
+    def test_incomplete_atlas_graph_writes_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = infinite_rank2().exchange_graph()
+        # The Kronecker exchange graph is a line.
+        assert len(graph.edges) == len(graph.vertices) - 1 == 11
 
     def test_relabeling_sorts_clusters(self, a2_trivial):
         g = a2_trivial.exchange_graph()

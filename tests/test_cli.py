@@ -14,6 +14,7 @@ import clusteralg.laurent
 from clusteralg import VerificationReport
 from clusteralg.cli import main
 from clusteralg.seed import PositivityError
+from conftest import corrupt_first_edge
 
 A2_TRIVIAL = {"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "trivial"}
 A2_PRINCIPAL = {"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "principal"}
@@ -165,6 +166,56 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.startswith("graph exchange {\n")
         assert '  c0 [label="{0,1}"];' in out
+
+    # Pinned before the graph was built by grouping clusters on their
+    # shared (n - 1)-subsets.
+    @pytest.mark.parametrize(
+        "name, caps, digest",
+        [
+            (
+                "a4",
+                [],
+                "ff5af217f71daa37b557de41711f19f5139f77659a485ffd795e737fcd938eb3",
+            ),
+            (
+                "inf",
+                ["--max-depth", "6"],
+                "ed6db88a70c32f2a4ae12e1872718e8bc581c47fa0f7322e9af5159732d5324a",
+            ),
+        ],
+    )
+    def test_dot_matches_golden_digest(self, seeds, capsys, name, caps, digest):
+        for argv in (
+            ["exchange-graph", "--seed", seeds[name]],
+            ["explore", "--seed", seeds[name], "--format", "dot"],
+        ):
+            assert main(argv + caps) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exchange-graph", "--max-depth", "3"],
+            ["exchange-graph", "--max-depth", "3", "--format", "text"],
+            ["explore", "--max-depth", "3", "--format", "dot"],
+        ],
+    )
+    def test_incomplete_exchange_graph_warns_on_every_call(
+        self, seeds, capsys, argv
+    ):
+        outputs = []
+        for _ in range(2):
+            assert main(argv + ["--seed", seeds["inf"]]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "warning: exchange graph of an incomplete atlas may be a "
+                "proper subgraph\n"
+            )
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1] != ""
+        assert main(argv[:1] + ["--seed", seeds["a2"]]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_exchange_graph_text(self, seeds, capsys):
         code = main(["exchange-graph", "--seed", seeds["a2"], "--format", "text"])
@@ -340,6 +391,23 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"engine fault: {fault}\n"
+
+    def test_broken_edge_table_is_an_engine_fault(self, seeds, capsys, monkeypatch):
+        explore = clusteralg.cli.explore
+
+        def corrupted(root, caps):
+            atlas = explore(root, caps)
+            corrupt_first_edge(atlas)
+            return atlas
+
+        monkeypatch.setattr(clusteralg.cli, "explore", corrupted)
+        argv = ["gpair", "--seed", seeds["a3p"], "--cluster", "0 1 2"]
+        assert main(argv + ["--subset", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "engine fault: the edge table is broken: seed 0 in direction 1 "
+        )
 
 
 # sha256 of the help text of each parser and of stderr for four usage

@@ -16,8 +16,7 @@ from clusteralg import (
     NotHomogeneousError,
     exact_div,
 )
-
-A2_ROWS = [[0, 1], [-1, 0]]
+from conftest import A2_ROWS
 
 
 def lp(text: str, n: int = 2, m: int = 0) -> LaurentPoly:

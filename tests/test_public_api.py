@@ -20,6 +20,11 @@ def test_every_exported_name_resolves():
         "is_d_compatible",
         "compatibility_degree",
         "connected_by_I_sequence",
+        "ClusterMonomial",
+        "GMatrix",
+        "g_matrix",
+        "g_vector_monomial",
+        "cluster_monomial_expansion",
     ],
 )
 def test_removed_names_are_gone(name):

@@ -15,6 +15,7 @@ from clusteralg import (
     IncompleteAtlasError,
     LaurentPoly,
     PreconditionViolatedError,
+    TrichotomyViolationError,
     WitnessMonomial,
     certify_incompatible_pairs,
     explore,
@@ -135,6 +136,21 @@ class TestWitness:
                     else:
                         assert e < 0
 
+    # The first admissible term of a forged expansion in cluster {0,1},
+    # with variable 0 the reference, has the wrong sign of that exponent:
+    # negative for the reference itself or a variable of the cluster,
+    # zero for a variable outside it.
+    @pytest.mark.parametrize(
+        "xi, forged", [(0, "x1^-2"), (1, "x1^-1*x2"), (4, "x2")]
+    )
+    def test_trichotomy_violation_is_caught(self, monkeypatch, xi, forged):
+        atlas = explore(root_seed(ExchangeMatrix(A2_ROWS), "trivial"))
+        monkeypatch.setattr(
+            atlas, "expand", lambda v, c: LaurentPoly.parse(forged, 2, 0)
+        )
+        with pytest.raises(TrichotomyViolationError):
+            laurent_witness(0, xi, atlas)
+
     def test_describe(self, a2_trivial):
         lines = laurent_witness(0, 4, a2_trivial).describe()
         assert lines == [
@@ -208,11 +224,6 @@ class TestCertificates:
         with pytest.raises(PreconditionViolatedError):
             incompatibility_certificate(0, 0, a2_trivial)
 
-    def test_host_must_contain_the_pair(self, a2_trivial):
-        cert = incompatibility_certificate(0, 4, a2_trivial, host=(0, 2, 4))
-        assert cert.host == (0, 2, 4)
-        with pytest.raises(ValueError):
-            incompatibility_certificate(0, 4, a2_trivial, host=(0, 2))
 
 
 # ----------------------------------------------------------------------
