@@ -29,8 +29,13 @@ remainder key of an exact division, plus one guard bit per field: a
 candidate quotient term that leaves that bound, or goes negative in some
 field and borrows from the next, shows a guard bit and proves the
 division inexact before anything can carry.  Results are unpacked to
-tuple keys: ``terms`` always has tuple keys, and the order above is
-unchanged.
+tuple keys, and the order above is unchanged.
+
+A large exchange binomial is the one polynomial held over packed keys
+(``packed_binomial``): its products and their sum are computed in the
+division layout of the sum, in which ``exact_div`` then divides it,
+packing only the divisor and unpacking only the quotient.  Its tuple-keyed
+``terms`` are built on first read, so every reader sees tuple keys.
 """
 
 from __future__ import annotations
@@ -123,7 +128,7 @@ class LaurentPoly:
     immutable by convention; all operations return new objects.
     """
 
-    __slots__ = ("n", "m", "terms", "_key")
+    __slots__ = ("n", "m", "terms", "_key", "_hash")
 
     def __init__(self, n: int, m: int, terms: Mapping[Exponents, int] | Iterable = ()):
         self.n = n
@@ -137,6 +142,7 @@ class LaurentPoly:
                 clean[key] = clean.get(key, 0) + c
         self.terms = {k: c for k, c in clean.items() if c}
         self._key: tuple | None = None
+        self._hash: int | None = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -183,7 +189,9 @@ class LaurentPoly:
         return self.sort_key() == other.sort_key()
 
     def __hash__(self) -> int:
-        return hash(self.sort_key())
+        if self._hash is None:
+            self._hash = hash(self.sort_key())
+        return self._hash
 
     # ------------------------------------------------------------------
     # predicates and views
@@ -223,6 +231,7 @@ class LaurentPoly:
         p.m = m
         p.terms = terms
         p._key = None
+        p._hash = None
         return p
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -435,6 +444,33 @@ class _PackedKeys:
         }
 
 
+def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two packed term dicts of one layout in which the
+    sum of any two keys is carry-free; zero coefficients are kept."""
+    items_b = list(b.items())
+    out: dict[int, int] = {}
+    get = out.get
+    for p1, c1 in a.items():
+        for p2, c2 in items_b:
+            p = p1 + p2
+            out[p] = get(p, 0) + c1 * c2
+    return out
+
+
+def _packed_square(a: dict[int, int]) -> dict[int, int]:
+    """``_packed_mul(a, a)``, taking each unordered pair of terms once."""
+    items = list(a.items())
+    out: dict[int, int] = {}
+    get = out.get
+    for i, (p1, c1) in enumerate(items):
+        out[p1 + p1] = get(p1 + p1, 0) + c1 * c1
+        c1 += c1
+        for p2, c2 in items[i + 1:]:
+            p = p1 + p2
+            out[p] = get(p, 0) + c1 * c2
+    return out
+
+
 def _packed_product(
     a: dict[Exponents, int], b: dict[Exponents, int]
 ) -> dict[Exponents, int]:
@@ -451,28 +487,125 @@ def _packed_product(
         (max(x) - la + max(y) - lb).bit_length()
         for x, y, la, lb in zip(cols_a, cols_b, low_a, low_b)
     ])
-    packed_b = list(keys.pack(b, low_b).items())
-    out: dict[int, int] = {}
-    get = out.get
-    for p1, c1 in keys.pack(a, low_a).items():
-        for p2, c2 in packed_b:
-            p = p1 + p2
-            out[p] = get(p, 0) + c1 * c2
+    out = _packed_mul(keys.pack(a, low_a), keys.pack(b, low_b))
     return keys.unpack(out, map(add, low_a, low_b))
 
 
-def _packed_quotient(
-    num: dict[Exponents, int], den: dict[Exponents, int]
-) -> dict[Exponents, int] | None:
-    """The exact quotient of two term dicts (the divisor of at least two
-    terms), divided over packed integer keys; None when it does not exist.
+class _PackedTerms(dict):
+    """Terms over packed integer keys in a division layout.
 
-    Both are shifted by their minimum exponents, so in coordinate i the
-    numerator's keys lie in [0, M_i] and the divisor's in [0, D_i].  An
-    exact quotient has degree M_i - D_i there, so none exists when some
-    D_i > M_i, and a quotient term outside [0, M_i - D_i] proves that none
-    exists.  Every accepted quotient term is inside that box, so every
-    remainder key stays in [0, M_i] and packed addition never carries.
+    Keys are packed relative to ``low``, every key's field i lies in
+    ``[0, top[i]]``, and field i is ``top[i].bit_length() + 1`` bits wide,
+    its top bit a guard bit for ``_packed_quotient``.
+    """
+
+    __slots__ = ("low", "top", "keys")
+
+    def __init__(self, low: list[int], top: list[int]):
+        super().__init__()
+        self.low = low
+        self.top = top
+        self.keys = _PackedKeys([t.bit_length() + 1 for t in top])
+
+    @staticmethod
+    def dividend(terms: dict[Exponents, int]) -> "_PackedTerms":
+        """``terms`` packed relative to their lowest exponents, with
+        ``top`` their shifted degrees."""
+        cols = list(zip(*terms))
+        low = [min(x) for x in cols]
+        held = _PackedTerms(low, [max(x) - lo for x, lo in zip(cols, low)])
+        held.update(held.keys.pack(terms, low))
+        return held
+
+    def unpack(self) -> dict[Exponents, int]:
+        return self.keys.unpack(self, self.low)
+
+
+class _PackedPoly(LaurentPoly):
+    """A Laurent polynomial held over packed keys (``packed_binomial``),
+    whose tuple-keyed ``terms`` are built on first read.
+
+    ``__getattr__`` lives on this subclass alone: on LaurentPoly itself it
+    would make every attribute read of every polynomial take CPython's
+    slow path, which the interpreter cannot specialize.
+    """
+
+    __slots__ = ("packed",)
+
+    def __getattr__(self, name: str):
+        # Only ``terms`` is ever unset, until its first read.
+        if name != "terms":
+            raise AttributeError(name)
+        self.terms = terms = self.packed.unpack()
+        return terms
+
+
+def packed_binomial(
+    n: int, m: int, sides: Sequence[tuple[Exponents, list[tuple[LaurentPoly, int]]]]
+) -> LaurentPoly:
+    """The sum of the products ``x^mono * f1**a1 * f2**a2 * ...``, one
+    per side ``(mono, [(f1, a1), (f2, a2), ...])``, computed and held over
+    packed keys: ``exact_div`` divides it in its own layout, and its
+    tuple-keyed ``terms`` are built on first read.
+
+    The division layout (``_PackedTerms``) is sized by an upper bound of
+    the sum's shifted degrees: in coordinate j a side's exponents lie
+    between mono_j plus a times each factor's lowest exponent and mono_j
+    plus a times each factor's highest.  Every partial product of a side
+    stays in its range, so no packed sum carries.  A power squares its
+    factor first, taking each unordered pair of terms once.
+    """
+    spans = []
+    for mono, factors in sides:
+        lo, hi = list(mono), list(mono)
+        lows = []
+        for f, a in factors:
+            cols = list(zip(*f.terms))
+            lows.append([min(x) for x in cols])
+            for j, (x, f_lo) in enumerate(zip(cols, lows[-1])):
+                lo[j] += a * f_lo
+                hi[j] += a * max(x)
+        spans.append((lo, hi, lows))
+    low = [min(x) for x in zip(*(lo for lo, _, _ in spans))]
+    top = [max(x) - lo for x, lo in zip(zip(*(hi for _, hi, _ in spans)), low)]
+    held = _PackedTerms(low, top)
+    keys = held.keys
+    out: dict[int, int] = {}
+    for (lo, _, lows), (_, factors) in zip(spans, sides):
+        side = keys.pack({tuple(lo): 1}, low)
+        for (f, a), f_lo in zip(factors, lows):
+            packed = keys.pack(f.terms, f_lo)
+            power = _packed_square(packed) if a > 1 else packed
+            for _ in range(a - 2):
+                power = _packed_mul(power, packed)
+            side = _packed_mul(side, power)
+        for p, c in side.items():
+            out[p] = out.get(p, 0) + c
+    held.update((p, c) for p, c in out.items() if c)
+    poly = object.__new__(_PackedPoly)
+    poly.n = n
+    poly.m = m
+    poly._key = poly._hash = None
+    poly.packed = held
+    return poly
+
+
+def _packed_quotient(
+    num: _PackedTerms, den: dict[Exponents, int]
+) -> dict[Exponents, int] | None:
+    """The exact quotient of ``num`` by a term dict of at least two terms,
+    divided over packed integer keys in ``num``'s layout; None when it does
+    not exist.
+
+    In coordinate i the numerator's keys lie in [0, M_i] (M = ``num.top``,
+    at least its shifted degrees), and the divisor, shifted by its minimum
+    exponents, lies in [0, D_i].  The lowest and highest exponents of an
+    exact quotient are those of the numerator minus those of the divisor,
+    so shifted like the numerator less the divisor it lies in
+    [0, M_i - D_i].  None exists when some D_i > M_i, and a quotient term
+    outside [0, M_i - D_i] proves that none exists.  Every accepted
+    quotient term is inside that box, so every remainder key stays in
+    [0, M_i] and packed addition never carries.
 
     Field i is ``M_i.bit_length() + 1`` bits, and its top bit is a guard
     bit.  Every key that takes part in a subtraction (remainder and
@@ -483,17 +616,15 @@ def _packed_quotient(
     exactly when q >= 0 and neither q nor ``bound - q`` (bound the packed
     M - D) has a guard bit set.
     """
-    cols_num, cols_den = list(zip(*num)), list(zip(*den))
-    low_num = [min(x) for x in cols_num]
+    cols_den = list(zip(*den))
     low_den = [min(y) for y in cols_den]
-    top_num = [max(x) - lo for x, lo in zip(cols_num, low_num)]
     top_den = [max(y) - lo for y, lo in zip(cols_den, low_den)]
-    if any(map(gt, top_den, top_num)):
+    if any(map(gt, top_den, num.top)):
         return None
-    keys = _PackedKeys([t.bit_length() + 1 for t in top_num])
-    bound = sum(map(mul, map(sub, top_num, top_den), keys.weights))
+    keys = num.keys
+    bound = sum(map(mul, map(sub, num.top, top_den), keys.weights))
     guard = sum((mask + 1) >> 1 << s for s, mask in keys.fields)
-    rem = keys.pack(num, low_num)
+    rem = dict(num)
     divisor = sorted(keys.pack(den, low_den).items(), reverse=True)
     (den_lead, den_lc), tail = divisor[0], divisor[1:]
     # Negated keys, so the largest remaining term is the heap minimum.
@@ -520,7 +651,7 @@ def _packed_quotient(
                 del rem[kk]
             else:
                 rem[kk] = old - c * c2
-    return keys.unpack(quotient, map(sub, low_num, low_den))
+    return keys.unpack(quotient, map(sub, num.low, low_den))
 
 
 def _not_divisible(num: LaurentPoly, den: LaurentPoly) -> NotDivisibleError:
@@ -545,11 +676,23 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     are sized by the numerator's degrees, which bound every remainder key
     of an exact division; a guard bit per field catches a candidate
     quotient term that leaves that bound, which proves non-divisibility
-    too, so no field ever carries.
+    too, so no field ever carries.  A numerator held over packed keys
+    (``packed_binomial``) is divided in its own layout, sized by an upper
+    bound of its degrees, without building its tuple-keyed ``terms``;
+    below the threshold its terms are built and divided as above.
     """
     num._check_ranks(den)
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    held = num.packed if type(num) is _PackedPoly else None
+    pairs = len(num.terms if held is None else held) * len(den.terms)
+    if pairs >= PACKED_PRODUCT_PAIRS and len(den.terms) > 1:
+        if held is None:
+            held = _PackedTerms.dividend(num.terms)
+        quotient = _packed_quotient(held, den.terms)
+        if quotient is None:
+            raise _not_divisible(num, den)
+        return LaurentPoly._trusted(num.n, num.m, quotient)
     if num.is_zero():
         return LaurentPoly.zero(num.n, num.m)
     if len(den.terms) == 1:
@@ -562,11 +705,6 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             if leftover:
                 raise _not_divisible(num, den)
             quotient[tuple(map(sub, k2, k1))] = c
-        return LaurentPoly._trusted(num.n, num.m, quotient)
-    if len(num.terms) * len(den.terms) >= PACKED_PRODUCT_PAIRS:
-        quotient = _packed_quotient(num.terms, den.terms)
-        if quotient is None:
-            raise _not_divisible(num, den)
         return LaurentPoly._trusted(num.n, num.m, quotient)
     na = tuple(map(min, zip(*num.terms)))
     db = tuple(map(min, zip(*den.terms)))

@@ -30,7 +30,13 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .laurent import Exponents, LaurentPoly, exact_div
+from .laurent import (
+    PACKED_PRODUCT_PAIRS,
+    Exponents,
+    LaurentPoly,
+    exact_div,
+    packed_binomial,
+)
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -284,9 +290,11 @@ def random_exchange_matrix(
 def _positive_parts(yk: Exponents) -> tuple[Exponents, Exponents]:
     """[y_k]+ and [-y_k]+: the exponents of y_k / (1 (+) y_k) and of
     1 / (1 (+) y_k), since 1 (+) y_k has exponents min(y_k, 0)."""
+    if not yk:  # trivial coefficients
+        return yk, yk
     return (
-        tuple(e if e > 0 else 0 for e in yk),
-        tuple(-e if e < 0 else 0 for e in yk),
+        tuple([e if e > 0 else 0 for e in yk]),
+        tuple([-e if e < 0 else 0 for e in yk]),
     )
 
 
@@ -295,20 +303,41 @@ def exchange_binomial(seed: Seed, k: int) -> LaurentPoly:
 
     One term carries the positive column entries of B and the y exponents
     [y_k]+, the other the negative entries and [-y_k]+.
+
+    When the division by x_k would run over packed keys, its term pairs
+    counted before any collapse (the sum over both sides of the product
+    of |x_i|^|b_ik|, times |x_k|) reaching ``PACKED_PRODUCT_PAIRS``, both
+    sides are computed and added in one packed layout
+    (``packed_binomial``).  ``exact_div`` divides the result in that
+    layout, and its tuple-keyed ``terms`` are built only when read.
     """
     n, m = seed.n, seed.m
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
     up, down = _positive_parts(seed.y[k - 1])
     no_x = (0,) * n
+    # Term pairs of the division by x_k, counted before any collapse.
+    pos_pairs = neg_pairs = len(seed.x[k - 1].terms)
+    for row, x_i in zip(seed.b.rows, seed.x):
+        b_ik = row[k - 1]
+        if b_ik > 0:
+            pos_pairs *= len(x_i.terms) ** b_ik
+        elif b_ik < 0:
+            neg_pairs *= len(x_i.terms) ** -b_ik
+    if pos_pairs + neg_pairs >= PACKED_PRODUCT_PAIRS:
+        column = [(row[k - 1], x_i) for row, x_i in zip(seed.b.rows, seed.x)]
+        return packed_binomial(n, m, [
+            (no_x + up, [(x_i, b_ik) for b_ik, x_i in column if b_ik > 0]),
+            (no_x + down, [(x_i, -b_ik) for b_ik, x_i in column if b_ik < 0]),
+        ])
     pos = LaurentPoly._trusted(n, m, {no_x + up: 1})
     neg = LaurentPoly._trusted(n, m, {no_x + down: 1})
-    for i in range(n):
-        b_ik = seed.b.rows[i][k - 1]
+    for row, x_i in zip(seed.b.rows, seed.x):
+        b_ik = row[k - 1]
         if b_ik > 0:
-            pos = pos * seed.x[i] ** b_ik
+            pos = pos * (x_i if b_ik == 1 else x_i ** b_ik)
         elif b_ik < 0:
-            neg = neg * seed.x[i] ** (-b_ik)
+            neg = neg * (x_i if b_ik == -1 else x_i ** -b_ik)
     return pos + neg
 
 

@@ -180,12 +180,16 @@ class IncompatibilityCertificate:
 
     reference: int
     target: int
-    host: tuple[int, ...]
     witness: WitnessMonomial
     phi_coefficient: int
     denominator_exponent: int
     lhs_value: Fraction
     rhs_lower_bound: int = 0
+
+    @property
+    def host(self) -> tuple[int, int]:
+        """The pair certified never to share a cluster, ascending."""
+        return tuple(sorted((self.reference, self.target)))
 
     def lines(self) -> list[str]:
         return [
@@ -232,7 +236,6 @@ def incompatibility_certificate(
     return IncompatibilityCertificate(
         reference=x,
         target=z,
-        host=tuple(sorted((x, z))),
         witness=witness,
         phi_coefficient=c_int,
         denominator_exponent=v_exp,

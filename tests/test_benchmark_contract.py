@@ -9,7 +9,7 @@ import os
 import clusteralg.atlas
 import clusteralg.seed
 from clusteralg import ExchangeMatrix, explore, root_seed
-from clusteralg.atlas import PatternAtlas
+from clusteralg.atlas import ExploreCaps, PatternAtlas
 from conftest import A3_ROWS
 
 TRACER = os.path.join(
@@ -57,3 +57,17 @@ def test_traced_layers_are_called_through_their_names(monkeypatch):
     for v in range(len(atlas.variables)):
         atlas.expand(v, atlas.clusters[-1])
     assert calls["exchange_binomial"] and calls["exact_div"], calls
+    # Kronecker b=3 holds its large binomials over packed keys; each computed
+    # exchange still reaches the binomial and the division by name.
+    held = []
+    packed_binomial = clusteralg.seed.packed_binomial
+
+    def counted_binomial(*args):
+        held.append(args)
+        return packed_binomial(*args)
+
+    monkeypatch.setattr(clusteralg.seed, "packed_binomial", counted_binomial)
+    calls.update(mutate=0, exchange_binomial=0, exact_div=0)
+    explore(root_seed(ExchangeMatrix([[0, 3], [-3, 0]])), ExploreCaps(max_depth=4))
+    assert held
+    assert calls["mutate"] == calls["exchange_binomial"] == calls["exact_div"]

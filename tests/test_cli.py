@@ -87,6 +87,7 @@ def seeds(tmp_path):
         ("a5p", A5_PRINCIPAL),
         ("d5", D5_TRIVIAL),
         ("inf", INFINITE),
+        ("inf_p", INFINITE | {"coefficients": "principal"}),
         ("kron3", KRONECKER_3),
         ("markov", MARKOV),
         ("a2_moved", {"n": 2, "B": [[0, -1], [1, 0]], "coefficients": "trivial"}),
@@ -547,6 +548,13 @@ class TestDeterminism:
                 "kron3",
                 ["--max-depth", "4"],
                 "910a7c6fec99d079a599f20545674632ae808352601d7f8d55b18438a7316f31",
+            ),
+            # Pinned before large exchange binomials were held over packed
+            # keys; the shape of the benchmark's Kronecker b=2 job.
+            (
+                "inf_p",
+                ["--max-depth", "11"],
+                "b2fc5f48b17d3b7a7e9a3e3f676bbe0309a6a2407a05ec8c23cf9ed45caf3979",
             ),
             # Pinned before exploration computed each distinct exchange
             # once: most of their edges repeat an exchange already made.

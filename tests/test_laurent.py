@@ -10,11 +10,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import clusteralg.laurent
+import clusteralg.seed
 from clusteralg import (
+    ExchangeMatrix,
     LaurentPoly,
     NotDivisibleError,
     NotHomogeneousError,
     exact_div,
+    exchange_binomial,
+    mutate,
+    root_seed,
 )
 from conftest import A2_ROWS
 
@@ -517,6 +522,185 @@ class TestKernelMatchesReference:
         p = LaurentPoly.parse("x1 + x2^-1 + y1*x1^-1*x2 + 2", 2, 2)
         result = p ** k
         assert max(sizes, default=0) <= len(result.terms)
+
+
+# ----------------------------------------------------------------------
+# exchange binomials held over packed keys
+
+packed_binomial = clusteralg.laurent.packed_binomial
+KRONECKER_2 = [[0, 2], [-2, 0]]
+
+
+def reference_binomial(seed, k: int) -> LaurentPoly:
+    """The exchange binomial in direction k from ``reference_mul`` and
+    ``reference_pow``: [y_k]+ times the powers of the positive column
+    entries plus [-y_k]+ times those of the negative ones."""
+    n, m = seed.n, seed.m
+    sides = []
+    for sign in (1, -1):
+        y = tuple(max(sign * e, 0) for e in seed.y[k - 1])
+        side = LaurentPoly(n, m, {(0,) * n + y: 1})
+        for row, x_i in zip(seed.b.rows, seed.x):
+            if sign * row[k - 1] > 0:
+                side = reference_mul(side, reference_pow(x_i, abs(row[k - 1])))
+        sides.append(side)
+    return sides[0] + sides[1]
+
+
+def walk(rows, coefficients: str, steps: int):
+    """The seeds along mutations in directions 1, 2, ..., n, 1, ..."""
+    s = root_seed(ExchangeMatrix(rows), coefficients)
+    out = [s]
+    for step in range(steps):
+        s = mutate(s, step % s.n + 1)
+        out.append(s)
+    return out
+
+
+def held_kronecker_binomial() -> tuple:
+    """A Kronecker b=2 principal seed, a direction whose binomial is held
+    over packed keys, and that binomial."""
+    seed = walk(KRONECKER_2, "principal", 9)[-1]
+    num = exchange_binomial(seed, 1)
+    assert is_held(num)
+    return seed, 1, num
+
+
+def is_held(p: LaurentPoly) -> bool:
+    return type(p) is clusteralg.laurent._PackedPoly
+
+
+def terms_are_unread(p: LaurentPoly) -> bool:
+    try:
+        LaurentPoly.terms.__get__(p)  # the slot itself, not __getattr__
+    except AttributeError:
+        return True
+    return False
+
+
+class TestPackedHeldBinomials:
+    def test_exchange_binomials_match_the_reference(self, monkeypatch):
+        held_powers = set()
+
+        def recorded(n, m, sides):
+            held_powers.update(a for _, factors in sides for _, a in factors)
+            return packed_binomial(n, m, sides)
+
+        monkeypatch.setattr(clusteralg.seed, "packed_binomial", recorded)
+        held = tuple_keyed = 0
+        # |b_ik| = 2 and 3, and 1 with 3 on a rank-3 wild type; the first
+        # two with principal coefficients.
+        for rows, coefficients, steps in [
+            (KRONECKER_2, "principal", 10),
+            ([[0, 3], [-3, 0]], "principal", 4),
+            ([[0, 1, 3], [-1, 0, 1], [-3, -1, 0]], "principal", 4),
+            ([[0, 2, 2], [-2, 0, 2], [-2, -2, 0]], "trivial", 4),
+        ]:
+            for seed in walk(rows, coefficients, steps):
+                for k in range(1, seed.n + 1):
+                    num = exchange_binomial(seed, k)
+                    if not is_held(num):
+                        tuple_keyed += 1
+                    else:
+                        held += 1
+                        assert terms_are_unread(num)
+                    assert num == reference_binomial(seed, k)
+        assert held and tuple_keyed
+        assert held_powers == {1, 2, 3}
+
+    def test_division_reads_only_the_packed_keys(self, monkeypatch):
+        seed, k, num = held_kronecker_binomial()
+        packed = count_packed_quotients(monkeypatch)
+        x_k = exact_div(num, seed.x[k - 1])
+        assert packed == [len(num.packed) * len(seed.x[k - 1].terms)]
+        assert packed[0] >= THRESHOLD
+        assert terms_are_unread(num)
+        assert all(type(key) is tuple for key in x_k.terms)
+        assert x_k == reference_div(reference_binomial(seed, k), seed.x[k - 1])
+
+    @pytest.mark.parametrize("view", ["terms", "len", "eq", "hash", "str", "sort_key"])
+    def test_held_polynomial_reads_like_a_tuple_keyed_one(self, view):
+        seed, k, num = held_kronecker_binomial()
+        twin = LaurentPoly(seed.n, seed.m, reference_binomial(seed, k).terms)
+        assert terms_are_unread(num)
+        read = {
+            "terms": lambda p: p.terms,
+            "len": lambda p: len(p.terms),
+            "eq": lambda p: (p == twin, twin == p, p != twin),
+            "hash": hash,
+            "str": str,
+            "sort_key": LaurentPoly.sort_key,
+        }[view]
+        assert read(num) == read(twin)
+        assert not terms_are_unread(num)
+        assert num.terms == twin.terms
+
+    def test_held_numerator_that_does_not_divide_fails_like_a_tuple_one(
+        self, monkeypatch
+    ):
+        seed, k, num = held_kronecker_binomial()
+        packed = count_packed_quotients(monkeypatch)
+        den = seed.x[1]  # not x_k
+        with pytest.raises(NotDivisibleError) as held_failure:
+            exact_div(num, den)
+        assert packed == [len(num.packed) * len(den.terms)]
+        assert packed[0] >= THRESHOLD
+        twin = LaurentPoly(seed.n, seed.m, reference_binomial(seed, k).terms)
+        monkeypatch.setattr(clusteralg.laurent, "PACKED_PRODUCT_PAIRS", 10**9)
+        with pytest.raises(NotDivisibleError) as tuple_failure:
+            exact_div(twin, den)
+        assert len(packed) == 1
+        assert str(held_failure.value) == str(tuple_failure.value)
+        assert str(tuple_failure.value) == f"({twin}) is not divisible by ({den})"
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_loose_layouts_divide_exactly(self, monkeypatch, extra):
+        # f^2 + (h * d - f^2 + extra * x1^12): cancellation leaves h * d plus
+        # an extra term, of degree 11 or 12 per variable in a layout sized
+        # for f^2's degree 14.
+        packed = count_packed_quotients(monkeypatch)
+        f = LaurentPoly(2, 0, {(i, j): 1 for i in range(8) for j in range(8)})
+        h = LaurentPoly(2, 0, {(i, j): i - j for i in range(10) for j in range(10)})
+        d = LaurentPoly(2, 0, {(0, 0): 2, (1, 0): -1, (0, 1): 1})
+        bump = LaurentPoly(2, 0, {(12, 0): extra})
+        g = reference_mul(h, d) - reference_mul(f, f) + bump
+        num = packed_binomial(2, 0, [((0, 0), [(f, 2)]), ((0, 0), [(g, 1)])])
+        assert num.packed.top == [14, 14]
+        expected = outcome(reference_div, reference_mul(h, d) + bump, d)
+        assert outcome(exact_div, num, d) == expected
+        assert expected == (NotDivisibleError if extra else h)
+        assert packed and packed[0] >= THRESHOLD
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kernel_operands(count=3, sizes=[1, 2, 3, 5, 7]),
+        st.sampled_from(["divides", "arbitrary"]),
+        st.data(),
+    )
+    def test_held_sums_match_the_reference(self, ops, case, data):
+        f, g, d = ops
+        width = f.n + f.m
+        mono = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+        power = st.integers(1, 3)
+        sides = [
+            (tuple(data.draw(mono)), [(p, data.draw(power))]) for p in (f, g)
+        ]
+        if case == "divides":
+            for _, factors in sides:
+                factors.append((d, 1))
+        num = packed_binomial(f.n, f.m, sides)
+        expected = LaurentPoly.zero(f.n, f.m)
+        for key, factors in sides:
+            side = LaurentPoly(f.n, f.m, {key: 1})
+            for p, a in factors:
+                side = reference_mul(side, reference_pow(p, a))
+            expected = expected + side
+        got = outcome(exact_div, num, d)
+        assert got == outcome(reference_div, expected, d)
+        if case == "divides":
+            assert got is not NotDivisibleError
+        assert num == expected
+        assert num.terms == expected.terms
 
 
 class TestKernelMatchesSympy:
