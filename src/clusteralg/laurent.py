@@ -18,24 +18,16 @@ Canonical term order is lexicographic on the combined exponent tuple,
 largest first.  Serialization and iteration follow that order, so equal
 polynomials always print identically.
 
-Large products and exact divisions (at least ``PACKED_PRODUCT_PAIRS``
-term pairs) pack each exponent tuple into one integer for the duration
-of the call, one bit field per coordinate with the first coordinate most
-significant, so a monomial product or quotient is one integer add or
-subtract and lexicographic order is integer order.  A product's fields
-are sized by the operands' exponent ranges, so no field overflows.  A
-division's fields are sized by the numerator's degrees, which bound every
-remainder key of an exact division, plus one guard bit per field: a
-candidate quotient term that leaves that bound, or goes negative in some
-field and borrows from the next, shows a guard bit and proves the
-division inexact before anything can carry.  Results are unpacked to
-tuple keys, and the order above is unchanged.
-
 A large exchange binomial is the one polynomial held over packed keys
-(``packed_binomial``): its products and their sum are computed in the
-division layout of the sum, in which ``exact_div`` then divides it,
-packing only the divisor and unpacking only the quotient.  Its tuple-keyed
-``terms`` are built on first read, so every reader sees tuple keys.
+(``packed_binomial``, chosen by ``exchange_binomial``): each exponent
+tuple is packed into one integer, one bit field per coordinate with the
+first coordinate most significant, so a monomial product or quotient is
+one integer add or subtract and lexicographic order is integer order.
+Its products and their sum are computed in the division layout of the
+sum, and ``exact_div`` divides it in that layout, packing only the
+divisor and unpacking only the quotient; its tuple-keyed ``terms`` are
+built on first read, so every reader sees tuple keys.  Every other
+polynomial, and every other product or division, stays on tuple keys.
 """
 
 from __future__ import annotations
@@ -49,8 +41,8 @@ from typing import Iterable, Mapping, Sequence
 Exponents = tuple[int, ...]
 GradedDegree = tuple[int, ...]
 
-# Products and exact divisions with at least this many term pairs (terms of
-# one operand times terms of the other) run over packed integer keys.
+# An exchange binomial whose division by x_k has at least this many term
+# pairs, counted before any collapse, is held over packed integer keys.
 PACKED_PRODUCT_PAIRS = 256
 
 
@@ -263,17 +255,15 @@ class LaurentPoly:
                 self.m,
                 {tuple(map(add, k1, k2)): c1 * c2 for k2, c2 in other.terms.items()},
             )
-        if len(self.terms) * len(other.terms) >= PACKED_PRODUCT_PAIRS:
-            out = _packed_product(self.terms, other.terms)
-        else:
-            out = {}
-            get = out.get
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    k = tuple(map(add, k1, k2))
-                    out[k] = get(k, 0) + c1 * c2
-            out = {k: c for k, c in out.items() if c}
-        return LaurentPoly._trusted(self.n, self.m, out)
+        out = {}
+        get = out.get
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = tuple(map(add, k1, k2))
+                out[k] = get(k, 0) + c1 * c2
+        return LaurentPoly._trusted(
+            self.n, self.m, {k: c for k, c in out.items() if c}
+        )
 
     def __pow__(self, k: int) -> "LaurentPoly":
         """Binary powering.  The base is squared only while exponent bits
@@ -434,13 +424,11 @@ class _PackedKeys:
     def unpack(
         self, packed: dict[int, int], low: Iterable[int]
     ) -> dict[Exponents, int]:
-        """Tuple keys for packed keys whose fields are all in range, with
-        zero coefficients dropped."""
+        """Tuple keys for packed keys whose fields are all in range."""
         fields = [(s, mask, lo) for (s, mask), lo in zip(self.fields, low)]
         return {
             tuple([((p >> s) & mask) + lo for s, mask, lo in fields]): c
             for p, c in packed.items()
-            if c
         }
 
 
@@ -471,72 +459,27 @@ def _packed_square(a: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _packed_product(
-    a: dict[Exponents, int], b: dict[Exponents, int]
-) -> dict[Exponents, int]:
-    """The product of two term dicts, multiplied over packed integer keys.
-
-    Each operand is packed relative to its lowest exponents, and a field
-    is wide enough for that coordinate's range in the product, so every
-    field of a packed product is in range.  Zero coefficients are dropped.
-    """
-    cols_a, cols_b = list(zip(*a)), list(zip(*b))
-    low_a = [min(x) for x in cols_a]
-    low_b = [min(y) for y in cols_b]
-    keys = _PackedKeys([
-        (max(x) - la + max(y) - lb).bit_length()
-        for x, y, la, lb in zip(cols_a, cols_b, low_a, low_b)
-    ])
-    out = _packed_mul(keys.pack(a, low_a), keys.pack(b, low_b))
-    return keys.unpack(out, map(add, low_a, low_b))
-
-
-class _PackedTerms(dict):
-    """Terms over packed integer keys in a division layout.
-
-    Keys are packed relative to ``low``, every key's field i lies in
-    ``[0, top[i]]``, and field i is ``top[i].bit_length() + 1`` bits wide,
-    its top bit a guard bit for ``_packed_quotient``.
-    """
-
-    __slots__ = ("low", "top", "keys")
-
-    def __init__(self, low: list[int], top: list[int]):
-        super().__init__()
-        self.low = low
-        self.top = top
-        self.keys = _PackedKeys([t.bit_length() + 1 for t in top])
-
-    @staticmethod
-    def dividend(terms: dict[Exponents, int]) -> "_PackedTerms":
-        """``terms`` packed relative to their lowest exponents, with
-        ``top`` their shifted degrees."""
-        cols = list(zip(*terms))
-        low = [min(x) for x in cols]
-        held = _PackedTerms(low, [max(x) - lo for x, lo in zip(cols, low)])
-        held.update(held.keys.pack(terms, low))
-        return held
-
-    def unpack(self) -> dict[Exponents, int]:
-        return self.keys.unpack(self, self.low)
-
-
 class _PackedPoly(LaurentPoly):
     """A Laurent polynomial held over packed keys (``packed_binomial``),
     whose tuple-keyed ``terms`` are built on first read.
+
+    ``packed`` maps keys packed relative to ``low`` by ``keys`` to nonzero
+    coefficients.  Every key's field i lies in ``[0, top[i]]``, and field i
+    is ``top[i].bit_length() + 1`` bits wide, its top bit a guard bit for
+    ``_packed_quotient``.
 
     ``__getattr__`` lives on this subclass alone: on LaurentPoly itself it
     would make every attribute read of every polynomial take CPython's
     slow path, which the interpreter cannot specialize.
     """
 
-    __slots__ = ("packed",)
+    __slots__ = ("packed", "low", "top", "keys")
 
     def __getattr__(self, name: str):
         # Only ``terms`` is ever unset, until its first read.
         if name != "terms":
             raise AttributeError(name)
-        self.terms = terms = self.packed.unpack()
+        self.terms = terms = self.keys.unpack(self.packed, self.low)
         return terms
 
 
@@ -548,12 +491,12 @@ def packed_binomial(
     packed keys: ``exact_div`` divides it in its own layout, and its
     tuple-keyed ``terms`` are built on first read.
 
-    The division layout (``_PackedTerms``) is sized by an upper bound of
-    the sum's shifted degrees: in coordinate j a side's exponents lie
-    between mono_j plus a times each factor's lowest exponent and mono_j
-    plus a times each factor's highest.  Every partial product of a side
-    stays in its range, so no packed sum carries.  A power squares its
-    factor first, taking each unordered pair of terms once.
+    The division layout is sized by an upper bound of the sum's shifted
+    degrees: in coordinate j a side's exponents lie between mono_j plus a
+    times each factor's lowest exponent and mono_j plus a times each
+    factor's highest.  Every partial product of a side stays in its range,
+    so no packed sum carries.  A power squares its factor first, taking
+    each unordered pair of terms once.
     """
     spans = []
     for mono, factors in sides:
@@ -568,8 +511,7 @@ def packed_binomial(
         spans.append((lo, hi, lows))
     low = [min(x) for x in zip(*(lo for lo, _, _ in spans))]
     top = [max(x) - lo for x, lo in zip(zip(*(hi for _, hi, _ in spans)), low)]
-    held = _PackedTerms(low, top)
-    keys = held.keys
+    keys = _PackedKeys([t.bit_length() + 1 for t in top])
     out: dict[int, int] = {}
     for (lo, _, lows), (_, factors) in zip(spans, sides):
         side = keys.pack({tuple(lo): 1}, low)
@@ -581,31 +523,32 @@ def packed_binomial(
             side = _packed_mul(side, power)
         for p, c in side.items():
             out[p] = out.get(p, 0) + c
-    held.update((p, c) for p, c in out.items() if c)
     poly = object.__new__(_PackedPoly)
     poly.n = n
     poly.m = m
     poly._key = poly._hash = None
-    poly.packed = held
+    poly.packed = {p: c for p, c in out.items() if c}
+    poly.low = low
+    poly.top = top
+    poly.keys = keys
     return poly
 
 
 def _packed_quotient(
-    num: _PackedTerms, den: dict[Exponents, int]
+    num: _PackedPoly, den: dict[Exponents, int]
 ) -> dict[Exponents, int] | None:
-    """The exact quotient of ``num`` by a term dict of at least two terms,
-    divided over packed integer keys in ``num``'s layout; None when it does
-    not exist.
+    """The exact quotient of ``num`` by a nonzero term dict, divided over
+    packed integer keys in ``num``'s layout; None when it does not exist.
 
     In coordinate i the numerator's keys lie in [0, M_i] (M = ``num.top``,
     at least its shifted degrees), and the divisor, shifted by its minimum
     exponents, lies in [0, D_i].  The lowest and highest exponents of an
     exact quotient are those of the numerator minus those of the divisor,
     so shifted like the numerator less the divisor it lies in
-    [0, M_i - D_i].  None exists when some D_i > M_i, and a quotient term
-    outside [0, M_i - D_i] proves that none exists.  Every accepted
-    quotient term is inside that box, so every remainder key stays in
-    [0, M_i] and packed addition never carries.
+    [0, M_i - D_i].  Unless ``num`` is zero, none exists when some
+    D_i > M_i, and a quotient term outside [0, M_i - D_i] proves that none
+    exists.  Every accepted quotient term is inside that box, so every
+    remainder key stays in [0, M_i] and packed addition never carries.
 
     Field i is ``M_i.bit_length() + 1`` bits, and its top bit is a guard
     bit.  Every key that takes part in a subtraction (remainder and
@@ -616,6 +559,8 @@ def _packed_quotient(
     exactly when q >= 0 and neither q nor ``bound - q`` (bound the packed
     M - D) has a guard bit set.
     """
+    if not num.packed:
+        return {}
     cols_den = list(zip(*den))
     low_den = [min(y) for y in cols_den]
     top_den = [max(y) - lo for y, lo in zip(cols_den, low_den)]
@@ -624,7 +569,7 @@ def _packed_quotient(
     keys = num.keys
     bound = sum(map(mul, map(sub, num.top, top_den), keys.weights))
     guard = sum((mask + 1) >> 1 << s for s, mask in keys.fields)
-    rem = dict(num)
+    rem = dict(num.packed)
     divisor = sorted(keys.pack(den, low_den).items(), reverse=True)
     (den_lead, den_lc), tail = divisor[0], divisor[1:]
     # Negated keys, so the largest remaining term is the heap minimum.
@@ -662,34 +607,28 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact division of Laurent polynomials; raises NotDivisibleError
     when no Laurent polynomial quotient with integer coefficients exists.
 
-    A monomial divisor is a key shift.  Otherwise both arguments are
-    shifted by their minimal exponents to honest polynomials, which are
-    divided by repeatedly cancelling leading terms in lexicographic order.
-    The leading term of the remainder comes from a heap (Johnson 1974;
-    Monagan and Pearce 2011) rather than a scan, so the leading terms, the
-    quotient and the failure conditions are those of the plain loop.  Any
-    exponent or coefficient failure during that loop proves
-    non-divisibility.
+    A numerator held over packed keys (``packed_binomial``) is divided in
+    its own layout by ``_packed_quotient``, whatever its size or the
+    divisor's, without building its tuple-keyed ``terms``.  Its fields are
+    sized by an upper bound of its degrees, which bounds every remainder
+    key of an exact division; a guard bit per field catches a candidate
+    quotient term that leaves that bound, which proves non-divisibility,
+    so no field ever carries.
 
-    Divisions of at least ``PACKED_PRODUCT_PAIRS`` term pairs run that
-    loop over packed integer keys (``_packed_quotient``).  Their fields
-    are sized by the numerator's degrees, which bound every remainder key
-    of an exact division; a guard bit per field catches a candidate
-    quotient term that leaves that bound, which proves non-divisibility
-    too, so no field ever carries.  A numerator held over packed keys
-    (``packed_binomial``) is divided in its own layout, sized by an upper
-    bound of its degrees, without building its tuple-keyed ``terms``;
-    below the threshold its terms are built and divided as above.
+    Every other numerator stays on tuple keys.  A monomial divisor is a
+    key shift.  Otherwise both arguments are shifted by their minimal
+    exponents to honest polynomials, which are divided by repeatedly
+    cancelling leading terms in lexicographic order.  The leading term of
+    the remainder comes from a heap (Johnson 1974; Monagan and Pearce 2011)
+    rather than a scan, so the leading terms, the quotient and the failure
+    conditions are those of the plain loop.  Any exponent or coefficient
+    failure during that loop proves non-divisibility.
     """
     num._check_ranks(den)
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    held = num.packed if type(num) is _PackedPoly else None
-    pairs = len(num.terms if held is None else held) * len(den.terms)
-    if pairs >= PACKED_PRODUCT_PAIRS and len(den.terms) > 1:
-        if held is None:
-            held = _PackedTerms.dividend(num.terms)
-        quotient = _packed_quotient(held, den.terms)
+    if type(num) is _PackedPoly:
+        quotient = _packed_quotient(num, den.terms)
         if quotient is None:
             raise _not_divisible(num, den)
         return LaurentPoly._trusted(num.n, num.m, quotient)

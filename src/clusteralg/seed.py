@@ -304,12 +304,13 @@ def exchange_binomial(seed: Seed, k: int) -> LaurentPoly:
     One term carries the positive column entries of B and the y exponents
     [y_k]+, the other the negative entries and [-y_k]+.
 
-    When the division by x_k would run over packed keys, its term pairs
+    This is the one place that chooses a polynomial's layout.  When the
+    division by x_k has at least ``PACKED_PRODUCT_PAIRS`` term pairs,
     counted before any collapse (the sum over both sides of the product
-    of |x_i|^|b_ik|, times |x_k|) reaching ``PACKED_PRODUCT_PAIRS``, both
-    sides are computed and added in one packed layout
-    (``packed_binomial``).  ``exact_div`` divides the result in that
-    layout, and its tuple-keyed ``terms`` are built only when read.
+    of |x_i|^|b_ik|, times |x_k|), both sides are computed and added in
+    one packed layout (``packed_binomial``); ``exact_div`` divides every
+    such held binomial in that layout, and its tuple-keyed ``terms`` are
+    built only when read.  Every other binomial is built on tuple keys.
     """
     n, m = seed.n, seed.m
     if not 1 <= k <= n:

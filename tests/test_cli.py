@@ -11,6 +11,7 @@ import pytest
 
 import clusteralg.cli
 import clusteralg.laurent
+import clusteralg.seed
 from clusteralg import VerificationReport
 from clusteralg.cli import main
 from clusteralg.seed import PositivityError
@@ -581,17 +582,29 @@ class TestDeterminism:
     def test_golden_wild_explorations_divide_over_packed_keys(
         self, seeds, capsys, monkeypatch, name
     ):
-        packed = []
-        original = clusteralg.laurent._packed_quotient
+        # Every held binomial is divided in its own layout, once, and nothing
+        # in the exploration builds its tuple keys.
+        held, divided = [], []
+        packed_binomial = clusteralg.seed.packed_binomial
+        packed_quotient = clusteralg.laurent._packed_quotient
 
-        def counted(num, den):
-            packed.append(len(num) * len(den))
-            return original(num, den)
+        def holding(*args):
+            held.append(packed_binomial(*args))
+            return held[-1]
 
-        monkeypatch.setattr(clusteralg.laurent, "_packed_quotient", counted)
+        def dividing(num, den):
+            divided.append(num)
+            return packed_quotient(num, den)
+
+        monkeypatch.setattr(clusteralg.seed, "packed_binomial", holding)
+        monkeypatch.setattr(clusteralg.laurent, "_packed_quotient", dividing)
         argv = ["explore", "--seed", seeds[name], "--format", "json"]
         assert main(argv + ["--max-depth", "4"]) == 0
-        assert packed and min(packed) >= clusteralg.laurent.PACKED_PRODUCT_PAIRS
+        assert held and len(divided) == len(held)
+        assert all(num is binomial for num, binomial in zip(divided, held))
+        for num in held:
+            with pytest.raises(AttributeError):
+                clusteralg.laurent.LaurentPoly.terms.__get__(num)
 
     # Pinned at the commit before coefficients became plain exponent
     # tuples: these print the y line and a witness coefficient.

@@ -334,10 +334,16 @@ def outcome(fn, *args):
         return NotDivisibleError
 
 
+# The term pairs at which an exchange binomial is held over packed keys.
 THRESHOLD = clusteralg.laurent.PACKED_PRODUCT_PAIRS
-# Term counts on both sides of the packing threshold: 7 * 40 and 20 * 20
-# pairs are packed, 7 * 20 are not.
+# Term counts of kernel operands, from zero to products of 1,600 term pairs.
 SIZES = [0, 1, 2, 7, 20, 40]
+packed_binomial = clusteralg.laurent.packed_binomial
+
+
+def hold(p: LaurentPoly) -> LaurentPoly:
+    """``p`` held over packed keys, as an exchange binomial is."""
+    return packed_binomial(p.n, p.m, [((0,) * (p.n + p.m), [(p, 1)])])
 
 
 def count_packed_quotients(monkeypatch) -> list[int]:
@@ -346,7 +352,7 @@ def count_packed_quotients(monkeypatch) -> list[int]:
     original = clusteralg.laurent._packed_quotient
 
     def counted(num, den):
-        packed.append(len(num) * len(den))
+        packed.append(len(num.packed) * len(den))
         return original(num, den)
 
     monkeypatch.setattr(clusteralg.laurent, "_packed_quotient", counted)
@@ -425,35 +431,26 @@ class TestKernelMatchesReference:
                 for k, v in a.terms.items()
             })
 
-    def test_both_product_paths_are_taken(self, monkeypatch):
-        packed = []
-        original = clusteralg.laurent._packed_product
-
-        def counted(a, b):
-            packed.append(len(a) * len(b))
-            return original(a, b)
-
-        monkeypatch.setattr(clusteralg.laurent, "_packed_product", counted)
-        row = LaurentPoly(1, 0, {(e,): 1 for e in range(16)})
-        short = LaurentPoly(1, 0, {(e,): 1 for e in range(15)})
-        assert row * short == reference_mul(row, short)
-        assert packed == []
-        assert row * row == reference_mul(row, row)
-        assert packed == [THRESHOLD]
-
-    def test_both_division_paths_are_taken(self, monkeypatch):
+    def test_only_held_numerators_divide_over_packed_keys(self, monkeypatch):
         packed = count_packed_quotients(monkeypatch)
-        # (1 + x + x^2)(1 + ... + x^82) has 85 terms, (1 + x)(1 + ... + x^126)
-        # has 128.
-        below = LaurentPoly(1, 0, {(e,): 1 for e in range(3)})
-        at = LaurentPoly(1, 0, {(e,): 1 for e in range(2)})
-        for den, count, pairs in [(below, 83, THRESHOLD - 1), (at, 127, THRESHOLD)]:
-            num = den * LaurentPoly(1, 0, {(e,): 1 for e in range(count)})
-            assert len(num.terms) * len(den.terms) == pairs
-            assert exact_div(num, den) == reference_div(num, den)
-        assert packed == [THRESHOLD]
+        row = LaurentPoly(1, 0, {(e,): 1 for e in range(3)})
+        shift = LaurentPoly(1, 0, {(2,): 3})
+        # Tuple-keyed numerators take the tuple loop or the key shift at any
+        # size: 3 * 3 up to 3 * 402 term pairs.
+        for den in (row, shift):
+            for count in (1, 83, 400):
+                num = row * LaurentPoly(1, 0, {(e,): 3 for e in range(count)})
+                assert exact_div(num, den) == reference_div(num, den)
+        assert packed == []
+        # A held numerator is divided in its own layout below the threshold
+        # and by a one-term divisor.
+        num = row * LaurentPoly(1, 0, {(e,): 3 for e in range(3)})
+        for den in (row, shift):
+            assert exact_div(hold(num), den) == reference_div(num, den)
+        assert packed == [5 * 3, 5 * 1]
+        assert max(packed) < THRESHOLD
 
-    # Shifted exponents (x1, x2) of numerator and divisor, each a packed-size
+    # Shifted exponents (x1, x2) of a held numerator and a divisor, each a
     # division that is not exact.
     @pytest.mark.parametrize(
         "num, den",
@@ -484,21 +481,57 @@ class TestKernelMatchesReference:
         )
         assert outcome(reference_div, num, den) is NotDivisibleError
         with pytest.raises(NotDivisibleError) as failure:
-            exact_div(num, den)
+            exact_div(hold(num), den)
         assert str(failure.value) == f"({num}) is not divisible by ({den})"
         assert packed == [len(num.terms) * len(den.terms)]
-        assert packed[0] >= THRESHOLD
 
-    def test_packed_fields_hold_extreme_exponents(self):
+    @pytest.mark.parametrize("scale", [3, 1], ids=["divides", "does-not-divide"])
+    def test_held_numerators_with_monomial_divisors(self, monkeypatch, scale):
+        packed = count_packed_quotients(monkeypatch)
+        f = LaurentPoly(2, 1, {
+            (i, -j, i - j): 3 * i + j + 1 for i in range(4) for j in range(3)
+        })
+        num = LaurentPoly(2, 1, {k: scale * c for k, c in f.terms.items()})
+        den = LaurentPoly(2, 1, {(-2, 5, 1): -3})
+        got = outcome(exact_div, hold(num), den)
+        assert got == outcome(reference_div, num, den)
+        assert packed == [len(num.terms)]
+        if scale == 1:
+            assert got is NotDivisibleError
+            with pytest.raises(NotDivisibleError) as held_failure:
+                exact_div(hold(num), den)
+            with pytest.raises(NotDivisibleError) as tuple_failure:
+                exact_div(num, den)
+            assert str(held_failure.value) == str(tuple_failure.value)
+        else:
+            assert got == LaurentPoly(2, 1, {
+                (i + 2, j - 5, e - 1): -c for (i, j, e), c in f.terms.items()
+            })
+
+    def test_held_zero_divides_to_zero(self):
+        f = LaurentPoly(1, 0, {(0,): 1, (3,): 2})
+        # f^2 - f * f, held in a layout sized for degree 6, below the
+        # divisor's degree 9.
+        zero = packed_binomial(1, 0, [((0,), [(f, 2)]), ((0,), [(-f, 1), (f, 1)])])
+        den = LaurentPoly(1, 0, {(0,): 1, (9,): 1})
+        assert exact_div(zero, den).is_zero()
+        assert zero.is_zero()
+
+    def test_packed_fields_hold_extreme_exponents(self, monkeypatch):
+        packed = count_packed_quotients(monkeypatch)
         a = LaurentPoly(2, 2, {
             (10**6 * i, -(10**9) + i, i * i, -i): i - 7 for i in range(20) if i != 7
         })
         b = LaurentPoly(2, 2, {
             (-(10**6) * i, 3 * i, 10**12, 0): (-1) ** i for i in range(20)
         })
-        assert len(a.terms) * len(b.terms) >= THRESHOLD
-        assert a * b == reference_mul(a, b)
-        assert exact_div(a * b, b) == a
+        product = reference_mul(a, b)
+        assert a * b == product
+        # The product held over packed keys, and its division in that layout.
+        held = packed_binomial(2, 2, [((0, 0, 0, 0), [(a, 1), (b, 1)])])
+        assert held == product
+        assert exact_div(hold(product), b) == exact_div(held, b) == a
+        assert len(packed) == 2
 
     def test_results_keep_tuple_keys_and_print_canonically(self):
         p = LaurentPoly.parse("x1^2*x2^-1 + 3*y1*x1^-1 + -y2 + x2^4", 2, 2)
@@ -527,7 +560,6 @@ class TestKernelMatchesReference:
 # ----------------------------------------------------------------------
 # exchange binomials held over packed keys
 
-packed_binomial = clusteralg.laurent.packed_binomial
 KRONECKER_2 = [[0, 2], [-2, 0]]
 
 
@@ -613,7 +645,6 @@ class TestPackedHeldBinomials:
         packed = count_packed_quotients(monkeypatch)
         x_k = exact_div(num, seed.x[k - 1])
         assert packed == [len(num.packed) * len(seed.x[k - 1].terms)]
-        assert packed[0] >= THRESHOLD
         assert terms_are_unread(num)
         assert all(type(key) is tuple for key in x_k.terms)
         assert x_k == reference_div(reference_binomial(seed, k), seed.x[k - 1])
@@ -644,9 +675,7 @@ class TestPackedHeldBinomials:
         with pytest.raises(NotDivisibleError) as held_failure:
             exact_div(num, den)
         assert packed == [len(num.packed) * len(den.terms)]
-        assert packed[0] >= THRESHOLD
         twin = LaurentPoly(seed.n, seed.m, reference_binomial(seed, k).terms)
-        monkeypatch.setattr(clusteralg.laurent, "PACKED_PRODUCT_PAIRS", 10**9)
         with pytest.raises(NotDivisibleError) as tuple_failure:
             exact_div(twin, den)
         assert len(packed) == 1
@@ -665,11 +694,11 @@ class TestPackedHeldBinomials:
         bump = LaurentPoly(2, 0, {(12, 0): extra})
         g = reference_mul(h, d) - reference_mul(f, f) + bump
         num = packed_binomial(2, 0, [((0, 0), [(f, 2)]), ((0, 0), [(g, 1)])])
-        assert num.packed.top == [14, 14]
+        assert num.top == [14, 14]
         expected = outcome(reference_div, reference_mul(h, d) + bump, d)
         assert outcome(exact_div, num, d) == expected
         assert expected == (NotDivisibleError if extra else h)
-        assert packed and packed[0] >= THRESHOLD
+        assert len(packed) == 1
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -732,16 +761,24 @@ class TestKernelMatchesSympy:
         want = self.to_poly(a, low_a, sympy) * self.to_poly(b, low_b, sympy)
         assert self.to_poly(a * b, map(add, low_a, low_b), sympy) == want
 
-    # Sizes 16 and 20 make divisions of at least 256 term pairs, which run
-    # over packed keys, unless n + m = 1 caps the sizes at 8.
-    @pytest.mark.parametrize("sizes", [[1, 2, 3, 5], [16, 20]], ids=["small", "large"])
+    # Sizes 16 and 20 make tuple-keyed divisions of at least 256 term pairs,
+    # unless n + m = 1 caps the sizes at 8.  A held numerator comes from
+    # ``packed_binomial`` and is divided over packed keys.
+    @pytest.mark.parametrize(
+        "sizes, held",
+        [([1, 2, 3, 5], False), ([16, 20], False), ([1, 3, 16, 20], True)],
+        ids=["small", "large", "held"],
+    )
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.booleans())
-    def test_quotients(self, sizes, data, make_divisible):
+    def test_quotients(self, sizes, held, data, make_divisible):
         sympy = pytest.importorskip("sympy")
         a, b = data.draw(kernel_operands(sizes=sizes))
         num = a * b if make_divisible else a
         assume(not num.is_zero())
+        if held:
+            factors = [(a, 1), (b, 1)] if make_divisible else [(a, 1)]
+            num = packed_binomial(a.n, a.m, [((0,) * (a.n + a.m), factors)])
         # Clear the negative exponents; the shifted divisor has no monomial
         # factor, so Laurent divisibility is polynomial divisibility.
         low_num = tuple(map(min, zip(*num.terms)))
