@@ -29,6 +29,14 @@ another edge repeats them.  In finite type most edges do: A6 has 1,287
 exchange edges and 126 distinct exchanges.  A kept variable was checked
 for exact division and positivity when it was computed.
 
+The last level a depth cap allows stores no child, so a child there counts
+only if it lands on a stored seed.  Its cluster would hold the seed's other
+n - 1 variables and differ from the seed's, as the new variable is not x_k.
+So that level skips each exchange whose (n - 1)-subset lies in no other
+stored cluster, which only leaves the atlas incomplete.  The clusters are
+grouped by (n - 1)-subsets once, when the last level starts or for the
+first exchange graph; no seed is stored after either.
+
 Expansions with respect to an arbitrary stored cluster are computed by
 re-rooting, all of the cluster's at once.  The host seed's variables become
 unit variables, ranked by id: the one with the r-th smallest id is x_r, so
@@ -87,6 +95,18 @@ class ExploreCaps:
             raise ValueError("caps must be positive")
 
 
+def _exchange_input(seed: Seed, ids: tuple[int, ...], k: int) -> tuple:
+    """All that ``exchange`` reads in direction k, variables by id: x_k,
+    y_k, and the sorted (x_i, b_ik) with b_ik != 0."""
+    return (
+        ids[k - 1],
+        seed.y[k - 1],
+        tuple(
+            sorted((v, row[k - 1]) for v, row in zip(ids, seed.b.rows) if row[k - 1])
+        ),
+    )
+
+
 def _canonical_seed_key(seed: Seed) -> tuple:
     """Canonical form under simultaneous position permutation."""
     xs = [p.sort_key() for p in seed.x]
@@ -125,6 +145,7 @@ class PatternAtlas:
         self._seed_keys: dict[tuple, int] = {}
         self._expand_cache: dict[Cluster, dict[int, LaurentPoly]] = {}
         self._ireach_cache: dict[frozenset, dict[Cluster, tuple[int, ...]]] = {}
+        self._by_face: dict[Cluster, list[Cluster]] | None = None
         self.derived: dict = {}
         self._store_seed(root, _canonical_seed_key(root), None)
         self.complete = self._explore()
@@ -166,18 +187,18 @@ class PatternAtlas:
         # level runs: a seed cap can stop exploration before then, and a
         # seed whose level never ran stores no edges.
         reverse: dict[tuple[int, int], int] = {}
-        # The new variable of each exchange computed so far, keyed by all
-        # that seed.exchange reads: the id of x_k, y_k, and the sorted
-        # (id of x_i, b_ik) with b_ik != 0.  An edge that repeats a key
-        # reuses the variable; it still gets its canonical key, target
-        # lookup and link.
+        # The new variable of each exchange computed so far, keyed by
+        # _exchange_input.  An edge that repeats a key reuses the variable;
+        # it still gets its canonical key, target lookup and link.
         exchanged: dict[tuple, LaurentPoly] = {}
 
-        def link(sid: int, k: int, target: int, child: Seed) -> None:
+        def link(sid: int, k: int, target: int, child: Seed, given: tuple) -> None:
             # child = mutate(seeds[sid], k); target mutated at the position
             # of child's new variable is sid again.
             self.edges[(sid, k)] = target
             new = self._var_ids[child.x[k - 1]]
+            # The child's variable may be an equal copy of the interned one.
+            exchanged[given] = self.variables[new]
             edge = (target, self.seed_variable_ids[target].index(new) + 1)
             for known in (self.edges.get(edge), reverse.get(edge)):
                 if known is not None and known != sid:
@@ -190,7 +211,9 @@ class PatternAtlas:
 
         level, depth = [0], 0
         while level:
-            candidates: list[tuple[tuple, Seed, int, int]] = []
+            # The last level skips what cannot land; see the module docstring.
+            faces = self._faces() if depth == self.caps.max_depth else None
+            candidates: list[tuple[tuple, Seed, int, int, tuple]] = []
             for sid in level:
                 seed = self.seeds[sid]
                 ids = self.seed_variable_ids[sid]
@@ -199,17 +222,12 @@ class PatternAtlas:
                     if back is not None:
                         self.edges[(sid, k)] = back
                         continue
-                    given = (
-                        ids[k - 1],
-                        seed.y[k - 1],
-                        tuple(
-                            sorted(
-                                (v, row[k - 1])
-                                for v, row in zip(ids, seed.b.rows)
-                                if row[k - 1]
-                            )
-                        ),
-                    )
+                    if faces is not None:
+                        face = tuple(sorted(ids[: k - 1] + ids[k:]))
+                        if len(faces[face]) == 1:  # the seed's own cluster
+                            truncated = True
+                            continue
+                    given = _exchange_input(seed, ids, k)
                     new = exchanged.get(given)
                     if new is None:
                         child = mutate(seed, k)
@@ -219,15 +237,15 @@ class PatternAtlas:
                     key = _canonical_seed_key(child)
                     target = self._seed_keys.get(key)
                     if target is not None:
-                        link(sid, k, target, child)
+                        link(sid, k, target, child, given)
                     else:
-                        candidates.append((key, child, sid, k))
+                        candidates.append((key, child, sid, k, given))
             if not candidates:
                 break
             depth += 1
             next_level: list[int] = []
             if depth <= self.caps.max_depth:
-                for key, child, sid, k in sorted(candidates, key=lambda c: c[0]):
+                for key, child, sid, k, _ in sorted(candidates, key=lambda c: c[0]):
                     if key in self._seed_keys:
                         continue
                     if len(self.seeds) >= self.caps.max_seeds:
@@ -236,16 +254,26 @@ class PatternAtlas:
                     next_level.append(self._store_seed(child, key, (sid, k)))
             else:
                 truncated = True
-            for key, child, sid, k in candidates:
+            for key, child, sid, k, given in candidates:
                 target = self._seed_keys.get(key)
                 if target is not None:
-                    link(sid, k, target, child)
+                    link(sid, k, target, child, given)
                 else:
                     truncated = True
             if truncated and len(self.seeds) >= self.caps.max_seeds:
                 break
             level = next_level
         return not truncated
+
+    def _faces(self) -> dict[Cluster, list[Cluster]]:
+        """The stored clusters by each of their (n - 1)-subsets, each group
+        sorted; built once, as no seed is stored after its first use."""
+        if self._by_face is None:
+            self._by_face = {}
+            for c in sorted(self.clusters):
+                for i in range(self.n):
+                    self._by_face.setdefault(c[:i] + c[i + 1:], []).append(c)
+        return self._by_face
 
     # ------------------------------------------------------------------
     # lookups
@@ -389,13 +417,9 @@ class PatternAtlas:
         (n - 1)-subset: grouping the clusters by each of their (n - 1)-subsets
         finds every edge once.  A capped atlas may give a proper subgraph."""
         vertices = tuple(sorted(self.clusters))
-        by_face: dict[Cluster, list[Cluster]] = {}
-        for c in vertices:
-            for i in range(self.n):
-                by_face.setdefault(c[:i] + c[i + 1:], []).append(c)
         edges = sorted(
             (a, b)
-            for group in by_face.values()
+            for group in self._faces().values()
             for j, b in enumerate(group)
             for a in group[:j]
         )

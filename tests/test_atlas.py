@@ -22,8 +22,13 @@ from clusteralg import (
     mutate_path,
     root_seed,
 )
-from clusteralg.atlas import PatternAtlas, _canonical_seed_key, _json_text
-from clusteralg.seed import mutate
+from clusteralg.atlas import (
+    PatternAtlas,
+    _canonical_seed_key,
+    _exchange_input,
+    _json_text,
+)
+from clusteralg.seed import exchange, mutate
 from conftest import (
     A2_ROWS,
     A3_ROWS,
@@ -65,6 +70,9 @@ A2_PENTAGON_DOT = """graph exchange {
 
 
 MARKOV_ROWS = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
+KRONECKER_3_ROWS = [[0, 3], [-3, 0]]
+# An affine type of rank 3: not of finite type, so only a depth cap ends it.
+AFFINE_3_ROWS = [[0, 1, 0], [-2, 0, 2], [0, -1, 0]]
 
 
 def infinite_rank2(max_seeds=12):
@@ -294,6 +302,13 @@ class TestClosures:
             (A4_ROWS, "principal", ExploreCaps(max_seeds=20)),
             ([[0, 2], [-2, 0]], "trivial", ExploreCaps(max_depth=6)),
             (MARKOV_ROWS, "trivial", ExploreCaps(max_depth=3)),
+            # Finite types cut by depth: some last-level children land on a
+            # stored seed, and the rest are skipped.
+            (A4_ROWS, "principal", ExploreCaps(max_depth=2)),
+            (A4_ROWS, "principal", ExploreCaps(max_depth=3)),
+            (D4_ROWS, "trivial", ExploreCaps(max_depth=2)),
+            (D4_ROWS, "principal", ExploreCaps(max_depth=2)),
+            (AFFINE_3_ROWS, "principal", ExploreCaps(max_depth=5)),
         ],
     )
     def test_one_sided_exploration_matches_every_direction(
@@ -346,6 +361,60 @@ class TestClosures:
         assert len(computed) + len(served) == len(atlas.edges) // 2
         assert len(set(computed)) == len(computed)
         assert served
+
+    @pytest.mark.parametrize(
+        "rows, coefficients", [(A5_ROWS, "trivial"), (D5_ROWS, "principal")]
+    )
+    def test_exploration_serves_interned_variables(
+        self, rows, coefficients, monkeypatch
+    ):
+        # Once an exchange's child is linked or stored, the memo holds the
+        # interned variable, not the equal copy the exchange returned.  Only
+        # a repeat on the level that computed it may see the copy.
+        computed, served = [], []
+        original_mutate = clusteralg.atlas.mutate
+        original_with = clusteralg.atlas.mutate_with
+
+        def counted(seed, k):
+            child = original_mutate(seed, k)
+            computed.append((seed, child.x[k - 1]))
+            return child
+
+        def counted_with(seed, k, x_k):
+            served.append((seed, x_k))
+            return original_with(seed, k, x_k)
+
+        monkeypatch.setattr(clusteralg.atlas, "mutate", counted)
+        monkeypatch.setattr(clusteralg.atlas, "mutate_with", counted_with)
+        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients))
+        depth = {id(s): len(atlas.path(sid)) for sid, s in enumerate(atlas.seeds)}
+        made_at = {id(x_k): depth[id(seed)] for seed, x_k in computed}
+        interned = {id(p) for p in atlas.variables}
+        later = [
+            x_k for seed, x_k in served if made_at.get(id(x_k)) != depth[id(seed)]
+        ]
+        assert later
+        assert all(id(x_k) in interned for x_k in later)
+
+    # The memo key must tell apart every input of the exchange: each case
+    # differs from the base (A2 principal, direction 1, variable ids (0, 1))
+    # in exactly one of them.
+    @pytest.mark.parametrize(
+        "rows, y, ids",
+        [
+            pytest.param(A2_ROWS, [[-1, 0], [0, 1]], (0, 1), id="y_k"),
+            pytest.param([[0, 1], [-2, 0]], [[1, 0], [0, 1]], (0, 1), id="abs-b_ik"),
+            pytest.param([[0, -1], [1, 0]], [[1, 0], [0, 1]], (0, 1), id="sign-b_ik"),
+            pytest.param(A2_ROWS, [[1, 0], [0, 1]], (2, 1), id="x_k"),
+            pytest.param(A2_ROWS, [[1, 0], [0, 1]], (0, 2), id="x_i"),
+        ],
+    )
+    def test_exchange_input_tells_apart_each_input(self, rows, y, ids):
+        base = root_seed(ExchangeMatrix(A2_ROWS), "principal")
+        other = Seed(ExchangeMatrix(rows), y, base.x)
+        assert _exchange_input(other, ids, 1) != _exchange_input(base, (0, 1), 1)
+        if ids == (0, 1):
+            assert exchange(other, 1) != exchange(base, 1)
 
     def test_a_broken_involution_is_an_engine_fault(self, monkeypatch):
         # Seed (2,) mutated in direction 1 lands one step too far, so an edge
@@ -409,6 +478,48 @@ class TestCaps:
         a = explore(root, ExploreCaps(max_depth=1))
         assert not a.complete
         assert len(a.seeds) == 3  # root plus its two neighbors
+
+    @pytest.mark.parametrize("rows", [KRONECKER_3_ROWS, MARKOV_ROWS])
+    def test_the_last_level_computes_only_what_can_land(self, rows, monkeypatch):
+        # These exchange graphs are trees, so a last-level seed meets a
+        # stored cluster only through its parent's direction, which the
+        # reverse edge serves: each exchange computed makes a stored seed.
+        calls = []
+        for name in ("mutate", "mutate_with"):
+            original = getattr(clusteralg.atlas, name)
+
+            def counted(seed, k, *x_k, original=original):
+                calls.append((seed, k))
+                return original(seed, k, *x_k)
+
+            monkeypatch.setattr(clusteralg.atlas, name, counted)
+        root = root_seed(ExchangeMatrix(rows), "trivial")
+        atlas = explore(root, ExploreCaps(max_depth=4))
+        assert not atlas.complete
+        sid = {id(s): i for i, s in enumerate(atlas.seeds)}
+        last = [
+            (sid[id(seed)], k)
+            for seed, k in calls
+            if len(atlas.path(sid[id(seed)])) == 4
+        ]
+        assert all(k == atlas.tree[s][0][1] for s, k in last)
+        assert len(calls) == len(atlas.seeds) - 1
+
+    @pytest.mark.parametrize(
+        "rows, coefficients", [(A3_ROWS, "trivial"), (B3_ROWS, "principal")]
+    )
+    def test_smallest_complete_depth_gives_the_uncapped_atlas(
+        self, rows, coefficients
+    ):
+        root = root_seed(ExchangeMatrix(rows), coefficients)
+        uncapped = explore(root)
+        depth = max(len(uncapped.path(sid)) for sid in range(len(uncapped.seeds)))
+        assert not explore(root, ExploreCaps(max_depth=depth - 1)).complete
+        capped = explore(root, ExploreCaps(max_depth=depth))
+        assert capped.complete
+        got, want = capped.to_json_dict(), uncapped.to_json_dict()
+        assert got.pop("caps") != want.pop("caps")
+        assert got == want
 
     def test_finite_pattern_is_complete_under_loose_caps(self):
         root = root_seed(ExchangeMatrix(A2_ROWS), "trivial")

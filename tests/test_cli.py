@@ -59,6 +59,11 @@ A5_PRINCIPAL = {
     ],
     "coefficients": "principal",
 }
+D4_TRIVIAL = {
+    "n": 4,
+    "B": [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]],
+    "coefficients": "trivial",
+}
 # D5 as the benchmark catalogue orients it: the chain 1-2-3-4 and the
 # branch 3-5.
 D5_TRIVIAL = {
@@ -86,6 +91,7 @@ def seeds(tmp_path):
         ("a4_rerooted", A4_REROOTED),
         ("a4p", A4_PRINCIPAL),
         ("a5p", A5_PRINCIPAL),
+        ("d4", D4_TRIVIAL),
         ("d5", D5_TRIVIAL),
         ("inf", INFINITE),
         ("inf_p", INFINITE | {"coefficients": "principal"}),
@@ -568,6 +574,18 @@ class TestDeterminism:
                 "d5",
                 [],
                 "d0d344b9527e7488abf1ccdb8a981737264253d84539911aaee1dad36c4f32dc",
+            ),
+            # Pinned before the last level skipped exchanges that cannot
+            # land on a stored seed: some of these last-level children do.
+            (
+                "a4p",
+                ["--max-depth", "3"],
+                "4a93078ad6d78f4abfd09f379637b9a2d242c4e83783faea84205e4cf9ce3262",
+            ),
+            (
+                "d4",
+                ["--max-depth", "2"],
+                "629bc4eca8b72728a0e2ae0fbf6931b53392b72aab2f23b06f54f76cfa164f31",
             ),
         ],
     )
