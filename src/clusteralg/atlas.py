@@ -47,8 +47,19 @@ stored: a stored child keeps its parent's positions, so the edge between
 them is the direction k the child was made in at both ends, and the two
 seeds differ only in the variable at position k.  Crossing from u to w
 exchanges once, at u's stored B and y with the expansions of u's
-variables, only when w's k-th variable is still unknown.  So a host costs
-exactly (variables - n) exchanges and no matrix or coefficient mutation.
+variables, only when w's k-th variable is still unknown.
+
+Most hosts take their expansions from a twin instead: an expanded host g
+whose (B, y) is the host h's under a simultaneous permutation pi of
+positions.  The field map x_{g,pi(p)} -> x_{h,p}, fixing coefficients,
+commutes with mutation (Assem, Schiffler and Shramchenko, "Cluster
+automorphisms", 2012), so it carries each expansion at g to the one at h;
+any pi gives the same, as an expansion is unique.  The walk steps g's exact
+seed, aligned to h's positions, along with its own over the edge table, and
+takes each variable it names from g, x exponents moved from g's id ranks to
+h's; g checked it for positivity.  Where that step leaves a capped atlas,
+the crossing and those below it exchange.  E6 has 67 classes of (B, y)
+among its 833 hosts; under principal coefficients each host is its own.
 
 Walks that only need to know which variables a seed holds do no
 arithmetic at all.  An exact seed (positions intact) is the pair of its
@@ -68,13 +79,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .laurent import LaurentPoly
 # mutate_path is not called here.  perfbench/tracer.py patches the name
 # clusteralg.atlas.mutate_path, and tests/test_benchmark_contract.py checks
 # that every name the tracer patches resolves.
-from .seed import Seed, exchange, mutate, mutate_path, mutate_with  # noqa: F401
+from .seed import Rows, Seed, exchange, mutate, mutate_path, mutate_with  # noqa: F401
 
 Cluster = tuple[int, ...]
 # An exact seed, positions intact: (stored seed id, variable ids by position).
@@ -105,6 +116,41 @@ def _exchange_input(seed: Seed, ids: tuple[int, ...], k: int) -> tuple:
             sorted((v, row[k - 1]) for v, row in zip(ids, seed.b.rows) if row[k - 1])
         ),
     )
+
+
+def matching_permutations(
+    rows: Rows, labels: Sequence, want: Rows, want_labels: Sequence
+) -> Iterator[tuple[int, ...]]:
+    """Simultaneous position permutations carrying (rows, labels) onto
+    (want, want_labels), in lexicographic order: position i of want is
+    position perm[i] of rows, so rows[perm[i]][perm[j]] == want[i][j] and
+    labels[perm[i]] == want_labels[i].
+
+    perm is assigned one position at a time, smallest value first, and a
+    value is kept only if its label and every entry it fixes against the
+    positions already assigned match; diagonals are zero in both matrices.
+    """
+    n = len(want)
+    perm: list[int] = []
+
+    def extend() -> Iterator[tuple[int, ...]]:
+        i = len(perm)
+        if i == n:
+            yield tuple(perm)
+            return
+        for p in range(n):
+            if p in perm or labels[p] != want_labels[i]:
+                continue
+            row = rows[p]
+            if all(
+                row[q] == want[i][j] and rows[q][p] == want[j][i]
+                for j, q in enumerate(perm)
+            ):
+                perm.append(p)
+                yield from extend()
+                perm.pop()
+
+    return extend()
 
 
 def _canonical_seed_key(seed: Seed) -> tuple:
@@ -144,6 +190,9 @@ class PatternAtlas:
         self.tree: list[list[tuple[int, int]]] = []
         self._seed_keys: dict[tuple, int] = {}
         self._expand_cache: dict[Cluster, dict[int, LaurentPoly]] = {}
+        # Hosts expanded by exchanges, by a shape that position permutations
+        # keep: the sorted (sorted row p of B, y_p).
+        self._twins: dict[tuple, list[int]] = {}
         self._ireach_cache: dict[frozenset, dict[Cluster, tuple[int, ...]]] = {}
         self._by_face: dict[Cluster, list[Cluster]] | None = None
         self.derived: dict = {}
@@ -159,7 +208,6 @@ class PatternAtlas:
         # parent: the (seed index, direction) the seed was made from, None
         # for the root.  Only here is the discovery tree written.
         sid = len(self.seeds)
-        self.seeds.append(seed)
         self.tree.append([] if parent is None else [parent])
         if parent is not None:
             self.tree[parent[0]].append((sid, parent[1]))
@@ -172,6 +220,9 @@ class PatternAtlas:
                 self.variables.append(p)
                 self._var_ids[p] = vid
             ids.append(vid)
+        # The stored seed holds the interned objects, not equal copies.
+        interned = tuple([self.variables[vid] for vid in ids])
+        self.seeds.append(Seed._trusted(seed.b, seed.y, interned))
         self.seed_variable_ids.append(tuple(ids))
         cluster = tuple(sorted(ids))
         if cluster not in self.cluster_to_seed:
@@ -318,27 +369,62 @@ class PatternAtlas:
         if known is not None:
             return known[v]
         n, m = self.n, self.m
-        known = {u: LaurentPoly.variable(n, m, r) for r, u in enumerate(c, 1)}
         seeds, ids = self.seeds, self.seed_variable_ids
+        host = self.cluster_to_seed[c]
+        b, y = seeds[host].b, seeds[host].y
+        twins = self._twins.setdefault(
+            tuple(sorted(zip(map(tuple, map(sorted, b.rows)), y))), []
+        )
+        # A twin: an expanded host g whose (B, y) is the host's up to a
+        # position permutation, as an exact seed aligned to the host's
+        # positions; it then mutates in step with the walk.
+        mirror = twin_known = pick = None
+        for g in twins:
+            perm = next(
+                matching_permutations(seeds[g].b.rows, seeds[g].y, b.rows, y), None
+            )
+            if perm is not None:
+                mirror = (g, tuple([ids[g][q] for q in perm]))
+                break
+        if mirror is not None:
+            twin_cluster = sorted(mirror[1])
+            twin_known = self._expand_cache[tuple(twin_cluster)]
+            # The host's r-th coordinate is the twin's order[r]-th.
+            order = [twin_cluster.index(mirror[1][ids[host].index(u)]) for u in c]
+            if order != list(range(n)):  # so n > 1, and pick gives tuples
+                pick = itemgetter(*order)
+        known = {u: LaurentPoly.variable(n, m, r) for r, u in enumerate(c, 1)}
         # Breadth first from the host, so each variable is exchanged at a
         # seed nearest the host.  Expansions tend to grow with that distance:
         # walking down from the root instead made E6 degree-properties 2.5
         # times slower.
-        walked = [(self.cluster_to_seed[c], -1)]  # (seed, seed walked from)
+        walked = [(host, -1, mirror)]  # (seed, seed walked from, twin's seed)
         count = len(self.variables)
-        for u, came_from in walked:
+        for u, came_from, twin in walked:
             if len(known) == count:
                 break
             for w, k in self.tree[u]:
                 if w == came_from:
                     continue
-                walked.append((w, u))
+                # None once the twin's step leaves a capped atlas.
+                step = None if twin is None else self.mutate_state(twin, k)
+                walked.append((w, u, step))
                 new = ids[w][k - 1]
-                if new not in known:
+                if new in known:
+                    continue
+                if step is not None:
+                    p = twin_known[step[1][k - 1]]
+                    if pick is not None:
+                        terms = {pick(key) + key[n:]: a for key, a in p.terms.items()}
+                        p = LaurentPoly._trusted(n, m, terms)
+                    known[new] = p
+                else:
                     seed = Seed._trusted(
                         seeds[u].b, seeds[u].y, tuple([known[i] for i in ids[u]])
                     )
                     known[new] = exchange(seed, k)
+        if mirror is None:
+            twins.append(host)
         self._expand_cache[c] = known
         return known[v]
 

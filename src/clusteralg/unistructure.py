@@ -40,11 +40,12 @@ from .atlas import (
     IncompleteAtlasError,
     PatternAtlas,
     graphs_equal,
+    matching_permutations,
 )
 from .compat import compatibility_matrix
 from .laurent import Exponents, LaurentPoly
 from .reports import VerificationReport
-from .seed import ExchangeMatrix, Rows
+from .seed import ExchangeMatrix
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -270,34 +271,10 @@ def _identification_candidates(
 ) -> Iterable[tuple[int, tuple[int, ...]]]:
     """Stored seeds of a1 under a simultaneous position permutation
     (position i takes position perm[i]) whose matrix equals b2, each
-    seed's permutations in lexicographic order.
-
-    perm is assigned one position at a time, smallest value first, and a
-    value is kept only if every entry it fixes against the positions
-    already assigned matches b2; diagonals are zero in both matrices.
-    """
-    n = a1.n
-    want = b2.rows
-
-    def extend(rows: Rows, perm: list[int]) -> Iterable[tuple[int, ...]]:
-        i = len(perm)
-        if i == n:
-            yield tuple(perm)
-            return
-        for p in range(n):
-            if p in perm:
-                continue
-            row = rows[p]
-            if all(
-                row[q] == want[i][j] and rows[q][p] == want[j][i]
-                for j, q in enumerate(perm)
-            ):
-                perm.append(p)
-                yield from extend(rows, perm)
-                perm.pop()
-
+    seed's permutations in lexicographic order."""
+    unlabeled = (None,) * a1.n
     for sid, seed in enumerate(a1.seeds):
-        for perm in extend(seed.b.rows, []):
+        for perm in matching_permutations(seed.b.rows, unlabeled, b2.rows, unlabeled):
             yield sid, perm
 
 

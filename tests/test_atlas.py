@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -78,6 +78,49 @@ AFFINE_3_ROWS = [[0, 1, 0], [-2, 0, 2], [0, -1, 0]]
 def infinite_rank2(max_seeds=12):
     root = root_seed(ExchangeMatrix([[0, 2], [-2, 0]]), "trivial")
     return explore(root, ExploreCaps(max_seeds=max_seeds))
+
+
+def count_binomials(monkeypatch) -> list[int]:
+    """Record the direction of every exchange binomial from here on: one
+    per exchange, whether a mutation or the expansion walk asked for it."""
+    calls: list[int] = []
+    original = clusteralg.seed.exchange_binomial
+
+    def counted(seed, k):
+        calls.append(k)
+        return original(seed, k)
+
+    monkeypatch.setattr(clusteralg.seed, "exchange_binomial", counted)
+    return calls
+
+
+def twin_orders(atlas, sid, earlier) -> set[tuple[int, ...]]:
+    """Brute force over every host g in ``earlier`` and every position
+    permutation carrying g's (B, y) onto stored seed sid's: the coordinate
+    of g that each of sid's ascending-id coordinates relabels.  Empty when
+    no earlier host is a twin of sid."""
+    n = atlas.n
+    seed, ids = atlas.seeds[sid], atlas.seed_variable_ids[sid]
+    orders = set()
+    for g in earlier:
+        twin, twin_ids = atlas.seeds[g], atlas.seed_variable_ids[g]
+        for perm in permutations(range(n)):
+            if all(
+                twin.y[perm[i]] == seed.y[i]
+                and all(
+                    twin.b.rows[perm[i]][perm[j]] == seed.b.rows[i][j]
+                    for j in range(n)
+                )
+                for i in range(n)
+            ):
+                twin_cluster = sorted(twin_ids)
+                orders.add(
+                    tuple(
+                        twin_cluster.index(twin_ids[perm[ids.index(u)]])
+                        for u in sorted(ids)
+                    )
+                )
+    return orders
 
 
 class EveryDirectionAtlas(PatternAtlas):
@@ -396,6 +439,21 @@ class TestClosures:
         assert later
         assert all(id(x_k) in interned for x_k in later)
 
+    @pytest.mark.parametrize(
+        "rows, coefficients, caps",
+        [
+            (D5_ROWS, "trivial", None),
+            (A4_ROWS, "principal", ExploreCaps(20)),
+            ([[0, 3], [-3, 0]], "trivial", ExploreCaps(max_depth=4)),
+        ],
+    )
+    def test_stored_seeds_hold_the_interned_variables(
+        self, rows, coefficients, caps
+    ):
+        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients), caps)
+        for seed, ids in zip(atlas.seeds, atlas.seed_variable_ids):
+            assert all(p is atlas.variables[v] for p, v in zip(seed.x, ids))
+
     # The memo key must tell apart every input of the exchange: each case
     # differs from the base (A2 principal, direction 1, variable ids (0, 1))
     # in exactly one of them.
@@ -578,7 +636,8 @@ class TestExpand:
         assert a.normalize_cluster((1, 0)) == (0, 1)
 
     def test_tree_replay_matches_per_pair_replay(
-        self, a2_trivial, b2_trivial, g2_trivial, a3_trivial, a3_principal
+        self, a2_trivial, b2_trivial, g2_trivial, a3_trivial, a3_principal,
+        monkeypatch,
     ):
         # Reference: one full replay per (host seed, variable), host to
         # root and on to the variable's first seed, in the host's position
@@ -592,14 +651,35 @@ class TestExpand:
             all((sid, k) not in capped.edges for k in range(1, capped.n + 1))
             for sid in range(len(capped.seeds))
         )
-        for atlas in atlases + (infinite_rank2(), capped):
+        # Twin hosts: D4 relabels coordinates; every Kronecker host past the
+        # root has a twin, and on both capped atlases the twin's lockstep
+        # walk leaves the atlas, so the host falls back to exchanges.
+        d4 = explore(root_seed(ExchangeMatrix(D4_ROWS), "trivial"))
+        kronecker = explore(
+            root_seed(ExchangeMatrix([[0, 2], [-2, 0]]), "trivial"),
+            ExploreCaps(max_depth=6),
+        )
+        a4_capped = explore(
+            root_seed(ExchangeMatrix(A4_ROWS), "trivial"), ExploreCaps(20)
+        )
+        binomials = count_binomials(monkeypatch)
+        work = {}
+        for atlas in atlases + (infinite_rank2(), capped, d4, kronecker, a4_capped):
             n, m = atlas.n, atlas.m
             first_seed = {}
             for tid, ids in enumerate(atlas.seed_variable_ids):
                 for v in ids:
                     first_seed.setdefault(v, tid)
             assert len(atlas.cluster_to_seed) == len(atlas.seeds)
+            expanded, computed, untwinned, relabeled = [], 0, 0, False
             for cluster, sid in atlas.cluster_to_seed.items():
+                orders = twin_orders(atlas, sid, expanded)
+                untwinned += not orders
+                relabeled |= bool(orders) and tuple(range(n)) not in orders
+                expanded.append(sid)
+                del binomials[:]
+                atlas.expand(0, cluster)
+                computed += len(binomials)
                 host = atlas.seeds[sid]
                 fresh = Seed(
                     host.b,
@@ -622,11 +702,24 @@ class TestExpand:
                         },
                     )
                     assert atlas.expand(v, cluster) == want
+            per_host = len(atlas.variables) - n
+            # Exchanges at the hosts without a twin, computed, at every host.
+            work[atlas] = (untwinned * per_host, computed, len(expanded) * per_host)
+            if atlas is d4:
+                assert relabeled
+        lowest, computed, highest = work[d4]
+        assert lowest == computed < highest
+        for atlas in (kronecker, a4_capped):
+            lowest, computed, highest = work[atlas]
+            assert lowest < computed < highest
 
-    def test_rerooting_exchanges_once_per_variable_not_held(self, monkeypatch):
-        # A host reaches each variable it does not hold by one exchange at a
-        # stored seed's B and y, mutating no seed; a second round reads the
-        # cache.
+    def test_rerooting_exchanges_only_at_hosts_without_a_twin(self, monkeypatch):
+        # A host whose (B, y) is an earlier host's up to a position
+        # permutation relabels that host's expansions, with no exchange and
+        # no mutation.  Any other host reaches each variable it does not
+        # hold by one exchange at a stored seed's B and y.  Principal
+        # coefficients give every seed its own y, so no host has a twin.  A
+        # second round reads the cache.
         atlases = [
             explore(root_seed(ExchangeMatrix(rows), coefficients))
             for rows, coefficients in [
@@ -636,22 +729,21 @@ class TestExpand:
             ]
         ]
         mutations = count_mutations(monkeypatch)
-        binomials = []
-        original = clusteralg.seed.exchange_binomial
-
-        def counted(seed, k):
-            binomials.append(k)
-            return original(seed, k)
-
-        monkeypatch.setattr(clusteralg.seed, "exchange_binomial", counted)
+        binomials = count_binomials(monkeypatch)
         for atlas in atlases:
             count = len(atlas.variables)
+            expanded, twins = [], 0
             for cluster in atlas.clusters:
+                sid = atlas.cluster_to_seed[cluster]
+                twinned = bool(twin_orders(atlas, sid, expanded))
+                expanded.append(sid)
+                twins += twinned
                 for v in range(count):
                     atlas.expand(v, cluster)
-                assert len(binomials) == count - atlas.n
+                assert len(binomials) == (0 if twinned else count - atlas.n)
                 assert mutations == []
                 del binomials[:]
+            assert (twins == 0) == (atlas.coefficients == "principal")
             for cluster in atlas.clusters:
                 for v in range(count):
                     atlas.expand(v, cluster)

@@ -64,6 +64,11 @@ D4_TRIVIAL = {
     "B": [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]],
     "coefficients": "trivial",
 }
+B3_TRIVIAL = {
+    "n": 3,
+    "B": [[0, 1, 0], [-1, 0, 1], [0, -2, 0]],
+    "coefficients": "trivial",
+}
 # D5 as the benchmark catalogue orients it: the chain 1-2-3-4 and the
 # branch 3-5.
 D5_TRIVIAL = {
@@ -91,6 +96,7 @@ def seeds(tmp_path):
         ("a4_rerooted", A4_REROOTED),
         ("a4p", A4_PRINCIPAL),
         ("a5p", A5_PRINCIPAL),
+        ("b3", B3_TRIVIAL),
         ("d4", D4_TRIVIAL),
         ("d5", D5_TRIVIAL),
         ("inf", INFINITE),
@@ -690,6 +696,45 @@ class TestDeterminism:
             (
                 ["dvector", "--seed", "{a3p}", "--var", "1", "--cluster", "5 7 8"],
                 "ce05c204ff512d9fc2b2c25b2c1dbcbb5d731d6e8652bf35ee798862fdea29d8",
+            ),
+            # Pinned before hosts relabelled a twin host's expansions.
+            (
+                ["verify", "degree-properties", "--seed", "{d4}"],
+                "e399933b92e3e1cb51f0eb331b4175e6edf58d4b26dfb2cd327cbf516a1618fd",
+            ),
+            (
+                ["verify", "witnesses", "--seed", "{d4}"],
+                "7affc95c2407206ca8c9bb7ab31b479fe997bb80c26bdadedede9d76bc1e96a8",
+            ),
+            (
+                ["verify", "maximal-sets", "--seed", "{d4}"],
+                "c7d563f1c990971c3f514ecb47b9404cd92f22d1b4b93c44c813b9b90d7d061e",
+            ),
+            (
+                ["verify", "degree-properties", "--seed", "{b3}"],
+                "c51c3582d6571ac7d5d1cf60e2daea86b981f4f0eaab7741ad441fe7e437191c",
+            ),
+            (
+                ["verify", "witnesses", "--seed", "{b3}"],
+                "c205500c48d1a63909127d450bc6a61879a9855753dd90cad2885bde177b689e",
+            ),
+            (
+                ["verify", "maximal-sets", "--seed", "{b3}"],
+                "8e7a91b7eea2ffad5bac5653c42e7123fb219379737b1568f6b619c195fee90f",
+            ),
+            (
+                [
+                    "expand",
+                    "--seed",
+                    "{a4}",
+                    "--max-seeds",
+                    "20",
+                    "--var",
+                    "11",
+                    "--cluster",
+                    "0 1 7 10",
+                ],
+                "f4c4d4b170ea32c749095f11cc6d1307bd919d3952dcd357afe280a772ca3678",
             ),
         ],
     )
