@@ -20,26 +20,27 @@ from clusteralg import (
     root_seed,
     verify_unistructural,
 )
-
-TYPES: dict[str, list[list[int]]] = {
-    "A2": [[0, 1], [-1, 0]],
-    "B2": [[0, 2], [-1, 0]],
-    "G2": [[0, 3], [-1, 0]],
-    "A3": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
-}
+from clusteralg.catalogue import finite_type, matrix
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--type", choices=sorted(TYPES), default="A2")
+    parser.add_argument(
+        "--type",
+        type=finite_type,
+        default=("A", 2),
+        metavar="TYPE",
+        help="a finite catalogue type, such as A3, C4, D5, E6, F4 or G2",
+    )
     parser.add_argument(
         "--certificates", action="store_true", help="print every certificate in full"
     )
     args = parser.parse_args(argv)
 
-    atlas = explore(root_seed(ExchangeMatrix(TYPES[args.type]), "trivial"))
+    family, n = args.type
+    atlas = explore(root_seed(ExchangeMatrix(matrix(family, n)), "trivial"))
     print(
-        f"{args.type}: {len(atlas.variables)} variables, "
+        f"{family}{n}: {len(atlas.variables)} variables, "
         f"{len(atlas.clusters)} clusters, {len(atlas.seeds)} stored seeds"
     )
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Run every verification suite over the small finite type patterns.
 
-Builds complete atlases for the four smallest finite types, with trivial
-coefficients for the degree and witness suites and principal
-coefficients for the g-pair suite, and prints each report.  Exits
-nonzero if any suite does not pass.
+Builds complete atlases for finite types of the catalogue (by default
+A2, A3, B2 and G2), with trivial coefficients for the degree and witness
+suites and principal coefficients for the g-pair suite, and prints each
+report.  Exits nonzero if any suite does not pass.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from clusteralg import (
     verify_maximal_sets,
     witness_sweep,
 )
-
-TYPES: dict[str, list[list[int]]] = {
-    "A2": [[0, 1], [-1, 0]],
-    "B2": [[0, 2], [-1, 0]],
-    "G2": [[0, 3], [-1, 0]],
-    "A3": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
-}
+from clusteralg.catalogue import finite_type, matrix
 
 SUITES = ("degree-properties", "maximal-sets", "witnesses", "g-pairs")
 
@@ -35,14 +29,19 @@ SUITES = ("degree-properties", "maximal-sets", "witnesses", "g-pairs")
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--types", nargs="+", choices=sorted(TYPES), default=sorted(TYPES)
+        "--types",
+        nargs="+",
+        type=finite_type,
+        default=[("A", 2), ("A", 3), ("B", 2), ("G", 2)],
+        metavar="TYPE",
+        help="finite catalogue types, such as A3, C4, D5, E6, F4 or G2",
     )
     parser.add_argument("--suites", nargs="+", choices=SUITES, default=list(SUITES))
     args = parser.parse_args(argv)
 
     failures = 0
-    for label in args.types:
-        rows = TYPES[label]
+    for family, n in args.types:
+        label, rows = f"{family}{n}", matrix(family, n)
         trivial = explore(root_seed(ExchangeMatrix(rows), "trivial"))
         principal = explore(root_seed(ExchangeMatrix(rows), "principal"))
         runs = {

@@ -6,50 +6,25 @@ import pytest
 
 import clusteralg.atlas
 import clusteralg.seed
-from clusteralg import ExchangeMatrix, explore, random_exchange_matrix, root_seed
+from clusteralg import ExchangeMatrix, explore, root_seed
+from clusteralg.catalogue import matrix
 
-__all__ = ["random_exchange_matrix"]
-
-A2_ROWS = [[0, 1], [-1, 0]]
-B2_ROWS = [[0, 2], [-1, 0]]
-G2_ROWS = [[0, 3], [-1, 0]]
-A3_ROWS = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
-B3_ROWS = [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]
-C3_ROWS = [[0, 1, 0], [-1, 0, 2], [0, -1, 0]]
-A4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
-D4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
-A5_ROWS = [
-    [0, 1, 0, 0, 0],
-    [-1, 0, 1, 0, 0],
-    [0, -1, 0, 1, 0],
-    [0, 0, -1, 0, 1],
-    [0, 0, 0, -1, 0],
-]
-# D5: the chain 1-2-3-4 and the branch 3-5.
-D5_ROWS = [
-    [0, 1, 0, 0, 0],
-    [-1, 0, 1, 0, 0],
-    [0, -1, 0, 1, 1],
-    [0, 0, -1, 0, 0],
-    [0, 0, -1, 0, 0],
-]
-A6_ROWS = [
-    [0, 1, 0, 0, 0, 0],
-    [-1, 0, 1, 0, 0, 0],
-    [0, -1, 0, 1, 0, 0],
-    [0, 0, -1, 0, 1, 0],
-    [0, 0, 0, -1, 0, 1],
-    [0, 0, 0, 0, -1, 0],
-]
-# E6: the chain 1-2-3-4-5 and the branch 3-6.
-E6_ROWS = [
-    [0, 1, 0, 0, 0, 0],
-    [-1, 0, 1, 0, 0, 0],
-    [0, -1, 0, 1, 0, 1],
-    [0, 0, -1, 0, 1, 0],
-    [0, 0, 0, -1, 0, 0],
-    [0, 0, -1, 0, 0, 0],
-]
+A1_ROWS = matrix("A", 1)
+A2_ROWS = matrix("A", 2)
+B2_ROWS = matrix("B", 2)
+# The rank-2 double edge b12 = 2 the tests use is C2; B2 is its transpose.
+C2_ROWS = matrix("C", 2)
+G2_ROWS = matrix("G", 2)
+A3_ROWS = matrix("A", 3)
+B3_ROWS = matrix("B", 3)
+C3_ROWS = matrix("C", 3)
+A4_ROWS = matrix("A", 4)
+D4_ROWS = matrix("D", 4)
+A5_ROWS = matrix("A", 5)
+D5_ROWS = matrix("D", 5)
+KRONECKER_2_ROWS = matrix("Kronecker", 2)
+KRONECKER_3_ROWS = matrix("Kronecker", 3)
+MARKOV_ROWS = matrix("Markov")
 
 
 def count_mutations(monkeypatch) -> list[int]:
@@ -84,8 +59,8 @@ def a2_trivial():
 
 
 @pytest.fixture(scope="session")
-def b2_trivial():
-    return explore(root_seed(ExchangeMatrix(B2_ROWS), "trivial"))
+def c2_trivial():
+    return explore(root_seed(ExchangeMatrix(C2_ROWS), "trivial"))
 
 
 @pytest.fixture(scope="session")
@@ -104,8 +79,8 @@ def a2_principal():
 
 
 @pytest.fixture(scope="session")
-def b2_principal():
-    return explore(root_seed(ExchangeMatrix(B2_ROWS), "principal"))
+def c2_principal():
+    return explore(root_seed(ExchangeMatrix(C2_ROWS), "principal"))
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,7 @@ from clusteralg import (
     explore,
     g_vector,
     mutate,
+    random_exchange_matrix,
     root_seed,
     verify_degree_properties,
     verify_g_pairs,
@@ -34,7 +35,8 @@ from clusteralg import (
     verify_unistructural,
     witness_sweep,
 )
-from conftest import A2_ROWS, A3_ROWS, B2_ROWS, G2_ROWS, random_exchange_matrix
+from clusteralg.catalogue import finite_counts, matrix
+from conftest import A2_ROWS
 
 # Mutating past this many terms in any one variable signals a wild-type
 # blowup; random walks stop early there but still check every variable
@@ -170,19 +172,21 @@ def _assert_single_cycle(graph) -> None:
 
 
 def test_03_finite_type_closures():
+    # C2 (b12 = 2), not B2: the catalogue's B2 is its transpose.
     cases = [
-        ("A2", A2_ROWS, 5, 5, "cycle"),
-        ("B2", B2_ROWS, 6, 6, "cycle"),
-        ("G2", G2_ROWS, 8, 8, "cycle"),
-        ("A3", A3_ROWS, 9, 14, "cubic"),
+        ("A", 2, "cycle"),
+        ("C", 2, "cycle"),
+        ("G", 2, "cycle"),
+        ("A", 3, "cubic"),
     ]
     with criterion(3, "finite type closures", 20.0):
-        for label, rows, n_vars, n_clusters, shape in cases:
+        for family, n, shape in cases:
+            label = f"{family}{n}"
             start = time.perf_counter()
-            atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
+            atlas = explore(root_seed(ExchangeMatrix(matrix(family, n)), "trivial"))
             assert atlas.complete, label
-            assert len(atlas.variables) == n_vars, label
-            assert len(atlas.clusters) == n_clusters, label
+            counts = (len(atlas.variables), len(atlas.clusters))
+            assert counts == finite_counts(family, n), label
             graph = atlas.exchange_graph()
             if shape == "cycle":
                 _assert_single_cycle(graph)
@@ -238,44 +242,44 @@ def test_04_distinct_cluster_monomials_have_distinct_g_vectors(
 
 
 def test_05_g_pair_partner_exists_for_every_cluster_and_subset(
-    a2_principal, a3_principal, b2_principal
+    a2_principal, a3_principal, c2_principal
 ):
     with criterion(5, "g-pair partners for all (cluster, subset)", 60.0):
-        for atlas in (a2_principal, a3_principal, b2_principal):
+        for atlas in (a2_principal, a3_principal, c2_principal):
             report = verify_g_pairs(atlas)
             assert report.status == "pass", report.text()
 
 
 def test_06_compatibility_degree_properties(
-    a2_trivial, a3_trivial, b2_trivial, g2_trivial
+    a2_trivial, a3_trivial, c2_trivial, g2_trivial
 ):
     with criterion(6, "compatibility degree properties", 60.0):
-        for atlas in (a2_trivial, a3_trivial, b2_trivial, g2_trivial):
+        for atlas in (a2_trivial, a3_trivial, c2_trivial, g2_trivial):
             report = verify_degree_properties(atlas)
             assert report.status == "pass", report.text()
 
 
 def test_07_maximal_compatible_sets_are_clusters(
-    a2_trivial, a3_trivial, b2_trivial, g2_trivial
+    a2_trivial, a3_trivial, c2_trivial, g2_trivial
 ):
     with criterion(7, "maximal compatible sets equal clusters", 30.0):
-        for atlas in (a2_trivial, a3_trivial, b2_trivial, g2_trivial):
+        for atlas in (a2_trivial, a3_trivial, c2_trivial, g2_trivial):
             report = verify_maximal_sets(atlas)
             assert report.status == "pass", report.text()
 
 
-def test_08_laurent_witness_trichotomy_sweep(a2_trivial, a3_trivial, b2_trivial):
+def test_08_laurent_witness_trichotomy_sweep(a2_trivial, a3_trivial, c2_trivial):
     with criterion(8, "Laurent witness trichotomy", 60.0):
-        for atlas in (a2_trivial, a3_trivial, b2_trivial):
+        for atlas in (a2_trivial, a3_trivial, c2_trivial):
             report = witness_sweep(atlas)
             assert report.status == "pass", report.text()
 
 
 def test_09_unistructural_verification_and_certificates(
-    a2_trivial, a3_trivial, b2_trivial
+    a2_trivial, a3_trivial, c2_trivial
 ):
     with criterion(9, "unistructural verification", 120.0):
-        for atlas in (a2_trivial, a3_trivial, b2_trivial):
+        for atlas in (a2_trivial, a3_trivial, c2_trivial):
             for sid, stored in enumerate(atlas.seeds):
                 rerooted = explore(root_seed(stored.b, "trivial"))
                 report = verify_unistructural(atlas, rerooted)
@@ -308,11 +312,11 @@ CLI_COMMANDS = [
 def test_10_cli_output_is_deterministic(tmp_path):
     trivial = tmp_path / "a2.json"
     trivial.write_text(
-        json.dumps({"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "trivial"})
+        json.dumps({"n": 2, "B": A2_ROWS, "coefficients": "trivial"})
     )
     principal = tmp_path / "a2p.json"
     principal.write_text(
-        json.dumps({"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "principal"})
+        json.dumps({"n": 2, "B": A2_ROWS, "coefficients": "principal"})
     )
     # The child process imports the package this test imported.
     src = os.path.dirname(os.path.dirname(clusteralg.__file__))

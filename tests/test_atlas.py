@@ -28,20 +28,24 @@ from clusteralg.atlas import (
     _exchange_input,
     _json_text,
 )
+from clusteralg.catalogue import finite_counts, matrix
 from clusteralg.seed import exchange, mutate
 from conftest import (
+    A1_ROWS,
     A2_ROWS,
     A3_ROWS,
     A4_ROWS,
     A5_ROWS,
-    A6_ROWS,
     B2_ROWS,
     B3_ROWS,
+    C2_ROWS,
     C3_ROWS,
     D4_ROWS,
     D5_ROWS,
-    E6_ROWS,
     G2_ROWS,
+    KRONECKER_2_ROWS,
+    KRONECKER_3_ROWS,
+    MARKOV_ROWS,
     corrupt_first_edge,
     count_mutations,
 )
@@ -69,14 +73,12 @@ A2_PENTAGON_DOT = """graph exchange {
 """
 
 
-MARKOV_ROWS = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
-KRONECKER_3_ROWS = [[0, 3], [-3, 0]]
 # An affine type of rank 3: not of finite type, so only a depth cap ends it.
 AFFINE_3_ROWS = [[0, 1, 0], [-2, 0, 2], [0, -1, 0]]
 
 
 def infinite_rank2(max_seeds=12):
-    root = root_seed(ExchangeMatrix([[0, 2], [-2, 0]]), "trivial")
+    root = root_seed(ExchangeMatrix(KRONECKER_2_ROWS), "trivial")
     return explore(root, ExploreCaps(max_seeds=max_seeds))
 
 
@@ -234,9 +236,9 @@ class TestClosures:
         assert a.seed_variable_ids == [(0, 1), (2, 1), (0, 3), (2, 4), (4, 3)]
         assert [a.path(sid) for sid in range(5)] == [(), (1,), (2,), (1, 2), (2, 1)]
 
-    def test_closure_sizes(self, b2_trivial, g2_trivial, a3_trivial):
+    def test_closure_sizes(self, c2_trivial, g2_trivial, a3_trivial):
         for atlas, seeds, variables, clusters in [
-            (b2_trivial, 6, 6, 6),
+            (c2_trivial, 6, 6, 6),
             (g2_trivial, 8, 8, 8),
             (a3_trivial, 14, 9, 14),
         ]:
@@ -245,37 +247,34 @@ class TestClosures:
             assert len(atlas.variables) == variables
             assert len(atlas.clusters) == clusters
 
-    # Cluster variables and clusters of the finite types, from Fomin and
-    # Zelevinsky, "Y-systems and generalized associahedra" (2003).
     @pytest.mark.parametrize(
-        "rows, coefficients, variables, clusters",
+        "family, n, coefficients",
         [
-            pytest.param(
-                rows, coefficients, variables, clusters, id=f"{name}-{coefficients}"
-            )
-            for name, rows, variables, clusters, choices in [
-                ("A4", A4_ROWS, 14, 42, ("trivial", "principal")),
-                ("A5", A5_ROWS, 20, 132, ("trivial", "principal")),
-                ("A6", A6_ROWS, 27, 429, ("trivial",)),
-                ("B3", B3_ROWS, 12, 20, ("trivial", "principal")),
-                ("C3", C3_ROWS, 12, 20, ("trivial", "principal")),
-                ("D4", D4_ROWS, 16, 50, ("trivial", "principal")),
-                ("D5", D5_ROWS, 25, 182, ("trivial", "principal")),
-                ("E6", E6_ROWS, 42, 833, ("trivial",)),
+            pytest.param(family, n, coefficients, id=f"{family}{n}-{coefficients}")
+            for family, n, choices in [
+                ("A", 4, ("trivial", "principal")),
+                ("A", 5, ("trivial", "principal")),
+                ("A", 6, ("trivial",)),
+                ("B", 3, ("trivial", "principal")),
+                ("C", 3, ("trivial", "principal")),
+                ("D", 4, ("trivial", "principal")),
+                ("D", 5, ("trivial", "principal")),
+                ("E", 6, ("trivial",)),
+                ("F", 4, ("trivial",)),
+                ("G", 2, ("trivial",)),
             ]
             for coefficients in choices
         ],
     )
-    def test_finite_type_counts(self, rows, coefficients, variables, clusters):
-        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients))
+    def test_finite_type_counts(self, family, n, coefficients):
+        atlas = explore(root_seed(ExchangeMatrix(matrix(family, n)), coefficients))
         assert atlas.complete
-        assert len(atlas.variables) == variables
-        assert len(atlas.clusters) == clusters
+        assert (len(atlas.variables), len(atlas.clusters)) == finite_counts(family, n)
         graph = atlas.exchange_graph()
         assert set(degrees(graph).values()) == {atlas.n}
 
     def test_rank_one(self):
-        a = explore(root_seed(ExchangeMatrix([[0]]), "trivial"))
+        a = explore(root_seed(ExchangeMatrix(A1_ROWS), "trivial"))
         assert a.complete
         assert [str(p) for p in a.variables] == ["x1", "2*x1^-1"]
         assert a.clusters == [(0,), (1,)]
@@ -302,7 +301,7 @@ class TestClosures:
             for rows, coefficients, caps in [
                 (B3_ROWS, "principal", ExploreCaps()),
                 (A4_ROWS, "principal", ExploreCaps(20)),
-                ([[0, 2], [-2, 0]], "trivial", ExploreCaps(max_depth=6)),
+                (KRONECKER_2_ROWS, "trivial", ExploreCaps(max_depth=6)),
             ]
         ]
         for atlas in atlases:
@@ -336,14 +335,14 @@ class TestClosures:
         "rows, coefficients, caps",
         [
             (A2_ROWS, "trivial", ExploreCaps()),
-            (B2_ROWS, "trivial", ExploreCaps()),
+            (C2_ROWS, "trivial", ExploreCaps()),
             (G2_ROWS, "trivial", ExploreCaps()),
             (A3_ROWS, "trivial", ExploreCaps()),
             (A3_ROWS, "principal", ExploreCaps()),
             (B3_ROWS, "principal", ExploreCaps()),
             (A4_ROWS, "principal", ExploreCaps(max_seeds=7)),
             (A4_ROWS, "principal", ExploreCaps(max_seeds=20)),
-            ([[0, 2], [-2, 0]], "trivial", ExploreCaps(max_depth=6)),
+            (KRONECKER_2_ROWS, "trivial", ExploreCaps(max_depth=6)),
             (MARKOV_ROWS, "trivial", ExploreCaps(max_depth=3)),
             # Finite types cut by depth: some last-level children land on a
             # stored seed, and the rest are skipped.
@@ -444,7 +443,7 @@ class TestClosures:
         [
             (D5_ROWS, "trivial", None),
             (A4_ROWS, "principal", ExploreCaps(20)),
-            ([[0, 3], [-3, 0]], "trivial", ExploreCaps(max_depth=4)),
+            (KRONECKER_3_ROWS, "trivial", ExploreCaps(max_depth=4)),
         ],
     )
     def test_stored_seeds_hold_the_interned_variables(
@@ -461,7 +460,7 @@ class TestClosures:
         "rows, y, ids",
         [
             pytest.param(A2_ROWS, [[-1, 0], [0, 1]], (0, 1), id="y_k"),
-            pytest.param([[0, 1], [-2, 0]], [[1, 0], [0, 1]], (0, 1), id="abs-b_ik"),
+            pytest.param(B2_ROWS, [[1, 0], [0, 1]], (0, 1), id="abs-b_ik"),
             pytest.param([[0, -1], [1, 0]], [[1, 0], [0, 1]], (0, 1), id="sign-b_ik"),
             pytest.param(A2_ROWS, [[1, 0], [0, 1]], (2, 1), id="x_k"),
             pytest.param(A2_ROWS, [[1, 0], [0, 1]], (0, 2), id="x_i"),
@@ -493,11 +492,11 @@ class TestClosures:
     @pytest.mark.parametrize(
         "rows, caps",
         [
-            ([[0]], ExploreCaps()),
+            (A1_ROWS, ExploreCaps()),
             (A3_ROWS, ExploreCaps()),
             (B3_ROWS, ExploreCaps()),
             (D4_ROWS, ExploreCaps()),
-            ([[0, 2], [-2, 0]], ExploreCaps(max_depth=6)),
+            (KRONECKER_2_ROWS, ExploreCaps(max_depth=6)),
         ],
     )
     def test_canonical_key_matches_entrywise_permutation(self, rows, caps):
@@ -636,13 +635,13 @@ class TestExpand:
         assert a.normalize_cluster((1, 0)) == (0, 1)
 
     def test_tree_replay_matches_per_pair_replay(
-        self, a2_trivial, b2_trivial, g2_trivial, a3_trivial, a3_principal,
+        self, a2_trivial, c2_trivial, g2_trivial, a3_trivial, a3_principal,
         monkeypatch,
     ):
         # Reference: one full replay per (host seed, variable), host to
         # root and on to the variable's first seed, in the host's position
         # coordinates, then permuted to ascending variable id.
-        atlases = (a2_trivial, b2_trivial, g2_trivial, a3_trivial, a3_principal)
+        atlases = (a2_trivial, c2_trivial, g2_trivial, a3_trivial, a3_principal)
         capped = explore(
             root_seed(ExchangeMatrix(A4_ROWS), "principal"), ExploreCaps(20)
         )
@@ -656,7 +655,7 @@ class TestExpand:
         # walk leaves the atlas, so the host falls back to exchanges.
         d4 = explore(root_seed(ExchangeMatrix(D4_ROWS), "trivial"))
         kronecker = explore(
-            root_seed(ExchangeMatrix([[0, 2], [-2, 0]]), "trivial"),
+            root_seed(ExchangeMatrix(KRONECKER_2_ROWS), "trivial"),
             ExploreCaps(max_depth=6),
         )
         a4_capped = explore(
@@ -806,9 +805,9 @@ class TestRestrictedReachability:
         assert str(a.expansion(ids[0])) == "x1^-1*x2 + x1^-1"
 
     def test_table_walk_matches_laurent_walk(
-        self, a2_trivial, b2_trivial, g2_trivial, a3_trivial, a3_principal
+        self, a2_trivial, c2_trivial, g2_trivial, a3_trivial, a3_principal
     ):
-        for atlas in (a2_trivial, b2_trivial, g2_trivial, a3_trivial, a3_principal):
+        for atlas in (a2_trivial, c2_trivial, g2_trivial, a3_trivial, a3_principal):
             for I in all_subsets(atlas.n):
                 want = laurent_i_reachable(atlas, I)
                 assert list(atlas.i_reachable(I).items()) == list(want.items())
@@ -857,8 +856,8 @@ class TestExchangeGraph:
         assert set(degrees(g).values()) == {2}
         assert g.to_dot() == A2_PENTAGON_DOT
 
-    def test_regularity(self, b2_trivial, g2_trivial, a3_trivial):
-        for atlas, degree in [(b2_trivial, 2), (g2_trivial, 2), (a3_trivial, 3)]:
+    def test_regularity(self, c2_trivial, g2_trivial, a3_trivial):
+        for atlas, degree in [(c2_trivial, 2), (g2_trivial, 2), (a3_trivial, 3)]:
             g = atlas.exchange_graph()
             assert set(degrees(g).values()) == {degree}
         assert len(a3_trivial.exchange_graph().edges) == 21
@@ -883,9 +882,9 @@ class TestExchangeGraph:
         mapped = g2.relabeled({v: v for v in range(5)}, table=g1.table)
         assert graphs_equal(g1, mapped)
 
-    def test_vertex_difference_is_reported(self, a2_trivial, b2_trivial):
+    def test_vertex_difference_is_reported(self, a2_trivial, c2_trivial):
         g1 = a2_trivial.exchange_graph()
-        g2 = b2_trivial.exchange_graph().relabeled(
+        g2 = c2_trivial.exchange_graph().relabeled(
             {v: v for v in range(6)}, table=g1.table
         )
         cmp = graphs_equal(g1, g2)
@@ -929,13 +928,13 @@ class TestSerialization:
         assert d["m"] == 0
         assert d["coefficients"] == "trivial"
         assert d["complete"] is True
-        assert d["root_b"] == [[0, 1], [-1, 0]]
+        assert d["root_b"] == A2_ROWS
         assert d["variables"] == A2_VARIABLES
         assert d["clusters"] == [[0, 1], [1, 2], [0, 3], [2, 4], [3, 4]]
         assert len(d["seeds"]) == 5
         assert d["seeds"][0] == {
             "path": [],
-            "b": [[0, 1], [-1, 0]],
+            "b": A2_ROWS,
             "y": [[], []],
             "variables": [0, 1],
         }
@@ -944,15 +943,15 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "rows, coefficients, caps",
         [
-            ([[0]], "principal", ExploreCaps()),
+            (A1_ROWS, "principal", ExploreCaps()),
             *[
                 (rows, coefficients, ExploreCaps())
-                for rows in (A2_ROWS, B2_ROWS, G2_ROWS, A3_ROWS)
+                for rows in (A2_ROWS, C2_ROWS, G2_ROWS, A3_ROWS)
                 for coefficients in ("trivial", "principal")
             ],
             (A4_ROWS, "principal", ExploreCaps(max_seeds=1)),
             (A2_ROWS, "trivial", ExploreCaps(max_depth=0)),
-            ([[0, 2], [-2, 0]], "principal", ExploreCaps(max_depth=6)),
+            (KRONECKER_2_ROWS, "principal", ExploreCaps(max_depth=6)),
             (MARKOV_ROWS, "trivial", ExploreCaps(max_depth=3)),
         ],
     )
@@ -972,7 +971,7 @@ class TestSerialization:
 
     def test_exploration_is_deterministic(self):
         runs = [
-            explore(root_seed(ExchangeMatrix(B2_ROWS), "trivial")).to_json()
+            explore(root_seed(ExchangeMatrix(C2_ROWS), "trivial")).to_json()
             for _ in range(2)
         ]
         assert runs[0] == runs[1]

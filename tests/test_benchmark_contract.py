@@ -10,7 +10,7 @@ import clusteralg.atlas
 import clusteralg.seed
 from clusteralg import ExchangeMatrix, explore, root_seed
 from clusteralg.atlas import ExploreCaps, PatternAtlas
-from conftest import A3_ROWS
+from conftest import A3_ROWS, KRONECKER_3_ROWS
 
 TRACER = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -68,6 +68,6 @@ def test_traced_layers_are_called_through_their_names(monkeypatch):
 
     monkeypatch.setattr(clusteralg.seed, "packed_binomial", counted_binomial)
     calls.update(mutate=0, exchange_binomial=0, exact_div=0)
-    explore(root_seed(ExchangeMatrix([[0, 3], [-3, 0]])), ExploreCaps(max_depth=4))
+    explore(root_seed(ExchangeMatrix(KRONECKER_3_ROWS)), ExploreCaps(max_depth=4))
     assert held
     assert calls["mutate"] == calls["exchange_binomial"] == calls["exact_div"]

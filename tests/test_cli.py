@@ -15,96 +15,47 @@ import clusteralg.seed
 from clusteralg import VerificationReport
 from clusteralg.cli import main
 from clusteralg.seed import PositivityError
-from conftest import corrupt_first_edge
+from conftest import (
+    A2_ROWS,
+    A3_ROWS,
+    A4_ROWS,
+    A5_ROWS,
+    B3_ROWS,
+    C2_ROWS,
+    D4_ROWS,
+    D5_ROWS,
+    KRONECKER_2_ROWS,
+    KRONECKER_3_ROWS,
+    MARKOV_ROWS,
+    corrupt_first_edge,
+)
 
-A2_TRIVIAL = {"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "trivial"}
-A2_PRINCIPAL = {"n": 2, "B": [[0, 1], [-1, 0]], "coefficients": "principal"}
-B2_PRINCIPAL = {"n": 2, "B": [[0, 2], [-1, 0]], "coefficients": "principal"}
-INFINITE = {"n": 2, "B": [[0, 2], [-2, 0]], "coefficients": "trivial"}
-KRONECKER_3 = {"n": 2, "B": [[0, 3], [-3, 0]], "coefficients": "trivial"}
-MARKOV = {
-    "n": 3,
-    "B": [[0, 2, -2], [-2, 0, 2], [2, -2, 0]],
-    "coefficients": "trivial",
-}
-A3_PRINCIPAL = {
-    "n": 3,
-    "B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
-    "coefficients": "principal",
-}
-A4_TRIVIAL = {
-    "n": 4,
-    "B": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
-    "coefficients": "trivial",
-}
-# A4_TRIVIAL mutated along directions 2 then 3.
-A4_REROOTED = {
-    "n": 4,
-    "B": [[0, 0, -1, 1], [0, 0, 1, 0], [1, -1, 0, -1], [-1, 0, 1, 0]],
-    "coefficients": "trivial",
-}
-A4_PRINCIPAL = {
-    "n": 4,
-    "B": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
-    "coefficients": "principal",
-}
-A5_PRINCIPAL = {
-    "n": 5,
-    "B": [
-        [0, 1, 0, 0, 0],
-        [-1, 0, 1, 0, 0],
-        [0, -1, 0, 1, 0],
-        [0, 0, -1, 0, 1],
-        [0, 0, 0, -1, 0],
-    ],
-    "coefficients": "principal",
-}
-D4_TRIVIAL = {
-    "n": 4,
-    "B": [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]],
-    "coefficients": "trivial",
-}
-B3_TRIVIAL = {
-    "n": 3,
-    "B": [[0, 1, 0], [-1, 0, 1], [0, -2, 0]],
-    "coefficients": "trivial",
-}
-# D5 as the benchmark catalogue orients it: the chain 1-2-3-4 and the
-# branch 3-5.
-D5_TRIVIAL = {
-    "n": 5,
-    "B": [
-        [0, 1, 0, 0, 0],
-        [-1, 0, 1, 0, 0],
-        [0, -1, 0, 1, 1],
-        [0, 0, -1, 0, 0],
-        [0, 0, -1, 0, 0],
-    ],
-    "coefficients": "trivial",
-}
+# A4 mutated along directions 2 then 3.
+A4_REROOTED = [[0, 0, -1, 1], [0, 0, 1, 0], [1, -1, 0, -1], [-1, 0, 1, 0]]
 
 
 @pytest.fixture()
 def seeds(tmp_path):
     files = {}
-    for name, data in [
-        ("a2", A2_TRIVIAL),
-        ("a2p", A2_PRINCIPAL),
-        ("a3p", A3_PRINCIPAL),
-        ("b2p", B2_PRINCIPAL),
-        ("a4", A4_TRIVIAL),
-        ("a4_rerooted", A4_REROOTED),
-        ("a4p", A4_PRINCIPAL),
-        ("a5p", A5_PRINCIPAL),
-        ("b3", B3_TRIVIAL),
-        ("d4", D4_TRIVIAL),
-        ("d5", D5_TRIVIAL),
-        ("inf", INFINITE),
-        ("inf_p", INFINITE | {"coefficients": "principal"}),
-        ("kron3", KRONECKER_3),
-        ("markov", MARKOV),
-        ("a2_moved", {"n": 2, "B": [[0, -1], [1, 0]], "coefficients": "trivial"}),
+    for name, rows, coefficients in [
+        ("a2", A2_ROWS, "trivial"),
+        ("a2p", A2_ROWS, "principal"),
+        ("a3p", A3_ROWS, "principal"),
+        ("c2p", C2_ROWS, "principal"),
+        ("a4", A4_ROWS, "trivial"),
+        ("a4_rerooted", A4_REROOTED, "trivial"),
+        ("a4p", A4_ROWS, "principal"),
+        ("a5p", A5_ROWS, "principal"),
+        ("b3", B3_ROWS, "trivial"),
+        ("d4", D4_ROWS, "trivial"),
+        ("d5", D5_ROWS, "trivial"),
+        ("inf", KRONECKER_2_ROWS, "trivial"),
+        ("inf_p", KRONECKER_2_ROWS, "principal"),
+        ("kron3", KRONECKER_3_ROWS, "trivial"),
+        ("markov", MARKOV_ROWS, "trivial"),
+        ("a2_moved", [[0, -1], [1, 0]], "trivial"),
     ]:
+        data = {"n": len(rows), "B": rows, "coefficients": coefficients}
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))
         files[name] = str(path)
@@ -636,7 +587,7 @@ class TestDeterminism:
         "argv, digest",
         [
             (
-                ["mutate", "--seed", "{b2p}", "--path", "1 2 1"],
+                ["mutate", "--seed", "{c2p}", "--path", "1 2 1"],
                 "bb18087ba8af3d4ca1437236ba0e0cbbddb8cadfdf353e90b878fc87c119207a",
             ),
             (
@@ -644,7 +595,7 @@ class TestDeterminism:
                 "75e70173d6648595263ed04b4f255f7b0d56b4ea3db91bc2f4c1f40b6976cfdb",
             ),
             (
-                ["witness", "--seed", "{b2p}", "--ref", "1", "--target", "4"],
+                ["witness", "--seed", "{c2p}", "--ref", "1", "--target", "4"],
                 "1a0d4234c4d14c93c3a947727dff852e6398d860e10065dd5876b4c17b567316",
             ),
         ],

@@ -18,7 +18,7 @@ from clusteralg import (
     verify_degree_properties,
     verify_maximal_sets,
 )
-from conftest import A3_ROWS, A4_ROWS, B3_ROWS, D4_ROWS
+from conftest import A1_ROWS, A3_ROWS, A4_ROWS, B3_ROWS, D4_ROWS, KRONECKER_2_ROWS
 
 
 def compatibility_degree(xj, xi, atlas):
@@ -42,7 +42,7 @@ A2_DEGREE_MATRIX = [
     [1, 1, 0, 0, -1],
 ]
 
-B2_DEGREE_MATRIX = [
+C2_DEGREE_MATRIX = [
     [-1, 0, 1, 0, 2, 1],
     [0, -1, 0, 1, 1, 1],
     [1, 0, -1, 2, 0, 1],
@@ -54,7 +54,7 @@ B2_DEGREE_MATRIX = [
 
 @pytest.fixture()
 def capped_atlas():
-    root = root_seed(ExchangeMatrix([[0, 2], [-2, 0]]), "trivial")
+    root = root_seed(ExchangeMatrix(KRONECKER_2_ROWS), "trivial")
     return explore(root, ExploreCaps(max_seeds=8))
 
 
@@ -85,13 +85,13 @@ class TestCompatibilityDegree:
     def test_pentagon_matrix(self, a2_trivial):
         assert compatibility_matrix(a2_trivial) == A2_DEGREE_MATRIX
 
-    def test_asymmetric_degrees_in_the_folded_pattern(self, b2_trivial):
-        matrix = compatibility_matrix(b2_trivial)
-        assert matrix == B2_DEGREE_MATRIX
+    def test_asymmetric_degrees_in_the_folded_pattern(self, c2_trivial):
+        matrix = compatibility_matrix(c2_trivial)
+        assert matrix == C2_DEGREE_MATRIX
         assert matrix[0][4] == 2 and matrix[4][0] == 1
 
-    def test_choice_of_containing_cluster_is_immaterial(self, a2_trivial, b2_trivial):
-        for atlas in (a2_trivial, b2_trivial):
+    def test_choice_of_containing_cluster_is_immaterial(self, a2_trivial, c2_trivial):
+        for atlas in (a2_trivial, c2_trivial):
             matrix = compatibility_matrix(atlas)
             for j, row in enumerate(matrix):
                 for i, degree in enumerate(row):
@@ -122,20 +122,20 @@ class TestCompatibilityDegree:
 
 class TestMaximalSets:
     def test_maximal_sets_equal_clusters(
-        self, a2_trivial, b2_trivial, g2_trivial, a3_trivial
+        self, a2_trivial, c2_trivial, g2_trivial, a3_trivial
     ):
-        for atlas in (a2_trivial, b2_trivial, g2_trivial, a3_trivial):
+        for atlas in (a2_trivial, c2_trivial, g2_trivial, a3_trivial):
             assert maximal_d_compatible_sets(atlas) == sorted(atlas.clusters)
 
     def test_rank_one_singletons(self):
-        atlas = explore(root_seed(ExchangeMatrix([[0]]), "trivial"))
+        atlas = explore(root_seed(ExchangeMatrix(A1_ROWS), "trivial"))
         assert compatibility_matrix(atlas) == [[-1, 1], [1, -1]]
         assert maximal_d_compatible_sets(atlas) == [(0,), (1,)]
 
 
 class TestVerification:
-    def test_degree_properties_pass(self, a2_trivial, b2_trivial, g2_trivial):
-        for atlas in (a2_trivial, b2_trivial, g2_trivial):
+    def test_degree_properties_pass(self, a2_trivial, c2_trivial, g2_trivial):
+        for atlas in (a2_trivial, c2_trivial, g2_trivial):
             report = verify_degree_properties(atlas)
             assert report.resolve_status() == "pass"
             assert report.suite == "degree-properties"

@@ -23,7 +23,7 @@ from clusteralg import (
     root_seed,
     verify_g_pairs,
 )
-from conftest import A3_ROWS
+from conftest import A2_ROWS, A3_ROWS, KRONECKER_2_ROWS
 
 A2_G_VECTORS = [(1, 0), (0, 1), (-1, 1), (0, -1), (-1, 0)]
 
@@ -92,8 +92,8 @@ class TestGVectors:
     def test_pentagon_g_vectors(self, a2_principal):
         assert [g_vector(v, a2_principal) for v in range(5)] == A2_G_VECTORS
 
-    def test_g_vectors_separate_variables(self, a3_principal, b2_principal):
-        for atlas in (a3_principal, b2_principal):
+    def test_g_vectors_separate_variables(self, a3_principal, c2_principal):
+        for atlas in (a3_principal, c2_principal):
             vecs = {g_vector(v, atlas) for v in range(len(atlas.variables))}
             assert len(vecs) == len(atlas.variables)
 
@@ -120,8 +120,8 @@ class TestGMatrices:
         dets = {c: g_matrix_det(c, a2_principal) for c in a2_principal.clusters}
         assert dets == {(0, 1): 1, (1, 2): 1, (0, 3): -1, (2, 4): 1, (3, 4): -1}
 
-    def test_all_determinants_are_unimodular(self, a3_principal, b2_principal):
-        for atlas in (a3_principal, b2_principal):
+    def test_all_determinants_are_unimodular(self, a3_principal, c2_principal):
+        for atlas in (a3_principal, c2_principal):
             for c in atlas.clusters:
                 assert g_matrix_det(c, atlas) in (-1, 1)
 
@@ -199,9 +199,9 @@ class TestGPairs:
         assert not check_g_pair((0, 1), (3, 4), (1,), a2_principal)
 
     def test_matches_brute_force_definition(
-        self, a2_principal, b2_principal, a3_principal
+        self, a2_principal, c2_principal, a3_principal
     ):
-        for atlas in (a2_principal, b2_principal, a3_principal):
+        for atlas in (a2_principal, c2_principal, a3_principal):
             for size in range(atlas.n + 1):
                 for I in combinations(range(1, atlas.n + 1), size):
                     reachable = sorted(atlas.i_reachable(I))
@@ -240,7 +240,7 @@ class TestGPairs:
         with pytest.raises(NotPrincipalError):
             verify_g_pairs(a2_trivial)
         capped = explore(
-            root_seed(ExchangeMatrix([[0, 2], [-2, 0]]), "principal"),
+            root_seed(ExchangeMatrix(KRONECKER_2_ROWS), "principal"),
             ExploreCaps(max_seeds=8),
         )
         with pytest.raises(IncompleteAtlasError):
@@ -250,7 +250,7 @@ class TestGPairs:
         # An artificial reachability cache entry simulates a broken
         # search space: with no I-connected clusters at all the search
         # must raise rather than return a default.
-        atlas = explore(root_seed(ExchangeMatrix([[0, 1], [-1, 0]]), "principal"))
+        atlas = explore(root_seed(ExchangeMatrix(A2_ROWS), "principal"))
         atlas._ireach_cache[frozenset({1})] = {}
         with pytest.raises(GPairNotFoundError):
             find_g_pair((0, 1), (1,), atlas)

@@ -21,7 +21,7 @@ from clusteralg import (
     mutate,
     root_seed,
 )
-from conftest import A2_ROWS
+from conftest import A2_ROWS, KRONECKER_2_ROWS, KRONECKER_3_ROWS
 
 
 def lp(text: str, n: int = 2, m: int = 0) -> LaurentPoly:
@@ -560,8 +560,6 @@ class TestKernelMatchesReference:
 # ----------------------------------------------------------------------
 # exchange binomials held over packed keys
 
-KRONECKER_2 = [[0, 2], [-2, 0]]
-
 
 def reference_binomial(seed, k: int) -> LaurentPoly:
     """The exchange binomial in direction k from ``reference_mul`` and
@@ -592,7 +590,7 @@ def walk(rows, coefficients: str, steps: int):
 def held_kronecker_binomial() -> tuple:
     """A Kronecker b=2 principal seed, a direction whose binomial is held
     over packed keys, and that binomial."""
-    seed = walk(KRONECKER_2, "principal", 9)[-1]
+    seed = walk(KRONECKER_2_ROWS, "principal", 9)[-1]
     num = exchange_binomial(seed, 1)
     assert is_held(num)
     return seed, 1, num
@@ -623,8 +621,8 @@ class TestPackedHeldBinomials:
         # |b_ik| = 2 and 3, and 1 with 3 on a rank-3 wild type; the first
         # two with principal coefficients.
         for rows, coefficients, steps in [
-            (KRONECKER_2, "principal", 10),
-            ([[0, 3], [-3, 0]], "principal", 4),
+            (KRONECKER_2_ROWS, "principal", 10),
+            (KRONECKER_3_ROWS, "principal", 4),
             ([[0, 1, 3], [-1, 0, 1], [-3, -1, 0]], "principal", 4),
             ([[0, 2, 2], [-2, 0, 2], [-2, -2, 0]], "trivial", 4),
         ]:

@@ -24,11 +24,12 @@ from clusteralg import (
     load_seed_file,
     mutate,
     mutate_path,
+    random_exchange_matrix,
     root_seed,
     seed_from_dict,
 )
 from clusteralg.seed import _positive_parts
-from conftest import A2_ROWS, A3_ROWS, B2_ROWS, G2_ROWS, random_exchange_matrix
+from conftest import A1_ROWS, A2_ROWS, A3_ROWS, C2_ROWS, C3_ROWS, G2_ROWS
 
 
 def reference_matrix_mutation(rows, k):
@@ -140,11 +141,11 @@ class TestPositiveParts:
 class TestSymmetrizer:
     def test_minimal_symmetrizers(self):
         assert find_skew_symmetrizer(A2_ROWS) == (1, 1)
-        assert find_skew_symmetrizer(B2_ROWS) == (1, 2)
+        assert find_skew_symmetrizer(C2_ROWS) == (1, 2)
         assert find_skew_symmetrizer(G2_ROWS) == (1, 3)
         assert find_skew_symmetrizer(A3_ROWS) == (1, 1, 1)
-        assert find_skew_symmetrizer([[0, 1, 0], [-1, 0, 2], [0, -1, 0]]) == (1, 1, 2)
-        assert find_skew_symmetrizer([[0]]) == (1,)
+        assert find_skew_symmetrizer(C3_ROWS) == (1, 1, 2)
+        assert find_skew_symmetrizer(A1_ROWS) == (1,)
         # disconnected support: each component is scaled independently
         assert find_skew_symmetrizer(
             [[0, 2, 0], [-1, 0, 0], [0, 0, 0]]
@@ -180,7 +181,7 @@ class TestSymmetrizer:
 class TestMatrixMutation:
     def test_rank_two_oracle(self):
         assert ExchangeMatrix(A2_ROWS).mutated(1).rows == ((0, -1), (1, 0))
-        assert ExchangeMatrix(B2_ROWS).mutated(2).rows == ((0, -2), (1, 0))
+        assert ExchangeMatrix(C2_ROWS).mutated(2).rows == ((0, -2), (1, 0))
 
     def test_rank_three_oracle(self):
         b = ExchangeMatrix([[0, 2, 0], [-1, 0, 1], [0, -1, 0]])

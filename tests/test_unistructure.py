@@ -34,9 +34,10 @@ from conftest import (
     A2_ROWS,
     A3_ROWS,
     A4_ROWS,
-    B2_ROWS,
     B3_ROWS,
+    C2_ROWS,
     D4_ROWS,
+    KRONECKER_2_ROWS,
     count_mutations,
 )
 
@@ -112,13 +113,13 @@ class TestWitness:
         assert w.exponents == (1, 0)
         assert w.k_exponent == 1
 
-    def test_folded_pattern_witness(self, b2_trivial):
-        w = laurent_witness(0, 4, b2_trivial)
+    def test_folded_pattern_witness(self, c2_trivial):
+        w = laurent_witness(0, 4, c2_trivial)
         assert w.cluster == (0, 1)
         assert w.exponents == (-2, 1)
 
-    def test_trichotomy_over_all_pairs(self, a2_trivial, b2_trivial, g2_trivial):
-        for atlas in (a2_trivial, b2_trivial, g2_trivial):
+    def test_trichotomy_over_all_pairs(self, a2_trivial, c2_trivial, g2_trivial):
+        for atlas in (a2_trivial, c2_trivial, g2_trivial):
             count = len(atlas.variables)
             shares = {
                 (k, i)
@@ -165,8 +166,8 @@ class TestWitness:
         with pytest.raises(ValueError):
             WitnessMonomial((0, 1), 0, (-1, -1), LaurentPoly.one(0, 0))
 
-    def test_sweeps_pass(self, a2_trivial, b2_trivial):
-        for atlas, pairs in [(a2_trivial, 25), (b2_trivial, 36)]:
+    def test_sweeps_pass(self, a2_trivial, c2_trivial):
+        for atlas, pairs in [(a2_trivial, 25), (c2_trivial, 36)]:
             report = witness_sweep(atlas)
             assert report.resolve_status() == "pass"
             assert report.suite == "witnesses"
@@ -174,7 +175,7 @@ class TestWitness:
 
     def test_incomplete_atlas_is_refused(self):
         capped = explore(
-            root_seed(ExchangeMatrix([[0, 2], [-2, 0]]), "trivial"),
+            root_seed(ExchangeMatrix(KRONECKER_2_ROWS), "trivial"),
             ExploreCaps(max_seeds=8),
         )
         with pytest.raises(IncompleteAtlasError):
@@ -204,8 +205,8 @@ class TestCertificates:
         assert "lhs-value: -1" in lines
         assert "rhs-lower-bound: 0" in lines
 
-    def test_deeper_denominator(self, b2_trivial):
-        cert = incompatibility_certificate(0, 4, b2_trivial)
+    def test_deeper_denominator(self, c2_trivial):
+        cert = incompatibility_certificate(0, 4, c2_trivial)
         assert cert.denominator_exponent == 2
         assert cert.lhs_value == Fraction(-3)
 
@@ -291,18 +292,18 @@ class TestVerifyUnistructural:
         assert report.resolve_status() != "pass"
         assert report.checks[0].detail == "ranks differ: 2 vs 3"
 
-    def test_different_patterns_fail_identification(self, a2_trivial, b2_trivial):
-        report = verify_unistructural(a2_trivial, b2_trivial)
+    def test_different_patterns_fail_identification(self, a2_trivial, c2_trivial):
+        report = verify_unistructural(a2_trivial, c2_trivial)
         assert report.status == "error"
         assert "0 anchors tried" in report.checks[0].detail
 
-    def test_same_matrix_different_pattern_sizes(self, b2_trivial, g2_trivial):
-        report = verify_unistructural(b2_trivial, g2_trivial)
+    def test_same_matrix_different_pattern_sizes(self, c2_trivial, g2_trivial):
+        report = verify_unistructural(c2_trivial, g2_trivial)
         assert report.resolve_status() != "pass"
 
     def test_preconditions(self, a2_trivial, a2_principal):
         capped = explore(
-            root_seed(ExchangeMatrix(B2_ROWS), "trivial"), ExploreCaps(max_seeds=3)
+            root_seed(ExchangeMatrix(C2_ROWS), "trivial"), ExploreCaps(max_seeds=3)
         )
         with pytest.raises(IncompleteAtlasError):
             verify_unistructural(a2_trivial, capped)
