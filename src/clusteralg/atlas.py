@@ -102,8 +102,10 @@ class ExploreCaps:
     max_depth: int = 64
 
     def __post_init__(self) -> None:
-        if self.max_seeds < 1 or self.max_depth < 0:
-            raise ValueError("caps must be positive")
+        if self.max_seeds < 1:
+            raise ValueError(f"max_seeds must be at least 1, got {self.max_seeds}")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
 
 
 def _exchange_input(seed: Seed, ids: tuple[int, ...], k: int) -> tuple:
@@ -336,6 +338,12 @@ class PatternAtlas:
         """Clusters through a variable, in atlas discovery order."""
         self.require_variable(v)
         return [c for c in self.clusters if v in c]
+
+    def summary(self) -> str:
+        """The atlas's size as reports print it: ``n=3 variables=9 clusters=14``."""
+        return (
+            f"n={self.n} variables={len(self.variables)} clusters={len(self.clusters)}"
+        )
 
     def require_variable(self, v: int) -> None:
         if not 0 <= v < len(self.variables):
@@ -610,8 +618,10 @@ def explore(root: Seed, caps: ExploreCaps | None = None) -> PatternAtlas:
     return PatternAtlas(root, caps)
 
 
-def _format_cluster(c: Cluster) -> str:
-    return "{" + ",".join(str(v) for v in c) + "}"
+def format_cluster(ids: Iterable[int]) -> str:
+    """Variable ids as set text, ``{a,b,c}``: the form every report and
+    command prints a cluster in."""
+    return "{" + ",".join(map(str, ids)) + "}"
 
 
 @dataclass(frozen=True)
@@ -641,7 +651,7 @@ class ExchangeGraph:
         names = {c: f"c{i}" for i, c in enumerate(self.vertices)}
         lines = ["graph exchange {"]
         for c in self.vertices:
-            lines.append(f'  {names[c]} [label="{_format_cluster(c)}"];')
+            lines.append(f'  {names[c]} [label="{format_cluster(c)}"];')
         for a, b in self.edges:
             lines.append(f"  {names[a]} -- {names[b]};")
         lines.append("}")
@@ -653,7 +663,7 @@ class ExchangeGraph:
             f"edges: {len(self.edges)}",
         ]
         lines.extend(
-            f"{_format_cluster(a)} -- {_format_cluster(b)}" for a, b in self.edges
+            f"{format_cluster(a)} -- {format_cluster(b)}" for a, b in self.edges
         )
         return "\n".join(lines) + "\n"
 
@@ -685,6 +695,6 @@ def graphs_equal(g1: ExchangeGraph, g2: ExchangeGraph) -> GraphComparison:
     ):
         for which, only in (("first", s1 - s2), ("second", s2 - s1)):
             if only:
-                shown = " -- ".join(map(_format_cluster, min(only)))
+                shown = " -- ".join(map(format_cluster, min(only)))
                 return GraphComparison(False, f"{kind} {shown} only in {which} graph")
     return GraphComparison(True, "")

@@ -26,7 +26,8 @@ import sys
 from . import compat as compat_mod
 from . import grading as grading_mod
 from . import unistructure as unistructure_mod
-from .atlas import ExchangeGraph, ExploreCaps, IncompleteAtlasError, PatternAtlas, explore
+from .atlas import ExchangeGraph, ExploreCaps, IncompleteAtlasError, PatternAtlas
+from .atlas import explore, format_cluster
 from .seed import format_seed, load_seed_file, mutate_path
 
 # Suite name -> (module, function name).  The function is looked up when
@@ -116,7 +117,7 @@ def _cmd_gpair(args: argparse.Namespace) -> tuple[str, int]:
     cluster = _parse_int_list(args.cluster, "cluster")
     subset = _parse_int_list(args.subset, "subset")
     partner = grading_mod.find_g_pair(cluster, subset, atlas)
-    return "{" + ",".join(str(v) for v in partner) + "}\n", 0
+    return format_cluster(partner) + "\n", 0
 
 
 def _cmd_witness(args: argparse.Namespace) -> tuple[str, int]:

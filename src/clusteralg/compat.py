@@ -102,9 +102,7 @@ def verify_degree_properties(atlas: PatternAtlas) -> VerificationReport:
         raise IncompleteAtlasError("degree properties need a complete atlas")
     report = VerificationReport(suite="degree-properties")
     count = len(atlas.variables)
-    report.add_context(
-        "atlas", f"n={atlas.n} variables={count} clusters={len(atlas.clusters)}"
-    )
+    report.add_context("atlas", atlas.summary())
     # Keyed j-major, so the first failing pair found below does not depend
     # on the order the loop fills the sets in.
     values: dict[tuple[int, int], set[int]] = {

@@ -169,10 +169,7 @@ def verify_g_pairs(atlas: PatternAtlas) -> VerificationReport:
     if not atlas.complete:
         raise IncompleteAtlasError("g-pair sweep needs a complete atlas")
     report = VerificationReport(suite="g-pairs")
-    report.add_context(
-        "atlas", f"n={atlas.n} variables={len(atlas.variables)} "
-        f"clusters={len(atlas.clusters)}"
-    )
+    report.add_context("atlas", atlas.summary())
     n = atlas.n
     checked = 0
     failure = ""

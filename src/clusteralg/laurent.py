@@ -14,20 +14,24 @@ coefficient; the zero polynomial is the empty dict.  All arithmetic is
 exact: coefficients are arbitrary-precision ints and specialization
 returns :class:`fractions.Fraction`.
 
-Canonical term order is lexicographic on the combined exponent tuple,
-largest first.  Serialization and iteration follow that order, so equal
-polynomials always print identically.
+Canonical term order (``sort_key``) is lexicographic on the combined
+exponent tuple, largest first.  Serialization and iteration follow that
+order, so equal polynomials always print identically.  The x part is the
+key's prefix, so the terms that share an x monomial are adjacent, x
+monomials in decreasing order: a caller that needs the terms grouped by x
+monomial reads them off this order.
 
-A large exchange binomial is the one polynomial held over packed keys
-(``packed_binomial``, chosen by ``exchange_binomial``): each exponent
-tuple is packed into one integer, one bit field per coordinate with the
-first coordinate most significant, so a monomial product or quotient is
-one integer add or subtract and lexicographic order is integer order.
-Its products and their sum are computed in the division layout of the
-sum, and ``exact_div`` divides it in that layout, packing only the
-divisor and unpacking only the quotient; its tuple-keyed ``terms`` are
-built on first read, so every reader sees tuple keys.  Every other
-polynomial, and every other product or division, stays on tuple keys.
+This module alone decides how a polynomial is laid out.  An exchange
+binomial, given as its two sides (``binomial``), is held over packed keys
+when its division is large (``packed_binomial``): each exponent tuple is
+packed into one integer, one bit field per coordinate with the first
+coordinate most significant, so a monomial product or quotient is one
+integer add or subtract and lexicographic order is integer order.  Its
+products and their sum are computed in the division layout of the sum,
+and ``exact_div`` divides it in that layout, packing only the divisor and
+unpacking only the quotient; its tuple-keyed ``terms`` are built on first
+read, so every reader sees tuple keys.  Every other polynomial, and every
+other product or division, stays on tuple keys.
 """
 
 from __future__ import annotations
@@ -155,18 +159,6 @@ class LaurentPoly:
         key = tuple(int(j == i - 1) for j in range(n + m))
         return LaurentPoly(n, m, {key: 1})
 
-    @staticmethod
-    def from_x_terms(
-        n: int, m: int, x_terms: Iterable[tuple[Exponents, "LaurentPoly"]]
-    ) -> "LaurentPoly":
-        flat: dict[Exponents, int] = {}
-        for x_exps, coef in x_terms:
-            x_exps = tuple(x_exps)
-            for y_exps, c in coef.terms.items():
-                key = x_exps + y_exps
-                flat[key] = flat.get(key, 0) + c
-        return LaurentPoly(n, m, flat)
-
     # ------------------------------------------------------------------
     # canonical order, equality, hashing
 
@@ -193,17 +185,6 @@ class LaurentPoly:
 
     def has_positive_coefficients(self) -> bool:
         return bool(self.terms) and all(c > 0 for c in self.terms.values())
-
-    def x_terms(self) -> list[tuple[Exponents, "LaurentPoly"]]:
-        """Terms grouped by x exponents, in canonical x order (largest
-        first); each group's coefficient is a ``LaurentPoly`` with n = 0."""
-        grouped: dict[Exponents, dict[Exponents, int]] = {}
-        for key, c in self.terms.items():
-            grouped.setdefault(key[: self.n], {})[key[self.n:]] = c
-        return [
-            (x, LaurentPoly._trusted(0, self.m, ys))
-            for x, ys in sorted(grouped.items(), reverse=True)
-        ]
 
     # ------------------------------------------------------------------
     # ring operations
@@ -532,6 +513,39 @@ def packed_binomial(
     poly.top = top
     poly.keys = keys
     return poly
+
+
+def binomial(
+    n: int,
+    m: int,
+    sides: Sequence[tuple[Exponents, list[tuple[LaurentPoly, int]]]],
+    den_terms: int,
+) -> LaurentPoly:
+    """The sum of the products ``x^mono * f1**a1 * f2**a2 * ...``, one per
+    side ``(mono, [(f1, a1), (f2, a2), ...])``, laid out for its exact
+    division by a polynomial of ``den_terms`` terms.
+
+    That division has, counted before any collapse, the sum over the sides
+    of the product of ``len(f.terms) ** a``, times ``den_terms``, term
+    pairs.  At ``PACKED_PRODUCT_PAIRS`` or more the sum is held over packed
+    keys (``packed_binomial``); otherwise each side is multiplied out on
+    tuple keys, its factors in order, and the sides are added.
+    """
+    pairs = 0
+    for _, factors in sides:
+        side_pairs = den_terms
+        for f, a in factors:
+            side_pairs *= len(f.terms) ** a
+        pairs += side_pairs
+    if pairs >= PACKED_PRODUCT_PAIRS:
+        return packed_binomial(n, m, sides)
+    total = None
+    for mono, factors in sides:
+        side = LaurentPoly._trusted(n, m, {mono: 1})
+        for f, a in factors:
+            side = side * (f if a == 1 else f ** a)
+        total = side if total is None else total + side
+    return total
 
 
 def _packed_quotient(

@@ -30,13 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .laurent import (
-    PACKED_PRODUCT_PAIRS,
-    Exponents,
-    LaurentPoly,
-    exact_div,
-    packed_binomial,
-)
+from .laurent import Exponents, LaurentPoly, binomial, exact_div
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -302,44 +296,23 @@ def exchange_binomial(seed: Seed, k: int) -> LaurentPoly:
     """The two-term exchange relation numerator in direction k, 1-based.
 
     One term carries the positive column entries of B and the y exponents
-    [y_k]+, the other the negative entries and [-y_k]+.
-
-    This is the one place that chooses a polynomial's layout.  When the
-    division by x_k has at least ``PACKED_PRODUCT_PAIRS`` term pairs,
-    counted before any collapse (the sum over both sides of the product
-    of |x_i|^|b_ik|, times |x_k|), both sides are computed and added in
-    one packed layout (``packed_binomial``); ``exact_div`` divides every
-    such held binomial in that layout, and its tuple-keyed ``terms`` are
-    built only when read.  Every other binomial is built on tuple keys.
+    [y_k]+, the other the negative entries and [-y_k]+.  ``binomial`` lays
+    it out for its division by x_k.
     """
     n, m = seed.n, seed.m
     if not 1 <= k <= n:
         raise IndexError(f"direction {k} out of range 1..{n}")
     up, down = _positive_parts(seed.y[k - 1])
     no_x = (0,) * n
-    # Term pairs of the division by x_k, counted before any collapse.
-    pos_pairs = neg_pairs = len(seed.x[k - 1].terms)
+    pos, neg = [], []
     for row, x_i in zip(seed.b.rows, seed.x):
         b_ik = row[k - 1]
         if b_ik > 0:
-            pos_pairs *= len(x_i.terms) ** b_ik
+            pos.append((x_i, b_ik))
         elif b_ik < 0:
-            neg_pairs *= len(x_i.terms) ** -b_ik
-    if pos_pairs + neg_pairs >= PACKED_PRODUCT_PAIRS:
-        column = [(row[k - 1], x_i) for row, x_i in zip(seed.b.rows, seed.x)]
-        return packed_binomial(n, m, [
-            (no_x + up, [(x_i, b_ik) for b_ik, x_i in column if b_ik > 0]),
-            (no_x + down, [(x_i, -b_ik) for b_ik, x_i in column if b_ik < 0]),
-        ])
-    pos = LaurentPoly._trusted(n, m, {no_x + up: 1})
-    neg = LaurentPoly._trusted(n, m, {no_x + down: 1})
-    for row, x_i in zip(seed.b.rows, seed.x):
-        b_ik = row[k - 1]
-        if b_ik > 0:
-            pos = pos * (x_i if b_ik == 1 else x_i ** b_ik)
-        elif b_ik < 0:
-            neg = neg * (x_i if b_ik == -1 else x_i ** -b_ik)
-    return pos + neg
+            neg.append((x_i, -b_ik))
+    sides = [(no_x + up, pos), (no_x + down, neg)]
+    return binomial(n, m, sides, len(seed.x[k - 1].terms))
 
 
 def exchange(seed: Seed, k: int) -> LaurentPoly:

@@ -33,19 +33,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import groupby
 
 from .atlas import (
     Cluster,
     IncompleteAtlasError,
     PatternAtlas,
+    format_cluster,
     graphs_equal,
     matching_permutations,
 )
 from .compat import compatibility_matrix
 from .laurent import Exponents, LaurentPoly
 from .reports import VerificationReport
-from .seed import ExchangeMatrix
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -94,7 +94,7 @@ class WitnessMonomial:
 
     def describe(self) -> list[str]:
         return [
-            f"cluster: {{{','.join(str(v) for v in self.cluster)}}}",
+            f"cluster: {format_cluster(self.cluster)}",
             f"reference-position: {self.k_position}",
             f"exponents: {' '.join(str(e) for e in self.exponents)}",
             f"coefficient: {self.coefficient}",
@@ -104,16 +104,24 @@ class WitnessMonomial:
 
 def laurent_witness(xk: int, xi: int, atlas: PatternAtlas) -> WitnessMonomial:
     """First admissible term over clusters containing xk, in canonical
-    search order, with the exponent trichotomy validated."""
+    search order, with the exponent trichotomy validated.
+
+    In canonical term order the x part is the key's prefix, so the terms of
+    one x monomial are adjacent and the largest x monomial comes first: the
+    witness is the first x monomial whose exponents are admissible, and its
+    coefficient is the run of terms that share it.
+    """
     if not atlas.complete:
         raise IncompleteAtlasError("witness search needs a complete atlas")
     atlas.require_variable(xk)
     atlas.require_variable(xi)
+    n = atlas.n
     for c in atlas.clusters_containing(xk):
         kpos = c.index(xk)
-        poly = atlas.expand(xi, c)
-        for x_exps, coef in poly.x_terms():
+        terms = atlas.expand(xi, c).sort_key()[2]
+        for x_exps, run in groupby(terms, key=lambda term: term[0][:n]):
             if all(e >= 0 for i, e in enumerate(x_exps) if i != kpos):
+                coef = LaurentPoly(0, atlas.m, {key[n:]: a for key, a in run})
                 witness = WitnessMonomial(c, kpos, x_exps, coef)
                 _validate_trichotomy(witness, xk, xi)
                 return witness
@@ -135,7 +143,7 @@ def _validate_trichotomy(w: WitnessMonomial, xk: int, xi: int) -> None:
     e = w.k_exponent
     if (e > 0) - (e < 0) != want:
         raise TrichotomyViolationError(
-            f"pair ({xk}, {xi}) in cluster {{{','.join(map(str, w.cluster))}}}: "
+            f"pair ({xk}, {xi}) in cluster {format_cluster(w.cluster)}: "
             f"the reference exponent is {e}, but it must be {sign}"
         )
 
@@ -147,9 +155,7 @@ def witness_sweep(atlas: PatternAtlas) -> VerificationReport:
         raise IncompleteAtlasError("witness sweep needs a complete atlas")
     report = VerificationReport(suite="witnesses")
     count = len(atlas.variables)
-    report.add_context(
-        "atlas", f"n={atlas.n} variables={count} clusters={len(atlas.clusters)}"
-    )
+    report.add_context("atlas", atlas.summary())
     failure = ""
     checked = 0
     for xk in range(count):
@@ -196,8 +202,8 @@ class IncompatibilityCertificate:
         return [
             f"reference: {self.reference}",
             f"target: {self.target}",
-            f"host: {{{','.join(str(v) for v in self.host)}}}",
-            f"witness-cluster: {{{','.join(str(v) for v in self.witness.cluster)}}}",
+            f"host: {format_cluster(self.host)}",
+            f"witness-cluster: {format_cluster(self.witness.cluster)}",
             f"witness-exponents: {' '.join(str(e) for e in self.witness.exponents)}",
             f"phi-coefficient: {self.phi_coefficient}",
             f"denominator-exponent: {self.denominator_exponent}",
@@ -220,8 +226,10 @@ def incompatibility_certificate(
             f"variables {x} and {z} share a cluster; nothing to certify"
         )
     witness = laurent_witness(x, z, atlas)
-    mono = LaurentPoly.from_x_terms(
-        atlas.n, atlas.m, [(witness.exponents, witness.coefficient)]
+    mono = LaurentPoly(
+        atlas.n,
+        atlas.m,
+        {witness.exponents + y: a for y, a in witness.coefficient.terms.items()},
     )
     erased = phi(mono)
     values = [Fraction(1)] * atlas.n
@@ -266,18 +274,6 @@ def certify_incompatible_pairs(
     ]
 
 
-def _identification_candidates(
-    a1: PatternAtlas, b2: ExchangeMatrix
-) -> Iterable[tuple[int, tuple[int, ...]]]:
-    """Stored seeds of a1 under a simultaneous position permutation
-    (position i takes position perm[i]) whose matrix equals b2, each
-    seed's permutations in lexicographic order."""
-    unlabeled = (None,) * a1.n
-    for sid, seed in enumerate(a1.seeds):
-        for perm in matching_permutations(seed.b.rows, unlabeled, b2.rows, unlabeled):
-            yield sid, perm
-
-
 def verify_unistructural(a1: PatternAtlas, a2: PatternAtlas) -> VerificationReport:
     """Drive the full comparison: identify a2's variables inside a1, then
     require equal cluster sets, equal labeled exchange graphs, and equal
@@ -293,14 +289,8 @@ def verify_unistructural(a1: PatternAtlas, a2: PatternAtlas) -> VerificationRepo
             "cross-atlas verification is implemented for trivial coefficients"
         )
     report = VerificationReport(suite="unistructural")
-    report.add_context(
-        "first",
-        f"n={a1.n} variables={len(a1.variables)} clusters={len(a1.clusters)}",
-    )
-    report.add_context(
-        "second",
-        f"n={a2.n} variables={len(a2.variables)} clusters={len(a2.clusters)}",
-    )
+    report.add_context("first", a1.summary())
+    report.add_context("second", a2.summary())
     if a1.n != a2.n:
         report.add_check(
             "identification", False, f"ranks differ: {a1.n} vs {a2.n}"
@@ -358,7 +348,8 @@ def _find_identification(
     """Map every a2 variable id to an a1 variable id, or record why not.
 
     Anchors are permuted stored seeds of a1 whose matrix equals a2's
-    root matrix.  With trivial coefficients an anchor generates a1's
+    root matrix, in store order, each seed's permutations in the order
+    ``matching_permutations`` gives.  With trivial coefficients an anchor generates a1's
     pattern just as a2's root generates a2's, so walking a2's discovery
     tree from the anchor over a1's edge table, each a2 seed from its
     parent in store order, pairs every a2 seed with an exact a1 seed;
@@ -367,7 +358,14 @@ def _find_identification(
     """
     tried = 0
     last_reason = "no stored seed of the first atlas matches the second root matrix"
-    for sid, perm in _identification_candidates(a1, a2.root.b):
+    unlabeled = (None,) * a1.n
+    want = a2.root.b.rows
+    anchors = (
+        (sid, perm)
+        for sid, seed in enumerate(a1.seeds)
+        for perm in matching_permutations(seed.b.rows, unlabeled, want, unlabeled)
+    )
+    for sid, perm in anchors:
         tried += 1
         mapping: dict[int, int] = {}
         states = [(sid, tuple(a1.seed_variable_ids[sid][i] for i in perm))]

@@ -520,10 +520,13 @@ class TestClosures:
 
 class TestCaps:
     def test_caps_validation(self):
-        with pytest.raises(ValueError):
+        # The error names the field that failed and its minimum; depth 0 is
+        # a valid cap.
+        with pytest.raises(ValueError, match=r"^max_seeds must be at least 1, got 0$"):
             ExploreCaps(max_seeds=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^max_depth must be at least 0, got -1$"):
             ExploreCaps(max_depth=-1)
+        assert ExploreCaps(max_seeds=1, max_depth=0).max_depth == 0
 
     def test_seed_cap_truncates(self):
         a = infinite_rank2(max_seeds=12)

@@ -7,6 +7,7 @@ import importlib.util
 import os
 
 import clusteralg.atlas
+import clusteralg.laurent
 import clusteralg.seed
 from clusteralg import ExchangeMatrix, explore, root_seed
 from clusteralg.atlas import ExploreCaps, PatternAtlas
@@ -60,13 +61,13 @@ def test_traced_layers_are_called_through_their_names(monkeypatch):
     # Kronecker b=3 holds its large binomials over packed keys; each computed
     # exchange still reaches the binomial and the division by name.
     held = []
-    packed_binomial = clusteralg.seed.packed_binomial
+    packed_binomial = clusteralg.laurent.packed_binomial
 
     def counted_binomial(*args):
         held.append(args)
         return packed_binomial(*args)
 
-    monkeypatch.setattr(clusteralg.seed, "packed_binomial", counted_binomial)
+    monkeypatch.setattr(clusteralg.laurent, "packed_binomial", counted_binomial)
     calls.update(mutate=0, exchange_binomial=0, exact_div=0)
     explore(root_seed(ExchangeMatrix(KRONECKER_3_ROWS)), ExploreCaps(max_depth=4))
     assert held

@@ -11,7 +11,6 @@ import pytest
 
 import clusteralg.cli
 import clusteralg.laurent
-import clusteralg.seed
 from clusteralg import VerificationReport
 from clusteralg.cli import main
 from clusteralg.seed import PositivityError
@@ -560,7 +559,7 @@ class TestDeterminism:
         # Every held binomial is divided in its own layout, once, and nothing
         # in the exploration builds its tuple keys.
         held, divided = [], []
-        packed_binomial = clusteralg.seed.packed_binomial
+        packed_binomial = clusteralg.laurent.packed_binomial
         packed_quotient = clusteralg.laurent._packed_quotient
 
         def holding(*args):
@@ -571,7 +570,7 @@ class TestDeterminism:
             divided.append(num)
             return packed_quotient(num, den)
 
-        monkeypatch.setattr(clusteralg.seed, "packed_binomial", holding)
+        monkeypatch.setattr(clusteralg.laurent, "packed_binomial", holding)
         monkeypatch.setattr(clusteralg.laurent, "_packed_quotient", dividing)
         argv = ["explore", "--seed", seeds[name], "--format", "json"]
         assert main(argv + ["--max-depth", "4"]) == 0

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import clusteralg.laurent
-import clusteralg.seed
 from clusteralg import (
     ExchangeMatrix,
     LaurentPoly,
@@ -106,15 +105,6 @@ class TestLaurentBasics:
             LaurentPoly.parse("y1", 2, 0)
         with pytest.raises(ValueError):
             LaurentPoly.parse("x1^", 2, 0)
-
-    def test_x_terms_groups_by_x_part(self):
-        p = LaurentPoly(2, 2, {(-1, 0, 1, 0): 1, (-1, 1, 0, 0): 1, (0, 0, 0, 1): 2})
-        groups = p.x_terms()
-        assert [x for x, _ in groups] == [(0, 0), (-1, 1), (-1, 0)]
-        assert all((c.n, c.m) == (0, 2) for _, c in groups)
-        assert groups[1][1].terms == {(0, 0): 1}
-        assert groups[2][1].terms == {(1, 0): 1}
-        assert LaurentPoly.from_x_terms(2, 2, groups) == p
 
     def test_x_min_exponents(self):
         assert lp("x1^-1*x2 + x1^-1").x_min_exponents() == (-1, 0)
@@ -616,7 +606,7 @@ class TestPackedHeldBinomials:
             held_powers.update(a for _, factors in sides for _, a in factors)
             return packed_binomial(n, m, sides)
 
-        monkeypatch.setattr(clusteralg.seed, "packed_binomial", recorded)
+        monkeypatch.setattr(clusteralg.laurent, "packed_binomial", recorded)
         held = tuple_keyed = 0
         # |b_ik| = 2 and 3, and 1 with 3 on a rank-3 wild type; the first
         # two with principal coefficients.
@@ -637,6 +627,14 @@ class TestPackedHeldBinomials:
                     assert num == reference_binomial(seed, k)
         assert held and tuple_keyed
         assert held_powers == {1, 2, 3}
+
+    @pytest.mark.parametrize("pairs", [THRESHOLD - 1, THRESHOLD])
+    def test_binomial_is_held_from_the_threshold(self, pairs):
+        # x1 * f + 1 over a one-term divisor: |f| + 1 term pairs.
+        f = LaurentPoly(1, 0, {(e,): 1 for e in range(pairs - 1)})
+        num = clusteralg.laurent.binomial(1, 0, [((1,), [(f, 1)]), ((0,), [])], 1)
+        assert is_held(num) == (pairs >= THRESHOLD)
+        assert num == LaurentPoly.variable(1, 0, 1) * f + LaurentPoly.one(1, 0)
 
     def test_division_reads_only_the_packed_keys(self, monkeypatch):
         seed, k, num = held_kronecker_binomial()

@@ -28,14 +28,16 @@ from clusteralg import (
     verify_unistructural,
     witness_sweep,
 )
+from clusteralg.atlas import matching_permutations
 from clusteralg.reports import VerificationReport
-from clusteralg.unistructure import _find_identification, _identification_candidates
+from clusteralg.unistructure import _find_identification
 from conftest import (
     A2_ROWS,
     A3_ROWS,
     A4_ROWS,
     B3_ROWS,
     C2_ROWS,
+    C3_ROWS,
     D4_ROWS,
     KRONECKER_2_ROWS,
     count_mutations,
@@ -47,19 +49,33 @@ A2_INCOMPATIBLE_PAIRS = [
 ]
 
 
-def brute_force_candidates(atlas, b2):
-    """Reference for ``_identification_candidates``: every permutation of
-    every stored seed's matrix, in lexicographic order."""
-    n = atlas.n
+def brute_force_matches(rows, labels, want, want_labels):
+    """Reference for ``matching_permutations``: every permutation, in
+    lexicographic order, that carries (rows, labels) onto (want,
+    want_labels)."""
+    n = len(want)
     return [
-        (sid, perm)
-        for sid, seed in enumerate(atlas.seeds)
+        perm
         for perm in permutations(range(n))
-        if b2.rows
-        == tuple(
-            tuple(seed.b.rows[perm[i]][perm[j]] for j in range(n)) for i in range(n)
-        )
+        if all(labels[perm[i]] == want_labels[i] for i in range(n))
+        and all(rows[perm[i]][perm[j]] == want[i][j] for i in range(n) for j in range(n))
     ]
+
+
+def grouped_witness(xk, xi, atlas):
+    """Reference for ``laurent_witness``: group each expansion's terms by
+    their x part, largest x part first, and take the first group whose
+    exponents off xk are nonnegative, with the group as its coefficient."""
+    n = atlas.n
+    for c in atlas.clusters_containing(xk):
+        kpos = c.index(xk)
+        groups = {}
+        for key, a in atlas.expand(xi, c).terms.items():
+            groups.setdefault(key[:n], {})[key[n:]] = a
+        for x in sorted(groups, reverse=True):
+            if all(e >= 0 for i, e in enumerate(x) if i != kpos):
+                return c, kpos, x, LaurentPoly(0, atlas.m, groups[x])
+    return None
 
 
 def poly_strategy(n: int = 2, m: int = 2):
@@ -151,6 +167,31 @@ class TestWitness:
         )
         with pytest.raises(TrichotomyViolationError):
             laurent_witness(0, xi, atlas)
+
+    # The expected count is of pairs whose witness coefficient has more than
+    # one term, which only principal coefficients can give.
+    @pytest.mark.parametrize(
+        "rows, coefficients, multi_term",
+        [
+            (B3_ROWS, "principal", 2),
+            (D4_ROWS, "principal", 2),
+            (D4_ROWS, "trivial", 0),
+            (A3_ROWS, "principal", 0),
+            (C3_ROWS, "principal", 0),
+            (A4_ROWS, "principal", 0),
+        ],
+    )
+    def test_witness_matches_the_grouped_reference(self, rows, coefficients, multi_term):
+        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients))
+        count = len(atlas.variables)
+        found = 0
+        for xk in range(count):
+            for xi in range(count):
+                w = laurent_witness(xk, xi, atlas)
+                want = grouped_witness(xk, xi, atlas)
+                assert (w.cluster, w.k_position, w.exponents, w.coefficient) == want
+                found += len(w.coefficient.terms) > 1
+        assert found == multi_term
 
     def test_describe(self, a2_trivial):
         lines = laurent_witness(0, 4, a2_trivial).describe()
@@ -273,18 +314,25 @@ class TestVerifyUnistructural:
         assert sorted(mapping.values()) == list(range(len(a3_trivial.variables)))
         assert calls == []
 
+    # Trivial coefficients label every position alike, as the anchor search
+    # does; principal ones label positions by y, as the twin search does.
     @pytest.mark.parametrize("rows", [A3_ROWS, A4_ROWS, D4_ROWS, B3_ROWS])
     def test_anchor_search_matches_brute_force(self, rows):
-        atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
-        n = atlas.n
-        for b in (atlas.root.b, mutate_path(atlas.root, [2, 1]).b):
-            for sigma in (range(n - 1, -1, -1), [*range(1, n), 0]):
-                permuted = ExchangeMatrix(
-                    [[b.rows[i][j] for j in sigma] for i in sigma]
-                )
-                want = brute_force_candidates(atlas, permuted)
-                assert want
-                assert list(_identification_candidates(atlas, permuted)) == want
+        for coefficients in ("trivial", "principal"):
+            atlas = explore(root_seed(ExchangeMatrix(rows), coefficients))
+            n = atlas.n
+            for seed in (atlas.root, mutate_path(atlas.root, [2, 1])):
+                for sigma in (range(n - 1, -1, -1), [*range(1, n), 0]):
+                    b, y = seed.b.rows, seed.y
+                    want = tuple(tuple(b[i][j] for j in sigma) for i in sigma)
+                    want_y = tuple(y[i] for i in sigma)
+                    found = 0
+                    for s in atlas.seeds:
+                        perms = brute_force_matches(s.b.rows, s.y, want, want_y)
+                        found += len(perms)
+                        got = matching_permutations(s.b.rows, s.y, want, want_y)
+                        assert list(got) == perms
+                    assert found
 
     def test_rank_mismatch_is_an_error(self, a2_trivial, a3_trivial):
         report = verify_unistructural(a2_trivial, a3_trivial)
