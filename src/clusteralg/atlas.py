@@ -53,20 +53,23 @@ Most hosts take their expansions from a twin instead: an expanded host g
 whose (B, y) is the host h's under a simultaneous permutation pi of
 positions.  The field map x_{g,pi(p)} -> x_{h,p}, fixing coefficients,
 commutes with mutation (Assem, Schiffler and Shramchenko, "Cluster
-automorphisms", 2012), so it carries each expansion at g to the one at h;
-any pi gives the same, as an expansion is unique.  The walk steps g's exact
-seed, aligned to h's positions, along with its own over the edge table, and
-takes each variable it names from g, x exponents moved from g's id ranks to
-h's; g checked it for positivity.  Where that step leaves a capped atlas,
-the crossing and those below it exchange.  E6 has 67 classes of (B, y)
-among its 833 hosts; under principal coefficients each host is its own.
+automorphisms", 2012), so it carries each expansion at g to the one at
+h; any pi gives the same, as an expansion is unique.  ``carry`` steps
+g's exact seed, aligned to h's positions, over the tree from h until the
+map sigma of variables it gives names every one; h then relabels g's
+expansions, which g checked for positivity.  Such a sigma is a cluster
+automorphism, kept to serve with no walk each later host whose cluster
+it carries to an expanded one.  On a capped atlas a walk can leave the
+store; what it leaves unnamed is exchanged.  E6's degree sweep walks 9
+times for its 833 hosts; under principal coefficients none has a twin.
 
 Walks that only need to know which variables a seed holds do no
 arithmetic at all.  An exact seed (positions intact) is the pair of its
 stored seed id and its variable ids by position, and the edge table
 mutates it by lookup: each entry stands for a mutation computed, and
 positivity-checked, during exploration, or for its inverse.  Restricted
-reachability and cross-atlas identification are such walks.
+reachability is such a walk, and so is ``carry``, which gives twins and
+cross-atlas identification their variable maps.
 
 The JSON export is ``to_json_dict()`` written by a small writer that gives
 exactly the text of ``json.dumps(indent=2, sort_keys=True)``, each list of
@@ -195,6 +198,8 @@ class PatternAtlas:
         # Hosts expanded by exchanges, by a shape that position permutations
         # keep: the sorted (sorted row p of B, y_p).
         self._twins: dict[tuple, list[int]] = {}
+        # Cluster automorphisms: the twin maps that named every variable.
+        self._automorphisms: list[dict[int, int]] = []
         self._ireach_cache: dict[frozenset, dict[Cluster, tuple[int, ...]]] = {}
         self._by_face: dict[Cluster, list[Cluster]] | None = None
         self.derived: dict = {}
@@ -378,66 +383,80 @@ class PatternAtlas:
             return known[v]
         n, m = self.n, self.m
         seeds, ids = self.seeds, self.seed_variable_ids
-        host = self.cluster_to_seed[c]
+        host, count = self.cluster_to_seed[c], len(self.variables)
         b, y = seeds[host].b, seeds[host].y
         twins = self._twins.setdefault(
             tuple(sorted(zip(map(tuple, map(sorted, b.rows)), y))), []
         )
-        # A twin: an expanded host g whose (B, y) is the host's up to a
-        # position permutation, as an exact seed aligned to the host's
-        # positions; it then mutates in step with the walk.
-        mirror = twin_known = pick = None
-        for g in twins:
-            perm = next(
-                matching_permutations(seeds[g].b.rows, seeds[g].y, b.rows, y), None
-            )
-            if perm is not None:
-                mirror = (g, tuple([ids[g][q] for q in perm]))
+        # sigma: a kept automorphism taking c to an expanded cluster, else the
+        # map carried from a twin; see the module docstring.
+        for sigma in self._automorphisms:
+            if tuple(sorted(map(sigma.__getitem__, c))) in self._expand_cache:
                 break
-        if mirror is not None:
-            twin_cluster = sorted(mirror[1])
-            twin_known = self._expand_cache[tuple(twin_cluster)]
-            # The host's r-th coordinate is the twin's order[r]-th.
-            order = [twin_cluster.index(mirror[1][ids[host].index(u)]) for u in c]
-            if order != list(range(n)):  # so n > 1, and pick gives tuples
-                pick = itemgetter(*order)
+        else:
+            sigma = {}
+            for g in twins:
+                rows = seeds[g].b.rows
+                perm = next(matching_permutations(rows, seeds[g].y, b.rows, y), None)
+                if perm is not None:
+                    twin = (g, tuple([ids[g][q] for q in perm]))
+                    for w, (_, image) in self.carry(twin, self, host):
+                        sigma.update(zip(ids[w], image))
+                        if len(sigma) == count:
+                            self._automorphisms.append(sigma)
+                            break
+                    break
+            else:
+                twins.append(host)
         known = {u: LaurentPoly.variable(n, m, r) for r, u in enumerate(c, 1)}
-        # Breadth first from the host, so each variable is exchanged at a
-        # seed nearest the host.  Expansions tend to grow with that distance:
-        # walking down from the root instead made E6 degree-properties 2.5
-        # times slower.
-        walked = [(host, -1, mirror)]  # (seed, seed walked from, twin's seed)
-        count = len(self.variables)
-        for u, came_from, twin in walked:
+        if sigma:  # its image of a unit variable of c is that unit again
+            image = sorted(map(sigma.__getitem__, c))
+            twin_known = self._expand_cache[tuple(image)]
+            # The host's r-th coordinate is sigma(c)'s order[r]-th.
+            order = [image.index(sigma[u]) for u in c]
+            pick = None if order == list(range(n)) else itemgetter(*order)
+            for u, s in sigma.items():
+                p = twin_known[s]
+                if pick is not None:  # so n > 1, and pick gives tuples
+                    terms = {pick(key) + key[n:]: a for key, a in p.terms.items()}
+                    p = LaurentPoly._trusted(n, m, terms)
+                known[u] = p
+        # Breadth first from the host, so each variable sigma leaves unnamed
+        # is exchanged at a seed nearest the host.  Expansions tend to grow
+        # with that distance: walking down from the root instead made E6
+        # degree-properties 2.5 times slower.
+        walked = [(host, -1)]  # (seed, seed walked from)
+        for u, came_from in walked:
             if len(known) == count:
                 break
             for w, k in self.tree[u]:
                 if w == came_from:
                     continue
-                # None once the twin's step leaves a capped atlas.
-                step = None if twin is None else self.mutate_state(twin, k)
-                walked.append((w, u, step))
+                walked.append((w, u))
                 new = ids[w][k - 1]
-                if new in known:
-                    continue
-                if step is not None:
-                    p = twin_known[step[1][k - 1]]
-                    if pick is not None:
-                        terms = {pick(key) + key[n:]: a for key, a in p.terms.items()}
-                        p = LaurentPoly._trusted(n, m, terms)
-                    known[new] = p
-                else:
+                if new not in known:
                     seed = Seed._trusted(
                         seeds[u].b, seeds[u].y, tuple([known[i] for i in ids[u]])
                     )
                     known[new] = exchange(seed, k)
-        if mirror is None:
-            twins.append(host)
         self._expand_cache[c] = known
         return known[v]
 
     # ------------------------------------------------------------------
     # table walks over exact seeds
+
+    def carry(
+        self, state: State, over: PatternAtlas, start: int = 0
+    ) -> Iterator[tuple[int, State]]:
+        """Each seed id of ``over``, breadth first over its discovery tree
+        from start, with the exact seed of this atlas that the same mutations
+        reach from ``state``, by ``mutate_state``; none below a capped edge."""
+        walked = [(start, -1, state, 0)]  # (seed, seed walked from, state, k)
+        for u, back, state, k in walked:
+            state = self.mutate_state(state, k) if k else state
+            if state is not None:
+                yield u, state
+                walked.extend((w, u, state, k) for w, k in over.tree[u] if w != back)
 
     def mutate_state(self, state: State, k: int) -> State | None:
         """Exact seed ``(stored seed id, variable ids by position)`` mutated

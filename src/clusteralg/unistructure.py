@@ -21,11 +21,11 @@ variables in a pattern with the same variable set is thereby ruled out.
 Cross-atlas verification aligns two trivial-coefficient atlases by an
 explicit identification: an anchor seed of the first atlas (a stored
 seed, possibly with positions permuted) whose matrix matches the second
-root's; walking the second atlas's discovery tree from the anchor over
-the first atlas's edge table, a lookup per step with no Laurent
-arithmetic, maps every variable of the second atlas to a first-atlas
-variable id.  On success the cluster sets, labeled exchange graphs, and
-full d-compatibility matrices are compared.
+root's; ``PatternAtlas.carry`` moves the anchor over the second atlas's
+discovery tree by the first atlas's edge table, a lookup per step with
+no Laurent arithmetic, which maps every variable of the second atlas to
+a first-atlas variable id.  On success the cluster sets, labeled
+exchange graphs, and full d-compatibility matrices are compared.
 """
 
 from __future__ import annotations
@@ -350,11 +350,10 @@ def _find_identification(
     Anchors are permuted stored seeds of a1 whose matrix equals a2's
     root matrix, in store order, each seed's permutations in the order
     ``matching_permutations`` gives.  With trivial coefficients an anchor generates a1's
-    pattern just as a2's root generates a2's, so walking a2's discovery
-    tree from the anchor over a1's edge table, each a2 seed from its
-    parent in store order, pairs every a2 seed with an exact a1 seed;
-    matching them position by position must give a consistent bijection
-    of variables.
+    pattern just as a2's root generates a2's, so ``a1.carry`` from the
+    anchor over a2's discovery tree, breadth first from a2's root, pairs
+    every a2 seed with an exact a1 seed; matching them position by
+    position must give a consistent bijection of variables.
     """
     tried = 0
     last_reason = "no stored seed of the first atlas matches the second root matrix"
@@ -368,13 +367,10 @@ def _find_identification(
     for sid, perm in anchors:
         tried += 1
         mapping: dict[int, int] = {}
-        states = [(sid, tuple(a1.seed_variable_ids[sid][i] for i in perm))]
+        anchor = (sid, tuple(a1.seed_variable_ids[sid][i] for i in perm))
         reason = ""
-        for w, ids2 in enumerate(a2.seed_variable_ids):
-            if w:
-                u, k = a2.tree[w][0]
-                states.append(a1.mutate_state(states[u], k))
-            for v2, v1 in zip(ids2, states[w][1]):
+        for w, (_, ids1) in a1.carry(anchor, a2):
+            for v2, v1 in zip(a2.seed_variable_ids[w], ids1):
                 prev = mapping.setdefault(v2, v1)
                 if prev != v1:
                     reason = (

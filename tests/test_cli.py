@@ -686,6 +686,15 @@ class TestDeterminism:
                 ],
                 "f4c4d4b170ea32c749095f11cc6d1307bd919d3952dcd357afe280a772ca3678",
             ),
+            # Pinned before kept cluster automorphisms served most hosts.
+            (
+                ["verify", "degree-properties", "--seed", "{d5}"],
+                "7386ad88f1978c09e602575b9a2ad62940a938abbe21cf7f9b6a98ccf05f2dd1",
+            ),
+            (
+                ["verify", "witnesses", "--seed", "{d5}"],
+                "d57763bc92091503b5770467feb94a325cfa87d93992234a20e0f82c94f89d18",
+            ),
         ],
     )
     def test_rerooted_reports_match_golden_digest(self, seeds, capsys, argv, digest):

@@ -345,6 +345,45 @@ class TestVerifyUnistructural:
         assert report.status == "error"
         assert "0 anchors tried" in report.checks[0].detail
 
+    @pytest.mark.parametrize(
+        "at, change, reason",
+        [
+            # Positions swapped in the second seed carried.
+            (
+                1,
+                lambda ids: ids[::-1],
+                "variable 1 of the second atlas maps to both 4 and 2 "
+                "(anchor seed 4)",
+            ),
+            # Variable 4 read as 3 in every seed carried: consistent, but
+            # two variables share an image.
+            (
+                None,
+                lambda ids: tuple(3 if v == 4 else v for v in ids),
+                "identification from anchor seed 4 is not a bijection "
+                "(4 images for 5 variables of 5)",
+            ),
+        ],
+        ids=["maps-to-both", "not-a-bijection"],
+    )
+    def test_corrupted_carried_seeds_fail_identification(
+        self, a2_trivial, monkeypatch, at, change, reason
+    ):
+        moved = explore(root_seed(ExchangeMatrix([[0, -1], [1, 0]]), "trivial"))
+        carry = a2_trivial.carry
+
+        def corrupted(state, over, start=0):
+            for i, (w, (sid, ids)) in enumerate(carry(state, over, start)):
+                yield w, (sid, change(ids) if at in (None, i) else ids)
+
+        monkeypatch.setattr(a2_trivial, "carry", corrupted)
+        report = verify_unistructural(a2_trivial, moved)
+        assert report.status == "error"
+        assert [c.name for c in report.checks] == ["identification"]
+        assert report.checks[0].detail == (
+            f"variable sets are not equal: {reason} (5 anchors tried)"
+        )
+
     def test_same_matrix_different_pattern_sizes(self, c2_trivial, g2_trivial):
         report = verify_unistructural(c2_trivial, g2_trivial)
         assert report.resolve_status() != "pass"
