@@ -35,7 +35,9 @@ n - 1 variables and differ from the seed's, as the new variable is not x_k.
 So that level skips each exchange whose (n - 1)-subset lies in no other
 stored cluster, which only leaves the atlas incomplete.  The clusters are
 grouped by (n - 1)-subsets once, when the last level starts or for the
-first exchange graph; no seed is stored after either.
+first exchange graph; no seed is stored after either.  Likewise the first
+``clusters_containing`` call groups them by variable, in discovery order,
+and every "do x and z share a cluster" question reads those groups.
 
 Expansions with respect to an arbitrary stored cluster are computed by
 re-rooting, all of the cluster's at once.  The host seed's variables become
@@ -202,6 +204,7 @@ class PatternAtlas:
         self._automorphisms: list[dict[int, int]] = []
         self._ireach_cache: dict[frozenset, dict[Cluster, tuple[int, ...]]] = {}
         self._by_face: dict[Cluster, list[Cluster]] | None = None
+        self._by_variable: list[tuple[Cluster, ...]] | None = None
         self.derived: dict = {}
         self._store_seed(root, _canonical_seed_key(root), None)
         self.complete = self._explore()
@@ -339,10 +342,17 @@ class PatternAtlas:
     def expansion(self, v: int) -> LaurentPoly:
         return self.variables[v]
 
-    def clusters_containing(self, v: int) -> list[Cluster]:
-        """Clusters through a variable, in atlas discovery order."""
+    def clusters_containing(self, v: int) -> tuple[Cluster, ...]:
+        """Clusters through a variable, in discovery order: the one source of
+        "x and z share a stored cluster".  Grouped once; see the module."""
         self.require_variable(v)
-        return [c for c in self.clusters if v in c]
+        if self._by_variable is None:
+            groups: list[list[Cluster]] = [[] for _ in self.variables]
+            for c in self.clusters:
+                for u in c:
+                    groups[u].append(c)
+            self._by_variable = list(map(tuple, groups))
+        return self._by_variable[v]
 
     def summary(self) -> str:
         """The atlas's size as reports print it: ``n=3 variables=9 clusters=14``."""
@@ -357,7 +367,7 @@ class PatternAtlas:
     def normalize_cluster(self, cluster: Iterable[int]) -> Cluster:
         c = tuple(sorted(cluster))
         if c not in self.cluster_to_seed:
-            raise KeyError(f"cluster {c} is not in the atlas")
+            raise KeyError(f"cluster {format_cluster(c)} is not in the atlas")
         return c
 
     def path(self, sid: int) -> tuple[int, ...]:
@@ -542,10 +552,6 @@ class PatternAtlas:
     # export
 
     def to_json_dict(self) -> dict:
-        # Parents are stored before their children.
-        paths = [[]]
-        for (u, k), *_ in self.tree[1:]:
-            paths.append(paths[u] + [k])
         return {
             "n": self.n,
             "m": self.m,
@@ -560,7 +566,7 @@ class PatternAtlas:
             "clusters": [list(c) for c in self.clusters],
             "seeds": [
                 {
-                    "path": paths[i],
+                    "path": list(self.path(i)),
                     "b": [list(row) for row in s.b.rows],
                     "y": [list(t) for t in s.y],
                     "variables": list(self.seed_variable_ids[i]),

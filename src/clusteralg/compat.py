@@ -18,10 +18,9 @@ stored clusters.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable
 
-from .atlas import Cluster, IncompleteAtlasError, PatternAtlas
+from .atlas import IncompleteAtlasError, PatternAtlas, format_cluster
 from .reports import VerificationReport
 
 DVector = tuple[int, ...]
@@ -42,15 +41,11 @@ def compatibility_matrix(atlas: PatternAtlas) -> list[list[int]]:
     if not atlas.complete:
         raise IncompleteAtlasError("degree matrix needs a complete atlas")
     count = len(atlas.variables)
-    first: dict[int, Cluster] = {}
-    for c in atlas.clusters:
-        for v in c:
-            first.setdefault(v, c)
+    hosts = [atlas.clusters_containing(j)[0] for j in range(count)]
     d_vectors = {
-        c: [d_vector(i, c, atlas) for i in range(count)]
-        for c in dict.fromkeys(first.values())
+        c: [d_vector(i, c, atlas) for i in range(count)] for c in dict.fromkeys(hosts)
     }
-    return [[d[c.index(j)] for d in d_vectors[c]] for j, c in sorted(first.items())]
+    return [[d[c.index(j)] for d in d_vectors[c]] for j, c in enumerate(hosts)]
 
 
 def compatibility_matrix_tsv(atlas: PatternAtlas) -> str:
@@ -120,7 +115,7 @@ def verify_degree_properties(atlas: PatternAtlas) -> VerificationReport:
         "" if bad is None else f"pair {bad} gives degrees {sorted(values[bad])}",
     )
     degree = {pair: min(vals) for pair, vals in values.items()}
-    shares = {pair for c in atlas.clusters for pair in product(c, repeat=2)}
+    shared = [set().union(*atlas.clusters_containing(j)) for j in range(count)]
 
     def first_failure(predicate) -> tuple[int, int] | None:
         for j in range(count):
@@ -137,16 +132,16 @@ def verify_degree_properties(atlas: PatternAtlas) -> VerificationReport:
         ),
         (
             "zero-iff-shared-cluster",
-            lambda j, i: (degree[(j, i)] == 0) == (j != i and (j, i) in shares)
+            lambda j, i: (degree[(j, i)] == 0) == (j != i and i in shared[j])
             and (degree[(j, i)] == 0) == (degree[(i, j)] == 0),
         ),
         (
             "compatible-iff-shared-cluster",
-            lambda j, i: (degree[(j, i)] <= 0) == ((j, i) in shares),
+            lambda j, i: (degree[(j, i)] <= 0) == (i in shared[j]),
         ),
         (
             "positive-iff-no-shared-cluster",
-            lambda j, i: (degree[(j, i)] > 0) == ((j, i) not in shares)
+            lambda j, i: (degree[(j, i)] > 0) == (i not in shared[j])
             and (degree[(j, i)] > 0) == (degree[(i, j)] > 0),
         ),
     ]
@@ -157,7 +152,7 @@ def verify_degree_properties(atlas: PatternAtlas) -> VerificationReport:
             j, i = bad
             detail = (
                 f"pair ({j}, {i}): degree {degree[(j, i)]}, reverse "
-                f"{degree[(i, j)]}, shared cluster {(j, i) in shares}"
+                f"{degree[(i, j)]}, shared cluster {i in shared[j]}"
             )
         report.add_check(name, bad is None, detail)
     report.add_context("ordered-pairs", str(count * count))
@@ -181,9 +176,9 @@ def verify_maximal_sets(atlas: PatternAtlas) -> VerificationReport:
         missing = next((c for c in clusters if c not in cliques), None)
         detail = []
         if extra is not None:
-            detail.append(f"maximal set {extra} is not a cluster")
+            detail.append(f"maximal set {format_cluster(extra)} is not a cluster")
         if missing is not None:
-            detail.append(f"cluster {missing} is not a maximal set")
+            detail.append(f"cluster {format_cluster(missing)} is not a maximal set")
         report.add_check("sets-equal-clusters", False, "; ".join(detail))
     report.resolve_status()
     return report

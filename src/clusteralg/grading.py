@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .atlas import Cluster, IncompleteAtlasError, PatternAtlas
+from .atlas import Cluster, IncompleteAtlasError, PatternAtlas, format_cluster
 from .laurent import GradedDegree
 from .reports import VerificationReport
 
@@ -154,7 +154,7 @@ def find_g_pair(
         if check_g_pair(tc, candidate, I, atlas):
             return candidate
     raise GPairNotFoundError(
-        f"no g-pair partner for cluster {tc} along {I}; "
+        f"no g-pair partner for cluster {format_cluster(tc)} along {I}; "
         f"on a complete atlas this contradicts the enough-g-pairs property"
     )
 
@@ -179,7 +179,9 @@ def verify_g_pairs(atlas: PatternAtlas) -> VerificationReport:
                 try:
                     find_g_pair(t, I, atlas)
                 except GPairNotFoundError:
-                    failure = f"cluster {t} along {list(I)} has no partner"
+                    failure = (
+                        f"cluster {format_cluster(t)} along {list(I)} has no partner"
+                    )
                     break
                 checked += 1
             if failure:

@@ -37,6 +37,7 @@ from itertools import groupby
 
 from .atlas import (
     Cluster,
+    ExchangeGraph,
     IncompleteAtlasError,
     PatternAtlas,
     format_cluster,
@@ -221,7 +222,7 @@ def incompatibility_certificate(
         raise IncompleteAtlasError("certificates need a complete atlas")
     atlas.require_variable(x)
     atlas.require_variable(z)
-    if any(x in c and z in c for c in atlas.clusters):
+    if any(z in c for c in atlas.clusters_containing(x)):
         raise PreconditionViolatedError(
             f"variables {x} and {z} share a cluster; nothing to certify"
         )
@@ -257,12 +258,8 @@ def incompatible_pairs(atlas: PatternAtlas) -> list[tuple[int, int]]:
     if not atlas.complete:
         raise IncompleteAtlasError("pair enumeration needs a complete atlas")
     count = len(atlas.variables)
-    return [
-        (x, z)
-        for x in range(count)
-        for z in range(count)
-        if x != z and not any(x in c and z in c for c in atlas.clusters)
-    ]
+    shared = [set().union(*atlas.clusters_containing(x)) for x in range(count)]
+    return [(x, z) for x in range(count) for z in range(count) if z not in shared[x]]
 
 
 def certify_incompatible_pairs(
@@ -312,15 +309,18 @@ def verify_unistructural(a1: PatternAtlas, a2: PatternAtlas) -> VerificationRepo
         missing = sorted(set(a1.clusters) - mapped_clusters)
         parts = []
         if extra:
-            parts.append(f"second-only cluster {extra[0]}")
+            parts.append(f"second-only cluster {format_cluster(extra[0])}")
         if missing:
-            parts.append(f"first-only cluster {missing[0]}")
+            parts.append(f"first-only cluster {format_cluster(missing[0])}")
         detail = "; ".join(parts)
     report.add_check("cluster-sets-equal", same_clusters, detail)
 
-    comparison = graphs_equal(
-        a1.exchange_graph(), a2.exchange_graph().relabeled(mapping, a1)
-    )
+    # a2's graph is read off its mutation edges, not its clusters, so it can
+    # differ from a1's when the cluster sets agree.
+    cluster = [tuple(sorted(ids)) for ids in a2.seed_variable_ids]
+    edges = {tuple(sorted((cluster[s], cluster[t]))) for (s, _), t in a2.edges.items()}
+    graph2 = ExchangeGraph(a2, tuple(set(cluster)), tuple(edges))
+    comparison = graphs_equal(a1.exchange_graph(), graph2.relabeled(mapping, a1))
     report.add_check("exchange-graphs-equal", comparison.equal, comparison.detail)
 
     matrix1 = compatibility_matrix(a1)

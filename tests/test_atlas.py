@@ -633,7 +633,7 @@ class TestExpand:
             a.expand(99, (0, 1))
         with pytest.raises(KeyError):
             a.expand(0, (0, 2))  # not a cluster of this pattern
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=r"cluster \{1,3\} is not in the atlas"):
             a.normalize_cluster((1, 3))
         assert a.normalize_cluster((1, 0)) == (0, 1)
 
@@ -833,6 +833,38 @@ class TestExpand:
         assert a.variables.index(LaurentPoly.parse("x1^-1*x2 + x1^-1", 2, 0)) == 2
         assert LaurentPoly.parse("x1 + x2", 2, 0) not in a.variables
         assert len(set(a.variables)) == len(a.variables)
+
+
+# ----------------------------------------------------------------------
+# cluster membership
+
+
+class TestClusterMembership:
+    @pytest.mark.parametrize(
+        "rows, coefficients, caps",
+        [
+            (A4_ROWS, "trivial", ExploreCaps()),
+            (D4_ROWS, "trivial", ExploreCaps()),
+            (A3_ROWS, "principal", ExploreCaps()),
+            (KRONECKER_2_ROWS, "trivial", ExploreCaps(max_depth=6)),
+            (A4_ROWS, "trivial", ExploreCaps(max_seeds=20)),
+        ],
+    )
+    def test_groups_match_the_discovery_order_scan(
+        self, monkeypatch, rows, coefficients, caps
+    ):
+        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients), caps)
+        count = len(atlas.variables)
+        groups = [atlas.clusters_containing(v) for v in range(count)]
+        for v, group in enumerate(groups):
+            assert isinstance(group, tuple)
+            assert list(group) == [c for c in atlas.clusters if v in c]
+        # Grouped once: with the clusters gone, a second call still returns
+        # the very same groups.
+        monkeypatch.setattr(atlas, "clusters", [])
+        assert all(atlas.clusters_containing(v) is groups[v] for v in range(count))
+        with pytest.raises(KeyError):
+            atlas.clusters_containing(count)
 
 
 # ----------------------------------------------------------------------

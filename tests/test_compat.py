@@ -199,6 +199,19 @@ class TestVerification:
         assert ("maximal-sets", "5") in report.context
         assert ("clusters", "5") in report.context
 
+    def test_maximal_set_failure_prints_clusters_as_sets(self, a2_trivial, monkeypatch):
+        # The pentagon's last cluster in ascending order, {3,4}, swapped for
+        # a set that is not a cluster.
+        cliques = sorted(a2_trivial.clusters)[:-1] + [(0, 2)]
+        monkeypatch.setattr(
+            clusteralg.compat, "maximal_d_compatible_sets", lambda atlas: sorted(cliques)
+        )
+        report = verify_maximal_sets(a2_trivial)
+        assert report.resolve_status() == "fail"
+        assert report.checks[0].detail == (
+            "maximal set {0,2} is not a cluster; cluster {3,4} is not a maximal set"
+        )
+
     def test_incomplete_atlases_are_refused(self, capped_atlas):
         for fn in (
             compatibility_matrix,

@@ -252,5 +252,16 @@ class TestGPairs:
         # must raise rather than return a default.
         atlas = explore(root_seed(ExchangeMatrix(A2_ROWS), "principal"))
         atlas._ireach_cache[frozenset({1})] = {}
-        with pytest.raises(GPairNotFoundError):
+        with pytest.raises(
+            GPairNotFoundError, match=r"no g-pair partner for cluster \{0,1\} along \[1\];"
+        ):
             find_g_pair((0, 1), (1,), atlas)
+
+    def test_sweep_failure_prints_the_cluster_as_a_set(self):
+        # With nothing reachable along the empty direction set, the first
+        # cluster in ascending order has no partner there.
+        atlas = explore(root_seed(ExchangeMatrix(A2_ROWS), "principal"))
+        atlas._ireach_cache[frozenset()] = {}
+        report = verify_g_pairs(atlas)
+        assert report.resolve_status() == "fail"
+        assert report.checks[-1].detail == "cluster {0,1} along [] has no partner"

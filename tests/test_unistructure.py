@@ -40,6 +40,7 @@ from conftest import (
     C3_ROWS,
     D4_ROWS,
     KRONECKER_2_ROWS,
+    corrupt_first_edge,
     count_mutations,
 )
 
@@ -260,6 +261,17 @@ class TestCertificates:
             assert cert.denominator_exponent >= 1
             assert cert.lhs_value == 1 - cert.phi_coefficient * 2 ** cert.denominator_exponent
 
+    @pytest.mark.parametrize("rows", [B3_ROWS, D4_ROWS])
+    def test_incompatible_pairs_match_the_brute_force_scan(self, rows):
+        atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
+        count = len(atlas.variables)
+        assert incompatible_pairs(atlas) == [
+            (x, z)
+            for x in range(count)
+            for z in range(count)
+            if x != z and not any(x in c and z in c for c in atlas.clusters)
+        ]
+
     def test_precondition_is_enforced(self, a2_trivial):
         with pytest.raises(PreconditionViolatedError):
             incompatibility_certificate(0, 1, a2_trivial)
@@ -382,6 +394,36 @@ class TestVerifyUnistructural:
         assert [c.name for c in report.checks] == ["identification"]
         assert report.checks[0].detail == (
             f"variable sets are not equal: {reason} (5 anchors tried)"
+        )
+
+    def test_corrupted_second_atlas_fails_the_graph_check(self, a3_trivial):
+        # The second atlas's graph comes from its mutation edges, so an edge
+        # that exchanges two variables shows although the clusters agree.
+        other = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
+        corrupt_first_edge(other)
+        report = verify_unistructural(a3_trivial, other)
+        assert report.resolve_status() == "fail"
+        assert [(c.name, c.passed) for c in report.checks] == [
+            ("identification", True),
+            ("cluster-sets-equal", True),
+            ("exchange-graphs-equal", False),
+            ("compat-matrices-equal", True),
+        ]
+        assert report.checks[2].detail == (
+            "edge {0,1,2} -- {2,3,6} only in second graph"
+        )
+
+    def test_cluster_set_difference_prints_clusters_as_sets(self, a2_trivial):
+        # The pentagon's last discovered cluster, {3,4}, swapped for a set
+        # that is not a cluster; every variable's first cluster is kept.
+        other = explore(root_seed(ExchangeMatrix(A2_ROWS), "trivial"))
+        assert other.clusters[-1] == (3, 4)
+        other.clusters[-1] = (0, 2)
+        report = verify_unistructural(a2_trivial, other)
+        assert report.resolve_status() == "fail"
+        assert report.checks[1].name == "cluster-sets-equal"
+        assert report.checks[1].detail == (
+            "second-only cluster {0,2}; first-only cluster {3,4}"
         )
 
     def test_same_matrix_different_pattern_sizes(self, c2_trivial, g2_trivial):
