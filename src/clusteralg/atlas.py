@@ -56,22 +56,25 @@ whose (B, y) is the host h's under a simultaneous permutation pi of
 positions.  The field map x_{g,pi(p)} -> x_{h,p}, fixing coefficients,
 commutes with mutation (Assem, Schiffler and Shramchenko, "Cluster
 automorphisms", 2012), so it carries each expansion at g to the one at
-h; any pi gives the same, as an expansion is unique.  ``carry`` steps
-g's exact seed, aligned to h's positions, over the tree from h until the
-map sigma of variables it gives names every one; h then relabels g's
-expansions, which g checked for positivity.  Such a sigma is a cluster
-automorphism, kept to serve with no walk each later host whose cluster
-it carries to an expanded one.  On a capped atlas a walk can leave the
-store; what it leaves unnamed is exchanged.  E6's degree sweep walks 9
-times for its 833 hosts; under principal coefficients none has a twin.
+h; any pi gives the same, as an expansion is unique.  With trivial
+coefficients the exchange binomial is symmetric in its two monomials, so a
+g whose B is -B_h under pi serves too.  ``carry`` steps g's exact seed,
+aligned to h's positions, over the tree from h until the map sigma of
+variables it gives names every one; h then relabels g's expansions, which g
+checked for positivity.  Such a sigma is a cluster automorphism, direct or
+inverse, kept to serve with no walk each later host whose cluster it
+carries to an expanded one.  On a capped atlas a walk can leave the store;
+what it leaves unnamed is exchanged.  E6's degree sweep walks 9 times for
+its 833 hosts; under principal coefficients none has a twin.
 
 Walks that only need to know which variables a seed holds do no
 arithmetic at all.  An exact seed (positions intact) is the pair of its
 stored seed id and its variable ids by position, and the edge table
 mutates it by lookup: each entry stands for a mutation computed, and
 positivity-checked, during exploration, or for its inverse.  Restricted
-reachability is such a walk, and so is ``carry``, which gives twins and
-cross-atlas identification their variable maps.
+reachability is such a walk, stepping one exact seed per stored seed and
+cluster (``i_reachable`` says why), and so is ``carry``, which gives twins
+and cross-atlas identification their variable maps.
 
 The JSON export is ``to_json_dict()`` written by a small writer that gives
 exactly the text of ``json.dumps(indent=2, sort_keys=True)``, each list of
@@ -340,6 +343,7 @@ class PatternAtlas:
     # lookups
 
     def expansion(self, v: int) -> LaurentPoly:
+        self.require_variable(v)
         return self.variables[v]
 
     def clusters_containing(self, v: int) -> tuple[Cluster, ...]:
@@ -395,9 +399,10 @@ class PatternAtlas:
         seeds, ids = self.seeds, self.seed_variable_ids
         host, count = self.cluster_to_seed[c], len(self.variables)
         b, y = seeds[host].b, seeds[host].y
-        twins = self._twins.setdefault(
-            tuple(sorted(zip(map(tuple, map(sorted, b.rows)), y))), []
-        )
+        # Twins by shape; -B twins serve too when m == 0 (see the module).
+        signs = (1, -1) if m == 0 else (1,)
+        wants = [tuple(tuple(s * e for e in row) for row in b.rows) for s in signs]
+        shapes = [tuple(sorted(zip(map(tuple, map(sorted, w)), y))) for w in wants]
         # sigma: a kept automorphism taking c to an expanded cluster, else the
         # map carried from a twin; see the module docstring.
         for sigma in self._automorphisms:
@@ -405,19 +410,25 @@ class PatternAtlas:
                 break
         else:
             sigma = {}
-            for g in twins:
-                rows = seeds[g].b.rows
-                perm = next(matching_permutations(rows, seeds[g].y, b.rows, y), None)
-                if perm is not None:
-                    twin = (g, tuple([ids[g][q] for q in perm]))
-                    for w, (_, image) in self.carry(twin, self, host):
-                        sigma.update(zip(ids[w], image))
-                        if len(sigma) == count:
-                            self._automorphisms.append(sigma)
-                            break
-                    break
+            twin = next(
+                (
+                    (g, tuple([ids[g][q] for q in perm]))
+                    for want, shape in zip(wants, shapes)
+                    for g in self._twins.get(shape, ())
+                    for perm in matching_permutations(
+                        seeds[g].b.rows, seeds[g].y, want, y
+                    )
+                ),
+                None,
+            )
+            if twin is None:
+                self._twins.setdefault(shapes[0], []).append(host)
             else:
-                twins.append(host)
+                for w, (_, image) in self.carry(twin, self, host):
+                    sigma.update(zip(ids[w], image))
+                    if len(sigma) == count:
+                        self._automorphisms.append(sigma)
+                        break
         known = {u: LaurentPoly.variable(n, m, r) for r, u in enumerate(c, 1)}
         if sigma:  # its image of a unit variable of c is that unit again
             image = sorted(map(sigma.__getitem__, c))
@@ -506,6 +517,12 @@ class PatternAtlas:
         ``mutate_state`` lookup.  On a capped atlas the answer is the
         clusters reachable over stored edges, so a negative answer only
         means "not found within caps".
+
+        Only the first exact seed per (stored seed, cluster) is stepped: a
+        later one keeps x_j at position j off I too, so it is the first under
+        a permutation pi of I, and its direction k is the first's pi(k), over
+        the same stored edges.  So the answer, in order, is that of a walk
+        stepping every exact seed.
         """
         key = frozenset(subset)
         if any(not 1 <= i <= self.n for i in key):
@@ -514,8 +531,9 @@ class PatternAtlas:
         if cached is not None:
             return cached
         root = (0, self.seed_variable_ids[0])
-        seen = {root}
-        out = {tuple(sorted(root[1])): root[1]}
+        cluster = tuple(sorted(root[1]))
+        out = {cluster: root[1]}
+        seen = {(0, cluster)}
         frontier = [root]
         directions = sorted(key)
         while frontier:
@@ -523,10 +541,13 @@ class PatternAtlas:
             for state in frontier:
                 for k in directions:
                     child = self.mutate_state(state, k)
-                    if child is None or child in seen:
+                    if child is None:
                         continue
-                    seen.add(child)
-                    out.setdefault(tuple(sorted(child[1])), child[1])
+                    cluster = tuple(sorted(child[1]))
+                    if (child[0], cluster) in seen:
+                        continue
+                    seen.add((child[0], cluster))
+                    out.setdefault(cluster, child[1])
                     nxt.append(child)
             frontier = nxt
         self._ireach_cache[key] = out

@@ -92,7 +92,6 @@ def _cmd_gvector(args: argparse.Namespace) -> tuple[str, int]:
     atlas = _load_atlas(args)
     if args.var is None:
         return grading_mod.g_vector_table(atlas), 0
-    atlas.require_variable(args.var)
     return grading_mod.g_vector_table(atlas, [args.var]), 0
 
 

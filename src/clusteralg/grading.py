@@ -13,15 +13,21 @@ on I has the same projection to the I coordinates of the grading.  The
 off-I columns of the G-matrix of t' are unit vectors (asserted at
 runtime), so the projected system reduces to the I x I block.  G-matrices
 have determinant ±1 (Nakanishi-Zelevinsky, "On tropical dualities in
-cluster algebras"), so the block is unimodular: it is inverted once per
-candidate over the integers, and the unique, integral exponent vector of
-each variable only needs a sign check.  The inverse depends only on
-(t', I), so it is computed once per pair and kept in ``atlas.derived``.
+cluster algebras"), so the block is unimodular: it is inverted over the
+integers, and the unique, integral exponent vector of each variable only
+needs a sign check.
+
+Each direction subset I gets one cone index, kept in ``atlas.derived``: the
+I-connected clusters in ascending order, and per variable the frozenset of
+the indexes j whose inverted I-block (each inverted once) maps its g-vector,
+projected to I, to a nonnegative vector.  A partner of t is then the
+smallest index common to t's variables.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+from operator import mul
 from typing import Iterable, Sequence
 
 from .atlas import Cluster, IncompleteAtlasError, PatternAtlas, format_cluster
@@ -60,31 +66,12 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if n == 0:
         return 1
-    if n == 1:
-        return rows[0][0]
     total = 0
     for j in range(n):
         if rows[0][j]:
             minor = [r[:j] + r[j + 1:] for r in rows[1:]]
             total += (-1) ** j * rows[0][j] * _det(minor)
     return total
-
-
-def _unit(n: int, pos: int) -> GradedDegree:
-    return tuple(int(i == pos) for i in range(n))
-
-
-def _i_block_inverse(
-    t_prime: Cluster, I: tuple[int, ...], atlas: PatternAtlas
-) -> list[list[int]] | None:
-    """Inverse of the I x I block of the G-matrix of an I-connected seed
-    on t_prime (positions by the seed, not by id), or None when t_prime
-    is not I-connected.  Memoised per (t_prime, I)."""
-    cache = atlas.derived.setdefault("i_block_inverses", {})
-    if (t_prime, I) not in cache:
-        ids = atlas.i_reachable(I).get(t_prime)
-        cache[t_prime, I] = None if ids is None else _invert_i_block(ids, I, atlas)
-    return cache[t_prime, I]
 
 
 def _invert_i_block(
@@ -95,7 +82,7 @@ def _invert_i_block(
     for pos in range(n):
         # Positions never mutated along an I-walk still hold root
         # variables, so their columns must be unit vectors.
-        if (pos + 1) not in I and cols[pos] != _unit(n, pos):
+        if (pos + 1) not in I and cols[pos] != tuple(int(i == pos) for i in range(n)):
             raise RuntimeError(
                 f"expected a unit g-vector at position {pos + 1} of an "
                 f"I-connected seed; the grading engine is inconsistent"
@@ -106,9 +93,7 @@ def _invert_i_block(
         raise RuntimeError(
             f"I-block of a G-matrix has determinant {det}; it must be ±1"
         )
-    # The inverse of a unimodular block is det times its adjugate, so the
-    # unique solution is integral and only its signs need checking.
-    return [
+    return [  # det times the adjugate, as det is ±1
         [
             det * (-1) ** (r + c)
             * _det([row[:r] + row[r + 1:] for i, row in enumerate(block) if i != c])
@@ -116,6 +101,25 @@ def _invert_i_block(
         ]
         for r in range(len(I))
     ]
+
+
+def _cones(I: tuple[int, ...], atlas: PatternAtlas) -> tuple[list, list[frozenset]]:
+    """The cone index of direction subset I, built once; see the module."""
+    index = atlas.derived.setdefault("cones", {})
+    if I not in index:
+        reach = atlas.i_reachable(I)
+        clusters = sorted(reach)
+        inverses = [_invert_i_block(reach[c], I, atlas) for c in clusters]
+        gs = [g_vector(v, atlas) for v in range(len(atlas.variables))]
+        index[I] = clusters, [
+            frozenset(
+                j
+                for j, inverse in enumerate(inverses)
+                if all(sum(map(mul, row, rhs)) >= 0 for row in inverse)
+            )
+            for rhs in ([g[i - 1] for i in I] for g in gs)
+        ]
+    return index[I]
 
 
 def check_g_pair(
@@ -126,20 +130,12 @@ def check_g_pair(
 ) -> bool:
     """Whether (t, t_prime) is a g-pair along the direction subset."""
     _require_principal(atlas)
-    n = atlas.n
-    tc = atlas.normalize_cluster(t)
-    I = tuple(sorted(set(subset)))
-    if any(not 1 <= i <= n for i in I):
-        raise ValueError(f"directions {list(I)} out of range 1..{n}")
-    inverse = _i_block_inverse(tuple(sorted(t_prime)), I, atlas)
-    if inverse is None:
+    tc, tp = atlas.normalize_cluster(t), atlas.normalize_cluster(t_prime)
+    clusters, cones = _cones(tuple(sorted(set(subset))), atlas)
+    if tp not in clusters:
         return False
-    for v in tc:
-        g = g_vector(v, atlas)
-        rhs = [g[i - 1] for i in I]
-        if any(sum(a * b for a, b in zip(row, rhs)) < 0 for row in inverse):
-            return False
-    return True
+    j = clusters.index(tp)
+    return all(j in cones[v] for v in tc)
 
 
 def find_g_pair(
@@ -150,13 +146,14 @@ def find_g_pair(
     _require_principal(atlas)
     tc = atlas.normalize_cluster(t)
     I = sorted(set(subset))
-    for candidate in sorted(atlas.i_reachable(I)):
-        if check_g_pair(tc, candidate, I, atlas):
-            return candidate
-    raise GPairNotFoundError(
-        f"no g-pair partner for cluster {format_cluster(tc)} along {I}; "
-        f"on a complete atlas this contradicts the enough-g-pairs property"
-    )
+    clusters, cones = _cones(tuple(I), atlas)
+    common = frozenset.intersection(*(cones[v] for v in tc))
+    if not common:
+        raise GPairNotFoundError(
+            f"no g-pair partner for cluster {format_cluster(tc)} along {I}; "
+            f"on a complete atlas this contradicts the enough-g-pairs property"
+        )
+    return clusters[min(common)]
 
 
 def verify_g_pairs(atlas: PatternAtlas) -> VerificationReport:
@@ -171,23 +168,16 @@ def verify_g_pairs(atlas: PatternAtlas) -> VerificationReport:
     report = VerificationReport(suite="g-pairs")
     report.add_context("atlas", atlas.summary())
     n = atlas.n
+    subsets = [I for size in range(n + 1) for I in combinations(range(1, n + 1), size)]
     checked = 0
     failure = ""
-    for t in sorted(atlas.clusters):
-        for size in range(n + 1):
-            for I in combinations(range(1, n + 1), size):
-                try:
-                    find_g_pair(t, I, atlas)
-                except GPairNotFoundError:
-                    failure = (
-                        f"cluster {format_cluster(t)} along {list(I)} has no partner"
-                    )
-                    break
-                checked += 1
-            if failure:
-                break
-        if failure:
+    for t, I in product(sorted(atlas.clusters), subsets):
+        try:
+            find_g_pair(t, I, atlas)
+        except GPairNotFoundError:
+            failure = f"cluster {format_cluster(t)} along {list(I)} has no partner"
             break
+        checked += 1
     report.add_context("pairs-checked", str(checked))
     report.add_check("partner-found-for-all", not failure, failure)
     report.resolve_status()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -96,21 +96,24 @@ def count_binomials(monkeypatch) -> list[int]:
     return calls
 
 
-def twin_orders(atlas, sid, earlier) -> set[tuple[int, ...]]:
+def twin_orders(atlas, sid, earlier, signs=None) -> set[tuple[int, ...]]:
     """Brute force over every host g in ``earlier`` and every position
     permutation carrying g's (B, y) onto stored seed sid's: the coordinate
-    of g that each of sid's ascending-id coordinates relabels.  Empty when
-    no earlier host is a twin of sid."""
+    of g that each of sid's ascending-id coordinates relabels.  With trivial
+    coefficients a permutation carrying g's B onto minus sid's counts too,
+    as the exchange binomial is then symmetric in its two monomials, unless
+    ``signs`` says otherwise.  Empty when no earlier host is a twin of sid."""
     n = atlas.n
     seed, ids = atlas.seeds[sid], atlas.seed_variable_ids[sid]
+    signs = signs or ((1, -1) if atlas.m == 0 else (1,))
     orders = set()
     for g in earlier:
         twin, twin_ids = atlas.seeds[g], atlas.seed_variable_ids[g]
-        for perm in permutations(range(n)):
+        for sign, perm in product(signs, permutations(range(n))):
             if all(
                 twin.y[perm[i]] == seed.y[i]
                 and all(
-                    twin.b.rows[perm[i]][perm[j]] == seed.b.rows[i][j]
+                    twin.b.rows[perm[i]][perm[j]] == sign * seed.b.rows[i][j]
                     for j in range(n)
                 )
                 for i in range(n)
@@ -217,6 +220,27 @@ def laurent_i_reachable(atlas, subset):
                 seen.add(child.sort_key())
                 ids = variable_ids(atlas, child)
                 out.setdefault(tuple(sorted(ids)), ids)
+                nxt.append(child)
+        frontier = nxt
+    return out
+
+
+def every_state_i_reachable(atlas, subset):
+    """Reference for ``i_reachable`` on any atlas: the same breadth-first
+    walk over the edge table, stepping every exact seed it meets."""
+    root = (0, atlas.seed_variable_ids[0])
+    seen = {root}
+    out = {tuple(sorted(root[1])): root[1]}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for k in sorted(set(subset)):
+                child = atlas.mutate_state(state, k)
+                if child is None or child in seen:
+                    continue
+                seen.add(child)
+                out.setdefault(tuple(sorted(child[1])), child[1])
                 nxt.append(child)
         frontier = nxt
     return out
@@ -637,6 +661,12 @@ class TestExpand:
             a.normalize_cluster((1, 3))
         assert a.normalize_cluster((1, 0)) == (0, 1)
 
+    def test_expansion_refuses_ids_outside_the_table(self, a3_principal):
+        a = a3_principal
+        for v in (-1, len(a.variables)):
+            with pytest.raises(KeyError, match=rf"variable id {v} is not in the atlas"):
+                a.expansion(v)
+
     def test_tree_replay_matches_per_pair_replay(
         self, a2_trivial, c2_trivial, g2_trivial, a3_trivial, a3_principal,
         monkeypatch,
@@ -750,6 +780,30 @@ class TestExpand:
                 for v in range(count):
                     atlas.expand(v, cluster)
             assert binomials == mutations == []
+
+    def test_a_minus_b_twin_serves_under_trivial_coefficients(self, monkeypatch):
+        # With trivial coefficients the exchange binomial is symmetric in its
+        # two monomials, so a host whose B is minus an expanded host's, up to
+        # a position permutation, relabels that host's expansions.  On A3 the
+        # orientation with a sink in the middle is no permutation of the one
+        # with a source there, so such a host has no +B twin.
+        atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
+        reference = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
+        g, h = next(
+            (g, h)
+            for g, h in permutations(range(len(atlas.seeds)), 2)
+            if twin_orders(atlas, h, [g]) and not twin_orders(atlas, h, [g], (1,))
+        )
+        hosts = [tuple(sorted(atlas.seed_variable_ids[s])) for s in (g, h)]
+        count = len(atlas.variables)
+        want = [reference.expand(v, hosts[1]) for v in range(count)]
+        mutations = count_mutations(monkeypatch)
+        binomials = count_binomials(monkeypatch)
+        atlas.expand(0, hosts[0])
+        assert len(binomials) == count - atlas.n
+        del binomials[:]
+        assert [atlas.expand(v, hosts[1]) for v in range(count)] == want
+        assert binomials == mutations == []
 
     def test_kept_maps_are_cluster_automorphisms(self):
         # A twin walk that names every variable keeps its map.  On a
@@ -908,10 +962,49 @@ class TestRestrictedReachability:
     def test_table_walk_matches_laurent_walk(
         self, a2_trivial, c2_trivial, g2_trivial, a3_trivial, a3_principal
     ):
-        for atlas in (a2_trivial, c2_trivial, g2_trivial, a3_trivial, a3_principal):
+        more = [
+            explore(root_seed(ExchangeMatrix(rows), "principal"))
+            for rows in (B3_ROWS, C3_ROWS, D4_ROWS)
+        ]
+        given = [a2_trivial, c2_trivial, g2_trivial, a3_trivial, a3_principal]
+        for atlas in given + more:
             for I in all_subsets(atlas.n):
                 want = laurent_i_reachable(atlas, I)
                 assert list(atlas.i_reachable(I).items()) == list(want.items())
+
+    @pytest.mark.parametrize(
+        "rows, coefficients, caps",
+        [
+            (A4_ROWS, "principal", ExploreCaps()),
+            (D4_ROWS, "trivial", ExploreCaps()),
+            (KRONECKER_2_ROWS, "trivial", ExploreCaps(max_depth=6)),
+            (A4_ROWS, "trivial", ExploreCaps(max_seeds=20)),
+            (MARKOV_ROWS, "trivial", ExploreCaps(max_depth=3)),
+        ],
+    )
+    def test_first_seed_per_cluster_matches_every_seed_walk(
+        self, rows, coefficients, caps
+    ):
+        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients), caps)
+        for I in all_subsets(atlas.n):
+            want = every_state_i_reachable(atlas, I)
+            assert list(atlas.i_reachable(I).items()) == list(want.items())
+
+    def test_walk_steps_one_exact_seed_per_cluster(self, monkeypatch):
+        # A later exact seed of the same stored seed and cluster is a
+        # permutation of I away from the first, so only the first is
+        # stepped.  Stepping every exact seed took 124,330 steps on D5.
+        atlas = explore(root_seed(ExchangeMatrix(D5_ROWS), "principal"))
+        steps = []
+        step = PatternAtlas.mutate_state
+
+        def counted(atlas, state, k):
+            steps.append(k)
+            return step(atlas, state, k)
+
+        monkeypatch.setattr(PatternAtlas, "mutate_state", counted)
+        reach = {I: atlas.i_reachable(I) for I in all_subsets(atlas.n)}
+        assert len(steps) <= sum(len(I) * len(r) for I, r in reach.items())
 
     def test_table_walk_does_no_mutations(self, monkeypatch):
         atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "principal"))

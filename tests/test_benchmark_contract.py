@@ -7,6 +7,7 @@ import importlib.util
 import os
 
 import clusteralg.atlas
+import clusteralg.grading
 import clusteralg.laurent
 import clusteralg.seed
 from clusteralg import ExchangeMatrix, explore, root_seed
@@ -72,3 +73,14 @@ def test_traced_layers_are_called_through_their_names(monkeypatch):
     explore(root_seed(ExchangeMatrix(KRONECKER_3_ROWS)), ExploreCaps(max_depth=4))
     assert held
     assert calls["mutate"] == calls["exchange_binomial"] == calls["exact_div"]
+    # The g-pair sweep reaches its partner search by name.
+    searches = []
+    find_g_pair = clusteralg.grading.find_g_pair
+
+    def counted_search(*args):
+        searches.append(args)
+        return find_g_pair(*args)
+
+    monkeypatch.setattr(clusteralg.grading, "find_g_pair", counted_search)
+    assert clusteralg.grading.verify_g_pairs(atlas).resolve_status() == "pass"
+    assert len(searches) == 112

@@ -112,6 +112,13 @@ class TestCommands:
         assert main(["gvector", "--seed", seeds["a2p"], "--var", "4"]) == 0
         assert capsys.readouterr().out == "variable\tg1\tg2\n4\t-1\t0\n"
 
+    def test_gvector_unknown_variable(self, seeds, capsys):
+        for var in ("-1", "5"):
+            assert main(["gvector", "--seed", seeds["a2p"], "--var", var]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"error: variable id {var} is not in the atlas\n"
+
     def test_dvector(self, seeds, capsys):
         code = main(
             ["dvector", "--seed", seeds["a2"], "--var", "4", "--cluster", "0 1"]

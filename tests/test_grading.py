@@ -23,7 +23,7 @@ from clusteralg import (
     root_seed,
     verify_g_pairs,
 )
-from conftest import A2_ROWS, A3_ROWS, KRONECKER_2_ROWS
+from conftest import A2_ROWS, A3_ROWS, B3_ROWS, C3_ROWS, KRONECKER_2_ROWS
 
 A2_G_VECTORS = [(1, 0), (0, 1), (-1, 1), (0, -1), (-1, 0)]
 
@@ -96,6 +96,12 @@ class TestGVectors:
         for atlas in (a3_principal, c2_principal):
             vecs = {g_vector(v, atlas) for v in range(len(atlas.variables))}
             assert len(vecs) == len(atlas.variables)
+
+    def test_ids_outside_the_table_are_refused_and_not_cached(self, a3_principal):
+        for v in (-1, len(a3_principal.variables)):
+            with pytest.raises(KeyError, match=rf"variable id {v} is not in the atlas"):
+                g_vector(v, a3_principal)
+            assert v not in a3_principal.derived.get("g_vectors", {})
 
     def test_trivial_coefficients_are_rejected(self, a2_trivial):
         with pytest.raises(NotPrincipalError):
@@ -210,9 +216,33 @@ class TestGPairs:
                             got = check_g_pair(t, tp, I, atlas)
                             assert got == brute_force_g_pair(t, tp, I, atlas)
 
+    def test_partner_is_the_first_candidate_the_definition_accepts(
+        self, a2_principal, c2_principal, a3_principal
+    ):
+        more = [
+            explore(root_seed(ExchangeMatrix(rows), "principal"))
+            for rows in (B3_ROWS, C3_ROWS)
+        ]
+        for atlas in [a2_principal, c2_principal, a3_principal] + more:
+            for size in range(atlas.n + 1):
+                for I in combinations(range(1, atlas.n + 1), size):
+                    reachable = sorted(atlas.i_reachable(I))
+                    for t in atlas.clusters:
+                        want = next(
+                            tp for tp in reachable
+                            if brute_force_g_pair(t, tp, I, atlas)
+                        )
+                        assert find_g_pair(t, I, atlas) == want
+
     def test_direction_validation(self, a2_principal):
         with pytest.raises(ValueError):
             check_g_pair((0, 1), (0, 1), (3,), a2_principal)
+
+    def test_clusters_outside_the_atlas_are_refused(self, a3_principal):
+        stored, missing = a3_principal.clusters[0], r"cluster \{0,1,99\} is not"
+        for t, t_prime in [((0, 1, 99), stored), (stored, (0, 1, 99))]:
+            with pytest.raises(KeyError, match=missing):
+                check_g_pair(t, t_prime, (1, 2), a3_principal)
 
     def test_sweeps_pass(self, a2_principal, a3_principal):
         for atlas, pairs in [(a2_principal, 20), (a3_principal, 112)]:
@@ -233,8 +263,14 @@ class TestGPairs:
         monkeypatch.setattr(clusteralg.grading, "_invert_i_block", counted)
         atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "principal"))
         assert verify_g_pairs(atlas).resolve_status() == "pass"
-        # One inversion per distinct (t', I): 35 on A3, against 302 checks.
-        assert len(inversions) == len(set(inversions)) == 35
+        # One inversion per I-connected (t', I), each subset's cone index
+        # built once: 35 on A3, against 112 partner searches.
+        connected = sum(
+            len(atlas.i_reachable(I))
+            for size in range(atlas.n + 1)
+            for I in combinations(range(1, atlas.n + 1), size)
+        )
+        assert len(inversions) == len(set(inversions)) == connected == 35
 
     def test_sweep_requires_principal_and_complete(self, a2_trivial):
         with pytest.raises(NotPrincipalError):
@@ -256,6 +292,17 @@ class TestGPairs:
             GPairNotFoundError, match=r"no g-pair partner for cluster \{0,1\} along \[1\];"
         ):
             find_g_pair((0, 1), (1,), atlas)
+
+    def test_ties_go_to_the_first_candidate_in_ascending_order(self):
+        # On a complete atlas one candidate passes for every (t, I): 5,824
+        # of 5,824 on D5.  An artificial reachability cache entry giving
+        # cluster {1,2} the root's exact seed makes both candidates pass for
+        # clusters {0,1} and {0,3}; the first in ascending order wins.
+        atlas = explore(root_seed(ExchangeMatrix(A2_ROWS), "principal"))
+        atlas._ireach_cache[frozenset({1})] = {(0, 1): (0, 1), (1, 2): (0, 1)}
+        for t in [(0, 1), (0, 3)]:
+            assert check_g_pair(t, (1, 2), (1,), atlas)
+            assert find_g_pair(t, (1,), atlas) == (0, 1)
 
     def test_sweep_failure_prints_the_cluster_as_a_set(self):
         # With nothing reachable along the empty direction set, the first
