@@ -10,11 +10,9 @@ variable set of a finite pattern determines its cluster structure.
 from .atlas import (
     ExchangeGraph,
     ExploreCaps,
-    GraphComparison,
     IncompleteAtlasError,
     PatternAtlas,
     explore,
-    graphs_equal,
 )
 from .compat import (
     compatibility_matrix,
@@ -77,7 +75,6 @@ __all__ = [
     "ExchangeMatrix",
     "ExploreCaps",
     "GPairNotFoundError",
-    "GraphComparison",
     "IncompatibilityCertificate",
     "IncompleteAtlasError",
     "LaurentPoly",
@@ -107,7 +104,6 @@ __all__ = [
     "format_seed",
     "g_vector",
     "g_vector_table",
-    "graphs_equal",
     "incompatibility_certificate",
     "incompatible_pairs",
     "laurent_witness",

@@ -51,21 +51,28 @@ seeds differ only in the variable at position k.  Crossing from u to w
 exchanges once, at u's stored B and y with the expansions of u's
 variables, only when w's k-th variable is still unknown.
 
-Most hosts take their expansions from a twin instead: an expanded host g
-whose (B, y) is the host h's under a simultaneous permutation pi of
-positions.  The field map x_{g,pi(p)} -> x_{h,p}, fixing coefficients,
+The root needs no walk when its variables are the units x_1..x_n in
+position order, as ``root_seed`` makes them: its expansions are then the
+interned variables.  Any other root is expanded like any other host.
+
+Under trivial coefficients most hosts take their expansions from a twin
+instead: an expanded host g whose B is the host h's under a simultaneous
+permutation pi of positions.  The field map x_{g,pi(p)} -> x_{h,p}
 commutes with mutation (Assem, Schiffler and Shramchenko, "Cluster
-automorphisms", 2012), so it carries each expansion at g to the one at
-h; any pi gives the same, as an expansion is unique.  With trivial
-coefficients the exchange binomial is symmetric in its two monomials, so a
-g whose B is -B_h under pi serves too.  ``carry`` steps g's exact seed,
-aligned to h's positions, over the tree from h until the map sigma of
-variables it gives names every one; h then relabels g's expansions, which g
-checked for positivity.  Such a sigma is a cluster automorphism, direct or
-inverse, kept to serve with no walk each later host whose cluster it
-carries to an expanded one.  On a capped atlas a walk can leave the store;
-what it leaves unnamed is exchanged.  E6's degree sweep walks 9 times for
-its 833 hosts; under principal coefficients none has a twin.
+automorphisms", 2012), so it carries each expansion at g to the one at h;
+any pi gives the same, as an expansion is unique.  The exchange binomial is
+then symmetric in its two monomials, so a g whose B is -B_h under pi serves
+too.  ``carry`` steps g's exact seed, aligned to h's positions, over the
+tree from h until the map sigma of variables it gives names every one; h
+then relabels g's expansions, which g checked for positivity.  Such a sigma
+is a cluster automorphism, direct or inverse, kept to serve with no walk
+each later host whose cluster it carries to an expanded one.  On a capped
+atlas a walk can leave the store; what it leaves unnamed is exchanged.
+E6's degree sweep walks 9 times for its 833 hosts.  Twins are sought only
+under trivial coefficients: with coefficients pi must carry g's y to h's
+too, and under principal coefficients no two stored seeds agree so (E6's
+833 hosts fill 833 one-host buckets).  Seeds with other coefficients, which
+only code builds, exchange at every host.
 
 Walks that only need to know which variables a seed holds do no
 arithmetic at all.  An exact seed (positions intact) is the pair of its
@@ -87,7 +94,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .laurent import LaurentPoly
 # mutate_path is not called here.  perfbench/tracer.py patches the name
@@ -128,17 +135,14 @@ def _exchange_input(seed: Seed, ids: tuple[int, ...], k: int) -> tuple:
     )
 
 
-def matching_permutations(
-    rows: Rows, labels: Sequence, want: Rows, want_labels: Sequence
-) -> Iterator[tuple[int, ...]]:
-    """Simultaneous position permutations carrying (rows, labels) onto
-    (want, want_labels), in lexicographic order: position i of want is
-    position perm[i] of rows, so rows[perm[i]][perm[j]] == want[i][j] and
-    labels[perm[i]] == want_labels[i].
+def matching_permutations(rows: Rows, want: Rows) -> Iterator[tuple[int, ...]]:
+    """Simultaneous position permutations carrying rows onto want, in
+    lexicographic order: position i of want is position perm[i] of rows, so
+    rows[perm[i]][perm[j]] == want[i][j].
 
     perm is assigned one position at a time, smallest value first, and a
-    value is kept only if its label and every entry it fixes against the
-    positions already assigned match; diagonals are zero in both matrices.
+    value is kept only if every entry it fixes against the positions already
+    assigned matches; diagonals are zero in both matrices.
     """
     n = len(want)
     perm: list[int] = []
@@ -149,7 +153,7 @@ def matching_permutations(
             yield tuple(perm)
             return
         for p in range(n):
-            if p in perm or labels[p] != want_labels[i]:
+            if p in perm:
                 continue
             row = rows[p]
             if all(
@@ -201,11 +205,10 @@ class PatternAtlas:
         self._seed_keys: dict[tuple, int] = {}
         self._expand_cache: dict[Cluster, dict[int, LaurentPoly]] = {}
         # Hosts expanded by exchanges, by a shape that position permutations
-        # keep: the sorted (sorted row p of B, y_p).
+        # keep: the sorted rows of B, each sorted.
         self._twins: dict[tuple, list[int]] = {}
         # Cluster automorphisms: the twin maps that named every variable.
         self._automorphisms: list[dict[int, int]] = []
-        self._ireach_cache: dict[frozenset, dict[Cluster, tuple[int, ...]]] = {}
         self._by_face: dict[Cluster, list[Cluster]] | None = None
         self._by_variable: list[tuple[Cluster, ...]] | None = None
         self.derived: dict = {}
@@ -398,11 +401,6 @@ class PatternAtlas:
         n, m = self.n, self.m
         seeds, ids = self.seeds, self.seed_variable_ids
         host, count = self.cluster_to_seed[c], len(self.variables)
-        b, y = seeds[host].b, seeds[host].y
-        # Twins by shape; -B twins serve too when m == 0 (see the module).
-        signs = (1, -1) if m == 0 else (1,)
-        wants = [tuple(tuple(s * e for e in row) for row in b.rows) for s in signs]
-        shapes = [tuple(sorted(zip(map(tuple, map(sorted, w)), y))) for w in wants]
         # sigma: a kept automorphism taking c to an expanded cluster, else the
         # map carried from a twin; see the module docstring.
         for sigma in self._automorphisms:
@@ -410,27 +408,33 @@ class PatternAtlas:
                 break
         else:
             sigma = {}
-            twin = next(
-                (
-                    (g, tuple([ids[g][q] for q in perm]))
-                    for want, shape in zip(wants, shapes)
-                    for g in self._twins.get(shape, ())
-                    for perm in matching_permutations(
-                        seeds[g].b.rows, seeds[g].y, want, y
-                    )
-                ),
-                None,
-            )
-            if twin is None:
-                self._twins.setdefault(shapes[0], []).append(host)
-            else:
-                for w, (_, image) in self.carry(twin, self, host):
-                    sigma.update(zip(ids[w], image))
-                    if len(sigma) == count:
-                        self._automorphisms.append(sigma)
-                        break
+            if m == 0:  # twins by B and by -B; see the module docstring
+                rows = seeds[host].b.rows
+                wants = (rows, tuple(tuple(-e for e in row) for row in rows))
+                shapes = [tuple(sorted(map(tuple, map(sorted, w)))) for w in wants]
+                twin = next(
+                    (
+                        (g, tuple([ids[g][q] for q in perm]))
+                        for want, shape in zip(wants, shapes)
+                        for g in self._twins.get(shape, ())
+                        for perm in matching_permutations(seeds[g].b.rows, want)
+                    ),
+                    None,
+                )
+                if twin is None:
+                    self._twins.setdefault(shapes[0], []).append(host)
+                else:
+                    for w, (_, image) in self.carry(twin, self, host):
+                        sigma.update(zip(ids[w], image))
+                        if len(sigma) == count:
+                            self._automorphisms.append(sigma)
+                            break
         known = {u: LaurentPoly.variable(n, m, r) for r, u in enumerate(c, 1)}
-        if sigma:  # its image of a unit variable of c is that unit again
+        if host == 0 and all(self.variables[u] == p for u, p in known.items()):
+            # A root of units x_1..x_n in position order, as root_seed
+            # makes: its expansions are the interned variables.
+            known = dict(enumerate(self.variables))
+        elif sigma:  # its image of a unit variable of c is that unit again
             image = sorted(map(sigma.__getitem__, c))
             twin_known = self._expand_cache[tuple(image)]
             # The host's r-th coordinate is sigma(c)'s order[r]-th.
@@ -527,9 +531,6 @@ class PatternAtlas:
         key = frozenset(subset)
         if any(not 1 <= i <= self.n for i in key):
             raise ValueError(f"directions {sorted(key)} out of range 1..{self.n}")
-        cached = self._ireach_cache.get(key)
-        if cached is not None:
-            return cached
         root = (0, self.seed_variable_ids[0])
         cluster = tuple(sorted(root[1]))
         out = {cluster: root[1]}
@@ -550,7 +551,6 @@ class PatternAtlas:
                     out.setdefault(cluster, child[1])
                     nxt.append(child)
             frontier = nxt
-        self._ireach_cache[key] = out
         return out
 
     # ------------------------------------------------------------------
@@ -567,7 +567,7 @@ class PatternAtlas:
             for j, b in enumerate(group)
             for a in group[:j]
         )
-        return ExchangeGraph(self, vertices, tuple(edges))
+        return ExchangeGraph(vertices, tuple(edges))
 
     # ------------------------------------------------------------------
     # export
@@ -672,26 +672,10 @@ def format_cluster(ids: Iterable[int]) -> str:
 
 @dataclass(frozen=True)
 class ExchangeGraph:
-    """Graph on clusters, an edge joining clusters sharing n-1 variables.
+    """Graph on clusters, an edge joining clusters sharing n-1 variables."""
 
-    ``table`` identifies the interning table whose variable ids label
-    the vertices; graphs over different tables cannot be compared until
-    one is relabeled.
-    """
-
-    table: object
     vertices: tuple[Cluster, ...]
     edges: tuple[tuple[Cluster, Cluster], ...]
-
-    def relabeled(self, mapping: Mapping[int, int], table: object) -> "ExchangeGraph":
-        """Apply a variable-id mapping to every label, re-sorting."""
-
-        def conv(c: Cluster) -> Cluster:
-            return tuple(sorted(mapping[v] for v in c))
-
-        vertices = tuple(sorted(conv(c) for c in self.vertices))
-        edges = tuple(sorted(tuple(sorted((conv(a), conv(b)))) for a, b in self.edges))
-        return ExchangeGraph(table, vertices, edges)
 
     def to_dot(self) -> str:
         names = {c: f"c{i}" for i, c in enumerate(self.vertices)}
@@ -714,25 +698,9 @@ class ExchangeGraph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class GraphComparison:
-    equal: bool
-    detail: str
-
-    def __bool__(self) -> bool:
-        return self.equal
-
-
-def graphs_equal(g1: ExchangeGraph, g2: ExchangeGraph) -> GraphComparison:
-    """Equality as labeled graphs; reports the first differing vertex or edge.
-
-    Raises ValueError when the graphs label vertices from different
-    interning tables, since id equality would then be meaningless.
-    """
-    if g1.table is not g2.table:
-        raise ValueError(
-            "graphs label clusters from different variable tables; relabel first"
-        )
+def graph_difference(g1: ExchangeGraph, g2: ExchangeGraph) -> str:
+    """The first vertex or edge in one graph only, as ``vertex {0,1} only in
+    first graph``, or "" when the labeled graphs are equal."""
     # A vertex is compared as the 1-tuple of its cluster, an edge as the
     # pair of its clusters, so both print as their clusters joined by " -- ".
     for kind, s1, s2 in (
@@ -742,5 +710,5 @@ def graphs_equal(g1: ExchangeGraph, g2: ExchangeGraph) -> GraphComparison:
         for which, only in (("first", s1 - s2), ("second", s2 - s1)):
             if only:
                 shown = " -- ".join(map(format_cluster, min(only)))
-                return GraphComparison(False, f"{kind} {shown} only in {which} graph")
-    return GraphComparison(True, "")
+                return f"{kind} {shown} only in {which} graph"
+    return ""

@@ -41,7 +41,7 @@ from .atlas import (
     IncompleteAtlasError,
     PatternAtlas,
     format_cluster,
-    graphs_equal,
+    graph_difference,
     matching_permutations,
 )
 from .compat import compatibility_matrix
@@ -316,12 +316,13 @@ def verify_unistructural(a1: PatternAtlas, a2: PatternAtlas) -> VerificationRepo
     report.add_check("cluster-sets-equal", same_clusters, detail)
 
     # a2's graph is read off its mutation edges, not its clusters, so it can
-    # differ from a1's when the cluster sets agree.
-    cluster = [tuple(sorted(ids)) for ids in a2.seed_variable_ids]
+    # differ from a1's when the cluster sets agree.  Its seeds' clusters and
+    # edges are mapped into a1's ids once.
+    cluster = [tuple(sorted(mapping[v] for v in ids)) for ids in a2.seed_variable_ids]
     edges = {tuple(sorted((cluster[s], cluster[t]))) for (s, _), t in a2.edges.items()}
-    graph2 = ExchangeGraph(a2, tuple(set(cluster)), tuple(edges))
-    comparison = graphs_equal(a1.exchange_graph(), graph2.relabeled(mapping, a1))
-    report.add_check("exchange-graphs-equal", comparison.equal, comparison.detail)
+    graph2 = ExchangeGraph(tuple(set(cluster)), tuple(edges))
+    difference = graph_difference(a1.exchange_graph(), graph2)
+    report.add_check("exchange-graphs-equal", not difference, difference)
 
     matrix1 = compatibility_matrix(a1)
     matrix2 = compatibility_matrix(a2)
@@ -349,20 +350,19 @@ def _find_identification(
 
     Anchors are permuted stored seeds of a1 whose matrix equals a2's
     root matrix, in store order, each seed's permutations in the order
-    ``matching_permutations`` gives.  With trivial coefficients an anchor generates a1's
-    pattern just as a2's root generates a2's, so ``a1.carry`` from the
-    anchor over a2's discovery tree, breadth first from a2's root, pairs
-    every a2 seed with an exact a1 seed; matching them position by
-    position must give a consistent bijection of variables.
+    ``matching_permutations`` gives.  With trivial coefficients an anchor
+    generates a1's pattern just as a2's root generates a2's, so
+    ``a1.carry`` from the anchor over a2's discovery tree, breadth first
+    from a2's root, pairs every a2 seed with an exact a1 seed; matching
+    them position by position must give a consistent bijection of
+    variables.
     """
     tried = 0
     last_reason = "no stored seed of the first atlas matches the second root matrix"
-    unlabeled = (None,) * a1.n
-    want = a2.root.b.rows
     anchors = (
         (sid, perm)
         for sid, seed in enumerate(a1.seeds)
-        for perm in matching_permutations(seed.b.rows, unlabeled, want, unlabeled)
+        for perm in matching_permutations(seed.b.rows, a2.root.b.rows)
     )
     for sid, perm in anchors:
         tried += 1

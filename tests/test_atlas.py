@@ -18,7 +18,6 @@ from clusteralg import (
     PositivityError,
     Seed,
     explore,
-    graphs_equal,
     mutate_path,
     root_seed,
 )
@@ -27,6 +26,7 @@ from clusteralg.atlas import (
     _canonical_seed_key,
     _exchange_input,
     _json_text,
+    graph_difference,
 )
 from clusteralg.catalogue import finite_counts, matrix
 from clusteralg.seed import exchange, mutate
@@ -94,6 +94,34 @@ def count_binomials(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(clusteralg.seed, "exchange_binomial", counted)
     return calls
+
+
+def replayed_expansions(atlas, sid) -> list[LaurentPoly]:
+    """Reference for ``expand`` at stored seed sid: per variable, one full
+    replay from the host to the root and on to the variable's first seed,
+    in the host's position coordinates, then permuted to ascending id."""
+    n, m = atlas.n, atlas.m
+    first_seed = {}
+    for tid, ids in enumerate(atlas.seed_variable_ids):
+        for v in ids:
+            first_seed.setdefault(v, tid)
+    host = atlas.seeds[sid]
+    fresh = Seed(
+        host.b, host.y, [LaurentPoly.variable(n, m, i) for i in range(1, n + 1)]
+    )
+    order = sorted(range(n), key=atlas.seed_variable_ids[sid].__getitem__)
+    out = []
+    for v in range(len(atlas.variables)):
+        tid = first_seed[v]
+        landed = mutate_path(fresh, tuple(reversed(atlas.path(sid))) + atlas.path(tid))
+        positional = landed.x[atlas.seed_variable_ids[tid].index(v)]
+        terms = positional.terms.items()
+        out.append(
+            LaurentPoly(
+                n, m, {tuple(key[p] for p in order) + key[n:]: c for key, c in terms}
+            )
+        )
+    return out
 
 
 def twin_orders(atlas, sid, earlier, signs=None) -> set[tuple[int, ...]]:
@@ -671,9 +699,6 @@ class TestExpand:
         self, a2_trivial, c2_trivial, g2_trivial, a3_trivial, a3_principal,
         monkeypatch,
     ):
-        # Reference: one full replay per (host seed, variable), host to
-        # root and on to the variable's first seed, in the host's position
-        # coordinates, then permuted to ascending variable id.
         atlases = (a2_trivial, c2_trivial, g2_trivial, a3_trivial, a3_principal)
         capped = explore(
             root_seed(ExchangeMatrix(A4_ROWS), "principal"), ExploreCaps(20)
@@ -697,11 +722,7 @@ class TestExpand:
         binomials = count_binomials(monkeypatch)
         work = {}
         for atlas in atlases + (infinite_rank2(), capped, d4, kronecker, a4_capped):
-            n, m = atlas.n, atlas.m
-            first_seed = {}
-            for tid, ids in enumerate(atlas.seed_variable_ids):
-                for v in ids:
-                    first_seed.setdefault(v, tid)
+            n = atlas.n
             assert len(atlas.cluster_to_seed) == len(atlas.seeds)
             expanded, computed, untwinned, relabeled = [], 0, 0, False
             for cluster, sid in atlas.cluster_to_seed.items():
@@ -712,46 +733,30 @@ class TestExpand:
                 del binomials[:]
                 atlas.expand(0, cluster)
                 computed += len(binomials)
-                host = atlas.seeds[sid]
-                fresh = Seed(
-                    host.b,
-                    host.y,
-                    [LaurentPoly.variable(n, m, i) for i in range(1, n + 1)],
-                )
-                ids = atlas.seed_variable_ids[sid]
-                order = sorted(range(n), key=ids.__getitem__)
-                for v in range(len(atlas.variables)):
-                    tid = first_seed[v]
-                    path = tuple(reversed(atlas.path(sid))) + atlas.path(tid)
-                    landed = mutate_path(fresh, path)
-                    positional = landed.x[atlas.seed_variable_ids[tid].index(v)]
-                    want = LaurentPoly(
-                        n,
-                        m,
-                        {
-                            tuple(key[p] for p in order) + key[n:]: c
-                            for key, c in positional.terms.items()
-                        },
-                    )
-                    assert atlas.expand(v, cluster) == want
+                got = [atlas.expand(v, cluster) for v in range(len(atlas.variables))]
+                assert got == replayed_expansions(atlas, sid)
             per_host = len(atlas.variables) - n
-            # Exchanges at the hosts without a twin, computed, at every host.
-            work[atlas] = (untwinned * per_host, computed, len(expanded) * per_host)
+            # Exchanges at the hosts without a twin, computed, at every host;
+            # the root, the first host, computes nothing.
+            work[atlas] = (
+                (untwinned - 1) * per_host, computed, (len(expanded) - 1) * per_host
+            )
             if atlas is d4:
                 assert relabeled
         lowest, computed, highest = work[d4]
-        assert lowest == computed < highest
+        assert lowest == computed == 36 < highest
         for atlas in (kronecker, a4_capped):
             lowest, computed, highest = work[atlas]
             assert lowest < computed < highest
 
     def test_rerooting_exchanges_only_at_hosts_without_a_twin(self, monkeypatch):
-        # A host whose (B, y) is an earlier host's up to a position
-        # permutation relabels that host's expansions, with no exchange and
-        # no mutation.  Any other host reaches each variable it does not
-        # hold by one exchange at a stored seed's B and y.  Principal
-        # coefficients give every seed its own y, so no host has a twin.  A
-        # second round reads the cache.
+        # Under trivial coefficients a host whose B is an earlier host's up
+        # to a position permutation relabels that host's expansions, with no
+        # exchange and no mutation.  The root's expansions are the interned
+        # variables.  Any other host reaches each variable it does not hold
+        # by one exchange at a stored seed's B and y.  Principal coefficients
+        # give every seed its own y, so no host has a twin.  A second round
+        # reads the cache.
         atlases = [
             explore(root_seed(ExchangeMatrix(rows), coefficients))
             for rows, coefficients in [
@@ -772,7 +777,7 @@ class TestExpand:
                 twins += twinned
                 for v in range(count):
                     atlas.expand(v, cluster)
-                assert len(binomials) == (0 if twinned else count - atlas.n)
+                assert len(binomials) == (0 if twinned or not sid else count - atlas.n)
                 assert mutations == []
                 del binomials[:]
             assert (twins == 0) == (atlas.coefficients == "principal")
@@ -780,6 +785,36 @@ class TestExpand:
                 for v in range(count):
                     atlas.expand(v, cluster)
             assert binomials == mutations == []
+
+    @pytest.mark.parametrize("coefficients", ["trivial", "principal"])
+    def test_a_root_of_other_variables_is_expanded_like_any_host(self, coefficients):
+        # Only a root of the units x_1..x_n in position order reads its
+        # expansions off the interned variables.  A root of permuted units,
+        # or of a mutated seed's variables, is walked like any other host,
+        # and every host's expansions are still the per-pair replay's.
+        start = root_seed(ExchangeMatrix(A3_ROWS), coefficients)
+        x2, x1, x3 = (start.x[i] for i in (1, 0, 2))
+        for root in (Seed(start.b, start.y, [x2, x1, x3]), mutate(start, 1)):
+            atlas = explore(root)
+            assert atlas.complete
+            for cluster, sid in atlas.cluster_to_seed.items():
+                got = [atlas.expand(v, cluster) for v in range(len(atlas.variables))]
+                assert got == replayed_expansions(atlas, sid)
+
+    @pytest.mark.parametrize("y", [[(1,), (0,), (-1,)], [(1, -1), (0, 1), (-1, 0)]])
+    def test_custom_coefficients_exchange_at_every_host(self, y):
+        # Twins are sought only under trivial coefficients, so a pattern
+        # with other coefficients keeps no map; its expansions are still
+        # those of the per-pair replay.
+        m = len(y[0])
+        x = [LaurentPoly.variable(3, m, i) for i in range(1, 4)]
+        atlas = explore(Seed(ExchangeMatrix(A3_ROWS), y, x))
+        assert atlas.coefficients == "custom"
+        assert atlas.complete
+        for cluster, sid in atlas.cluster_to_seed.items():
+            got = [atlas.expand(v, cluster) for v in range(len(atlas.variables))]
+            assert got == replayed_expansions(atlas, sid)
+        assert atlas._automorphisms == []
 
     def test_a_minus_b_twin_serves_under_trivial_coefficients(self, monkeypatch):
         # With trivial coefficients the exchange binomial is symmetric in its
@@ -817,13 +852,15 @@ class TestExpand:
                 atlas.expand(0, cluster)
             count = len(atlas.variables)
             clusters = set(atlas.clusters)
-            graph = atlas.exchange_graph()
-            edges = set(graph.edges)
+            edges = set(atlas.exchange_graph().edges)
             for sigma in atlas._automorphisms:
                 assert sorted(sigma) == sorted(sigma.values()) == list(range(count))
-                image = {tuple(sorted(sigma[v] for v in c)) for c in clusters}
-                assert image == clusters
-                assert set(graph.relabeled(sigma, atlas).edges) == edges
+
+                def image(c):
+                    return tuple(sorted(sigma[v] for v in c))
+
+                assert set(map(image, clusters)) == clusters
+                assert {tuple(sorted(map(image, e))) for e in edges} == edges
             kept += len(atlas._automorphisms)
         assert kept
         for atlas in (
@@ -877,10 +914,11 @@ class TestExpand:
         monkeypatch.setattr(
             clusteralg.seed, "exchange_binomial", lambda seed, k: -original(seed, k)
         )
-        root_cluster = atlas.clusters[0]
-        outside = next(v for v in range(len(atlas.variables)) if v not in root_cluster)
+        # The root's expansions are the interned variables, so take another host.
+        host = atlas.clusters[1]
+        outside = next(v for v in range(len(atlas.variables)) if v not in host)
         with pytest.raises(PositivityError):
-            atlas.expand(outside, root_cluster)
+            atlas.expand(outside, host)
 
     def test_variables_are_interned_once(self, a2_trivial):
         a = a2_trivial
@@ -1063,37 +1101,22 @@ class TestExchangeGraph:
         assert lines[1] == "edges: 5"
         assert "{0,1} -- {1,2}" in lines
 
-    def test_graphs_equal_on_same_table(self, a2_trivial):
+    def test_equal_graphs_have_no_difference(self, a2_trivial):
         g = a2_trivial.exchange_graph()
-        assert graphs_equal(g, a2_trivial.exchange_graph())
-
-    def test_graphs_from_different_tables_need_relabeling(self, a2_trivial):
-        other = explore(root_seed(ExchangeMatrix(A2_ROWS), "trivial"))
-        g1 = a2_trivial.exchange_graph()
-        g2 = other.exchange_graph()
-        with pytest.raises(ValueError, match="relabel"):
-            graphs_equal(g1, g2)
-        mapped = g2.relabeled({v: v for v in range(5)}, table=g1.table)
-        assert graphs_equal(g1, mapped)
+        assert graph_difference(g, a2_trivial.exchange_graph()) == ""
 
     def test_vertex_difference_is_reported(self, a2_trivial, c2_trivial):
         g1 = a2_trivial.exchange_graph()
-        g2 = c2_trivial.exchange_graph().relabeled(
-            {v: v for v in range(6)}, table=g1.table
-        )
-        cmp = graphs_equal(g1, g2)
-        assert not cmp
-        assert cmp.detail == "vertex {3,4} only in first graph"
-        fewer = ExchangeGraph(g1.table, g1.vertices[:-1], ())
-        assert graphs_equal(fewer, g1).detail == "vertex {3,4} only in second graph"
+        g2 = c2_trivial.exchange_graph()
+        assert graph_difference(g1, g2) == "vertex {3,4} only in first graph"
+        fewer = ExchangeGraph(g1.vertices[:-1], ())
+        assert graph_difference(fewer, g1) == "vertex {3,4} only in second graph"
 
     def test_edge_difference_is_reported(self, a2_trivial):
         g1 = a2_trivial.exchange_graph()
-        g2 = ExchangeGraph(g1.table, g1.vertices, g1.edges[1:])
-        cmp = graphs_equal(g1, g2)
-        assert not cmp
-        assert cmp.detail == "edge {0,1} -- {0,3} only in first graph"
-        assert graphs_equal(g2, g1).detail == "edge {0,1} -- {0,3} only in second graph"
+        g2 = ExchangeGraph(g1.vertices, g1.edges[1:])
+        assert graph_difference(g1, g2) == "edge {0,1} -- {0,3} only in first graph"
+        assert graph_difference(g2, g1) == "edge {0,1} -- {0,3} only in second graph"
 
     def test_incomplete_atlas_graph_writes_no_warning(self):
         with warnings.catch_warnings():
@@ -1101,14 +1124,6 @@ class TestExchangeGraph:
             graph = infinite_rank2().exchange_graph()
         # The Kronecker exchange graph is a line.
         assert len(graph.edges) == len(graph.vertices) - 1 == 11
-
-    def test_relabeling_sorts_clusters(self, a2_trivial):
-        g = a2_trivial.exchange_graph()
-        swap = {0: 4, 1: 3, 2: 2, 3: 1, 4: 0}
-        h = g.relabeled(swap, table="scratch")
-        assert h.vertices == ((0, 1), (0, 2), (1, 4), (2, 3), (3, 4))
-        back = h.relabeled(swap, table=g.table)
-        assert graphs_equal(g, back)
 
 
 # ----------------------------------------------------------------------

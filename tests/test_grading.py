@@ -40,6 +40,17 @@ def g_matrix_det(cluster, atlas):
     )
 
 
+def patch_reachable(monkeypatch, atlas, subset, reach):
+    """Make ``atlas.i_reachable`` answer ``reach`` for the direction subset
+    ``subset`` and walk as before for every other."""
+    walk = atlas.i_reachable
+    monkeypatch.setattr(
+        atlas,
+        "i_reachable",
+        lambda I: reach if tuple(sorted(I)) == subset else walk(I),
+    )
+
+
 def cluster_monomial(cluster, powers, atlas):
     """The root expansion of a cluster monomial, and its g-vector predicted
     as the G-matrix of the cluster times the powers."""
@@ -282,33 +293,34 @@ class TestGPairs:
         with pytest.raises(IncompleteAtlasError):
             verify_g_pairs(capped)
 
-    def test_search_failure_raises_loudly(self, a2_principal):
-        # An artificial reachability cache entry simulates a broken
-        # search space: with no I-connected clusters at all the search
-        # must raise rather than return a default.
+    def test_search_failure_raises_loudly(self, a2_principal, monkeypatch):
+        # An artificial reachability answer simulates a broken search
+        # space: with no I-connected clusters at all the search must raise
+        # rather than return a default.
         atlas = explore(root_seed(ExchangeMatrix(A2_ROWS), "principal"))
-        atlas._ireach_cache[frozenset({1})] = {}
+        patch_reachable(monkeypatch, atlas, (1,), {})
         with pytest.raises(
             GPairNotFoundError, match=r"no g-pair partner for cluster \{0,1\} along \[1\];"
         ):
             find_g_pair((0, 1), (1,), atlas)
 
-    def test_ties_go_to_the_first_candidate_in_ascending_order(self):
+    def test_ties_go_to_the_first_candidate_in_ascending_order(self, monkeypatch):
         # On a complete atlas one candidate passes for every (t, I): 5,824
-        # of 5,824 on D5.  An artificial reachability cache entry giving
-        # cluster {1,2} the root's exact seed makes both candidates pass for
+        # of 5,824 on D5.  An artificial reachability answer giving cluster
+        # {1,2} the root's exact seed makes both candidates pass for
         # clusters {0,1} and {0,3}; the first in ascending order wins.
         atlas = explore(root_seed(ExchangeMatrix(A2_ROWS), "principal"))
-        atlas._ireach_cache[frozenset({1})] = {(0, 1): (0, 1), (1, 2): (0, 1)}
+        reach = {(0, 1): (0, 1), (1, 2): (0, 1)}
+        patch_reachable(monkeypatch, atlas, (1,), reach)
         for t in [(0, 1), (0, 3)]:
             assert check_g_pair(t, (1, 2), (1,), atlas)
             assert find_g_pair(t, (1,), atlas) == (0, 1)
 
-    def test_sweep_failure_prints_the_cluster_as_a_set(self):
+    def test_sweep_failure_prints_the_cluster_as_a_set(self, monkeypatch):
         # With nothing reachable along the empty direction set, the first
         # cluster in ascending order has no partner there.
         atlas = explore(root_seed(ExchangeMatrix(A2_ROWS), "principal"))
-        atlas._ireach_cache[frozenset()] = {}
+        patch_reachable(monkeypatch, atlas, (), {})
         report = verify_g_pairs(atlas)
         assert report.resolve_status() == "fail"
         assert report.checks[-1].detail == "cluster {0,1} along [] has no partner"

@@ -25,6 +25,8 @@ def test_every_exported_name_resolves():
         "g_matrix",
         "g_vector_monomial",
         "cluster_monomial_expansion",
+        "GraphComparison",
+        "graphs_equal",
     ],
 )
 def test_removed_names_are_gone(name):
