@@ -83,10 +83,10 @@ reachability is such a walk, stepping one exact seed per stored seed and
 cluster (``i_reachable`` says why), and so is ``carry``, which gives twins
 and cross-atlas identification their variable maps.
 
-The JSON export is ``to_json_dict()`` written by a small writer that gives
-exactly the text of ``json.dumps(indent=2, sort_keys=True)``, each list of
-ints in one join, which the standard library's indented encoder does one
-item at a time in pure Python.
+``to_json`` writes the text of ``json.dumps(indent=2, sort_keys=True)``
+straight from the atlas's tuples, with no nested-list copy for an encoder
+to walk item by item: each distinct row of the seeds' B and y is written
+once, each path from its parent's, and the whole in one format call.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .laurent import LaurentPoly
 # mutate_path is not called here.  perfbench/tracer.py patches the name
@@ -572,79 +572,53 @@ class PatternAtlas:
     # ------------------------------------------------------------------
     # export
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "coefficients": self.coefficients,
-            "complete": self.complete,
-            "caps": {
-                "max_seeds": self.caps.max_seeds,
-                "max_depth": self.caps.max_depth,
-            },
-            "root_b": [list(row) for row in self.root.b.rows],
-            "variables": [str(p) for p in self.variables],
-            "clusters": [list(c) for c in self.clusters],
-            "seeds": [
-                {
-                    "path": list(self.path(i)),
-                    "b": [list(row) for row in s.b.rows],
-                    "y": [list(t) for t in s.y],
-                    "variables": list(self.seed_variable_ids[i]),
-                }
-                for i, s in enumerate(self.seeds)
-            ],
-            "edges": sorted(
-                [sid, k, tid] for (sid, k), tid in self.edges.items()
-            ),
-        }
-
     def to_json(self) -> str:
-        text = _IntText().__getitem__
-        return _json_text(self.to_json_dict(), "\n", text) + "\n"
-
-
-class _IntText(dict):
-    """``str`` of each int, computed once per export."""
-
-    def __missing__(self, i: int) -> str:
-        text = self[i] = str(i)
-        return text
-
-
-_INT_ONLY = frozenset({int})
-
-
-def _json_text(value: object, newline: str, text: Callable[[int], str]) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
-    it, ``newline`` being the line break and indentation it is nested at
-    and ``text`` rendering ints.  Only dict, list, str, bool and int are
-    written; a list of ints is written in one join."""
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        if _INT_ONLY.issuperset(map(type, value)):
-            items = map(text, value)
-        else:
-            items = [_json_text(v, inner, text) for v in value]
-        return f"[{inner}{(',' + inner).join(items)}{newline}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [
-            f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner, text)}"
-            for key in sorted(value)
+        """The atlas as ``json.dumps(..., indent=2, sort_keys=True)`` writes
+        it, plus a newline; see the module docstring."""
+        # di: the line break and indentation at nesting depth i.
+        d1, d2, d3, d4 = ("\n" + "  " * i for i in range(1, 5))
+        # Seeds' B and y rows repeat: each row's text is made once.  root_b
+        # is nested two levels less, so it is not written from these.
+        rows = set().union(*(s.b.rows for s in self.seeds), *(s.y for s in self.seeds))
+        row = {r: _json_list(map(str, r), d4) for r in rows}.__getitem__
+        steps = [""]  # per seed, its path's items joined at depth 4
+        for parent, k in (entries[0] for entries in self.tree[1:]):
+            steps.append(f"{steps[parent]},{d4}{k}" if parent else str(k))
+        seeds = [
+            f'{{{d3}"b": {_json_list(map(row, seed.b.rows), d3)},'
+            f'{d3}"path": {f"[{d4}{path}{d3}]" if path else "[]"},'
+            f'{d3}"variables": {_json_list(map(str, ids), d3)},'
+            f'{d3}"y": {_json_list(map(row, seed.y), d3)}{d2}}}'
+            for seed, ids, path in zip(self.seeds, self.seed_variable_ids, steps)
         ]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return text(value)
-    raise TypeError(f"{type(value).__name__} is not written as JSON")
+        edges = [
+            f"[{d3}{sid},{d3}{k},{d3}{tid}{d2}]"
+            for (sid, k), tid in sorted(self.edges.items())
+        ]
+        clusters = (_json_list(map(str, c), d2) for c in self.clusters)
+        root_b = (_json_list(map(str, r), d2) for r in self.root.b.rows)
+        variables = map(encode_basestring_ascii, map(str, self.variables))
+        return (
+            f'{{{d1}"caps": {{{d2}"max_depth": {self.caps.max_depth},'
+            f'{d2}"max_seeds": {self.caps.max_seeds}{d1}}},'
+            f'{d1}"clusters": {_json_list(clusters, d1)},'
+            f'{d1}"coefficients": {encode_basestring_ascii(self.coefficients)},'
+            f'{d1}"complete": {"true" if self.complete else "false"},'
+            f'{d1}"edges": {_json_list(edges, d1)},'
+            f'{d1}"m": {self.m},'
+            f'{d1}"n": {self.n},'
+            f'{d1}"root_b": {_json_list(root_b, d1)},'
+            f'{d1}"seeds": {_json_list(seeds, d1)},'
+            f'{d1}"variables": {_json_list(variables, d1)}\n}}\n'
+        )
+
+
+def _json_list(items: Iterable[str], newline: str) -> str:
+    """A list of item texts, none empty, as ``json.dumps(indent=2)`` writes
+    it, newline being the line break and indentation it is nested at."""
+    inner = newline + "  "
+    body = f",{inner}".join(items)
+    return f"[{inner}{body}{newline}]" if body else "[]"
 
 
 def _classify_coefficients(root: Seed) -> str:

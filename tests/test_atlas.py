@@ -25,7 +25,6 @@ from clusteralg.atlas import (
     PatternAtlas,
     _canonical_seed_key,
     _exchange_input,
-    _json_text,
     graph_difference,
 )
 from clusteralg.catalogue import finite_counts, matrix
@@ -80,6 +79,34 @@ AFFINE_3_ROWS = [[0, 1, 0], [-2, 0, 2], [0, -1, 0]]
 def infinite_rank2(max_seeds=12):
     root = root_seed(ExchangeMatrix(KRONECKER_2_ROWS), "trivial")
     return explore(root, ExploreCaps(max_seeds=max_seeds))
+
+
+def json_document(atlas) -> dict:
+    """Reference for ``to_json``: the document it writes, built from the
+    atlas's public data, paths by ``path``."""
+    return {
+        "n": atlas.n,
+        "m": atlas.m,
+        "coefficients": atlas.coefficients,
+        "complete": atlas.complete,
+        "caps": {
+            "max_seeds": atlas.caps.max_seeds,
+            "max_depth": atlas.caps.max_depth,
+        },
+        "root_b": [list(row) for row in atlas.root.b.rows],
+        "variables": [str(p) for p in atlas.variables],
+        "clusters": [list(c) for c in atlas.clusters],
+        "seeds": [
+            {
+                "path": list(atlas.path(i)),
+                "b": [list(row) for row in s.b.rows],
+                "y": [list(t) for t in s.y],
+                "variables": list(atlas.seed_variable_ids[i]),
+            }
+            for i, s in enumerate(atlas.seeds)
+        ],
+        "edges": sorted([sid, k, tid] for (sid, k), tid in atlas.edges.items()),
+    }
 
 
 def count_binomials(monkeypatch) -> list[int]:
@@ -629,7 +656,7 @@ class TestCaps:
         assert not explore(root, ExploreCaps(max_depth=depth - 1)).complete
         capped = explore(root, ExploreCaps(max_depth=depth))
         assert capped.complete
-        got, want = capped.to_json_dict(), uncapped.to_json_dict()
+        got, want = json.loads(capped.to_json()), json.loads(uncapped.to_json())
         assert got.pop("caps") != want.pop("caps")
         assert got == want
 
@@ -1132,7 +1159,7 @@ class TestExchangeGraph:
 
 class TestSerialization:
     def test_json_shape(self, a2_trivial):
-        d = a2_trivial.to_json_dict()
+        d = json.loads(a2_trivial.to_json())
         assert d["n"] == 2
         assert d["m"] == 0
         assert d["coefficients"] == "trivial"
@@ -1153,6 +1180,10 @@ class TestSerialization:
         "rows, coefficients, caps",
         [
             (A1_ROWS, "principal", ExploreCaps()),
+            (A1_ROWS, "trivial", ExploreCaps()),
+            (D4_ROWS, "principal", ExploreCaps()),
+            (A4_ROWS, "trivial", ExploreCaps(max_seeds=20)),
+            ([[0, 12], [-12, 0]], "trivial", ExploreCaps(max_depth=2)),
             *[
                 (rows, coefficients, ExploreCaps())
                 for rows in (A2_ROWS, C2_ROWS, G2_ROWS, A3_ROWS)
@@ -1166,17 +1197,12 @@ class TestSerialization:
     )
     def test_writer_matches_json_dumps(self, rows, coefficients, caps):
         atlas = explore(root_seed(ExchangeMatrix(rows), coefficients), caps)
-        d = atlas.to_json_dict()
+        d = json_document(atlas)
         text = atlas.to_json()
         assert text == json.dumps(d, indent=2, sort_keys=True) + "\n"
         assert json.loads(text) == d
         if caps.max_depth == 0:
             assert d["edges"] == []
-
-    @pytest.mark.parametrize("value", [1.5, None, (1, 2), [0, 1.0], {"a": [None]}])
-    def test_writer_rejects_other_types(self, value):
-        with pytest.raises(TypeError):
-            _json_text(value, "\n", str)
 
     def test_exploration_is_deterministic(self):
         runs = [
@@ -1187,6 +1213,6 @@ class TestSerialization:
         assert runs[0].endswith("\n")
 
     def test_incomplete_atlas_is_marked(self):
-        d = infinite_rank2().to_json_dict()
+        d = json.loads(infinite_rank2().to_json())
         assert d["complete"] is False
         assert d["caps"]["max_seeds"] == 12

@@ -550,6 +550,18 @@ class TestDeterminism:
                 ["--max-depth", "2"],
                 "629bc4eca8b72728a0e2ae0fbf6931b53392b72aab2f23b06f54f76cfa164f31",
             ),
+            # Pinned before the export was written straight from the atlas:
+            # B3's entries of -2 and 2, and A4 rooted at a mutated B.
+            (
+                "b3",
+                [],
+                "2098d618032116477a538861cf66bbaa2d190f68a20614eaf755e15047ddd69d",
+            ),
+            (
+                "a4_rerooted",
+                [],
+                "e906346056be85e140f6e2f549feec94297cf434a0238ace7aa4f72318caa971",
+            ),
         ],
     )
     def test_explore_json_matches_golden_digest(
