@@ -43,13 +43,12 @@ Expansions with respect to an arbitrary stored cluster are computed by
 re-rooting, all of the cluster's at once.  The host seed's variables become
 unit variables, ranked by id: the one with the r-th smallest id is x_r, so
 every expansion is in ascending-id coordinates and none is permuted
-afterwards.  The walk then crosses the discovery tree breadth first
-outward from the host.  The atlas records that tree once, as each seed is
-stored: a stored child keeps its parent's positions, so the edge between
-them is the direction k the child was made in at both ends, and the two
-seeds differ only in the variable at position k.  Crossing from u to w
-exchanges once, at u's stored B and y with the expansions of u's
-variables, only when w's k-th variable is still unknown.
+afterwards.  The walk then crosses the edge table breadth first outward
+from the host.  Crossing from u in direction k to w exchanges once, at u's
+stored B and y with the expansions of u's variables, only when w holds an
+unknown variable, and then w must hold u's others.  ``tree`` keeps each
+seed's parent and direction: a child keeps its parent's positions, so that
+edge read backwards is the one edge of a seed whose level never ran.
 
 The root needs no walk when its variables are the units x_1..x_n in
 position order, as ``root_seed`` makes them: its expansions are then the
@@ -62,8 +61,8 @@ commutes with mutation (Assem, Schiffler and Shramchenko, "Cluster
 automorphisms", 2012), so it carries each expansion at g to the one at h;
 any pi gives the same, as an expansion is unique.  The exchange binomial is
 then symmetric in its two monomials, so a g whose B is -B_h under pi serves
-too.  ``carry`` steps g's exact seed, aligned to h's positions, over the
-tree from h until the map sigma of variables it gives names every one; h
+too.  ``carry`` steps g's exact seed, aligned to h's positions, from h
+over the tree until the map sigma of variables it gives names every one; h
 then relabels g's expansions, which g checked for positivity.  Such a sigma
 is a cluster automorphism, direct or inverse, kept to serve with no walk
 each later host whose cluster it carries to an expanded one.  On a capped
@@ -81,7 +80,9 @@ mutates it by lookup: each entry stands for a mutation computed, and
 positivity-checked, during exploration, or for its inverse.  Restricted
 reachability is such a walk, stepping one exact seed per stored seed and
 cluster (``i_reachable`` says why), and so is ``carry``, which gives twins
-and cross-atlas identification their variable maps.
+and cross-atlas identification their variable maps.  ``carry`` climbs the
+other atlas's parent entries to its root and goes down them in store order,
+so it permutes no exact seed and never reads that atlas's edge table.
 
 ``to_json`` writes the text of ``json.dumps(indent=2, sort_keys=True)``
 straight from the atlas's tuples, with no nested-list copy for an encoder
@@ -183,9 +184,9 @@ class PatternAtlas:
     ``variables`` (interning table, id = index), ``seed_variable_ids``
     (per seed, variable ids by position), ``clusters`` (discovery order),
     ``cluster_to_seed``, ``edges`` (mapping (seed index, direction) to
-    seed index), ``tree`` (the discovery tree: per seed, its (seed index,
-    direction) neighbours, the parent first for every seed but the root),
-    ``complete``; ``path(sid)`` replays the tree from the root.
+    seed index), ``tree`` (the discovery tree: per seed, the (seed index,
+    direction) it was made from, None for the root), ``complete``;
+    ``path(sid)`` replays the tree from the root.
     """
 
     def __init__(self, root: Seed, caps: ExploreCaps | None = None):
@@ -201,7 +202,7 @@ class PatternAtlas:
         self.clusters: list[Cluster] = []
         self.cluster_to_seed: dict[Cluster, int] = {}
         self.edges: dict[tuple[int, int], int] = {}
-        self.tree: list[list[tuple[int, int]]] = []
+        self.tree: list[tuple[int, int] | None] = []
         self._seed_keys: dict[tuple, int] = {}
         self._expand_cache: dict[Cluster, dict[int, LaurentPoly]] = {}
         # Hosts expanded by exchanges, by a shape that position permutations
@@ -224,9 +225,7 @@ class PatternAtlas:
         # parent: the (seed index, direction) the seed was made from, None
         # for the root.  Only here is the discovery tree written.
         sid = len(self.seeds)
-        self.tree.append([] if parent is None else [parent])
-        if parent is not None:
-            self.tree[parent[0]].append((sid, parent[1]))
+        self.tree.append(parent)
         self._seed_keys[key] = sid
         ids = []
         for p in seed.x:
@@ -382,7 +381,7 @@ class PatternAtlas:
         discovery tree."""
         steps = []
         while sid:
-            sid, k = self.tree[sid][0]
+            sid, k = self.tree[sid]
             steps.append(k)
         return tuple(reversed(steps))
 
@@ -446,24 +445,32 @@ class PatternAtlas:
                     terms = {pick(key) + key[n:]: a for key, a in p.terms.items()}
                     p = LaurentPoly._trusted(n, m, terms)
                 known[u] = p
-        # Breadth first from the host, so each variable sigma leaves unnamed
-        # is exchanged at a seed nearest the host.  Expansions tend to grow
-        # with that distance: walking down from the root instead made E6
-        # degree-properties 2.5 times slower.
-        walked = [(host, -1)]  # (seed, seed walked from)
-        for u, came_from in walked:
+        # Breadth first from the host over the edge table, so each variable
+        # sigma leaves unnamed is exchanged at a seed nearest the host.
+        # Expansions tend to grow with that distance: walking down from the
+        # root instead made E6 degree-properties 2.5 times slower.
+        walked, seen = [host], {host}
+        for u in walked:
             if len(known) == count:
                 break
-            for w, k in self.tree[u]:
-                if w == came_from:
+            for k in range(1, n + 1):
+                w = self.edges.get((u, k))
+                if w is None:  # a seed whose level never ran: its parent edge
+                    if self.tree[u] is None or self.tree[u][1] != k:
+                        continue
+                    w = self.tree[u][0]
+                if w in seen:
                     continue
-                walked.append((w, u))
-                new = ids[w][k - 1]
-                if new not in known:
+                seen.add(w)
+                walked.append(w)
+                new = [i for i in ids[w] if i not in known]
+                if new:
+                    if set(ids[u]).difference(ids[w]) != {ids[u][k - 1]}:
+                        raise _broken_edge(u, k)
                     seed = Seed._trusted(
                         seeds[u].b, seeds[u].y, tuple([known[i] for i in ids[u]])
                     )
-                    known[new] = exchange(seed, k)
+                    known[new[0]] = exchange(seed, k)
         self._expand_cache[c] = known
         return known[v]
 
@@ -473,15 +480,23 @@ class PatternAtlas:
     def carry(
         self, state: State, over: PatternAtlas, start: int = 0
     ) -> Iterator[tuple[int, State]]:
-        """Each seed id of ``over``, breadth first over its discovery tree
-        from start, with the exact seed of this atlas that the same mutations
-        reach from ``state``, by ``mutate_state``; none below a capped edge."""
-        walked = [(start, -1, state, 0)]  # (seed, seed walked from, state, k)
-        for u, back, state, k in walked:
-            state = self.mutate_state(state, k) if k else state
-            if state is not None:
-                yield u, state
-                walked.extend((w, u, state, k) for w, k in over.tree[u] if w != back)
+        """Each seed id of ``over``, start up to the root then the rest in
+        store order, with the exact seed of this atlas that the same mutations
+        reach from ``state`` by ``mutate_state``; none below a capped edge."""
+        states: list[State | None] = [None] * len(over.seeds)
+        u = start
+        while state is not None:
+            states[u] = state
+            yield u, state
+            if over.tree[u] is None:
+                break
+            u, k = over.tree[u]
+            state = self.mutate_state(state, k)
+        for w, (u, k) in enumerate(over.tree[1:], 1):
+            if states[w] is None and states[u] is not None:
+                states[w] = self.mutate_state(states[u], k)
+                if states[w] is not None:
+                    yield w, states[w]
 
     def mutate_state(self, state: State, k: int) -> State | None:
         """Exact seed ``(stored seed id, variable ids by position)`` mutated
@@ -498,10 +513,7 @@ class PatternAtlas:
             if target is not None:
                 (new,) = set(self.seed_variable_ids[target]).difference(ids)
         except ValueError:
-            raise RuntimeError(
-                f"the edge table is broken: seed {sid} in direction {k} does "
-                f"not exchange one variable"
-            ) from None
+            raise _broken_edge(sid, k) from None
         if target is None:
             if self.complete:
                 raise RuntimeError(
@@ -582,7 +594,7 @@ class PatternAtlas:
         rows = set().union(*(s.b.rows for s in self.seeds), *(s.y for s in self.seeds))
         row = {r: _json_list(map(str, r), d4) for r in rows}.__getitem__
         steps = [""]  # per seed, its path's items joined at depth 4
-        for parent, k in (entries[0] for entries in self.tree[1:]):
+        for parent, k in self.tree[1:]:
             steps.append(f"{steps[parent]},{d4}{k}" if parent else str(k))
         seeds = [
             f'{{{d3}"b": {_json_list(map(row, seed.b.rows), d3)},'
@@ -611,6 +623,13 @@ class PatternAtlas:
             f'{d1}"seeds": {_json_list(seeds, d1)},'
             f'{d1}"variables": {_json_list(variables, d1)}\n}}\n'
         )
+
+
+def _broken_edge(sid: int, k: int) -> RuntimeError:
+    return RuntimeError(
+        f"the edge table is broken: seed {sid} in direction {k} does not "
+        f"exchange one variable"
+    )
 
 
 def _json_list(items: Iterable[str], newline: str) -> str:

@@ -352,8 +352,8 @@ def _find_identification(
     root matrix, in store order, each seed's permutations in the order
     ``matching_permutations`` gives.  With trivial coefficients an anchor
     generates a1's pattern just as a2's root generates a2's, so
-    ``a1.carry`` from the anchor over a2's discovery tree, breadth first
-    from a2's root, pairs every a2 seed with an exact a1 seed; matching
+    ``a1.carry`` from the anchor over a2's discovery tree, in a2's store
+    order, pairs every a2 seed with an exact a1 seed; matching
     them position by position must give a consistent bijection of
     variables.
     """

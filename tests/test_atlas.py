@@ -374,7 +374,8 @@ class TestClosures:
         self, a2_trivial, a3_trivial, a3_principal
     ):
         # Every stored seed but the root is joined to its parent by a stored
-        # exchange edge, and its tree path, the one exported, replays to it.
+        # exchange edge that keeps positions at both ends, and its tree path,
+        # the one exported, replays to it.
         atlases = [a2_trivial, a3_trivial, a3_principal] + [
             explore(root_seed(ExchangeMatrix(rows), coefficients), caps)
             for rows, coefficients, caps in [
@@ -385,14 +386,19 @@ class TestClosures:
         ]
         for atlas in atlases:
             exported = json.loads(atlas.to_json())["seeds"]
-            assert sum(map(len, atlas.tree)) == 2 * (len(atlas.seeds) - 1)
+            assert len(atlas.tree) == len(atlas.seeds)
+            assert atlas.tree[0] is None
+            ids = atlas.seed_variable_ids
             for sid, seed in enumerate(atlas.seeds):
                 path = atlas.path(sid)
                 if sid:
-                    parent, k = atlas.tree[sid][0]
+                    parent, k = atlas.tree[sid]
                     assert parent < sid and path[-1] == k
                     assert atlas.edges[(parent, k)] == sid
-                    assert (sid, k) in atlas.tree[parent]
+                    # Absent only when the seed's level never ran.
+                    assert atlas.edges.get((sid, k), parent) == parent
+                    pairs = enumerate(zip(ids[parent], ids[sid]), 1)
+                    assert [p for p, (a, b) in pairs if a != b] == [k]
                 assert mutate_path(atlas.root, path) == seed
                 assert exported[sid]["path"] == list(path)
 
@@ -641,7 +647,7 @@ class TestCaps:
             for seed, k in calls
             if len(atlas.path(sid[id(seed)])) == 4
         ]
-        assert all(k == atlas.tree[s][0][1] for s, k in last)
+        assert all(k == atlas.tree[s][1] for s, k in last)
         assert len(calls) == len(atlas.seeds) - 1
 
     @pytest.mark.parametrize(
@@ -730,11 +736,14 @@ class TestExpand:
         capped = explore(
             root_seed(ExchangeMatrix(A4_ROWS), "principal"), ExploreCaps(20)
         )
-        # Seeds whose level never ran store no edges; the walk must not need them.
+        # Seeds whose level never ran store no edges; the walk reads their
+        # parent entries backwards.
         assert any(
             all((sid, k) not in capped.edges for k in range(1, capped.n + 1))
             for sid in range(len(capped.seeds))
         )
+        # Complete, with no twins: every host but the root exchanges.
+        d4_principal = explore(root_seed(ExchangeMatrix(D4_ROWS), "principal"))
         # Twin hosts: D4 relabels coordinates; every Kronecker host past the
         # root has a twin, and on both capped atlases the twin's lockstep
         # walk leaves the atlas, so the host falls back to exchanges.
@@ -748,7 +757,9 @@ class TestExpand:
         )
         binomials = count_binomials(monkeypatch)
         work = {}
-        for atlas in atlases + (infinite_rank2(), capped, d4, kronecker, a4_capped):
+        for atlas in atlases + (
+            infinite_rank2(), capped, d4_principal, d4, kronecker, a4_capped
+        ):
             n = atlas.n
             assert len(atlas.cluster_to_seed) == len(atlas.seeds)
             expanded, computed, untwinned, relabeled = [], 0, 0, False
@@ -772,6 +783,7 @@ class TestExpand:
                 assert relabeled
         lowest, computed, highest = work[d4]
         assert lowest == computed == 36 < highest
+        assert len(set(work[d4_principal])) == 1
         for atlas in (kronecker, a4_capped):
             lowest, computed, highest = work[atlas]
             assert lowest < computed < highest
@@ -871,8 +883,9 @@ class TestExpand:
         # A twin walk that names every variable keeps its map.  On a
         # complete atlas each one permutes the variables, the clusters and
         # the exchange graph's edges.  Capped atlases keep only maps that
-        # name every variable.
-        kept = 0
+        # name every variable.  The counts are those of expanding the
+        # clusters in discovery order.
+        kept = []
         for rows in (A4_ROWS, B3_ROWS, C3_ROWS, D4_ROWS, D5_ROWS):
             atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
             for cluster in atlas.clusters:
@@ -888,8 +901,8 @@ class TestExpand:
 
                 assert set(map(image, clusters)) == clusters
                 assert {tuple(sorted(map(image, e))) for e in edges} == edges
-            kept += len(atlas._automorphisms)
-        assert kept
+            kept.append(len(atlas._automorphisms))
+        assert kept == [4, 3, 3, 4, 5]
         for atlas in (
             explore(
                 root_seed(ExchangeMatrix(KRONECKER_2_ROWS), "trivial"),
@@ -1089,6 +1102,13 @@ class TestRestrictedReachability:
         corrupt_first_edge(atlas)
         with pytest.raises(RuntimeError, match="seed 0 in direction 1 "):
             atlas.i_reachable((1,))
+        # Re-rooting walks the edge table too: an edge it exchanges across
+        # must exchange one variable, or the expansion it gives is wrong.
+        atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "principal"))
+        corrupt_first_edge(atlas)
+        with pytest.raises(RuntimeError, match="seed 0 in direction 1 "):
+            for cluster in atlas.clusters:
+                atlas.expand(0, cluster)
 
     def test_capped_atlas_gives_partial_answers(self):
         a = infinite_rank2()

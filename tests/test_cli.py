@@ -372,13 +372,16 @@ class TestErrorHandling:
             return atlas
 
         monkeypatch.setattr(clusteralg.cli, "explore", corrupted)
-        argv = ["gpair", "--seed", seeds["a3p"], "--cluster", "0 1 2"]
-        assert main(argv + ["--subset", "1"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "engine fault: the edge table is broken: seed 0 in direction 1 "
-        )
+        for argv in (
+            ["gpair", "--seed", seeds["a3p"], "--cluster", "0 1 2", "--subset", "1"],
+            ["expand", "--seed", seeds["a3p"], "--cluster", "0 1 5", "--var", "3"],
+        ):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                "engine fault: the edge table is broken: seed 0 in direction 1 "
+            )
 
 
 # sha256 of the help text of each parser and of stderr for four usage

@@ -50,6 +50,29 @@ def test_script_passes(name, argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[name]
 
 
+# The host and kept-map counts and the sha256 of every expansion's text,
+# each host's variables in id order, hosts in discovery order.
+EXPANSION_REPORTS = {
+    "trivial": (
+        "hosts: 14\nkept maps: 3\n"
+        "sha256: e13d89049cdcec15200a5363069fa5f8911f126c2357aaaa38282e8ee4dd6998\n"
+    ),
+    "principal": (
+        "hosts: 14\nkept maps: 0\n"
+        "sha256: fbfde6bf126a34be68f2ef87f4c4a9b2c6ccd9111daff004ab60a36100a47ee7\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("coefficients", sorted(EXPANSION_REPORTS))
+def test_expand_every_host(coefficients, capsys):
+    argv = ["--type", "A3", "--coefficients", coefficients]
+    assert load_script("expand_every_host").main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == EXPANSION_REPORTS[coefficients]
+    assert captured.err.startswith("seconds: ")
+
+
 def test_random_walks_at_defaults(capsys):
     assert load_script("random_walks").main([]) == 0
     assert capsys.readouterr().out == (

@@ -55,11 +55,18 @@ def walk_tree(atlas, start, vectors, step):
     """Fill ``vectors`` (variable id -> vector) breadth first over the
     discovery tree from seed ``start``, whose variables it must hold:
     ``step(seed, ids, k)`` gives the vector of the variable exchanged in
-    direction k of a stored seed with variable ids ``ids``."""
+    direction k of a stored seed with variable ids ``ids``.  The walk builds
+    its own neighbour lists from the parent entries, so it shares no walk
+    with the engine."""
     ids = atlas.seed_variable_ids
+    tree = [[] for _ in atlas.seeds]
+    for sid, parent in enumerate(atlas.tree):
+        if parent is not None:
+            tree[sid].append(parent)
+            tree[parent[0]].append((sid, parent[1]))
     walked = [(start, -1)]
     for u, came_from in walked:
-        for w, k in atlas.tree[u]:
+        for w, k in tree[u]:
             if w == came_from:
                 continue
             walked.append((w, u))
