@@ -3,11 +3,15 @@
 
 Explores the chosen catalogue type from its root seed, then expands every
 variable in the coordinates of every stored cluster, in discovery order.
-Prints the number of hosts, the number of cluster automorphisms the atlas
-kept, and a sha256 of every expansion's text to stdout, and the seconds
-the expansions took, without exploring or printing them, to stderr.  So
-the re-rooting layer can be timed, and its output compared across
-versions, without a profiler.
+Then explores it again and reads every variable's d-vector at every
+cluster through ``compat.d_vector``, cluster by cluster as the
+degree-properties sweep does, so each cluster's d-vector table is built
+or permuted from a kept automorphism's image.  Prints the number of hosts,
+the number of cluster automorphisms the first atlas kept, a sha256 of
+every expansion's text and a sha256 of every d-vector's text to stdout,
+and the seconds the expansions and the d-vector tables took, without
+exploring or printing them, to stderr.  So the re-rooting layer can be
+timed, and its output compared across versions, without a profiler.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import hashlib
 import sys
 import time
 
-from clusteralg import ExchangeMatrix, explore, root_seed
+from clusteralg import ExchangeMatrix, d_vector, explore, root_seed
 from clusteralg.catalogue import finite_type, matrix
 
 
@@ -36,7 +40,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     family, n = args.type
-    atlas = explore(root_seed(ExchangeMatrix(matrix(family, n)), args.coefficients))
+    root = root_seed(ExchangeMatrix(matrix(family, n)), args.coefficients)
+    atlas = explore(root)
     start = time.perf_counter()
     for cluster in atlas.clusters:  # the first call expands every variable
         atlas.expand(0, cluster)
@@ -48,7 +53,19 @@ def main(argv: list[str] | None = None) -> int:
     print(f"hosts: {len(atlas.clusters)}")
     print(f"kept maps: {len(atlas._automorphisms)}")
     print(f"sha256: {digest.hexdigest()}")
+
+    atlas = explore(root)
+    count = len(atlas.variables)
+    start = time.perf_counter()
+    tables = [[d_vector(v, c, atlas) for v in range(count)] for c in atlas.clusters]
+    table_seconds = time.perf_counter() - start
+    digest = hashlib.sha256()
+    for table in tables:
+        for d in table:
+            digest.update(f"{d}\n".encode())
+    print(f"d-vectors sha256: {digest.hexdigest()}")
     print(f"seconds: {seconds:.3f}", file=sys.stderr)
+    print(f"d-vector seconds: {table_seconds:.3f}", file=sys.stderr)
     return 0
 
 

@@ -67,11 +67,13 @@ then relabels g's expansions, which g checked for positivity.  Such a sigma
 is a cluster automorphism, direct or inverse, kept to serve with no walk
 each later host whose cluster it carries to an expanded one.  On a capped
 atlas a walk can leave the store; what it leaves unnamed is exchanged.
-E6's degree sweep walks 9 times for its 833 hosts.  Twins are sought only
-under trivial coefficients: with coefficients pi must carry g's y to h's
-too, and under principal coefficients no two stored seeds agree so (E6's
-833 hosts fill 833 one-host buckets).  Seeds with other coefficients, which
-only code builds, exchange at every host.
+D-vector tables travel the same way: ``d_vectors`` permutes the table of
+the cluster a kept sigma carries h's to, else reads expansions, so E6's
+degree sweep expands 45 of its 833 hosts and walks 9 times.  Twins are
+sought only under trivial coefficients: with coefficients pi must carry g's
+y to h's too, and under principal coefficients no two stored seeds agree so
+(E6's 833 hosts fill 833 one-host buckets).  Seeds with other coefficients,
+which only code builds, exchange at every host.
 
 Walks that only need to know which variables a seed holds do no
 arithmetic at all.  An exact seed (positions intact) is the pair of its
@@ -205,6 +207,7 @@ class PatternAtlas:
         self.tree: list[tuple[int, int] | None] = []
         self._seed_keys: dict[tuple, int] = {}
         self._expand_cache: dict[Cluster, dict[int, LaurentPoly]] = {}
+        self._d_vectors: dict[Cluster, tuple[tuple[int, ...], ...]] = {}
         # Hosts expanded by exchanges, by a shape that position permutations
         # keep: the sorted rows of B, each sorted.
         self._twins: dict[tuple, list[int]] = {}
@@ -400,51 +403,46 @@ class PatternAtlas:
         n, m = self.n, self.m
         seeds, ids = self.seeds, self.seed_variable_ids
         host, count = self.cluster_to_seed[c], len(self.variables)
-        # sigma: a kept automorphism taking c to an expanded cluster, else the
-        # map carried from a twin; see the module docstring.
-        for sigma in self._automorphisms:
-            if tuple(sorted(map(sigma.__getitem__, c))) in self._expand_cache:
-                break
-        else:
-            sigma = {}
-            if m == 0:  # twins by B and by -B; see the module docstring
-                rows = seeds[host].b.rows
-                wants = (rows, tuple(tuple(-e for e in row) for row in rows))
-                shapes = [tuple(sorted(map(tuple, map(sorted, w)))) for w in wants]
-                twin = next(
-                    (
-                        (g, tuple([ids[g][q] for q in perm]))
-                        for want, shape in zip(wants, shapes)
-                        for g in self._twins.get(shape, ())
-                        for perm in matching_permutations(seeds[g].b.rows, want)
-                    ),
-                    None,
-                )
-                if twin is None:
-                    self._twins.setdefault(shapes[0], []).append(host)
-                else:
-                    for w, (_, image) in self.carry(twin, self, host):
-                        sigma.update(zip(ids[w], image))
-                        if len(sigma) == count:
-                            self._automorphisms.append(sigma)
-                            break
-        known = {u: LaurentPoly.variable(n, m, r) for r, u in enumerate(c, 1)}
+        # A kept automorphism taking c to an expanded cluster, else the map
+        # carried from a twin; see the module docstring.
+        served = _carrying_map(self._automorphisms, c, self._expand_cache)
+        if served is None and m == 0:  # twins by B and by -B
+            rows = seeds[host].b.rows
+            wants = (rows, tuple(tuple(-e for e in row) for row in rows))
+            shapes = [tuple(sorted(map(tuple, map(sorted, w)))) for w in wants]
+            twin = next(
+                (
+                    (g, tuple([ids[g][q] for q in perm]))
+                    for want, shape in zip(wants, shapes)
+                    for g in self._twins.get(shape, ())
+                    for perm in matching_permutations(seeds[g].b.rows, want)
+                ),
+                None,
+            )
+            if twin is None:
+                self._twins.setdefault(shapes[0], []).append(host)
+            else:
+                sigma: dict[int, int] = {}
+                for w, (_, image) in self.carry(twin, self, host):
+                    sigma.update(zip(ids[w], image))
+                    if len(sigma) == count:
+                        self._automorphisms.append(sigma)
+                        break
+                served = _carrying_map([sigma], c, self._expand_cache)
+        # Units are read by the root check and the exchange walk only.
+        if host == 0 or served is None:
+            known = {u: LaurentPoly.variable(n, m, r) for r, u in enumerate(c, 1)}
         if host == 0 and all(self.variables[u] == p for u, p in known.items()):
             # A root of units x_1..x_n in position order, as root_seed
             # makes: its expansions are the interned variables.
             known = dict(enumerate(self.variables))
-        elif sigma:  # its image of a unit variable of c is that unit again
-            image = sorted(map(sigma.__getitem__, c))
-            twin_known = self._expand_cache[tuple(image)]
-            # The host's r-th coordinate is sigma(c)'s order[r]-th.
-            order = [image.index(sigma[u]) for u in c]
-            pick = None if order == list(range(n)) else itemgetter(*order)
-            for u, s in sigma.items():
-                p = twin_known[s]
-                if pick is not None:  # so n > 1, and pick gives tuples
+        elif served is not None:  # its image of a unit of c is that unit again
+            sigma, image, pick = served
+            known = {u: self._expand_cache[image][s] for u, s in sigma.items()}
+            if pick is not None:
+                for u, p in known.items():
                     terms = {pick(key) + key[n:]: a for key, a in p.terms.items()}
-                    p = LaurentPoly._trusted(n, m, terms)
-                known[u] = p
+                    known[u] = LaurentPoly._trusted(n, m, terms)
         # Breadth first from the host over the edge table, so each variable
         # sigma leaves unnamed is exchanged at a seed nearest the host.
         # Expansions tend to grow with that distance: walking down from the
@@ -473,6 +471,26 @@ class PatternAtlas:
                     known[new[0]] = exchange(seed, k)
         self._expand_cache[c] = known
         return known[v]
+
+    def d_vectors(self, cluster: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        """Every variable's d-vector at a stored cluster, by variable id: its
+        expansion's negated minimal x exponents.  Kept, and permuted from
+        another cluster's along a kept automorphism; see the module."""
+        c = self.normalize_cluster(cluster)
+        if c not in self._d_vectors:
+            served = _carrying_map(self._automorphisms, c, self._d_vectors)
+            if served is None:
+                self.expand(0, c)
+                known = self._expand_cache[c]
+                table = [known[v].x_min_exponents() for v in range(len(self.variables))]
+                table = [tuple(-e for e in mins) for mins in table]
+            else:
+                sigma, image, pick = served
+                table = [self._d_vectors[image][sigma[v]] for v in range(len(sigma))]
+                if pick is not None:
+                    table = list(map(pick, table))
+            self._d_vectors[c] = tuple(table)
+        return self._d_vectors[c]
 
     # ------------------------------------------------------------------
     # table walks over exact seeds
@@ -623,6 +641,20 @@ class PatternAtlas:
             f'{d1}"seeds": {_json_list(seeds, d1)},'
             f'{d1}"variables": {_json_list(variables, d1)}\n}}\n'
         )
+
+
+def _carrying_map(maps: Iterable[dict], c: Cluster, kept: dict) -> tuple | None:
+    """The first of maps carrying cluster c onto one in ``kept``, as (sigma,
+    image, pick), else None.  pick reads c's r-th coordinate at the image's
+    position of sigma(c[r]); it is None for the identity, as a one-index
+    itemgetter gives no tuple."""
+    for sigma in maps:
+        image = tuple(sorted(map(sigma.__getitem__, c)))
+        if image in kept:
+            order = [image.index(sigma[u]) for u in c]
+            pick = None if order == list(range(len(c))) else itemgetter(*order)
+            return sigma, image, pick
+    return None
 
 
 def _broken_edge(sid: int, k: int) -> RuntimeError:

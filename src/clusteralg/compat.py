@@ -7,8 +7,8 @@ x coordinate of z's d-vector in any cluster containing x; the choice of
 cluster does not matter, which is one of the verified properties rather
 than an assumption, so the degree matrix reads the first containing
 cluster in atlas order.  The degree-properties sweep compares every
-choice: it reads each (variable, cluster) d-vector once and records its
-coordinate at every variable of the cluster.
+choice: it reads each cluster's kept d-vector table once and records
+each entry's coordinate at every variable of the cluster.
 
 Two variables are d-compatible when the degree is <= 0.  Maximal
 d-compatible sets are maximal cliques of that relation, enumerated
@@ -28,24 +28,22 @@ DVector = tuple[int, ...]
 
 def d_vector(v: int, cluster: Iterable[int], atlas: PatternAtlas) -> DVector:
     """Negated minimal x exponents of v's expansion in the cluster,
-    ordered by ascending variable id."""
-    return tuple(-e for e in atlas.expand(v, cluster).x_min_exponents())
+    ordered by ascending variable id: v's entry of the cluster's table."""
+    atlas.require_variable(v)
+    return atlas.d_vectors(cluster)[v]
 
 
 def compatibility_matrix(atlas: PatternAtlas) -> list[list[int]]:
     """Full degree matrix; entry [j][i] is the degree of (var j, var i).
 
     Row j reads the first cluster through j in atlas order, and each
-    (variable, first cluster) d-vector is read once.
+    distinct first cluster's d-vector table is read once.
     """
     if not atlas.complete:
         raise IncompleteAtlasError("degree matrix needs a complete atlas")
-    count = len(atlas.variables)
-    hosts = [atlas.clusters_containing(j)[0] for j in range(count)]
-    d_vectors = {
-        c: [d_vector(i, c, atlas) for i in range(count)] for c in dict.fromkeys(hosts)
-    }
-    return [[d[c.index(j)] for d in d_vectors[c]] for j, c in enumerate(hosts)]
+    hosts = [atlas.clusters_containing(j)[0] for j in range(len(atlas.variables))]
+    tables = {c: atlas.d_vectors(c) for c in dict.fromkeys(hosts)}
+    return [[d[c.index(j)] for d in tables[c]] for j, c in enumerate(hosts)]
 
 
 def compatibility_matrix_tsv(atlas: PatternAtlas) -> str:
@@ -104,8 +102,8 @@ def verify_degree_properties(atlas: PatternAtlas) -> VerificationReport:
         (j, i): set() for j in range(count) for i in range(count)
     }
     for c in atlas.clusters:
-        for i in range(count):
-            for j, degree_ji in zip(c, d_vector(i, c, atlas)):
+        for i, d in enumerate(atlas.d_vectors(c)):
+            for j, degree_ji in zip(c, d):
                 values[(j, i)].add(degree_ji)
 
     bad = next(((j, i) for (j, i), v in values.items() if len(v) > 1), None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import clusteralg.compat
@@ -18,7 +20,18 @@ from clusteralg import (
     verify_degree_properties,
     verify_maximal_sets,
 )
-from conftest import A1_ROWS, A3_ROWS, A4_ROWS, B3_ROWS, D4_ROWS, KRONECKER_2_ROWS
+from clusteralg.atlas import PatternAtlas
+from clusteralg.laurent import LaurentPoly
+from conftest import (
+    A1_ROWS,
+    A3_ROWS,
+    A4_ROWS,
+    B3_ROWS,
+    C3_ROWS,
+    D4_ROWS,
+    D5_ROWS,
+    KRONECKER_2_ROWS,
+)
 
 
 def compatibility_degree(xj, xi, atlas):
@@ -80,6 +93,59 @@ class TestDVectors:
         assert d_vector(0, (3, 4), a2_trivial) == (matrix[3][0], matrix[4][0])
         assert matrix[3][0] != matrix[4][0]
 
+    @pytest.mark.parametrize(
+        "rows, coefficients",
+        [
+            (A1_ROWS, "trivial"),
+            (A4_ROWS, "trivial"),
+            (B3_ROWS, "trivial"),
+            (C3_ROWS, "trivial"),
+            (D4_ROWS, "trivial"),
+            (D5_ROWS, "trivial"),
+            (D4_ROWS, "principal"),
+        ],
+    )
+    @pytest.mark.parametrize("expanded_first", [False, True])
+    def test_tables_match_the_expansions(
+        self, monkeypatch, rows, coefficients, expanded_first
+    ):
+        # Every entry of every cluster's table is the negated minimal x
+        # exponents of the expansion there, read on an atlas that shares no
+        # table.  Tables read in discovery order, as the degree sweep does,
+        # are permuted along the maps kept so far; after every cluster is
+        # expanded all maps are kept, and A1's one map is carried too.
+        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients))
+        reference = explore(root_seed(ExchangeMatrix(rows), coefficients))
+        if expanded_first:
+            for c in atlas.clusters:
+                atlas.expand(0, c)
+        count = len(atlas.variables)
+        want = {
+            c: tuple(
+                tuple(-e for e in reference.expand(v, c).x_min_exponents())
+                for v in range(count)
+            )
+            for c in atlas.clusters
+        }
+        read = []
+        x_min_exponents = LaurentPoly.x_min_exponents
+
+        def counted(p):
+            read.append(p)
+            return x_min_exponents(p)
+
+        monkeypatch.setattr(LaurentPoly, "x_min_exponents", counted)
+        for c in atlas.clusters:
+            assert atlas.d_vectors(c) == want[c], c
+        # Under principal coefficients no map is kept, so every table is
+        # read from expansions.  Otherwise some are permuted; A1 keeps its
+        # one map only once its second cluster is expanded.
+        tabled = len(read) // count
+        if coefficients == "principal":
+            assert tabled == len(atlas.clusters)
+        elif expanded_first or atlas.n > 1:
+            assert tabled < len(atlas.clusters)
+
 
 class TestCompatibilityDegree:
     def test_pentagon_matrix(self, a2_trivial):
@@ -118,6 +184,11 @@ class TestCompatibilityDegree:
             d_vector(99, (0, 1), a2_trivial)
         with pytest.raises(KeyError):
             d_vector(0, (0, 99), a2_trivial)
+        # The variable is checked before the cluster.
+        with pytest.raises(KeyError, match="variable id 99 is not in the atlas"):
+            d_vector(99, (0, 99), a2_trivial)
+        with pytest.raises(KeyError, match=re.escape("cluster {0,99} is not in")):
+            d_vector(0, (99, 0), a2_trivial)
 
 
 class TestMaximalSets:
@@ -148,27 +219,37 @@ class TestVerification:
                 "positive-iff-no-shared-cluster",
             ]
 
-    @pytest.mark.parametrize("rows", [A3_ROWS, B3_ROWS])
-    def test_degree_sweep_reads_each_d_vector_once(self, monkeypatch, rows):
+    @pytest.mark.parametrize("rows, expanded", [(A3_ROWS, 6), (B3_ROWS, 6)])
+    def test_degree_sweep_reads_one_table_per_cluster(
+        self, monkeypatch, rows, expanded
+    ):
+        # Each cluster's table is read once.  Only the tables that no kept
+        # map carries onto a tabled cluster are built from expansions: 6 of
+        # 14 clusters on A3, 6 of 20 on B3.
         atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
-        calls = []
-        original = clusteralg.compat.d_vector
+        reads, expansions = [], []
+        d_vectors, expand = PatternAtlas.d_vectors, PatternAtlas.expand
 
-        def counted(v, cluster, atlas):
-            calls.append((v, tuple(cluster)))
-            return original(v, cluster, atlas)
+        def counted_read(atlas, cluster):
+            reads.append(tuple(cluster))
+            return d_vectors(atlas, cluster)
 
-        monkeypatch.setattr(clusteralg.compat, "d_vector", counted)
+        def counted_expand(atlas, v, cluster):
+            expansions.append(tuple(cluster))
+            return expand(atlas, v, cluster)
+
+        monkeypatch.setattr(PatternAtlas, "d_vectors", counted_read)
+        monkeypatch.setattr(PatternAtlas, "expand", counted_expand)
         assert verify_degree_properties(atlas).resolve_status() == "pass"
-        assert len(calls) == len(atlas.clusters) * len(atlas.variables)
-        assert len(set(calls)) == len(calls)
+        assert reads == atlas.clusters
+        assert len(expansions) == len(set(expansions)) == expanded
 
-    @pytest.mark.parametrize("rows, reads", [(A4_ROWS, 154), (D4_ROWS, 208)])
-    def test_degree_matrix_reads_each_first_cluster_d_vector_once(
+    @pytest.mark.parametrize("rows, reads", [(A4_ROWS, 11), (D4_ROWS, 13)])
+    def test_degree_matrix_reads_each_first_cluster_table_once(
         self, monkeypatch, rows, reads
     ):
-        # One read per (variable, distinct first cluster through a variable):
-        # 14 x 11 on A4, 16 x 13 on D4.
+        # One table read per distinct first cluster through a variable: 11
+        # of A4's 14 variables' first clusters are distinct, 13 of D4's 16.
         atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
         count = len(atlas.variables)
         want = [
@@ -176,13 +257,13 @@ class TestVerification:
             for j in range(count)
         ]
         calls = []
-        original = clusteralg.compat.d_vector
+        original = PatternAtlas.d_vectors
 
-        def counted(v, cluster, atlas):
-            calls.append((v, tuple(cluster)))
-            return original(v, cluster, atlas)
+        def counted(atlas, cluster):
+            calls.append(tuple(cluster))
+            return original(atlas, cluster)
 
-        monkeypatch.setattr(clusteralg.compat, "d_vector", counted)
+        monkeypatch.setattr(PatternAtlas, "d_vectors", counted)
         assert compatibility_matrix(atlas) == want
         assert len(calls) == len(set(calls)) == reads
 
