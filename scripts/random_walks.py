@@ -15,23 +15,13 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
 from clusteralg import mutate, random_exchange_matrix, root_seed
 
 
-@dataclass
-class WalkConfig:
-    walks: int = 50
-    length: int = 12
-    max_rank: int = 3
-    max_sym: int = 2
-    term_cap: int = 400
-    rng_seed: int = 0
-
-
-def run(config: WalkConfig, verbose: bool = False) -> dict[str, int]:
-    rng = random.Random(config.rng_seed)
+def run(args: argparse.Namespace) -> dict[str, int]:
+    """Walk as the parsed command line asks; counts of what was checked."""
+    rng = random.Random(args.rng_seed)
     stats = {
         "walks": 0,
         "truncated": 0,
@@ -40,12 +30,12 @@ def run(config: WalkConfig, verbose: bool = False) -> dict[str, int]:
         "max_terms": 0,
         "nonpositive": 0,
     }
-    for index in range(config.walks):
-        n = rng.randint(2, config.max_rank)
-        matrix = random_exchange_matrix(rng, n, max_sym=config.max_sym)
+    for index in range(args.walks):
+        n = rng.randint(2, args.max_rank)
+        matrix = random_exchange_matrix(rng, n, max_sym=args.max_sym)
         seed = root_seed(matrix, "principal")
         path: tuple[int, ...] = ()
-        for _ in range(config.length):
+        for _ in range(args.length):
             k = rng.randint(1, n)
             seed = mutate(seed, k)
             path += (k,)
@@ -60,12 +50,12 @@ def run(config: WalkConfig, verbose: bool = False) -> dict[str, int]:
                         file=sys.stderr,
                     )
                 stats["variables"] += 1
-            if biggest > config.term_cap:
+            if biggest > args.term_cap:
                 stats["truncated"] += 1
                 break
         stats["walks"] += 1
         stats["steps"] += len(path)
-        if verbose:
+        if args.verbose:
             print(f"walk {index}: rank {n}, steps {len(path)}, matrix {matrix.rows}")
     return stats
 
@@ -79,16 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--term-cap", type=int, default=400)
     parser.add_argument("--rng-seed", type=int, default=0)
     parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
-    config = WalkConfig(
-        walks=args.walks,
-        length=args.length,
-        max_rank=args.max_rank,
-        max_sym=args.max_sym,
-        term_cap=args.term_cap,
-        rng_seed=args.rng_seed,
-    )
-    stats = run(config, verbose=args.verbose)
+    stats = run(parser.parse_args(argv))
     print(
         f"walks: {stats['walks']}, truncated: {stats['truncated']}, "
         f"steps: {stats['steps']}, variables checked: {stats['variables']}, "

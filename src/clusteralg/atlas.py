@@ -82,9 +82,10 @@ mutates it by lookup: each entry stands for a mutation computed, and
 positivity-checked, during exploration, or for its inverse.  Restricted
 reachability is such a walk, stepping one exact seed per stored seed and
 cluster (``i_reachable`` says why), and so is ``carry``, which gives twins
-and cross-atlas identification their variable maps.  ``carry`` climbs the
-other atlas's parent entries to its root and goes down them in store order,
-so it permutes no exact seed and never reads that atlas's edge table.
+their variable maps.  ``carry`` climbs the discovery tree's parent entries
+from the host to the root and goes down them in store order, so it steps
+into each stored seed at most once.  Cross-atlas identification walks
+nothing: it matches expansions (see ``unistructure``).
 
 ``to_json`` writes the text of ``json.dumps(indent=2, sort_keys=True)``
 straight from the atlas's tuples, with no nested-list copy for an encoder
@@ -423,7 +424,7 @@ class PatternAtlas:
                 self._twins.setdefault(shapes[0], []).append(host)
             else:
                 sigma: dict[int, int] = {}
-                for w, (_, image) in self.carry(twin, self, host):
+                for w, (_, image) in self.carry(twin, host):
                     sigma.update(zip(ids[w], image))
                     if len(sigma) == count:
                         self._automorphisms.append(sigma)
@@ -495,22 +496,21 @@ class PatternAtlas:
     # ------------------------------------------------------------------
     # table walks over exact seeds
 
-    def carry(
-        self, state: State, over: PatternAtlas, start: int = 0
-    ) -> Iterator[tuple[int, State]]:
-        """Each seed id of ``over``, start up to the root then the rest in
-        store order, with the exact seed of this atlas that the same mutations
-        reach from ``state`` by ``mutate_state``; none below a capped edge."""
-        states: list[State | None] = [None] * len(over.seeds)
+    def carry(self, state: State, start: int) -> Iterator[tuple[int, State]]:
+        """Each stored seed id, start up to the root then the rest in store
+        order, with the exact seed that the same mutations along the discovery
+        tree reach from ``state`` by ``mutate_state``; none below a capped
+        edge."""
+        states: list[State | None] = [None] * len(self.seeds)
         u = start
         while state is not None:
             states[u] = state
             yield u, state
-            if over.tree[u] is None:
+            if self.tree[u] is None:
                 break
-            u, k = over.tree[u]
+            u, k = self.tree[u]
             state = self.mutate_state(state, k)
-        for w, (u, k) in enumerate(over.tree[1:], 1):
+        for w, (u, k) in enumerate(self.tree[1:], 1):
             if states[w] is None and states[u] is not None:
                 states[w] = self.mutate_state(states[u], k)
                 if states[w] is not None:

@@ -6,10 +6,11 @@ multiplicity where the Cartan matrix a_ij = 2(alpha_i, alpha_j) /
 (alpha_i, alpha_i) has it, with Bourbaki's numbering of the simple roots.
 So B_n (short root last) has b_{n,n-1} = -2, C_n (short roots first)
 has b_{n-1,n} = 2, F4 has b_32 = -2 and G2 (short root first) has
-b_12 = 3.  D_n is the chain 1..n-1 with n joined to n-2, E6 the chain
-1..5 with 6 joined to 3.  The counts are those of Fomin and Zelevinsky,
-"Y-systems and generalized associahedra" (2003): positive roots plus the
-rank for the variables, the Catalan number of the type for the clusters.
+b_12 = 3.  D_n is the chain 1..n-1 with n joined to n-2, E6 and E7 the
+chain 1..n-1 with n joined to 3.  The counts are those of Fomin and
+Zelevinsky, "Y-systems and generalized associahedra" (2003): positive roots
+plus the rank for the variables, the Catalan number of the type for the
+clusters.
 
 The engine does not read this module; tests and scripts do.
 """
@@ -22,7 +23,12 @@ Matrix = list[list[int]]
 
 # The least rank of each finite family.
 _FIRST_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
-_EXCEPTIONAL = {("E", 6): (42, 833), ("F", 4): (28, 105), ("G", 2): (8, 8)}
+_EXCEPTIONAL = {
+    ("E", 6): (42, 833),
+    ("E", 7): (70, 4160),
+    ("F", 4): (28, 105),
+    ("G", 2): (8, 8),
+}
 
 
 def _edges(n: int, edges: list[tuple[int, int]]) -> Matrix:
@@ -46,7 +52,7 @@ def _is_finite(family: str, n: int) -> bool:
 def matrix(family: str, n: int = 0) -> Matrix:
     """Exchange matrix of a catalogue type.
 
-    ``family`` is one of A, B, C, D, E (n = 6), F (n = 4), G (n = 2),
+    ``family`` is one of A, B, C, D, E (n = 6, 7), F (n = 4), G (n = 2),
     Kronecker (n is the multiplicity b of the double edge) and Markov.
     """
     if family == "Kronecker" and n >= 1:
@@ -55,10 +61,9 @@ def matrix(family: str, n: int = 0) -> Matrix:
         return [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
     if not _is_finite(family, n):
         raise ValueError(f"no catalogue entry for {family}{n or ''}")
-    if family == "D":
-        return _edges(n, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)])
-    if family == "E":
-        return _edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+    if family in ("D", "E"):
+        branch = n - 3 if family == "D" else 2
+        return _edges(n, [(i, i + 1) for i in range(n - 2)] + [(branch, n - 1)])
     rows = _chain(n)
     if family == "B":
         rows[n - 1][n - 2] = -2

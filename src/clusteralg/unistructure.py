@@ -18,14 +18,13 @@ exchange identity it would have to equal is a specialization of a
 positive Laurent combination, hence >= 0.  Any cluster through both
 variables in a pattern with the same variable set is thereby ruled out.
 
-Cross-atlas verification aligns two trivial-coefficient atlases by an
-explicit identification: an anchor seed of the first atlas (a stored
-seed, possibly with positions permuted) whose matrix matches the second
-root's; ``PatternAtlas.carry`` moves the anchor over the second atlas's
-discovery tree by the first atlas's edge table, a lookup per step with
-no Laurent arithmetic, which maps every variable of the second atlas to
-a first-atlas variable id.  On success the cluster sets, labeled
-exchange graphs, and full d-compatibility matrices are compared.
+Cross-atlas verification identifies variables the way an atlas interns
+them, by equal Laurent expansions.  An anchor is a stored seed of the first
+atlas, possibly with positions permuted, whose matrix matches the second
+root's; the first atlas's expansions at the anchor, read in its positions,
+must be the second atlas's expansions at its root, one for one.  On success
+the cluster sets, labeled exchange graphs, and full d-compatibility matrices
+are compared.
 """
 
 from __future__ import annotations
@@ -346,19 +345,23 @@ def verify_unistructural(a1: PatternAtlas, a2: PatternAtlas) -> VerificationRepo
 def _find_identification(
     a1: PatternAtlas, a2: PatternAtlas, report: VerificationReport
 ) -> dict[int, int] | None:
-    """Map every a2 variable id to an a1 variable id, or record why not.
+    """Map every a2 variable id to the a1 variable id with the same
+    expansion, or record why not.
 
     Anchors are permuted stored seeds of a1 whose matrix equals a2's
     root matrix, in store order, each seed's permutations in the order
-    ``matching_permutations`` gives.  With trivial coefficients an anchor
-    generates a1's pattern just as a2's root generates a2's, so
-    ``a1.carry`` from the anchor over a2's discovery tree, in a2's store
-    order, pairs every a2 seed with an exact a1 seed; matching
-    them position by position must give a consistent bijection of
-    variables.
+    ``matching_permutations`` gives.  With trivial coefficients, sending
+    the anchor's i-th variable to a2's root's i-th is a field map between
+    the patterns, so the a1 expansions at the anchor's cluster, with
+    coordinate i read at the anchor's position i, must be exactly a2's
+    expansions at its root, whose ids 0..n-1 are its positions.  An
+    expansion is unique, so each a2 variable has at most one image, and the
+    images must be a bijection onto a1's variables.
     """
     tried = 0
     last_reason = "no stored seed of the first atlas matches the second root matrix"
+    second = [a2.expand(v, a2.clusters[0]) for v in range(len(a2.variables))]
+    count = len(a1.variables)
     anchors = (
         (sid, perm)
         for sid, seed in enumerate(a1.seeds)
@@ -366,29 +369,20 @@ def _find_identification(
     )
     for sid, perm in anchors:
         tried += 1
-        mapping: dict[int, int] = {}
-        anchor = (sid, tuple(a1.seed_variable_ids[sid][i] for i in perm))
-        reason = ""
-        for w, (_, ids1) in a1.carry(anchor, a2):
-            for v2, v1 in zip(a2.seed_variable_ids[w], ids1):
-                prev = mapping.setdefault(v2, v1)
-                if prev != v1:
-                    reason = (
-                        f"variable {v2} of the second atlas maps to both "
-                        f"{prev} and {v1} (anchor seed {sid})"
-                    )
-                    break
-            if reason:
-                break
-        if reason:
-            last_reason = reason
-            continue
+        ids = [a1.seed_variable_ids[sid][i] for i in perm]
+        c = tuple(sorted(ids))
+        order = [c.index(v) for v in ids]
+        first: dict[LaurentPoly, int] = {}
+        for v1 in range(count):
+            terms = a1.expand(v1, c).terms.items()
+            relabeled = {tuple([key[j] for j in order]): a for key, a in terms}
+            first[LaurentPoly._trusted(a1.n, 0, relabeled)] = v1
+        mapping = {v2: first[p] for v2, p in enumerate(second) if p in first}
         image = set(mapping.values())
-        if len(image) != len(mapping) or image != set(range(len(a1.variables))):
+        if not len(image) == len(second) == count:
             last_reason = (
                 f"identification from anchor seed {sid} is not a bijection "
-                f"({len(image)} images for {len(mapping)} variables of "
-                f"{len(a1.variables)})"
+                f"({len(image)} images for {len(second)} variables of {count})"
             )
             continue
         report.add_check(
@@ -396,7 +390,7 @@ def _find_identification(
         )
         report.add_context(
             "variable-map",
-            ",".join(f"{v2}->{mapping[v2]}" for v2 in sorted(mapping)),
+            ",".join(f"{v2}->{v1}" for v2, v1 in mapping.items()),
         )
         return mapping
     report.add_check(

@@ -339,6 +339,7 @@ class TestClosures:
                 ("D", 4, ("trivial", "principal")),
                 ("D", 5, ("trivial", "principal")),
                 ("E", 6, ("trivial",)),
+                ("E", 7, ("trivial",)),
                 ("F", 4, ("trivial",)),
                 ("G", 2, ("trivial",)),
             ]
@@ -931,13 +932,13 @@ class TestExpand:
             steps.append(k)
             return step(atlas, state, k)
 
-        def counted_carry(atlas, state, over, start=0):
+        def counted_carry(atlas, state, start):
             c = tuple(sorted(atlas.seed_variable_ids[start]))
             for sigma in atlas._automorphisms:
                 image = tuple(sorted(sigma[v] for v in c))
                 assert image not in atlas._expand_cache
             carries.append(start)
-            return carry(atlas, state, over, start)
+            return carry(atlas, state, start)
 
         monkeypatch.setattr(PatternAtlas, "mutate_state", counted_step)
         monkeypatch.setattr(PatternAtlas, "carry", counted_carry)

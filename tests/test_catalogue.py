@@ -51,7 +51,7 @@ def test_wild_matrices_match_the_benchmark_catalogue(benchmark_catalogue, family
 
 
 @pytest.mark.parametrize(
-    "name", ["A0", "B1", "C1", "D3", "E7", "F5", "G3", "H3", "A", "Ax"]
+    "name", ["A0", "B1", "C1", "D3", "E8", "F5", "G3", "H3", "A", "Ax"]
 )
 def test_names_outside_the_catalogue_are_refused(name):
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from clusteralg import (
     IncompleteAtlasError,
     LaurentPoly,
     PreconditionViolatedError,
+    Seed,
     TrichotomyViolationError,
     WitnessMonomial,
     certify_incompatible_pairs,
@@ -22,6 +23,7 @@ from clusteralg import (
     incompatibility_certificate,
     incompatible_pairs,
     laurent_witness,
+    mutate,
     mutate_path,
     phi,
     root_seed,
@@ -39,6 +41,8 @@ from conftest import (
     C2_ROWS,
     C3_ROWS,
     D4_ROWS,
+    D5_ROWS,
+    G2_ROWS,
     KRONECKER_2_ROWS,
     corrupt_first_edge,
     count_mutations,
@@ -59,6 +63,22 @@ def brute_force_matches(rows, want):
         for perm in permutations(range(n))
         if all(rows[perm[i]][perm[j]] == want[i][j] for i in range(n) for j in range(n))
     ]
+
+
+def carried_identification(a1, a2, sid, perm):
+    """Reference for the identification: step the anchor, stored seed sid
+    of a1 with positions permuted by perm, down a2's discovery tree with
+    ``a1.mutate_state``, and pair each a2 seed's variables with those of
+    the exact a1 seed the same mutations reach, position by position."""
+    states = [(sid, tuple(a1.seed_variable_ids[sid][i] for i in perm))]
+    for u, k in a2.tree[1:]:
+        states.append(a1.mutate_state(states[u], k))
+    mapping = {}
+    for ids2, (_, ids1) in zip(a2.seed_variable_ids, states):
+        for v2, v1 in zip(ids2, ids1):
+            assert mapping.setdefault(v2, v1) == v1
+    assert sorted(mapping.values()) == list(range(len(a1.variables)))
+    return mapping
 
 
 def grouped_witness(xk, xi, atlas):
@@ -353,43 +373,93 @@ class TestVerifyUnistructural:
         assert "0 anchors tried" in report.checks[0].detail
 
     @pytest.mark.parametrize(
-        "at, change, reason",
+        "rows, reason, tried",
         [
-            # Positions swapped in the second seed carried.
             (
-                1,
-                lambda ids: ids[::-1],
-                "variable 1 of the second atlas maps to both 4 and 2 "
-                "(anchor seed 4)",
+                A3_ROWS,
+                "anchor seed 12 is not a bijection (8 images for 9 variables of 9)",
+                6,
             ),
-            # Variable 4 read as 3 in every seed carried: consistent, but
-            # two variables share an image.
             (
-                None,
-                lambda ids: tuple(3 if v == 4 else v for v in ids),
-                "identification from anchor seed 4 is not a bijection "
-                "(4 images for 5 variables of 5)",
+                D4_ROWS,
+                "anchor seed 46 is not a bijection (15 images for 16 variables of 16)",
+                24,
             ),
         ],
-        ids=["maps-to-both", "not-a-bijection"],
+        ids=["A3", "D4"],
     )
-    def test_corrupted_carried_seeds_fail_identification(
-        self, a2_trivial, monkeypatch, at, change, reason
+    @pytest.mark.parametrize("corruption", ["extra-term", "copy"])
+    def test_corrupted_second_variable_fails_identification(
+        self, rows, reason, tried, corruption
     ):
-        moved = explore(root_seed(ExchangeMatrix([[0, -1], [1, 0]]), "trivial"))
-        carry = a2_trivial.carry
-
-        def corrupted(state, over, start=0):
-            for i, (w, (sid, ids)) in enumerate(carry(state, over, start)):
-                yield w, (sid, change(ids) if at in (None, i) else ids)
-
-        monkeypatch.setattr(a2_trivial, "carry", corrupted)
-        report = verify_unistructural(a2_trivial, moved)
+        # The second root's expansions are its interned variables, so one
+        # changed there is what identification reads.  The last variable is
+        # not a root variable, and the other atlases agree everywhere else.
+        first = explore(root_seed(ExchangeMatrix(rows), "trivial"))
+        second = explore(root_seed(ExchangeMatrix(rows), "trivial"))
+        v = len(second.variables) - 1
+        if corruption == "extra-term":
+            changed = second.variables[v] + LaurentPoly.one(second.n, 0)
+            assert len(changed.terms) == len(second.variables[v].terms) + 1
+        else:
+            changed = second.variables[v - 1]
+        second.variables[v] = changed
+        report = verify_unistructural(first, second)
         assert report.status == "error"
         assert [c.name for c in report.checks] == ["identification"]
         assert report.checks[0].detail == (
-            f"variable sets are not equal: {reason} (5 anchors tried)"
+            f"variable sets are not equal: identification from {reason} "
+            f"({tried} anchors tried)"
         )
+
+    # Stored seeds to re-root at whose anchor permutes the positions of its
+    # cluster, so that reading the expansions in the wrong order shows.
+    @pytest.mark.parametrize(
+        "rows, sids",
+        [
+            (A3_ROWS, (1, 6, 7)),
+            (A4_ROWS, (1, 2, 8)),
+            (B3_ROWS, (1, 7, 8)),
+            (C3_ROWS, (1, 7, 8)),
+            (D4_ROWS, (1, 2, 7)),
+            (D5_ROWS, (1, 2, 3)),
+            (G2_ROWS, (1, 2, 5)),
+        ],
+        ids=["A3", "A4", "B3", "C3", "D4", "D5", "G2"],
+    )
+    def test_identification_matches_the_carried_reference(self, rows, sids):
+        first = explore(root_seed(ExchangeMatrix(rows), "trivial"))
+        for sid in sids:
+            second = explore(root_seed(first.seeds[sid].b, "trivial"))
+            report = verify_unistructural(first, second)
+            assert report.resolve_status() == "pass"
+            # Every anchor identifies a pattern with itself: the first is kept.
+            anchor, perm = next(
+                (s, perm)
+                for s, seed in enumerate(first.seeds)
+                for perm in matching_permutations(seed.b.rows, second.root.b.rows)
+            )
+            assert report.checks[0].detail == (
+                f"anchor seed {anchor}, permutation {list(perm)}"
+            )
+            mapping = carried_identification(first, second, anchor, perm)
+            reference = ",".join(f"{v2}->{mapping[v2]}" for v2 in sorted(mapping))
+            assert ("variable-map", reference) in report.context
+
+    @pytest.mark.parametrize("rows", [A3_ROWS, D4_ROWS], ids=["A3", "D4"])
+    @pytest.mark.parametrize("root", ["mutated", "units-swapped"])
+    def test_second_root_need_not_be_units_in_position_order(self, rows, root):
+        # Identification reads the second atlas's expansions at its root,
+        # which are its interned variables only for a root of units x_1..x_n
+        # in position order.
+        first = explore(root_seed(ExchangeMatrix(rows), "trivial"))
+        seed = root_seed(ExchangeMatrix(rows), "trivial")
+        if root == "mutated":
+            seed = mutate(seed, 1)
+        else:
+            seed = Seed(seed.b, seed.y, (seed.x[1], seed.x[0]) + seed.x[2:])
+        report = verify_unistructural(first, explore(seed))
+        assert report.resolve_status() == "pass"
 
     def test_corrupted_second_atlas_fails_the_graph_check(self, a3_trivial):
         # The second atlas's graph comes from its mutation edges, so an edge
