@@ -6,12 +6,16 @@ variable in the coordinates of every stored cluster, in discovery order.
 Then explores it again and reads every variable's d-vector at every
 cluster through ``compat.d_vector``, cluster by cluster as the
 degree-properties sweep does, so each cluster's d-vector table is built
-or permuted from a kept automorphism's image.  Prints the number of hosts,
-the number of cluster automorphisms the first atlas kept, a sha256 of
-every expansion's text and a sha256 of every d-vector's text to stdout,
-and the seconds the expansions and the d-vector tables took, without
-exploring or printing them, to stderr.  So the re-rooting layer can be
-timed, and its output compared across versions, without a profiler.
+or permuted from a kept automorphism's image.  Then explores it a third
+time, describes the witness of every ordered pair (reference, target) and
+runs the witness sweep.  Prints the number of hosts, the number of cluster
+automorphisms the first atlas kept, a sha256 of every expansion's text, a
+sha256 of every d-vector's text and a sha256 of every witness's
+description followed by the sweep report to stdout, and the seconds the
+expansions, the d-vector tables and the witnesses took, without exploring
+or printing them, to stderr.  So the re-rooting layer and the witness
+search can be timed, and their output compared across versions, without a
+profiler.
 """
 
 from __future__ import annotations
@@ -21,7 +25,14 @@ import hashlib
 import sys
 import time
 
-from clusteralg import ExchangeMatrix, d_vector, explore, root_seed
+from clusteralg import (
+    ExchangeMatrix,
+    d_vector,
+    explore,
+    laurent_witness,
+    root_seed,
+    witness_sweep,
+)
 from clusteralg.catalogue import finite_type, matrix
 
 
@@ -64,8 +75,24 @@ def main(argv: list[str] | None = None) -> int:
         for d in table:
             digest.update(f"{d}\n".encode())
     print(f"d-vectors sha256: {digest.hexdigest()}")
+
+    atlas = explore(root)
+    start = time.perf_counter()
+    witnesses = [
+        laurent_witness(xk, xi, atlas).describe()
+        for xk in range(count)
+        for xi in range(count)
+    ]
+    report = witness_sweep(atlas)
+    witness_seconds = time.perf_counter() - start
+    digest = hashlib.sha256()
+    for lines in witnesses:
+        digest.update("".join(f"{line}\n" for line in lines).encode())
+    digest.update(report.text().encode())
+    print(f"witnesses sha256: {digest.hexdigest()}")
     print(f"seconds: {seconds:.3f}", file=sys.stderr)
     print(f"d-vector seconds: {table_seconds:.3f}", file=sys.stderr)
+    print(f"witness seconds: {witness_seconds:.3f}", file=sys.stderr)
     return 0
 
 

@@ -73,7 +73,9 @@ degree sweep expands 45 of its 833 hosts and walks 9 times.  Twins are
 sought only under trivial coefficients: with coefficients pi must carry g's
 y to h's too, and under principal coefficients no two stored seeds agree so
 (E6's 833 hosts fill 833 one-host buckets).  Seeds with other coefficients,
-which only code builds, exchange at every host.
+which only code builds, exchange at every host.  The witness search reads
+a cluster through ``_expansions_at``, which hands over a served cluster's
+image expansions with sigma and the coordinate pick instead of a copy.
 
 Walks that only need to know which variables a seed holds do no
 arithmetic at all.  An exact seed (positions intact) is the pair of its
@@ -472,6 +474,21 @@ class PatternAtlas:
                     known[new[0]] = exchange(seed, k)
         self._expand_cache[c] = known
         return known[v]
+
+    def _expansions_at(self, c: Cluster) -> tuple[dict[int, LaurentPoly], tuple | None]:
+        """Stored cluster c's kept expansions by variable id, and None; else,
+        if a kept automorphism carries c onto a cluster with kept expansions,
+        those and ``_carrying_map``'s (sigma, image, pick), with no copy: v at
+        c is sigma(v) at the image, coordinates read by pick.  Any other
+        cluster is expanded first."""
+        known = self._expand_cache.get(c)
+        if known is None:
+            served = _carrying_map(self._automorphisms, c, self._expand_cache)
+            if served is not None:
+                return self._expand_cache[served[1]], served
+            self.expand(0, c)
+            known = self._expand_cache[c]
+        return known, None
 
     def d_vectors(self, cluster: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         """Every variable's d-vector at a stored cluster, by variable id: its

@@ -66,6 +66,10 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if n == 0:
         return 1
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     total = 0
     for j in range(n):
         if rows[0][j]:

@@ -9,6 +9,19 @@ in that cluster, and strictly negative whenever xi lies outside it.
 Search order is canonical (atlas cluster order, then canonical term
 order), so the returned witness is reproducible.
 
+Canonical term order has the x part as the key's prefix, so the witness at
+a cluster is its largest admissible x part in the cluster's own
+coordinates, and its coefficient is every term with that x part: one scan
+of xi's expansion finds it, with nothing sorted, grouped or copied.  A
+cluster whose expansions the atlas keeps is read as it is.  One that a kept
+cluster automorphism sigma serves (see ``atlas``) is read through the map:
+the scan runs over sigma(xi)'s expansion at the image cluster, tests
+admissibility at the image position of sigma(xk), and compares x parts
+read into the cluster's coordinates by the pick ``expand`` relabels with.
+The sweep reads each cluster once and checks only the sign of each pair's
+reference exponent; ``laurent_witness`` searches the first failing pair
+again, and its error is the failure reported.
+
 The incompatibility certificate turns a positive compatibility degree
 into an exact numeric contradiction: erase coefficients with the ring
 homomorphism phi, evaluate the witness at xk = 1/2 and every other
@@ -32,7 +45,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from functools import cache
+from itertools import product
+from typing import Callable, Sequence
 
 from .atlas import (
     Cluster,
@@ -106,68 +121,102 @@ def laurent_witness(xk: int, xi: int, atlas: PatternAtlas) -> WitnessMonomial:
     """First admissible term over clusters containing xk, in canonical
     search order, with the exponent trichotomy validated.
 
-    In canonical term order the x part is the key's prefix, so the terms of
-    one x monomial are adjacent and the largest x monomial comes first: the
-    witness is the first x monomial whose exponents are admissible, and its
-    coefficient is the run of terms that share it.
+    The witness at a cluster is its largest admissible x part in the
+    cluster's own coordinates, with every term of that x part as its
+    coefficient.  A cluster a kept automorphism serves is read through that
+    map, with no relabeled copy; see the module docstring.
     """
     if not atlas.complete:
         raise IncompleteAtlasError("witness search needs a complete atlas")
     atlas.require_variable(xk)
     atlas.require_variable(xi)
+    found = _witness_term(xk, xi, atlas, atlas._expansions_at)
+    if found is None:
+        raise WitnessNotFoundError(
+            f"no admissible witness term for pair ({xk}, {xi}); on a complete "
+            f"atlas this is a verification failure"
+        )
+    c, kpos, x_exps, coef = found
+    error = _trichotomy_error(xk, xi, c, kpos, x_exps)
+    if error:
+        raise TrichotomyViolationError(error)
+    return WitnessMonomial(c, kpos, x_exps, LaurentPoly(0, atlas.m, coef))
+
+
+def _witness_term(
+    xk: int, xi: int, atlas: PatternAtlas, read: Callable
+) -> tuple[Cluster, int, Exponents, dict[Exponents, int]] | None:
+    """(cluster, xk's position, x part, coefficient terms) of the first
+    admissible term of xi over the clusters through xk, else None; ``read``
+    is ``PatternAtlas._expansions_at`` or a memo of it."""
     n = atlas.n
     for c in atlas.clusters_containing(xk):
         kpos = c.index(xk)
-        terms = atlas.expand(xi, c).sort_key()[2]
-        for x_exps, run in groupby(terms, key=lambda term: term[0][:n]):
-            if all(e >= 0 for i, e in enumerate(x_exps) if i != kpos):
-                coef = LaurentPoly(0, atlas.m, {key[n:]: a for key, a in run})
-                witness = WitnessMonomial(c, kpos, x_exps, coef)
-                _validate_trichotomy(witness, xk, xi)
-                return witness
-    raise WitnessNotFoundError(
-        f"no admissible witness term for pair ({xk}, {xi}); on a complete "
-        f"atlas this is a verification failure"
-    )
+        known, served = read(c)
+        if served is None:
+            p, at, pick = known[xi], kpos, None
+        else:
+            sigma, image, pick = served
+            p, at = known[sigma[xi]], image.index(sigma[xk])
+        best: Exponents | None = None
+        coef: dict[Exponents, int] = {}
+        for key, a in p.terms.items():
+            off = list(key[:n])
+            off[at] = 0  # only the exponents off the reference must be >= 0
+            if min(off) < 0:
+                continue
+            x = key[:n] if pick is None else pick(key)
+            if best is None or x > best:
+                best, coef = x, {key[n:]: a}
+            elif x == best:
+                coef[key[n:]] = a
+        if best is not None:
+            return c, kpos, best, coef
+    return None
 
 
-def _validate_trichotomy(w: WitnessMonomial, xk: int, xi: int) -> None:
+def _trichotomy_error(
+    xk: int, xi: int, c: Cluster, kpos: int, x_exps: Exponents
+) -> str:
+    """Why a witness at cluster c with x part x_exps, xk at position kpos,
+    breaks the trichotomy for pair (xk, xi), or "" when it does not."""
     # The sign of the xk exponent: +1 for xi = xk, 0 for another variable
     # of the cluster, -1 for a variable outside it.
     if xi == xk:
         want, sign = 1, "positive"
-    elif xi in w.cluster:
+    elif xi in c:
         want, sign = 0, "zero"
     else:
         want, sign = -1, "negative"
-    e = w.k_exponent
-    if (e > 0) - (e < 0) != want:
-        raise TrichotomyViolationError(
-            f"pair ({xk}, {xi}) in cluster {format_cluster(w.cluster)}: "
-            f"the reference exponent is {e}, but it must be {sign}"
-        )
+    e = x_exps[kpos]
+    if (e > 0) - (e < 0) == want:
+        return ""
+    return (
+        f"pair ({xk}, {xi}) in cluster {format_cluster(c)}: "
+        f"the reference exponent is {e}, but it must be {sign}"
+    )
 
 
 def witness_sweep(atlas: PatternAtlas) -> VerificationReport:
-    """laurent_witness over every ordered variable pair; all must
-    succeed with a valid trichotomy."""
+    """The witness of every ordered variable pair must exist with a valid
+    trichotomy; the module docstring says how clusters are read."""
     if not atlas.complete:
         raise IncompleteAtlasError("witness sweep needs a complete atlas")
     report = VerificationReport(suite="witnesses")
     count = len(atlas.variables)
     report.add_context("atlas", atlas.summary())
+    read = cache(atlas._expansions_at)
     failure = ""
     checked = 0
-    for xk in range(count):
-        for xi in range(count):
+    for xk, xi in product(range(count), repeat=2):
+        found = _witness_term(xk, xi, atlas, read)
+        if found is None or _trichotomy_error(xk, xi, *found[:3]):
             try:
                 laurent_witness(xk, xi, atlas)
-                checked += 1
             except (WitnessNotFoundError, TrichotomyViolationError) as exc:
                 failure = f"pair ({xk}, {xi}): {exc}"
                 break
-        if failure:
-            break
+        checked += 1
     report.add_context("pairs-checked", str(checked))
     report.add_check("witness-for-all-pairs", not failure, failure)
     report.resolve_status()
@@ -314,13 +363,11 @@ def verify_unistructural(a1: PatternAtlas, a2: PatternAtlas) -> VerificationRepo
         detail = "; ".join(parts)
     report.add_check("cluster-sets-equal", same_clusters, detail)
 
-    # a2's graph is read off its mutation edges, not its clusters, so it can
-    # differ from a1's when the cluster sets agree.  Its seeds' clusters and
-    # edges are mapped into a1's ids once.
-    cluster = [tuple(sorted(mapping[v] for v in ids)) for ids in a2.seed_variable_ids]
-    edges = {tuple(sorted((cluster[s], cluster[t]))) for (s, _), t in a2.edges.items()}
-    graph2 = ExchangeGraph(tuple(set(cluster)), tuple(edges))
-    difference = graph_difference(a1.exchange_graph(), graph2)
+    # Both graphs are read off the mutation edges, not the clusters, so they
+    # can differ when the cluster sets agree.
+    difference = graph_difference(
+        _edge_graph(a1, range(len(a1.variables))), _edge_graph(a2, mapping)
+    )
     report.add_check("exchange-graphs-equal", not difference, difference)
 
     matrix1 = compatibility_matrix(a1)
@@ -340,6 +387,16 @@ def verify_unistructural(a1: PatternAtlas, a2: PatternAtlas) -> VerificationRepo
     )
     report.resolve_status()
     return report
+
+
+def _edge_graph(
+    atlas: PatternAtlas, rename: Sequence[int] | dict[int, int]
+) -> ExchangeGraph:
+    """The exchange graph of an atlas's mutation edges, its variable v
+    written rename[v]: each stored seed's cluster is mapped once."""
+    c = [tuple(sorted(rename[v] for v in ids)) for ids in atlas.seed_variable_ids]
+    edges = {tuple(sorted((c[s], c[t]))) for (s, _), t in atlas.edges.items()}
+    return ExchangeGraph(tuple(set(c)), tuple(edges))
 
 
 def _find_identification(

@@ -6,6 +6,8 @@ from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import clusteralg.grading
 from clusteralg import (
@@ -28,16 +30,22 @@ from conftest import A2_ROWS, A3_ROWS, B3_ROWS, C3_ROWS, KRONECKER_2_ROWS
 A2_G_VECTORS = [(1, 0), (0, 1), (-1, 1), (0, -1), (-1, 0)]
 
 
-def g_matrix_det(cluster, atlas):
-    """Determinant of the G-matrix of a cluster, whose columns are the
-    g-vectors of its variables, by the Leibniz formula."""
-    cols = [g_vector(v, atlas) for v in cluster]
-    n = len(cols)
+def leibniz_det(rows):
+    """Determinant of a square matrix by the Leibniz formula: a signed
+    product over every permutation, no recursion."""
+    n = len(rows)
     return sum(
         (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
-        * prod(cols[j][p[j]] for j in range(n))
+        * prod(rows[j][p[j]] for j in range(n))
         for p in permutations(range(n))
     )
+
+
+def g_matrix_det(cluster, atlas):
+    """Determinant of the G-matrix of a cluster, whose columns are the
+    g-vectors of its variables: that of its transpose, the g-vectors as
+    rows."""
+    return leibniz_det([g_vector(v, atlas) for v in cluster])
 
 
 def patch_reachable(monkeypatch, atlas, subset, reach):
@@ -141,6 +149,20 @@ class TestGMatrices:
         for atlas in (a3_principal, c2_principal):
             for c in atlas.clusters:
                 assert g_matrix_det(c, atlas) in (-1, 1)
+
+    # Sizes 0 to 5, so every base case of the cofactor expansion and three
+    # levels of recursion above them are compared.
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_cofactor_determinant_matches_leibniz(self, rows):
+        assert clusteralg.grading._det(rows) == leibniz_det(rows)
 
 
 # ----------------------------------------------------------------------

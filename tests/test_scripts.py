@@ -52,19 +52,25 @@ def test_script_passes(name, argv, capsys):
 
 # The host and kept-map counts, the sha256 of every expansion's text and
 # that of every d-vector's text, each host's variables in id order, hosts
-# in discovery order.  A3's d-vectors agree under both coefficients.
+# in discovery order, and the sha256 of every ordered pair's witness
+# description, followed by the witness sweep report.  A3's d-vectors agree
+# under both coefficients.
 EXPANSION_REPORTS = {
     "trivial": (
         "hosts: 14\nkept maps: 3\n"
         "sha256: e13d89049cdcec15200a5363069fa5f8911f126c2357aaaa38282e8ee4dd6998\n"
         "d-vectors sha256: "
         "43e66cd9680bb74fa695d4285d12d123ec74e503daefa4ea53db3640bbfff5af\n"
+        "witnesses sha256: "
+        "c958bab2fa5d91921a87f167a9977aa82bda2b48f1bea2aea1dab5fb06d1faf1\n"
     ),
     "principal": (
         "hosts: 14\nkept maps: 0\n"
         "sha256: fbfde6bf126a34be68f2ef87f4c4a9b2c6ccd9111daff004ab60a36100a47ee7\n"
         "d-vectors sha256: "
         "43e66cd9680bb74fa695d4285d12d123ec74e503daefa4ea53db3640bbfff5af\n"
+        "witnesses sha256: "
+        "d15b4ef04fbe9c2c1ea497589b37549d9d0256355c28e3e0801f05ae286e2548\n"
     ),
 }
 
@@ -77,6 +83,7 @@ def test_expand_every_host(coefficients, capsys):
     assert captured.out == EXPANSION_REPORTS[coefficients]
     assert captured.err.startswith("seconds: ")
     assert "\nd-vector seconds: " in captured.err
+    assert "\nwitness seconds: " in captured.err
 
 
 def test_random_walks_at_defaults(capsys):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 
 import pytest
 from hypothesis import given
@@ -18,6 +18,7 @@ from clusteralg import (
     Seed,
     TrichotomyViolationError,
     WitnessMonomial,
+    WitnessNotFoundError,
     certify_incompatible_pairs,
     explore,
     incompatibility_certificate,
@@ -30,7 +31,7 @@ from clusteralg import (
     verify_unistructural,
     witness_sweep,
 )
-from clusteralg.atlas import matching_permutations
+from clusteralg.atlas import format_cluster, matching_permutations
 from clusteralg.reports import VerificationReport
 from clusteralg.unistructure import _find_identification
 from conftest import (
@@ -95,6 +96,59 @@ def grouped_witness(xk, xi, atlas):
             if all(e >= 0 for i, e in enumerate(x) if i != kpos):
                 return c, kpos, x, LaurentPoly(0, atlas.m, groups[x])
     return None
+
+
+def sorted_witness(xk, xi, atlas):
+    """Reference for ``laurent_witness`` that reads every cluster through
+    ``expand``, relabeled copies included: sort each expansion's terms in
+    canonical order and take the first run of one x part whose exponents off
+    xk are nonnegative, the run as its coefficient; then validate the sign
+    of the xk exponent."""
+    n = atlas.n
+    for c in atlas.clusters_containing(xk):
+        kpos = c.index(xk)
+        terms = atlas.expand(xi, c).sort_key()[2]
+        for x_exps, run in groupby(terms, key=lambda term: term[0][:n]):
+            if all(e >= 0 for i, e in enumerate(x_exps) if i != kpos):
+                coef = LaurentPoly(0, atlas.m, {key[n:]: a for key, a in run})
+                witness = WitnessMonomial(c, kpos, x_exps, coef)
+                e = witness.k_exponent
+                if xi == xk:
+                    want, sign = 1, "positive"
+                elif xi in c:
+                    want, sign = 0, "zero"
+                else:
+                    want, sign = -1, "negative"
+                if (e > 0) - (e < 0) != want:
+                    raise TrichotomyViolationError(
+                        f"pair ({xk}, {xi}) in cluster {format_cluster(c)}: "
+                        f"the reference exponent is {e}, but it must be {sign}"
+                    )
+                return witness
+    raise WitnessNotFoundError(
+        f"no admissible witness term for pair ({xk}, {xi}); on a complete "
+        f"atlas this is a verification failure"
+    )
+
+
+def sorted_sweep(atlas):
+    """Reference for ``witness_sweep``: ``sorted_witness`` over every ordered
+    pair, stopping at the first that fails."""
+    report = VerificationReport(suite="witnesses")
+    count = len(atlas.variables)
+    report.add_context("atlas", atlas.summary())
+    failure = ""
+    checked = 0
+    for xk, xi in product(range(count), repeat=2):
+        try:
+            sorted_witness(xk, xi, atlas)
+        except (WitnessNotFoundError, TrichotomyViolationError) as exc:
+            failure = f"pair ({xk}, {xi}): {exc}"
+            break
+        checked += 1
+    report.add_context("pairs-checked", str(checked))
+    report.add_check("witness-for-all-pairs", not failure, failure)
+    return report.text()
 
 
 def poly_strategy(n: int = 2, m: int = 2):
@@ -181,36 +235,78 @@ class TestWitness:
     )
     def test_trichotomy_violation_is_caught(self, monkeypatch, xi, forged):
         atlas = explore(root_seed(ExchangeMatrix(A2_ROWS), "trivial"))
-        monkeypatch.setattr(
-            atlas, "expand", lambda v, c: LaurentPoly.parse(forged, 2, 0)
-        )
+        known = dict.fromkeys(range(5), LaurentPoly.parse(forged, 2, 0))
+        monkeypatch.setattr(atlas, "_expansions_at", lambda c: (known, None))
         with pytest.raises(TrichotomyViolationError):
             laurent_witness(0, xi, atlas)
 
+    def test_forged_expansion_at_a_served_cluster_is_caught(self, monkeypatch):
+        # Once every cluster has been read, {0,5,7} is served from {2,3,6}
+        # by a kept automorphism, with c's coordinates (x1, x2, x3) read at
+        # the image's (x2, x1, x3).  Variable 8 is forged there as
+        # x2 + x1*x3^-1 at the image, x1 + x2*x3^-1 at {0,5,7}: the witness
+        # of (7, 8) is x1, whose reference exponent 0 breaks the
+        # trichotomy, while a reading in the image's coordinates would take
+        # the valid x1*x3^-1.  The sweep meets the forgery first at (5, 8),
+        # whose first two clusters hold no admissible term.
+        atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
+        read = atlas._expansions_at
+        for c in atlas.clusters:
+            read(c)
+        known, (sigma, image, pick) = read((0, 5, 7))
+        assert image == (2, 3, 6) and pick((1, 2, 3)) == (2, 1, 3)
+        forged = {**known, sigma[8]: LaurentPoly.parse("x2 + x1*x3^-1", 3, 0)}
+        monkeypatch.setattr(
+            atlas,
+            "_expansions_at",
+            lambda c: (forged, read(c)[1]) if c == (0, 5, 7) else read(c),
+        )
+        text = (
+            "pair ({}, 8) in cluster {{0,5,7}}: the reference exponent is 0, "
+            "but it must be negative"
+        )
+        with pytest.raises(TrichotomyViolationError) as caught:
+            laurent_witness(7, 8, atlas)
+        assert str(caught.value) == text.format(7)
+        report = witness_sweep(atlas)
+        assert report.resolve_status() == "fail"
+        assert ("pairs-checked", "53") in report.context
+        assert report.checks[0].detail == "pair (5, 8): " + text.format(5)
+
     # The expected count is of pairs whose witness coefficient has more than
-    # one term, which only principal coefficients can give.
+    # one term, which only principal coefficients can give.  Three re-rooted
+    # roots of each trivial type make kept automorphisms serve clusters with
+    # their coordinates permuted.  Each search runs on its own atlas: the
+    # references' ``expand`` calls keep a copy at every cluster they read,
+    # which would leave none to be served.
     @pytest.mark.parametrize(
-        "rows, coefficients, multi_term",
+        "rows, coefficients, path, multi_term",
         [
-            (B3_ROWS, "principal", 2),
-            (D4_ROWS, "principal", 2),
-            (D4_ROWS, "trivial", 0),
-            (A3_ROWS, "principal", 0),
-            (C3_ROWS, "principal", 0),
-            (A4_ROWS, "principal", 0),
+            (B3_ROWS, "principal", (), 2),
+            (D4_ROWS, "principal", (), 2),
+            (D4_ROWS, "trivial", (), 0),
+            (A3_ROWS, "principal", (), 0),
+            (C3_ROWS, "principal", (), 0),
+            (A4_ROWS, "principal", (), 0),
+        ]
+        + [
+            (rows, "trivial", path, 0)
+            for rows in (A3_ROWS, A4_ROWS, B3_ROWS, C3_ROWS, D4_ROWS, D5_ROWS, G2_ROWS)
+            for path in ((1,), (len(rows),), (1, 2))
         ],
     )
-    def test_witness_matches_the_grouped_reference(self, rows, coefficients, multi_term):
-        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients))
-        count = len(atlas.variables)
+    def test_witness_matches_the_references(self, rows, coefficients, path, multi_term):
+        seed = mutate_path(root_seed(ExchangeMatrix(rows), coefficients), path)
+        atlas, reference = explore(seed), explore(seed)
+        pairs = list(product(range(len(atlas.variables)), repeat=2))
         found = 0
-        for xk in range(count):
-            for xi in range(count):
-                w = laurent_witness(xk, xi, atlas)
-                want = grouped_witness(xk, xi, atlas)
-                assert (w.cluster, w.k_position, w.exponents, w.coefficient) == want
-                found += len(w.coefficient.terms) > 1
+        for (xk, xi), w in [(pair, laurent_witness(*pair, atlas)) for pair in pairs]:
+            assert w == sorted_witness(xk, xi, reference)
+            want = grouped_witness(xk, xi, reference)
+            assert (w.cluster, w.k_position, w.exponents, w.coefficient) == want
+            found += len(w.coefficient.terms) > 1
         assert found == multi_term
+        assert witness_sweep(explore(seed)).text() == sorted_sweep(reference)
 
     def test_describe(self, a2_trivial):
         lines = laurent_witness(0, 4, a2_trivial).describe()
@@ -461,12 +557,14 @@ class TestVerifyUnistructural:
         report = verify_unistructural(first, explore(seed))
         assert report.resolve_status() == "pass"
 
-    def test_corrupted_second_atlas_fails_the_graph_check(self, a3_trivial):
-        # The second atlas's graph comes from its mutation edges, so an edge
-        # that exchanges two variables shows although the clusters agree.
-        other = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
-        corrupt_first_edge(other)
-        report = verify_unistructural(a3_trivial, other)
+    # Both graphs come from their atlases' mutation edges, so an edge that
+    # exchanges two variables shows although the clusters agree.
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_corrupted_atlas_fails_the_graph_check(self, a3_trivial, which):
+        broken = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
+        corrupt_first_edge(broken)
+        atlases = (broken, a3_trivial) if which == "first" else (a3_trivial, broken)
+        report = verify_unistructural(*atlases)
         assert report.resolve_status() == "fail"
         assert [(c.name, c.passed) for c in report.checks] == [
             ("identification", True),
@@ -475,7 +573,7 @@ class TestVerifyUnistructural:
             ("compat-matrices-equal", True),
         ]
         assert report.checks[2].detail == (
-            "edge {0,1,2} -- {2,3,6} only in second graph"
+            f"edge {{0,1,2}} -- {{2,3,6}} only in {which} graph"
         )
 
     def test_cluster_set_difference_prints_clusters_as_sets(self, a2_trivial):
