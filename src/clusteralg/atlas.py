@@ -252,7 +252,7 @@ class PatternAtlas:
         return sid
 
     def _explore(self) -> bool:
-        n = self.n
+        n, caps = self.n, self.caps
         truncated = False
         # Mutation is an involution, so each computed edge (s, k) -> t also
         # gives t's edge back to s.  Those reverse edges wait here until t's
@@ -267,7 +267,7 @@ class PatternAtlas:
         def link(sid: int, k: int, target: int, child: Seed, given: tuple) -> None:
             # child = mutate(seeds[sid], k); target mutated at the position
             # of child's new variable is sid again.
-            self.edges[(sid, k)] = target
+            self.edges[sid, k] = target
             new = self._var_ids[child.x[k - 1]]
             # The child's variable may be an equal copy of the interned one.
             exchanged[given] = self.variables[new]
@@ -284,7 +284,7 @@ class PatternAtlas:
         level, depth = [0], 0
         while level:
             # The last level skips what cannot land; see the module docstring.
-            faces = self._faces() if depth == self.caps.max_depth else None
+            faces = self._faces() if depth == caps.max_depth else None
             candidates: list[tuple[tuple, Seed, int, int, tuple]] = []
             for sid in level:
                 seed = self.seeds[sid]
@@ -292,7 +292,7 @@ class PatternAtlas:
                 for k in range(1, n + 1):
                     back = reverse.pop((sid, k), None)
                     if back is not None:
-                        self.edges[(sid, k)] = back
+                        self.edges[sid, k] = back
                         continue
                     if faces is not None:
                         face = tuple(sorted(ids[: k - 1] + ids[k:]))
@@ -315,26 +315,23 @@ class PatternAtlas:
             if not candidates:
                 break
             depth += 1
-            next_level: list[int] = []
-            if depth <= self.caps.max_depth:
-                for key, child, sid, k, _ in sorted(candidates, key=lambda c: c[0]):
-                    if key in self._seed_keys:
-                        continue
-                    if len(self.seeds) >= self.caps.max_seeds:
-                        truncated = True
-                        break
-                    next_level.append(self._store_seed(child, key, (sid, k)))
-            else:
-                truncated = True
-            for key, child, sid, k, given in candidates:
+            # A candidate a cap leaves unresolved truncates.
+            start, found = len(self.seeds), {}
+            for key, child, sid, k, _ in sorted(candidates, key=itemgetter(0)):
                 target = self._seed_keys.get(key)
+                if target is None:
+                    if depth > caps.max_depth or len(self.seeds) >= caps.max_seeds:
+                        break
+                    target = self._store_seed(child, key, (sid, k))
+                found[sid, k] = target
+            truncated |= len(found) < len(candidates)
+            for _, child, sid, k, given in candidates:
+                target = found.get((sid, k))
                 if target is not None:
                     link(sid, k, target, child, given)
-                else:
-                    truncated = True
-            if truncated and len(self.seeds) >= self.caps.max_seeds:
+            if truncated and len(self.seeds) >= caps.max_seeds:
                 break
-            level = next_level
+            level = range(start, len(self.seeds))
         return not truncated
 
     def _faces(self) -> dict[Cluster, list[Cluster]]:

@@ -31,7 +31,9 @@ products and their sum are computed in the division layout of the sum,
 and ``exact_div`` divides it in that layout, packing only the divisor and
 unpacking only the quotient; its tuple-keyed ``terms`` are built on first
 read, so every reader sees tuple keys.  Every other polynomial, and every
-other product or division, stays on tuple keys.
+other product or division, stays on tuple keys, where a division scans its
+remainder in place for each leading term: the packed threshold keeps those
+numerators under 128 terms, and below about 190 a scan beats a heap.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, gt, mul, sub
+from operator import add, gt, lt, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -571,7 +573,8 @@ def _packed_quotient(
     borrows from the next is left with its guard bit set; the first field
     also makes the whole integer negative.  A candidate q is in the box
     exactly when q >= 0 and neither q nor ``bound - q`` (bound the packed
-    M - D) has a guard bit set.
+    M - D) has a guard bit set.  The remainder's leading term comes from a
+    heap (Johnson 1974; Monagan and Pearce 2011), not a scan.
     """
     if not num.packed:
         return {}
@@ -630,13 +633,15 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     so no field ever carries.
 
     Every other numerator stays on tuple keys.  A monomial divisor is a
-    key shift.  Otherwise both arguments are shifted by their minimal
-    exponents to honest polynomials, which are divided by repeatedly
-    cancelling leading terms in lexicographic order.  The leading term of
-    the remainder comes from a heap (Johnson 1974; Monagan and Pearce 2011)
-    rather than a scan, so the leading terms, the quotient and the failure
-    conditions are those of the plain loop.  Any exponent or coefficient
-    failure during that loop proves non-divisibility.
+    key shift.  Otherwise the remainder, a copy of the numerator's terms in
+    their own coordinates, is scanned for its lexicographically leading
+    term, which is cancelled until none is left.  An exact quotient's
+    lowest exponents are the numerator's less the divisor's, so a candidate
+    term below them in any coordinate, as an infinite Laurent series would
+    give, or a coefficient that does not divide, proves non-divisibility.
+    No heap: ``binomial`` holds over packed keys any exchange binomial of
+    128 terms or more over a divisor of two or more, so the engine's
+    numerators here stay smaller, and a heap only wins from about 190.
     """
     num._check_ranks(den)
     if den.is_zero():
@@ -659,37 +664,20 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
                 raise _not_divisible(num, den)
             quotient[tuple(map(sub, k2, k1))] = c
         return LaurentPoly._trusted(num.n, num.m, quotient)
-    na = tuple(map(min, zip(*num.terms)))
-    db = tuple(map(min, zip(*den.terms)))
-    # Keys are negated shifted exponents, so the lexicographically largest
-    # remaining term is the heap minimum.
-    rem = {tuple(map(sub, na, k)): c for k, c in num.terms.items()}
-    divisor = sorted((tuple(map(sub, db, k)), c) for k, c in den.terms.items())
-    (den_lead, den_lc), tail = divisor[0], divisor[1:]
-    heap = list(rem)
-    heapify(heap)
+    low = tuple(map(sub, map(min, zip(*num.terms)), map(min, zip(*den.terms))))
+    (den_lead, den_lc), *tail = sorted(den.terms.items(), reverse=True)
+    rem = dict(num.terms)
     quotient: dict[Exponents, int] = {}
-    while heap:
-        lead = heappop(heap)
-        lc = rem.pop(lead, None)
-        if lc is None:
-            continue  # cancelled since it was pushed
-        c, leftover = divmod(lc, den_lc)
-        diff = tuple(map(sub, lead, den_lead))
-        if leftover or any(d > 0 for d in diff):
+    while rem:
+        lead = max(rem)
+        c, leftover = divmod(rem.pop(lead), den_lc)
+        q = tuple(map(sub, lead, den_lead))
+        if leftover or any(map(lt, q, low)):
             raise _not_divisible(num, den)
-        quotient[diff] = c
+        quotient[q] = c
         for k2, c2 in tail:
-            kk = tuple(map(add, diff, k2))
-            old = rem.get(kk)
-            if old is None:
-                rem[kk] = -c * c2
-                heappush(heap, kk)
-            elif old == c * c2:
-                del rem[kk]
-            else:
-                rem[kk] = old - c * c2
-    shift = tuple(map(sub, na, db))
-    return LaurentPoly._trusted(
-        num.n, num.m, {tuple(map(sub, shift, k)): c for k, c in quotient.items()}
-    )
+            kk = tuple(map(add, q, k2))
+            left = rem.pop(kk, 0) - c * c2
+            if left:
+                rem[kk] = left
+    return LaurentPoly._trusted(num.n, num.m, quotient)

@@ -183,6 +183,30 @@ def twin_orders(atlas, sid, earlier, signs=None) -> set[tuple[int, ...]]:
     return orders
 
 
+def cap_stops_after_a_duplicated_class(atlas) -> bool:
+    """The seed cap stopped a level right after storing a class that a later
+    candidate of the same level reaches too: the last stored seed has an
+    edge in besides its tree edge, and a seed of the level before it has a
+    direction left unlinked by the cap."""
+    last = len(atlas.seeds) - 1
+    into = [edge for edge, t in atlas.edges.items() if t == last]
+    duplicates = [edge for edge in into if edge != atlas.tree[last]]
+    depth = len(atlas.path(last))
+    cut = [
+        (s, k)
+        for s in range(last)
+        if len(atlas.path(s)) == depth - 1
+        for k in range(1, atlas.n + 1)
+        if (s, k) not in atlas.edges
+    ]
+    return len(atlas.seeds) == atlas.caps.max_seeds and bool(duplicates and cut)
+
+
+# (rows, coefficients, max_seeds) of the caps below that stop a level right
+# after a class with a same-level duplicate candidate, which must still link.
+STOPS_AFTER_DUPLICATE = [(A4_ROWS, "principal", 7), (B3_ROWS, "principal", 16)]
+
+
 class EveryDirectionAtlas(PatternAtlas):
     """Reference exploration: mutate every stored seed in every direction,
     computing each exchange edge from both of its ends."""
@@ -437,6 +461,7 @@ class TestClosures:
             (D4_ROWS, "trivial", ExploreCaps(max_depth=2)),
             (D4_ROWS, "principal", ExploreCaps(max_depth=2)),
             (AFFINE_3_ROWS, "principal", ExploreCaps(max_depth=5)),
+            (B3_ROWS, "principal", ExploreCaps(max_seeds=16)),
         ],
     )
     def test_one_sided_exploration_matches_every_direction(
@@ -447,6 +472,8 @@ class TestClosures:
         reference = EveryDirectionAtlas(root, caps)
         assert atlas.to_json() == reference.to_json()
         assert list(atlas.edges.items()) == list(reference.edges.items())
+        if (rows, coefficients, caps.max_seeds) in STOPS_AFTER_DUPLICATE:
+            assert cap_stops_after_a_duplicated_class(atlas)
 
     @pytest.mark.parametrize(
         "rows, coefficients",

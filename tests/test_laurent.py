@@ -10,17 +10,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import clusteralg.laurent
+import clusteralg.seed
 from clusteralg import (
     ExchangeMatrix,
+    ExploreCaps,
     LaurentPoly,
     NotDivisibleError,
     NotHomogeneousError,
     exact_div,
     exchange_binomial,
+    explore,
     mutate,
     root_seed,
 )
-from conftest import A2_ROWS, KRONECKER_2_ROWS, KRONECKER_3_ROWS
+from clusteralg.catalogue import matrix
+from conftest import A2_ROWS, KRONECKER_2_ROWS, KRONECKER_3_ROWS, MARKOV_ROWS
 
 
 def lp(text: str, n: int = 2, m: int = 0) -> LaurentPoly:
@@ -153,6 +157,24 @@ class TestLaurentArithmetic:
             lp("x1 + 1") / lp("x1 + -1")
         with pytest.raises(ZeroDivisionError):
             lp("x1") / LaurentPoly.zero(2, 0)
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_division_stops_at_the_quotient_bound_in_every_coordinate(self, m):
+        # (t + 1) / (t - 1) = 1 + 2/t + 2/t^2 + ... never ends: its second
+        # term already falls below the lowest exponent an exact quotient can
+        # have, in t's coordinate alone.  (t^2 - 1) / (t - 1) = t + 1 reaches
+        # that bound and divides.  The shifts put every bound off zero, with
+        # both signs.
+        n = 3
+        one = LaurentPoly.one(n, m)
+        shift = LaurentPoly(n, m, {tuple(range(-2, n + m - 2)): 1})
+        den_shift = LaurentPoly(n, m, {tuple((-5, 5)[j % 2] for j in range(n + m)): 1})
+        for i in range(n + m):
+            t = LaurentPoly(n, m, {tuple(int(j == i) for j in range(n + m)): 1})
+            with pytest.raises(NotDivisibleError):
+                exact_div((t + one) * shift, (t - one) * den_shift)
+            quotient = exact_div((t * t - one) * shift, (t - one) * den_shift)
+            assert quotient * den_shift == (t + one) * shift
 
 
 # ----------------------------------------------------------------------
@@ -627,6 +649,32 @@ class TestPackedHeldBinomials:
                     assert num == reference_binomial(seed, k)
         assert held and tuple_keyed
         assert held_powers == {1, 2, 3}
+
+    def test_tuple_keyed_divisions_stay_small(self, monkeypatch):
+        # The tuple-key division scans its remainder for each leading term,
+        # which pays only while numerators are small.  A binomial of fewer
+        # than PACKED_PRODUCT_PAIRS term pairs over a divisor of 2+ terms has
+        # fewer than half that many terms; larger ones are held over packed
+        # keys.
+        sizes = []
+        original = clusteralg.seed.exact_div
+
+        def recorded(num, den):
+            if not is_held(num) and len(den.terms) > 1:
+                sizes.append(len(num.terms))
+            return original(num, den)
+
+        monkeypatch.setattr(clusteralg.seed, "exact_div", recorded)
+        for rows, coefficients, depth in [
+            (matrix("A", 6), "trivial", 64),
+            (matrix("D", 5), "trivial", 64),
+            (KRONECKER_2_ROWS, "principal", 11),
+            (KRONECKER_3_ROWS, "trivial", 4),
+            (MARKOV_ROWS, "trivial", 4),
+        ]:
+            root = root_seed(ExchangeMatrix(rows), coefficients)
+            explore(root, ExploreCaps(max_depth=depth))
+        assert sizes and max(sizes) < THRESHOLD // 2 == 128
 
     @pytest.mark.parametrize("pairs", [THRESHOLD - 1, THRESHOLD])
     def test_binomial_is_held_from_the_threshold(self, pairs):
