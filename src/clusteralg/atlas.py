@@ -8,11 +8,14 @@ cluster variables are the same element iff their expansions are
 structurally equal Laurent polynomials.  Clusters are sorted tuples of
 variable ids.
 
-Exploration is breadth-first with a deterministic order: each level's
-newly discovered classes are stored sorted by canonical seed key, so the
-serialized atlas never depends on hashing or scheduling.  Caps bound the
-store size and the search depth; hitting either leaves ``complete``
-false, which downstream verification refuses rather than guessing.
+Exploration is breadth-first with a deterministic order.  A child is its
+variable ids, B and y, keyed by its ids ascending with B and y in that
+order; a variable new to its level has a token, -1 - i for the level's
+i-th new polynomial, so its child matches no stored seed.  Each new class
+gets a Seed and is stored in polynomial key order, so the serialized
+atlas never depends on hashing or scheduling.  Caps bound the store size
+and the search depth; hitting either leaves ``complete`` false, which
+downstream verification refuses rather than guessing.
 
 Each exchange edge is mutated once.  Mutation is an involution, so the
 edge from s in direction k to stored seed t also names t's edge back to
@@ -23,11 +26,11 @@ fault.
 
 Each distinct exchange is computed once per exploration.  The new
 variable depends only on x_k, y_k and the x_i with b_ik != 0, with their
-exponents b_ik, so exploration keeps each one it computes under those
-inputs, by variable id, and mutates B and y around the kept variable when
-another edge repeats them.  In finite type most edges do: A6 has 1,287
-exchange edges and 126 distinct exchanges.  A kept variable was checked
-for exact division and positivity when it was computed.
+exponents b_ik, so exploration keeps the id (or token) of each one it
+computes under those inputs, read in the seed's ascending-id order, and
+another edge with those inputs mutates only B and y.  In finite type most
+edges do: A6 has 1,287 exchange edges and 126 distinct exchanges.  A kept
+variable was checked for exact division and positivity when computed.
 
 The last level a depth cap allows stores no child, so a child there counts
 only if it lands on a stored seed.  Its cluster would hold the seed's other
@@ -103,10 +106,9 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .laurent import LaurentPoly
-# mutate_path is not called here.  perfbench/tracer.py patches the name
-# clusteralg.atlas.mutate_path, and tests/test_benchmark_contract.py checks
-# that every name the tracer patches resolves.
-from .seed import Rows, Seed, exchange, mutate, mutate_path, mutate_with  # noqa: F401
+from .seed import ExchangeMatrix, Rows, Seed, exchange, matching_permutations
+# mutate_path is not called here; perfbench/tracer.py patches it.
+from .seed import mutate, mutate_path, mutate_rows  # noqa: F401
 
 Cluster = tuple[int, ...]
 # An exact seed, positions intact: (stored seed id, variable ids by position).
@@ -129,57 +131,26 @@ class ExploreCaps:
             raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
 
 
-def _exchange_input(seed: Seed, ids: tuple[int, ...], k: int) -> tuple:
+def _exchange_input(seed: Seed, ids: Cluster, order: list[int], k: int) -> tuple:
     """All that ``exchange`` reads in direction k, variables by id: x_k,
-    y_k, and the sorted (x_i, b_ik) with b_ik != 0."""
-    return (
-        ids[k - 1],
-        seed.y[k - 1],
-        tuple(
-            sorted((v, row[k - 1]) for v, row in zip(ids, seed.b.rows) if row[k - 1])
-        ),
-    )
+    y_k, and the (x_i, b_ik) with b_ik != 0, i in ``order``, ascending id."""
+    kk, rows = k - 1, seed.b.rows
+    column = tuple([(ids[p], b) for p in order if (b := rows[p][kk])])
+    return ids[kk], seed.y[kk], column
 
 
-def matching_permutations(rows: Rows, want: Rows) -> Iterator[tuple[int, ...]]:
-    """Simultaneous position permutations carrying rows onto want, in
-    lexicographic order: position i of want is position perm[i] of rows, so
-    rows[perm[i]][perm[j]] == want[i][j].
-
-    perm is assigned one position at a time, smallest value first, and a
-    value is kept only if every entry it fixes against the positions already
-    assigned matches; diagonals are zero in both matrices.
-    """
-    n = len(want)
-    perm: list[int] = []
-
-    def extend() -> Iterator[tuple[int, ...]]:
-        i = len(perm)
-        if i == n:
-            yield tuple(perm)
-            return
-        for p in range(n):
-            if p in perm:
-                continue
-            row = rows[p]
-            if all(
-                row[q] == want[i][j] and rows[q][p] == want[j][i]
-                for j, q in enumerate(perm)
-            ):
-                perm.append(p)
-                yield from extend()
-                perm.pop()
-
-    return extend()
+def _class_key(labels: tuple, rows: Rows, y: Rows) -> tuple:
+    """A seed's form under simultaneous position permutation: its distinct
+    labels ascending, with y and B's rows and columns in that order."""
+    if len(labels) == 1:  # itemgetter of one index returns the item, not a tuple
+        return (labels, y, rows)
+    pick = itemgetter(*sorted(range(len(labels)), key=labels.__getitem__))
+    return (pick(labels), pick(y), tuple(map(pick, pick(rows))))
 
 
 def _canonical_seed_key(seed: Seed) -> tuple:
-    """Canonical form under simultaneous position permutation."""
-    xs = [p.sort_key() for p in seed.x]
-    if len(xs) == 1:  # itemgetter of one index returns the item, not a tuple
-        return (tuple(xs), seed.y, seed.b.rows)
-    pick = itemgetter(*sorted(range(len(xs)), key=xs.__getitem__))
-    return (pick(xs), pick(seed.y), tuple(map(pick, pick(seed.b.rows))))
+    """``_class_key`` by polynomial sort keys, which order new classes."""
+    return _class_key(tuple([p.sort_key() for p in seed.x]), seed.b.rows, seed.y)
 
 
 class PatternAtlas:
@@ -201,8 +172,8 @@ class PatternAtlas:
         self.m = root.m
         self.coefficients = _classify_coefficients(root)
         self.seeds: list[Seed] = []
-        self.variables: list[LaurentPoly] = []
-        self._var_ids: dict[LaurentPoly, int] = {}
+        self.variables: list[LaurentPoly] = list(root.x)
+        self._var_ids = {p: i for i, p in enumerate(root.x)}
         self.seed_variable_ids: list[Cluster] = []
         self.clusters: list[Cluster] = []
         self.cluster_to_seed: dict[Cluster, int] = {}
@@ -219,33 +190,21 @@ class PatternAtlas:
         self._by_face: dict[Cluster, list[Cluster]] | None = None
         self._by_variable: list[tuple[Cluster, ...]] | None = None
         self.derived: dict = {}
-        self._store_seed(root, _canonical_seed_key(root), None)
+        self._store_seed(root, tuple(range(self.n)), None)
         self.complete = self._explore()
 
     # ------------------------------------------------------------------
     # construction
 
-    def _store_seed(
-        self, seed: Seed, key: tuple, parent: tuple[int, int] | None
-    ) -> int:
-        # parent: the (seed index, direction) the seed was made from, None
-        # for the root.  Only here is the discovery tree written.
+    def _store_seed(self, seed: Seed, ids: Cluster, parent: tuple | None) -> int:
+        # parent: the (seed, direction) made from, if any; the tree's writer.
         sid = len(self.seeds)
         self.tree.append(parent)
+        key = _class_key(ids, seed.b.rows, seed.y)
         self._seed_keys[key] = sid
-        ids = []
-        for p in seed.x:
-            vid = self._var_ids.get(p)
-            if vid is None:
-                vid = len(self.variables)
-                self.variables.append(p)
-                self._var_ids[p] = vid
-            ids.append(vid)
-        # The stored seed holds the interned objects, not equal copies.
-        interned = tuple([self.variables[vid] for vid in ids])
-        self.seeds.append(Seed._trusted(seed.b, seed.y, interned))
-        self.seed_variable_ids.append(tuple(ids))
-        cluster = tuple(sorted(ids))
+        self.seeds.append(seed)
+        self.seed_variable_ids.append(ids)
+        cluster = key[0]
         if cluster not in self.cluster_to_seed:
             self.clusters.append(cluster)
             self.cluster_to_seed[cluster] = sid
@@ -254,23 +213,14 @@ class PatternAtlas:
     def _explore(self) -> bool:
         n, caps = self.n, self.caps
         truncated = False
-        # Mutation is an involution, so each computed edge (s, k) -> t also
-        # gives t's edge back to s.  Those reverse edges wait here until t's
-        # level runs: a seed cap can stop exploration before then, and a
-        # seed whose level never ran stores no edges.
+        # Reverse edges awaiting their seed's level; see the module.
         reverse: dict[tuple[int, int], int] = {}
-        # The new variable of each exchange computed so far, keyed by
-        # _exchange_input.  An edge that repeats a key reuses the variable;
-        # it still gets its canonical key, target lookup and link.
-        exchanged: dict[tuple, LaurentPoly] = {}
+        # Each exchange's new variable id (or token), by its input.
+        exchanged: dict[tuple, int] = {}
 
-        def link(sid: int, k: int, target: int, child: Seed, given: tuple) -> None:
-            # child = mutate(seeds[sid], k); target mutated at the position
-            # of child's new variable is sid again.
+        def link(sid: int, k: int, target: int, new: int) -> None:
+            # target mutated at new's position is sid again.
             self.edges[sid, k] = target
-            new = self._var_ids[child.x[k - 1]]
-            # The child's variable may be an equal copy of the interned one.
-            exchanged[given] = self.variables[new]
             edge = (target, self.seed_variable_ids[target].index(new) + 1)
             for known in (self.edges.get(edge), reverse.get(edge)):
                 if known is not None and known != sid:
@@ -285,10 +235,12 @@ class PatternAtlas:
         while level:
             # The last level skips what cannot land; see the module docstring.
             faces = self._faces() if depth == caps.max_depth else None
-            candidates: list[tuple[tuple, Seed, int, int, tuple]] = []
+            candidates = []
+            tokens: dict[LaurentPoly, int] = {}  # the i-th has token -1 - i
             for sid in level:
                 seed = self.seeds[sid]
                 ids = self.seed_variable_ids[sid]
+                order = sorted(range(n), key=ids.__getitem__)
                 for k in range(1, n + 1):
                     back = reverse.pop((sid, k), None)
                     if back is not None:
@@ -299,38 +251,54 @@ class PatternAtlas:
                         if len(faces[face]) == 1:  # the seed's own cluster
                             truncated = True
                             continue
-                    given = _exchange_input(seed, ids, k)
+                    given = _exchange_input(seed, ids, order, k)
                     new = exchanged.get(given)
                     if new is None:
                         child = mutate(seed, k)
-                        exchanged[given] = child.x[k - 1]
+                        p = child.x[k - 1]
+                        new = self._var_ids.get(p)
+                        if new is None:
+                            new = tokens.setdefault(p, -1 - len(tokens))
+                        exchanged[given] = new
+                        rows, y = child.b.rows, child.y
                     else:
-                        child = mutate_with(seed, k, new)
-                    key = _canonical_seed_key(child)
+                        rows, y = mutate_rows(seed.b.rows, seed.y, k)
+                    child_ids = ids[: k - 1] + (new,) + ids[k:]
+                    key = _class_key(child_ids, rows, y)
                     target = self._seed_keys.get(key)
                     if target is not None:
-                        link(sid, k, target, child, given)
+                        link(sid, k, target, new)
                     else:
-                        candidates.append((key, child, sid, k, given))
+                        candidates.append((key, child_ids, rows, y, sid, k, given))
             if not candidates:
                 break
             depth += 1
-            # A candidate a cap leaves unresolved truncates.
-            start, found = len(self.seeds), {}
-            for key, child, sid, k, _ in sorted(candidates, key=itemgetter(0)):
-                target = self._seed_keys.get(key)
-                if target is None:
-                    if depth > caps.max_depth or len(self.seeds) >= caps.max_seeds:
-                        break
-                    target = self._store_seed(child, key, (sid, k))
-                found[sid, k] = target
-            truncated |= len(found) < len(candidates)
-            for _, child, sid, k, given in candidates:
-                target = found.get((sid, k))
-                if target is not None:
-                    link(sid, k, target, child, given)
-            if truncated and len(self.seeds) >= caps.max_seeds:
-                break
+            # Each new class's first candidate becomes a Seed, stored by
+            # polynomial key and interning its token, until a cap.
+            polys = list(tokens)
+            firsts = {c[0]: c for c in reversed(candidates)}  # first of each
+            ordered = []
+            for key, child_ids, rows, y, sid, k, _ in firsts.values():
+                x = [self.variables[v] if v >= 0 else polys[-1 - v] for v in child_ids]
+                seed = Seed._trusted(ExchangeMatrix._trusted(rows), y, tuple(x))
+                ordered.append((_canonical_seed_key(seed), key, seed, sid, k))
+            start, found, interned = len(self.seeds), {}, {}
+            for _, key, seed, sid, k in sorted(ordered, key=itemgetter(0)):
+                if depth > caps.max_depth or len(self.seeds) >= caps.max_seeds:
+                    break
+                ids = firsts[key][1]
+                new = ids[k - 1]
+                if new < 0 and new not in interned:
+                    interned[new] = self._var_ids[seed.x[k - 1]] = len(self.variables)
+                    self.variables.append(seed.x[k - 1])
+                ids = ids[: k - 1] + (interned.get(new, new),) + ids[k:]
+                found[key] = self._store_seed(seed, ids, (sid, k))
+            for key, ids, _, _, sid, k, given in candidates:
+                if key in found:
+                    exchanged[given] = new = interned.get(ids[k - 1], ids[k - 1])
+                    link(sid, k, found[key], new)
+            if len(found) < len(firsts):
+                return False
             level = range(start, len(self.seeds))
         return not truncated
 

@@ -28,7 +28,7 @@ import json
 import random
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .laurent import Exponents, LaurentPoly, binomial, exact_div
 
@@ -128,44 +128,57 @@ class ExchangeMatrix:
     def __hash__(self) -> int:
         return hash(self.rows)
 
-    def mutated(self, k: int) -> "ExchangeMatrix":
-        """Matrix mutation in direction k, 1-based.
-
-        Row k and column k change sign.  Any other entry b_ij gains
-        |b_ik| * b_kj where b_ik and b_kj share a sign, so a row with
-        b_ik = 0 is kept as it is.
-        """
-        n = self.n
-        if not 1 <= k <= n:
-            raise IndexError(f"direction {k} out of range 1..{n}")
-        kk = k - 1
-        row_k = self.rows[kk]
-        up = [(j, v) for j, v in enumerate(row_k) if v > 0]
-        down = [(j, v) for j, v in enumerate(row_k) if v < 0]
-        new = []
-        for row in self.rows:
-            c = row[kk]
-            if not c:
-                new.append(row)
-                continue
-            r = list(row)
-            r[kk] = -c
-            a = abs(c)
-            for j, v in up if c > 0 else down:
-                r[j] += a * v
-            new.append(tuple(r))
-        new[kk] = tuple(-v for v in row_k)
-        # Mutation keeps the minimal symmetrizer (Fomin-Zelevinsky, 2002),
-        # so the result needs no skew-symmetrizability check.
+    @staticmethod
+    def _trusted(rows: Rows) -> "ExchangeMatrix":
+        """Rows from mutation, unchecked: it keeps the minimal symmetrizer
+        (Fomin-Zelevinsky, 2002)."""
         out = object.__new__(ExchangeMatrix)
-        out.rows = tuple(new)
+        out.rows = rows
         return out
+
+    def mutated(self, k: int) -> "ExchangeMatrix":
+        """Matrix mutation in direction k, 1-based, by ``mutate_rows``."""
+        if not 1 <= k <= self.n:
+            raise IndexError(f"direction {k} out of range 1..{self.n}")
+        return ExchangeMatrix._trusted(mutate_rows(self.rows, ((),) * self.n, k)[0])
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
 
     def __repr__(self) -> str:
         return f"ExchangeMatrix({list(map(list, self.rows))})"
+
+
+def matching_permutations(rows: Rows, want: Rows) -> Iterator[tuple[int, ...]]:
+    """Simultaneous position permutations carrying rows onto want, in
+    lexicographic order: position i of want is position perm[i] of rows, so
+    rows[perm[i]][perm[j]] == want[i][j].
+
+    perm is assigned one position at a time, smallest value first, and a
+    value is kept only if every entry it fixes against the positions already
+    assigned matches; diagonals are zero in both matrices.
+    """
+    n = len(want)
+    perm: list[int] = []
+
+    def extend() -> Iterator[tuple[int, ...]]:
+        i = len(perm)
+        if i == n:
+            yield tuple(perm)
+            return
+        for p in range(n):
+            if p in perm:
+                continue
+            row = rows[p]
+            if all(
+                row[q] == want[i][j] and rows[q][p] == want[j][i]
+                for j, q in enumerate(perm)
+            ):
+                perm.append(p)
+                yield from extend()
+                perm.pop()
+
+    return extend()
 
 
 class Seed:
@@ -333,34 +346,39 @@ def exchange(seed: Seed, k: int) -> LaurentPoly:
     return x_k
 
 
+def _gained(row: tuple[int, ...], c: int, vec: tuple[int, ...]) -> list[int]:
+    """row plus |c| times the entries of vec with c's sign."""
+    a = c if c > 0 else -c
+    return [e + a * v if c * v > 0 else e for e, v in zip(row, vec)]
+
+
+def mutate_rows(rows: Rows, y: Rows, k: int) -> tuple[Rows, Rows]:
+    """B's rows and y mutated in direction k, 1-based: row k and y_k change
+    sign, B's row i gains ``_gained`` by b_ik and row k, then b_ik changes
+    sign, and y_i gains it by b_ki and y_k.  A row gaining by 0 is kept."""
+    kk = k - 1
+    row_k, y_k = rows[kk], y[kk]
+    b = list(rows)
+    for i, row in enumerate(rows):
+        c = row[kk]
+        if c:
+            r = _gained(row, c, row_k)
+            r[kk] = -c
+            b[i] = tuple(r)
+    b[kk] = tuple([-v for v in row_k])
+    if y_k:  # trivial coefficients: every y_i is () and stays so
+        y = [tuple(_gained(y_i, c, y_k)) if c else y_i for y_i, c in zip(y, row_k)]
+        y[kk] = tuple([-e for e in y_k])
+        y = tuple(y)
+    return tuple(b), y
+
+
 def mutate(seed: Seed, k: int) -> Seed:
     """Seed mutation in direction k, 1-based.  Involutive."""
-    return mutate_with(seed, k, exchange(seed, k))
-
-
-def mutate_with(seed: Seed, k: int, x_k: LaurentPoly) -> Seed:
-    """Seed mutation in direction k, 1-based, given the new variable
-    ``x_k``, which must be ``exchange(seed, k)``: B and y are mutated and
-    x_k replaces the k-th variable, which is neither recomputed nor
-    checked."""
-    b_new = seed.b.mutated(k)
-    yk = seed.y[k - 1]
-    y_new = seed.y  # trivial coefficients: every y_i is () and stays so
-    if yk:
-        y_new = list(seed.y)
-        y_new[k - 1] = tuple(-e for e in yk)
-        for i, b_ki in enumerate(seed.b.rows[k - 1]):
-            if b_ki:  # b_kk = 0, so y_k is left as set above
-                # b_ki * [y_k]+ or b_ki * [-y_k]+ is |b_ki| times the
-                # entries of y_k with the sign of b_ki.
-                a_ki = abs(b_ki)
-                y_new[i] = tuple(
-                    a + a_ki * e if e * b_ki > 0 else a
-                    for a, e in zip(seed.y[i], yk)
-                )
-        y_new = tuple(y_new)
-    x_new = seed.x[: k - 1] + (x_k,) + seed.x[k:]
-    return Seed._trusted(b_new, y_new, x_new)
+    x_k = exchange(seed, k)
+    rows, y = mutate_rows(seed.b.rows, seed.y, k)
+    x = seed.x[: k - 1] + (x_k,) + seed.x[k:]
+    return Seed._trusted(ExchangeMatrix._trusted(rows), y, x)
 
 
 def mutate_path(seed: Seed, path: Iterable[int]) -> Seed:

@@ -56,11 +56,11 @@ from .atlas import (
     PatternAtlas,
     format_cluster,
     graph_difference,
-    matching_permutations,
 )
 from .compat import compatibility_matrix
 from .laurent import Exponents, LaurentPoly
 from .reports import VerificationReport
+from .seed import matching_permutations
 
 
 class WitnessNotFoundError(RuntimeError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
@@ -24,6 +25,7 @@ from clusteralg import (
 from clusteralg.atlas import (
     PatternAtlas,
     _canonical_seed_key,
+    _class_key,
     _exchange_input,
     graph_difference,
 )
@@ -209,11 +211,13 @@ STOPS_AFTER_DUPLICATE = [(A4_ROWS, "principal", 7), (B3_ROWS, "principal", 16)]
 
 class EveryDirectionAtlas(PatternAtlas):
     """Reference exploration: mutate every stored seed in every direction,
-    computing each exchange edge from both of its ends."""
+    computing each exchange edge from both of its ends, and identify seed
+    classes by their polynomial canonical keys, in a dict of its own."""
 
     def _explore(self) -> bool:
         n = self.n
         truncated = False
+        stored = {_canonical_seed_key(self.root): 0}
         level, depth = [0], 0
         while level:
             candidates = []
@@ -222,7 +226,7 @@ class EveryDirectionAtlas(PatternAtlas):
                 for k in range(1, n + 1):
                     child = mutate(seed, k)
                     key = _canonical_seed_key(child)
-                    target = self._seed_keys.get(key)
+                    target = stored.get(key)
                     if target is not None:
                         self.edges[(sid, k)] = target
                     else:
@@ -233,16 +237,22 @@ class EveryDirectionAtlas(PatternAtlas):
             next_level = []
             if depth <= self.caps.max_depth:
                 for key, child, sid, k in sorted(candidates, key=lambda c: c[0]):
-                    if key in self._seed_keys:
+                    if key in stored:
                         continue
                     if len(self.seeds) >= self.caps.max_seeds:
                         truncated = True
                         break
-                    next_level.append(self._store_seed(child, key, (sid, k)))
+                    for p in child.x:
+                        if p not in self._var_ids:
+                            self._var_ids[p] = len(self.variables)
+                            self.variables.append(p)
+                    ids = tuple(self._var_ids[p] for p in child.x)
+                    stored[key] = self._store_seed(child, ids, (sid, k))
+                    next_level.append(stored[key])
             else:
                 truncated = True
             for key, child, sid, k in candidates:
-                target = self._seed_keys.get(key)
+                target = stored.get(key)
                 if target is not None:
                     self.edges[(sid, k)] = target
                 else:
@@ -251,6 +261,17 @@ class EveryDirectionAtlas(PatternAtlas):
                 break
             level = next_level
         return not truncated
+
+
+def id_key(atlas, seed, tokens):
+    """A seed's class key by variable id, as exploration forms it: a
+    polynomial the atlas never interned gets a negative token from
+    ``tokens``, one per distinct polynomial."""
+    ids = []
+    for p in seed.x:
+        vid = atlas._var_ids.get(p)
+        ids.append(tokens.setdefault(p, -1 - len(tokens)) if vid is None else vid)
+    return _class_key(tuple(ids), seed.b.rows, seed.y)
 
 
 def entrywise_canonical_seed_key(seed):
@@ -490,10 +511,11 @@ class TestClosures:
     ):
         # Each edge is made once, from one end.  Its new variable is computed
         # by mutate only the first time its exchange input is met; a repeat
-        # is served from the memo through mutate_with.
+        # is served from the memo, and only B and y are mutated, by
+        # mutate_rows.
         computed, served = [], []
         original_mutate = clusteralg.atlas.mutate
-        original_with = clusteralg.atlas.mutate_with
+        original_rows = clusteralg.atlas.mutate_rows
 
         def counted(seed, k):
             column = [row[k - 1] for row in seed.b.rows]
@@ -504,12 +526,12 @@ class TestClosures:
             computed.append(given)
             return original_mutate(seed, k)
 
-        def counted_with(seed, k, x_k):
+        def counted_rows(rows, y, k):
             served.append(k)
-            return original_with(seed, k, x_k)
+            return original_rows(rows, y, k)
 
         monkeypatch.setattr(clusteralg.atlas, "mutate", counted)
-        monkeypatch.setattr(clusteralg.atlas, "mutate_with", counted_with)
+        monkeypatch.setattr(clusteralg.atlas, "mutate_rows", counted_rows)
         atlas = explore(root_seed(ExchangeMatrix(rows), coefficients))
         assert atlas.complete
         assert len(atlas.edges) == atlas.n * len(atlas.seeds)
@@ -523,33 +545,64 @@ class TestClosures:
     def test_exploration_serves_interned_variables(
         self, rows, coefficients, monkeypatch
     ):
-        # Once an exchange's child is linked or stored, the memo holds the
-        # interned variable, not the equal copy the exchange returned.  Only
-        # a repeat on the level that computed it may see the copy.
-        computed, served = [], []
+        # The memo hands back a variable id, so a new class made from a
+        # served exchange holds the interned variable, not an equal copy,
+        # when that variable was interned on an earlier level.
+        computed = set()
         original_mutate = clusteralg.atlas.mutate
-        original_with = clusteralg.atlas.mutate_with
+
+        def counted(seed, k):
+            computed.add((id(seed), k))
+            return original_mutate(seed, k)
+
+        monkeypatch.setattr(clusteralg.atlas, "mutate", counted)
+        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients))
+        ids = atlas.seed_variable_ids
+        depth = [len(atlas.path(sid)) for sid in range(len(atlas.seeds))]
+        born = {}
+        for sid, seed_ids in enumerate(ids):
+            for v in seed_ids:
+                born.setdefault(v, depth[sid])
+        later = [
+            (sid, ids[sid][k - 1], atlas.seeds[sid].x[k - 1])
+            for sid, (parent, k) in enumerate(atlas.tree[1:], 1)
+            if (id(atlas.seeds[parent]), k) not in computed
+            and born[ids[sid][k - 1]] < depth[sid]
+        ]
+        assert later
+        assert all(p is atlas.variables[v] for _, v, p in later)
+
+    @pytest.mark.parametrize(
+        "rows, coefficients",
+        [(A5_ROWS, "trivial"), (D5_ROWS, "trivial"), (D5_ROWS, "principal")],
+    )
+    def test_a_level_makes_one_new_variable_by_two_exchanges(
+        self, rows, coefficients, monkeypatch
+    ):
+        # Two exchanges of one level with distinct memo keys make one
+        # polynomial that no earlier level interned, so the finite-type
+        # counts need one token per polynomial, not one per exchange.
+        computed = []
+        original_mutate = clusteralg.atlas.mutate
 
         def counted(seed, k):
             child = original_mutate(seed, k)
             computed.append((seed, child.x[k - 1]))
             return child
 
-        def counted_with(seed, k, x_k):
-            served.append((seed, x_k))
-            return original_with(seed, k, x_k)
-
         monkeypatch.setattr(clusteralg.atlas, "mutate", counted)
-        monkeypatch.setattr(clusteralg.atlas, "mutate_with", counted_with)
         atlas = explore(root_seed(ExchangeMatrix(rows), coefficients))
         depth = {id(s): len(atlas.path(sid)) for sid, s in enumerate(atlas.seeds)}
-        made_at = {id(x_k): depth[id(seed)] for seed, x_k in computed}
-        interned = {id(p) for p in atlas.variables}
-        later = [
-            x_k for seed, x_k in served if made_at.get(id(x_k)) != depth[id(seed)]
-        ]
-        assert later
-        assert all(id(x_k) in interned for x_k in later)
+        born = {}
+        for sid, seed_ids in enumerate(atlas.seed_variable_ids):
+            for v in seed_ids:
+                born.setdefault(v, len(atlas.path(sid)))
+        made = Counter(
+            (depth[id(seed)], atlas._var_ids[p]) for seed, p in computed
+        )
+        assert any(
+            count > 1 and born[v] == d + 1 for (d, v), count in made.items()
+        )
 
     @pytest.mark.parametrize(
         "rows, coefficients, caps",
@@ -582,7 +635,9 @@ class TestClosures:
     def test_exchange_input_tells_apart_each_input(self, rows, y, ids):
         base = root_seed(ExchangeMatrix(A2_ROWS), "principal")
         other = Seed(ExchangeMatrix(rows), y, base.x)
-        assert _exchange_input(other, ids, 1) != _exchange_input(base, (0, 1), 1)
+        order = sorted(range(2), key=ids.__getitem__)
+        given = _exchange_input(other, ids, order, 1)
+        assert given != _exchange_input(base, (0, 1), [0, 1], 1)
         if ids == (0, 1):
             assert exchange(other, 1) != exchange(base, 1)
 
@@ -614,10 +669,40 @@ class TestClosures:
     )
     def test_canonical_key_matches_entrywise_permutation(self, rows, caps):
         atlas = explore(root_seed(ExchangeMatrix(rows), "principal"), caps)
-        for seed in atlas.seeds:
-            key = _canonical_seed_key(seed)
-            assert key == entrywise_canonical_seed_key(seed)
-            assert atlas._seed_keys[key] == atlas.seeds.index(seed)
+        for sid, seed in enumerate(atlas.seeds):
+            assert _canonical_seed_key(seed) == entrywise_canonical_seed_key(seed)
+            key = _class_key(atlas.seed_variable_ids[sid], seed.b.rows, seed.y)
+            assert atlas._seed_keys[key] == sid
+
+    @pytest.mark.parametrize(
+        "rows, caps",
+        [
+            (A3_ROWS, ExploreCaps()),
+            (B3_ROWS, ExploreCaps()),
+            (D4_ROWS, ExploreCaps()),
+            (KRONECKER_2_ROWS, ExploreCaps(max_depth=6)),
+        ],
+    )
+    def test_id_keys_identify_as_canonical_keys_do(self, rows, caps):
+        # Among the stored seeds, and among the children of one level's
+        # seeds (the level's candidates are among them), two have equal id
+        # keys exactly when their canonical keys are equal.
+        atlas = explore(root_seed(ExchangeMatrix(rows), "principal"), caps)
+        levels = {}
+        for sid, seed in enumerate(atlas.seeds):
+            levels.setdefault(len(atlas.path(sid)), []).append(seed)
+        groups = [atlas.seeds] + [
+            [mutate(seed, k) for seed in level for k in range(1, atlas.n + 1)]
+            for level in levels.values()
+        ]
+        met_twice = 0
+        for group in groups:
+            tokens = {}
+            pairs = {(id_key(atlas, s, tokens), _canonical_seed_key(s)) for s in group}
+            assert len({a for a, _ in pairs}) == len(pairs)
+            assert len({b for _, b in pairs}) == len(pairs)
+            met_twice += len(pairs) < len(group)
+        assert met_twice
 
     def test_exploring_a_mutated_root_gives_the_same_pattern(self, a2_trivial):
         moved = mutate_path(a2_trivial.root, [1])
@@ -657,23 +742,31 @@ class TestCaps:
         # These exchange graphs are trees, so a last-level seed meets a
         # stored cluster only through its parent's direction, which the
         # reverse edge serves: each exchange computed makes a stored seed.
+        # An exchange is computed by mutate or served by mutate_rows, which
+        # gets the seed's rows.
         calls = []
-        for name in ("mutate", "mutate_with"):
-            original = getattr(clusteralg.atlas, name)
+        original_mutate = clusteralg.atlas.mutate
+        original_rows = clusteralg.atlas.mutate_rows
 
-            def counted(seed, k, *x_k, original=original):
-                calls.append((seed, k))
-                return original(seed, k, *x_k)
+        def counted(seed, k):
+            calls.append((seed.b.rows, k))
+            return original_mutate(seed, k)
 
-            monkeypatch.setattr(clusteralg.atlas, name, counted)
+        def counted_rows(rows, y, k):
+            calls.append((rows, k))
+            return original_rows(rows, y, k)
+
+        monkeypatch.setattr(clusteralg.atlas, "mutate", counted)
+        monkeypatch.setattr(clusteralg.atlas, "mutate_rows", counted_rows)
         root = root_seed(ExchangeMatrix(rows), "trivial")
         atlas = explore(root, ExploreCaps(max_depth=4))
         assert not atlas.complete
-        sid = {id(s): i for i, s in enumerate(atlas.seeds)}
+        sid = {id(s.b.rows): i for i, s in enumerate(atlas.seeds)}
+        assert len(sid) == len(atlas.seeds)
         last = [
-            (sid[id(seed)], k)
-            for seed, k in calls
-            if len(atlas.path(sid[id(seed)])) == 4
+            (sid[id(rows)], k)
+            for rows, k in calls
+            if len(atlas.path(sid[id(rows)])) == 4
         ]
         assert all(k == atlas.tree[s][1] for s, k in last)
         assert len(calls) == len(atlas.seeds) - 1
