@@ -31,6 +31,11 @@ computes under those inputs, read in the seed's ascending-id order, and
 another edge with those inputs mutates only B and y.  In finite type most
 edges do: A6 has 1,287 exchange edges and 126 distinct exchanges.  A kept
 variable was checked for exact division and positivity when computed.
+Every variable is packed once, into the atlas's one ``PackedLayout``, so a
+computed exchange is multiplied and divided over packed keys with no
+packing.  Its quotient is looked up among the variables by its packed
+terms, and only a new one has its tuple keys built.  When the layout
+widens, it packs every variable again, and the lookup is rebuilt.
 
 The last level a depth cap allows stores no child, so a child there counts
 only if it lands on a stored seed.  Its cluster would hold the seed's other
@@ -105,7 +110,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, PackedLayout
 from .seed import ExchangeMatrix, Rows, Seed, exchange, matching_permutations
 # mutate_path is not called here; perfbench/tracer.py patches it.
 from .seed import mutate, mutate_path, mutate_rows  # noqa: F401
@@ -172,8 +177,9 @@ class PatternAtlas:
         self.m = root.m
         self.coefficients = _classify_coefficients(root)
         self.seeds: list[Seed] = []
-        self.variables: list[LaurentPoly] = list(root.x)
-        self._var_ids = {p: i for i, p in enumerate(root.x)}
+        # Holds every variable, packed once; see the module docstring.
+        self._layout = PackedLayout(self.n + self.m)
+        self.variables: list[LaurentPoly] = list(map(self._layout.hold, root.x))
         self.seed_variable_ids: list[Cluster] = []
         self.clusters: list[Cluster] = []
         self.cluster_to_seed: dict[Cluster, int] = {}
@@ -190,17 +196,21 @@ class PatternAtlas:
         self._by_face: dict[Cluster, list[Cluster]] | None = None
         self._by_variable: list[tuple[Cluster, ...]] | None = None
         self.derived: dict = {}
-        self._store_seed(root, tuple(range(self.n)), None)
+        ids = tuple(range(self.n))
+        held = Seed._trusted(root.b, root.y, tuple(self.variables))
+        self._store_seed(held, ids, None, _class_key(ids, root.b.rows, root.y))
         self.complete = self._explore()
 
     # ------------------------------------------------------------------
     # construction
 
-    def _store_seed(self, seed: Seed, ids: Cluster, parent: tuple | None) -> int:
+    def _store_seed(
+        self, seed: Seed, ids: Cluster, parent: tuple | None, key: tuple
+    ) -> int:
         # parent: the (seed, direction) made from, if any; the tree's writer.
+        # key: ``_class_key`` of ids, B and y.
         sid = len(self.seeds)
         self.tree.append(parent)
-        key = _class_key(ids, seed.b.rows, seed.y)
         self._seed_keys[key] = sid
         self.seeds.append(seed)
         self.seed_variable_ids.append(ids)
@@ -217,6 +227,10 @@ class PatternAtlas:
         reverse: dict[tuple[int, int], int] = {}
         # Each exchange's new variable id (or token), by its input.
         exchanged: dict[tuple, int] = {}
+        # Each variable's id (or token), by its packed terms while the
+        # layout's keys last.
+        layout, keys, by_terms = self._layout, None, {}
+        terms = layout.terms
 
         def link(sid: int, k: int, target: int, new: int) -> None:
             # target mutated at new's position is sid again.
@@ -236,7 +250,7 @@ class PatternAtlas:
             # The last level skips what cannot land; see the module docstring.
             faces = self._faces() if depth == caps.max_depth else None
             candidates = []
-            tokens: dict[LaurentPoly, int] = {}  # the i-th has token -1 - i
+            polys = []  # the level's new polynomials; the i-th has token -1 - i
             for sid in level:
                 seed = self.seeds[sid]
                 ids = self.seed_variable_ids[sid]
@@ -255,10 +269,14 @@ class PatternAtlas:
                     new = exchanged.get(given)
                     if new is None:
                         child = mutate(seed, k)
+                        if layout.keys is not keys:  # new, or widened
+                            keys = layout.keys
+                            by_terms = {terms(p): i for i, p in enumerate(self.variables)}
+                            by_terms.update({terms(p): -1 - i for i, p in enumerate(polys)})
                         p = child.x[k - 1]
-                        new = self._var_ids.get(p)
-                        if new is None:
-                            new = tokens.setdefault(p, -1 - len(tokens))
+                        new = by_terms.setdefault(terms(p), -1 - len(polys))
+                        if new == -1 - len(polys):
+                            polys.append(layout.hold(p))
                         exchanged[given] = new
                         rows, y = child.b.rows, child.y
                     else:
@@ -275,7 +293,6 @@ class PatternAtlas:
             depth += 1
             # Each new class's first candidate becomes a Seed, stored by
             # polynomial key and interning its token, until a cap.
-            polys = list(tokens)
             firsts = {c[0]: c for c in reversed(candidates)}  # first of each
             ordered = []
             for key, child_ids, rows, y, sid, k, _ in firsts.values():
@@ -287,12 +304,15 @@ class PatternAtlas:
                 if depth > caps.max_depth or len(self.seeds) >= caps.max_seeds:
                     break
                 ids = firsts[key][1]
-                new = ids[k - 1]
-                if new < 0 and new not in interned:
-                    interned[new] = self._var_ids[seed.x[k - 1]] = len(self.variables)
-                    self.variables.append(seed.x[k - 1])
-                ids = ids[: k - 1] + (interned.get(new, new),) + ids[k:]
-                found[key] = self._store_seed(seed, ids, (sid, k))
+                new, stored = ids[k - 1], key
+                if new < 0:  # a token: intern its variable, key the class anew
+                    if new not in interned:
+                        interned[new] = len(self.variables)
+                        self.variables.append(seed.x[k - 1])
+                        by_terms[terms(seed.x[k - 1])] = interned[new]
+                    ids = ids[: k - 1] + (interned[new],) + ids[k:]
+                    stored = _class_key(ids, seed.b.rows, seed.y)
+                found[key] = self._store_seed(seed, ids, (sid, k), stored)
             for key, ids, _, _, sid, k, given in candidates:
                 if key in found:
                     exchanged[given] = new = interned.get(ids[k - 1], ids[k - 1])

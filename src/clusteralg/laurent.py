@@ -21,19 +21,19 @@ key's prefix, so the terms that share an x monomial are adjacent, x
 monomials in decreasing order: a caller that needs the terms grouped by x
 monomial reads them off this order.
 
-This module alone decides how a polynomial is laid out.  An exchange
-binomial, given as its two sides (``binomial``), is held over packed keys
-when its division is large (``packed_binomial``): each exponent tuple is
-packed into one integer, one bit field per coordinate with the first
-coordinate most significant, so a monomial product or quotient is one
-integer add or subtract and lexicographic order is integer order.  Its
-products and their sum are computed in the division layout of the sum,
-and ``exact_div`` divides it in that layout, packing only the divisor and
-unpacking only the quotient; its tuple-keyed ``terms`` are built on first
-read, so every reader sees tuple keys.  Every other polynomial, and every
-other product or division, stays on tuple keys, where a division scans its
-remainder in place for each leading term: the packed threshold keeps those
-numerators under 128 terms, and below about 190 a scan beats a heap.
+This module alone decides how a polynomial is laid out.  A packed layout
+holds an exponent tuple in one integer, one bit field per coordinate with
+a guard bit, the first coordinate most significant, so a monomial product
+or quotient is one integer add or subtract and lexicographic order is
+integer order.  An atlas's variables share one layout (``PackedLayout``),
+each packed once.  An exchange binomial of them, given as its two sides
+(``binomial``), is multiplied, summed and divided (``exact_div``) in that
+layout, and its quotient stays packed there, its tuple-keyed ``terms``
+built on first read.  Any other exchange is held in a layout of its own
+(``packed_binomial``) when its divisor is held or its division is large,
+and otherwise stays on tuple keys, where a division scans its remainder in
+place for each leading term: the packed threshold keeps those numerators
+under 128 terms, and below about 190 a scan beats a heap.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, gt, lt, mul, sub
+from itertools import chain, repeat
+from operator import add, and_, lt, mul, rshift, sub
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -377,47 +378,44 @@ class LaurentPoly:
 
 
 class _PackedKeys:
-    """Bit fields that hold an exponent tuple in one integer, the first
-    coordinate most significant and field i ``widths[i]`` bits wide.
+    """Bit fields, ``width`` bits each, that hold an exponent tuple of
+    ``count`` coordinates in one integer as the sum of ``k_i << shift_i``,
+    the first coordinate most significant.
 
-    A key is packed relative to an exponent tuple ``low``, as the sum of
-    ``(k_i - low_i) << shift_i``.  While every coordinate lies in
-    ``[low_i, low_i + 2**widths[i])``, each field holds its coordinate,
-    integer order is lexicographic order, and the packed sum of two keys is
-    the packed key of their sum: no field carries into the next.
+    The map is linear, so the packed sum of two keys is the packed key of
+    their sum, whatever the signs.  On tuples with coordinates in
+    ``(-2**(width - 1), 2**(width - 1))`` it is one to one and keeps
+    lexicographic order.  A field's top bit is its guard bit
+    (``_packed_quotient``); ``ones`` packs the tuple of ones.
     """
 
-    __slots__ = ("weights", "fields")
+    __slots__ = ("width", "weights", "ones", "guard")
 
-    def __init__(self, widths: Sequence[int]):
-        shifts = []
-        total = 0
-        for width in reversed(widths):
-            shifts.append(total)
-            total += width
-        shifts.reverse()
-        self.weights = [1 << s for s in shifts]
-        self.fields = [(s, (1 << w) - 1) for s, w in zip(shifts, widths)]
+    def __init__(self, width: int, count: int):
+        self.width = width
+        self.weights = [1 << width * i for i in reversed(range(count))]
+        self.ones = sum(self.weights)
+        self.guard = self.ones << width - 1
 
-    def pack(self, terms: dict[Exponents, int], low: Sequence[int]) -> dict[int, int]:
+    def pack(self, terms: dict[Exponents, int]) -> dict[int, int]:
         weights = self.weights
-        base = sum(map(mul, low, weights))
-        return {sum(map(mul, k, weights)) - base: c for k, c in terms.items()}
+        return {sum(map(mul, k, weights)): c for k, c in terms.items()}
 
-    def unpack(
-        self, packed: dict[int, int], low: Iterable[int]
-    ) -> dict[Exponents, int]:
-        """Tuple keys for packed keys whose fields are all in range."""
-        fields = [(s, mask, lo) for (s, mask), lo in zip(self.fields, low)]
-        return {
-            tuple([((p >> s) & mask) + lo for s, mask, lo in fields]): c
-            for p, c in packed.items()
-        }
+    def unpack(self, packed: dict[int, int], bound: int) -> dict[Exponents, int]:
+        """Tuple keys for packed keys with coordinates in ``[-bound, bound]``,
+        bound below ``2**(width - 2)``, read one field at a time."""
+        offset = list(map(add, packed, repeat(bound * self.ones)))
+        mask, low = repeat((1 << self.width) - 1), repeat(-bound)
+        cols = [
+            map(add, map(and_, map(rshift, offset, repeat(s)), mask), low)
+            for s in range(self.width * (len(self.weights) - 1), -1, -self.width)
+        ]
+        return dict(zip(zip(*cols), packed.values()))
 
 
 def _packed_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The product of two packed term dicts of one layout in which the
-    sum of any two keys is carry-free; zero coefficients are kept."""
+    """The product of two packed term dicts of one layout; zero
+    coefficients are kept."""
     items_b = list(b.items())
     out: dict[int, int] = {}
     get = out.get
@@ -442,105 +440,184 @@ def _packed_square(a: dict[int, int]) -> dict[int, int]:
     return out
 
 
-class _PackedPoly(LaurentPoly):
-    """A Laurent polynomial held over packed keys (``packed_binomial``),
-    whose tuple-keyed ``terms`` are built on first read.
+def _bound(p: LaurentPoly) -> int:
+    """The largest absolute exponent of p's terms, or a bound on it."""
+    if type(p) is LaurentPoly:
+        return max(map(abs, chain.from_iterable(p.terms)), default=0)
+    return p.bound
 
-    ``packed`` maps keys packed relative to ``low`` by ``keys`` to nonzero
-    coefficients.  Every key's field i lies in ``[0, top[i]]``, and field i
-    is ``top[i].bit_length() + 1`` bits wide, its top bit a guard bit for
-    ``_packed_quotient``.
+
+class _PackedPoly(LaurentPoly):
+    """A binomial or quotient over packed keys, whose tuple-keyed ``terms``
+    are built on first read: ``packed`` maps keys packed by ``keys`` to
+    nonzero coefficients, a quotient's largest first, and no exponent's
+    absolute value exceeds ``bound``.
 
     ``__getattr__`` lives on this subclass alone: on LaurentPoly itself it
     would make every attribute read of every polynomial take CPython's
-    slow path, which the interpreter cannot specialize.
+    slow path, which the interpreter cannot specialize.  A held polynomial,
+    read again and again, is a ``_HeldPoly`` instead.
     """
 
-    __slots__ = ("packed", "low", "top", "keys")
+    __slots__ = ("packed", "keys", "bound")
 
     def __getattr__(self, name: str):
         # Only ``terms`` is ever unset, until its first read.
         if name != "terms":
             raise AttributeError(name)
-        self.terms = terms = self.keys.unpack(self.packed, self.low)
+        self.terms = terms = self.keys.unpack(self.packed, self.bound)
         return terms
+
+    def is_zero(self) -> bool:
+        return not self.packed
+
+    def has_positive_coefficients(self) -> bool:
+        return bool(self.packed) and min(self.packed.values()) > 0
+
+
+class _HeldPoly(LaurentPoly):
+    """A polynomial that ``layout`` holds: ``terms``, and as in a
+    ``_PackedPoly`` ``packed`` (largest first), ``keys`` and ``bound``, its
+    largest absolute exponent."""
+
+    __slots__ = ("packed", "keys", "bound", "layout")
+
+
+def _packed(n: int, m: int, packed: dict[int, int], keys, bound: int) -> _PackedPoly:
+    p = object.__new__(_PackedPoly)
+    p.n = n
+    p.m = m
+    p._key = p._hash = None
+    p.packed = packed
+    p.keys = keys
+    p.bound = bound
+    return p
+
+
+class PackedLayout:
+    """One packed layout shared by the polynomials it holds, each packed
+    once by ``hold``: an atlas's variables.  An exchange of held factors
+    over a held divisor is computed in it with no packing (``binomial``),
+    and its quotient told apart from them by its packed terms.  No held
+    exponent exceeds ``maxabs`` in absolute value, below ``2**(width -
+    2)``; ``fit`` widens the fields, with room for twice the bound as
+    exponents grow level by level, and packs the held polynomials again.
+    """
+
+    __slots__ = ("keys", "held", "maxabs")
+
+    def __init__(self, count: int):
+        self.keys = _PackedKeys(2, count)
+        self.held: list[_HeldPoly] = []
+        self.maxabs = 0
+
+    def fit(self, bound: int) -> None:
+        """Widen the fields, if need be, until ``bound < 2**(width - 2)``."""
+        if bound >> self.keys.width - 2:
+            self.keys = keys = _PackedKeys(bound.bit_length() + 3, len(self.keys.weights))
+            for p in self.held:
+                p.packed = keys.pack(p.terms)
+                p.keys = keys
+
+    @staticmethod
+    def terms(p: LaurentPoly) -> tuple:
+        """A held polynomial's or quotient's packed terms, largest first:
+        equal exactly when the polynomials are, until the layout widens."""
+        return tuple(p.packed.items())
+
+    def hold(self, p: LaurentPoly) -> _HeldPoly:
+        """p held in this layout, its tuple keys built largest first, an
+        order packing keeps.  A quotient in this layout keeps its packed
+        terms."""
+        quotient = type(p) is _PackedPoly and p.keys is self.keys
+        h = object.__new__(_HeldPoly)
+        h.n, h.m, h._key, h._hash = p.n, p.m, None, None
+        h.terms = p.terms if quotient else dict(sorted(p.terms.items(), reverse=True))
+        h.bound = max(map(abs, chain.from_iterable(h.terms)), default=0)
+        self.maxabs = max(self.maxabs, h.bound)
+        self.fit(self.maxabs)
+        h.packed = p.packed if quotient and p.keys is self.keys else self.keys.pack(h.terms)
+        h.keys = self.keys
+        h.layout = self
+        self.held.append(h)
+        return h
 
 
 def packed_binomial(
-    n: int, m: int, sides: Sequence[tuple[Exponents, list[tuple[LaurentPoly, int]]]]
-) -> LaurentPoly:
+    n: int,
+    m: int,
+    sides: Sequence[tuple[Exponents, list[tuple[LaurentPoly, int]]]],
+    den: LaurentPoly | None = None,
+) -> _PackedPoly:
     """The sum of the products ``x^mono * f1**a1 * f2**a2 * ...``, one
-    per side ``(mono, [(f1, a1), (f2, a2), ...])``, computed and held over
-    packed keys: ``exact_div`` divides it in its own layout, and its
-    tuple-keyed ``terms`` are built on first read.
-
-    The division layout is sized by an upper bound of the sum's shifted
-    degrees: in coordinate j a side's exponents lie between mono_j plus a
-    times each factor's lowest exponent and mono_j plus a times each
-    factor's highest.  Every partial product of a side stays in its range,
-    so no packed sum carries.  A power squares its factor first, taking
-    each unordered pair of terms once.
+    per side ``(mono, [(f1, a1), (f2, a2), ...])``, over packed keys for its
+    division by ``den``: in the layout that holds ``den`` and every factor,
+    else in one of its own, each factor packed into it.  No exponent of a
+    side, or of a partial product, exceeds |mono| plus a times each
+    factor's bound in absolute value: the sum's ``bound`` B.  The fields fit
+    B + 2M, M the divisor's bound, as ``_packed_quotient`` needs.  A power
+    squares its factor first, taking each unordered pair of terms once.
     """
-    spans = []
-    for mono, factors in sides:
-        lo, hi = list(mono), list(mono)
-        lows = []
-        for f, a in factors:
-            cols = list(zip(*f.terms))
-            lows.append([min(x) for x in cols])
-            for j, (x, f_lo) in enumerate(zip(cols, lows[-1])):
-                lo[j] += a * f_lo
-                hi[j] += a * max(x)
-        spans.append((lo, hi, lows))
-    low = [min(x) for x in zip(*(lo for lo, _, _ in spans))]
-    top = [max(x) - lo for x, lo in zip(zip(*(hi for _, hi, _ in spans)), low)]
-    keys = _PackedKeys([t.bit_length() + 1 for t in top])
+    layout = den.layout if type(den) is _HeldPoly else None
+    for _, factors in sides:
+        for f, _ in factors:
+            if type(f) is not _HeldPoly or f.layout is not layout:
+                layout = None
+    bound = max(
+        max(map(abs, mono), default=0) + sum(a * _bound(f) for f, a in factors)
+        for mono, factors in sides
+    )
+    if layout is None:
+        reach = bound + 2 * (0 if den is None else _bound(den))
+        keys = _PackedKeys(reach.bit_length() + 2, n + m)
+    else:
+        layout.fit(bound + 2 * layout.maxabs)
+        keys = layout.keys
+    weights = keys.weights
     out: dict[int, int] = {}
-    for (lo, _, lows), (_, factors) in zip(spans, sides):
-        side = keys.pack({tuple(lo): 1}, low)
-        for (f, a), f_lo in zip(factors, lows):
-            packed = keys.pack(f.terms, f_lo)
+    get = out.get
+    for mono, factors in sides:
+        side = None
+        for f, a in factors:
+            packed = keys.pack(f.terms) if layout is None else f.packed
             power = _packed_square(packed) if a > 1 else packed
             for _ in range(a - 2):
                 power = _packed_mul(power, packed)
-            side = _packed_mul(side, power)
+            side = power if side is None else _packed_mul(side, power)
+        shift = sum(map(mul, mono, weights))
+        if side is None:
+            side, shift = {shift: 1}, 0
         for p, c in side.items():
-            out[p] = out.get(p, 0) + c
-    poly = object.__new__(_PackedPoly)
-    poly.n = n
-    poly.m = m
-    poly._key = poly._hash = None
-    poly.packed = {p: c for p, c in out.items() if c}
-    poly.low = low
-    poly.top = top
-    poly.keys = keys
-    return poly
+            p += shift
+            out[p] = get(p, 0) + c
+    return _packed(n, m, {p: c for p, c in out.items() if c}, keys, bound)
 
 
 def binomial(
     n: int,
     m: int,
     sides: Sequence[tuple[Exponents, list[tuple[LaurentPoly, int]]]],
-    den_terms: int,
+    den: LaurentPoly,
 ) -> LaurentPoly:
     """The sum of the products ``x^mono * f1**a1 * f2**a2 * ...``, one per
     side ``(mono, [(f1, a1), (f2, a2), ...])``, laid out for its exact
-    division by a polynomial of ``den_terms`` terms.
-
-    That division has, counted before any collapse, the sum over the sides
-    of the product of ``len(f.terms) ** a``, times ``den_terms``, term
-    pairs.  At ``PACKED_PRODUCT_PAIRS`` or more the sum is held over packed
-    keys (``packed_binomial``); otherwise each side is multiplied out on
+    division by ``den``: over packed keys (``packed_binomial``) when a
+    ``PackedLayout`` holds ``den``, or when the division has
+    ``PACKED_PRODUCT_PAIRS`` or more term pairs, counted before any
+    collapse: the sum over the sides of the product of ``len(f.terms) **
+    a``, times ``len(den.terms)``.  Otherwise each side is multiplied out on
     tuple keys, its factors in order, and the sides are added.
     """
+    if type(den) is _HeldPoly:
+        return packed_binomial(n, m, sides, den)
     pairs = 0
     for _, factors in sides:
-        side_pairs = den_terms
+        side_pairs = len(den.terms)
         for f, a in factors:
             side_pairs *= len(f.terms) ** a
         pairs += side_pairs
     if pairs >= PACKED_PRODUCT_PAIRS:
-        return packed_binomial(n, m, sides)
+        return packed_binomial(n, m, sides, den)
     total = None
     for mono, factors in sides:
         side = LaurentPoly._trusted(n, m, {mono: 1})
@@ -550,70 +627,66 @@ def binomial(
     return total
 
 
-def _packed_quotient(
-    num: _PackedPoly, den: dict[Exponents, int]
-) -> dict[Exponents, int] | None:
-    """The exact quotient of ``num`` by a nonzero term dict, divided over
-    packed integer keys in ``num``'s layout; None when it does not exist.
+def _packed_quotient(num: _PackedPoly, den: LaurentPoly) -> _PackedPoly | None:
+    """The exact quotient of ``num`` by a nonzero ``den`` over packed keys
+    in ``num``'s layout, or None when none exists.
 
-    In coordinate i the numerator's keys lie in [0, M_i] (M = ``num.top``,
-    at least its shifted degrees), and the divisor, shifted by its minimum
-    exponents, lies in [0, D_i].  The lowest and highest exponents of an
-    exact quotient are those of the numerator minus those of the divisor,
-    so shifted like the numerator less the divisor it lies in
-    [0, M_i - D_i].  Unless ``num`` is zero, none exists when some
-    D_i > M_i, and a quotient term outside [0, M_i - D_i] proves that none
-    exists.  Every accepted quotient term is inside that box, so every
-    remainder key stays in [0, M_i] and packed addition never carries.
-
-    Field i is ``M_i.bit_length() + 1`` bits, and its top bit is a guard
-    bit.  Every key that takes part in a subtraction (remainder and
-    divisor keys, the bound, a candidate with no guard bit set) has each
-    field below half the field's span, so a field that goes negative and
-    borrows from the next is left with its guard bit set; the first field
-    also makes the whole integer negative.  A candidate q is in the box
-    exactly when q >= 0 and neither q nor ``bound - q`` (bound the packed
-    M - D) has a guard bit set.  The remainder's leading term comes from a
-    heap (Johnson 1974; Monagan and Pearce 2011), not a scan.
+    With B and M the bounds of ``num`` and ``den``, an exact quotient's
+    extreme exponents are the numerator's less the divisor's, so none
+    exceeds R = B + M in absolute value; a candidate term outside that box
+    proves that none exists, and no remainder exponent exceeds B + 2M,
+    which the fields must fit (else ``num`` is packed again, wider).  q is
+    in the box exactly when neither ``t = q + R`` nor ``2R - t``, packed,
+    has a guard bit set: their coordinates lie in ``[-2M, 2B + 4M]``, so a
+    negative one borrows from the field above, setting its guard bit, or
+    makes the integer negative.  The leading term comes from a scan below
+    ``PACKED_PRODUCT_PAIRS // 2`` remainder terms, where a scan beats a
+    heap, and from a heap above (Johnson 1974; Monagan and Pearce 2011).
     """
-    if not num.packed:
-        return {}
-    cols_den = list(zip(*den))
-    low_den = [min(y) for y in cols_den]
-    top_den = [max(y) - lo for y, lo in zip(cols_den, low_den)]
-    if any(map(gt, top_den, num.top)):
-        return None
-    keys = num.keys
-    bound = sum(map(mul, map(sub, num.top, top_den), keys.weights))
-    guard = sum((mask + 1) >> 1 << s for s, mask in keys.fields)
-    rem = dict(num.packed)
-    divisor = sorted(keys.pack(den, low_den).items(), reverse=True)
-    (den_lead, den_lc), tail = divisor[0], divisor[1:]
-    # Negated keys, so the largest remaining term is the heap minimum.
-    heap = [-p for p in rem]
-    heapify(heap)
+    keys, den_bound = num.keys, _bound(den)
+    box = num.bound + den_bound
+    if (box + den_bound) >> keys.width - 2:
+        keys = _PackedKeys((box + den_bound).bit_length() + 2, len(keys.weights))
+        rem = keys.pack(num.terms)
+    else:
+        rem = dict(num.packed)
+    if not rem:
+        return _packed(num.n, num.m, {}, keys, 0)
+    if type(den) is _HeldPoly and den.keys is keys:
+        divisor = list(den.packed.items())  # largest first
+    else:
+        divisor = sorted(keys.pack(den.terms).items(), reverse=True)
+    (den_lead, den_lc), *tail = divisor
+    base, span, guard = box * keys.ones, 2 * box * keys.ones, keys.guard
+    heap = None
+    if len(rem) >= PACKED_PRODUCT_PAIRS // 2:
+        # Negated keys, so the largest remaining term is the heap minimum.
+        heap = [-p for p in rem]
+        heapify(heap)
     quotient: dict[int, int] = {}
-    while heap:
-        lead = -heappop(heap)
-        lc = rem.pop(lead, None)
-        if lc is None:
-            continue  # cancelled since it was pushed
-        c, leftover = divmod(lc, den_lc)
+    while rem:
+        if heap is None:
+            lead = max(rem)
+        else:
+            lead = -heappop(heap)
+            if lead not in rem:
+                continue  # cancelled since it was pushed
+        c, leftover = divmod(rem.pop(lead), den_lc)
         q = lead - den_lead
-        if leftover or q < 0 or q & guard or (bound - q) & guard:
+        t = q + base
+        if leftover or t & guard or (span - t) & guard:
             return None
         quotient[q] = c
         for k2, c2 in tail:
             kk = q + k2
-            old = rem.get(kk)
+            old = rem.pop(kk, None)
             if old is None:
                 rem[kk] = -c * c2
-                heappush(heap, -kk)
-            elif old == c * c2:
-                del rem[kk]
-            else:
+                if heap is not None:
+                    heappush(heap, -kk)
+            elif old != c * c2:
                 rem[kk] = old - c * c2
-    return keys.unpack(quotient, map(sub, num.low, low_den))
+    return _packed(num.n, num.m, quotient, keys, box)
 
 
 def _not_divisible(num: LaurentPoly, den: LaurentPoly) -> NotDivisibleError:
@@ -626,11 +699,8 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
     A numerator held over packed keys (``packed_binomial``) is divided in
     its own layout by ``_packed_quotient``, whatever its size or the
-    divisor's, without building its tuple-keyed ``terms``.  Its fields are
-    sized by an upper bound of its degrees, which bounds every remainder
-    key of an exact division; a guard bit per field catches a candidate
-    quotient term that leaves that bound, which proves non-divisibility,
-    so no field ever carries.
+    divisor's, without building its tuple-keyed ``terms``; the quotient
+    stays packed in it.
 
     Every other numerator stays on tuple keys.  A monomial divisor is a
     key shift.  Otherwise the remainder, a copy of the numerator's terms in
@@ -647,10 +717,10 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if type(num) is _PackedPoly:
-        quotient = _packed_quotient(num, den.terms)
+        quotient = _packed_quotient(num, den)
         if quotient is None:
             raise _not_divisible(num, den)
-        return LaurentPoly._trusted(num.n, num.m, quotient)
+        return quotient
     if num.is_zero():
         return LaurentPoly.zero(num.n, num.m)
     if len(den.terms) == 1:

@@ -136,12 +136,6 @@ class ExchangeMatrix:
         out.rows = rows
         return out
 
-    def mutated(self, k: int) -> "ExchangeMatrix":
-        """Matrix mutation in direction k, 1-based, by ``mutate_rows``."""
-        if not 1 <= k <= self.n:
-            raise IndexError(f"direction {k} out of range 1..{self.n}")
-        return ExchangeMatrix._trusted(mutate_rows(self.rows, ((),) * self.n, k)[0])
-
     def __str__(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
 
@@ -325,7 +319,7 @@ def exchange_binomial(seed: Seed, k: int) -> LaurentPoly:
         elif b_ik < 0:
             neg.append((x_i, -b_ik))
     sides = [(no_x + up, pos), (no_x + down, neg)]
-    return binomial(n, m, sides, len(seed.x[k - 1].terms))
+    return binomial(n, m, sides, seed.x[k - 1])
 
 
 def exchange(seed: Seed, k: int) -> LaurentPoly:
@@ -346,28 +340,32 @@ def exchange(seed: Seed, k: int) -> LaurentPoly:
     return x_k
 
 
-def _gained(row: tuple[int, ...], c: int, vec: tuple[int, ...]) -> list[int]:
-    """row plus |c| times the entries of vec with c's sign."""
-    a = c if c > 0 else -c
-    return [e + a * v if c * v > 0 else e for e, v in zip(row, vec)]
-
-
 def mutate_rows(rows: Rows, y: Rows, k: int) -> tuple[Rows, Rows]:
     """B's rows and y mutated in direction k, 1-based: row k and y_k change
-    sign, B's row i gains ``_gained`` by b_ik and row k, then b_ik changes
-    sign, and y_i gains it by b_ki and y_k.  A row gaining by 0 is kept."""
+    sign; B's row i gains |b_ik| times the entries of row k with b_ik's
+    sign, then b_ik changes sign; and y_i gains |b_ki| times the entries of
+    y_k with b_ki's sign.  A row gaining by 0 is kept."""
     kk = k - 1
     row_k, y_k = rows[kk], y[kk]
     b = list(rows)
     for i, row in enumerate(rows):
         c = row[kk]
-        if c:
-            r = _gained(row, c, row_k)
-            r[kk] = -c
-            b[i] = tuple(r)
+        if c > 0:
+            r = [e + c * v if v > 0 else e for e, v in zip(row, row_k)]
+        elif c:
+            r = [e - c * v if v < 0 else e for e, v in zip(row, row_k)]
+        else:
+            continue
+        r[kk] = -c
+        b[i] = tuple(r)
     b[kk] = tuple([-v for v in row_k])
     if y_k:  # trivial coefficients: every y_i is () and stays so
-        y = [tuple(_gained(y_i, c, y_k)) if c else y_i for y_i, c in zip(y, row_k)]
+        y = list(y)
+        for i, c in enumerate(row_k):
+            if c > 0:
+                y[i] = tuple([e + c * v if v > 0 else e for e, v in zip(y[i], y_k)])
+            elif c:
+                y[i] = tuple([e - c * v if v < 0 else e for e, v in zip(y[i], y_k)])
         y[kk] = tuple([-e for e in y_k])
         y = tuple(y)
     return tuple(b), y

@@ -10,6 +10,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 import clusteralg.atlas
+import clusteralg.laurent
 import clusteralg.seed
 from clusteralg import (
     ExchangeGraph,
@@ -218,6 +219,7 @@ class EveryDirectionAtlas(PatternAtlas):
         n = self.n
         truncated = False
         stored = {_canonical_seed_key(self.root): 0}
+        var_ids = {p: i for i, p in enumerate(self.variables)}
         level, depth = [0], 0
         while level:
             candidates = []
@@ -243,11 +245,12 @@ class EveryDirectionAtlas(PatternAtlas):
                         truncated = True
                         break
                     for p in child.x:
-                        if p not in self._var_ids:
-                            self._var_ids[p] = len(self.variables)
+                        if p not in var_ids:
+                            var_ids[p] = len(self.variables)
                             self.variables.append(p)
-                    ids = tuple(self._var_ids[p] for p in child.x)
-                    stored[key] = self._store_seed(child, ids, (sid, k))
+                    ids = tuple(var_ids[p] for p in child.x)
+                    id_key = _class_key(ids, child.b.rows, child.y)
+                    stored[key] = self._store_seed(child, ids, (sid, k), id_key)
                     next_level.append(stored[key])
             else:
                 truncated = True
@@ -263,13 +266,18 @@ class EveryDirectionAtlas(PatternAtlas):
         return not truncated
 
 
+def variable_index(atlas) -> dict:
+    """The atlas's variable ids by polynomial."""
+    return {p: i for i, p in enumerate(atlas.variables)}
+
+
 def id_key(atlas, seed, tokens):
     """A seed's class key by variable id, as exploration forms it: a
     polynomial the atlas never interned gets a negative token from
     ``tokens``, one per distinct polynomial."""
     ids = []
     for p in seed.x:
-        vid = atlas._var_ids.get(p)
+        vid = variable_index(atlas).get(p)
         ids.append(tokens.setdefault(p, -1 - len(tokens)) if vid is None else vid)
     return _class_key(tuple(ids), seed.b.rows, seed.y)
 
@@ -597,9 +605,8 @@ class TestClosures:
         for sid, seed_ids in enumerate(atlas.seed_variable_ids):
             for v in seed_ids:
                 born.setdefault(v, len(atlas.path(sid)))
-        made = Counter(
-            (depth[id(seed)], atlas._var_ids[p]) for seed, p in computed
-        )
+        index = variable_index(atlas)
+        made = Counter((depth[id(seed)], index[p]) for seed, p in computed)
         assert any(
             count > 1 and born[v] == d + 1 for (d, v), count in made.items()
         )
@@ -1357,3 +1364,100 @@ class TestSerialization:
         d = json.loads(infinite_rank2().to_json())
         assert d["complete"] is False
         assert d["caps"]["max_seeds"] == 12
+
+
+# ----------------------------------------------------------------------
+# stored exchange relations, checked by product
+
+
+def tuple_keyed(p: LaurentPoly) -> LaurentPoly:
+    """p on tuple keys alone, so that products run in the tuple-key kernel."""
+    return LaurentPoly(p.n, p.m, p.terms)
+
+
+def exchange_relation(seed: Seed, k: int) -> LaurentPoly:
+    """The exchange binomial of a seed in direction k, multiplied out on
+    tuple keys: [y_k]+ times the powers of the positive column entries plus
+    [-y_k]+ times those of the negative ones."""
+    n, m = seed.n, seed.m
+    total = LaurentPoly.zero(n, m)
+    for sign in (1, -1):
+        y = tuple(max(sign * e, 0) for e in seed.y[k - 1])
+        side = LaurentPoly(n, m, {(0,) * n + y: 1})
+        for row, x_i in zip(seed.b.rows, seed.x):
+            if sign * row[k - 1] > 0:
+                side = side * tuple_keyed(x_i) ** (sign * row[k - 1])
+        total = total + side
+    return total
+
+
+@pytest.mark.parametrize(
+    "rows, coefficients, depth",
+    [
+        (matrix(family, n), coefficients, 64)
+        for family, n in [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
+                          ("B", 3), ("C", 3), ("D", 4)]
+        for coefficients in ("trivial", "principal")
+    ]
+    + [
+        (D5_ROWS, "trivial", 64),
+        (KRONECKER_2_ROWS, "principal", 11),
+        (KRONECKER_3_ROWS, "trivial", 4),
+        (MARKOV_ROWS, "trivial", 4),
+    ],
+)
+def test_every_stored_edge_satisfies_its_exchange_relation(rows, coefficients, depth):
+    # Each stored edge (s, k, t), computed or written as a reverse edge,
+    # claims x_{s,k} * x_{t,new} = s's exchange binomial.  Checked by one
+    # product on tuple keys: no division, no packed layout.
+    atlas = explore(root_seed(ExchangeMatrix(rows), coefficients), ExploreCaps(max_depth=depth))
+    ids = atlas.seed_variable_ids
+    assert atlas.edges
+    for (s, k), t in atlas.edges.items():
+        (new,) = set(ids[t]).difference(ids[s])
+        old = atlas.variables[ids[s][k - 1]]
+        product = tuple_keyed(old) * tuple_keyed(atlas.variables[new])
+        assert product == exchange_relation(atlas.seeds[s], k), (s, k, t)
+
+
+@pytest.mark.parametrize(
+    "rows, coefficients, depth",
+    [
+        (D5_ROWS, "principal", 64),
+        (KRONECKER_2_ROWS, "principal", 11),
+        (KRONECKER_3_ROWS, "trivial", 4),
+        (MARKOV_ROWS, "trivial", 4),
+    ],
+)
+def test_widening_the_layout_midway_changes_no_atlas(
+    rows, coefficients, depth, monkeypatch
+):
+    # The layout that holds an atlas's variables starts narrow and widens,
+    # packing them all again, when an exchange's exponent bound does not
+    # fit; started wide enough never to widen, it gives the same atlas.
+    layout_class = clusteralg.laurent.PackedLayout
+    widened = []  # the number of held polynomials at each widening
+    fit = layout_class.fit
+
+    def recorded(layout, bound):
+        width = layout.keys.width
+        fit(layout, bound)
+        if layout.keys.width != width:
+            widened.append(len(layout.held))
+
+    monkeypatch.setattr(layout_class, "fit", recorded)
+    root = root_seed(ExchangeMatrix(rows), coefficients)
+    caps = ExploreCaps(max_depth=depth)
+    narrow = explore(root, caps)
+    assert max(widened) > narrow.n  # after exploration held a new variable
+    init = layout_class.__init__
+
+    def wide(layout, count):
+        init(layout, count)
+        layout.keys = clusteralg.laurent._PackedKeys(64, count)
+
+    monkeypatch.setattr(layout_class, "__init__", wide)
+    widened.clear()
+    atlas = explore(root, caps)
+    assert widened == []
+    assert atlas.to_json() == narrow.to_json()

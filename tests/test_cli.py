@@ -363,6 +363,37 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err == f"engine fault: {fault}\n"
 
+    @pytest.mark.parametrize("name", ["a4", "b3", "a3p"])
+    @pytest.mark.parametrize(
+        "change, fault",
+        [
+            # Passes positivity; a later exchange that divides by it fails.
+            (lambda c: c + 1, ") is not divisible by ("),
+            (lambda c: -c, "produced nonpositive coefficients"),
+        ],
+        ids=["plus-one", "negated"],
+    )
+    def test_wrong_quotient_coefficient_is_an_engine_fault(
+        self, seeds, capsys, monkeypatch, name, change, fault
+    ):
+        # A quotient in the atlas's shared layout with a wrong leading
+        # coefficient.
+        packed_quotient = clusteralg.laurent._packed_quotient
+
+        def wrong(num, den):
+            quotient = packed_quotient(num, den)
+            if quotient is not None and len(quotient.packed) > 1:
+                lead = next(iter(quotient.packed))
+                quotient.packed = {**quotient.packed, lead: change(quotient.packed[lead])}
+            return quotient
+
+        monkeypatch.setattr(clusteralg.laurent, "_packed_quotient", wrong)
+        assert main(["explore", "--seed", seeds[name]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("engine fault: ")
+        assert fault in captured.err
+
     def test_broken_edge_table_is_an_engine_fault(self, seeds, capsys, monkeypatch):
         explore = clusteralg.cli.explore
 
@@ -578,14 +609,17 @@ class TestDeterminism:
     def test_golden_wild_explorations_divide_over_packed_keys(
         self, seeds, capsys, monkeypatch, name
     ):
-        # Every held binomial is divided in its own layout, once, and nothing
-        # in the exploration builds its tuple keys.
-        held, divided = [], []
+        # Every exchange binomial is computed in the layout that holds the
+        # atlas's variables and divided there, once, and nothing in the
+        # exploration builds its tuple keys.
+        held, divided, layouts = [], [], set()
         packed_binomial = clusteralg.laurent.packed_binomial
         packed_quotient = clusteralg.laurent._packed_quotient
 
-        def holding(*args):
-            held.append(packed_binomial(*args))
+        def holding(n, m, sides, den):
+            held.append(packed_binomial(n, m, sides, den))
+            assert held[-1].keys is den.layout.keys
+            layouts.add(den.layout)
             return held[-1]
 
         def dividing(num, den):
@@ -598,6 +632,7 @@ class TestDeterminism:
         assert main(argv + ["--max-depth", "4"]) == 0
         assert held and len(divided) == len(held)
         assert all(num is binomial for num, binomial in zip(divided, held))
+        assert len(layouts) == 1
         for num in held:
             with pytest.raises(AttributeError):
                 clusteralg.laurent.LaurentPoly.terms.__get__(num)

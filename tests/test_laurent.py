@@ -13,7 +13,6 @@ import clusteralg.laurent
 import clusteralg.seed
 from clusteralg import (
     ExchangeMatrix,
-    ExploreCaps,
     LaurentPoly,
     NotDivisibleError,
     NotHomogeneousError,
@@ -24,7 +23,8 @@ from clusteralg import (
     root_seed,
 )
 from clusteralg.catalogue import matrix
-from conftest import A2_ROWS, KRONECKER_2_ROWS, KRONECKER_3_ROWS, MARKOV_ROWS
+from clusteralg.laurent import PackedLayout
+from conftest import A2_ROWS, KRONECKER_2_ROWS, KRONECKER_3_ROWS
 
 
 def lp(text: str, n: int = 2, m: int = 0) -> LaurentPoly:
@@ -353,9 +353,10 @@ SIZES = [0, 1, 2, 7, 20, 40]
 packed_binomial = clusteralg.laurent.packed_binomial
 
 
-def hold(p: LaurentPoly) -> LaurentPoly:
-    """``p`` held over packed keys, as an exchange binomial is."""
-    return packed_binomial(p.n, p.m, [((0,) * (p.n + p.m), [(p, 1)])])
+def hold(p: LaurentPoly, den: LaurentPoly | None = None) -> LaurentPoly:
+    """``p`` held over packed keys, as an exchange binomial is, in a layout
+    of its own sized for its division by ``den`` when given."""
+    return packed_binomial(p.n, p.m, [((0,) * (p.n + p.m), [(p, 1)])], den)
 
 
 def count_packed_quotients(monkeypatch) -> list[int]:
@@ -364,7 +365,7 @@ def count_packed_quotients(monkeypatch) -> list[int]:
     original = clusteralg.laurent._packed_quotient
 
     def counted(num, den):
-        packed.append(len(num.packed) * len(den))
+        packed.append(len(num.packed) * len(den.terms))
         return original(num, den)
 
     monkeypatch.setattr(clusteralg.laurent, "_packed_quotient", counted)
@@ -463,21 +464,25 @@ class TestKernelMatchesReference:
         assert max(packed) < THRESHOLD
 
     # Shifted exponents (x1, x2) of a held numerator and a divisor, each a
-    # division that is not exact.
+    # division that is not exact.  Each division runs until a candidate
+    # term leaves the quotient's box, above it in the first two cases and
+    # below it in the third.
     @pytest.mark.parametrize(
         "num, den",
         [
-            # D_2 = 5 exceeds M_2 = 3.
+            # The divisor's x2 degree, 5, exceeds the numerator's, 3.
             (
                 {(i, j): 1 for i in range(32) for j in range(4)},
                 {(1, 0): 1, (0, 5): 1},
             ),
-            # Candidate (4, 25) is above M - D = (4, 22) in x2, and 2 divides 4.
+            # A quotient term (4, 25) is above the numerator's x2 degree less
+            # the divisor's, 25 - 3, and 2 divides its coefficient 4.
             (
                 {(5, 25): 4} | {(i, j): 2 for i in range(5) for j in range(26)},
                 {(1, 0): 2, (0, 3): 2},
             ),
-            # Candidate (3, 0) - (1, 2) = (2, -2) borrows from the x1 field.
+            # The quotient would be an infinite series: candidate (3, 0) -
+            # (1, 2) = (2, -2) starts one whose x2 exponents fall without end.
             (
                 {(3, 0): 1} | {(i, j): 1 for i in range(3) for j in range(43)},
                 {(1, 2): 1, (0, 0): 1},
@@ -492,10 +497,11 @@ class TestKernelMatchesReference:
             for t in (num, den)
         )
         assert outcome(reference_div, num, den) is NotDivisibleError
-        with pytest.raises(NotDivisibleError) as failure:
-            exact_div(hold(num), den)
-        assert str(failure.value) == f"({num}) is not divisible by ({den})"
-        assert packed == [len(num.terms) * len(den.terms)]
+        for held in (hold(num, den), hold(num)):
+            with pytest.raises(NotDivisibleError) as failure:
+                exact_div(held, den)
+            assert str(failure.value) == f"({num}) is not divisible by ({den})"
+        assert packed == [len(num.terms) * len(den.terms)] * 2
 
     @pytest.mark.parametrize("scale", [3, 1], ids=["divides", "does-not-divide"])
     def test_held_numerators_with_monomial_divisors(self, monkeypatch, scale):
@@ -624,9 +630,9 @@ class TestPackedHeldBinomials:
     def test_exchange_binomials_match_the_reference(self, monkeypatch):
         held_powers = set()
 
-        def recorded(n, m, sides):
+        def recorded(n, m, sides, den=None):
             held_powers.update(a for _, factors in sides for _, a in factors)
-            return packed_binomial(n, m, sides)
+            return packed_binomial(n, m, sides, den)
 
         monkeypatch.setattr(clusteralg.laurent, "packed_binomial", recorded)
         held = tuple_keyed = 0
@@ -651,11 +657,12 @@ class TestPackedHeldBinomials:
         assert held_powers == {1, 2, 3}
 
     def test_tuple_keyed_divisions_stay_small(self, monkeypatch):
-        # The tuple-key division scans its remainder for each leading term,
-        # which pays only while numerators are small.  A binomial of fewer
-        # than PACKED_PRODUCT_PAIRS term pairs over a divisor of 2+ terms has
-        # fewer than half that many terms; larger ones are held over packed
-        # keys.
+        # Exploration divides in its atlas's shared layout, so the tuple-key
+        # divisions left are re-rooting's.  The tuple-key division scans its
+        # remainder for each leading term, which pays only while numerators
+        # are small.  A binomial of fewer than PACKED_PRODUCT_PAIRS term pairs
+        # over a divisor of 2+ terms has fewer than half that many terms;
+        # larger ones are held over packed keys.
         sizes = []
         original = clusteralg.seed.exact_div
 
@@ -665,22 +672,22 @@ class TestPackedHeldBinomials:
             return original(num, den)
 
         monkeypatch.setattr(clusteralg.seed, "exact_div", recorded)
-        for rows, coefficients, depth in [
-            (matrix("A", 6), "trivial", 64),
-            (matrix("D", 5), "trivial", 64),
-            (KRONECKER_2_ROWS, "principal", 11),
-            (KRONECKER_3_ROWS, "trivial", 4),
-            (MARKOV_ROWS, "trivial", 4),
+        for family, n, coefficients in [
+            ("A", 6, "trivial"),
+            ("D", 5, "trivial"),
+            ("D", 5, "principal"),
         ]:
-            root = root_seed(ExchangeMatrix(rows), coefficients)
-            explore(root, ExploreCaps(max_depth=depth))
+            atlas = explore(root_seed(ExchangeMatrix(matrix(family, n)), coefficients))
+            for cluster in atlas.clusters:
+                atlas.expand(0, cluster)
         assert sizes and max(sizes) < THRESHOLD // 2 == 128
 
     @pytest.mark.parametrize("pairs", [THRESHOLD - 1, THRESHOLD])
     def test_binomial_is_held_from_the_threshold(self, pairs):
         # x1 * f + 1 over a one-term divisor: |f| + 1 term pairs.
         f = LaurentPoly(1, 0, {(e,): 1 for e in range(pairs - 1)})
-        num = clusteralg.laurent.binomial(1, 0, [((1,), [(f, 1)]), ((0,), [])], 1)
+        x1 = LaurentPoly.variable(1, 0, 1)
+        num = clusteralg.laurent.binomial(1, 0, [((1,), [(f, 1)]), ((0,), [])], x1)
         assert is_held(num) == (pairs >= THRESHOLD)
         assert num == LaurentPoly.variable(1, 0, 1) * f + LaurentPoly.one(1, 0)
 
@@ -738,7 +745,7 @@ class TestPackedHeldBinomials:
         bump = LaurentPoly(2, 0, {(12, 0): extra})
         g = reference_mul(h, d) - reference_mul(f, f) + bump
         num = packed_binomial(2, 0, [((0, 0), [(f, 2)]), ((0, 0), [(g, 1)])])
-        assert num.top == [14, 14]
+        assert num.bound == 14
         expected = outcome(reference_div, reference_mul(h, d) + bump, d)
         assert outcome(exact_div, num, d) == expected
         assert expected == (NotDivisibleError if extra else h)
@@ -776,6 +783,58 @@ class TestPackedHeldBinomials:
         assert num.terms == expected.terms
 
 
+class TestSharedLayout:
+    """Exchanges whose factors and divisor one ``PackedLayout`` holds."""
+
+    def test_a_series_stops_the_division(self):
+        # 1 / (1 + x1) is an infinite Laurent series: the division runs
+        # until a candidate term leaves the quotient's box.
+        layout = PackedLayout(1)
+        den = layout.hold(LaurentPoly.parse("1 + x1", 1, 0))
+        num = clusteralg.laurent.binomial(1, 0, [((0,), [])], den)
+        assert num.keys is layout.keys and num == LaurentPoly.one(1, 0)
+        with pytest.raises(NotDivisibleError) as failure:
+            exact_div(num, den)
+        assert str(failure.value) == "(1) is not divisible by (x1 + 1)"
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kernel_operands(count=3, sizes=[1, 2, 3, 5, 7]),
+        st.sampled_from(["divides", "arbitrary"]),
+        st.data(),
+    )
+    def test_exchanges_match_the_reference(self, ops, case, data):
+        # The binomial is computed and divided in the layout, which widens
+        # as the sides' bound needs, and an exact quotient's packed terms
+        # are those of the same polynomial held there.
+        layout = PackedLayout(ops[0].n + ops[0].m)
+        f, g, d = map(layout.hold, ops)
+        width = f.n + f.m
+        mono = st.lists(st.integers(0, 3), min_size=width, max_size=width)
+        sides = [
+            (tuple(data.draw(mono)), [(p, data.draw(st.integers(1, 3)))])
+            for p in (f, g)
+        ]
+        if case == "divides":
+            for _, factors in sides:
+                factors.append((d, 1))
+        num = clusteralg.laurent.binomial(f.n, f.m, sides, d)
+        assert num.keys is layout.keys
+        expected = LaurentPoly.zero(f.n, f.m)
+        for key, factors in sides:
+            side = LaurentPoly(f.n, f.m, {key: 1})
+            for p, a in factors:
+                side = reference_mul(side, reference_pow(LaurentPoly(p.n, p.m, p.terms), a))
+            expected = expected + side
+        assert num == expected
+        got = outcome(exact_div, num, d)
+        assert got == outcome(reference_div, expected, d)
+        if case == "divides" and not expected.is_zero():
+            assert got is not NotDivisibleError
+            twin = layout.hold(LaurentPoly(got.n, got.m, got.terms))
+            assert tuple(twin.packed.items()) == tuple(got.packed.items())
+
+
 class TestKernelMatchesSympy:
     """Independent oracle: sympy's polynomial arithmetic."""
 
@@ -807,11 +866,17 @@ class TestKernelMatchesSympy:
 
     # Sizes 16 and 20 make tuple-keyed divisions of at least 256 term pairs,
     # unless n + m = 1 caps the sizes at 8.  A held numerator comes from
-    # ``packed_binomial`` and is divided over packed keys.
+    # ``packed_binomial`` and is divided over packed keys, in a layout of its
+    # own or, shared, in the layout that holds its factors and the divisor.
     @pytest.mark.parametrize(
         "sizes, held",
-        [([1, 2, 3, 5], False), ([16, 20], False), ([1, 3, 16, 20], True)],
-        ids=["small", "large", "held"],
+        [
+            ([1, 2, 3, 5], False),
+            ([16, 20], False),
+            ([1, 3, 16, 20], True),
+            ([1, 3, 16, 20], "shared"),
+        ],
+        ids=["small", "large", "held", "shared"],
     )
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.booleans())
@@ -821,8 +886,16 @@ class TestKernelMatchesSympy:
         num = a * b if make_divisible else a
         assume(not num.is_zero())
         if held:
+            layout = PackedLayout(a.n + a.m) if held == "shared" else None
+            if layout is not None:
+                a, b = layout.hold(a), layout.hold(b)
             factors = [(a, 1), (b, 1)] if make_divisible else [(a, 1)]
-            num = packed_binomial(a.n, a.m, [((0,) * (a.n + a.m), factors)])
+            sides = [((0,) * (a.n + a.m), factors)]
+            if layout is None:
+                num = packed_binomial(a.n, a.m, sides)
+            else:
+                num = clusteralg.laurent.binomial(a.n, a.m, sides, b)
+                assert num.keys is layout.keys
         # Clear the negative exponents; the shifted divisor has no monomial
         # factor, so Laurent divisibility is polynomial divisibility.
         low_num = tuple(map(min, zip(*num.terms)))

@@ -28,7 +28,7 @@ from clusteralg import (
     root_seed,
     seed_from_dict,
 )
-from clusteralg.seed import _positive_parts
+from clusteralg.seed import _positive_parts, mutate_rows
 from conftest import A1_ROWS, A2_ROWS, A3_ROWS, C2_ROWS, C3_ROWS, G2_ROWS
 
 
@@ -178,24 +178,30 @@ class TestSymmetrizer:
 # matrix mutation
 
 
+def mutated_rows(b: ExchangeMatrix, k: int):
+    """B's rows mutated in direction k by ``mutate_rows``, with trivial
+    coefficients."""
+    return mutate_rows(b.rows, ((),) * b.n, k)[0]
+
+
 class TestMatrixMutation:
     def test_rank_two_oracle(self):
-        assert ExchangeMatrix(A2_ROWS).mutated(1).rows == ((0, -1), (1, 0))
-        assert ExchangeMatrix(C2_ROWS).mutated(2).rows == ((0, -2), (1, 0))
+        assert mutated_rows(ExchangeMatrix(A2_ROWS), 1) == ((0, -1), (1, 0))
+        assert mutated_rows(ExchangeMatrix(C2_ROWS), 2) == ((0, -2), (1, 0))
 
     def test_rank_three_oracle(self):
         b = ExchangeMatrix([[0, 2, 0], [-1, 0, 1], [0, -1, 0]])
-        assert b.mutated(2).rows == ((0, -2, 2), (1, 0, -1), (-1, 1, 0))
+        assert mutated_rows(b, 2) == ((0, -2, 2), (1, 0, -1), (-1, 1, 0))
 
     def test_matches_reference_implementation(self):
         rng = random.Random(11)
         for _ in range(100):
             b = random_exchange_matrix(rng, rng.randint(2, 4))
             k = rng.randint(1, b.n)
-            assert b.mutated(k).rows == reference_matrix_mutation(b.rows, k)
+            assert mutated_rows(b, k) == reference_matrix_mutation(b.rows, k)
 
     def test_involution_and_symmetrizer_stability(self):
-        # mutated() skips the skew-symmetrizability check, so derive the
+        # mutate_rows skips the skew-symmetrizability check, so derive the
         # symmetrizer afresh along walks and compare it with the root's.
         rng = random.Random(13)
         for _ in range(100):
@@ -204,18 +210,19 @@ class TestMatrixMutation:
             bk = b
             for _ in range(6):
                 k = rng.randint(1, b.n)
-                prev, bk = bk, bk.mutated(k)
+                prev, bk = bk, ExchangeMatrix(mutated_rows(bk, k))
                 assert find_skew_symmetrizer(bk.rows) == s
-                assert bk.mutated(k) == prev
+                assert mutated_rows(bk, k) == prev.rows
 
     def test_direction_bounds(self):
+        # Seed mutation checks the direction before it mutates B.
         with pytest.raises(IndexError):
-            ExchangeMatrix(A2_ROWS).mutated(0)
+            mutate(root_seed(ExchangeMatrix(A2_ROWS)), 0)
         with pytest.raises(IndexError):
-            ExchangeMatrix(A2_ROWS).mutated(3)
+            mutate(root_seed(ExchangeMatrix(A2_ROWS)), 3)
 
     def test_sparse_rows_match_entrywise_formula(self):
-        # mutated() keeps rows with b_ik = 0 and touches only the entries
+        # mutate_rows keeps rows with b_ik = 0 and touches only the entries
         # where b_kj has the sign of b_ik; the entrywise formula is the
         # reference, in every direction of every draw.
         rng = random.Random(29)
@@ -226,16 +233,14 @@ class TestMatrixMutation:
                     b = random_exchange_matrix(rng, n, max_sym=max_sym)
                     s = find_skew_symmetrizer(b.rows)
                     for k in range(1, n + 1):
-                        bk = b.mutated(k)
-                        assert bk.rows == reference_matrix_mutation(b.rows, k)
-                        assert all(type(row) is tuple for row in bk.rows)
-                        assert find_skew_symmetrizer(bk.rows) == s
-                        kept_rows += sum(
-                            row is old for row, old in zip(bk.rows, b.rows)
-                        )
+                        bk = mutated_rows(b, k)
+                        assert bk == reference_matrix_mutation(b.rows, k)
+                        assert all(type(row) is tuple for row in bk)
+                        assert find_skew_symmetrizer(bk) == s
+                        kept_rows += sum(row is old for row, old in zip(bk, b.rows))
                     for k in (0, n + 1):
                         with pytest.raises(IndexError):
-                            b.mutated(k)
+                            mutate(root_seed(b), k)
         assert kept_rows > 0  # the b_ik = 0 shortcut was exercised
 
 
