@@ -11,8 +11,13 @@ variable ids.
 Exploration is breadth-first with a deterministic order.  A child is its
 variable ids, B and y, keyed by its ids ascending with B and y in that
 order; a variable new to its level has a token, -1 - i for the level's
-i-th new polynomial, so its child matches no stored seed.  Each new class
-gets a Seed and is stored in polynomial key order, so the serialized
+i-th new polynomial, so its child matches no stored seed.  The children
+that land on no stored seed are grouped into new classes by one dict per
+level, which gives each class a slot, and each class keeps its first
+child.  The new classes are stored in polynomial key order: sorted by
+their keys over the ranks of the level's variables' polynomial sort keys,
+which order them as those keys would, as a rank is a strictly increasing
+function of the key.  Only a stored class gets a Seed, and the serialized
 atlas never depends on hashing or scheduling.  Caps bound the store size
 and the search depth; hitting either leaves ``complete`` false, which
 downstream verification refuses rather than guessing.
@@ -153,11 +158,6 @@ def _class_key(labels: tuple, rows: Rows, y: Rows) -> tuple:
     return (pick(labels), pick(y), tuple(map(pick, pick(rows))))
 
 
-def _canonical_seed_key(seed: Seed) -> tuple:
-    """``_class_key`` by polynomial sort keys, which order new classes."""
-    return _class_key(tuple([p.sort_key() for p in seed.x]), seed.b.rows, seed.y)
-
-
 class PatternAtlas:
     """Deduplicated closure of mutation from a root seed.
 
@@ -249,6 +249,9 @@ class PatternAtlas:
         while level:
             # The last level skips what cannot land; see the module docstring.
             faces = self._faces() if depth == caps.max_depth else None
+            # Each new class's slot, and per slot its first candidate.
+            classes: dict[tuple, int] = {}
+            firsts = []
             candidates = []
             polys = []  # the level's new polynomials; the i-th has token -1 - i
             for sid in level:
@@ -286,38 +289,51 @@ class PatternAtlas:
                     target = self._seed_keys.get(key)
                     if target is not None:
                         link(sid, k, target, new)
-                    else:
-                        candidates.append((key, child_ids, rows, y, sid, k, given))
-            if not candidates:
+                        continue
+                    slot = classes.setdefault(key, len(firsts))
+                    if slot == len(firsts):
+                        firsts.append((key, child_ids, rows, y, sid, k))
+                    candidates.append((slot, new, sid, k, given))
+            if not firsts:
                 break
             depth += 1
-            # Each new class's first candidate becomes a Seed, stored by
-            # polynomial key and interning its token, until a cap.
-            firsts = {c[0]: c for c in reversed(candidates)}  # first of each
-            ordered = []
-            for key, child_ids, rows, y, sid, k, _ in firsts.values():
-                x = [self.variables[v] if v >= 0 else polys[-1 - v] for v in child_ids]
-                seed = Seed._trusted(ExchangeMatrix._trusted(rows), y, tuple(x))
-                ordered.append((_canonical_seed_key(seed), key, seed, sid, k))
-            start, found, interned = len(self.seeds), {}, {}
-            for _, key, seed, sid, k in sorted(ordered, key=itemgetter(0)):
-                if depth > caps.max_depth or len(self.seeds) >= caps.max_seeds:
-                    break
-                ids = firsts[key][1]
-                new, stored = ids[k - 1], key
+            room = caps.max_seeds - len(self.seeds)
+            if depth > caps.max_depth or not room:
+                return False
+            # Polynomial key order, read off keys over ranks; see the module.
+            variables = self.variables
+            labels = sorted(
+                {v for first in firsts for v in first[1]},
+                key=lambda v: (variables[v] if v >= 0 else polys[-1 - v]).sort_key(),
+            )
+            rank = dict(zip(labels, range(len(labels)))).__getitem__
+
+            def ranked(slot: int) -> tuple:
+                _, ids, rows, y, _, _ = firsts[slot]
+                return _class_key(tuple(map(rank, ids)), rows, y)
+
+            ordered = sorted(range(len(firsts)), key=ranked)
+            # Each stored class becomes a Seed, interning its token, until a cap.
+            start, found, interned = len(self.seeds), [None] * len(firsts), {}
+            for slot in ordered[:room]:
+                key, ids, rows, y, sid, k = firsts[slot]
+                new = ids[k - 1]
                 if new < 0:  # a token: intern its variable, key the class anew
                     if new not in interned:
                         interned[new] = len(self.variables)
-                        self.variables.append(seed.x[k - 1])
-                        by_terms[terms(seed.x[k - 1])] = interned[new]
+                        self.variables.append(polys[-1 - new])
+                        by_terms[terms(polys[-1 - new])] = interned[new]
                     ids = ids[: k - 1] + (interned[new],) + ids[k:]
-                    stored = _class_key(ids, seed.b.rows, seed.y)
-                found[key] = self._store_seed(seed, ids, (sid, k), stored)
-            for key, ids, _, _, sid, k, given in candidates:
-                if key in found:
-                    exchanged[given] = new = interned.get(ids[k - 1], ids[k - 1])
-                    link(sid, k, found[key], new)
-            if len(found) < len(firsts):
+                    key = _class_key(ids, rows, y)
+                x = tuple(map(self.variables.__getitem__, ids))
+                seed = Seed._trusted(ExchangeMatrix._trusted(rows), y, x)
+                found[slot] = self._store_seed(seed, ids, (sid, k), key)
+            for slot, new, sid, k, given in candidates:
+                target = found[slot]
+                if target is not None:
+                    exchanged[given] = new = interned.get(new, new)
+                    link(sid, k, target, new)
+            if room < len(firsts):
                 return False
             level = range(start, len(self.seeds))
         return not truncated

@@ -29,11 +29,14 @@ integer order.  An atlas's variables share one layout (``PackedLayout``),
 each packed once.  An exchange binomial of them, given as its two sides
 (``binomial``), is multiplied, summed and divided (``exact_div``) in that
 layout, and its quotient stays packed there, its tuple-keyed ``terms``
-built on first read.  Any other exchange is held in a layout of its own
-(``packed_binomial``) when its divisor is held or its division is large,
-and otherwise stays on tuple keys, where a division scans its remainder in
-place for each leading term: the packed threshold keeps those numerators
-under 128 terms, and below about 190 a scan beats a heap.
+built on first read.  Such a binomial reads its factors' packed terms and
+bounds as they are held, shifts only a side with a nonzero monomial, and
+filters zero coefficients only from a sum that has one.  Any other
+exchange is held in a layout of its own (``packed_binomial``) when its
+divisor is held or its division is large, and otherwise stays on tuple
+keys, where a division scans its remainder in place for each leading
+term: the packed threshold keeps those numerators under 128 terms, and
+below about 190 a scan beats a heap.
 """
 
 from __future__ import annotations
@@ -557,25 +560,27 @@ def packed_binomial(
     factor's bound in absolute value: the sum's ``bound`` B.  The fields fit
     B + 2M, M the divisor's bound, as ``_packed_quotient`` needs.  A power
     squares its factor first, taking each unordered pair of terms once.
+    One pass over the factors checks that the layout holds each and sums B.
     """
     layout = den.layout if type(den) is _HeldPoly else None
-    for _, factors in sides:
-        for f, _ in factors:
-            if type(f) is not _HeldPoly or f.layout is not layout:
+    bound = 0
+    for mono, factors in sides:
+        side_bound = max(map(abs, mono)) if any(mono) else 0
+        for f, a in factors:
+            if type(f) is _HeldPoly and f.layout is layout:
+                side_bound += a * f.bound
+            else:
                 layout = None
-    bound = max(
-        max(map(abs, mono), default=0) + sum(a * _bound(f) for f, a in factors)
-        for mono, factors in sides
-    )
+                side_bound += a * _bound(f)
+        if side_bound > bound:
+            bound = side_bound
     if layout is None:
         reach = bound + 2 * (0 if den is None else _bound(den))
         keys = _PackedKeys(reach.bit_length() + 2, n + m)
     else:
         layout.fit(bound + 2 * layout.maxabs)
         keys = layout.keys
-    weights = keys.weights
-    out: dict[int, int] = {}
-    get = out.get
+    out = None
     for mono, factors in sides:
         side = None
         for f, a in factors:
@@ -584,13 +589,20 @@ def packed_binomial(
             for _ in range(a - 2):
                 power = _packed_mul(power, packed)
             side = power if side is None else _packed_mul(side, power)
-        shift = sum(map(mul, mono, weights))
         if side is None:
-            side, shift = {shift: 1}, 0
-        for p, c in side.items():
-            p += shift
-            out[p] = get(p, 0) + c
-    return _packed(n, m, {p: c for p, c in out.items() if c}, keys, bound)
+            side = {0: 1}
+        if any(mono):
+            shift = sum(map(mul, mono, keys.weights))
+            side = {p + shift: c for p, c in side.items()}
+        if out is None:
+            out = dict(side)  # side may be a factor's own packed terms
+        else:
+            get = out.get
+            for p, c in side.items():
+                out[p] = get(p, 0) + c
+    if 0 in out.values():
+        out = {p: c for p, c in out.items() if c}
+    return _packed(n, m, out, keys, bound)
 
 
 def binomial(

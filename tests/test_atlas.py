@@ -25,7 +25,6 @@ from clusteralg import (
 )
 from clusteralg.atlas import (
     PatternAtlas,
-    _canonical_seed_key,
     _class_key,
     _exchange_input,
     graph_difference,
@@ -210,6 +209,31 @@ def cap_stops_after_a_duplicated_class(atlas) -> bool:
 STOPS_AFTER_DUPLICATE = [(A4_ROWS, "principal", 7), (B3_ROWS, "principal", 16)]
 
 
+def cap_cuts_new_variables(atlas) -> bool:
+    """The seed cap stopped a level whose unstored classes still hold new
+    variables: one that a stored class of the level interned, and one that
+    no stored class holds."""
+    last = len(atlas.seeds) - 1
+    depth = len(atlas.path(last))
+    first = min(s for s in range(last + 1) if len(atlas.path(s)) == depth)
+    before = 1 + max(max(atlas.seed_variable_ids[s]) for s in range(first))
+    known = variable_index(atlas)
+    cut = [
+        known.get(mutate(atlas.seeds[s], k).x[k - 1], -1)
+        for s in range(first)
+        if len(atlas.path(s)) == depth - 1
+        for k in range(1, atlas.n + 1)
+        if (s, k) not in atlas.edges
+    ]
+    interned, unseen = max(cut) >= before, min(cut) == -1
+    return len(atlas.seeds) == atlas.caps.max_seeds and interned and unseen
+
+
+# (rows, coefficients, max_seeds) of the caps below that stop a level whose
+# unstored classes hold new variables, interned by the level or not.
+CUTS_NEW_VARIABLES = [(D4_ROWS, "trivial", 15), (A5_ROWS, "principal", 22)]
+
+
 class EveryDirectionAtlas(PatternAtlas):
     """Reference exploration: mutate every stored seed in every direction,
     computing each exchange edge from both of its ends, and identify seed
@@ -218,7 +242,7 @@ class EveryDirectionAtlas(PatternAtlas):
     def _explore(self) -> bool:
         n = self.n
         truncated = False
-        stored = {_canonical_seed_key(self.root): 0}
+        stored = {canonical_seed_key(self.root): 0}
         var_ids = {p: i for i, p in enumerate(self.variables)}
         level, depth = [0], 0
         while level:
@@ -227,7 +251,7 @@ class EveryDirectionAtlas(PatternAtlas):
                 seed = self.seeds[sid]
                 for k in range(1, n + 1):
                     child = mutate(seed, k)
-                    key = _canonical_seed_key(child)
+                    key = canonical_seed_key(child)
                     target = stored.get(key)
                     if target is not None:
                         self.edges[(sid, k)] = target
@@ -282,8 +306,15 @@ def id_key(atlas, seed, tokens):
     return _class_key(tuple(ids), seed.b.rows, seed.y)
 
 
+def canonical_seed_key(seed):
+    """A seed's class key by polynomial sort keys.  The reference explorer
+    orders new classes by these keys themselves, not by ranks of them as
+    exploration does."""
+    return _class_key(tuple([p.sort_key() for p in seed.x]), seed.b.rows, seed.y)
+
+
 def entrywise_canonical_seed_key(seed):
-    """Reference for ``_canonical_seed_key``: the entrywise permutation."""
+    """Reference for ``canonical_seed_key``: the entrywise permutation."""
     n = seed.n
     order = sorted(range(n), key=lambda i: seed.x[i].sort_key())
     xs = tuple(seed.x[i].sort_key() for i in order)
@@ -466,7 +497,7 @@ class TestClosures:
             }
             for (sid, k), tid in atlas.edges.items():
                 child = mutate_path(atlas.seeds[sid], [k])
-                assert _canonical_seed_key(child) == _canonical_seed_key(
+                assert canonical_seed_key(child) == canonical_seed_key(
                     atlas.seeds[tid]
                 )
 
@@ -491,6 +522,14 @@ class TestClosures:
             (D4_ROWS, "principal", ExploreCaps(max_depth=2)),
             (AFFINE_3_ROWS, "principal", ExploreCaps(max_depth=5)),
             (B3_ROWS, "principal", ExploreCaps(max_seeds=16)),
+            # Levels with many new classes and new variables, ordered by the
+            # ranks of their variables' polynomial keys.
+            (A5_ROWS, "trivial", ExploreCaps()),
+            (D4_ROWS, "trivial", ExploreCaps()),
+            (D5_ROWS, "trivial", ExploreCaps()),
+            (matrix("A", 6), "trivial", ExploreCaps()),
+            (D4_ROWS, "trivial", ExploreCaps(max_seeds=15)),
+            (A5_ROWS, "principal", ExploreCaps(max_seeds=22)),
         ],
     )
     def test_one_sided_exploration_matches_every_direction(
@@ -503,6 +542,8 @@ class TestClosures:
         assert list(atlas.edges.items()) == list(reference.edges.items())
         if (rows, coefficients, caps.max_seeds) in STOPS_AFTER_DUPLICATE:
             assert cap_stops_after_a_duplicated_class(atlas)
+        if (rows, coefficients, caps.max_seeds) in CUTS_NEW_VARIABLES:
+            assert cap_cuts_new_variables(atlas)
 
     @pytest.mark.parametrize(
         "rows, coefficients",
@@ -677,7 +718,7 @@ class TestClosures:
     def test_canonical_key_matches_entrywise_permutation(self, rows, caps):
         atlas = explore(root_seed(ExchangeMatrix(rows), "principal"), caps)
         for sid, seed in enumerate(atlas.seeds):
-            assert _canonical_seed_key(seed) == entrywise_canonical_seed_key(seed)
+            assert canonical_seed_key(seed) == entrywise_canonical_seed_key(seed)
             key = _class_key(atlas.seed_variable_ids[sid], seed.b.rows, seed.y)
             assert atlas._seed_keys[key] == sid
 
@@ -705,7 +746,7 @@ class TestClosures:
         met_twice = 0
         for group in groups:
             tokens = {}
-            pairs = {(id_key(atlas, s, tokens), _canonical_seed_key(s)) for s in group}
+            pairs = {(id_key(atlas, s, tokens), canonical_seed_key(s)) for s in group}
             assert len({a for a, _ in pairs}) == len(pairs)
             assert len({b for _, b in pairs}) == len(pairs)
             met_twice += len(pairs) < len(group)

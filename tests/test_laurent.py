@@ -15,6 +15,7 @@ from clusteralg import (
     ExchangeMatrix,
     LaurentPoly,
     NotDivisibleError,
+    ExploreCaps,
     NotHomogeneousError,
     exact_div,
     exchange_binomial,
@@ -796,6 +797,53 @@ class TestSharedLayout:
         with pytest.raises(NotDivisibleError) as failure:
             exact_div(num, den)
         assert str(failure.value) == "(1) is not divisible by (x1 + 1)"
+
+    def test_cancelling_sides_drop_their_zero_coefficients(self):
+        # Exchange binomials of positive factors never cancel, so the held
+        # path filters zeros only when a sum made one; a held factor with a
+        # negative coefficient makes some.
+        layout = PackedLayout(2)
+        f, g, den = map(layout.hold, [lp("x1 + x2"), lp("x1 + -x2"), lp("x1")])
+        binomial = clusteralg.laurent.binomial
+        some = binomial(2, 0, [((0, 0), [(f, 1)]), ((0, 0), [(g, 1)])], den)
+        assert some.keys is layout.keys
+        assert 0 not in some.packed.values()
+        assert some.terms == {(1, 0): 2}
+        assert exact_div(some, den) == lp("2")
+        # f * g = x1^2 - x2^2 cancels x1 * x2 within its product, and x2 * f
+        # then cancels x2^2, in either order of the sides.
+        sides = [((0, 0), [(f, 1), (g, 1)]), ((0, 1), [(f, 1)])]
+        for some in (binomial(2, 0, sides, den), binomial(2, 0, sides[::-1], den)):
+            assert 0 not in some.packed.values()
+            assert some == lp("x1^2 + x1*x2")
+        minus = layout.hold(lp("-x1 + -x2"))
+        zero = binomial(2, 0, [((0, 0), [(f, 1)]), ((0, 0), [(minus, 1)])], den)
+        assert zero.is_zero() and not zero.packed and not zero.terms
+
+    @pytest.mark.parametrize(
+        "rows, coefficients",
+        [
+            (matrix("B", 3), "trivial"),
+            (matrix("C", 3), "principal"),
+            (KRONECKER_2_ROWS, "principal"),
+        ],
+    )
+    def test_held_exchanges_match_the_reference(self, rows, coefficients):
+        # A stored seed's variables are all held in its atlas's layout, so
+        # each of its exchanges takes the held path.  A side has a y
+        # monomial when y_k has an entry of its sign: under principal
+        # coefficients one side has and the other has not.
+        root = root_seed(ExchangeMatrix(rows), coefficients)
+        atlas = explore(root, ExploreCaps(max_depth=4))
+        layout, monomials = atlas._layout, set()
+        for seed in atlas.seeds:
+            for k in range(1, seed.n + 1):
+                num = exchange_binomial(seed, k)
+                assert num.keys is layout.keys
+                assert num == reference_binomial(seed, k)
+                y_k = seed.y[k - 1]
+                monomials.update([any(e > 0 for e in y_k), any(e < 0 for e in y_k)])
+        assert monomials == ({False, True} if coefficients == "principal" else {False})
 
     @settings(max_examples=80, deadline=None)
     @given(
