@@ -10,17 +10,23 @@ variable ids.
 
 Exploration is breadth-first with a deterministic order.  A child is its
 variable ids, B and y, keyed by its ids ascending with B and y in that
-order; a variable new to its level has a token, -1 - i for the level's
-i-th new polynomial, so its child matches no stored seed.  The children
+order; a variable new to its level has a token, ``_TOKEN + i`` for the
+level's i-th new polynomial, so its child matches no stored seed and, as
+tokens exceed every id, the token is its key's last label.  The children
 that land on no stored seed are grouped into new classes by one dict per
 level, which gives each class a slot, and each class keeps its first
-child.  The new classes are stored in polynomial key order: sorted by
-their keys over the ranks of the level's variables' polynomial sort keys,
-which order them as those keys would, as a rank is a strictly increasing
-function of the key.  Only a stored class gets a Seed, and the serialized
-atlas never depends on hashing or scheduling.  Caps bound the store size
-and the search depth; hitting either leaves ``complete`` false, which
-downstream verification refuses rather than guessing.
+child.  The new classes are stored in polynomial key order: as their keys
+over the ranks of the level's variables' polynomial sort keys sort, as a
+rank is a strictly increasing function of the key.  A key begins with its
+cluster, so the clusters over ranks decide, and whole keys only where two
+classes share a cluster (Fomin and Zelevinsky conjecture that a seed is
+determined by its cluster: "Cluster algebras IV", 2007, Conjecture 4.14).
+A stored class interns its token's variable under the next id, again
+above its other labels, so only its key's last label changes.  Only a
+stored class gets a Seed, and the serialized atlas never depends on
+hashing or scheduling.  Caps bound the store size and the search depth;
+hitting either leaves ``complete`` false, which downstream verification
+refuses rather than guessing.
 
 Each exchange edge is mutated once.  Mutation is an involution, so the
 edge from s in direction k to stored seed t also names t's edge back to
@@ -104,13 +110,15 @@ nothing: it matches expansions (see ``unistructure``).
 
 ``to_json`` writes the text of ``json.dumps(indent=2, sort_keys=True)``
 straight from the atlas's tuples, with no nested-list copy for an encoder
-to walk item by item: each distinct row of the seeds' B and y is written
-once, each path from its parent's, and the whole in one format call.
+to walk item by item: the seeds, with B and y as n-by-n and n-by-m grids,
+the edges and the clusters each fill one ``%d`` template in one format
+call, and each path is written from its parent's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -149,6 +157,10 @@ def _exchange_input(seed: Seed, ids: Cluster, order: list[int], k: int) -> tuple
     return ids[kk], seed.y[kk], column
 
 
+# Above every stored id: a level's new variables; see the module docstring.
+_TOKEN = 1 << 62
+
+
 def _class_key(labels: tuple, rows: Rows, y: Rows) -> tuple:
     """A seed's form under simultaneous position permutation: its distinct
     labels ascending, with y and B's rows and columns in that order."""
@@ -156,6 +168,17 @@ def _class_key(labels: tuple, rows: Rows, y: Rows) -> tuple:
         return (labels, y, rows)
     pick = itemgetter(*sorted(range(len(labels)), key=labels.__getitem__))
     return (pick(labels), pick(y), tuple(map(pick, pick(rows))))
+
+
+def _level_order(classes: list, rank) -> list[int]:
+    """The slots of a level's new classes, each (ids, rows, y, ...), in the
+    order of their ``_class_key``s over ranks.  A key begins with its
+    cluster, so distinct clusters over ranks decide; only a level where two
+    classes share a cluster is sorted by whole keys."""
+    keys = [tuple(sorted(map(rank, c[0]))) for c in classes]
+    if len(set(keys)) < len(keys):
+        keys = [_class_key(tuple(map(rank, c[0])), c[1], c[2]) for c in classes]
+    return sorted(range(len(classes)), key=keys.__getitem__)
 
 
 class PatternAtlas:
@@ -253,7 +276,7 @@ class PatternAtlas:
             classes: dict[tuple, int] = {}
             firsts = []
             candidates = []
-            polys = []  # the level's new polynomials; the i-th has token -1 - i
+            polys = []  # the level's new polynomials, by token - _TOKEN
             for sid in level:
                 seed = self.seeds[sid]
                 ids = self.seed_variable_ids[sid]
@@ -275,10 +298,10 @@ class PatternAtlas:
                         if layout.keys is not keys:  # new, or widened
                             keys = layout.keys
                             by_terms = {terms(p): i for i, p in enumerate(self.variables)}
-                            by_terms.update({terms(p): -1 - i for i, p in enumerate(polys)})
-                        p = child.x[k - 1]
-                        new = by_terms.setdefault(terms(p), -1 - len(polys))
-                        if new == -1 - len(polys):
+                            by_terms.update({terms(p): _TOKEN + i for i, p in enumerate(polys)})
+                        p, token = child.x[k - 1], _TOKEN + len(polys)
+                        new = by_terms.setdefault(terms(p), token)
+                        if new == token:
                             polys.append(layout.hold(p))
                         exchanged[given] = new
                         rows, y = child.b.rows, child.y
@@ -292,7 +315,7 @@ class PatternAtlas:
                         continue
                     slot = classes.setdefault(key, len(firsts))
                     if slot == len(firsts):
-                        firsts.append((key, child_ids, rows, y, sid, k))
+                        firsts.append((child_ids, rows, y, key, sid, k))
                     candidates.append((slot, new, sid, k, given))
             if not firsts:
                 break
@@ -300,38 +323,37 @@ class PatternAtlas:
             room = caps.max_seeds - len(self.seeds)
             if depth > caps.max_depth or not room:
                 return False
-            # Polynomial key order, read off keys over ranks; see the module.
+            # Polynomial key order, read off clusters over ranks; see the module.
             variables = self.variables
             labels = sorted(
-                {v for first in firsts for v in first[1]},
-                key=lambda v: (variables[v] if v >= 0 else polys[-1 - v]).sort_key(),
+                {v for first in firsts for v in first[0]},
+                key=lambda v: (
+                    polys[v - _TOKEN] if v >= _TOKEN else variables[v]
+                ).sort_key(),
             )
-            rank = dict(zip(labels, range(len(labels)))).__getitem__
-
-            def ranked(slot: int) -> tuple:
-                _, ids, rows, y, _, _ = firsts[slot]
-                return _class_key(tuple(map(rank, ids)), rows, y)
-
-            ordered = sorted(range(len(firsts)), key=ranked)
+            rank = dict(zip(labels, range(len(labels))))
+            ordered = _level_order(firsts, rank.__getitem__)
             # Each stored class becomes a Seed, interning its token, until a cap.
             start, found, interned = len(self.seeds), [None] * len(firsts), {}
             for slot in ordered[:room]:
-                key, ids, rows, y, sid, k = firsts[slot]
+                ids, rows, y, key, sid, k = firsts[slot]
                 new = ids[k - 1]
-                if new < 0:  # a token: intern its variable, key the class anew
+                if new >= _TOKEN:  # intern its variable, in place of the token
                     if new not in interned:
-                        interned[new] = len(self.variables)
-                        self.variables.append(polys[-1 - new])
-                        by_terms[terms(polys[-1 - new])] = interned[new]
+                        interned[new] = len(variables)
+                        variables.append(polys[new - _TOKEN])
+                        by_terms[terms(variables[-1])] = interned[new]
+                    # The token is the key's last label, and so is its id.
                     ids = ids[: k - 1] + (interned[new],) + ids[k:]
-                    key = _class_key(ids, rows, y)
-                x = tuple(map(self.variables.__getitem__, ids))
+                    key = (key[0][:-1] + (interned[new],), *key[1:])
+                x = tuple(map(variables.__getitem__, ids))
                 seed = Seed._trusted(ExchangeMatrix._trusted(rows), y, x)
                 found[slot] = self._store_seed(seed, ids, (sid, k), key)
             for slot, new, sid, k, given in candidates:
                 target = found[slot]
                 if target is not None:
-                    exchanged[given] = new = interned.get(new, new)
+                    if new >= _TOKEN:
+                        exchanged[given] = new = interned[new]
                     link(sid, k, target, new)
             if room < len(firsts):
                 return False
@@ -625,38 +647,40 @@ class PatternAtlas:
         it, plus a newline; see the module docstring."""
         # di: the line break and indentation at nesting depth i.
         d1, d2, d3, d4 = ("\n" + "  " * i for i in range(1, 5))
-        # Seeds' B and y rows repeat: each row's text is made once.  root_b
-        # is nested two levels less, so it is not written from these.
-        rows = set().union(*(s.b.rows for s in self.seeds), *(s.y for s in self.seeds))
-        row = {r: _json_list(map(str, r), d4) for r in rows}.__getitem__
+        n, m = self.n, self.m
         steps = [""]  # per seed, its path's items joined at depth 4
         for parent, k in self.tree[1:]:
             steps.append(f"{steps[parent]},{d4}{k}" if parent else str(k))
-        seeds = [
-            f'{{{d3}"b": {_json_list(map(row, seed.b.rows), d3)},'
-            f'{d3}"path": {f"[{d4}{path}{d3}]" if path else "[]"},'
-            f'{d3}"variables": {_json_list(map(str, ids), d3)},'
-            f'{d3}"y": {_json_list(map(row, seed.y), d3)}{d2}}}'
-            for seed, ids, path in zip(self.seeds, self.seed_variable_ids, steps)
-        ]
-        edges = [
-            f"[{d3}{sid},{d3}{k},{d3}{tid}{d2}]"
-            for (sid, k), tid in sorted(self.edges.items())
-        ]
-        clusters = (_json_list(map(str, c), d2) for c in self.clusters)
-        root_b = (_json_list(map(str, r), d2) for r in self.root.b.rows)
+        # One template for every seed, B and y as grids, the path as text;
+        # seeds and edges collect the values their templates take, in order.
+        seed = (
+            f'{{{d3}"b": {_grid(n, n, d3)},{d3}"path": %s,'
+            f'{d3}"variables": {_json_list(["%d"] * n, d3)},'
+            f'{d3}"y": {_grid(n, m, d3)}{d2}}}'
+        )
+        seeds = []
+        for held, ids, path in zip(self.seeds, self.seed_variable_ids, steps):
+            seeds += chain(*held.b.rows)
+            seeds.append(f"[{d4}{path}{d3}]" if path else "[]")
+            seeds += ids
+            seeds += chain(*held.y)
+        edges = []
+        for edge in sorted(self.edges):
+            edges += edge
+            edges.append(self.edges[edge])
+        clusters = chain(*self.clusters)
         variables = map(encode_basestring_ascii, map(str, self.variables))
         return (
             f'{{{d1}"caps": {{{d2}"max_depth": {self.caps.max_depth},'
             f'{d2}"max_seeds": {self.caps.max_seeds}{d1}}},'
-            f'{d1}"clusters": {_json_list(clusters, d1)},'
+            f'{d1}"clusters": {_grid(len(self.clusters), n, d1) % tuple(clusters)},'
             f'{d1}"coefficients": {encode_basestring_ascii(self.coefficients)},'
             f'{d1}"complete": {"true" if self.complete else "false"},'
-            f'{d1}"edges": {_json_list(edges, d1)},'
-            f'{d1}"m": {self.m},'
-            f'{d1}"n": {self.n},'
-            f'{d1}"root_b": {_json_list(root_b, d1)},'
-            f'{d1}"seeds": {_json_list(seeds, d1)},'
+            f'{d1}"edges": {_grid(len(self.edges), 3, d1) % tuple(edges)},'
+            f'{d1}"m": {m},'
+            f'{d1}"n": {n},'
+            f'{d1}"root_b": {_grid(n, n, d1) % tuple(chain(*self.root.b.rows))},'
+            f'{d1}"seeds": {_json_list([seed] * len(self.seeds), d1) % tuple(seeds)},'
             f'{d1}"variables": {_json_list(variables, d1)}\n}}\n'
         )
 
@@ -688,6 +712,12 @@ def _json_list(items: Iterable[str], newline: str) -> str:
     inner = newline + "  "
     body = f",{inner}".join(items)
     return f"[{inner}{body}{newline}]" if body else "[]"
+
+
+def _grid(rows: int, width: int, newline: str) -> str:
+    """The ``%d`` template of a rows-by-width list of integer lists, as
+    ``_json_list`` nests it at newline."""
+    return _json_list([_json_list(["%d"] * width, newline + "  ")] * rows, newline)
 
 
 def _classify_coefficients(root: Seed) -> str:

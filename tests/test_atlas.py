@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import warnings
 from collections import Counter
 from itertools import combinations, permutations, product
@@ -24,9 +25,11 @@ from clusteralg import (
     root_seed,
 )
 from clusteralg.atlas import (
+    _TOKEN,
     PatternAtlas,
     _class_key,
     _exchange_input,
+    _level_order,
     graph_difference,
 )
 from clusteralg.catalogue import finite_counts, matrix
@@ -297,12 +300,12 @@ def variable_index(atlas) -> dict:
 
 def id_key(atlas, seed, tokens):
     """A seed's class key by variable id, as exploration forms it: a
-    polynomial the atlas never interned gets a negative token from
-    ``tokens``, one per distinct polynomial."""
+    polynomial the atlas never interned gets a token from ``tokens``, one
+    per distinct polynomial, ``_TOKEN + i`` for the i-th, above every id."""
     ids = []
     for p in seed.x:
         vid = variable_index(atlas).get(p)
-        ids.append(tokens.setdefault(p, -1 - len(tokens)) if vid is None else vid)
+        ids.append(tokens.setdefault(p, _TOKEN + len(tokens)) if vid is None else vid)
     return _class_key(tuple(ids), seed.b.rows, seed.y)
 
 
@@ -706,17 +709,24 @@ class TestClosures:
             explore(root)
 
     @pytest.mark.parametrize(
-        "rows, caps",
+        "rows, coefficients, caps",
         [
-            (A1_ROWS, ExploreCaps()),
-            (A3_ROWS, ExploreCaps()),
-            (B3_ROWS, ExploreCaps()),
-            (D4_ROWS, ExploreCaps()),
-            (KRONECKER_2_ROWS, ExploreCaps(max_depth=6)),
+            (A1_ROWS, "principal", ExploreCaps()),
+            (A3_ROWS, "principal", ExploreCaps()),
+            (B3_ROWS, "principal", ExploreCaps()),
+            (D4_ROWS, "principal", ExploreCaps()),
+            (KRONECKER_2_ROWS, "principal", ExploreCaps(max_depth=6)),
+            # Each interned token's class keeps its key with the id in its
+            # place, also on levels that a seed cap cuts.
+            (D5_ROWS, "trivial", ExploreCaps()),
+            (A4_ROWS, "principal", ExploreCaps(max_seeds=7)),
+            (A4_ROWS, "principal", ExploreCaps(max_seeds=20)),
         ],
     )
-    def test_canonical_key_matches_entrywise_permutation(self, rows, caps):
-        atlas = explore(root_seed(ExchangeMatrix(rows), "principal"), caps)
+    def test_canonical_key_matches_entrywise_permutation(
+        self, rows, coefficients, caps
+    ):
+        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients), caps)
         for sid, seed in enumerate(atlas.seeds):
             assert canonical_seed_key(seed) == entrywise_canonical_seed_key(seed)
             key = _class_key(atlas.seed_variable_ids[sid], seed.b.rows, seed.y)
@@ -751,6 +761,64 @@ class TestClosures:
             assert len({b for _, b in pairs}) == len(pairs)
             met_twice += len(pairs) < len(group)
         assert met_twice
+
+    def test_level_order_sorts_as_keys_over_ranks(self):
+        # Synthetic classes, (ids, rows, y): a few clusters, some shared by
+        # classes that differ in B or y, listed out of their key order.
+        rng = random.Random(20)
+        labels = list(range(6)) + [_TOKEN, _TOKEN + 1]
+        rank = dict(zip(labels, rng.sample(range(len(labels)), len(labels))))
+        clusters = [rng.sample(labels, 3) for _ in range(5)]
+        for _ in range(40):
+            classes = []
+            for _ in range(rng.randint(2, 8)):
+                ids = tuple(rng.sample(rng.choice(clusters), 3))
+                rows = tuple(tuple(rng.randint(-2, 2) for _ in ids) for _ in ids)
+                y = tuple((rng.randint(-1, 1),) for _ in ids)
+                classes.append((ids, rows, y))
+            expected = sorted(
+                range(len(classes)),
+                key=lambda s: _class_key(
+                    tuple(map(rank.__getitem__, classes[s][0])), *classes[s][1:]
+                ),
+            )
+            assert _level_order(classes, rank.__getitem__) == expected
+        # Two classes on one cluster, the first with the larger whole key.
+        ids = (0, 1, _TOKEN)
+        shared = [(ids, ((0, 1, 0), (-1, 0, 1), (0, -1, 0)), ((0,), (0,), (0,)))]
+        shared.append((ids, ((0, -1, 0), (1, 0, -1), (0, 1, 0)), ((0,), (0,), (0,))))
+        shared.append(((2, 3, 4), shared[0][1], shared[0][2]))
+        rank = dict(zip((0, 1, 2, 3, 4, _TOKEN), (3, 4, 0, 1, 2, 5)))
+        assert _level_order(shared, rank.__getitem__) == [2, 1, 0]
+
+    @pytest.mark.parametrize(
+        "rows, coefficients, caps",
+        [
+            (matrix("A", 6), "trivial", ExploreCaps()),
+            (D5_ROWS, "trivial", ExploreCaps()),
+            (A4_ROWS, "principal", ExploreCaps(max_seeds=20)),
+            (KRONECKER_2_ROWS, "principal", ExploreCaps(max_depth=11)),
+        ],
+    )
+    def test_levels_sorted_by_whole_keys_give_the_same_atlas(
+        self, rows, coefficients, caps, monkeypatch
+    ):
+        # No level of these shares a cluster between two classes, so the
+        # fallback is forced: each level gets one more class, a copy of its
+        # first, which shares that class's cluster and is then dropped.
+        root = root_seed(ExchangeMatrix(rows), coefficients)
+        expected = explore(root, caps).to_json()
+        original = clusteralg.atlas._level_order
+        forced = []
+
+        def with_a_shared_cluster(classes, rank):
+            forced.append(len(classes))
+            order = original(classes + classes[:1], rank)
+            return [slot for slot in order if slot < len(classes)]
+
+        monkeypatch.setattr(clusteralg.atlas, "_level_order", with_a_shared_cluster)
+        assert explore(root, caps).to_json() == expected
+        assert forced
 
     def test_exploring_a_mutated_root_gives_the_same_pattern(self, a2_trivial):
         moved = mutate_path(a2_trivial.root, [1])
