@@ -103,10 +103,11 @@ mutates it by lookup: each entry stands for a mutation computed, and
 positivity-checked, during exploration, or for its inverse.  Restricted
 reachability is such a walk, stepping one exact seed per stored seed and
 cluster (``i_reachable`` says why), and so is ``carry``, which gives twins
-their variable maps.  ``carry`` climbs the discovery tree's parent entries
-from the host to the root and goes down them in store order, so it steps
-into each stored seed at most once.  Cross-atlas identification walks
-nothing: it matches expansions (see ``unistructure``).
+their variable maps.  ``carry`` walks the discovery tree breadth first from
+the host, over each seed's parent entry and children, so it steps into each
+stored seed at most once and names the variables nearest the host first.
+Cross-atlas identification walks nothing: it matches expansions (see
+``unistructure``).
 
 ``to_json`` writes the text of ``json.dumps(indent=2, sort_keys=True)``
 straight from the atlas's tuples, with no nested-list copy for an encoder
@@ -218,6 +219,7 @@ class PatternAtlas:
         self._automorphisms: list[dict[int, int]] = []
         self._by_face: dict[Cluster, list[Cluster]] | None = None
         self._by_variable: list[tuple[Cluster, ...]] | None = None
+        self._tree_steps: list[list[tuple[int, int]]] | None = None
         self.derived: dict = {}
         ids = tuple(range(self.n))
         held = Seed._trusted(root.b, root.y, tuple(self.variables))
@@ -537,24 +539,23 @@ class PatternAtlas:
     # table walks over exact seeds
 
     def carry(self, state: State, start: int) -> Iterator[tuple[int, State]]:
-        """Each stored seed id, start up to the root then the rest in store
-        order, with the exact seed that the same mutations along the discovery
-        tree reach from ``state`` by ``mutate_state``; none below a capped
-        edge."""
-        states: list[State | None] = [None] * len(self.seeds)
-        u = start
-        while state is not None:
-            states[u] = state
+        """Each stored seed id, breadth first from start over the discovery
+        tree (a seed's parent entry, then its children in store order), with
+        the exact seed that the same mutations reach from ``state`` by
+        ``mutate_state``; none past a capped edge."""
+        steps = self._tree_steps
+        if steps is None:  # no seed is stored after exploration
+            steps = self._tree_steps = [[] if e is None else [e] for e in self.tree]
+            for w, (u, k) in enumerate(self.tree[1:], 1):
+                steps[u].append((w, k))
+        walked = [(start, -1, state, 0)]  # (seed, seed walked from, state, k)
+        for u, back, state, k in walked:
+            if k:
+                state = self.mutate_state(state, k)
+                if state is None:
+                    continue
             yield u, state
-            if self.tree[u] is None:
-                break
-            u, k = self.tree[u]
-            state = self.mutate_state(state, k)
-        for w, (u, k) in enumerate(self.tree[1:], 1):
-            if states[w] is None and states[u] is not None:
-                states[w] = self.mutate_state(states[u], k)
-                if states[w] is not None:
-                    yield w, states[w]
+            walked += [(w, u, state, j) for w, j in steps[u] if w != back]
 
     def mutate_state(self, state: State, k: int) -> State | None:
         """Exact seed ``(stored seed id, variable ids by position)`` mutated

@@ -7,8 +7,12 @@ x coordinate of z's d-vector in any cluster containing x; the choice of
 cluster does not matter, which is one of the verified properties rather
 than an assumption, so the degree matrix reads the first containing
 cluster in atlas order.  The degree-properties sweep compares every
-choice: it reads each cluster's kept d-vector table once and records
-each entry's coordinate at every variable of the cluster.
+choice a row at a time: it reads each cluster's kept d-vector table once,
+as one degree row per variable of the cluster (that variable's coordinate
+in every entry), and a variable's rows from all its clusters must be equal.
+Each property is then checked a row at a time, against the row, its column
+and the variables sharing a cluster with it, and pairs are scanned only in
+the first row that fails, for the report.
 
 Two variables are d-compatible when the degree is <= 0.  Maximal
 d-compatible sets are maximal cliques of that relation, enumerated
@@ -96,63 +100,77 @@ def verify_degree_properties(atlas: PatternAtlas) -> VerificationReport:
     report = VerificationReport(suite="degree-properties")
     count = len(atlas.variables)
     report.add_context("atlas", atlas.summary())
-    # Keyed j-major, so the first failing pair found below does not depend
-    # on the order the loop fills the sets in.
-    values: dict[tuple[int, int], set[int]] = {
-        (j, i): set() for j in range(count) for i in range(count)
-    }
+    # Variable j's degree row at cluster c is the coordinate of j in every
+    # entry of c's table: entry [i] is the degree of (j, i).
+    rows: list = [None] * count
+    spread: dict[int, list[tuple[int, ...]]] = {}  # j -> rows, when they differ
     for c in atlas.clusters:
-        for i, d in enumerate(atlas.d_vectors(c)):
-            for j, degree_ji in zip(c, d):
-                values[(j, i)].add(degree_ji)
-
-    bad = next(((j, i) for (j, i), v in values.items() if len(v) > 1), None)
-    report.add_check(
-        "choice-independence",
-        bad is None,
-        "" if bad is None else f"pair {bad} gives degrees {sorted(values[bad])}",
-    )
-    degree = {pair: min(vals) for pair, vals in values.items()}
+        for j, row in zip(c, zip(*atlas.d_vectors(c))):
+            if rows[j] is None:
+                rows[j] = row
+            elif row != rows[j]:
+                spread.setdefault(j, [rows[j]]).append(row)
+    detail = ""
+    for j in sorted(spread):
+        values = [set(column) for column in zip(*spread[j])]
+        if not detail:  # the first pair, j-major, with two degrees
+            i = next(i for i, v in enumerate(values) if len(v) > 1)
+            detail = f"pair {(j, i)} gives degrees {sorted(values[i])}"
+        rows[j] = tuple(map(min, values))
+    report.add_check("choice-independence", not spread, detail)
+    columns = list(zip(*rows))
     shared = [set().union(*atlas.clusters_containing(j)) for j in range(count)]
+    apart = [set(range(count)).difference(s) for s in shared]
+    near = [s - {j} for j, s in enumerate(shared)]
 
-    def first_failure(predicate) -> tuple[int, int] | None:
-        for j in range(count):
-            for i in range(count):
-                if not predicate(j, i):
-                    return (j, i)
-        return None
+    def exactly(degrees: tuple[int, ...], value: int, at: set[int]) -> bool:
+        # value at the indexes in at, and nowhere else.
+        return degrees.count(value) == len(at) and all(
+            map(value.__eq__, map(degrees.__getitem__, at))
+        )
+
+    def splits(degrees: tuple[int, ...], j: int) -> bool:
+        # Nonpositive exactly at the variables sharing a cluster with j.
+        at = degrees.__getitem__
+        return max(map(at, shared[j])) <= 0 < min(map(at, apart[j]), default=1)
 
     cases = [
         (
             "self-degree",
-            lambda j, i: (degree[(j, i)] == -1) == (j == i)
-            and (degree[(j, i)] == -1) == (degree[(i, j)] == -1),
+            lambda j: exactly(rows[j], -1, {j}) and exactly(columns[j], -1, {j}),
+            lambda j, i: (rows[j][i] == -1) == (j == i)
+            and (rows[j][i] == -1) == (rows[i][j] == -1),
         ),
         (
             "zero-iff-shared-cluster",
-            lambda j, i: (degree[(j, i)] == 0) == (j != i and i in shared[j])
-            and (degree[(j, i)] == 0) == (degree[(i, j)] == 0),
+            lambda j: exactly(rows[j], 0, near[j]) and exactly(columns[j], 0, near[j]),
+            lambda j, i: (rows[j][i] == 0) == (j != i and i in shared[j])
+            and (rows[j][i] == 0) == (rows[i][j] == 0),
         ),
         (
             "compatible-iff-shared-cluster",
-            lambda j, i: (degree[(j, i)] <= 0) == (i in shared[j]),
+            lambda j: splits(rows[j], j),
+            lambda j, i: (rows[j][i] <= 0) == (i in shared[j]),
         ),
         (
             "positive-iff-no-shared-cluster",
-            lambda j, i: (degree[(j, i)] > 0) == (i not in shared[j])
-            and (degree[(j, i)] > 0) == (degree[(i, j)] > 0),
+            lambda j: splits(rows[j], j) and splits(columns[j], j),
+            lambda j, i: (rows[j][i] > 0) == (i not in shared[j])
+            and (rows[j][i] > 0) == (rows[i][j] > 0),
         ),
     ]
-    for name, predicate in cases:
-        bad = first_failure(predicate)
+    for name, row_holds, pair_holds in cases:
+        # Each row holds exactly when the predicate holds at all its pairs,
+        # so pairs are scanned only in the first row that fails.
+        j = next((j for j in range(count) if not row_holds(j)), None)
         detail = ""
-        if bad is not None:
-            j, i = bad
+        if j is not None:
+            i = next(i for i in range(count) if not pair_holds(j, i))
             detail = (
-                f"pair ({j}, {i}): degree {degree[(j, i)]}, reverse "
-                f"{degree[(i, j)]}, shared cluster {i in shared[j]}"
+                f"pair ({j}, {i}): degree {rows[j][i]}, reverse "
+                f"{rows[i][j]}, shared cluster {i in shared[j]}"
             )
-        report.add_check(name, bad is None, detail)
+        report.add_check(name, j is None, detail)
     report.add_context("ordered-pairs", str(count * count))
     report.resolve_status()
     return report

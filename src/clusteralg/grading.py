@@ -18,16 +18,17 @@ integers, and the unique, integral exponent vector of each variable only
 needs a sign check.
 
 Each direction subset I gets one cone index, kept in ``atlas.derived``: the
-I-connected clusters in ascending order, and per variable the frozenset of
-the indexes j whose inverted I-block (each inverted once) maps its g-vector,
-projected to I, to a nonnegative vector.  A partner of t is then the
-smallest index common to t's variables.
+I-connected clusters in ascending order, and per variable the set, as the
+bits of an integer, of the indexes j whose inverted I-block (each inverted
+once) maps its g-vector, projected to I, to a nonnegative vector.  A partner
+of t is then the lowest bit of the AND of t's variables' sets.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, product
-from operator import mul
+from operator import and_, mul
 from typing import Iterable, Sequence
 
 from .atlas import Cluster, IncompleteAtlasError, PatternAtlas, format_cluster
@@ -107,23 +108,27 @@ def _invert_i_block(
     ]
 
 
-def _cones(I: tuple[int, ...], atlas: PatternAtlas) -> tuple[list, list[frozenset]]:
+def _cones(I: tuple[int, ...], atlas: PatternAtlas) -> tuple[list, list[int]]:
     """The cone index of direction subset I, built once; see the module."""
     index = atlas.derived.setdefault("cones", {})
-    if I not in index:
+    got = index.get(I)
+    if got is None:
         reach = atlas.i_reachable(I)
         clusters = sorted(reach)
         inverses = [_invert_i_block(reach[c], I, atlas) for c in clusters]
         gs = [g_vector(v, atlas) for v in range(len(atlas.variables))]
-        index[I] = clusters, [
-            frozenset(
-                j
-                for j, inverse in enumerate(inverses)
-                if all(sum(map(mul, row, rhs)) >= 0 for row in inverse)
-            )
-            for rhs in ([g[i - 1] for i in I] for g in gs)
-        ]
-    return index[I]
+        rhss = [[g[i - 1] for i in I] for g in gs]
+        cones = [0] * len(rhss)
+        for j, inverse in enumerate(inverses):
+            bit = 1 << j
+            for v, rhs in enumerate(rhss):
+                for row in inverse:
+                    if sum(map(mul, row, rhs)) < 0:
+                        break
+                else:
+                    cones[v] |= bit
+        index[I] = got = clusters, cones
+    return got
 
 
 def check_g_pair(
@@ -139,7 +144,7 @@ def check_g_pair(
     if tp not in clusters:
         return False
     j = clusters.index(tp)
-    return all(j in cones[v] for v in tc)
+    return all(cones[v] >> j & 1 for v in tc)
 
 
 def find_g_pair(
@@ -149,15 +154,15 @@ def find_g_pair(
     g-pair with t; absence on a complete atlas raises loudly."""
     _require_principal(atlas)
     tc = atlas.normalize_cluster(t)
-    I = sorted(set(subset))
-    clusters, cones = _cones(tuple(I), atlas)
-    common = frozenset.intersection(*(cones[v] for v in tc))
+    I = tuple(sorted(set(subset)))
+    clusters, cones = _cones(I, atlas)
+    common = reduce(and_, map(cones.__getitem__, tc))
     if not common:
         raise GPairNotFoundError(
-            f"no g-pair partner for cluster {format_cluster(tc)} along {I}; "
+            f"no g-pair partner for cluster {format_cluster(tc)} along {list(I)}; "
             f"on a complete atlas this contradicts the enough-g-pairs property"
         )
-    return clusters[min(common)]
+    return clusters[(common & -common).bit_length() - 1]
 
 
 def verify_g_pairs(atlas: PatternAtlas) -> VerificationReport:

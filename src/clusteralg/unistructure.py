@@ -18,9 +18,12 @@ cluster automorphism sigma serves (see ``atlas``) is read through the map:
 the scan runs over sigma(xi)'s expansion at the image cluster, tests
 admissibility at the image position of sigma(xk), and compares x parts
 read into the cluster's coordinates by the pick ``expand`` relabels with.
-The sweep reads each cluster once and checks only the sign of each pair's
-reference exponent; ``laurent_witness`` searches the first failing pair
-again, and its error is the failure reported.
+Admissibility is one comparison of the x part against a floor of zeros
+with no floor at the reference position.  The sweep goes a row at a time:
+for each xk it reads each cluster through xk once, scans only the variables
+still without a witness, and checks only the sign of each pair's reference
+exponent; ``laurent_witness`` searches the first failing pair again, and
+its error is the failure reported.
 
 The incompatibility certificate turns a positive compatibility degree
 into an exact numeric contradiction: erase coefficients with the ring
@@ -46,7 +49,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from math import inf
+from operator import ge
 from typing import Callable, Sequence
 
 from .atlas import (
@@ -130,7 +134,7 @@ def laurent_witness(xk: int, xi: int, atlas: PatternAtlas) -> WitnessMonomial:
         raise IncompleteAtlasError("witness search needs a complete atlas")
     atlas.require_variable(xk)
     atlas.require_variable(xi)
-    found = _witness_term(xk, xi, atlas, atlas._expansions_at)
+    found = _witness_terms(xk, (xi,), atlas, atlas._expansions_at).get(xi)
     if found is None:
         raise WitnessNotFoundError(
             f"no admissible witness term for pair ({xk}, {xi}); on a complete "
@@ -143,36 +147,43 @@ def laurent_witness(xk: int, xi: int, atlas: PatternAtlas) -> WitnessMonomial:
     return WitnessMonomial(c, kpos, x_exps, LaurentPoly(0, atlas.m, coef))
 
 
-def _witness_term(
-    xk: int, xi: int, atlas: PatternAtlas, read: Callable
-) -> tuple[Cluster, int, Exponents, dict[Exponents, int]] | None:
+def _witness_terms(
+    xk: int, targets: Sequence[int], atlas: PatternAtlas, read: Callable
+) -> dict[int, tuple[Cluster, int, Exponents, dict[Exponents, int]]]:
     """(cluster, xk's position, x part, coefficient terms) of the first
-    admissible term of xi over the clusters through xk, else None; ``read``
-    is ``PatternAtlas._expansions_at`` or a memo of it."""
+    admissible term of each target xi over the clusters through xk, for the
+    targets that have one; ``read`` is ``PatternAtlas._expansions_at`` or a
+    memo of it.  Each cluster is read once and scans the targets still
+    without a witness."""
     n = atlas.n
+    found: dict[int, tuple[Cluster, int, Exponents, dict[Exponents, int]]] = {}
     for c in atlas.clusters_containing(xk):
+        if len(found) == len(targets):
+            break
         kpos = c.index(xk)
         known, served = read(c)
-        if served is None:
-            p, at, pick = known[xi], kpos, None
-        else:
+        sigma, at, pick = None, kpos, None
+        if served is not None:
             sigma, image, pick = served
-            p, at = known[sigma[xi]], image.index(sigma[xk])
-        best: Exponents | None = None
-        coef: dict[Exponents, int] = {}
-        for key, a in p.terms.items():
-            off = list(key[:n])
-            off[at] = 0  # only the exponents off the reference must be >= 0
-            if min(off) < 0:
+            at = image.index(sigma[xk])
+        floor = [0] * n
+        floor[at] = -inf  # only the exponents off the reference must be >= 0
+        for xi in targets:
+            if xi in found:
                 continue
-            x = key[:n] if pick is None else pick(key)
-            if best is None or x > best:
-                best, coef = x, {key[n:]: a}
-            elif x == best:
-                coef[key[n:]] = a
-        if best is not None:
-            return c, kpos, best, coef
-    return None
+            best: Exponents | None = None
+            coef: dict[Exponents, int] = {}
+            for key, a in known[xi if sigma is None else sigma[xi]].terms.items():
+                if not all(map(ge, key, floor)):
+                    continue
+                x = key[:n] if pick is None else pick(key)
+                if best is None or x > best:
+                    best, coef = x, {key[n:]: a}
+                elif x == best:
+                    coef[key[n:]] = a
+            if best is not None:
+                found[xi] = c, kpos, best, coef
+    return found
 
 
 def _trichotomy_error(
@@ -208,15 +219,20 @@ def witness_sweep(atlas: PatternAtlas) -> VerificationReport:
     read = cache(atlas._expansions_at)
     failure = ""
     checked = 0
-    for xk, xi in product(range(count), repeat=2):
-        found = _witness_term(xk, xi, atlas, read)
-        if found is None or _trichotomy_error(xk, xi, *found[:3]):
-            try:
-                laurent_witness(xk, xi, atlas)
-            except (WitnessNotFoundError, TrichotomyViolationError) as exc:
-                failure = f"pair ({xk}, {xi}): {exc}"
-                break
-        checked += 1
+    variables = range(count)
+    for xk in variables:
+        row = _witness_terms(xk, variables, atlas, read)
+        for xi in variables:
+            found = row.get(xi)
+            if found is None or _trichotomy_error(xk, xi, *found[:3]):
+                try:
+                    laurent_witness(xk, xi, atlas)
+                except (WitnessNotFoundError, TrichotomyViolationError) as exc:
+                    failure = f"pair ({xk}, {xi}): {exc}"
+                    break
+            checked += 1
+        if failure:
+            break
     report.add_context("pairs-checked", str(checked))
     report.add_check("witness-for-all-pairs", not failure, failure)
     report.resolve_status()

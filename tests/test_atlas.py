@@ -54,6 +54,26 @@ from conftest import (
     count_mutations,
 )
 
+
+def climb_then_store_order(atlas, state, start):
+    """Reference for ``PatternAtlas.carry``: up the discovery tree from
+    start to the root, then every other stored seed in store order."""
+    states = [None] * len(atlas.seeds)
+    u = start
+    while state is not None:
+        states[u] = state
+        yield u, state
+        if atlas.tree[u] is None:
+            break
+        u, k = atlas.tree[u]
+        state = atlas.mutate_state(state, k)
+    for w, (u, k) in enumerate(atlas.tree[1:], 1):
+        if states[w] is None and states[u] is not None:
+            states[w] = atlas.mutate_state(states[u], k)
+            if states[w] is not None:
+                yield w, states[w]
+
+
 A2_VARIABLES = [
     "x1",
     "x2",
@@ -1184,6 +1204,37 @@ class TestExpand:
                 atlas.expand(0, cluster)
             assert carries
             assert len(steps) <= len(carries) * len(atlas.seeds)
+
+    @pytest.mark.parametrize(
+        "family, n, steps",
+        [("A", 5, 368), ("D", 5, 547), ("E", 6, 4055)],
+    )
+    def test_breadth_first_carry_keeps_every_map(self, monkeypatch, family, n, steps):
+        # Carrying breadth first from the host names the same variables as
+        # the climb to the root and down in store order did, so the kept maps,
+        # expansions and d-vector tables are equal; it needs fewer steps
+        # (A5 540, D5 600 and E6 5,508 by the climb).
+        root = root_seed(ExchangeMatrix(matrix(family, n)), "trivial")
+        atlases = [explore(root), explore(root)]
+        counts = []
+        step = PatternAtlas.mutate_state
+
+        def counted(atlas, state, k):
+            counts[-1] += 1
+            return step(atlas, state, k)
+
+        monkeypatch.setattr(PatternAtlas, "mutate_state", counted)
+        for atlas, carry in zip(atlases, (PatternAtlas.carry, climb_then_store_order)):
+            monkeypatch.setattr(PatternAtlas, "carry", carry)
+            counts.append(0)
+            for cluster in atlas.clusters:
+                atlas.expand(0, cluster)
+                atlas.d_vectors(cluster)
+        new, old = atlases
+        assert new._automorphisms == old._automorphisms
+        assert new._expand_cache == old._expand_cache
+        assert new._d_vectors == old._d_vectors
+        assert counts[0] <= steps < counts[1]
 
     def test_expansion_walk_keeps_the_positivity_check(self, monkeypatch):
         atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))

@@ -31,6 +31,9 @@ from conftest import (
 
 # A4 mutated along directions 2 then 3.
 A4_REROOTED = [[0, 0, -1, 1], [0, 0, 1, 0], [1, -1, 0, -1], [-1, 0, 1, 0]]
+# B3 mutated along 2, 1, 3 and C3 along 1, 3, 2.
+B3_REROOTED = [[0, 1, 1], [-1, 0, 0], [-2, 0, 0]]
+C3_REROOTED = [[0, 1, -2], [-1, 0, 2], [1, -1, 0]]
 
 
 @pytest.fixture()
@@ -43,6 +46,8 @@ def seeds(tmp_path):
         ("c2p", C2_ROWS, "principal"),
         ("a4", A4_ROWS, "trivial"),
         ("a4_rerooted", A4_REROOTED, "trivial"),
+        ("b3p_rerooted", B3_REROOTED, "principal"),
+        ("c3p_rerooted", C3_REROOTED, "principal"),
         ("a4p", A4_ROWS, "principal"),
         ("a5p", A5_ROWS, "principal"),
         ("b3", B3_ROWS, "trivial"),
@@ -751,6 +756,15 @@ class TestDeterminism:
             (
                 ["verify", "witnesses", "--seed", "{d5}"],
                 "d57763bc92091503b5770467feb94a325cfa87d93992234a20e0f82c94f89d18",
+            ),
+            # Pinned before the cone index became one bit set per variable.
+            (
+                ["verify", "g-pairs", "--seed", "{b3p_rerooted}"],
+                "f24a36f8c7d50a712d7806e93266b93018aea8bb8201312710db250e8c76ae38",
+            ),
+            (
+                ["verify", "g-pairs", "--seed", "{c3p_rerooted}"],
+                "f24a36f8c7d50a712d7806e93266b93018aea8bb8201312710db250e8c76ae38",
             ),
         ],
     )

@@ -22,6 +22,7 @@ from clusteralg import (
 )
 from clusteralg.atlas import PatternAtlas
 from clusteralg.laurent import LaurentPoly
+from clusteralg.reports import VerificationReport
 from conftest import (
     A1_ROWS,
     A3_ROWS,
@@ -63,6 +64,102 @@ C2_DEGREE_MATRIX = [
     [1, 1, 0, 1, -1, 0],
     [1, 2, 1, 0, 0, -1],
 ]
+
+
+def per_pair_degree_properties(atlas):
+    """Reference for ``verify_degree_properties``: every ordered pair's
+    degrees gathered into a set per pair, and each predicate tried pair by
+    pair, j-major."""
+    report = VerificationReport(suite="degree-properties")
+    count = len(atlas.variables)
+    report.add_context("atlas", atlas.summary())
+    values = {(j, i): set() for j in range(count) for i in range(count)}
+    for c in atlas.clusters:
+        for i, d in enumerate(atlas.d_vectors(c)):
+            for j, degree_ji in zip(c, d):
+                values[(j, i)].add(degree_ji)
+    bad = next(((j, i) for (j, i), v in values.items() if len(v) > 1), None)
+    report.add_check(
+        "choice-independence",
+        bad is None,
+        "" if bad is None else f"pair {bad} gives degrees {sorted(values[bad])}",
+    )
+    degree = {pair: min(vals) for pair, vals in values.items()}
+    shared = [set().union(*atlas.clusters_containing(j)) for j in range(count)]
+    cases = [
+        (
+            "self-degree",
+            lambda j, i: (degree[(j, i)] == -1) == (j == i)
+            and (degree[(j, i)] == -1) == (degree[(i, j)] == -1),
+        ),
+        (
+            "zero-iff-shared-cluster",
+            lambda j, i: (degree[(j, i)] == 0) == (j != i and i in shared[j])
+            and (degree[(j, i)] == 0) == (degree[(i, j)] == 0),
+        ),
+        (
+            "compatible-iff-shared-cluster",
+            lambda j, i: (degree[(j, i)] <= 0) == (i in shared[j]),
+        ),
+        (
+            "positive-iff-no-shared-cluster",
+            lambda j, i: (degree[(j, i)] > 0) == (i not in shared[j])
+            and (degree[(j, i)] > 0) == (degree[(i, j)] > 0),
+        ),
+    ]
+    for name, predicate in cases:
+        pairs = ((j, i) for j in range(count) for i in range(count))
+        bad = next((p for p in pairs if not predicate(*p)), None)
+        detail = ""
+        if bad is not None:
+            j, i = bad
+            detail = (
+                f"pair ({j}, {i}): degree {degree[(j, i)]}, reverse "
+                f"{degree[(i, j)]}, shared cluster {i in shared[j]}"
+            )
+        report.add_check(name, bad is None, detail)
+    report.add_context("ordered-pairs", str(count * count))
+    report.resolve_status()
+    return report
+
+
+def bend_degrees(monkeypatch, atlas, case):
+    """Patch ``d_vectors`` to serve tables with a seeded fault: degrees of
+    pairs (j, i) set in every cluster through j, or for "disagree" lowered
+    by 2 in the second cluster through j only.  j is the last variable or,
+    where a zero moves off a neighbour in the first variable's row or
+    column, keeping their count, the first; near and apart are that
+    variable's first neighbour (a shared cluster) and first variable it
+    shares none with."""
+    count = len(atlas.variables)
+    last = count - 1
+    first = 0 if case.startswith("zero-moved") else last
+    shared = set().union(*atlas.clusters_containing(first))
+    near = min(shared - {first})
+    apart = min(set(range(count)) - shared)
+    bends = {
+        "disagree": {(last, apart): None},
+        "self": {(last, last): -2},
+        "self-reverse": {(last, near): -1},
+        "zero": {(last, near): -3},
+        "zero-moved-row": {(first, near): 1, (first, apart): 0},
+        "zero-moved-column": {(near, first): 1, (apart, first): 0},
+        "compatible": {(last, apart): -3},
+        "positive": {(last, apart): 0},
+    }[case]
+    second = atlas.clusters_containing(last)[1]
+    original = PatternAtlas.d_vectors
+
+    def bent(atlas, cluster):
+        c = tuple(sorted(cluster))
+        table = [list(d) for d in original(atlas, c)]
+        for (j, i), value in bends.items():
+            if j in c and (value is not None or c == second):
+                p = c.index(j)
+                table[i][p] = table[i][p] - 2 if value is None else value
+        return tuple(map(tuple, table))
+
+    monkeypatch.setattr(PatternAtlas, "d_vectors", bent)
 
 
 @pytest.fixture()
@@ -266,6 +363,49 @@ class TestVerification:
         monkeypatch.setattr(PatternAtlas, "d_vectors", counted)
         assert compatibility_matrix(atlas) == want
         assert len(calls) == len(set(calls)) == reads
+
+    @pytest.mark.parametrize(
+        "rows", [A3_ROWS, A4_ROWS, B3_ROWS, C3_ROWS, D4_ROWS, D5_ROWS]
+    )
+    def test_row_sweep_matches_the_per_pair_sweep(self, rows):
+        atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
+        got = verify_degree_properties(atlas)
+        assert got == per_pair_degree_properties(atlas)
+        assert got.resolve_status() == "pass"
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "disagree",
+            "self",
+            "self-reverse",
+            "zero",
+            "zero-moved-row",
+            "zero-moved-column",
+            "compatible",
+            "positive",
+        ],
+    )
+    @pytest.mark.parametrize("rows", [A4_ROWS, D4_ROWS])
+    def test_failure_reports_match_the_per_pair_sweep(self, monkeypatch, rows, case):
+        # Each seeded fault fails its own check; the row sweep must name the
+        # same first failing pair, with the same degrees, as the pair sweep.
+        atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
+        bend_degrees(monkeypatch, atlas, case)
+        got = verify_degree_properties(atlas)
+        assert got == per_pair_degree_properties(atlas)
+        failed = {c.name for c in got.checks if not c.passed}
+        assert {
+            "disagree": "choice-independence",
+            "self": "self-degree",
+            "self-reverse": "self-degree",
+            "zero": "zero-iff-shared-cluster",
+            "zero-moved-row": "zero-iff-shared-cluster",
+            "zero-moved-column": "zero-iff-shared-cluster",
+            "compatible": "compatible-iff-shared-cluster",
+            "positive": "positive-iff-no-shared-cluster",
+        }[case] in failed
+        assert all(c.detail for c in got.checks if not c.passed)
 
     def test_report_lines(self, a2_trivial):
         lines = verify_degree_properties(a2_trivial).lines()

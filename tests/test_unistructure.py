@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import groupby, permutations, product
 
 import pytest
@@ -33,7 +34,7 @@ from clusteralg import (
 )
 from clusteralg.atlas import format_cluster, matching_permutations
 from clusteralg.reports import VerificationReport
-from clusteralg.unistructure import _find_identification
+from clusteralg.unistructure import _find_identification, _witness_terms
 from conftest import (
     A2_ROWS,
     A3_ROWS,
@@ -64,6 +65,35 @@ def brute_force_matches(rows, want):
         for perm in permutations(range(n))
         if all(rows[perm[i]][perm[j]] == want[i][j] for i in range(n) for j in range(n))
     ]
+
+
+def list_scan_witness_term(xk, xi, atlas, read):
+    """Reference for ``_witness_terms`` at one pair: each cluster through xk
+    read for xi alone, each term's x part copied to a list, the reference
+    exponent zeroed, and the minimum taken."""
+    n = atlas.n
+    for c in atlas.clusters_containing(xk):
+        kpos = c.index(xk)
+        known, served = read(c)
+        if served is None:
+            p, at, pick = known[xi], kpos, None
+        else:
+            sigma, image, pick = served
+            p, at = known[sigma[xi]], image.index(sigma[xk])
+        best, coef = None, {}
+        for key, a in p.terms.items():
+            off = list(key[:n])
+            off[at] = 0
+            if min(off) < 0:
+                continue
+            x = key[:n] if pick is None else pick(key)
+            if best is None or x > best:
+                best, coef = x, {key[n:]: a}
+            elif x == best:
+                coef[key[n:]] = a
+        if best is not None:
+            return c, kpos, best, coef
+    return None
 
 
 def carried_identification(a1, a2, sid, perm):
@@ -307,6 +337,23 @@ class TestWitness:
             found += len(w.coefficient.terms) > 1
         assert found == multi_term
         assert witness_sweep(explore(seed)).text() == sorted_sweep(reference)
+
+    @pytest.mark.parametrize("rows", [A4_ROWS, D4_ROWS, B3_ROWS])
+    def test_witness_scan_matches_the_list_scan(self, rows):
+        # Every cluster is read first, so kept automorphisms serve some of
+        # them, read through the map.  A row scans each cluster through xk
+        # once, for the variables it has not yet found a witness for.
+        atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
+        read = cache(atlas._expansions_at)
+        assert any([read(c)[1] is not None for c in atlas.clusters])
+        variables = range(len(atlas.variables))
+        for xk in variables:
+            row = _witness_terms(xk, variables, atlas, read)
+            assert sorted(row) == list(variables)
+            for xi in variables:
+                want = list_scan_witness_term(xk, xi, atlas, read)
+                assert row[xi] == want
+                assert _witness_terms(xk, (xi,), atlas, read) == {xi: want}
 
     def test_describe(self, a2_trivial):
         lines = laurent_witness(0, 4, a2_trivial).describe()
