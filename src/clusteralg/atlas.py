@@ -12,21 +12,21 @@ Exploration is breadth-first with a deterministic order.  A child is its
 variable ids, B and y, keyed by its ids ascending with B and y in that
 order; a variable new to its level has a token, ``_TOKEN + i`` for the
 level's i-th new polynomial, so its child matches no stored seed and, as
-tokens exceed every id, the token is its key's last label.  The children
-that land on no stored seed are grouped into new classes by one dict per
-level, which gives each class a slot, and each class keeps its first
-child.  The new classes are stored in polynomial key order: as their keys
-over the ranks of the level's variables' polynomial sort keys sort, as a
-rank is a strictly increasing function of the key.  A key begins with its
-cluster, so the clusters over ranks decide, and whole keys only where two
-classes share a cluster (Fomin and Zelevinsky conjecture that a seed is
-determined by its cluster: "Cluster algebras IV", 2007, Conjecture 4.14).
-A stored class interns its token's variable under the next id, again
-above its other labels, so only its key's last label changes.  Only a
-stored class gets a Seed, and the serialized atlas never depends on
-hashing or scheduling.  Caps bound the store size and the search depth;
-hitting either leaves ``complete`` false, which downstream verification
-refuses rather than guessing.
+tokens exceed every id, the token is its key's last label.  The store,
+and the dict that groups a level's other children into new classes (each
+with a slot, keeping its first child), are keyed by cluster: Fomin and
+Zelevinsky conjecture that a seed is determined by its cluster ("Cluster
+algebras IV", 2007, Conjecture 4.14), and exploration checks it.  A child
+on a stored or already met cluster must have that seed's or first child's
+key, else an engine fault names both.  The new classes are stored in
+polynomial key order, as their clusters over the ranks of the level's
+variables' polynomial sort keys sort: a rank increases strictly with the
+key, and a key begins with its cluster.  A stored class interns its
+token's variable under the next id, again above its other labels, so only
+its key's last label changes.  Only a stored class gets a Seed, and the
+serialized atlas never depends on hashing or scheduling.  Caps bound the
+store size and the search depth; hitting either leaves ``complete``
+false, which downstream verification refuses rather than guessing.
 
 Each exchange edge is mutated once.  Mutation is an involution, so the
 edge from s in direction k to stored seed t also names t's edge back to
@@ -101,8 +101,8 @@ arithmetic at all.  An exact seed (positions intact) is the pair of its
 stored seed id and its variable ids by position, and the edge table
 mutates it by lookup: each entry stands for a mutation computed, and
 positivity-checked, during exploration, or for its inverse.  Restricted
-reachability is such a walk, stepping one exact seed per stored seed and
-cluster (``i_reachable`` says why), and so is ``carry``, which gives twins
+reachability is such a walk, stepping one exact seed per cluster
+(``i_reachable`` says why), and so is ``carry``, which gives twins
 their variable maps.  ``carry`` walks the discovery tree breadth first from
 the host, over each seed's parent entry and children, so it steps into each
 stored seed at most once and names the variables nearest the host first.
@@ -172,13 +172,9 @@ def _class_key(labels: tuple, rows: Rows, y: Rows) -> tuple:
 
 
 def _level_order(classes: list, rank) -> list[int]:
-    """The slots of a level's new classes, each (ids, rows, y, ...), in the
-    order of their ``_class_key``s over ranks.  A key begins with its
-    cluster, so distinct clusters over ranks decide; only a level where two
-    classes share a cluster is sorted by whole keys."""
+    """The slots of a level's new classes, each (ids, ...), in the order of
+    their ``_class_key``s over ranks: that of their distinct clusters."""
     keys = [tuple(sorted(map(rank, c[0]))) for c in classes]
-    if len(set(keys)) < len(keys):
-        keys = [_class_key(tuple(map(rank, c[0])), c[1], c[2]) for c in classes]
     return sorted(range(len(classes)), key=keys.__getitem__)
 
 
@@ -187,11 +183,12 @@ class PatternAtlas:
 
     Public data: ``seeds`` (store order; index 0 is the root),
     ``variables`` (interning table, id = index), ``seed_variable_ids``
-    (per seed, variable ids by position), ``clusters`` (discovery order),
-    ``cluster_to_seed``, ``edges`` (mapping (seed index, direction) to
-    seed index), ``tree`` (the discovery tree: per seed, the (seed index,
-    direction) it was made from, None for the root), ``complete``;
-    ``path(sid)`` replays the tree from the root.
+    (per seed, variable ids by position), ``clusters`` (``clusters[i]`` is
+    seed i's cluster), ``cluster_to_seed`` (its inverse, a bijection),
+    ``edges`` (mapping (seed index, direction) to seed index), ``tree``
+    (the discovery tree: per seed, the (seed index, direction) it was made
+    from, None for the root), ``complete``; ``path(sid)`` replays the tree
+    from the root.
     """
 
     def __init__(self, root: Seed, caps: ExploreCaps | None = None):
@@ -209,7 +206,7 @@ class PatternAtlas:
         self.cluster_to_seed: dict[Cluster, int] = {}
         self.edges: dict[tuple[int, int], int] = {}
         self.tree: list[tuple[int, int] | None] = []
-        self._seed_keys: dict[tuple, int] = {}
+        self._class_keys: list[tuple] = []  # by seed id; see the module
         self._expand_cache: dict[Cluster, dict[int, LaurentPoly]] = {}
         self._d_vectors: dict[Cluster, tuple[tuple[int, ...], ...]] = {}
         # Hosts expanded by exchanges, by a shape that position permutations
@@ -236,13 +233,11 @@ class PatternAtlas:
         # key: ``_class_key`` of ids, B and y.
         sid = len(self.seeds)
         self.tree.append(parent)
-        self._seed_keys[key] = sid
+        self._class_keys.append(key)
         self.seeds.append(seed)
         self.seed_variable_ids.append(ids)
-        cluster = key[0]
-        if cluster not in self.cluster_to_seed:
-            self.clusters.append(cluster)
-            self.cluster_to_seed[cluster] = sid
+        self.clusters.append(key[0])
+        self.cluster_to_seed[key[0]] = sid
         return sid
 
     def _explore(self) -> bool:
@@ -274,8 +269,8 @@ class PatternAtlas:
         while level:
             # The last level skips what cannot land; see the module docstring.
             faces = self._faces() if depth == caps.max_depth else None
-            # Each new class's slot, and per slot its first candidate.
-            classes: dict[tuple, int] = {}
+            # Each new class's slot by cluster, and per slot its first candidate.
+            classes: dict[Cluster, int] = {}
             firsts = []
             candidates = []
             polys = []  # the level's new polynomials, by token - _TOKEN
@@ -311,13 +306,17 @@ class PatternAtlas:
                         rows, y = mutate_rows(seed.b.rows, seed.y, k)
                     child_ids = ids[: k - 1] + (new,) + ids[k:]
                     key = _class_key(child_ids, rows, y)
-                    target = self._seed_keys.get(key)
+                    target = self.cluster_to_seed.get(key[0])
                     if target is not None:
+                        if key != self._class_keys[target]:
+                            raise _two_seeds(sid, k, target)
                         link(sid, k, target, new)
                         continue
-                    slot = classes.setdefault(key, len(firsts))
+                    slot = classes.setdefault(key[0], len(firsts))
                     if slot == len(firsts):
                         firsts.append((child_ids, rows, y, key, sid, k))
+                    elif key != firsts[slot][3]:
+                        raise _two_seeds(sid, k, *firsts[slot][4:])
                     candidates.append((slot, new, sid, k, given))
             if not firsts:
                 break
@@ -593,20 +592,15 @@ class PatternAtlas:
         clusters reachable over stored edges, so a negative answer only
         means "not found within caps".
 
-        Only the first exact seed per (stored seed, cluster) is stepped: a
-        later one keeps x_j at position j off I too, so it is the first under
-        a permutation pi of I, and its direction k is the first's pi(k), over
-        the same stored edges.  So the answer, in order, is that of a walk
-        stepping every exact seed.
+        Only the first exact seed per cluster is stepped: a later one is of
+        the stored seed the cluster names, with x_j at position j off I, so
+        it is the first under a permutation pi of I, over the same edges.
         """
         key = frozenset(subset)
         if any(not 1 <= i <= self.n for i in key):
             raise ValueError(f"directions {sorted(key)} out of range 1..{self.n}")
-        root = (0, self.seed_variable_ids[0])
-        cluster = tuple(sorted(root[1]))
-        out = {cluster: root[1]}
-        seen = {(0, cluster)}
-        frontier = [root]
+        out = {self.clusters[0]: self.seed_variable_ids[0]}
+        frontier = [(0, self.seed_variable_ids[0])]
         directions = sorted(key)
         while frontier:
             nxt = []
@@ -616,11 +610,9 @@ class PatternAtlas:
                     if child is None:
                         continue
                     cluster = tuple(sorted(child[1]))
-                    if (child[0], cluster) in seen:
-                        continue
-                    seen.add((child[0], cluster))
-                    out.setdefault(cluster, child[1])
-                    nxt.append(child)
+                    if cluster not in out:
+                        out[cluster] = child[1]
+                        nxt.append(child)
             frontier = nxt
         return out
 
@@ -704,6 +696,14 @@ def _broken_edge(sid: int, k: int) -> RuntimeError:
     return RuntimeError(
         f"the edge table is broken: seed {sid} in direction {k} does not "
         f"exchange one variable"
+    )
+
+
+def _two_seeds(sid: int, k: int, other: int, j: int | None = None) -> RuntimeError:
+    child = "" if j is None else f" mutated in direction {j}"  # other's child
+    return RuntimeError(
+        f"seed {sid} mutated in direction {k} and seed {other}{child} share a "
+        f"cluster but are different seeds; a seed should be determined by its cluster"
     )
 
 

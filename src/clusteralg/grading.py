@@ -11,11 +11,15 @@ A g-pair check along a direction subset I asks, for every variable of a
 cluster t, whether some monomial on an I-connected cluster t' supported
 on I has the same projection to the I coordinates of the grading.  The
 off-I columns of the G-matrix of t' are unit vectors (asserted at
-runtime), so the projected system reduces to the I x I block.  G-matrices
-have determinant ±1 (Nakanishi-Zelevinsky, "On tropical dualities in
-cluster algebras"), so the block is unimodular: it is inverted over the
-integers, and the unique, integral exponent vector of each variable only
-needs a sign check.
+runtime), so G is block triangular: the projected system reduces to the
+I x I block, whose inverse is the I x I block of G's.  Tropical duality
+(Nakanishi-Zelevinsky, "On tropical dualities in cluster algebras", 2012)
+reads it off the seed: G^T D C = D, where diag(d) = D skew-symmetrizes
+the root matrix and C's columns, the c-vectors, are the seed's y rows.
+So entry (r, s) of the inverse is y_r[s] d_s / d_r, y_r being the y row
+of the variable at position r.  One exact product, block times inverse,
+must give the identity, else the engine is at fault.  The unique,
+integral exponent vector of each variable then only needs a sign check.
 
 Each direction subset I gets one cone index, kept in ``atlas.derived``: the
 I-connected clusters in ascending order, and per variable the set, as the
@@ -34,6 +38,7 @@ from typing import Iterable, Sequence
 from .atlas import Cluster, IncompleteAtlasError, PatternAtlas, format_cluster
 from .laurent import GradedDegree
 from .reports import VerificationReport
+from .seed import find_skew_symmetrizer
 
 
 class NotPrincipalError(ValueError):
@@ -56,34 +61,28 @@ def g_vector(v: int, atlas: PatternAtlas) -> GradedDegree:
     """Graded degree of a variable's root expansion."""
     _require_principal(atlas)
     cache = atlas.derived.setdefault("g_vectors", {})
-    got = cache.get(v)
+    if v not in cache:
+        cache[v] = atlas.expansion(v).homogeneous_degree(atlas.root.b.rows)
+    return cache[v]
+
+
+def _duality(atlas: PatternAtlas) -> tuple[list[GradedDegree], tuple[int, ...]]:
+    """Every variable's g-vector by id, and the root's symmetrizer d, listed
+    once per atlas for the cone indexes."""
+    got = atlas.derived.get("duality")
     if got is None:
-        got = atlas.expansion(v).homogeneous_degree(atlas.root.b.rows)
-        cache[v] = got
+        gs = [g_vector(v, atlas) for v in range(len(atlas.variables))]
+        got = atlas.derived["duality"] = gs, find_skew_symmetrizer(atlas.root.b.rows)
     return got
-
-
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
 
 
 def _invert_i_block(
     ids: Sequence[int], I: tuple[int, ...], atlas: PatternAtlas
 ) -> list[list[int]]:
+    """The inverse of the G-matrix I-block of the exact seed ids; see the module."""
     n = atlas.n
-    cols = [g_vector(v, atlas) for v in ids]
+    gs, d = _duality(atlas)
+    cols = [gs[v] for v in ids]
     for pos in range(n):
         # Positions never mutated along an I-walk still hold root
         # variables, so their columns must be unit vectors.
@@ -92,20 +91,21 @@ def _invert_i_block(
                 f"expected a unit g-vector at position {pos + 1} of an "
                 f"I-connected seed; the grading engine is inconsistent"
             )
-    block = [[cols[j - 1][i - 1] for j in I] for i in I]
-    det = _det(block)
-    if det not in (1, -1):
-        raise RuntimeError(
-            f"I-block of a G-matrix has determinant {det}; it must be ±1"
-        )
-    return [  # det times the adjugate, as det is ±1
-        [
-            det * (-1) ** (r + c)
-            * _det([row[:r] + row[r + 1:] for i, row in enumerate(block) if i != c])
-            for c in range(len(I))
-        ]
-        for r in range(len(I))
+    # The stored seed of the cluster holds the same y rows, by variable.
+    sid = atlas.cluster_to_seed[tuple(sorted(ids))]
+    held, y = atlas.seed_variable_ids[sid], atlas.seeds[sid].y
+    inverse = [
+        [y[held.index(ids[r - 1])][s - 1] * d[s - 1] // d[r - 1] for s in I]
+        for r in I
     ]
+    block = [[cols[j - 1][i - 1] for j in I] for i in I]
+    identity = [[int(r == s) for s in I] for r in I]
+    if [[sum(map(mul, row, col)) for col in zip(*inverse)] for row in block] != identity:
+        raise RuntimeError(
+            f"the c-vectors of seed {sid} along {list(I)} do not invert its G-matrix "
+            f"block; tropical duality fails, so the grading engine is inconsistent"
+        )
+    return inverse
 
 
 def _cones(I: tuple[int, ...], atlas: PatternAtlas) -> tuple[list, list[int]]:
@@ -116,8 +116,7 @@ def _cones(I: tuple[int, ...], atlas: PatternAtlas) -> tuple[list, list[int]]:
         reach = atlas.i_reachable(I)
         clusters = sorted(reach)
         inverses = [_invert_i_block(reach[c], I, atlas) for c in clusters]
-        gs = [g_vector(v, atlas) for v in range(len(atlas.variables))]
-        rhss = [[g[i - 1] for i in I] for g in gs]
+        rhss = [[g[i - 1] for i in I] for g in _duality(atlas)[0]]
         cones = [0] * len(rhss)
         for j, inverse in enumerate(inverses):
             bit = 1 << j

@@ -713,9 +713,10 @@ class TestClosures:
             assert exchange(other, 1) != exchange(base, 1)
 
     def test_a_broken_involution_is_an_engine_fault(self, monkeypatch):
-        # Seed (2,) mutated in direction 1 lands one step too far, so an edge
-        # computed from one end disagrees with the reverse derived from the
-        # other.
+        # Seed (2,) mutated in direction 1 lands one step too far: on the
+        # right cluster, as the step changes another position, with B negated.
+        # That second seed on a stored cluster is the fault reported, naming
+        # both seeds; the reverse edge it would contradict is never derived.
         original = clusteralg.atlas.mutate
         root = root_seed(ExchangeMatrix(A2_ROWS), "trivial")
         seed_2 = original(root, 2)
@@ -725,8 +726,34 @@ class TestClosures:
             return original(child, 3 - k) if seed.x == seed_2.x and k == 1 else child
 
         monkeypatch.setattr(clusteralg.atlas, "mutate", broken)
-        with pytest.raises(RuntimeError, match="involution"):
+        with pytest.raises(
+            RuntimeError,
+            match=r"^seed 3 mutated in direction 1 and seed 4 share a cluster "
+            r"but are different seeds",
+        ):
             explore(root)
+
+    def test_two_seeds_on_one_new_cluster_are_an_engine_fault(self, monkeypatch):
+        # A3: the children of the seeds along 1 and along 3, in directions 3
+        # and 1, are one level's new classes, on one cluster.  The second
+        # child's exchange is a memo hit, so only B and y are mutated, and B
+        # is negated, which no position permutation undoes.
+        original = clusteralg.atlas.mutate_rows
+        parent = mutate(root_seed(ExchangeMatrix(A3_ROWS), "trivial"), 3)
+
+        def broken(rows, y, k):
+            got, y = original(rows, y, k)
+            if rows == parent.b.rows and k == 1:
+                got = tuple(tuple(-e for e in row) for row in got)
+            return got, y
+
+        monkeypatch.setattr(clusteralg.atlas, "mutate_rows", broken)
+        with pytest.raises(
+            RuntimeError,
+            match=r"^seed 3 mutated in direction 1 and seed 1 mutated in direction 3 "
+            r"share a cluster but are different seeds",
+        ):
+            explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
 
     @pytest.mark.parametrize(
         "rows, coefficients, caps",
@@ -750,7 +777,8 @@ class TestClosures:
         for sid, seed in enumerate(atlas.seeds):
             assert canonical_seed_key(seed) == entrywise_canonical_seed_key(seed)
             key = _class_key(atlas.seed_variable_ids[sid], seed.b.rows, seed.y)
-            assert atlas._seed_keys[key] == sid
+            assert atlas._class_keys[sid] == key
+            assert atlas.cluster_to_seed[key[0]] == sid
 
     @pytest.mark.parametrize(
         "rows, caps",
@@ -783,16 +811,16 @@ class TestClosures:
         assert met_twice
 
     def test_level_order_sorts_as_keys_over_ranks(self):
-        # Synthetic classes, (ids, rows, y): a few clusters, some shared by
-        # classes that differ in B or y, listed out of their key order.
+        # Synthetic classes, (ids, rows, y), on distinct clusters as a
+        # level's classes are, listed out of their key order.
         rng = random.Random(20)
         labels = list(range(6)) + [_TOKEN, _TOKEN + 1]
         rank = dict(zip(labels, rng.sample(range(len(labels)), len(labels))))
-        clusters = [rng.sample(labels, 3) for _ in range(5)]
+        clusters = list(combinations(labels, 3))
         for _ in range(40):
             classes = []
-            for _ in range(rng.randint(2, 8)):
-                ids = tuple(rng.sample(rng.choice(clusters), 3))
+            for cluster in rng.sample(clusters, rng.randint(2, 8)):
+                ids = tuple(rng.sample(cluster, 3))
                 rows = tuple(tuple(rng.randint(-2, 2) for _ in ids) for _ in ids)
                 y = tuple((rng.randint(-1, 1),) for _ in ids)
                 classes.append((ids, rows, y))
@@ -803,42 +831,6 @@ class TestClosures:
                 ),
             )
             assert _level_order(classes, rank.__getitem__) == expected
-        # Two classes on one cluster, the first with the larger whole key.
-        ids = (0, 1, _TOKEN)
-        shared = [(ids, ((0, 1, 0), (-1, 0, 1), (0, -1, 0)), ((0,), (0,), (0,)))]
-        shared.append((ids, ((0, -1, 0), (1, 0, -1), (0, 1, 0)), ((0,), (0,), (0,))))
-        shared.append(((2, 3, 4), shared[0][1], shared[0][2]))
-        rank = dict(zip((0, 1, 2, 3, 4, _TOKEN), (3, 4, 0, 1, 2, 5)))
-        assert _level_order(shared, rank.__getitem__) == [2, 1, 0]
-
-    @pytest.mark.parametrize(
-        "rows, coefficients, caps",
-        [
-            (matrix("A", 6), "trivial", ExploreCaps()),
-            (D5_ROWS, "trivial", ExploreCaps()),
-            (A4_ROWS, "principal", ExploreCaps(max_seeds=20)),
-            (KRONECKER_2_ROWS, "principal", ExploreCaps(max_depth=11)),
-        ],
-    )
-    def test_levels_sorted_by_whole_keys_give_the_same_atlas(
-        self, rows, coefficients, caps, monkeypatch
-    ):
-        # No level of these shares a cluster between two classes, so the
-        # fallback is forced: each level gets one more class, a copy of its
-        # first, which shares that class's cluster and is then dropped.
-        root = root_seed(ExchangeMatrix(rows), coefficients)
-        expected = explore(root, caps).to_json()
-        original = clusteralg.atlas._level_order
-        forced = []
-
-        def with_a_shared_cluster(classes, rank):
-            forced.append(len(classes))
-            order = original(classes + classes[:1], rank)
-            return [slot for slot in order if slot < len(classes)]
-
-        monkeypatch.setattr(clusteralg.atlas, "_level_order", with_a_shared_cluster)
-        assert explore(root, caps).to_json() == expected
-        assert forced
 
     def test_exploring_a_mutated_root_gives_the_same_pattern(self, a2_trivial):
         moved = mutate_path(a2_trivial.root, [1])

@@ -9,7 +9,9 @@ import json
 
 import pytest
 
+import clusteralg.atlas
 import clusteralg.cli
+import clusteralg.grading
 import clusteralg.laurent
 from clusteralg import VerificationReport
 from clusteralg.cli import main
@@ -398,6 +400,41 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err.startswith("engine fault: ")
         assert fault in captured.err
+
+    def test_two_seeds_on_one_cluster_are_an_engine_fault(
+        self, seeds, capsys, monkeypatch
+    ):
+        # Every memo hit's child has B negated: the first lands on a stored
+        # cluster with a second seed.
+        mutate_rows = clusteralg.atlas.mutate_rows
+
+        def negated(rows, y, k):
+            got, y = mutate_rows(rows, y, k)
+            return tuple(tuple(-e for e in row) for row in got), y
+
+        monkeypatch.setattr(clusteralg.atlas, "mutate_rows", negated)
+        assert main(["explore", "--seed", seeds["a4"]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "engine fault: seed 14 mutated in direction 2 and seed 16 share a "
+            "cluster but are different seeds; a seed should be determined by "
+            "its cluster\n"
+        )
+
+    def test_a_wrong_symmetrizer_fails_the_duality_check(
+        self, seeds, capsys, monkeypatch
+    ):
+        # C2's symmetrizer is (1, 2); swapped, the inverse read off the
+        # c-vectors is wrong wherever they mix both directions.
+        monkeypatch.setattr(
+            clusteralg.grading, "find_skew_symmetrizer", lambda rows: (2, 1)
+        )
+        assert main(["verify", "g-pairs", "--seed", seeds["c2p"]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("engine fault: the c-vectors of seed ")
+        assert captured.err.count("\n") == 1
 
     def test_broken_edge_table_is_an_engine_fault(self, seeds, capsys, monkeypatch):
         explore = clusteralg.cli.explore

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import prod
+from math import lcm, prod
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import clusteralg.grading
 from clusteralg import (
@@ -17,6 +16,7 @@ from clusteralg import (
     IncompleteAtlasError,
     LaurentPoly,
     NotPrincipalError,
+    Seed,
     check_g_pair,
     explore,
     find_g_pair,
@@ -25,6 +25,7 @@ from clusteralg import (
     root_seed,
     verify_g_pairs,
 )
+from clusteralg.catalogue import matrix
 from conftest import A2_ROWS, A3_ROWS, B3_ROWS, C3_ROWS, KRONECKER_2_ROWS
 
 A2_G_VECTORS = [(1, 0), (0, 1), (-1, 1), (0, -1), (-1, 0)]
@@ -46,6 +47,18 @@ def g_matrix_det(cluster, atlas):
     g-vectors of its variables: that of its transpose, the g-vectors as
     rows."""
     return leibniz_det([g_vector(v, atlas) for v in cluster])
+
+
+def symmetrizer(rows):
+    """The least positive integers d with d_i b_ij = -d_j b_ji, by spreading
+    ratios along the nonzero entries of a connected matrix."""
+    d = {0: Fraction(1)}
+    while len(d) < len(rows):
+        for i, j in product(list(d), range(len(rows))):
+            if rows[i][j] and j not in d:
+                d[j] = d[i] * rows[i][j] / -rows[j][i]
+    scale = lcm(*(r.denominator for r in d.values()))
+    return [int(d[i] * scale) for i in range(len(rows))]
 
 
 def patch_reachable(monkeypatch, atlas, subset, reach):
@@ -150,19 +163,42 @@ class TestGMatrices:
             for c in atlas.clusters:
                 assert g_matrix_det(c, atlas) in (-1, 1)
 
-    # Sizes 0 to 5, so every base case of the cofactor expansion and three
-    # levels of recursion above them are compared.
-    @given(
-        st.integers(0, 5).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(-4, 4), min_size=n, max_size=n),
-                min_size=n,
-                max_size=n,
-            )
-        )
+    @pytest.mark.parametrize(
+        "rows, depth",
+        [
+            (matrix("A", 4), 64),
+            (matrix("B", 3), 64),
+            (matrix("C", 3), 64),
+            (matrix("G", 2), 64),
+            (matrix("F", 4), 64),
+            (matrix("D", 5), 64),
+            (matrix("E", 6), 64),
+            (matrix("Kronecker", 2), 10),
+            (matrix("Kronecker", 3), 4),
+            (matrix("Markov"), 3),
+        ],
+        ids=["A4", "B3", "C3", "G2", "F4", "D5", "E6", "K2", "K3", "Markov"],
     )
-    def test_cofactor_determinant_matches_leibniz(self, rows):
-        assert clusteralg.grading._det(rows) == leibniz_det(rows)
+    def test_tropical_duality_on_every_seed(self, rows, depth):
+        # Nakanishi-Zelevinsky: G_t^T D C_t = D on every seed t, where the
+        # columns of G_t are the g-vectors of t's variables by position and
+        # those of C_t the c-vectors, t's y rows; each c-vector is
+        # sign-coherent.  The g-pair sweep inverts G-blocks by this.
+        root = root_seed(ExchangeMatrix(rows), "principal")
+        atlas = explore(root, ExploreCaps(max_depth=depth))
+        n, d = atlas.n, symmetrizer(rows)
+        for i, j in product(range(n), repeat=2):
+            assert d[i] * rows[i][j] == -d[j] * rows[j][i]
+        for seed, ids in zip(atlas.seeds, atlas.seed_variable_ids):
+            gs = [g_vector(v, atlas) for v in ids]
+            gtdc = [
+                [sum(gs[a][i] * d[i] * c[i] for i in range(n)) for c in seed.y]
+                for a in range(n)
+            ]
+            assert gtdc == [[d[a] * (a == b) for b in range(n)] for a in range(n)]
+            for c in seed.y:
+                assert all(e >= 0 for e in c) or all(e <= 0 for e in c)
+                assert any(c)
 
 
 # ----------------------------------------------------------------------
@@ -304,6 +340,33 @@ class TestGPairs:
             for I in combinations(range(1, atlas.n + 1), size)
         )
         assert len(inversions) == len(set(inversions)) == connected == 35
+
+    @pytest.mark.parametrize(
+        "rows, variables", [(A3_ROWS, 9), (B3_ROWS, 12), (C3_ROWS, 12)]
+    )
+    def test_sweep_lists_each_g_vector_once(self, monkeypatch, rows, variables):
+        calls = []
+        original = clusteralg.grading.g_vector
+
+        def counted(v, atlas):
+            calls.append(v)
+            return original(v, atlas)
+
+        monkeypatch.setattr(clusteralg.grading, "g_vector", counted)
+        atlas = explore(root_seed(ExchangeMatrix(rows), "principal"))
+        assert verify_g_pairs(atlas).resolve_status() == "pass"
+        assert len(atlas.variables) == variables
+        assert sorted(calls) == list(range(variables))
+
+    def test_a_wrong_c_vector_fails_the_duality_check(self):
+        # One stored seed's first y row negated: its G-block inverse, read
+        # off the c-vectors, no longer passes the product check.
+        atlas = explore(root_seed(ExchangeMatrix(B3_ROWS), "principal"))
+        seed = atlas.seeds[5]
+        y = (tuple(-e for e in seed.y[0]),) + seed.y[1:]
+        atlas.seeds[5] = Seed(seed.b, y, seed.x)
+        with pytest.raises(RuntimeError, match="^the c-vectors of seed 5 along "):
+            verify_g_pairs(atlas)
 
     def test_sweep_requires_principal_and_complete(self, a2_trivial):
         with pytest.raises(NotPrincipalError):
