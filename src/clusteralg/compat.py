@@ -5,14 +5,15 @@ componentwise minimum of the x exponents over its Laurent expansion in
 that cluster's coordinates.  The compatibility degree d(x, z) reads the
 x coordinate of z's d-vector in any cluster containing x; the choice of
 cluster does not matter, which is one of the verified properties rather
-than an assumption, so the degree matrix reads the first containing
-cluster in atlas order.  The degree-properties sweep compares every
-choice a row at a time: it reads each cluster's kept d-vector table once,
-as one degree row per variable of the cluster (that variable's coordinate
-in every entry), and a variable's rows from all its clusters must be equal.
-Each property is then checked a row at a time, against the row, its column
-and the variables sharing a cluster with it, and pairs are scanned only in
-the first row that fails, for the report.
+than an assumption, so the degree matrix reads its rows off a greedy
+cover of the variables by stored clusters, one table per covering cluster,
+and few tables are expanded, served or permuted.  The degree-properties
+sweep compares every choice a row at a time: it reads each cluster's kept
+d-vector table once, as one degree row per variable of the cluster (that
+variable's coordinate in every entry), and a variable's rows from all its
+clusters must be equal.  Each property is then checked a row at a time,
+against the row, its column and the variables sharing a cluster with it,
+and pairs are scanned only in the first row that fails, for the report.
 
 Two variables are d-compatible when the degree is <= 0.  Maximal
 d-compatible sets are maximal cliques of that relation, enumerated
@@ -40,12 +41,26 @@ def d_vector(v: int, cluster: Iterable[int], atlas: PatternAtlas) -> DVector:
 def compatibility_matrix(atlas: PatternAtlas) -> list[list[int]]:
     """Full degree matrix; entry [j][i] is the degree of (var j, var i).
 
-    Row j reads the first cluster through j in atlas order, and each
-    distinct first cluster's d-vector table is read once.
+    Row j reads its host's d-vector table, each host's once.  The hosts
+    cover the variables greedily: each variable in id order with no host
+    yet takes the first cluster through it, in discovery order, that holds
+    the most variables with no host, and that cluster hosts all of them.
+    Any cluster through j gives row j, since the degree does not depend on
+    the cluster read; degree-properties checks that over every cluster.
     """
     if not atlas.complete:
         raise IncompleteAtlasError("degree matrix needs a complete atlas")
-    hosts = [atlas.clusters_containing(j)[0] for j in range(len(atlas.variables))]
+    count = len(atlas.variables)
+    hosts: list = [None] * count
+    for j in range(count):
+        if hosts[j] is None:
+            c = max(
+                atlas.clusters_containing(j),
+                key=lambda through: sum(hosts[u] is None for u in through),
+            )
+            for u in c:
+                if hosts[u] is None:
+                    hosts[u] = c
     tables = {c: atlas.d_vectors(c) for c in dict.fromkeys(hosts)}
     return [[d[c.index(j)] for d in tables[c]] for j, c in enumerate(hosts)]
 

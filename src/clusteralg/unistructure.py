@@ -382,7 +382,7 @@ def verify_unistructural(a1: PatternAtlas, a2: PatternAtlas) -> VerificationRepo
     # Both graphs are read off the mutation edges, not the clusters, so they
     # can differ when the cluster sets agree.
     difference = graph_difference(
-        _edge_graph(a1, range(len(a1.variables))), _edge_graph(a2, mapping)
+        _edge_graph(a1), _edge_graph(a2, mapping)
     )
     report.add_check("exchange-graphs-equal", not difference, difference)
 
@@ -406,13 +406,16 @@ def verify_unistructural(a1: PatternAtlas, a2: PatternAtlas) -> VerificationRepo
 
 
 def _edge_graph(
-    atlas: PatternAtlas, rename: Sequence[int] | dict[int, int]
+    atlas: PatternAtlas, rename: dict[int, int] | None = None
 ) -> ExchangeGraph:
-    """The exchange graph of an atlas's mutation edges, its variable v
-    written rename[v]: each stored seed's cluster is mapped once."""
-    c = [tuple(sorted(rename[v] for v in ids)) for ids in atlas.seed_variable_ids]
+    """The exchange graph of an atlas's mutation edges, on its stored
+    clusters (distinct, one per seed), or with its variable v written
+    rename[v]: then each stored cluster is mapped once."""
+    c = atlas.clusters
+    if rename is not None:
+        c = [tuple(sorted(rename[v] for v in ids)) for ids in c]
     edges = {tuple(sorted((c[s], c[t]))) for (s, _), t in atlas.edges.items()}
-    return ExchangeGraph(tuple(set(c)), tuple(edges))
+    return ExchangeGraph(tuple(c), tuple(edges))
 
 
 def _find_identification(
@@ -443,7 +446,7 @@ def _find_identification(
     for sid, perm in anchors:
         tried += 1
         ids = [a1.seed_variable_ids[sid][i] for i in perm]
-        c = tuple(sorted(ids))
+        c = a1.clusters[sid]
         order = [c.index(v) for v in ids]
         first: dict[LaurentPoly, int] = {}
         for v1 in range(count):

@@ -53,6 +53,21 @@ def corrupt_first_edge(atlas):
     )
 
 
+def misdirect_reverse_edges(monkeypatch):
+    """From here on, point each new seed's edge back along its tree edge at
+    the seed stored before it: right for seed 1, made from the root, and a
+    wrong seed once the parent is not the seed stored just before."""
+    store = clusteralg.atlas.PatternAtlas._store_seed
+
+    def misdirected(atlas, seed, ids, parent, key):
+        sid = store(atlas, seed, ids, parent, key)
+        if parent is not None:
+            atlas.edges[sid, parent[1]] = sid - 1
+        return sid
+
+    monkeypatch.setattr(clusteralg.atlas.PatternAtlas, "_store_seed", misdirected)
+
+
 @pytest.fixture(scope="session")
 def a2_trivial():
     return explore(root_seed(ExchangeMatrix(A2_ROWS), "trivial"))

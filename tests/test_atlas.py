@@ -52,6 +52,7 @@ from conftest import (
     MARKOV_ROWS,
     corrupt_first_edge,
     count_mutations,
+    misdirect_reverse_edges,
 )
 
 
@@ -732,6 +733,19 @@ class TestClosures:
             r"but are different seeds",
         ):
             explore(root)
+
+    def test_a_reverse_edge_that_is_not_the_parent_is_an_engine_fault(
+        self, monkeypatch
+    ):
+        # Seed 2, which the root's edge in direction 2 reaches, has its edge
+        # back pointed at seed 1.
+        misdirect_reverse_edges(monkeypatch)
+        with pytest.raises(
+            RuntimeError,
+            match=r"^seed 2 in direction 2 reaches seed 1, but mutation is an "
+            r"involution and seed 0 in direction 2 reaches seed 2$",
+        ):
+            explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
 
     def test_two_seeds_on_one_new_cluster_are_an_engine_fault(self, monkeypatch):
         # A3: the children of the seeds along 1 and along 3, in directions 3

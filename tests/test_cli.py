@@ -29,6 +29,7 @@ from conftest import (
     KRONECKER_3_ROWS,
     MARKOV_ROWS,
     corrupt_first_edge,
+    misdirect_reverse_edges,
 )
 
 # A4 mutated along directions 2 then 3.
@@ -44,6 +45,7 @@ def seeds(tmp_path):
     for name, rows, coefficients in [
         ("a2", A2_ROWS, "trivial"),
         ("a2p", A2_ROWS, "principal"),
+        ("a3", A3_ROWS, "trivial"),
         ("a3p", A3_ROWS, "principal"),
         ("c2p", C2_ROWS, "principal"),
         ("a4", A4_ROWS, "trivial"),
@@ -420,6 +422,18 @@ class TestErrorHandling:
             "engine fault: seed 14 mutated in direction 2 and seed 16 share a "
             "cluster but are different seeds; a seed should be determined by "
             "its cluster\n"
+        )
+
+    def test_a_reverse_edge_that_is_not_the_parent_is_an_engine_fault(
+        self, seeds, capsys, monkeypatch
+    ):
+        misdirect_reverse_edges(monkeypatch)
+        assert main(["explore", "--seed", seeds["a3"]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "engine fault: seed 2 in direction 2 reaches seed 1, but mutation "
+            "is an involution and seed 0 in direction 2 reaches seed 2\n"
         )
 
     def test_a_wrong_symmetrizer_fails_the_duality_check(

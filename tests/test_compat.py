@@ -341,12 +341,13 @@ class TestVerification:
         assert reads == atlas.clusters
         assert len(expansions) == len(set(expansions)) == expanded
 
-    @pytest.mark.parametrize("rows, reads", [(A4_ROWS, 11), (D4_ROWS, 13)])
-    def test_degree_matrix_reads_each_first_cluster_table_once(
+    @pytest.mark.parametrize("rows, reads", [(A4_ROWS, 5), (D4_ROWS, 4)])
+    def test_degree_matrix_reads_each_cover_table_once(
         self, monkeypatch, rows, reads
     ):
-        # One table read per distinct first cluster through a variable: 11
-        # of A4's 14 variables' first clusters are distinct, 13 of D4's 16.
+        # One table read per cluster of the greedy cover: 5 clusters host
+        # A4's 14 variables, 4 host D4's 16.  The entries still equal the
+        # reference's, read at each variable's first cluster.
         atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
         count = len(atlas.variables)
         want = [
@@ -363,6 +364,41 @@ class TestVerification:
         monkeypatch.setattr(PatternAtlas, "d_vectors", counted)
         assert compatibility_matrix(atlas) == want
         assert len(calls) == len(set(calls)) == reads
+
+    @pytest.mark.parametrize("coefficients", ["trivial", "principal"])
+    @pytest.mark.parametrize(
+        "rows",
+        [A3_ROWS, A4_ROWS, B3_ROWS, C3_ROWS, D4_ROWS, D5_ROWS],
+        ids=["A3", "A4", "B3", "C3", "D4", "D5"],
+    )
+    def test_degree_matrix_rows_come_from_tables_holding_them(
+        self, monkeypatch, rows, coefficients
+    ):
+        # Each row is read whole from one table, at a cluster holding the
+        # row's variable, and every table read serves a row.
+        atlas = explore(root_seed(ExchangeMatrix(rows), coefficients))
+        count = len(atlas.variables)
+        want = [
+            [compatibility_degree(j, i, atlas) for i in range(count)]
+            for j in range(count)
+        ]
+        assert compatibility_matrix(atlas) == want
+        reads = []
+
+        def tagged(atlas, cluster):
+            # Entry i's coordinate at position p names the cluster and c[p].
+            c = tuple(cluster)
+            reads.append(c)
+            return tuple(tuple((c, u) for u in c) for _ in range(count))
+
+        monkeypatch.setattr(PatternAtlas, "d_vectors", tagged)
+        served = {}
+        for j, row in enumerate(compatibility_matrix(atlas)):
+            ((c, u),) = set(row)
+            assert u == j and c in atlas.cluster_to_seed
+            served.setdefault(c, []).append(j)
+        assert len(reads) == len(set(reads)) == len(served)
+        assert set(reads) == set(served)
 
     @pytest.mark.parametrize(
         "rows", [A3_ROWS, A4_ROWS, B3_ROWS, C3_ROWS, D4_ROWS, D5_ROWS]

@@ -32,9 +32,9 @@ from clusteralg import (
     verify_unistructural,
     witness_sweep,
 )
-from clusteralg.atlas import format_cluster, matching_permutations
+from clusteralg.atlas import format_cluster, graph_difference, matching_permutations
 from clusteralg.reports import VerificationReport
-from clusteralg.unistructure import _find_identification, _witness_terms
+from clusteralg.unistructure import _edge_graph, _find_identification, _witness_terms
 from conftest import (
     A2_ROWS,
     A3_ROWS,
@@ -605,21 +605,20 @@ class TestVerifyUnistructural:
         assert report.resolve_status() == "pass"
 
     # Both graphs come from their atlases' mutation edges, so an edge that
-    # exchanges two variables shows although the clusters agree.
+    # exchanges two variables shows although the clusters agree.  The
+    # degree matrix's walk to a host crosses that edge first, so the suite
+    # stops there, as an engine fault.
     @pytest.mark.parametrize("which", ["first", "second"])
-    def test_corrupted_atlas_fails_the_graph_check(self, a3_trivial, which):
+    def test_corrupted_atlas_is_an_engine_fault(self, a3_trivial, which):
         broken = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
         corrupt_first_edge(broken)
         atlases = (broken, a3_trivial) if which == "first" else (a3_trivial, broken)
-        report = verify_unistructural(*atlases)
-        assert report.resolve_status() == "fail"
-        assert [(c.name, c.passed) for c in report.checks] == [
-            ("identification", True),
-            ("cluster-sets-equal", True),
-            ("exchange-graphs-equal", False),
-            ("compat-matrices-equal", True),
-        ]
-        assert report.checks[2].detail == (
+        with pytest.raises(
+            RuntimeError, match="edge table is broken: seed 0 in direction 1 "
+        ):
+            verify_unistructural(*atlases)
+        first, second = atlases
+        assert graph_difference(_edge_graph(first), _edge_graph(second)) == (
             f"edge {{0,1,2}} -- {{2,3,6}} only in {which} graph"
         )
 
