@@ -23,6 +23,7 @@ stored clusters.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable
 
 from .atlas import IncompleteAtlasError, PatternAtlas, format_cluster
@@ -135,57 +136,40 @@ def verify_degree_properties(atlas: PatternAtlas) -> VerificationReport:
     report.add_check("choice-independence", not spread, detail)
     columns = list(zip(*rows))
     shared = [set().union(*atlas.clusters_containing(j)) for j in range(count)]
-    apart = [set(range(count)).difference(s) for s in shared]
-    near = [s - {j} for j, s in enumerate(shared)]
-
-    def exactly(degrees: tuple[int, ...], value: int, at: set[int]) -> bool:
-        # value at the indexes in at, and nowhere else.
-        return degrees.count(value) == len(at) and all(
-            map(value.__eq__, map(degrees.__getitem__, at))
-        )
-
-    def splits(degrees: tuple[int, ...], j: int) -> bool:
-        # Nonpositive exactly at the variables sharing a cluster with j.
-        at = degrees.__getitem__
-        return max(map(at, shared[j])) <= 0 < min(map(at, apart[j]), default=1)
-
+    everyone = range(count)
+    # Each property: the degrees it marks, the variables row j must mark,
+    # and whether column j must mark them too.  The wanted relation is
+    # symmetric in j and i, so a row's first failing pair is the first i
+    # where row j or column j differs from it.
     cases = [
-        (
-            "self-degree",
-            lambda j: exactly(rows[j], -1, {j}) and exactly(columns[j], -1, {j}),
-            lambda j, i: (rows[j][i] == -1) == (j == i)
-            and (rows[j][i] == -1) == (rows[i][j] == -1),
-        ),
-        (
-            "zero-iff-shared-cluster",
-            lambda j: exactly(rows[j], 0, near[j]) and exactly(columns[j], 0, near[j]),
-            lambda j, i: (rows[j][i] == 0) == (j != i and i in shared[j])
-            and (rows[j][i] == 0) == (rows[i][j] == 0),
-        ),
-        (
-            "compatible-iff-shared-cluster",
-            lambda j: splits(rows[j], j),
-            lambda j, i: (rows[j][i] <= 0) == (i in shared[j]),
-        ),
+        ("self-degree", (-1).__eq__, lambda j: {j}, True),
+        ("zero-iff-shared-cluster", (0).__eq__, lambda j: shared[j] - {j}, True),
+        ("compatible-iff-shared-cluster", (0).__ge__, shared.__getitem__, False),
         (
             "positive-iff-no-shared-cluster",
-            lambda j: splits(rows[j], j) and splits(columns[j], j),
-            lambda j, i: (rows[j][i] > 0) == (i not in shared[j])
-            and (rows[j][i] > 0) == (rows[i][j] > 0),
+            (0).__lt__,
+            lambda j: set(everyone).difference(shared[j]),
+            True,
         ),
     ]
-    for name, row_holds, pair_holds in cases:
-        # Each row holds exactly when the predicate holds at all its pairs,
-        # so pairs are scanned only in the first row that fails.
-        j = next((j for j in range(count) if not row_holds(j)), None)
+    for name, marks, wanted, with_column in cases:
+        lines = (rows, columns) if with_column else (rows,)
         detail = ""
-        if j is not None:
-            i = next(i for i in range(count) if not pair_holds(j, i))
-            detail = (
-                f"pair ({j}, {i}): degree {rows[j][i]}, reverse "
-                f"{rows[i][j]}, shared cluster {i in shared[j]}"
-            )
-        report.add_check(name, j is None, detail)
+        for j in everyone:
+            want = wanted(j)
+            if any(
+                set(compress(everyone, map(marks, line[j]))) != want for line in lines
+            ):
+                i = next(
+                    i for i in everyone
+                    if any(marks(line[j][i]) != (i in want) for line in lines)
+                )
+                detail = (
+                    f"pair ({j}, {i}): degree {rows[j][i]}, reverse "
+                    f"{rows[i][j]}, shared cluster {i in shared[j]}"
+                )
+                break
+        report.add_check(name, not detail, detail)
     report.add_context("ordered-pairs", str(count * count))
     report.resolve_status()
     return report

@@ -31,12 +31,11 @@ each packed once.  An exchange binomial of them, given as its two sides
 layout, and its quotient stays packed there, its tuple-keyed ``terms``
 built on first read.  Such a binomial reads its factors' packed terms and
 bounds as they are held, shifts only a side with a nonzero monomial, and
-filters zero coefficients only from a sum that has one.  Any other
-exchange is held in a layout of its own (``packed_binomial``) when its
-divisor is held or its division is large, and otherwise stays on tuple
-keys, where a division scans its remainder in place for each leading
-term: the packed threshold keeps those numerators under 128 terms, and
-below about 190 a scan beats a heap.
+filters zero coefficients only from a sum that has one.  The divisor
+alone lays out every other division: over any other divisor of two or
+more terms the numerator is held in a layout of its own
+(``packed_binomial``), and over a one-term divisor it stays on tuple keys,
+where the division is a key shift.
 """
 
 from __future__ import annotations
@@ -45,15 +44,15 @@ import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
-from operator import add, and_, lt, mul, rshift, sub
+from operator import add, and_, mul, rshift, sub
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 GradedDegree = tuple[int, ...]
 
-# An exchange binomial whose division by x_k has at least this many term
-# pairs, counted before any collapse, is held over packed integer keys.
-PACKED_PRODUCT_PAIRS = 256
+# A packed division finds each leading term by a scan below this many
+# remainder terms, where a scan beats a heap, and by a heap from there on.
+_HEAP_REMAINDER_TERMS = 128
 
 
 class NotDivisibleError(ArithmeticError):
@@ -444,14 +443,15 @@ def _packed_square(a: dict[int, int]) -> dict[int, int]:
 
 
 def _bound(p: LaurentPoly) -> int:
-    """The largest absolute exponent of p's terms, or a bound on it."""
-    if type(p) is LaurentPoly:
-        return max(map(abs, chain.from_iterable(p.terms)), default=0)
-    return p.bound
+    """The largest absolute exponent of p's terms: held, or read off its
+    terms, since a quotient's ``bound`` only bounds it."""
+    if type(p) is _HeldPoly:
+        return p.bound
+    return max(map(abs, chain.from_iterable(p.terms)), default=0)
 
 
 class _PackedPoly(LaurentPoly):
-    """A binomial or quotient over packed keys, whose tuple-keyed ``terms``
+    """A numerator or quotient over packed keys, whose tuple-keyed ``terms``
     are built on first read: ``packed`` maps keys packed by ``keys`` to
     nonzero coefficients, a quotient's largest first, and no exponent's
     absolute value exceeds ``bound``.
@@ -614,21 +614,11 @@ def binomial(
     """The sum of the products ``x^mono * f1**a1 * f2**a2 * ...``, one per
     side ``(mono, [(f1, a1), (f2, a2), ...])``, laid out for its exact
     division by ``den``: over packed keys (``packed_binomial``) when a
-    ``PackedLayout`` holds ``den``, or when the division has
-    ``PACKED_PRODUCT_PAIRS`` or more term pairs, counted before any
-    collapse: the sum over the sides of the product of ``len(f.terms) **
-    a``, times ``len(den.terms)``.  Otherwise each side is multiplied out on
-    tuple keys, its factors in order, and the sides are added.
+    ``PackedLayout`` holds ``den`` or ``den`` has two or more terms.
+    Otherwise each side is multiplied out on tuple keys, its factors in
+    order, and the sides are added.
     """
-    if type(den) is _HeldPoly:
-        return packed_binomial(n, m, sides, den)
-    pairs = 0
-    for _, factors in sides:
-        side_pairs = len(den.terms)
-        for f, a in factors:
-            side_pairs *= len(f.terms) ** a
-        pairs += side_pairs
-    if pairs >= PACKED_PRODUCT_PAIRS:
+    if type(den) is _HeldPoly or len(den.terms) > 1:
         return packed_binomial(n, m, sides, den)
     total = None
     for mono, factors in sides:
@@ -652,8 +642,8 @@ def _packed_quotient(num: _PackedPoly, den: LaurentPoly) -> _PackedPoly | None:
     has a guard bit set: their coordinates lie in ``[-2M, 2B + 4M]``, so a
     negative one borrows from the field above, setting its guard bit, or
     makes the integer negative.  The leading term comes from a scan below
-    ``PACKED_PRODUCT_PAIRS // 2`` remainder terms, where a scan beats a
-    heap, and from a heap above (Johnson 1974; Monagan and Pearce 2011).
+    ``_HEAP_REMAINDER_TERMS`` remainder terms, where a scan beats a heap,
+    and from a heap above (Johnson 1974; Monagan and Pearce 2011).
     """
     keys, den_bound = num.keys, _bound(den)
     box = num.bound + den_bound
@@ -671,7 +661,7 @@ def _packed_quotient(num: _PackedPoly, den: LaurentPoly) -> _PackedPoly | None:
     (den_lead, den_lc), *tail = divisor
     base, span, guard = box * keys.ones, 2 * box * keys.ones, keys.guard
     heap = None
-    if len(rem) >= PACKED_PRODUCT_PAIRS // 2:
+    if len(rem) >= _HEAP_REMAINDER_TERMS:
         # Negated keys, so the largest remaining term is the heap minimum.
         heap = [-p for p in rem]
         heapify(heap)
@@ -710,56 +700,32 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     when no Laurent polynomial quotient with integer coefficients exists.
 
     A numerator held over packed keys (``packed_binomial``) is divided in
-    its own layout by ``_packed_quotient``, whatever its size or the
-    divisor's, without building its tuple-keyed ``terms``; the quotient
-    stays packed in it.
-
-    Every other numerator stays on tuple keys.  A monomial divisor is a
-    key shift.  Otherwise the remainder, a copy of the numerator's terms in
-    their own coordinates, is scanned for its lexicographically leading
-    term, which is cancelled until none is left.  An exact quotient's
-    lowest exponents are the numerator's less the divisor's, so a candidate
-    term below them in any coordinate, as an infinite Laurent series would
-    give, or a coefficient that does not divide, proves non-divisibility.
-    No heap: ``binomial`` holds over packed keys any exchange binomial of
-    128 terms or more over a divisor of two or more, so the engine's
-    numerators here stay smaller, and a heap only wins from about 190.
+    its own layout by ``_packed_quotient``, whatever the divisor, without
+    building its tuple-keyed ``terms``; the quotient stays packed in it.
+    Any other numerator over a divisor of two or more terms is packed into
+    a layout of its own and divided there the same way.  Over a one-term
+    divisor a tuple-keyed numerator is a key shift.
     """
     num._check_ranks(den)
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if type(num) is _PackedPoly:
+    if type(num) is _PackedPoly or len(den.terms) > 1:
+        if type(num) is not _PackedPoly:
+            bound = _bound(num)
+            reach = bound + 2 * _bound(den)
+            keys = _PackedKeys(reach.bit_length() + 2, num.n + num.m)
+            num = _packed(num.n, num.m, keys.pack(num.terms), keys, bound)
         quotient = _packed_quotient(num, den)
         if quotient is None:
             raise _not_divisible(num, den)
         return quotient
-    if num.is_zero():
-        return LaurentPoly.zero(num.n, num.m)
-    if len(den.terms) == 1:
-        # Monomial divisor: a key shift, exact iff its coefficient divides
-        # every numerator coefficient.
-        ((k1, c1),) = den.terms.items()
-        quotient = {}
-        for k2, c2 in num.terms.items():
-            c, leftover = divmod(c2, c1)
-            if leftover:
-                raise _not_divisible(num, den)
-            quotient[tuple(map(sub, k2, k1))] = c
-        return LaurentPoly._trusted(num.n, num.m, quotient)
-    low = tuple(map(sub, map(min, zip(*num.terms)), map(min, zip(*den.terms))))
-    (den_lead, den_lc), *tail = sorted(den.terms.items(), reverse=True)
-    rem = dict(num.terms)
-    quotient: dict[Exponents, int] = {}
-    while rem:
-        lead = max(rem)
-        c, leftover = divmod(rem.pop(lead), den_lc)
-        q = tuple(map(sub, lead, den_lead))
-        if leftover or any(map(lt, q, low)):
+    # Monomial divisor: a key shift, exact iff its coefficient divides
+    # every numerator coefficient.
+    ((k1, c1),) = den.terms.items()
+    quotient = {}
+    for k2, c2 in num.terms.items():
+        c, leftover = divmod(c2, c1)
+        if leftover:
             raise _not_divisible(num, den)
-        quotient[q] = c
-        for k2, c2 in tail:
-            kk = tuple(map(add, q, k2))
-            left = rem.pop(kk, 0) - c * c2
-            if left:
-                rem[kk] = left
+        quotient[tuple(map(sub, k2, k1))] = c
     return LaurentPoly._trusted(num.n, num.m, quotient)

@@ -597,8 +597,8 @@ class TestDeterminism:
                 ["--max-depth", "6"],
                 "03b2b4ae29dcd8277454f51378887a088a8c1e8c18ff26b734e6a729968fb154",
             ),
-            # Pinned before divisions of PACKED_PRODUCT_PAIRS or more term
-            # pairs ran over packed keys; both reach that path.
+            # Pinned before divisions of 256 or more term pairs ran over
+            # packed keys; both reach that path.
             (
                 "markov",
                 ["--max-depth", "4"],

@@ -347,8 +347,6 @@ def outcome(fn, *args):
         return NotDivisibleError
 
 
-# The term pairs at which an exchange binomial is held over packed keys.
-THRESHOLD = clusteralg.laurent.PACKED_PRODUCT_PAIRS
 # Term counts of kernel operands, from zero to products of 1,600 term pairs.
 SIZES = [0, 1, 2, 7, 20, 40]
 packed_binomial = clusteralg.laurent.packed_binomial
@@ -445,24 +443,24 @@ class TestKernelMatchesReference:
                 for k, v in a.terms.items()
             })
 
-    def test_only_held_numerators_divide_over_packed_keys(self, monkeypatch):
+    def test_polynomial_divisors_divide_over_packed_keys(self, monkeypatch):
         packed = count_packed_quotients(monkeypatch)
         row = LaurentPoly(1, 0, {(e,): 1 for e in range(3)})
         shift = LaurentPoly(1, 0, {(2,): 3})
-        # Tuple-keyed numerators take the tuple loop or the key shift at any
-        # size: 3 * 3 up to 3 * 402 term pairs.
+        # A tuple-keyed numerator is packed into a layout of its own over a
+        # divisor of two or more terms, at any size: 3 * 3 up to 3 * 402
+        # term pairs.  Over a one-term divisor it takes the key shift.
+        counts = (1, 83, 400)
         for den in (row, shift):
-            for count in (1, 83, 400):
+            for count in counts:
                 num = row * LaurentPoly(1, 0, {(e,): 3 for e in range(count)})
                 assert exact_div(num, den) == reference_div(num, den)
-        assert packed == []
-        # A held numerator is divided in its own layout below the threshold
-        # and by a one-term divisor.
+        assert packed == [(count + 2) * 3 for count in counts]
+        # A held numerator is divided in its own layout by either divisor.
         num = row * LaurentPoly(1, 0, {(e,): 3 for e in range(3)})
         for den in (row, shift):
             assert exact_div(hold(num), den) == reference_div(num, den)
-        assert packed == [5 * 3, 5 * 1]
-        assert max(packed) < THRESHOLD
+        assert packed[len(counts):] == [5 * 3, 5 * 1]
 
     # Shifted exponents (x1, x2) of a held numerator and a divisor, each a
     # division that is not exact.  Each division runs until a candidate
@@ -498,11 +496,13 @@ class TestKernelMatchesReference:
             for t in (num, den)
         )
         assert outcome(reference_div, num, den) is NotDivisibleError
-        for held in (hold(num, den), hold(num)):
+        # Held in a layout sized for the division, in one sized for the
+        # numerator alone, and on tuple keys, packed by the division.
+        for numerator in (hold(num, den), hold(num), num):
             with pytest.raises(NotDivisibleError) as failure:
-                exact_div(held, den)
+                exact_div(numerator, den)
             assert str(failure.value) == f"({num}) is not divisible by ({den})"
-        assert packed == [len(num.terms) * len(den.terms)] * 2
+        assert packed == [len(num.terms) * len(den.terms)] * 3
 
     @pytest.mark.parametrize("scale", [3, 1], ids=["divides", "does-not-divide"])
     def test_held_numerators_with_monomial_divisors(self, monkeypatch, scale):
@@ -657,39 +657,41 @@ class TestPackedHeldBinomials:
         assert held and tuple_keyed
         assert held_powers == {1, 2, 3}
 
-    def test_tuple_keyed_divisions_stay_small(self, monkeypatch):
-        # Exploration divides in its atlas's shared layout, so the tuple-key
-        # divisions left are re-rooting's.  The tuple-key division scans its
-        # remainder for each leading term, which pays only while numerators
-        # are small.  A binomial of fewer than PACKED_PRODUCT_PAIRS term pairs
-        # over a divisor of 2+ terms has fewer than half that many terms;
-        # larger ones are held over packed keys.
-        sizes = []
+    def test_re_rooting_divides_by_polynomials_over_packed_keys(self, monkeypatch):
+        # Exploration divides in its atlas's shared layout; re-rooting's
+        # exchange binomials over a divisor of two or more terms are held in
+        # layouts of their own, so no division by such a divisor is left on
+        # tuple keys.
+        held = []
         original = clusteralg.seed.exact_div
 
         def recorded(num, den):
-            if not is_held(num) and len(den.terms) > 1:
-                sizes.append(len(num.terms))
+            if len(den.terms) > 1:
+                held.append(is_held(num))
             return original(num, den)
 
         monkeypatch.setattr(clusteralg.seed, "exact_div", recorded)
         for family, n, coefficients in [
             ("A", 6, "trivial"),
+            ("A", 6, "principal"),
             ("D", 5, "trivial"),
             ("D", 5, "principal"),
         ]:
             atlas = explore(root_seed(ExchangeMatrix(matrix(family, n)), coefficients))
+            held.clear()  # exploration's divisions, in its shared layout
             for cluster in atlas.clusters:
                 atlas.expand(0, cluster)
-        assert sizes and max(sizes) < THRESHOLD // 2 == 128
+            assert all(held), (family, n, coefficients)
+        assert held  # D5 principal divides by some polynomial
 
-    @pytest.mark.parametrize("pairs", [THRESHOLD - 1, THRESHOLD])
-    def test_binomial_is_held_from_the_threshold(self, pairs):
-        # x1 * f + 1 over a one-term divisor: |f| + 1 term pairs.
+    @pytest.mark.parametrize("pairs, den", [(255, "x1"), (256, "x1"), (3, "x1 + 1")])
+    def test_binomial_layout_follows_the_divisor(self, pairs, den):
+        # x1 * f + 1 has |f| + 1 term pairs.  It is held over packed keys
+        # exactly when its divisor has two or more terms, whatever its size.
         f = LaurentPoly(1, 0, {(e,): 1 for e in range(pairs - 1)})
-        x1 = LaurentPoly.variable(1, 0, 1)
-        num = clusteralg.laurent.binomial(1, 0, [((1,), [(f, 1)]), ((0,), [])], x1)
-        assert is_held(num) == (pairs >= THRESHOLD)
+        den = LaurentPoly.parse(den, 1, 0)
+        num = clusteralg.laurent.binomial(1, 0, [((1,), [(f, 1)]), ((0,), [])], den)
+        assert is_held(num) == (len(den.terms) > 1)
         assert num == LaurentPoly.variable(1, 0, 1) * f + LaurentPoly.one(1, 0)
 
     def test_division_reads_only_the_packed_keys(self, monkeypatch):
@@ -726,11 +728,11 @@ class TestPackedHeldBinomials:
         den = seed.x[1]  # not x_k
         with pytest.raises(NotDivisibleError) as held_failure:
             exact_div(num, den)
-        assert packed == [len(num.packed) * len(den.terms)]
         twin = LaurentPoly(seed.n, seed.m, reference_binomial(seed, k).terms)
         with pytest.raises(NotDivisibleError) as tuple_failure:
             exact_div(twin, den)
-        assert len(packed) == 1
+        # The tuple-keyed twin is packed and divided the same way.
+        assert packed == [len(num.packed) * len(den.terms)] * 2
         assert str(held_failure.value) == str(tuple_failure.value)
         assert str(tuple_failure.value) == f"({twin}) is not divisible by ({den})"
 
