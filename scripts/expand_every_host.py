@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Expand every variable at every stored cluster of one finite type.
 
-Explores the chosen catalogue type from its root seed, then expands every
-variable in the coordinates of every stored cluster, in discovery order.
+Explores the chosen catalogue type from its root seed, then reads every
+stored cluster once, in discovery order, which exchanges it or serves it
+through a map onto an exchanged one (the timed part), and expands every
+variable in the coordinates of every cluster.
 Then explores it again and reads every variable's d-vector at every
 cluster through ``compat.d_vector``, cluster by cluster as the
 degree-properties sweep does, so each cluster's d-vector table is built
-or permuted from a kept automorphism's image.  Then explores it a third
+from expansions or permuted from another cluster's.  Then explores it a third
 time, describes the witness of every ordered pair (reference, target) and
 runs the witness sweep.  Prints the number of hosts, the number of cluster
 automorphisms the first atlas kept, a sha256 of every expansion's text, a
 sha256 of every d-vector's text and a sha256 of every witness's
 description followed by the sweep report to stdout, and the seconds the
-expansions, the d-vector tables and the witnesses took, without exploring
+first reads, the d-vector tables and the witnesses took, without exploring
 or printing them, to stderr.  So the re-rooting layer and the witness
 search can be timed, and their output compared across versions, without a
 profiler.
@@ -54,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     root = root_seed(ExchangeMatrix(matrix(family, n)), args.coefficients)
     atlas = explore(root)
     start = time.perf_counter()
-    for cluster in atlas.clusters:  # the first call expands every variable
+    for cluster in atlas.clusters:
         atlas.expand(0, cluster)
     seconds = time.perf_counter() - start
     digest = hashlib.sha256()

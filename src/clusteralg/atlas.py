@@ -73,28 +73,27 @@ The root needs no walk when its variables are the units x_1..x_n in
 position order, as ``root_seed`` makes them: its expansions are then the
 interned variables.  Any other root is expanded like any other host.
 
-Under trivial coefficients most hosts take their expansions from a twin
-instead: an expanded host g whose B is the host h's under a simultaneous
-permutation pi of positions.  The field map x_{g,pi(p)} -> x_{h,p}
-commutes with mutation (Assem, Schiffler and Shramchenko, "Cluster
-automorphisms", 2012), so it carries each expansion at g to the one at h;
-any pi gives the same, as an expansion is unique.  The exchange binomial is
-then symmetric in its two monomials, so a g whose B is -B_h under pi serves
-too.  ``carry`` steps g's exact seed, aligned to h's positions, from h
-over the tree until the map sigma of variables it gives names every one; h
-then relabels g's expansions, which g checked for positivity.  Such a sigma
-is a cluster automorphism, direct or inverse, kept to serve with no walk
-each later host whose cluster it carries to an expanded one.  On a capped
-atlas a walk can leave the store; what it leaves unnamed is exchanged.
-D-vector tables travel the same way: ``d_vectors`` permutes the table of
-the cluster a kept sigma carries h's to, else reads expansions, so E6's
-degree sweep expands 45 of its 833 hosts and walks 9 times.  Twins are
-sought only under trivial coefficients: with coefficients pi must carry g's
-y to h's too, and under principal coefficients no two stored seeds agree so
-(E6's 833 hosts fill 833 one-host buckets).  Seeds with other coefficients,
-which only code builds, exchange at every host.  The witness search reads
-a cluster through ``_expansions_at``, which hands over a served cluster's
-image expansions with sigma and the coordinate pick instead of a copy.
+Each stored cluster c is decided once, when ``_expansions_at`` first reads
+it: exchanged, with its expansions kept, or served, kept as (sigma, image,
+pick) onto an exchanged image, with no copy: v at c is sigma(v) there, its
+coordinates read by pick.  A twin of host h is an exchanged host g whose B
+is h's under a simultaneous permutation pi of positions.  The field map
+x_{g,pi(p)} -> x_{h,p} commutes with mutation (Assem, Schiffler and
+Shramchenko, "Cluster automorphisms", 2012), so it carries each expansion at
+g to the one at h; any pi gives the same, as an expansion is unique.  Under
+trivial coefficients the exchange binomial is symmetric in its monomials,
+so a g whose B is -B_h under pi serves too.  ``carry`` steps g's exact seed,
+aligned to h's positions, from h over the tree until the map sigma of
+variables it gives names every one: a cluster automorphism, direct or
+inverse, kept.  c is served by the first kept map carrying it onto an
+exchanged cluster, or onto a served one and on by that one's map; else by
+its twin's map; else, as when a carry leaves a capped atlas, it exchanges.
+``d_vectors`` permutes the table of a cluster a kept map carries c onto,
+else a served c's image's, so E6's degree sweep exchanges at 36 of its 833
+hosts and walks 9 times.  Twins are sought only under trivial coefficients:
+with coefficients pi must carry g's y to h's too, and under principal
+coefficients no two stored seeds agree so (E6's 833 hosts fill 833 one-host
+buckets).  Other coefficients, which only code builds, exchange everywhere.
 
 Walks that only need to know which variables a seed holds do no
 arithmetic at all.  An exact seed (positions intact) is the pair of its
@@ -208,12 +207,13 @@ class PatternAtlas:
         self.tree: list[tuple[int, int] | None] = []
         self._class_keys: list[tuple] = []  # by seed id; see the module
         self._expand_cache: dict[Cluster, dict[int, LaurentPoly]] = {}
+        self._served: dict[Cluster, tuple] = {}
         self._d_vectors: dict[Cluster, tuple[tuple[int, ...], ...]] = {}
-        # Hosts expanded by exchanges, by a shape that position permutations
-        # keep: the sorted rows of B, each sorted.
+        # Hosts that exchanged for want of a twin, by a shape that position
+        # permutations keep: the sorted rows of B, each sorted.
         self._twins: dict[tuple, list[int]] = {}
-        # Cluster automorphisms: the twin maps that named every variable.
-        self._automorphisms: list[dict[int, int]] = []
+        # Cluster automorphisms: twin maps that named every variable, by id.
+        self._automorphisms: list[tuple[int, ...]] = []
         self._by_face: dict[Cluster, list[Cluster]] | None = None
         self._by_variable: list[tuple[Cluster, ...]] | None = None
         self._tree_steps: list[list[tuple[int, int]]] | None = None
@@ -420,20 +420,33 @@ class PatternAtlas:
 
     def expand(self, v: int, cluster: Iterable[int]) -> LaurentPoly:
         """Laurent expansion of variable v in the coordinates of a stored
-        cluster, ordered by ascending variable id.  The first call for a
-        cluster computes and keeps the expansions of every variable."""
+        cluster, ordered by ascending variable id, read through
+        ``_expansions_at``: at a served cluster only v's is relabeled."""
         self.require_variable(v)
-        c = self.normalize_cluster(cluster)
-        known = self._expand_cache.get(c)
-        if known is not None:
+        known, served = self._expansions_at(self.normalize_cluster(cluster))
+        if served is None:
             return known[v]
-        n, m = self.n, self.m
-        seeds, ids = self.seeds, self.seed_variable_ids
-        host, count = self.cluster_to_seed[c], len(self.variables)
-        # A kept automorphism taking c to an expanded cluster, else the map
-        # carried from a twin; see the module docstring.
-        served = _carrying_map(self._automorphisms, c, self._expand_cache)
-        if served is None and m == 0:  # twins by B and by -B
+        sigma, _, pick = served
+        p, n = known[sigma[v]], self.n
+        if pick is None:
+            return p
+        terms = {pick(key) + key[n:]: a for key, a in p.terms.items()}
+        return LaurentPoly._trusted(n, self.m, terms)
+
+    def _expansions_at(self, c: Cluster) -> tuple[dict[int, LaurentPoly], tuple | None]:
+        """Stored cluster c's expansions by variable id and None if c is
+        exchanged, else its image's and (sigma, image, pick): decided on the
+        first call and kept, as the module docstring says."""
+        kept = self._expand_cache
+        if c in kept:
+            return kept[c], None
+        served = self._served.get(c)
+        if served is not None:
+            return kept[served[1]], served
+        served = _carrying_map(self._automorphisms, c, kept, self._served)
+        if served is None and self.m == 0:  # twins by B and by -B
+            seeds, ids = self.seeds, self.seed_variable_ids
+            host = self.cluster_to_seed[c]
             rows = seeds[host].b.rows
             wants = (rows, tuple(tuple(-e for e in row) for row in rows))
             shapes = [tuple(sorted(map(tuple, map(sorted, w)))) for w in wants]
@@ -448,32 +461,34 @@ class PatternAtlas:
             )
             if twin is None:
                 self._twins.setdefault(shapes[0], []).append(host)
-            else:
+            else:  # its map serves if it names every variable
                 sigma: dict[int, int] = {}
                 for w, (_, image) in self.carry(twin, host):
                     sigma.update(zip(ids[w], image))
-                    if len(sigma) == count:
-                        self._automorphisms.append(sigma)
+                    if len(sigma) == len(self.variables):
+                        self._automorphisms.append(tuple(map(sigma.get, sorted(sigma))))
+                        served = _carrying_map(self._automorphisms[-1:], c, kept, {})
                         break
-                served = _carrying_map([sigma], c, self._expand_cache)
-        # Units are read by the root check and the exchange walk only.
-        if host == 0 or served is None:
-            known = {u: LaurentPoly.variable(n, m, r) for r, u in enumerate(c, 1)}
+        if served is None:
+            return self._exchange(c), None
+        self._served[c] = served
+        return kept[served[1]], served
+
+    def _exchange(self, c: Cluster) -> dict[int, LaurentPoly]:
+        """Every variable's expansion at stored cluster c, kept, exchanged
+        breadth first from its host; see the module docstring."""
+        n, m = self.n, self.m
+        seeds, ids = self.seeds, self.seed_variable_ids
+        host, count = self.cluster_to_seed[c], len(self.variables)
+        known = {u: LaurentPoly.variable(n, m, r) for r, u in enumerate(c, 1)}
         if host == 0 and all(self.variables[u] == p for u, p in known.items()):
             # A root of units x_1..x_n in position order, as root_seed
             # makes: its expansions are the interned variables.
             known = dict(enumerate(self.variables))
-        elif served is not None:  # its image of a unit of c is that unit again
-            sigma, image, pick = served
-            known = {u: self._expand_cache[image][s] for u, s in sigma.items()}
-            if pick is not None:
-                for u, p in known.items():
-                    terms = {pick(key) + key[n:]: a for key, a in p.terms.items()}
-                    known[u] = LaurentPoly._trusted(n, m, terms)
         # Breadth first from the host over the edge table, so each variable
-        # sigma leaves unnamed is exchanged at a seed nearest the host.
-        # Expansions tend to grow with that distance: walking down from the
-        # root instead made E6 degree-properties 2.5 times slower.
+        # is exchanged at a seed nearest the host.  Expansions tend to grow
+        # with that distance: walking down from the root instead made E6
+        # degree-properties 2.5 times slower.
         walked, seen = [host], {host}
         for u in walked:
             if len(known) == count:
@@ -497,42 +512,27 @@ class PatternAtlas:
                     )
                     known[new[0]] = exchange(seed, k)
         self._expand_cache[c] = known
-        return known[v]
-
-    def _expansions_at(self, c: Cluster) -> tuple[dict[int, LaurentPoly], tuple | None]:
-        """Stored cluster c's kept expansions by variable id, and None; else,
-        if a kept automorphism carries c onto a cluster with kept expansions,
-        those and ``_carrying_map``'s (sigma, image, pick), with no copy: v at
-        c is sigma(v) at the image, coordinates read by pick.  Any other
-        cluster is expanded first."""
-        known = self._expand_cache.get(c)
-        if known is None:
-            served = _carrying_map(self._automorphisms, c, self._expand_cache)
-            if served is not None:
-                return self._expand_cache[served[1]], served
-            self.expand(0, c)
-            known = self._expand_cache[c]
-        return known, None
+        return known
 
     def d_vectors(self, cluster: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         """Every variable's d-vector at a stored cluster, by variable id: its
         expansion's negated minimal x exponents.  Kept, and permuted from
-        another cluster's along a kept automorphism; see the module."""
+        another cluster's table; see the module docstring."""
         c = self.normalize_cluster(cluster)
-        if c not in self._d_vectors:
-            served = _carrying_map(self._automorphisms, c, self._d_vectors)
+        tables = self._d_vectors
+        if c not in tables:
+            served = _carrying_map(self._automorphisms, c, tables, {})
             if served is None:
-                self.expand(0, c)
-                known = self._expand_cache[c]
-                table = [known[v].x_min_exponents() for v in range(len(self.variables))]
-                table = [tuple(-e for e in mins) for mins in table]
-            else:
+                known, served = self._expansions_at(c)
+                image = c if served is None else served[1]
+                if image not in tables:
+                    mins = [known[v].x_min_exponents() for v in range(len(known))]
+                    tables[image] = tuple(tuple(-e for e in d) for d in mins)
+            if served is not None:
                 sigma, image, pick = served
-                table = [self._d_vectors[image][sigma[v]] for v in range(len(sigma))]
-                if pick is not None:
-                    table = list(map(pick, table))
-            self._d_vectors[c] = tuple(table)
-        return self._d_vectors[c]
+                table = [tables[image][s] for s in sigma]
+                tables[c] = tuple(table if pick is None else map(pick, table))
+        return tables[c]
 
     # ------------------------------------------------------------------
     # table walks over exact seeds
@@ -678,17 +678,21 @@ class PatternAtlas:
         )
 
 
-def _carrying_map(maps: Iterable[dict], c: Cluster, kept: dict) -> tuple | None:
-    """The first of maps carrying cluster c onto one in ``kept``, as (sigma,
-    image, pick), else None.  pick reads c's r-th coordinate at the image's
-    position of sigma(c[r]); it is None for the identity, as a one-index
-    itemgetter gives no tuple."""
+def _carrying_map(maps: Iterable[tuple], c: Cluster, kept: dict, served: dict) -> tuple | None:
+    """The first of maps carrying cluster c onto one in ``kept``, or onto one
+    in ``served`` and on by its map, as (sigma, image, pick), else None.
+    pick reads c's r-th coordinate at the image's position of sigma(c[r]);
+    it is None for the identity, as a one-index itemgetter gives no tuple."""
     for sigma in maps:
         image = tuple(sorted(map(sigma.__getitem__, c)))
-        if image in kept:
-            order = [image.index(sigma[u]) for u in c]
-            pick = None if order == list(range(len(c))) else itemgetter(*order)
-            return sigma, image, pick
+        if image in served:  # composed: tau after sigma
+            tau, image, _ = served[image]
+            sigma = tuple(map(tau.__getitem__, sigma))
+        elif image not in kept:
+            continue
+        order = [image.index(sigma[u]) for u in c]
+        pick = None if order == list(range(len(c))) else itemgetter(*order)
+        return sigma, image, pick
     return None
 
 

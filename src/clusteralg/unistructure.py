@@ -12,12 +12,12 @@ order), so the returned witness is reproducible.
 Canonical term order has the x part as the key's prefix, so the witness at
 a cluster is its largest admissible x part in the cluster's own
 coordinates, and its coefficient is every term with that x part: one scan
-of xi's expansion finds it, with nothing sorted, grouped or copied.  A
-cluster whose expansions the atlas keeps is read as it is.  One that a kept
-cluster automorphism sigma serves (see ``atlas``) is read through the map:
-the scan runs over sigma(xi)'s expansion at the image cluster, tests
-admissibility at the image position of sigma(xk), and compares x parts
-read into the cluster's coordinates by the pick ``expand`` relabels with.
+of xi's expansion finds it, with nothing sorted, grouped or copied.  Each
+cluster is read through ``PatternAtlas._expansions_at``: an exchanged one
+as it is, a served one through its map sigma (see ``atlas``), the scan
+running over sigma(xi)'s expansion at the image, testing admissibility at
+the image position of sigma(xk), and comparing x parts read into the
+cluster's coordinates by the pick ``expand`` relabels one variable with.
 Admissibility is one comparison of the x part against a floor of zeros
 with no floor at the reference position.  The sweep goes a row at a time:
 for each xk it reads each cluster through xk once, scans only the variables
@@ -48,10 +48,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import inf
 from operator import ge
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .atlas import (
     Cluster,
@@ -127,14 +126,13 @@ def laurent_witness(xk: int, xi: int, atlas: PatternAtlas) -> WitnessMonomial:
 
     The witness at a cluster is its largest admissible x part in the
     cluster's own coordinates, with every term of that x part as its
-    coefficient.  A cluster a kept automorphism serves is read through that
-    map, with no relabeled copy; see the module docstring.
+    coefficient.  A served cluster is read through its map; see the module.
     """
     if not atlas.complete:
         raise IncompleteAtlasError("witness search needs a complete atlas")
     atlas.require_variable(xk)
     atlas.require_variable(xi)
-    found = _witness_terms(xk, (xi,), atlas, atlas._expansions_at).get(xi)
+    found = _witness_terms(xk, (xi,), atlas).get(xi)
     if found is None:
         raise WitnessNotFoundError(
             f"no admissible witness term for pair ({xk}, {xi}); on a complete "
@@ -148,20 +146,19 @@ def laurent_witness(xk: int, xi: int, atlas: PatternAtlas) -> WitnessMonomial:
 
 
 def _witness_terms(
-    xk: int, targets: Sequence[int], atlas: PatternAtlas, read: Callable
+    xk: int, targets: Sequence[int], atlas: PatternAtlas
 ) -> dict[int, tuple[Cluster, int, Exponents, dict[Exponents, int]]]:
     """(cluster, xk's position, x part, coefficient terms) of the first
     admissible term of each target xi over the clusters through xk, for the
-    targets that have one; ``read`` is ``PatternAtlas._expansions_at`` or a
-    memo of it.  Each cluster is read once and scans the targets still
-    without a witness."""
+    targets that have one.  Each cluster, read once, scans the targets
+    still without a witness."""
     n = atlas.n
     found: dict[int, tuple[Cluster, int, Exponents, dict[Exponents, int]]] = {}
     for c in atlas.clusters_containing(xk):
         if len(found) == len(targets):
             break
         kpos = c.index(xk)
-        known, served = read(c)
+        known, served = atlas._expansions_at(c)
         sigma, at, pick = None, kpos, None
         if served is not None:
             sigma, image, pick = served
@@ -216,12 +213,11 @@ def witness_sweep(atlas: PatternAtlas) -> VerificationReport:
     report = VerificationReport(suite="witnesses")
     count = len(atlas.variables)
     report.add_context("atlas", atlas.summary())
-    read = cache(atlas._expansions_at)
     failure = ""
     checked = 0
     variables = range(count)
     for xk in variables:
-        row = _witness_terms(xk, variables, atlas, read)
+        row = _witness_terms(xk, variables, atlas)
         for xi in variables:
             found = row.get(xi)
             if found is None or _trichotomy_error(xk, xi, *found[:3]):

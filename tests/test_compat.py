@@ -316,30 +316,31 @@ class TestVerification:
                 "positive-iff-no-shared-cluster",
             ]
 
-    @pytest.mark.parametrize("rows, expanded", [(A3_ROWS, 6), (B3_ROWS, 6)])
+    @pytest.mark.parametrize("rows, exchanged", [(A3_ROWS, 3), (B3_ROWS, 3)])
     def test_degree_sweep_reads_one_table_per_cluster(
-        self, monkeypatch, rows, expanded
+        self, monkeypatch, rows, exchanged
     ):
-        # Each cluster's table is read once.  Only the tables that no kept
-        # map carries onto a tabled cluster are built from expansions: 6 of
-        # 14 clusters on A3, 6 of 20 on B3.
+        # Each cluster's table is read once.  Only hosts that neither a kept
+        # map nor a twin serves exchange, and only their tables are built
+        # from expansions: 3 of 14 clusters on A3, 3 of 20 on B3.
         atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
-        reads, expansions = [], []
-        d_vectors, expand = PatternAtlas.d_vectors, PatternAtlas.expand
+        reads, hosts = [], []
+        d_vectors, exchange = PatternAtlas.d_vectors, PatternAtlas._exchange
 
         def counted_read(atlas, cluster):
             reads.append(tuple(cluster))
             return d_vectors(atlas, cluster)
 
-        def counted_expand(atlas, v, cluster):
-            expansions.append(tuple(cluster))
-            return expand(atlas, v, cluster)
+        def counted_exchange(atlas, cluster):
+            hosts.append(cluster)
+            return exchange(atlas, cluster)
 
         monkeypatch.setattr(PatternAtlas, "d_vectors", counted_read)
-        monkeypatch.setattr(PatternAtlas, "expand", counted_expand)
+        monkeypatch.setattr(PatternAtlas, "_exchange", counted_exchange)
         assert verify_degree_properties(atlas).resolve_status() == "pass"
         assert reads == atlas.clusters
-        assert len(expansions) == len(set(expansions)) == expanded
+        assert len(hosts) == len(set(hosts)) == exchanged
+        assert set(hosts) == set(atlas._expand_cache)
 
     @pytest.mark.parametrize("rows, reads", [(A4_ROWS, 5), (D4_ROWS, 4)])
     def test_degree_matrix_reads_each_cover_table_once(
