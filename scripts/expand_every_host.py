@@ -5,10 +5,10 @@ Explores the chosen catalogue type from its root seed, then reads every
 stored cluster once, in discovery order, which exchanges it or serves it
 through a map onto an exchanged one (the timed part), and expands every
 variable in the coordinates of every cluster.
-Then explores it again and reads every variable's d-vector at every
-cluster through ``compat.d_vector``, cluster by cluster as the
-degree-properties sweep does, so each cluster's d-vector table is built
-from expansions or permuted from another cluster's.  Then explores it a third
+Then explores it again and reads every cluster's d-vector table once, in
+discovery order, as the degree-properties sweep does, so an exchanged
+cluster's table is built from its expansions and a served one's is
+permuted from its image's.  Then explores it a third
 time, describes the witness of every ordered pair (reference, target) and
 runs the witness sweep.  Prints the number of hosts, the number of cluster
 automorphisms the first atlas kept, a sha256 of every expansion's text, a
@@ -29,7 +29,6 @@ import time
 
 from clusteralg import (
     ExchangeMatrix,
-    d_vector,
     explore,
     laurent_witness,
     root_seed,
@@ -70,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     atlas = explore(root)
     count = len(atlas.variables)
     start = time.perf_counter()
-    tables = [[d_vector(v, c, atlas) for v in range(count)] for c in atlas.clusters]
+    tables = [atlas.d_vectors(c) for c in atlas.clusters]
     table_seconds = time.perf_counter() - start
     digest = hashlib.sha256()
     for table in tables:

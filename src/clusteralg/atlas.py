@@ -73,27 +73,30 @@ The root needs no walk when its variables are the units x_1..x_n in
 position order, as ``root_seed`` makes them: its expansions are then the
 interned variables.  Any other root is expanded like any other host.
 
-Each stored cluster c is decided once, when ``_expansions_at`` first reads
-it: exchanged, with its expansions kept, or served, kept as (sigma, image,
-pick) onto an exchanged image, with no copy: v at c is sigma(v) there, its
-coordinates read by pick.  A twin of host h is an exchanged host g whose B
-is h's under a simultaneous permutation pi of positions.  The field map
-x_{g,pi(p)} -> x_{h,p} commutes with mutation (Assem, Schiffler and
-Shramchenko, "Cluster automorphisms", 2012), so it carries each expansion at
-g to the one at h; any pi gives the same, as an expansion is unique.  Under
-trivial coefficients the exchange binomial is symmetric in its monomials,
-so a g whose B is -B_h under pi serves too.  ``carry`` steps g's exact seed,
-aligned to h's positions, from h over the tree until the map sigma of
-variables it gives names every one: a cluster automorphism, direct or
-inverse, kept.  c is served by the first kept map carrying it onto an
-exchanged cluster, or onto a served one and on by that one's map; else by
-its twin's map; else, as when a carry leaves a capped atlas, it exchanges.
-``d_vectors`` permutes the table of a cluster a kept map carries c onto,
-else a served c's image's, so E6's degree sweep exchanges at 36 of its 833
-hosts and walks 9 times.  Twins are sought only under trivial coefficients:
-with coefficients pi must carry g's y to h's too, and under principal
-coefficients no two stored seeds agree so (E6's 833 hosts fill 833 one-host
-buckets).  Other coefficients, which only code builds, exchange everywhere.
+Each stored cluster c has one reading, decided when ``_expansions_at``
+first reads it and kept: (expansions by id, sigma, image, pick), v at c
+being sigma(v)'s expansion at the exchanged cluster image, its coordinates
+read by pick.  An exchanged c is its own image, with the identity sigma and
+no pick; a served c shares its image's expansions, with no copy.  A twin of
+host h is an exchanged host g whose B is h's under a simultaneous
+permutation pi of positions.  The field map x_{g,pi(p)} -> x_{h,p} commutes
+with mutation (Assem, Schiffler and Shramchenko, "Cluster automorphisms",
+2012), so it carries each expansion at g to the one at h; any pi gives the
+same, as an expansion is unique.  Under trivial coefficients the exchange
+binomial is symmetric in its monomials, so a g whose B is -B_h under pi
+serves too.  ``carry`` steps g's exact seed, aligned to h's positions, from
+h over the tree until the map sigma of variables it gives names every one:
+a cluster automorphism, direct or inverse, kept.  c is served by the first
+kept map carrying it onto a read cluster, composed with that one's sigma;
+else by its twin's map; else, as when a carry leaves a capped atlas, it
+exchanges.  ``expand``, ``d_vectors`` and the witness scan read every
+cluster alike, through its reading.  ``d_vectors`` keeps one table per
+image and permutes it on every read, so E6's degree sweep exchanges at 36
+of its 833 hosts, keeps 36 tables and walks 9 times.  Twins are sought
+only under trivial coefficients: with coefficients pi must carry g's y to
+h's too, and under principal coefficients no two stored seeds agree so
+(E6's 833 hosts fill 833 one-host buckets).  Other coefficients, which only
+code builds, exchange everywhere.
 
 Walks that only need to know which variables a seed holds do no
 arithmetic at all.  An exact seed (positions intact) is the pair of its
@@ -206,9 +209,8 @@ class PatternAtlas:
         self.edges: dict[tuple[int, int], int] = {}
         self.tree: list[tuple[int, int] | None] = []
         self._class_keys: list[tuple] = []  # by seed id; see the module
-        self._expand_cache: dict[Cluster, dict[int, LaurentPoly]] = {}
-        self._served: dict[Cluster, tuple] = {}
-        self._d_vectors: dict[Cluster, tuple[tuple[int, ...], ...]] = {}
+        self._readings: dict[Cluster, tuple] = {}  # see ``_expansions_at``
+        self._d_vectors: dict[Cluster, tuple[tuple[int, ...], ...]] = {}  # by image
         # Hosts that exchanged for want of a twin, by a shape that position
         # permutations keep: the sorted rows of B, each sorted.
         self._twins: dict[tuple, list[int]] = {}
@@ -420,31 +422,27 @@ class PatternAtlas:
 
     def expand(self, v: int, cluster: Iterable[int]) -> LaurentPoly:
         """Laurent expansion of variable v in the coordinates of a stored
-        cluster, ordered by ascending variable id, read through
-        ``_expansions_at``: at a served cluster only v's is relabeled."""
+        cluster, ordered by ascending variable id: sigma(v)'s expansion in
+        the cluster's reading, with only its coordinates relabeled."""
         self.require_variable(v)
-        known, served = self._expansions_at(self.normalize_cluster(cluster))
-        if served is None:
-            return known[v]
-        sigma, _, pick = served
+        known, sigma, _, pick = self._expansions_at(self.normalize_cluster(cluster))
         p, n = known[sigma[v]], self.n
         if pick is None:
             return p
         terms = {pick(key) + key[n:]: a for key, a in p.terms.items()}
         return LaurentPoly._trusted(n, self.m, terms)
 
-    def _expansions_at(self, c: Cluster) -> tuple[dict[int, LaurentPoly], tuple | None]:
-        """Stored cluster c's expansions by variable id and None if c is
-        exchanged, else its image's and (sigma, image, pick): decided on the
-        first call and kept, as the module docstring says."""
-        kept = self._expand_cache
-        if c in kept:
-            return kept[c], None
-        served = self._served.get(c)
-        if served is not None:
-            return kept[served[1]], served
-        served = _carrying_map(self._automorphisms, c, kept, self._served)
-        if served is None and self.m == 0:  # twins by B and by -B
+    def _expansions_at(self, c: Cluster) -> tuple:
+        """Stored cluster c's reading (expansions by id, sigma, image, pick):
+        v at c is sigma(v)'s expansion at the exchanged image, its
+        coordinates read by pick.  Decided on the first call and kept, as
+        the module docstring says."""
+        readings = self._readings
+        reading = readings.get(c)
+        if reading is not None:
+            return reading
+        reading = _carrying_map(self._automorphisms, c, readings)
+        if reading is None and self.m == 0:  # twins by B and by -B
             seeds, ids = self.seeds, self.seed_variable_ids
             host = self.cluster_to_seed[c]
             rows = seeds[host].b.rows
@@ -467,16 +465,16 @@ class PatternAtlas:
                     sigma.update(zip(ids[w], image))
                     if len(sigma) == len(self.variables):
                         self._automorphisms.append(tuple(map(sigma.get, sorted(sigma))))
-                        served = _carrying_map(self._automorphisms[-1:], c, kept, {})
+                        reading = _carrying_map(self._automorphisms[-1:], c, readings)
                         break
-        if served is None:
-            return self._exchange(c), None
-        self._served[c] = served
-        return kept[served[1]], served
+        if reading is None:
+            reading = self._exchange(c), range(len(self.variables)), c, None
+        readings[c] = reading
+        return reading
 
     def _exchange(self, c: Cluster) -> dict[int, LaurentPoly]:
-        """Every variable's expansion at stored cluster c, kept, exchanged
-        breadth first from its host; see the module docstring."""
+        """Every variable's expansion at stored cluster c, exchanged breadth
+        first from its host; see the module docstring."""
         n, m = self.n, self.m
         seeds, ids = self.seeds, self.seed_variable_ids
         host, count = self.cluster_to_seed[c], len(self.variables)
@@ -511,28 +509,20 @@ class PatternAtlas:
                         seeds[u].b, seeds[u].y, tuple([known[i] for i in ids[u]])
                     )
                     known[new[0]] = exchange(seed, k)
-        self._expand_cache[c] = known
         return known
 
     def d_vectors(self, cluster: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         """Every variable's d-vector at a stored cluster, by variable id: its
-        expansion's negated minimal x exponents.  Kept, and permuted from
-        another cluster's table; see the module docstring."""
-        c = self.normalize_cluster(cluster)
-        tables = self._d_vectors
-        if c not in tables:
-            served = _carrying_map(self._automorphisms, c, tables, {})
-            if served is None:
-                known, served = self._expansions_at(c)
-                image = c if served is None else served[1]
-                if image not in tables:
-                    mins = [known[v].x_min_exponents() for v in range(len(known))]
-                    tables[image] = tuple(tuple(-e for e in d) for d in mins)
-            if served is not None:
-                sigma, image, pick = served
-                table = [tables[image][s] for s in sigma]
-                tables[c] = tuple(table if pick is None else map(pick, table))
-        return tables[c]
+        expansion's negated minimal x exponents.  Read as ``expand`` reads:
+        the table is kept for the reading's image alone, and permuted by
+        sigma and pick on every read."""
+        known, sigma, image, pick = self._expansions_at(self.normalize_cluster(cluster))
+        table = self._d_vectors.get(image)
+        if table is None:
+            mins = [known[v].x_min_exponents() for v in range(len(known))]
+            table = self._d_vectors[image] = tuple(tuple(-e for e in d) for d in mins)
+        table = [table[s] for s in sigma]
+        return tuple(table if pick is None else map(pick, table))
 
     # ------------------------------------------------------------------
     # table walks over exact seeds
@@ -678,21 +668,19 @@ class PatternAtlas:
         )
 
 
-def _carrying_map(maps: Iterable[tuple], c: Cluster, kept: dict, served: dict) -> tuple | None:
-    """The first of maps carrying cluster c onto one in ``kept``, or onto one
-    in ``served`` and on by its map, as (sigma, image, pick), else None.
-    pick reads c's r-th coordinate at the image's position of sigma(c[r]);
-    it is None for the identity, as a one-index itemgetter gives no tuple."""
+def _carrying_map(maps: Iterable[tuple], c: Cluster, readings: dict) -> tuple | None:
+    """c's reading by the first of maps carrying cluster c onto a read one,
+    composed with that one's sigma, else None.  pick reads c's r-th
+    coordinate at the image's position of sigma(c[r]); it is None for the
+    identity, as a one-index itemgetter gives no tuple."""
     for sigma in maps:
-        image = tuple(sorted(map(sigma.__getitem__, c)))
-        if image in served:  # composed: tau after sigma
-            tau, image, _ = served[image]
-            sigma = tuple(map(tau.__getitem__, sigma))
-        elif image not in kept:
-            continue
-        order = [image.index(sigma[u]) for u in c]
-        pick = None if order == list(range(len(c))) else itemgetter(*order)
-        return sigma, image, pick
+        reading = readings.get(tuple(sorted(map(sigma.__getitem__, c))))
+        if reading is not None:
+            known, tau, image, _ = reading
+            sigma = tuple(map(tau.__getitem__, sigma))  # tau after sigma
+            order = [image.index(sigma[u]) for u in c]
+            pick = None if order == list(range(len(c))) else itemgetter(*order)
+            return known, sigma, image, pick
     return None
 
 

@@ -5,7 +5,7 @@ homogeneous for the Z^n grading in which deg(x_i) = e_i and deg(y_j) is
 minus the j-th column of the root matrix.  The g-vector of a variable is
 the common degree of the terms of its root expansion; it is computed
 from homogeneity directly, which doubles as an assertion that the
-expansion really is homogeneous.
+expansion really is homogeneous: one that is not is an engine fault.
 
 A g-pair check along a direction subset I asks, for every variable of a
 cluster t, whether some monomial on an I-connected cluster t' supported
@@ -36,7 +36,7 @@ from operator import and_, mul
 from typing import Iterable, Sequence
 
 from .atlas import Cluster, IncompleteAtlasError, PatternAtlas, format_cluster
-from .laurent import GradedDegree
+from .laurent import GradedDegree, NotHomogeneousError
 from .reports import VerificationReport
 from .seed import find_skew_symmetrizer
 
@@ -62,7 +62,13 @@ def g_vector(v: int, atlas: PatternAtlas) -> GradedDegree:
     _require_principal(atlas)
     cache = atlas.derived.setdefault("g_vectors", {})
     if v not in cache:
-        cache[v] = atlas.expansion(v).homogeneous_degree(atlas.root.b.rows)
+        try:
+            cache[v] = atlas.expansion(v).homogeneous_degree(atlas.root.b.rows)
+        except NotHomogeneousError as exc:
+            raise RuntimeError(
+                f"the root expansion of variable {v} is not homogeneous: {exc}; "
+                f"the exchange engine is inconsistent"
+            ) from None
     return cache[v]
 
 

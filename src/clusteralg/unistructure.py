@@ -13,11 +13,11 @@ Canonical term order has the x part as the key's prefix, so the witness at
 a cluster is its largest admissible x part in the cluster's own
 coordinates, and its coefficient is every term with that x part: one scan
 of xi's expansion finds it, with nothing sorted, grouped or copied.  Each
-cluster is read through ``PatternAtlas._expansions_at``: an exchanged one
-as it is, a served one through its map sigma (see ``atlas``), the scan
-running over sigma(xi)'s expansion at the image, testing admissibility at
-the image position of sigma(xk), and comparing x parts read into the
-cluster's coordinates by the pick ``expand`` relabels one variable with.
+cluster is read through its reading, ``PatternAtlas._expansions_at`` (see
+``atlas``), as ``expand`` reads it: the scan runs over sigma(xi)'s
+expansion at the image, tests admissibility at the image position of
+sigma(xk), and compares x parts read into the cluster's coordinates by the
+reading's pick, if any.  An exchanged cluster is its own image.
 Admissibility is one comparison of the x part against a floor of zeros
 with no floor at the reference position.  The sweep goes a row at a time:
 for each xk it reads each cluster through xk once, scans only the variables
@@ -158,19 +158,16 @@ def _witness_terms(
         if len(found) == len(targets):
             break
         kpos = c.index(xk)
-        known, served = atlas._expansions_at(c)
-        sigma, at, pick = None, kpos, None
-        if served is not None:
-            sigma, image, pick = served
-            at = image.index(sigma[xk])
+        known, sigma, image, pick = atlas._expansions_at(c)
         floor = [0] * n
-        floor[at] = -inf  # only the exponents off the reference must be >= 0
+        # Only the exponents off the reference, sigma(xk)'s, must be >= 0.
+        floor[image.index(sigma[xk])] = -inf
         for xi in targets:
             if xi in found:
                 continue
             best: Exponents | None = None
             coef: dict[Exponents, int] = {}
-            for key, a in known[xi if sigma is None else sigma[xi]].terms.items():
+            for key, a in known[sigma[xi]].terms.items():
                 if not all(map(ge, key, floor)):
                     continue
                 x = key[:n] if pick is None else pick(key)

@@ -1184,7 +1184,7 @@ class TestExpand:
 
     def test_each_automorphism_is_walked_once(self, monkeypatch):
         # A carried walk starts only at a host that no kept map carries onto
-        # an exchanged or a served cluster, and each walk steps at most once
+        # a read cluster, exchanged or served, and each walk steps at most once
         # into each stored seed.  Stepping a twin's seed beside the exchange
         # walk took 15,277 steps on D5.  The witness sweep carries 6 walks on
         # D4 and 12 on E6 (11 and 26 when a served cluster served no other).
@@ -1202,9 +1202,7 @@ class TestExpand:
         def counted_carry(atlas, state, start):
             c = tuple(sorted(atlas.seed_variable_ids[start]))
             for sigma in atlas._automorphisms:
-                image = tuple(sorted(sigma[v] for v in c))
-                assert image not in atlas._expand_cache
-                assert image not in atlas._served
+                assert tuple(sorted(sigma[v] for v in c)) not in atlas._readings
             carries.append(start)
             return carry(atlas, state, start)
 
@@ -1226,10 +1224,11 @@ class TestExpand:
 
     @pytest.mark.parametrize("rows", [A4_ROWS, B3_ROWS, C3_ROWS, D4_ROWS, D5_ROWS])
     def test_each_read_cluster_is_exchanged_or_served(self, monkeypatch, rows):
-        # After both suites and ``expand`` at every cluster, each cluster is
-        # kept in one form: exchanged, with every expansion of its own, or
-        # served by a map onto an exchanged image, with none.  Either form
-        # expands as the replay.
+        # After both suites and ``expand`` at every cluster, each cluster has
+        # one reading: exchanged, its own image with every expansion of its
+        # own, the identity sigma and no pick, or served by a map onto an
+        # exchanged image, with that image's expansions.  Either expands as
+        # the replay.
         atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
         hosts = []
         exchange = PatternAtlas._exchange
@@ -1241,15 +1240,42 @@ class TestExpand:
         monkeypatch.setattr(PatternAtlas, "_exchange", counted)
         assert witness_sweep(atlas).resolve_status() == "pass"
         assert verify_degree_properties(atlas).resolve_status() == "pass"
-        assert hosts == list(atlas._expand_cache)
         for cluster, sid in atlas.cluster_to_seed.items():
             got = [atlas.expand(v, cluster) for v in range(len(atlas.variables))]
             assert got == replayed_expansions(atlas, sid)
-        exchanged, served = set(atlas._expand_cache), set(atlas._served)
-        assert hosts == list(atlas._expand_cache)
-        assert not exchanged & served
-        assert exchanged | served == set(atlas.clusters)
-        assert {image for _, image, _ in atlas._served.values()} <= exchanged
+        readings = atlas._readings
+        assert set(readings) == set(atlas.clusters)
+        exchanged = [c for c, (_, _, image, _) in readings.items() if image == c]
+        assert hosts == exchanged
+        count = len(atlas.variables)
+        for c, (known, sigma, image, pick) in readings.items():
+            assert known is readings[image][0]
+            assert sorted(sigma) == list(range(count))
+            if image == c:
+                assert list(sigma) == list(range(count)) and pick is None
+            else:
+                assert image in exchanged
+
+    @pytest.mark.parametrize("path", [(), (1, 2)])
+    @pytest.mark.parametrize("coefficients", ["trivial", "principal"])
+    @pytest.mark.parametrize(
+        "rows", [A4_ROWS, B3_ROWS, C3_ROWS, D4_ROWS], ids=["A4", "B3", "C3", "D4"]
+    )
+    def test_every_d_vector_table_is_the_replays(self, rows, coefficients, path):
+        # Each table read, served or exchanged, first or again, is the one
+        # built from the per-pair replay's expansions at its cluster.  The
+        # re-rooted root makes kept maps serve with coordinates permuted.
+        seed = mutate_path(root_seed(ExchangeMatrix(rows), coefficients), path)
+        atlas = explore(seed)
+        want = {
+            c: tuple(
+                tuple(-e for e in p.x_min_exponents())
+                for p in replayed_expansions(atlas, sid)
+            )
+            for c, sid in atlas.cluster_to_seed.items()
+        }
+        for c in atlas.clusters + atlas.clusters[::-1]:
+            assert atlas.d_vectors(c) == want[c]
 
     @pytest.mark.parametrize(
         "family, n, steps",
@@ -1258,7 +1284,7 @@ class TestExpand:
     def test_breadth_first_carry_keeps_every_map(self, monkeypatch, family, n, steps):
         # Carrying breadth first from the host names the same variables as
         # the climb to the root and down in store order did, so the kept maps,
-        # expansions and d-vector tables are equal; it needs fewer steps
+        # readings and d-vector tables are equal; it needs fewer steps
         # (A5 540, D5 600 and E6 5,508 by the climb).
         root = root_seed(ExchangeMatrix(matrix(family, n)), "trivial")
         atlases = [explore(root), explore(root)]
@@ -1276,10 +1302,16 @@ class TestExpand:
             for cluster in atlas.clusters:
                 atlas.expand(0, cluster)
                 atlas.d_vectors(cluster)
-        new, old = atlases
-        assert new._automorphisms == old._automorphisms
-        assert new._expand_cache == old._expand_cache
-        assert new._d_vectors == old._d_vectors
+        # A reading's pick follows from its cluster, sigma and image.
+        new, old = [
+            (
+                atlas._automorphisms,
+                [(c, *reading[:3]) for c, reading in atlas._readings.items()],
+                atlas._d_vectors,
+            )
+            for atlas in atlases
+        ]
+        assert new == old
         assert counts[0] <= steps < counts[1]
 
     def test_expansion_walk_keeps_the_positivity_check(self, monkeypatch):

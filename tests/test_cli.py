@@ -450,6 +450,28 @@ class TestErrorHandling:
         assert captured.err.startswith("engine fault: the c-vectors of seed ")
         assert captured.err.count("\n") == 1
 
+    def test_a_non_homogeneous_root_expansion_is_an_engine_fault(
+        self, seeds, capsys, monkeypatch
+    ):
+        # Under principal coefficients x1 + y1 has terms of degrees (1, 0)
+        # and (0, 1), so no variable can expand to it.
+        forged = clusteralg.laurent.LaurentPoly.parse("x1 + y1", 2, 2)
+        monkeypatch.setattr(
+            clusteralg.atlas.PatternAtlas, "expansion", lambda atlas, v: forged
+        )
+        for argv in (
+            ["gvector", "--seed", seeds["a2p"]],
+            ["verify", "g-pairs", "--seed", seeds["a2p"]],
+        ):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "engine fault: the root expansion of variable 0 is not "
+                "homogeneous: terms have degrees (1, 0) and (0, 1); the "
+                "exchange engine is inconsistent\n"
+            )
+
     def test_broken_edge_table_is_an_engine_fault(self, seeds, capsys, monkeypatch):
         explore = clusteralg.cli.explore
 

@@ -21,6 +21,7 @@ from clusteralg import (
     verify_maximal_sets,
 )
 from clusteralg.atlas import PatternAtlas
+from clusteralg.catalogue import matrix
 from clusteralg.laurent import LaurentPoly
 from clusteralg.reports import VerificationReport
 from conftest import (
@@ -322,7 +323,7 @@ class TestVerification:
     ):
         # Each cluster's table is read once.  Only hosts that neither a kept
         # map nor a twin serves exchange, and only their tables are built
-        # from expansions: 3 of 14 clusters on A3, 3 of 20 on B3.
+        # from expansions and kept: 3 of 14 clusters on A3, 3 of 20 on B3.
         atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
         reads, hosts = [], []
         d_vectors, exchange = PatternAtlas.d_vectors, PatternAtlas._exchange
@@ -340,7 +341,46 @@ class TestVerification:
         assert verify_degree_properties(atlas).resolve_status() == "pass"
         assert reads == atlas.clusters
         assert len(hosts) == len(set(hosts)) == exchanged
-        assert set(hosts) == set(atlas._expand_cache)
+        assert set(hosts) == set(atlas._d_vectors)
+
+    @pytest.mark.parametrize(
+        "family, n, tables", [("A", 4, 4), ("D", 4, 4), ("D", 5, 15), ("E", 6, 36)]
+    )
+    def test_degree_sweep_keeps_tables_of_exchanged_clusters_alone(
+        self, family, n, tables
+    ):
+        # Every cluster is read, and each served one's table is permuted from
+        # its image's on the read, so the tables kept are the exchanged
+        # clusters' (42, 50, 182 and 833 when served ones kept theirs too).
+        atlas = explore(root_seed(ExchangeMatrix(matrix(family, n)), "trivial"))
+        assert verify_degree_properties(atlas).resolve_status() == "pass"
+        assert set(atlas._readings) == set(atlas.clusters)
+        exchanged = {c for c, reading in atlas._readings.items() if reading[2] == c}
+        assert set(atlas._d_vectors) == exchanged
+        assert len(exchanged) == tables
+
+    def test_a_changed_last_entry_breaks_choice_independence(self, monkeypatch):
+        # At a later cluster through variable 0, the last variable's d-vector
+        # gets 1 more at 0's coordinate, so 0's degree rows there and at its
+        # first cluster differ in their last entry alone.
+        atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
+        c = atlas.clusters[3]
+        assert 0 in c and atlas.clusters_containing(0).index(c) > 0
+        d_vectors = PatternAtlas.d_vectors
+
+        def shifted(atlas, cluster):
+            table = d_vectors(atlas, cluster)
+            if tuple(sorted(cluster)) != c:
+                return table
+            last = list(table[-1])
+            last[c.index(0)] += 1
+            return table[:-1] + (tuple(last),)
+
+        monkeypatch.setattr(PatternAtlas, "d_vectors", shifted)
+        report = verify_degree_properties(atlas)
+        assert report.resolve_status() == "fail"
+        assert report.checks[0].name == "choice-independence"
+        assert report.checks[0].detail == "pair (0, 8) gives degrees [1, 2]"
 
     @pytest.mark.parametrize("rows, reads", [(A4_ROWS, 5), (D4_ROWS, 4)])
     def test_degree_matrix_reads_each_cover_table_once(

@@ -73,12 +73,8 @@ def list_scan_witness_term(xk, xi, atlas):
     n = atlas.n
     for c in atlas.clusters_containing(xk):
         kpos = c.index(xk)
-        known, served = atlas._expansions_at(c)
-        if served is None:
-            p, at, pick = known[xi], kpos, None
-        else:
-            sigma, image, pick = served
-            p, at = known[sigma[xi]], image.index(sigma[xk])
+        known, sigma, image, pick = atlas._expansions_at(c)
+        p, at = known[sigma[xi]], image.index(sigma[xk])
         best, coef = None, {}
         for key, a in p.terms.items():
             off = list(key[:n])
@@ -265,7 +261,9 @@ class TestWitness:
     def test_trichotomy_violation_is_caught(self, monkeypatch, xi, forged):
         atlas = explore(root_seed(ExchangeMatrix(A2_ROWS), "trivial"))
         known = dict.fromkeys(range(5), LaurentPoly.parse(forged, 2, 0))
-        monkeypatch.setattr(atlas, "_expansions_at", lambda c: (known, None))
+        monkeypatch.setattr(
+            atlas, "_expansions_at", lambda c: (known, range(5), c, None)
+        )
         with pytest.raises(TrichotomyViolationError):
             laurent_witness(0, xi, atlas)
 
@@ -282,14 +280,14 @@ class TestWitness:
         read = atlas._expansions_at
         for c in atlas.clusters:
             read(c)
-        known, (sigma, image, pick) = read((0, 5, 7))
+        known, sigma, image, pick = read((0, 5, 7))
         assert image == (1, 2, 3) and pick((1, 2, 3)) == (3, 2, 1)
         assert atlas.clusters_containing(5).index((0, 5, 7)) == 2
         forged = {**known, sigma[8]: LaurentPoly.parse("x3 + x1*x2^-1", 3, 0)}
         monkeypatch.setattr(
             atlas,
             "_expansions_at",
-            lambda c: (forged, read(c)[1]) if c == (0, 5, 7) else read(c),
+            lambda c: (forged, *read(c)[1:]) if c == (0, 5, 7) else read(c),
         )
         text = (
             "pair (5, 8) in cluster {0,5,7}: the reference exponent is 0, "
@@ -343,7 +341,7 @@ class TestWitness:
         # them, read through the map.  A row scans each cluster through xk
         # once, for the variables it has not yet found a witness for.
         atlas = explore(root_seed(ExchangeMatrix(rows), "trivial"))
-        assert any([atlas._expansions_at(c)[1] is not None for c in atlas.clusters])
+        assert any([atlas._expansions_at(c)[2] != c for c in atlas.clusters])
         variables = range(len(atlas.variables))
         for xk in variables:
             row = _witness_terms(xk, variables, atlas)
