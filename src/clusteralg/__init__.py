@@ -63,7 +63,6 @@ from .unistructure import (
     incompatibility_certificate,
     incompatible_pairs,
     laurent_witness,
-    phi,
     verify_unistructural,
     witness_sweep,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "maximal_d_compatible_sets",
     "mutate",
     "mutate_path",
-    "phi",
     "random_exchange_matrix",
     "root_seed",
     "seed_from_dict",

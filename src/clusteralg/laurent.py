@@ -11,8 +11,7 @@ cluster variables ``x1..xn`` over the coefficient ring.  It is stored
 sparsely as a dict mapping a combined exponent tuple (n entries for the
 x part followed by m entries for the y part) to a nonzero integer
 coefficient; the zero polynomial is the empty dict.  All arithmetic is
-exact: coefficients are arbitrary-precision ints and specialization
-returns :class:`fractions.Fraction`.
+exact: coefficients are arbitrary-precision ints.
 
 Canonical term order (``sort_key``) is lexicographic on the combined
 exponent tuple, largest first.  Serialization and iteration follow that
@@ -41,7 +40,6 @@ where the division is a key shift.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from operator import add, and_, mul, rshift, sub
@@ -272,39 +270,7 @@ class LaurentPoly:
         return exact_div(self, other)
 
     # ------------------------------------------------------------------
-    # specialization, grading, supports
-
-    def specialize(
-        self,
-        x_values: Sequence[Fraction | int],
-        y_values: Sequence[Fraction | int] = (),
-    ) -> Fraction:
-        """Evaluate at rational points, exactly.
-
-        Assigning zero to a variable that appears with a negative
-        exponent raises ZeroDivisionError.
-        """
-        xv = [Fraction(v) for v in x_values]
-        yv = [Fraction(v) for v in y_values]
-        if len(xv) != self.n or len(yv) != self.m:
-            raise ValueError("value counts do not match ranks")
-        values = xv + yv
-        total = Fraction(0)
-        for key, c in self.terms.items():
-            term = Fraction(c)
-            for v, e in zip(values, key):
-                if e == 0:
-                    continue
-                if v == 0:
-                    if e < 0:
-                        raise ZeroDivisionError(
-                            "zero assigned to a variable with negative exponent"
-                        )
-                    term = Fraction(0)
-                    break
-                term *= v ** e
-            total += term
-        return total
+    # grading, supports
 
     def homogeneous_degree(self, b0: Sequence[Sequence[int]]) -> GradedDegree:
         """The common graded degree of all terms under the grading in which
@@ -550,7 +516,7 @@ def packed_binomial(
     n: int,
     m: int,
     sides: Sequence[tuple[Exponents, list[tuple[LaurentPoly, int]]]],
-    den: LaurentPoly | None = None,
+    den: LaurentPoly,
 ) -> _PackedPoly:
     """The sum of the products ``x^mono * f1**a1 * f2**a2 * ...``, one
     per side ``(mono, [(f1, a1), (f2, a2), ...])``, over packed keys for its
@@ -575,7 +541,7 @@ def packed_binomial(
         if side_bound > bound:
             bound = side_bound
     if layout is None:
-        reach = bound + 2 * (0 if den is None else _bound(den))
+        reach = bound + 2 * _bound(den)
         keys = _PackedKeys(reach.bit_length() + 2, n + m)
     else:
         layout.fit(bound + 2 * layout.maxabs)

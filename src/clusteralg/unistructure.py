@@ -22,17 +22,18 @@ Admissibility is one comparison of the x part against a floor of zeros
 with no floor at the reference position.  The sweep goes a row at a time:
 for each xk it reads each cluster through xk once, scans only the variables
 still without a witness, and checks only the sign of each pair's reference
-exponent; ``laurent_witness`` searches the first failing pair again, and
-its error is the failure reported.
+exponent.  The first failing pair's detail is read off the row it already
+holds, in the words ``laurent_witness`` raises.
 
 The incompatibility certificate turns a positive compatibility degree
-into an exact numeric contradiction: erase coefficients with the ring
-homomorphism phi, evaluate the witness at xk = 1/2 and every other
-cluster variable at 1, and the quantity 1 - phi(c) * 2^v with v >= 1 is
-strictly negative, while the corresponding right-hand side of the
-exchange identity it would have to equal is a specialization of a
-positive Laurent combination, hence >= 0.  Any cluster through both
-variables in a pattern with the same variable set is thereby ruled out.
+into an exact numeric contradiction.  Erase coefficients, every tropical
+monomial to 1, and evaluate the witness c * x^e at xk = 1/2, every other
+cluster variable at 1: with s the sum of c's integers and v = -e_k >= 1,
+the closed form 1 - s * 2^v is a strictly negative integer, while the
+corresponding right-hand side of the exchange identity it would have to
+equal is a specialization of a positive Laurent combination, hence >= 0.
+Any cluster through both variables in a pattern with the same variable set
+is thereby ruled out.
 
 Cross-atlas verification identifies variables the way an atlas interns
 them, by equal Laurent expansions.  An anchor is a stored seed of the first
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import inf
 from operator import ge
 from typing import Sequence
@@ -77,17 +77,6 @@ class TrichotomyViolationError(RuntimeError):
 
 class PreconditionViolatedError(ValueError):
     """Certificate requested for a pair that does share a cluster."""
-
-
-def phi(p: LaurentPoly) -> LaurentPoly:
-    """Coefficient-erasing ring homomorphism: every tropical monomial
-    maps to 1, so each coefficient collapses to the sum of its integer
-    coefficients; the result has trivial coefficients."""
-    out: dict[Exponents, int] = {}
-    for key, c in p.terms.items():
-        x = key[: p.n]
-        out[x] = out.get(x, 0) + c
-    return LaurentPoly(p.n, 0, out)
 
 
 @dataclass(frozen=True)
@@ -134,10 +123,7 @@ def laurent_witness(xk: int, xi: int, atlas: PatternAtlas) -> WitnessMonomial:
     atlas.require_variable(xi)
     found = _witness_terms(xk, (xi,), atlas).get(xi)
     if found is None:
-        raise WitnessNotFoundError(
-            f"no admissible witness term for pair ({xk}, {xi}); on a complete "
-            f"atlas this is a verification failure"
-        )
+        raise WitnessNotFoundError(_not_found(xk, xi))
     c, kpos, x_exps, coef = found
     error = _trichotomy_error(xk, xi, c, kpos, x_exps)
     if error:
@@ -180,6 +166,13 @@ def _witness_terms(
     return found
 
 
+def _not_found(xk: int, xi: int) -> str:
+    return (
+        f"no admissible witness term for pair ({xk}, {xi}); on a complete "
+        f"atlas this is a verification failure"
+    )
+
+
 def _trichotomy_error(
     xk: int, xi: int, c: Cluster, kpos: int, x_exps: Exponents
 ) -> str:
@@ -217,12 +210,13 @@ def witness_sweep(atlas: PatternAtlas) -> VerificationReport:
         row = _witness_terms(xk, variables, atlas)
         for xi in variables:
             found = row.get(xi)
-            if found is None or _trichotomy_error(xk, xi, *found[:3]):
-                try:
-                    laurent_witness(xk, xi, atlas)
-                except (WitnessNotFoundError, TrichotomyViolationError) as exc:
-                    failure = f"pair ({xk}, {xi}): {exc}"
-                    break
+            if found is None:
+                error = _not_found(xk, xi)
+            else:
+                error = _trichotomy_error(xk, xi, *found[:3])
+            if error:
+                failure = f"pair ({xk}, {xi}): {error}"
+                break
             checked += 1
         if failure:
             break
@@ -236,11 +230,13 @@ def witness_sweep(atlas: PatternAtlas) -> VerificationReport:
 class IncompatibilityCertificate:
     """Exact numeric contradiction ruling out a shared cluster.
 
-    ``lhs_value`` equals 1 - phi_coefficient * 2**denominator_exponent,
-    computed by specializing the phi image of the witness monomial at
-    reference = 1/2, all else 1; it is strictly negative.  The right
-    side it would need to equal is a specialization of an expansion with
-    positive coefficients, hence >= 0.
+    ``lhs_value`` is the witness monomial c * x^e, its coefficients erased
+    and evaluated at reference = 1/2, all else 1, subtracted from 1: the
+    integer 1 - phi_coefficient * 2**denominator_exponent, where
+    phi_coefficient is the sum of c's integers and denominator_exponent is
+    -e at the reference.  It is strictly negative.  The right side it
+    would need to equal is a specialization of an expansion with positive
+    coefficients, hence >= 0.
     """
 
     reference: int
@@ -248,7 +244,7 @@ class IncompatibilityCertificate:
     witness: WitnessMonomial
     phi_coefficient: int
     denominator_exponent: int
-    lhs_value: Fraction
+    lhs_value: int
     rhs_lower_bound: int = 0
 
     @property
@@ -284,18 +280,10 @@ def incompatibility_certificate(
             f"variables {x} and {z} share a cluster; nothing to certify"
         )
     witness = laurent_witness(x, z, atlas)
-    mono = LaurentPoly(
-        atlas.n,
-        atlas.m,
-        {witness.exponents + y: a for y, a in witness.coefficient.terms.items()},
-    )
-    erased = phi(mono)
-    values = [Fraction(1)] * atlas.n
-    values[witness.k_position] = Fraction(1, 2)
-    lhs = 1 - erased.specialize(values)
     c_int = sum(witness.coefficient.terms.values())
     v_exp = -witness.k_exponent
-    if lhs != 1 - c_int * Fraction(2) ** v_exp or lhs >= 0 or v_exp < 1:
+    lhs = 1 - c_int * 2**v_exp
+    if lhs >= 0 or v_exp < 1:
         raise RuntimeError(
             f"certificate arithmetic inconsistent for pair ({x}, {z}): "
             f"lhs={lhs}, coefficient={c_int}, exponent={v_exp}"
@@ -423,9 +411,11 @@ def _find_identification(
     the anchor's i-th variable to a2's root's i-th is a field map between
     the patterns, so the a1 expansions at the anchor's cluster, with
     coordinate i read at the anchor's position i, must be exactly a2's
-    expansions at its root, whose ids 0..n-1 are its positions.  An
-    expansion is unique, so each a2 variable has at most one image, and the
-    images must be a bijection onto a1's variables.
+    expansions at its root, whose ids 0..n-1 are its positions.  Each is
+    read once through the cluster's reading, its image's coordinates
+    relabeled into the anchor's positions.  An expansion is unique, so
+    each a2 variable has at most one image, and the images must be a
+    bijection onto a1's variables.
     """
     tried = 0
     last_reason = "no stored seed of the first atlas matches the second root matrix"
@@ -438,12 +428,12 @@ def _find_identification(
     )
     for sid, perm in anchors:
         tried += 1
-        ids = [a1.seed_variable_ids[sid][i] for i in perm]
-        c = a1.clusters[sid]
-        order = [c.index(v) for v in ids]
+        known, sigma, image, _ = a1._expansions_at(a1.clusters[sid])
+        ids = a1.seed_variable_ids[sid]
+        order = [image.index(sigma[ids[i]]) for i in perm]
         first: dict[LaurentPoly, int] = {}
         for v1 in range(count):
-            terms = a1.expand(v1, c).terms.items()
+            terms = known[sigma[v1]].terms.items()
             relabeled = {tuple([key[j] for j in order]): a for key, a in terms}
             first[LaurentPoly._trusted(a1.n, 0, relabeled)] = v1
         mapping = {v2: first[p] for v2, p in enumerate(second) if p in first}

@@ -34,7 +34,7 @@ from clusteralg.atlas import (
     _level_order,
     graph_difference,
 )
-from clusteralg.catalogue import finite_counts, matrix
+from clusteralg.catalogue import finite_counts, finite_type, matrix
 from clusteralg.seed import exchange, mutate
 from conftest import (
     A1_ROWS,
@@ -1331,6 +1331,33 @@ class TestExpand:
         assert a.variables.index(LaurentPoly.parse("x1^-1*x2 + x1^-1", 2, 0)) == 2
         assert LaurentPoly.parse("x1 + x2", 2, 0) not in a.variables
         assert len(set(a.variables)) == len(a.variables)
+
+    # Setting y -> 1 sends principal expansions to trivial ones, and
+    # positivity (Gross, Hacking, Keel and Kontsevich, 2018) rules out
+    # cancellation: both coefficient choices intern the same variables,
+    # store the same clusters and read the same d-vectors.  A re-rooting
+    # fault that only principal coefficients hit shows here.
+    @pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4", "D5", "F4", "G2"])
+    def test_principal_and_trivial_atlases_agree(self, name):
+        rows = matrix(*finite_type(name))
+        principal, trivial = [
+            explore(root_seed(ExchangeMatrix(rows), coefficients))
+            for coefficients in ("principal", "trivial")
+        ]
+        n = principal.n
+
+        def erased(p: LaurentPoly) -> LaurentPoly:  # y -> 1
+            terms: dict[tuple[int, ...], int] = {}
+            for key, a in p.terms.items():
+                terms[key[:n]] = terms.get(key[:n], 0) + a
+            return LaurentPoly(n, 0, terms)
+
+        assert principal.clusters == trivial.clusters
+        assert list(map(erased, principal.variables)) == trivial.variables
+        for c in principal.clusters:
+            assert principal.d_vectors(c) == trivial.d_vectors(c)
+            for v in range(len(trivial.variables)):
+                assert erased(principal.expand(v, c)) == trivial.expand(v, c)
 
 
 # ----------------------------------------------------------------------

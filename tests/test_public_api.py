@@ -27,6 +27,7 @@ def test_every_exported_name_resolves():
         "cluster_monomial_expansion",
         "GraphComparison",
         "graphs_equal",
+        "phi",
     ],
 )
 def test_removed_names_are_gone(name):

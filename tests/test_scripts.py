@@ -29,25 +29,36 @@ def load_script(name):
 
 
 # sha256 of each script's stdout, pinned so that output can only change on
-# purpose; the re-root report prints every stored seed's discovery path.
+# purpose; the re-root report prints every stored seed's discovery path, and
+# with --certificates every certificate.  B3's 72 certificates reach a phi
+# coefficient of 3 and a denominator exponent of 2, so the closed form
+# 1 - c * 2**v is printed past c = v = 1.
 STDOUT_DIGESTS = {
-    "reroot_and_compare": (
+    "reroot_and_compare --type A3": (
         "231126bc6a5f82e1bf3e6a81943465ab98adcfe7fe0068f088c576dc8482b635"
     ),
     "run_verifications": (
         "3355e770260ab86224ab98567f9538b1a65ba462ab7894c4180bfae8120acbd2"
+    ),
+    "reroot_and_compare --type B3 --certificates": (
+        "db0f40ed8ff8ca5756285da5e8bdce31c21e680322e7de2312853e35aebb0aad"
     ),
 }
 
 
 @pytest.mark.parametrize(
     "name, argv",
-    [("reroot_and_compare", ["--type", "A3"]), ("run_verifications", [])],
+    [
+        ("reroot_and_compare", ["--type", "A3"]),
+        ("run_verifications", []),
+        ("reroot_and_compare", ["--type", "B3", "--certificates"]),
+    ],
 )
 def test_script_passes(name, argv, capsys):
     assert load_script(name).main(argv) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[name]
+    digest = STDOUT_DIGESTS[" ".join([name, *argv])]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # The host and kept-map counts, the sha256 of every expansion's text and

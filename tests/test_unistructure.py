@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import groupby, permutations, product
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from clusteralg import (
     ExchangeMatrix,
@@ -26,7 +23,6 @@ from clusteralg import (
     laurent_witness,
     mutate,
     mutate_path,
-    phi,
     root_seed,
     verify_unistructural,
     witness_sweep,
@@ -176,34 +172,6 @@ def sorted_sweep(atlas):
     return report.text()
 
 
-def poly_strategy(n: int = 2, m: int = 2):
-    key = st.lists(st.integers(-3, 3), min_size=n + m, max_size=n + m).map(tuple)
-    term = st.tuples(key, st.integers(-4, 4))
-    return st.lists(term, max_size=4).map(lambda ts: LaurentPoly(n, m, dict(ts)))
-
-
-# ----------------------------------------------------------------------
-# the coefficient-erasing homomorphism
-
-
-class TestPhi:
-    def test_examples(self):
-        p = LaurentPoly.parse("x1^-1*x2 + y1*x1^-1", 2, 2)
-        assert phi(p) == LaurentPoly.parse("x1^-1*x2 + x1^-1", 2, 0)
-        q = LaurentPoly.parse("y1*x1 + y2*x1 + x2", 2, 2)
-        assert phi(q) == LaurentPoly.parse("2*x1 + x2", 2, 0)
-        assert phi(LaurentPoly.zero(2, 2)).is_zero()
-
-    def test_trivial_coefficients_are_fixed(self):
-        p = LaurentPoly.parse("x1^2 + -x2^2", 2, 0)
-        assert phi(p) == p
-
-    @given(poly_strategy(), poly_strategy())
-    def test_ring_homomorphism(self, a, b):
-        assert phi(a + b) == phi(a) + phi(b)
-        assert phi(a * b) == phi(a) * phi(b)
-
-
 # ----------------------------------------------------------------------
 # witnesses
 
@@ -301,6 +269,32 @@ class TestWitness:
         assert ("pairs-checked", "53") in report.context
         assert report.checks[0].detail == "pair (5, 8): " + text
 
+    def test_missing_witness_fails_the_sweep(self, monkeypatch):
+        # Variable 4 is forged as x1^-1*x2^-1 at every cluster through 0, so
+        # no cluster through 0 holds an admissible term of it.
+        atlas = explore(root_seed(ExchangeMatrix(A2_ROWS), "trivial"))
+        read = atlas._expansions_at
+        forged = LaurentPoly.parse("x1^-1*x2^-1", 2, 0)
+
+        def forged_read(c):
+            known, sigma, image, pick = read(c)
+            if 0 in c:
+                known = {**known, sigma[4]: forged}
+            return known, sigma, image, pick
+
+        monkeypatch.setattr(atlas, "_expansions_at", forged_read)
+        text = (
+            "no admissible witness term for pair (0, 4); on a complete atlas "
+            "this is a verification failure"
+        )
+        with pytest.raises(WitnessNotFoundError) as caught:
+            laurent_witness(0, 4, atlas)
+        assert str(caught.value) == text
+        report = witness_sweep(atlas)
+        assert report.resolve_status() == "fail"
+        assert ("pairs-checked", "4") in report.context
+        assert report.checks[0].detail == "pair (0, 4): " + text
+
     # The expected count is of pairs whose witness coefficient has more than
     # one term, which only principal coefficients can give.  Three re-rooted
     # roots of each trivial type make kept automorphisms serve clusters with
@@ -392,7 +386,7 @@ class TestCertificates:
         cert = incompatibility_certificate(0, 4, a2_trivial)
         assert cert.phi_coefficient == 1
         assert cert.denominator_exponent == 1
-        assert cert.lhs_value == Fraction(-1)
+        assert type(cert.lhs_value) is int and cert.lhs_value == -1
         assert cert.lhs_value == 1 - cert.phi_coefficient * 2 ** cert.denominator_exponent
         assert cert.lhs_value < cert.rhs_lower_bound == 0
         assert cert.host == (0, 4)
@@ -404,10 +398,14 @@ class TestCertificates:
         assert "lhs-value: -1" in lines
         assert "rhs-lower-bound: 0" in lines
 
-    def test_deeper_denominator(self, c2_trivial):
+    def test_deeper_denominator(self, c2_trivial, g2_trivial):
         cert = incompatibility_certificate(0, 4, c2_trivial)
         assert cert.denominator_exponent == 2
-        assert cert.lhs_value == Fraction(-3)
+        assert cert.lhs_value == -3
+        # At v = 3 the power 2**v first differs from 2 * v.
+        cert = incompatibility_certificate(0, 4, g2_trivial)
+        assert cert.denominator_exponent == 3
+        assert cert.lhs_value == -7
 
     def test_enumerate_and_certify_all(self, a2_trivial):
         assert incompatible_pairs(a2_trivial) == A2_INCOMPATIBLE_PAIRS
