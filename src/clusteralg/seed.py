@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .laurent import Exponents, LaurentPoly, binomial, exact_div
@@ -44,7 +44,7 @@ class PositivityError(ArithmeticError):
 
 
 def _as_rows(rows: Sequence[Sequence[int]]) -> Rows:
-    out = tuple(tuple(int(v) for v in row) for row in rows)
+    out = tuple(tuple(map(index, row)) for row in rows)
     n = len(out)
     if any(len(row) != n for row in out):
         raise ValueError("matrix is not square")
@@ -55,10 +55,13 @@ def find_skew_symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Componentwise minimal positive integers s with diag(s) * B skew-symmetric.
 
     Works one connected component of the off-diagonal support at a time:
-    an edge (i, j) with b_ij != 0 forces s_i * b_ij = -s_j * b_ji, so
-    ratios propagate by breadth-first search and every back edge is a
-    consistency check.  Raises NotSkewSymmetrizableError when the sign
-    pattern or a ratio fails.
+    an edge (i, j) with b_ij != 0 forces s_j * |b_ji| = s_i * |b_ij|, so
+    integers propagate by breadth-first search and every back edge is a
+    consistency check.  Where s_j would not be whole, the component found
+    so far is first multiplied by the least factor that makes it whole; the
+    new s_j is prime to that factor, so the component's gcd stays 1 and s
+    is minimal.  Raises NotSkewSymmetrizableError when the sign pattern or
+    a ratio fails.
     """
     b = _as_rows(rows)
     n = len(b)
@@ -72,39 +75,30 @@ def find_skew_symmetrizer(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
                     f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
                     f"are {b[i][j]}, {b[j][i]}: need opposite signs or both zero"
                 )
-    ratio: list[Fraction | None] = [None] * n
+    s = [0] * n
     for start in range(n):
-        if ratio[start] is not None:
+        if s[start]:
             continue
-        ratio[start] = Fraction(1)
-        component = [start]
-        queue = [start]
-        while queue:
-            i = queue.pop(0)
+        s[start] = 1
+        component = [start]  # also the queue: iteration reaches appended j
+        for i in component:
             for j in range(n):
                 if b[i][j] == 0:
                     continue
-                forced = ratio[i] * Fraction(b[i][j], -b[j][i])
-                if ratio[j] is None:
-                    ratio[j] = forced
+                num, den = s[i] * abs(b[i][j]), abs(b[j][i])
+                if not s[j]:
+                    if num % den:
+                        scale = den // gcd(num, den)
+                        for c in component:
+                            s[c] *= scale
+                        num *= scale
+                    s[j] = num // den
                     component.append(j)
-                    queue.append(j)
-                elif ratio[j] != forced:
+                elif s[j] * den != num:
                     raise NotSkewSymmetrizableError(
                         f"inconsistent symmetrizer ratio at ({i + 1},{j + 1})"
                     )
-        # Scale the component to minimal positive integers.
-        denom_lcm = 1
-        for i in component:
-            d = ratio[i].denominator
-            denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-        values = [ratio[i] * denom_lcm for i in component]
-        common = 0
-        for v in values:
-            common = gcd(common, int(v))
-        for i, v in zip(component, values):
-            ratio[i] = Fraction(int(v) // common)
-    return tuple(int(r) for r in ratio)
+    return tuple(s)
 
 
 class ExchangeMatrix:
@@ -120,14 +114,6 @@ class ExchangeMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExchangeMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
     @staticmethod
     def _trusted(rows: Rows) -> "ExchangeMatrix":
         """Rows from mutation, unchecked: it keeps the minimal symmetrizer
@@ -135,9 +121,6 @@ class ExchangeMatrix:
         out = object.__new__(ExchangeMatrix)
         out.rows = rows
         return out
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
 
     def __repr__(self) -> str:
         return f"ExchangeMatrix({list(map(list, self.rows))})"

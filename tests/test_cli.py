@@ -62,6 +62,7 @@ def seeds(tmp_path):
         ("kron3", KRONECKER_3_ROWS, "trivial"),
         ("markov", MARKOV_ROWS, "trivial"),
         ("a2_moved", [[0, -1], [1, 0]], "trivial"),
+        ("fractional", [[0, 1.5], [-1.5, 0]], "trivial"),
     ]:
         data = {"n": len(rows), "B": rows, "coefficients": coefficients}
         path = tmp_path / f"{name}.json"
@@ -312,6 +313,12 @@ class TestErrorHandling:
     def test_missing_key_in_seed_file(self, seeds, capsys):
         assert main(["explore", "--seed", seeds["bad"]]) == 2
         assert "error: seed file is missing key 'B'" in capsys.readouterr().err
+
+    def test_fractional_entries_in_seed_file(self, seeds, capsys):
+        assert main(["explore", "--seed", seeds["fractional"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: 'B' entries must be integers" in captured.err
 
     def test_invalid_json(self, seeds, capsys):
         assert main(["explore", "--seed", seeds["garbage"]]) == 2

@@ -32,7 +32,9 @@ def load_script(name):
 # purpose; the re-root report prints every stored seed's discovery path, and
 # with --certificates every certificate.  B3's 72 certificates reach a phi
 # coefficient of 3 and a denominator exponent of 2, so the closed form
-# 1 - c * 2**v is printed past c = v = 1.
+# 1 - c * 2**v is printed past c = v = 1.  On the non-simply-laced types
+# every suite runs with a symmetrizer other than (1, ..., 1), the g-pair
+# sweep included.
 STDOUT_DIGESTS = {
     "reroot_and_compare --type A3": (
         "231126bc6a5f82e1bf3e6a81943465ab98adcfe7fe0068f088c576dc8482b635"
@@ -43,6 +45,9 @@ STDOUT_DIGESTS = {
     "reroot_and_compare --type B3 --certificates": (
         "db0f40ed8ff8ca5756285da5e8bdce31c21e680322e7de2312853e35aebb0aad"
     ),
+    "run_verifications --types B3 B4 C3 C4 F4 G2": (
+        "13bc3c35b2c9c85741cc2f782fbbd1a80d03c260237613378f6ba4a00001dc57"
+    ),
 }
 
 
@@ -52,6 +57,7 @@ STDOUT_DIGESTS = {
         ("reroot_and_compare", ["--type", "A3"]),
         ("run_verifications", []),
         ("reroot_and_compare", ["--type", "B3", "--certificates"]),
+        ("run_verifications", ["--types", "B3", "B4", "C3", "C4", "F4", "G2"]),
     ],
 )
 def test_script_passes(name, argv, capsys):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import re
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -150,28 +152,64 @@ class TestSymmetrizer:
         assert find_skew_symmetrizer(
             [[0, 2, 0], [-1, 0, 0], [0, 0, 0]]
         ) == (1, 2, 1)
+        assert find_skew_symmetrizer(
+            [[0, 1, 0, 0, 0], [-2, 0, 0, 0, 0], [0, 0, 0, 3, 0],
+             [0, 0, -2, 0, 0], [0, 0, 0, 0, 0]]
+        ) == (2, 1, 2, 3, 1)
+        # a path whose component is rescaled twice, at its first and last edge
+        assert find_skew_symmetrizer(
+            [[0, 2, 0, 0], [-3, 0, 5, 0], [0, -2, 0, 7], [0, 0, -3, 0]]
+        ) == (9, 6, 15, 35)
 
     def test_rejects_bad_sign_patterns(self):
-        with pytest.raises(NotSkewSymmetrizableError):
-            find_skew_symmetrizer([[0, 1], [1, 0]])
-        with pytest.raises(NotSkewSymmetrizableError):
-            find_skew_symmetrizer([[0, 1], [0, 0]])
-        with pytest.raises(NotSkewSymmetrizableError):
-            find_skew_symmetrizer([[1, 0], [0, 0]])
+        need = ": need opposite signs or both zero"
+        for rows, message in [
+            ([[0, 1], [1, 0]], "entries (1,2) and (2,1) are 1, 1" + need),
+            ([[0, 1], [0, 0]], "entries (1,2) and (2,1) are 1, 0" + need),
+            ([[1, 0], [0, 0]], "nonzero diagonal entry at 1"),
+        ]:
+            with pytest.raises(NotSkewSymmetrizableError, match=re.escape(message)):
+                find_skew_symmetrizer(rows)
 
     def test_rejects_inconsistent_cycle_ratios(self):
-        with pytest.raises(NotSkewSymmetrizableError):
+        with pytest.raises(
+            NotSkewSymmetrizableError,
+            match=re.escape("inconsistent symmetrizer ratio at (2,3)"),
+        ):
             find_skew_symmetrizer([[0, 1, -1], [-1, 0, 1], [2, -1, 0]])
+
+    @pytest.mark.parametrize("rows", [[[0, 1.5], [-1.5, 0]], [[0, "2"], [-2, 0]]])
+    def test_rejects_non_integral_entries(self, rows):
+        # Entries are read as integers, never truncated or parsed.
+        with pytest.raises(TypeError):
+            ExchangeMatrix(rows)
+        with pytest.raises(TypeError):
+            find_skew_symmetrizer(rows)
 
     def test_symmetrizer_symmetrizes(self):
         rng = random.Random(7)
-        for _ in range(50):
-            b = random_exchange_matrix(rng, rng.randint(1, 4))
-            s = find_skew_symmetrizer(b.rows)
-            n = b.n
-            for i in range(n):
-                for j in range(n):
-                    assert s[i] * b.rows[i][j] == -s[j] * b.rows[j][i]
+        for max_sym in (3, 6):
+            for _ in range(50):
+                b = random_exchange_matrix(rng, rng.randint(1, 4), max_sym=max_sym)
+                s = find_skew_symmetrizer(b.rows)
+                n = b.n
+                for i in range(n):
+                    for j in range(n):
+                        assert s[i] * b.rows[i][j] == -s[j] * b.rows[j][i]
+                # s is minimal: each connected component of the support has gcd 1.
+                seen = set()
+                for start in range(n):
+                    if start in seen:
+                        continue
+                    component, frontier = {start}, [start]
+                    while frontier:
+                        i = frontier.pop()
+                        for j in range(n):
+                            if b.rows[i][j] and j not in component:
+                                component.add(j)
+                                frontier.append(j)
+                    seen |= component
+                    assert gcd(*(s[i] for i in component)) == 1
 
 
 # ----------------------------------------------------------------------
