@@ -9,24 +9,24 @@ structurally equal Laurent polynomials.  Clusters are sorted tuples of
 variable ids.
 
 Exploration is breadth-first with a deterministic order.  A child is its
-variable ids, B and y, keyed by its ids ascending with B and y in that
-order; a variable new to its level has a token, ``_TOKEN + i`` for the
-level's i-th new polynomial, so its child matches no stored seed and, as
-tokens exceed every id, the token is its key's last label.  The store,
-and the dict that groups a level's other children into new classes (each
-with a slot, keeping its first child), are keyed by cluster: Fomin and
-Zelevinsky conjecture that a seed is determined by its cluster ("Cluster
-algebras IV", 2007, Conjecture 4.14), and exploration checks it.  A child
-on a stored or already met cluster must have that seed's or first child's
-key, else an engine fault names both.  The new classes are stored in
-polynomial key order, as their clusters over the ranks of the level's
-variables' polynomial sort keys sort: a rank increases strictly with the
-key, and a key begins with its cluster.  A stored class interns its
-token's variable under the next id, again above its other labels, so only
-its key's last label changes.  Only a stored class gets a Seed, and the
+variable ids, B and y; a variable new to its level has a token, ``_TOKEN +
+i`` for the level's i-th new polynomial, above every id, so the token is
+its cluster's last label.  The store, and the dict that groups a level's
+other children into new classes (each with a slot, keeping its first
+child), are keyed by cluster: Fomin and Zelevinsky conjecture that a seed
+is determined by its cluster ("Cluster algebras IV", 2007, Conjecture
+4.14), and exploration checks it.  A child on a stored or already met
+cluster must have that seed's or first child's B and y, read at its own
+positions by the one permutation carrying its distinct ids onto the
+other's (A6 trivial: the identity on 144 of its 859 landings), else
+an engine fault names both.  New classes are stored in canonical key order
+(labels by sort key ascending, then y and B), as their clusters over the
+ranks of their variables' sort keys sort.  A stored class interns its
+token's variable under the next id, above its other labels, so only its
+cluster's last label changes.  Only a stored class gets a Seed, and the
 serialized atlas never depends on hashing or scheduling.  Caps bound the
-store size and the search depth; hitting either leaves ``complete``
-false, which downstream verification refuses rather than guessing.
+store size and the search depth; hitting either leaves ``complete`` false,
+which downstream verification refuses rather than guessing.
 
 Each exchange edge is mutated once.  Mutation is an involution, so the
 edge from s in direction k to stored seed t also names t's edge back to
@@ -38,10 +38,10 @@ fault.
 Each distinct exchange is computed once per exploration.  The new
 variable depends only on x_k, y_k and the x_i with b_ik != 0, with their
 exponents b_ik, so exploration keeps the id (or token) of each one it
-computes under those inputs, read in the seed's ascending-id order, and
-another edge with those inputs mutates only B and y.  In finite type most
-edges do: A6 has 1,287 exchange edges and 126 distinct exchanges.  A kept
-variable was checked for exact division and positivity when computed.
+computes under those inputs, the (x_i, b_ik) as a set, and another edge
+with those inputs mutates only B and y.  In finite type most edges do: A6
+has 1,287 exchange edges and 126 distinct exchanges.  A kept variable was
+checked for exact division and positivity when computed.
 Every variable is packed once, into the atlas's one ``PackedLayout``, so a
 computed exchange is multiplied and divided over packed keys with no
 packing.  Its quotient is looked up among the variables by its packed
@@ -152,11 +152,11 @@ class ExploreCaps:
             raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
 
 
-def _exchange_input(seed: Seed, ids: Cluster, order: list[int], k: int) -> tuple:
+def _exchange_input(seed: Seed, ids: Cluster, k: int) -> tuple:
     """All that ``exchange`` reads in direction k, variables by id: x_k,
-    y_k, and the (x_i, b_ik) with b_ik != 0, i in ``order``, ascending id."""
-    kk, rows = k - 1, seed.b.rows
-    column = tuple([(ids[p], b) for p in order if (b := rows[p][kk])])
+    y_k, and the set of the (x_i, b_ik) with b_ik != 0, x_i distinct."""
+    kk = k - 1
+    column = frozenset([(i, b) for i, row in zip(ids, seed.b.rows) if (b := row[kk])])
     return ids[kk], seed.y[kk], column
 
 
@@ -164,18 +164,21 @@ def _exchange_input(seed: Seed, ids: Cluster, order: list[int], k: int) -> tuple
 _TOKEN = 1 << 62
 
 
-def _class_key(labels: tuple, rows: Rows, y: Rows) -> tuple:
-    """A seed's form under simultaneous position permutation: its distinct
-    labels ascending, with y and B's rows and columns in that order."""
-    if len(labels) == 1:  # itemgetter of one index returns the item, not a tuple
-        return (labels, y, rows)
-    pick = itemgetter(*sorted(range(len(labels)), key=labels.__getitem__))
-    return (pick(labels), pick(y), tuple(map(pick, pick(rows))))
+def _same_seed(
+    ids: Cluster, rows: Rows, y: Rows, at: Cluster, at_rows: Rows, at_y: Rows
+) -> bool:
+    """Whether (ids, rows, y) is the seed (at, at_rows, at_y) read at ids' positions."""
+    if ids == at:
+        return rows == at_rows and y == at_y
+    # Two indices at least, as n = 1 always gives ids == at: an itemgetter
+    # of one index would return the item, not a tuple.
+    pick = itemgetter(*map(at.index, ids))
+    return rows == tuple(map(pick, pick(at_rows))) and y == pick(at_y)
 
 
 def _level_order(classes: list, rank) -> list[int]:
-    """The slots of a level's new classes, each (ids, ...), in the order of
-    their ``_class_key``s over ranks: that of their distinct clusters."""
+    """The slots of a level's new classes, each (ids, ...), in canonical key
+    order over ranks: a key begins with its cluster, and these are distinct."""
     keys = [tuple(sorted(map(rank, c[0]))) for c in classes]
     return sorted(range(len(classes)), key=keys.__getitem__)
 
@@ -208,7 +211,6 @@ class PatternAtlas:
         self.cluster_to_seed: dict[Cluster, int] = {}
         self.edges: dict[tuple[int, int], int] = {}
         self.tree: list[tuple[int, int] | None] = []
-        self._class_keys: list[tuple] = []  # by seed id; see the module
         self._readings: dict[Cluster, tuple] = {}  # see ``_expansions_at``
         self._d_vectors: dict[Cluster, tuple[tuple[int, ...], ...]] = {}  # by image
         # Hosts that exchanged for want of a twin, by a shape that position
@@ -222,24 +224,22 @@ class PatternAtlas:
         self.derived: dict = {}
         ids = tuple(range(self.n))
         held = Seed._trusted(root.b, root.y, tuple(self.variables))
-        self._store_seed(held, ids, None, _class_key(ids, root.b.rows, root.y))
+        self._store_seed(held, ids, None, ids)
         self.complete = self._explore()
 
     # ------------------------------------------------------------------
     # construction
 
     def _store_seed(
-        self, seed: Seed, ids: Cluster, parent: tuple | None, key: tuple
+        self, seed: Seed, ids: Cluster, parent: tuple | None, cluster: Cluster
     ) -> int:
         # parent: the (seed, direction) made from, if any; the tree's writer.
-        # key: ``_class_key`` of ids, B and y.
         sid = len(self.seeds)
         self.tree.append(parent)
-        self._class_keys.append(key)
         self.seeds.append(seed)
         self.seed_variable_ids.append(ids)
-        self.clusters.append(key[0])
-        self.cluster_to_seed[key[0]] = sid
+        self.clusters.append(cluster)
+        self.cluster_to_seed[cluster] = sid
         return sid
 
     def _explore(self) -> bool:
@@ -279,7 +279,6 @@ class PatternAtlas:
             for sid in level:
                 seed = self.seeds[sid]
                 ids = self.seed_variable_ids[sid]
-                order = sorted(range(n), key=ids.__getitem__)
                 for k in range(1, n + 1):
                     back = reverse.pop((sid, k), None)
                     if back is not None:
@@ -290,7 +289,7 @@ class PatternAtlas:
                         if len(faces[face]) == 1:  # the seed's own cluster
                             truncated = True
                             continue
-                    given = _exchange_input(seed, ids, order, k)
+                    given = _exchange_input(seed, ids, k)
                     new = exchanged.get(given)
                     if new is None:
                         child = mutate(seed, k)
@@ -307,17 +306,18 @@ class PatternAtlas:
                     else:
                         rows, y = mutate_rows(seed.b.rows, seed.y, k)
                     child_ids = ids[: k - 1] + (new,) + ids[k:]
-                    key = _class_key(child_ids, rows, y)
-                    target = self.cluster_to_seed.get(key[0])
+                    cluster = tuple(sorted(child_ids))
+                    target = self.cluster_to_seed.get(cluster)
                     if target is not None:
-                        if key != self._class_keys[target]:
+                        at, at_ids = self.seeds[target], self.seed_variable_ids[target]
+                        if not _same_seed(child_ids, rows, y, at_ids, at.b.rows, at.y):
                             raise _two_seeds(sid, k, target)
                         link(sid, k, target, new)
                         continue
-                    slot = classes.setdefault(key[0], len(firsts))
+                    slot = classes.setdefault(cluster, len(firsts))
                     if slot == len(firsts):
-                        firsts.append((child_ids, rows, y, key, sid, k))
-                    elif key != firsts[slot][3]:
+                        firsts.append((child_ids, rows, y, cluster, sid, k))
+                    elif not _same_seed(child_ids, rows, y, *firsts[slot][:3]):
                         raise _two_seeds(sid, k, *firsts[slot][4:])
                     candidates.append((slot, new, sid, k, given))
             if not firsts:
@@ -339,19 +339,19 @@ class PatternAtlas:
             # Each stored class becomes a Seed, interning its token, until a cap.
             start, found, interned = len(self.seeds), [None] * len(firsts), {}
             for slot in ordered[:room]:
-                ids, rows, y, key, sid, k = firsts[slot]
+                ids, rows, y, cluster, sid, k = firsts[slot]
                 new = ids[k - 1]
                 if new >= _TOKEN:  # intern its variable, in place of the token
                     if new not in interned:
                         interned[new] = len(variables)
                         variables.append(polys[new - _TOKEN])
                         by_terms[terms(variables[-1])] = interned[new]
-                    # The token is the key's last label, and so is its id.
+                    # The token is the cluster's last label, and so is its id.
                     ids = ids[: k - 1] + (interned[new],) + ids[k:]
-                    key = (key[0][:-1] + (interned[new],), *key[1:])
+                    cluster = cluster[:-1] + (interned[new],)
                 x = tuple(map(variables.__getitem__, ids))
                 seed = Seed._trusted(ExchangeMatrix._trusted(rows), y, x)
-                found[slot] = self._store_seed(seed, ids, (sid, k), key)
+                found[slot] = self._store_seed(seed, ids, (sid, k), cluster)
             for slot, new, sid, k, given in candidates:
                 target = found[slot]
                 if target is not None:

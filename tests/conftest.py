@@ -59,8 +59,8 @@ def misdirect_reverse_edges(monkeypatch):
     wrong seed once the parent is not the seed stored just before."""
     store = clusteralg.atlas.PatternAtlas._store_seed
 
-    def misdirected(atlas, seed, ids, parent, key):
-        sid = store(atlas, seed, ids, parent, key)
+    def misdirected(atlas, seed, ids, parent, cluster):
+        sid = store(atlas, seed, ids, parent, cluster)
         if parent is not None:
             atlas.edges[sid, parent[1]] = sid - 1
         return sid

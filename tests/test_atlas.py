@@ -29,9 +29,9 @@ from clusteralg import (
 from clusteralg.atlas import (
     _TOKEN,
     PatternAtlas,
-    _class_key,
     _exchange_input,
     _level_order,
+    _same_seed,
     graph_difference,
 )
 from clusteralg.catalogue import finite_counts, finite_type, matrix
@@ -268,7 +268,7 @@ class EveryDirectionAtlas(PatternAtlas):
     def _explore(self) -> bool:
         n = self.n
         truncated = False
-        stored = {canonical_seed_key(self.root): 0}
+        stored = {entrywise_canonical_seed_key(self.root): 0}
         var_ids = {p: i for i, p in enumerate(self.variables)}
         level, depth = [0], 0
         while level:
@@ -277,7 +277,7 @@ class EveryDirectionAtlas(PatternAtlas):
                 seed = self.seeds[sid]
                 for k in range(1, n + 1):
                     child = mutate(seed, k)
-                    key = canonical_seed_key(child)
+                    key = entrywise_canonical_seed_key(child)
                     target = stored.get(key)
                     if target is not None:
                         self.edges[(sid, k)] = target
@@ -299,8 +299,8 @@ class EveryDirectionAtlas(PatternAtlas):
                             var_ids[p] = len(self.variables)
                             self.variables.append(p)
                     ids = tuple(var_ids[p] for p in child.x)
-                    id_key = _class_key(ids, child.b.rows, child.y)
-                    stored[key] = self._store_seed(child, ids, (sid, k), id_key)
+                    cluster = tuple(sorted(ids))
+                    stored[key] = self._store_seed(child, ids, (sid, k), cluster)
                     next_level.append(stored[key])
             else:
                 truncated = True
@@ -329,24 +329,25 @@ def id_key(atlas, seed, tokens):
     for p in seed.x:
         vid = variable_index(atlas).get(p)
         ids.append(tokens.setdefault(p, _TOKEN + len(tokens)) if vid is None else vid)
-    return _class_key(tuple(ids), seed.b.rows, seed.y)
+    return entrywise_class_key(tuple(ids), seed.b.rows, seed.y)
 
 
-def canonical_seed_key(seed):
-    """A seed's class key by polynomial sort keys.  The reference explorer
-    orders new classes by these keys themselves, not by ranks of them as
-    exploration does."""
-    return _class_key(tuple([p.sort_key() for p in seed.x]), seed.b.rows, seed.y)
+def entrywise_class_key(labels, rows, y):
+    """A seed's form under simultaneous position permutation, entry by
+    entry: its distinct labels ascending, with y and B's rows and columns
+    in that order."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    ys = tuple(y[i] for i in order)
+    bb = tuple(tuple(rows[oi][oj] for oj in order) for oi in order)
+    return (tuple(labels[i] for i in order), ys, bb)
 
 
 def entrywise_canonical_seed_key(seed):
-    """Reference for ``canonical_seed_key``: the entrywise permutation."""
-    n = seed.n
-    order = sorted(range(n), key=lambda i: seed.x[i].sort_key())
-    xs = tuple(seed.x[i].sort_key() for i in order)
-    ys = tuple(seed.y[i] for i in order)
-    bb = tuple(tuple(seed.b.rows[oi][oj] for oj in order) for oi in order)
-    return (xs, ys, bb)
+    """A seed's class key by polynomial sort keys.  The reference explorer
+    orders new classes by these keys themselves, not by ranks of them as
+    exploration does."""
+    labels = tuple([p.sort_key() for p in seed.x])
+    return entrywise_class_key(labels, seed.b.rows, seed.y)
 
 
 def degrees(graph):
@@ -522,10 +523,8 @@ class TestClosures:
                 for k in range(1, n + 1)
             }
             for (sid, k), tid in atlas.edges.items():
-                child = mutate_path(atlas.seeds[sid], [k])
-                assert canonical_seed_key(child) == canonical_seed_key(
-                    atlas.seeds[tid]
-                )
+                key = entrywise_canonical_seed_key(mutate_path(atlas.seeds[sid], [k]))
+                assert key == entrywise_canonical_seed_key(atlas.seeds[tid])
 
     @pytest.mark.parametrize(
         "rows, coefficients, caps",
@@ -709,11 +708,23 @@ class TestClosures:
     def test_exchange_input_tells_apart_each_input(self, rows, y, ids):
         base = root_seed(ExchangeMatrix(A2_ROWS), "principal")
         other = Seed(ExchangeMatrix(rows), y, base.x)
-        order = sorted(range(2), key=ids.__getitem__)
-        given = _exchange_input(other, ids, order, 1)
-        assert given != _exchange_input(base, (0, 1), [0, 1], 1)
+        assert _exchange_input(other, ids, 1) != _exchange_input(base, (0, 1), 1)
         if ids == (0, 1):
             assert exchange(other, 1) != exchange(base, 1)
+
+    def test_exchange_input_ignores_the_position_order(self):
+        # A3 principal in direction 2 reads x_1 and x_3; the same seed with
+        # its positions reversed reads them in the other order, by id the
+        # same exchange.
+        seed = root_seed(ExchangeMatrix(A3_ROWS), "principal")
+        flip = [2, 1, 0]
+        rows = [[seed.b.rows[i][j] for j in flip] for i in flip]
+        y = [seed.y[i] for i in flip]
+        reversed_seed = Seed(ExchangeMatrix(rows), y, seed.x[::-1])
+        given = _exchange_input(seed, (0, 1, 2), 2)
+        assert sorted(i for i, _ in given[2]) == [0, 2]
+        assert _exchange_input(reversed_seed, (2, 1, 0), 2) == given
+        assert exchange(reversed_seed, 2) == exchange(seed, 2)
 
     def test_a_broken_involution_is_an_engine_fault(self, monkeypatch):
         # Seed (2,) mutated in direction 1 lands one step too far: on the
@@ -748,6 +759,49 @@ class TestClosures:
             r"involution and seed 0 in direction 2 reaches seed 2$",
         ):
             explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
+
+    @pytest.mark.parametrize(
+        "sid, k, other, aligned",
+        [
+            # The later child of a new class holds the first child's
+            # variables at the first child's positions.
+            (3, 1, "1 mutated in direction 3", True),
+            # The child lands on stored seed 11 with its variables permuted.
+            (9, 1, "11", False),
+        ],
+    )
+    def test_a_seed_differing_only_in_y_is_an_engine_fault(
+        self, monkeypatch, sid, k, other, aligned
+    ):
+        # A3 principal: one landing child of a memo hit gets y negated, with
+        # B and its variables right, so only the comparison of y sees it, in
+        # the branch of ``_same_seed`` given by ``aligned``.
+        root = root_seed(ExchangeMatrix(A3_ROWS), "principal")
+        parent = explore(root).seeds[sid]
+        original_rows, original_same = clusteralg.atlas.mutate_rows, _same_seed
+        failed = []
+
+        def broken(rows, y, j):
+            got, got_y = original_rows(rows, y, j)
+            if (rows, y, j) == (parent.b.rows, parent.y, k):
+                got_y = tuple(tuple(-e for e in row) for row in got_y)
+            return got, got_y
+
+        def watched(ids, rows, y, at, at_rows, at_y):
+            same = original_same(ids, rows, y, at, at_rows, at_y)
+            if not same:
+                failed.append(ids == at)
+            return same
+
+        monkeypatch.setattr(clusteralg.atlas, "mutate_rows", broken)
+        monkeypatch.setattr(clusteralg.atlas, "_same_seed", watched)
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^seed {sid} mutated in direction {k} and seed {other} share a "
+            r"cluster but are different seeds",
+        ):
+            explore(root)
+        assert failed == [aligned]
 
     def test_two_seeds_on_one_new_cluster_are_an_engine_fault(self, monkeypatch):
         # A3: the children of the seeds along 1 and along 3, in directions 3
@@ -786,15 +840,49 @@ class TestClosures:
             (A4_ROWS, "principal", ExploreCaps(max_seeds=20)),
         ],
     )
-    def test_canonical_key_matches_entrywise_permutation(
-        self, rows, coefficients, caps
-    ):
+    def test_same_seed_agrees_with_entrywise_keys(self, rows, coefficients, caps):
+        # Every stored seed's child in each direction that has an edge, as
+        # mutated and with B or y negated, against the edge's stored target:
+        # ``_same_seed`` holds exactly when the entrywise keys are equal.
         atlas = explore(root_seed(ExchangeMatrix(rows), coefficients), caps)
+        index = variable_index(atlas)
+        branches, outcomes = Counter(), Counter()
         for sid, seed in enumerate(atlas.seeds):
-            assert canonical_seed_key(seed) == entrywise_canonical_seed_key(seed)
-            key = _class_key(atlas.seed_variable_ids[sid], seed.b.rows, seed.y)
-            assert atlas._class_keys[sid] == key
-            assert atlas.cluster_to_seed[key[0]] == sid
+            ids = atlas.seed_variable_ids[sid]
+            assert atlas.clusters[sid] == tuple(sorted(ids))
+            assert atlas.cluster_to_seed[atlas.clusters[sid]] == sid
+            for k in range(1, atlas.n + 1):
+                target = atlas.edges.get((sid, k))
+                if target is None:
+                    continue
+                at, stored = atlas.seed_variable_ids[target], atlas.seeds[target]
+                child = mutate(seed, k)
+                child_ids = tuple(map(index.__getitem__, child.x))
+                branches[child_ids == at] += 1
+                negated_b = [[-e for e in row] for row in child.b.rows]
+                negated_y = [[-e for e in row] for row in child.y]
+                for other in (
+                    child,
+                    Seed(ExchangeMatrix(negated_b), child.y, child.x),
+                    Seed(child.b, negated_y, child.x),
+                ):
+                    same = _same_seed(
+                        child_ids, other.b.rows, other.y, at, stored.b.rows, stored.y
+                    )
+                    assert same == (
+                        entrywise_canonical_seed_key(other)
+                        == entrywise_canonical_seed_key(stored)
+                    )
+                    outcomes[same] += 1
+        # Both outcomes, and both branches, the target's positions and a
+        # permutation of them, on each complete atlas; at n = 1 ids always
+        # equal at.
+        assert outcomes[True] and outcomes[False]
+        assert branches[True]
+        if atlas.n == 1:
+            assert not branches[False]
+        elif atlas.complete:
+            assert branches[False]
 
     @pytest.mark.parametrize(
         "rows, caps",
@@ -820,7 +908,10 @@ class TestClosures:
         met_twice = 0
         for group in groups:
             tokens = {}
-            pairs = {(id_key(atlas, s, tokens), canonical_seed_key(s)) for s in group}
+            pairs = {
+                (id_key(atlas, s, tokens), entrywise_canonical_seed_key(s))
+                for s in group
+            }
             assert len({a for a, _ in pairs}) == len(pairs)
             assert len({b for _, b in pairs}) == len(pairs)
             met_twice += len(pairs) < len(group)
@@ -842,7 +933,7 @@ class TestClosures:
                 classes.append((ids, rows, y))
             expected = sorted(
                 range(len(classes)),
-                key=lambda s: _class_key(
+                key=lambda s: entrywise_class_key(
                     tuple(map(rank.__getitem__, classes[s][0])), *classes[s][1:]
                 ),
             )

@@ -14,6 +14,7 @@ import clusteralg.cli
 import clusteralg.grading
 import clusteralg.laurent
 from clusteralg import VerificationReport
+from clusteralg.catalogue import matrix
 from clusteralg.cli import main
 from clusteralg.seed import PositivityError
 from conftest import (
@@ -57,6 +58,8 @@ def seeds(tmp_path):
         ("b3", B3_ROWS, "trivial"),
         ("d4", D4_ROWS, "trivial"),
         ("d5", D5_ROWS, "trivial"),
+        ("e6", matrix("E", 6), "trivial"),
+        ("e6p", matrix("E", 6), "principal"),
         ("inf", KRONECKER_2_ROWS, "trivial"),
         ("inf_p", KRONECKER_2_ROWS, "principal"),
         ("kron3", KRONECKER_3_ROWS, "trivial"),
@@ -680,6 +683,19 @@ class TestDeterminism:
                 "a4_rerooted",
                 [],
                 "e906346056be85e140f6e2f549feec94297cf434a0238ace7aa4f72318caa971",
+            ),
+            # Pinned before landings were checked in the stored seed's own
+            # positions, with no canonical class key: rank 6, whose landings
+            # mostly take the permuted branch.
+            (
+                "e6",
+                [],
+                "798bc6382fd591ef7a8f3128b14249da31be70a53319ab97bfb0f65459e4b268",
+            ),
+            (
+                "e6p",
+                [],
+                "0b7792dd785f6e2fa2deb27a0660678a392df21187be200f85c2fbfb156cabe9",
             ),
         ],
     )
