@@ -20,6 +20,16 @@ key's prefix, so the terms that share an x monomial are adjacent, x
 monomials in decreasing order: a caller that needs the terms grouped by x
 monomial reads them off this order.
 
+Text (``str``, read back by ``LaurentPoly.parse``) writes the terms in that
+order, joined by `` + ``; zero is ``0``.  A term is its factors joined by
+``*``, y factors before x factors, indexes ascending, each ``x3`` or
+``x3^-2`` (``^e`` only for e != 1), taken from one table per rank that maps
+each coordinate's exponent to its text; the coefficient is written ``c*``
+before them, -1 as a leading ``-`` and 1 not at all, and a constant term is
+a bare integer.  A held polynomial (below) keeps its terms largest first
+and gets its ``sort_key`` when held, so none is sorted again for order,
+equality, hashing or text.
+
 This module alone decides how a polynomial is laid out.  A packed layout
 holds an exponent tuple in one integer, one bit field per coordinate with
 a guard bit, the first coordinate most significant, so a monomial product
@@ -42,7 +52,7 @@ from __future__ import annotations
 import re
 from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
-from operator import add, and_, mul, rshift, sub
+from operator import add, and_, getitem, itemgetter, mul, rshift, sub
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -61,25 +71,33 @@ class NotHomogeneousError(ValueError):
     """The terms of a polynomial do not share a common graded degree."""
 
 
-def _format_term(coeff: int, key: Exponents, n: int, m: int) -> str:
-    # Factor order within a term: y generators first, then x, indexes ascending.
-    factors = []
-    for j in range(m):
-        e = key[n + j]
-        if e:
-            factors.append(f"y{j + 1}" + (f"^{e}" if e != 1 else ""))
-    for i in range(n):
-        e = key[i]
-        if e:
-            factors.append(f"x{i + 1}" + (f"^{e}" if e != 1 else ""))
-    if not factors:
-        return str(coeff)
-    body = "*".join(factors)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return "-" + body
-    return f"{coeff}*{body}"
+class _FactorText(dict):
+    """One coordinate's factor text by exponent, ``x3`` or ``x3^-2``, made
+    on first use; exponent 0 has the empty text."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__({0: ""})
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = self.name if e == 1 else f"{self.name}^{e}"
+        return text
+
+
+# Per rank (n, m): the factor texts of y1..ym, x1..xn, and an itemgetter
+# that reads an exponent tuple in that order (None when no reorder is due).
+_FACTOR_TABLES: dict[tuple[int, int], tuple[list[_FactorText], itemgetter | None]] = {}
+
+
+def _factor_table(n: int, m: int) -> tuple[list[_FactorText], itemgetter | None]:
+    table = _FACTOR_TABLES.get((n, m))
+    if table is None:
+        names = [f"y{j}" for j in range(1, m + 1)] + [f"x{i}" for i in range(1, n + 1)]
+        order = itemgetter(*range(n, n + m), *range(n)) if n and m else None
+        table = _FACTOR_TABLES[n, m] = (list(map(_FactorText, names)), order)
+    return table
 
 
 _FACTOR_RE = re.compile(r"([xy])(\d+)(?:\^(-?\d+))?")
@@ -317,10 +335,20 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        texts, order = _factor_table(self.n, self.m)
+        out = []
         # sort_key() holds the terms in canonical order, computed once.
-        return " + ".join(
-            _format_term(c, k, self.n, self.m) for k, c in self.sort_key()[2]
-        )
+        for k, c in self.sort_key()[2]:
+            body = "*".join(filter(None, map(getitem, texts, order(k) if order else k)))
+            if not body:
+                out.append(str(c))
+            elif c == 1:
+                out.append(body)
+            elif c == -1:
+                out.append("-" + body)
+            else:
+                out.append(f"{c}*{body}")
+        return " + ".join(out)
 
     def __repr__(self) -> str:
         return f"LaurentPoly(n={self.n}, m={self.m}, {str(self)!r})"
@@ -496,12 +524,14 @@ class PackedLayout:
 
     def hold(self, p: LaurentPoly) -> _HeldPoly:
         """p held in this layout, its tuple keys built largest first, an
-        order packing keeps.  A quotient in this layout keeps its packed
-        terms."""
+        order packing keeps, and so its ``sort_key`` made with no sort.  A
+        quotient in this layout keeps its packed terms, unpacked in its
+        leading-term order, largest first."""
         quotient = type(p) is _PackedPoly and p.keys is self.keys
         h = object.__new__(_HeldPoly)
-        h.n, h.m, h._key, h._hash = p.n, p.m, None, None
         h.terms = p.terms if quotient else dict(sorted(p.terms.items(), reverse=True))
+        h.n, h.m, h._hash = p.n, p.m, None
+        h._key = (p.n, p.m, tuple(h.terms.items()))
         h.bound = max(map(abs, chain.from_iterable(h.terms)), default=0)
         self.maxabs = max(self.maxabs, h.bound)
         self.fit(self.maxabs)

@@ -38,6 +38,8 @@ A4_REROOTED = [[0, 0, -1, 1], [0, 0, 1, 0], [1, -1, 0, -1], [-1, 0, 1, 0]]
 # B3 mutated along 2, 1, 3 and C3 along 1, 3, 2.
 B3_REROOTED = [[0, 1, 1], [-1, 0, 0], [-2, 0, 0]]
 C3_REROOTED = [[0, 1, -2], [-1, 0, 2], [1, -1, 0]]
+# An affine rank 3 pattern, with a double edge each way.
+AFFINE_3_ROWS = [[0, 1, 0], [-2, 0, 2], [0, -1, 0]]
 
 
 @pytest.fixture()
@@ -64,6 +66,8 @@ def seeds(tmp_path):
         ("inf_p", KRONECKER_2_ROWS, "principal"),
         ("kron3", KRONECKER_3_ROWS, "trivial"),
         ("markov", MARKOV_ROWS, "trivial"),
+        ("markov_p", MARKOV_ROWS, "principal"),
+        ("affine3_p", AFFINE_3_ROWS, "principal"),
         ("a2_moved", [[0, -1], [1, 0]], "trivial"),
         ("fractional", [[0, 1.5], [-1.5, 0]], "trivial"),
     ]:
@@ -697,6 +701,24 @@ class TestDeterminism:
                 [],
                 "0b7792dd785f6e2fa2deb27a0660678a392df21187be200f85c2fbfb156cabe9",
             ),
+            # Pinned before expansions were printed through one factor table
+            # per rank: y factors over three generators, coefficients up to
+            # 350 with negative exponents, and 17-digit coefficients.
+            (
+                "markov_p",
+                ["--max-depth", "3"],
+                "0600debd3e1f7d5ae4b5f8944eb2f75bcb76d7bbe409c6c6d56e03385706b74f",
+            ),
+            (
+                "affine3_p",
+                ["--max-depth", "6"],
+                "addaf5d955a4c9d442d2e467078ff508d9a7ad620ba7838c7d336eb6a1273a77",
+            ),
+            (
+                "kron3",
+                ["--max-depth", "5"],
+                "10cda7b9b2a9b73ac9963d8b97b2c968f11326cb10bb56036114bd2bf0dfd6a5",
+            ),
         ],
     )
     def test_explore_json_matches_golden_digest(
@@ -704,6 +726,15 @@ class TestDeterminism:
     ):
         assert main(["explore", "--seed", seeds[name], "--format", "json"] + caps) == 0
         out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_expand_matches_golden_digest(self, seeds, capsys):
+        # Pinned with the explore digests above: an affine variable in the
+        # cluster of the seed at path 3, 2, 1.
+        argv = ["expand", "--seed", seeds["affine3_p"], "--max-depth", "6"]
+        assert main(argv + ["--var", "30", "--cluster", "5 8 12"]) == 0
+        out = capsys.readouterr().out
+        digest = "58b13d66a8c0755851f59ef469d862404ce80ad0685e1f2a158c57fb12dd3da9"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("name", ["markov", "kron3"])

@@ -22,7 +22,7 @@ from clusteralg import (
     mutate,
     root_seed,
 )
-from clusteralg.catalogue import matrix
+from clusteralg.catalogue import finite_type, matrix
 from clusteralg.laurent import PackedLayout
 from conftest import A2_ROWS, KRONECKER_2_ROWS, KRONECKER_3_ROWS
 
@@ -86,6 +86,8 @@ class TestLaurentBasics:
         assert str(lp("x1^-1 + x1^-1*x2")) == "x1^-1*x2 + x1^-1"
         p = LaurentPoly(2, 2, {(-1, 0, 1, 0): 1, (-1, 1, 0, 0): 1})
         assert str(p) == "x1^-1*x2 + y1*x1^-1"
+        p = LaurentPoly(2, 2, {(-2, 0, 1, 3): -(2**70), (0, 0, 0, 0): -1, (0, 1, 0, 0): 1})
+        assert str(p) == f"x2 + -1 + -{2**70}*y1*y2^3*x1^-2"
 
     def test_parse_round_trip_examples(self):
         for text in [
@@ -873,6 +875,139 @@ class TestSharedLayout:
             assert got is not NotDivisibleError
             twin = layout.hold(LaurentPoly(got.n, got.m, got.terms))
             assert tuple(twin.packed.items()) == tuple(got.packed.items())
+
+
+# ----------------------------------------------------------------------
+# expansion text, and held terms kept largest first
+
+
+def reference_format_term(coeff: int, key: tuple, n: int, m: int) -> str:
+    """One term's text by a loop over its coordinates, y generators first,
+    then x, indexes ascending: the printer the factor tables replaced."""
+    factors = []
+    for j in range(m):
+        e = key[n + j]
+        if e:
+            factors.append(f"y{j + 1}" + (f"^{e}" if e != 1 else ""))
+    for i in range(n):
+        e = key[i]
+        if e:
+            factors.append(f"x{i + 1}" + (f"^{e}" if e != 1 else ""))
+    if not factors:
+        return str(coeff)
+    body = "*".join(factors)
+    if coeff == 1:
+        return body
+    if coeff == -1:
+        return "-" + body
+    return f"{coeff}*{body}"
+
+
+def reference_str(p: LaurentPoly) -> str:
+    if not p.terms:
+        return "0"
+    return " + ".join(
+        reference_format_term(c, k, p.n, p.m)
+        for k, c in sorted(p.terms.items(), reverse=True)
+    )
+
+
+@st.composite
+def printed_polys(draw):
+    """A polynomial of rank n, m in 0..4, n + m >= 1, with exponents in
+    -40..40 (0 and +-1 often), coefficients +-1, small or above 2**64, and
+    maybe a constant term; the zero polynomial among them."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(1 if n == 0 else 0, 4))
+    exponent = st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-40, 40))
+    key = st.lists(exponent, min_size=n + m, max_size=n + m).map(tuple)
+    big = st.integers(2**64 + 1, 2**90)
+    coeff = st.one_of(
+        st.sampled_from([1, -1]),
+        st.integers(-9, 9).filter(bool),
+        big,
+        big.map(lambda c: -c),
+    )
+    terms = draw(st.dictionaries(key, coeff, max_size=draw(st.sampled_from([0, 1, 3, 12]))))
+    if draw(st.booleans()):
+        terms[(0,) * (n + m)] = draw(coeff)
+    return LaurentPoly(n, m, terms)
+
+
+class TestExpansionText:
+    @settings(max_examples=300, deadline=None)
+    @given(printed_polys())
+    def test_text_matches_the_reference_printer(self, p):
+        text = str(p)
+        assert text == reference_str(p)
+        assert LaurentPoly.parse(text, p.n, p.m) == p
+
+    @settings(max_examples=150, deadline=None)
+    @given(printed_polys())
+    def test_held_polynomials_print_and_compare_as_plain_ones(self, p):
+        # Held as it is, and as the quotient of its product with a held
+        # two-term divisor: that quotient is held with its packed terms.
+        n, m = p.n, p.m
+        zero = (0,) * (n + m)
+        layout = PackedLayout(n + m)
+        den = layout.hold(LaurentPoly(n, m, {zero: 1, (1,) + zero[1:]: 1}))
+        plain = layout.hold(p)
+        num = clusteralg.laurent.binomial(n, m, [(zero, [(plain, 1), (den, 1)])], den)
+        quotient = exact_div(num, den)
+        assert quotient.keys is layout.keys
+        for held in (plain, layout.hold(quotient)):
+            assert str(held) == str(p)
+            assert held.sort_key() == p.sort_key()
+            assert held == p and hash(held) == hash(p)
+
+
+# Every finite catalogue type below rank 7, and capped wild atlases whose
+# layouts widen level by level.
+HELD_ATLASES = [
+    pytest.param(matrix(*finite_type(name)), coefficients, None, id=f"{name}-{coefficients}")
+    for name in [
+        "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4",
+        "C2", "C3", "C4", "D4", "D5", "E6", "F4", "G2",
+    ]
+    for coefficients in ("trivial", "principal")
+] + [
+    pytest.param(KRONECKER_3_ROWS, "trivial", 5, id="Kronecker3-trivial-depth5"),
+    pytest.param(KRONECKER_2_ROWS, "principal", 11, id="Kronecker2-principal-depth11"),
+    pytest.param(matrix("Markov"), "trivial", 4, id="Markov-trivial-depth4"),
+    pytest.param(
+        [[0, 1, 0], [-2, 0, 2], [0, -1, 0]], "principal", 6, id="affine3-principal-depth6"
+    ),
+]
+
+
+def assert_held_largest_first(atlas) -> None:
+    """Every polynomial the exploration held, stored or past a cap, keeps
+    its terms strictly descending, and its key, made when held, is the one
+    sorting would make.  So is a plain polynomial's with the same terms
+    inserted smallest first."""
+    held = atlas._layout.held
+    assert len(held) >= len(atlas.variables)
+    for p in held:
+        keys = list(p.terms)
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        assert p._key[2] == tuple(sorted(p.terms.items(), reverse=True))
+        ascending = LaurentPoly(p.n, p.m, dict(reversed(p._key[2])))
+        assert PackedLayout(p.n + p.m).hold(ascending)._key == p._key
+
+
+class TestHeldKeys:
+    @pytest.mark.parametrize("rows, coefficients, depth", HELD_ATLASES)
+    def test_held_terms_and_keys_are_largest_first(self, rows, coefficients, depth):
+        caps = ExploreCaps() if depth is None else ExploreCaps(max_depth=depth)
+        assert_held_largest_first(explore(root_seed(ExchangeMatrix(rows), coefficients), caps))
+
+    @pytest.mark.parametrize("coefficients", ["trivial", "principal"])
+    def test_a_mutated_root_is_held_largest_first(self, coefficients):
+        # The root's variables are polynomials themselves, held as given.
+        root = root_seed(ExchangeMatrix(matrix("D", 4)), coefficients)
+        moved = clusteralg.seed.mutate_path(root, [2, 1, 3, 4])
+        assert max(len(p.terms) for p in moved.x) > 2
+        assert_held_largest_first(explore(moved))
 
 
 class TestKernelMatchesSympy:
