@@ -62,12 +62,10 @@ Expansions with respect to an arbitrary stored cluster are computed by
 re-rooting, all of the cluster's at once.  The host seed's variables become
 unit variables, ranked by id: the one with the r-th smallest id is x_r, so
 every expansion is in ascending-id coordinates and none is permuted
-afterwards.  The walk then crosses the edge table breadth first outward
-from the host.  Crossing from u in direction k to w exchanges once, at u's
-stored B and y with the expansions of u's variables, only when w holds an
-unknown variable, and then w must hold u's others.  ``tree`` keeps each
-seed's parent and direction: a child keeps its parent's positions, so that
-edge read backwards is the one edge of a seed whose level never ran.
+afterwards.  The walk then reads the step table (see below) breadth first
+outward from the host.  Crossing from u in direction k to w exchanges once,
+at u's stored B and y with the expansions of u's variables, only when the
+one variable w holds that u lacks is unknown.
 
 The root needs no walk when its variables are the units x_1..x_n in
 position order, as ``root_seed`` makes them: its expansions are then the
@@ -98,16 +96,26 @@ h's too, and under principal coefficients no two stored seeds agree so
 (E6's 833 hosts fill 833 one-host buckets).  Other coefficients, which only
 code builds, exchange everywhere.
 
+Every walk reads one step table, built from the edge table by the first
+walk (no seed is stored after exploration): per stored seed and direction
+k, the seed w the edge reaches and the one variable id w holds that the
+seed lacks, none past a cap.  A child keeps its parent's positions, so its
+``tree`` entry read backwards is the one edge of a seed whose level never
+ran.  The build checks every edge: one that does not exchange exactly the
+seed's k-th variable, or one missing from a complete atlas, is an engine
+fault at the first walk, whether or not a walk crosses it.
+
 Walks that only need to know which variables a seed holds do no
 arithmetic at all.  An exact seed (positions intact) is the pair of its
-stored seed id and its variable ids by position, and the edge table
+stored seed id and its variable ids by position, and the step table
 mutates it by lookup: each entry stands for a mutation computed, and
 positivity-checked, during exploration, or for its inverse.  Restricted
 reachability is such a walk, stepping one exact seed per cluster
 (``i_reachable`` says why), and so is ``carry``, which gives twins
 their variable maps.  ``carry`` walks the discovery tree breadth first from
-the host, over each seed's parent entry and children, so it steps into each
-stored seed at most once and names the variables nearest the host first.
+the host, over the step table's entries to each seed's parent and
+children, so it steps into each stored seed at most once and names the
+variables nearest the host first.
 Cross-atlas identification walks nothing: it matches expansions (see
 ``unistructure``).
 
@@ -220,7 +228,7 @@ class PatternAtlas:
         self._automorphisms: list[tuple[int, ...]] = []
         self._by_face: dict[Cluster, list[Cluster]] | None = None
         self._by_variable: list[tuple[Cluster, ...]] | None = None
-        self._tree_steps: list[list[tuple[int, int]]] | None = None
+        self._step_table: list[dict[int, tuple[int, int]]] | None = None
         self.derived: dict = {}
         ids = tuple(range(self.n))
         held = Seed._trusted(root.b, root.y, tuple(self.variables))
@@ -373,6 +381,31 @@ class PatternAtlas:
                     self._by_face.setdefault(c[:i] + c[i + 1:], []).append(c)
         return self._by_face
 
+    def _steps(self) -> list[dict[int, tuple[int, int]]]:
+        """Per stored seed, by direction k, the seed w its edge reaches and
+        the one variable id w holds that the seed lacks; see the module."""
+        if self._step_table is None:
+            table, complete = [], self.complete
+            sets = list(map(frozenset, self.seed_variable_ids))
+            for u, held in enumerate(self.seed_variable_ids):
+                # A seed whose level never ran: its tree edge, backwards.
+                parent, j = self.tree[u] or (None, 0)
+                table.append({})
+                for k in range(1, self.n + 1):
+                    w = self.edges.get((u, k), None if complete or k != j else parent)
+                    if w is not None:
+                        new = sets[w] - sets[u]
+                        if len(new) != 1 or held[k - 1] in sets[w]:
+                            raise _broken_edge(u, k)
+                        table[u][k] = (w, *new)
+                    elif complete:
+                        raise RuntimeError(
+                            f"seed {u} has no edge in direction {k} on a complete "
+                            f"atlas; exploration is broken"
+                        )
+            self._step_table = table
+        return self._step_table
+
     # ------------------------------------------------------------------
     # lookups
 
@@ -475,40 +508,29 @@ class PatternAtlas:
     def _exchange(self, c: Cluster) -> dict[int, LaurentPoly]:
         """Every variable's expansion at stored cluster c, exchanged breadth
         first from its host; see the module docstring."""
-        n, m = self.n, self.m
         seeds, ids = self.seeds, self.seed_variable_ids
         host, count = self.cluster_to_seed[c], len(self.variables)
-        known = {u: LaurentPoly.variable(n, m, r) for r, u in enumerate(c, 1)}
+        known = {u: LaurentPoly.variable(self.n, self.m, r) for r, u in enumerate(c, 1)}
         if host == 0 and all(self.variables[u] == p for u, p in known.items()):
             # A root of units x_1..x_n in position order, as root_seed
             # makes: its expansions are the interned variables.
             known = dict(enumerate(self.variables))
-        # Breadth first from the host over the edge table, so each variable
+        # Breadth first from the host over the step table, so each variable
         # is exchanged at a seed nearest the host.  Expansions tend to grow
         # with that distance: walking down from the root instead made E6
         # degree-properties 2.5 times slower.
-        walked, seen = [host], {host}
+        walked, seen, steps = [host], {host}, self._steps()
         for u in walked:
             if len(known) == count:
                 break
-            for k in range(1, n + 1):
-                w = self.edges.get((u, k))
-                if w is None:  # a seed whose level never ran: its parent edge
-                    if self.tree[u] is None or self.tree[u][1] != k:
-                        continue
-                    w = self.tree[u][0]
+            for k, (w, new) in steps[u].items():
                 if w in seen:
                     continue
                 seen.add(w)
                 walked.append(w)
-                new = [i for i in ids[w] if i not in known]
-                if new:
-                    if set(ids[u]).difference(ids[w]) != {ids[u][k - 1]}:
-                        raise _broken_edge(u, k)
-                    seed = Seed._trusted(
-                        seeds[u].b, seeds[u].y, tuple([known[i] for i in ids[u]])
-                    )
-                    known[new[0]] = exchange(seed, k)
+                if new not in known:
+                    x = tuple([known[i] for i in ids[u]])
+                    known[new] = exchange(Seed._trusted(seeds[u].b, seeds[u].y, x), k)
         return known
 
     def d_vectors(self, cluster: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -529,14 +551,11 @@ class PatternAtlas:
 
     def carry(self, state: State, start: int) -> Iterator[tuple[int, State]]:
         """Each stored seed id, breadth first from start over the discovery
-        tree (a seed's parent entry, then its children in store order), with
-        the exact seed that the same mutations reach from ``state`` by
-        ``mutate_state``; none past a capped edge."""
-        steps = self._tree_steps
-        if steps is None:  # no seed is stored after exploration
-            steps = self._tree_steps = [[] if e is None else [e] for e in self.tree]
-            for w, (u, k) in enumerate(self.tree[1:], 1):
-                steps[u].append((w, k))
+        tree's edges in the step table (to a seed's parent, then to its
+        children in store order), with the exact seed that the same
+        mutations reach from ``state`` by ``mutate_state``; none past a
+        capped edge."""
+        steps, tree = self._steps(), self.tree
         walked = [(start, -1, state, 0)]  # (seed, seed walked from, state, k)
         for u, back, state, k in walked:
             if k:
@@ -544,32 +563,25 @@ class PatternAtlas:
                 if state is None:
                     continue
             yield u, state
-            walked += [(w, u, state, j) for w, j in steps[u] if w != back]
+            # u's tree edges, by seed id: its parent's, then its children's.
+            walked += sorted(
+                (w, u, state, j)
+                for j, (w, _) in steps[u].items()
+                if w != back and (tree[w] == (u, j) or tree[u] == (w, j))
+            )
 
     def mutate_state(self, state: State, k: int) -> State | None:
         """Exact seed ``(stored seed id, variable ids by position)`` mutated
-        in direction k by lookup: the stored seed's position of the k-th
-        variable names the edge, and the new variable is the one id of the
-        target seed not already held.  None when the edge leaves a capped
-        atlas; on a complete atlas every edge is stored, so a missing one
-        means exploration is broken, as does an edge that does not exchange
-        exactly one variable."""
+        in direction k by lookup: the step table's entry at the stored seed's
+        position of the k-th variable gives the target seed and the new
+        variable, put at position k.  None past a capped atlas's edges; a
+        seed whose level never ran steps only back along its tree edge.  The
+        table was checked when built; see the module docstring."""
         sid, ids = state
-        try:
-            position = self.seed_variable_ids[sid].index(ids[k - 1])
-            target = self.edges.get((sid, position + 1))
-            if target is not None:
-                (new,) = set(self.seed_variable_ids[target]).difference(ids)
-        except ValueError:
-            raise _broken_edge(sid, k) from None
-        if target is None:
-            if self.complete:
-                raise RuntimeError(
-                    f"seed {sid} has no edge in direction {k} on a complete "
-                    f"atlas; exploration is broken"
-                )
+        step = self._steps()[sid].get(self.seed_variable_ids[sid].index(ids[k - 1]) + 1)
+        if step is None:
             return None
-        return target, ids[: k - 1] + (new,) + ids[k:]
+        return step[0], ids[: k - 1] + (step[1],) + ids[k:]
 
     def i_reachable(self, subset: Iterable[int]) -> dict[Cluster, tuple[int, ...]]:
         """Clusters reachable from the root seed by mutations confined to

@@ -151,7 +151,8 @@ class LaurentPoly:
         self.n = n
         self.m = m
         clean: dict[Exponents, int] = {}
-        for key, c in dict(terms).items():
+        # Pairs may repeat a key, and their coefficients add up.
+        for key, c in terms.items() if isinstance(terms, Mapping) else terms:
             key = tuple(key)
             if len(key) != n + m:
                 raise ValueError(f"exponent tuple {key} has length != {n + m}")

@@ -46,6 +46,8 @@ class PositivityError(ArithmeticError):
 def _as_rows(rows: Sequence[Sequence[int]]) -> Rows:
     out = tuple(tuple(map(index, row)) for row in rows)
     n = len(out)
+    if not n:
+        raise ValueError("matrix has rank 0; the rank must be at least 1")
     if any(len(row) != n for row in out):
         raise ValueError("matrix is not square")
     return out
@@ -179,7 +181,7 @@ class Seed:
         n = b.n
         if len(self.y) != n or len(self.x) != n:
             raise ValueError("coefficient and variable counts must equal the rank")
-        m = len(self.y[0]) if n else 0
+        m = len(self.y[0])
         if any(len(t) != m for t in self.y):
             raise ValueError("coefficients have mixed ranks")
         if any(p.m != m for p in self.x):

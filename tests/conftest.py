@@ -45,12 +45,23 @@ def count_mutations(monkeypatch) -> list[int]:
 def corrupt_first_edge(atlas):
     """Point the root's edge in direction 1 at a seed whose cluster differs
     from the root's in two variables, not one."""
-    root = set(atlas.seed_variable_ids[0])
-    atlas.edges[(0, 1)] = next(
-        sid
-        for sid, ids in enumerate(atlas.seed_variable_ids)
-        if len(root.difference(ids)) == 2
+    corrupt_edge(atlas, 0, 1)
+
+
+def corrupt_edge(atlas, sid, k):
+    """Point seed sid's edge in direction k at a seed whose cluster differs
+    from sid's in two variables, not one."""
+    held = set(atlas.seed_variable_ids[sid])
+    atlas.edges[(sid, k)] = next(
+        t
+        for t, ids in enumerate(atlas.seed_variable_ids)
+        if len(held.difference(ids)) == 2
     )
+
+
+def drop_last_edge(atlas):
+    """Delete the last stored seed's edge in direction 1."""
+    del atlas.edges[(len(atlas.seeds) - 1, 1)]
 
 
 def misdirect_reverse_edges(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import warnings
@@ -17,10 +18,12 @@ from clusteralg import (
     ExchangeGraph,
     ExchangeMatrix,
     ExploreCaps,
+    GPairNotFoundError,
     LaurentPoly,
     PositivityError,
     Seed,
     explore,
+    find_g_pair,
     mutate_path,
     root_seed,
     verify_degree_properties,
@@ -52,8 +55,10 @@ from conftest import (
     KRONECKER_2_ROWS,
     KRONECKER_3_ROWS,
     MARKOV_ROWS,
+    corrupt_edge,
     corrupt_first_edge,
     count_mutations,
+    drop_last_edge,
     misdirect_reverse_edges,
 )
 
@@ -1594,6 +1599,52 @@ class TestRestrictedReachability:
             for cluster in atlas.clusters:
                 atlas.expand(0, cluster)
 
+    def test_a_broken_edge_no_walk_crosses_is_an_engine_fault(self):
+        # The step table is checked whole when the first walk builds it: an
+        # edge must exchange one variable, and the one at its direction.
+        for corrupt in (
+            lambda atlas, last: corrupt_edge(atlas, last, 3),
+            lambda atlas, last: atlas.edges.update({(last, 3): atlas.edges[last, 2]}),
+        ):
+            atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "trivial"))
+            last = len(atlas.seeds) - 1
+            corrupt(atlas, last)
+            with pytest.raises(RuntimeError, match=f"seed {last} in direction 3 "):
+                atlas.i_reachable((1,))
+
+    def test_a_missing_edge_of_a_complete_atlas_is_an_engine_fault(self):
+        # On a complete atlas every edge is stored; re-rooting and the
+        # restricted walk both refuse a table with one deleted.
+        for walk in (
+            lambda atlas: atlas.i_reachable((1, 2, 3)),
+            lambda atlas: [atlas.expand(0, c) for c in atlas.clusters],
+        ):
+            atlas = explore(root_seed(ExchangeMatrix(A3_ROWS), "principal"))
+            assert atlas.complete
+            drop_last_edge(atlas)
+            last = len(atlas.seeds) - 1
+            with pytest.raises(RuntimeError, match=f"seed {last} has no edge in "):
+                walk(atlas)
+
+    def test_a_seed_whose_level_never_ran_steps_back_to_its_parent(self):
+        # A max_seeds cap stores part of a level whose seeds never run, so
+        # the only edge such a seed has is its tree edge, read backwards.
+        atlas = explore(
+            root_seed(ExchangeMatrix(A4_ROWS), "trivial"), ExploreCaps(max_seeds=12)
+        )
+        never_ran = [
+            sid
+            for sid in range(len(atlas.seeds))
+            if all((sid, k) not in atlas.edges for k in range(1, atlas.n + 1))
+        ]
+        assert never_ran
+        for sid in never_ran:
+            parent, j = atlas.tree[sid]
+            state = (sid, atlas.seed_variable_ids[sid])
+            for k in range(1, atlas.n + 1):
+                want = (parent, atlas.seed_variable_ids[parent]) if k == j else None
+                assert atlas.mutate_state(state, k) == want
+
     def test_capped_atlas_gives_partial_answers(self):
         a = infinite_rank2()
         reach = a.i_reachable((1,))
@@ -1817,3 +1868,90 @@ def test_widening_the_layout_midway_changes_no_atlas(
     atlas = explore(root, caps)
     assert widened == []
     assert atlas.to_json() == narrow.to_json()
+
+
+def capped_walk_text(atlas) -> str:
+    """Every answer a capped atlas's walks give: ``i_reachable`` for each
+    direction subset, ``find_g_pair`` for each cluster and subset (principal
+    coefficients; "none" where no partner is stored), and ``expand`` and
+    ``d_vectors`` at each cluster."""
+    subsets = all_subsets(atlas.n)
+    lines = [repr(list(atlas.i_reachable(I).items())) for I in subsets]
+    if atlas.coefficients == "principal":
+        for c, I in product(atlas.clusters, subsets):
+            try:
+                lines.append(repr(find_g_pair(c, I, atlas)))
+            except GPairNotFoundError:
+                lines.append("none")
+    for c in atlas.clusters:
+        lines += [str(atlas.expand(v, c)) for v in range(len(atlas.variables))]
+        lines.append(repr(atlas.d_vectors(c)))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "rows, coefficients, digest",
+    [
+        (
+            A3_ROWS,
+            "trivial",
+            "6632f4ade69427f82dc804008c9f6550faf074987f69c9b15fc5cde140ffd235",
+        ),
+        (
+            A3_ROWS,
+            "principal",
+            "e2685f5482419c8468ee3b916f3b97737d5780fe8769f482e85536142b0426da",
+        ),
+        (
+            A4_ROWS,
+            "trivial",
+            "b3da33c48d6916ae3c5da9b346849ac32b7ea07e020610d82ea6054050b4e16f",
+        ),
+        (
+            A4_ROWS,
+            "principal",
+            "ce3bd70b6144f093ac869999d992a4484b8d322bc8ecfd8502905af2ff5aa3c3",
+        ),
+        (
+            B3_ROWS,
+            "trivial",
+            "ac473ce5d1d8a299ddd09805930531dd1d1d79717f15feb188ddc78d0786b9f3",
+        ),
+        (
+            B3_ROWS,
+            "principal",
+            "60a2dbfde26e87ce7dd80911dfded142189a9f05833ba2c1dcb0a049a4e2762b",
+        ),
+        (
+            C3_ROWS,
+            "trivial",
+            "04dff5d859919c50bf020dbf3f530ad808c9300e190ebb11fc03036c70fe3a7d",
+        ),
+        (
+            C3_ROWS,
+            "principal",
+            "e2b98879d623b71732de524edd90bf096b94a34f41deb0f224a8e3fc8c8e7bfe",
+        ),
+        (
+            D4_ROWS,
+            "trivial",
+            "4bbf160b0ac97f9517e9d50d4cf69c88e5178dbb13892e25050c0d140a8bbb7a",
+        ),
+        (
+            D4_ROWS,
+            "principal",
+            "c82069eccc73918b12a457861c1df163f44c523a1f0c19fc599a0e7364f37c27",
+        ),
+    ],
+)
+def test_capped_walks_match_golden_digest(rows, coefficients, digest):
+    # Pinned before the walks read one step table: a seed whose level never
+    # ran (a max_seeds cap stored it last) has only its tree edge, read
+    # backwards, and every walk over a capped atlas stops where edges do.
+    texts = []
+    root = root_seed(ExchangeMatrix(rows), coefficients)
+    for max_seeds in (3, 5, 8, 12, 20, 30):
+        atlas = explore(root, ExploreCaps(max_seeds=max_seeds))
+        if not atlas.complete:
+            texts.append(capped_walk_text(atlas))
+    assert hashlib.sha256("\n\n".join(texts).encode()).hexdigest() == digest

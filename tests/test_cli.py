@@ -30,6 +30,7 @@ from conftest import (
     KRONECKER_3_ROWS,
     MARKOV_ROWS,
     corrupt_first_edge,
+    drop_last_edge,
     misdirect_reverse_edges,
 )
 
@@ -504,6 +505,29 @@ class TestErrorHandling:
             assert captured.out == ""
             assert captured.err.startswith(
                 "engine fault: the edge table is broken: seed 0 in direction 1 "
+            )
+
+    def test_missing_edge_of_a_complete_atlas_is_an_engine_fault(
+        self, seeds, capsys, monkeypatch
+    ):
+        explore = clusteralg.cli.explore
+
+        def dropped(root, caps):
+            atlas = explore(root, caps)
+            drop_last_edge(atlas)
+            return atlas
+
+        monkeypatch.setattr(clusteralg.cli, "explore", dropped)
+        for argv in (
+            ["gpair", "--seed", seeds["a3p"], "--cluster", "0 1 2", "--subset", "1"],
+            ["expand", "--seed", seeds["a3p"], "--cluster", "0 1 5", "--var", "3"],
+        ):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "engine fault: seed 13 has no edge in direction 1 on a complete "
+                "atlas; exploration is broken\n"
             )
 
 

@@ -389,6 +389,16 @@ class TestGPairs:
         ):
             find_g_pair((0, 1), (1,), atlas)
 
+    def test_a_mutated_position_off_the_subset_is_an_engine_fault(self, monkeypatch):
+        # An I-connected seed holds a root variable at every position off I,
+        # with a unit g-vector.  A reachability answer whose exact seed was
+        # mutated in direction 2 breaks that along I = (1,).
+        atlas = explore(root_seed(ExchangeMatrix(A2_ROWS), "principal"))
+        _, ids = atlas.mutate_state((0, atlas.seed_variable_ids[0]), 2)
+        patch_reachable(monkeypatch, atlas, (1,), {tuple(sorted(ids)): ids})
+        with pytest.raises(RuntimeError, match="unit g-vector at position 2 "):
+            find_g_pair((0, 1), (1,), atlas)
+
     def test_ties_go_to_the_first_candidate_in_ascending_order(self, monkeypatch):
         # On a complete atlas one candidate passes for every (t, I): 5,824
         # of 5,824 on D5.  An artificial reachability answer giving cluster

@@ -65,6 +65,15 @@ class TestLaurentBasics:
         p = LaurentPoly(2, 0, {(1, 0): 0, (0, 1): 2})
         assert p.terms == {(0, 1): 2}
 
+    def test_repeated_pairs_add_up(self):
+        assert LaurentPoly(1, 0, [((1,), 1), ((1,), 1)]) == lp("2*x1", 1)
+        assert LaurentPoly(1, 0, [((1,), 1), ((1,), -1)]).is_zero()
+        assert LaurentPoly(1, 0, [([1], 2), ((1,), 1)]).terms == {(1,): 3}
+
+    def test_keys_of_the_wrong_length_are_rejected(self):
+        with pytest.raises(ValueError, match="has length != 3"):
+            LaurentPoly(2, 1, {(1, 0): 1})
+
     def test_variable_and_monomial(self):
         assert LaurentPoly.variable(2, 1, 2).terms == {(0, 1, 0): 1}
         p = LaurentPoly(2, 1, {(1, -1) + (2,): -3})
@@ -111,6 +120,8 @@ class TestLaurentBasics:
             LaurentPoly.parse("y1", 2, 0)
         with pytest.raises(ValueError):
             LaurentPoly.parse("x1^", 2, 0)
+        with pytest.raises(ValueError, match="empty term"):
+            LaurentPoly.parse("+x1", 1, 0)
 
     def test_x_min_exponents(self):
         assert lp("x1^-1*x2 + x1^-1").x_min_exponents() == (-1, 0)
@@ -189,6 +200,11 @@ class TestGrade:
         assert lp("x1^-1*x2 + x1^-1") != lp("x1")  # sanity: distinct polys
         with pytest.raises(NotHomogeneousError):
             lp("x1 + x1^2").homogeneous_degree(A2_ROWS)
+
+    def test_grading_matrix_must_be_square_of_the_x_rank(self):
+        for b0 in ([[0, 1, 0], [-1, 0, 0]], [[0]], [[0, 1], [-1]]):
+            with pytest.raises(ValueError, match="must be square"):
+                lp("x1").homogeneous_degree(b0)
 
     def test_homogeneous_degree_with_matched_coefficients(self):
         p = LaurentPoly.parse("x1^-1*x2 + y1*x1^-1", 2, 2)

@@ -140,6 +140,27 @@ class TestPositiveParts:
 # symmetrizers
 
 
+class TestMatrixShape:
+    def test_rank_zero_is_rejected(self):
+        # Before the check, ExchangeMatrix([]) was accepted and the root
+        # seed's m and exploration failed with an IndexError.
+        with pytest.raises(ValueError, match="rank 0"):
+            ExchangeMatrix([])
+        with pytest.raises(ValueError, match="rank 0"):
+            find_skew_symmetrizer([])
+
+    def test_a_matrix_that_is_not_square_is_rejected(self):
+        for rows in ([[0, 1]], [[0, 1], [-1]], [[0], [1, 0]]):
+            with pytest.raises(ValueError, match="not square"):
+                ExchangeMatrix(rows)
+
+    def test_variables_and_coefficients_must_share_the_y_rank(self):
+        b = ExchangeMatrix(A2_ROWS)
+        x = (LaurentPoly.variable(2, 0, 1), LaurentPoly.variable(2, 0, 2))
+        with pytest.raises(ValueError, match="disagree on the y rank"):
+            Seed(b, ((1, 0), (0, 1)), x)
+
+
 class TestSymmetrizer:
     def test_minimal_symmetrizers(self):
         assert find_skew_symmetrizer(A2_ROWS) == (1, 1)

@@ -427,6 +427,16 @@ class TestCertificates:
             if x != z and not any(x in c and z in c for c in atlas.clusters)
         ]
 
+    def test_a_capped_atlas_is_refused(self):
+        capped = explore(
+            root_seed(ExchangeMatrix(A2_ROWS), "trivial"), ExploreCaps(max_seeds=3)
+        )
+        assert not capped.complete
+        with pytest.raises(IncompleteAtlasError, match="certificates need"):
+            incompatibility_certificate(0, 3, capped)
+        with pytest.raises(IncompleteAtlasError, match="pair enumeration needs"):
+            incompatible_pairs(capped)
+
     def test_precondition_is_enforced(self, a2_trivial):
         with pytest.raises(PreconditionViolatedError):
             incompatibility_certificate(0, 1, a2_trivial)
