@@ -48,6 +48,30 @@ packing.  Its quotient is looked up among the variables by its packed
 terms, and only a new one has its tuple keys built.  When the layout
 widens, it packs every variable again, and the lookup is rebuilt.
 
+Nor is an exchange computed whose input a map of the root carries onto a
+computed one.  A root map is a position permutation pi with
+B[pi(i)][pi(j)] = B[i][j] or, under trivial coefficients, where the
+exchange binomial is symmetric in its two monomials, -B[i][j]: the
+relabeling psi of coordinates x_i -> x_pi(i), with y_i -> y_pi(i) under
+principal coefficients, which is a cluster automorphism fixing the root
+cluster (Assem, Schiffler and Shramchenko, "Cluster automorphisms",
+2012).  No theorem is needed, though: psi is a ring automorphism, so the
+exchange of the psi-images of an input, b negated for a -B map, is psi of
+its exchange.  On a memo miss whose input psi carries onto a memo entry w,
+the new variable is psi^-1(w), the exact image of a quotient that was
+divided and checked for positivity.  Its expansion, w's relabeled, is packed
+with permuted weights, with no second sort or pack of its tuple keys, and
+interned by its packed terms as a quotient is; every edge still mutates B
+and y and is checked where it lands, and ids still come from level order.
+psi's id map starts as pi on the root's ids, so maps are sought only when
+the root's variables are the units x_1..x_n in position order, as
+``root_seed`` makes them, under trivial or principal coefficients.  It grows
+from each hit, and by the packed terms of a relabeled expansion equal to an
+interned variable's; a kept inverse shares it, and tokens in it are
+translated when their level ends.  At most ``_ROOT_MAPS`` maps are kept,
+the first found in lexicographic order, as every permutation fixes the
+zero matrix.  Markov to depth 4 makes 8 exchanges, not 45; D4 36, not 56.
+
 The last level a depth cap allows stores no child, so a child there counts
 only if it lands on a stored seed.  Its cluster would hold the seed's other
 n - 1 variables and differ from the seed's, as the new variable is not x_k.
@@ -129,7 +153,7 @@ call, and each path is written from its parent's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -170,6 +194,9 @@ def _exchange_input(seed: Seed, ids: Cluster, k: int) -> tuple:
 
 # Above every stored id: a level's new variables; see the module docstring.
 _TOKEN = 1 << 62
+
+# The most root maps an exploration keeps; see the module docstring.
+_ROOT_MAPS = 8
 
 
 def _same_seed(
@@ -230,6 +257,12 @@ class PatternAtlas:
         self._by_variable: list[tuple[Cluster, ...]] | None = None
         self._step_table: list[dict[int, tuple[int, int]]] | None = None
         self.derived: dict = {}
+        # Whether the root's variables are the units x_1..x_n in position
+        # order, as root_seed makes them.
+        last = self.n + self.m - 1
+        self._unit_root = all(
+            p.terms == {(0,) * i + (1,) + (0,) * (last - i): 1} for i, p in enumerate(root.x)
+        )
         ids = tuple(range(self.n))
         held = Seed._trusted(root.b, root.y, tuple(self.variables))
         self._store_seed(held, ids, None, ids)
@@ -260,7 +293,29 @@ class PatternAtlas:
         # Each variable's id (or token), by its packed terms while the
         # layout's keys last.
         layout, keys, by_terms = self._layout, None, {}
-        terms = layout.terms
+        terms, variables = layout.terms, self.variables
+        # The root's maps, and the id map entries this level added.
+        maps, learned = self._root_maps(), []
+
+        def current() -> dict:
+            # by_terms, rebuilt if the layout is new or has widened.
+            nonlocal keys, by_terms
+            if layout.keys is not keys:
+                keys = layout.keys
+                by_terms = {terms(p): i for i, p in enumerate(variables)}
+                by_terms.update({terms(p): _TOKEN + i for i, p in enumerate(polys)})
+            return by_terms
+
+        def mapped(v: int, fwd: dict, inv: dict, ahead: tuple) -> int | None:
+            # A root map's image of interned v, else found by the terms of
+            # v's relabeled expansion, else None: not interned.
+            u = fwd.get(v)
+            if u is None:
+                u = current().get(terms(layout.relabel(variables[v], ahead)))
+                if u is not None:
+                    fwd[v], inv[u] = u, v
+                    learned.append((fwd, inv, v, u))
+            return u
 
         def link(sid: int, k: int, target: int, new: int) -> None:
             # target mutated at new's position is sid again.
@@ -300,17 +355,37 @@ class PatternAtlas:
                     given = _exchange_input(seed, ids, k)
                     new = exchanged.get(given)
                     if new is None:
-                        child = mutate(seed, k)
-                        if layout.keys is not keys:  # new, or widened
-                            keys = layout.keys
-                            by_terms = {terms(p): i for i, p in enumerate(self.variables)}
-                            by_terms.update({terms(p): _TOKEN + i for i, p in enumerate(polys)})
-                        p, token = child.x[k - 1], _TOKEN + len(polys)
-                        new = by_terms.setdefault(terms(p), token)
-                        if new == token:
-                            polys.append(layout.hold(p))
+                        # A root map may carry the input onto a computed
+                        # one; see the module docstring.
+                        xk, yk, column = given
+                        child = None
+                        for fwd, inv, sign, ypick, ahead, behind in maps:
+                            x = mapped(xk, fwd, inv, ahead)
+                            col = [(mapped(i, fwd, inv, ahead), sign * b) for i, b in column]
+                            if x is None or any(u is None for u, _ in col):
+                                continue
+                            w = exchanged.get((x, yk and ypick(yk), frozenset(col)))
+                            if w is not None:
+                                new = inv.get(w)
+                                if new is None:
+                                    held = polys[w - _TOKEN] if w >= _TOKEN else variables[w]
+                                    p = layout.relabel(held, behind)
+                                break
+                        else:
+                            child = mutate(seed, k)
+                            p = child.x[k - 1]
+                        if new is None:
+                            token = _TOKEN + len(polys)
+                            new = current().setdefault(terms(p), token)
+                            if new == token:
+                                polys.append(layout.hold(p))
                         exchanged[given] = new
-                        rows, y = child.b.rows, child.y
+                        if child is None:
+                            fwd[new], inv[w] = w, new
+                            learned.append((fwd, inv, new, w))
+                            rows, y = mutate_rows(seed.b.rows, seed.y, k)
+                        else:
+                            rows, y = child.b.rows, child.y
                     else:
                         rows, y = mutate_rows(seed.b.rows, seed.y, k)
                     child_ids = ids[: k - 1] + (new,) + ids[k:]
@@ -335,7 +410,6 @@ class PatternAtlas:
             if depth > caps.max_depth or not room:
                 return False
             # Polynomial key order, read off clusters over ranks; see the module.
-            variables = self.variables
             labels = sorted(
                 {v for first in firsts for v in first[0]},
                 key=lambda v: (
@@ -368,8 +442,47 @@ class PatternAtlas:
                     link(sid, k, target, new)
             if room < len(firsts):
                 return False
+            for fwd, inv, a, w in learned:  # tokens become ids
+                fwd.pop(a, None)
+                inv.pop(w, None)
+                a, w = interned.get(a, a), interned.get(w, w)
+                fwd[a], inv[w] = w, a
+            learned.clear()
             level = range(start, len(self.seeds))
         return not truncated
+
+    def _root_maps(self) -> list[tuple]:
+        """Up to ``_ROOT_MAPS`` maps of the root, none the identity, sought
+        only for a unit root under trivial or principal coefficients; see
+        the module docstring.  Each is (its id map, its inverse's, the sign
+        of b, the itemgetter moving y_k's generators along, and the
+        coordinate orders relabeling an expansion by it and by its
+        inverse)."""
+        n, m, rows = self.n, self.m, self.root.b.rows
+        if not self._unit_root or self.coefficients == "custom":
+            return []
+        kinds = [(1, rows)]
+        if not m:
+            kinds.append((-1, tuple(tuple(-e for e in row) for row in rows)))
+        found = (
+            (sign, perm)
+            for sign, want in kinds
+            for perm in matching_permutations(rows, want)
+            if perm != tuple(range(n))
+        )
+        kept = list(islice(found, _ROOT_MAPS))
+        # One id map per permutation, shared by a kept inverse.
+        id_maps = {perm: dict(enumerate(perm)) for _, perm in kept}
+        maps = []
+        for sign, perm in kept:
+            back = tuple(sorted(range(n), key=perm.__getitem__))  # pi's inverse
+            inverse = id_maps.get(back) or dict(zip(perm, range(n)))
+            # Coordinate orders relabeling an expansion by the map and by its
+            # inverse, the y generators moving with x; m is 0 or n.
+            ahead = back + tuple(n + q for q in back[:m])
+            behind = perm + tuple(n + q for q in perm[:m])
+            maps.append((id_maps[perm], inverse, sign, itemgetter(*back), ahead, behind))
+        return maps
 
     def _faces(self) -> dict[Cluster, list[Cluster]]:
         """The stored clusters by each of their (n - 1)-subsets, each group
@@ -510,11 +623,11 @@ class PatternAtlas:
         first from its host; see the module docstring."""
         seeds, ids = self.seeds, self.seed_variable_ids
         host, count = self.cluster_to_seed[c], len(self.variables)
-        known = {u: LaurentPoly.variable(self.n, self.m, r) for r, u in enumerate(c, 1)}
-        if host == 0 and all(self.variables[u] == p for u, p in known.items()):
-            # A root of units x_1..x_n in position order, as root_seed
-            # makes: its expansions are the interned variables.
+        if host == 0 and self._unit_root:
+            # Its expansions are the interned variables.
             known = dict(enumerate(self.variables))
+        else:
+            known = {u: LaurentPoly.variable(self.n, self.m, r) for r, u in enumerate(c, 1)}
         # Breadth first from the host over the step table, so each variable
         # is exchanged at a seed nearest the host.  Expansions tend to grow
         # with that distance: walking down from the root instead made E6

@@ -542,6 +542,21 @@ class PackedLayout:
         self.held.append(h)
         return h
 
+    def relabel(self, p: _HeldPoly, order: Sequence[int]) -> _PackedPoly:
+        """Held p with its coordinates relabeled, a term's coordinate i read
+        from p's coordinate order[i], as a quotient in this layout: each key
+        is packed from p's tuple key with the weights permuted, so none is
+        unpacked and packed again, and the packed keys are sorted largest
+        first.  ``hold`` keeps it as it keeps a quotient."""
+        weights = [0] * len(order)
+        for w, j in zip(self.keys.weights, order):
+            weights[j] = w
+        packed = sorted(
+            [(sum(map(mul, key, weights)), c) for key, c in p.terms.items()],
+            reverse=True,
+        )
+        return _packed(p.n, p.m, dict(packed), self.keys, p.bound)
+
 
 def packed_binomial(
     n: int,

@@ -135,17 +135,21 @@ def matching_permutations(rows: Rows, want: Rows) -> Iterator[tuple[int, ...]]:
 
     perm is assigned one position at a time, smallest value first, and a
     value is kept only if every entry it fixes against the positions already
-    assigned matches; diagonals are zero in both matrices.
+    assigned matches; diagonals are zero in both matrices.  A value whose
+    row, sorted, differs from the position's in want is never tried, as no
+    permutation changes it.
     """
     n = len(want)
     perm: list[int] = []
+    have = list(map(sorted, rows))
+    fits = [[p for p in range(n) if have[p] == shape] for shape in map(sorted, want)]
 
     def extend() -> Iterator[tuple[int, ...]]:
         i = len(perm)
         if i == n:
             yield tuple(perm)
             return
-        for p in range(n):
+        for p in fits[i]:
             if p in perm:
                 continue
             row = rows[p]

@@ -42,6 +42,12 @@ def count_mutations(monkeypatch) -> list[int]:
     return calls
 
 
+def without_root_maps(monkeypatch):
+    """From here on, keep no root map, so exploration computes every
+    exchange that its memo does not hold."""
+    monkeypatch.setattr(clusteralg.atlas, "_ROOT_MAPS", 0)
+
+
 def corrupt_first_edge(atlas):
     """Point the root's edge in direction 1 at a seed whose cluster differs
     from the root's in two variables, not one."""

@@ -60,6 +60,7 @@ from conftest import (
     count_mutations,
     drop_last_edge,
     misdirect_reverse_edges,
+    without_root_maps,
 )
 
 
@@ -618,6 +619,79 @@ class TestClosures:
         assert len(set(computed)) == len(computed)
         assert served
 
+    # Each has a root map.  Every one widens its layout, A3 after exchanges
+    # were carried: re-keying the packed-term lookup before an exchange, not
+    # after it, interned one A3 variable twice.
+    @pytest.mark.parametrize("max_seeds", [10000, 5, 20])
+    @pytest.mark.parametrize(
+        "rows, coefficients, max_depth",
+        [
+            (MARKOV_ROWS, "trivial", 3),
+            (MARKOV_ROWS, "trivial", 4),
+            (MARKOV_ROWS, "trivial", 5),
+            (KRONECKER_2_ROWS, "trivial", 6),
+            (KRONECKER_3_ROWS, "trivial", 4),
+            (D4_ROWS, "trivial", 64),
+            (D4_ROWS, "principal", 64),
+            (A5_ROWS, "trivial", 64),
+            (D5_ROWS, "trivial", 64),
+            (A3_ROWS, "trivial", 64),
+        ],
+    )
+    def test_root_maps_change_no_atlas(
+        self, rows, coefficients, max_depth, max_seeds, monkeypatch
+    ):
+        # Exchanges carried along the root's maps give the atlas, and its
+        # edges in the same order, that computing each one gives, with
+        # fewer exchanges.
+        root = root_seed(ExchangeMatrix(rows), coefficients)
+        caps = ExploreCaps(max_seeds, max_depth)
+        mutations = count_mutations(monkeypatch)
+        atlas = explore(root, caps)
+        carried = len(mutations)
+        without_root_maps(monkeypatch)
+        del mutations[:]
+        reference = explore(root, caps)
+        assert carried < len(mutations)
+        assert atlas._layout.keys.width > 2 and reference._layout.keys.width > 2
+        assert atlas.to_json() == reference.to_json()
+        assert list(atlas.edges.items()) == list(reference.edges.items())
+
+    @pytest.mark.parametrize(
+        "rows, coefficients, max_depth, exchanges",
+        [
+            # 45, 8 and 56 exchanges with no root map.  B3's root has none.
+            (MARKOV_ROWS, "trivial", 4, 8),
+            (KRONECKER_3_ROWS, "trivial", 4, 4),
+            (D4_ROWS, "trivial", 64, 36),
+            (D4_ROWS, "principal", 64, 36),
+            (B3_ROWS, "trivial", 64, 22),
+        ],
+    )
+    def test_root_maps_carry_exchanges(
+        self, rows, coefficients, max_depth, exchanges, monkeypatch
+    ):
+        mutations = count_mutations(monkeypatch)
+        explore(root_seed(ExchangeMatrix(rows), coefficients), ExploreCaps(max_depth=max_depth))
+        assert len(mutations) == exchanges
+
+    def test_only_a_unit_root_has_root_maps(self):
+        # A3's reversal carries B to -B; under principal coefficients only
+        # +B maps count, and a root whose variables are not the units in
+        # position order has none.
+        start = root_seed(ExchangeMatrix(A3_ROWS), "trivial")
+        x2, x1, x3 = (start.x[i] for i in (1, 0, 2))
+        ((fwd, inv, sign, _, ahead, behind),) = explore(start)._root_maps()
+        # An involution: its id map is its inverse's.
+        assert fwd is inv
+        assert (fwd, sign, ahead, behind) == ({0: 2, 1: 1, 2: 0}, -1, (2, 1, 0), (2, 1, 0))
+        for root in (
+            root_seed(ExchangeMatrix(A3_ROWS), "principal"),
+            Seed(start.b, start.y, [x2, x1, x3]),
+            mutate(start, 1),
+        ):
+            assert explore(root)._root_maps() == []
+
     @pytest.mark.parametrize(
         "rows, coefficients", [(A5_ROWS, "trivial"), (D5_ROWS, "principal")]
     )
@@ -736,6 +810,9 @@ class TestClosures:
         # right cluster, as the step changes another position, with B negated.
         # That second seed on a stored cluster is the fault reported, naming
         # both seeds; the reverse edge it would contradict is never derived.
+        # The root's swap would carry that exchange from the root's other
+        # one, so no root map is kept.
+        without_root_maps(monkeypatch)
         original = clusteralg.atlas.mutate
         root = root_seed(ExchangeMatrix(A2_ROWS), "trivial")
         seed_2 = original(root, 2)
@@ -1868,6 +1945,31 @@ def test_widening_the_layout_midway_changes_no_atlas(
     atlas = explore(root, caps)
     assert widened == []
     assert atlas.to_json() == narrow.to_json()
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (7, "b4f133165c0d2bfa8061153efbbd0657750074206dd17302cd543f09c0483ff7"),
+        (8, "ca85a6a0f9e6177f356005181429817c7b4db613f4b3a1285ac985faad8cf617"),
+    ],
+)
+def test_root_maps_are_bounded(n, digest, monkeypatch):
+    # Every permutation fixes the zero matrix, 5,040 at rank 7 and 40,320
+    # at rank 8, and at most _ROOT_MAPS of them are kept: keeping all
+    # 5,040 made rank 7 explore 30 times slower.  Pinned before exchanges
+    # were carried along root maps.
+    kept = []
+    root_maps = PatternAtlas._root_maps
+
+    def counted(atlas):
+        kept.append(root_maps(atlas))
+        return kept[-1]
+
+    monkeypatch.setattr(PatternAtlas, "_root_maps", counted)
+    atlas = explore(root_seed(ExchangeMatrix([[0] * n] * n), "trivial"))
+    assert [len(maps) for maps in kept] == [clusteralg.atlas._ROOT_MAPS]
+    assert hashlib.sha256(atlas.to_json().encode()).hexdigest() == digest
 
 
 def capped_walk_text(atlas) -> str:

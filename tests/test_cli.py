@@ -13,7 +13,7 @@ import clusteralg.atlas
 import clusteralg.cli
 import clusteralg.grading
 import clusteralg.laurent
-from clusteralg import VerificationReport
+from clusteralg import ExchangeMatrix, Seed, VerificationReport, root_seed
 from clusteralg.catalogue import matrix
 from clusteralg.cli import main
 from clusteralg.seed import PositivityError
@@ -32,6 +32,7 @@ from conftest import (
     corrupt_first_edge,
     drop_last_edge,
     misdirect_reverse_edges,
+    without_root_maps,
 )
 
 # A4 mutated along directions 2 then 3.
@@ -60,6 +61,7 @@ def seeds(tmp_path):
         ("a5p", A5_ROWS, "principal"),
         ("b3", B3_ROWS, "trivial"),
         ("d4", D4_ROWS, "trivial"),
+        ("d4p", D4_ROWS, "principal"),
         ("d5", D5_ROWS, "trivial"),
         ("e6", matrix("E", 6), "trivial"),
         ("e6p", matrix("E", 6), "principal"),
@@ -422,7 +424,10 @@ class TestErrorHandling:
         self, seeds, capsys, monkeypatch
     ):
         # Every memo hit's child has B negated: the first lands on a stored
-        # cluster with a second seed.
+        # cluster with a second seed.  A4's reversal would carry exchanges
+        # along the root's map, each child mutated by mutate_rows too, so no
+        # root map is kept and the first memo hit is the one named.
+        without_root_maps(monkeypatch)
         mutate_rows = clusteralg.atlas.mutate_rows
 
         def negated(rows, y, k):
@@ -438,6 +443,32 @@ class TestErrorHandling:
             "cluster but are different seeds; a seed should be determined by "
             "its cluster\n"
         )
+
+    def test_a_wrong_quotient_carried_along_root_maps_is_an_engine_fault(
+        self, seeds, capsys, monkeypatch
+    ):
+        # Markov's root mutated in direction 1 gets the variable of
+        # direction 2.  Its rotations carry that wrong quotient to the
+        # root's other two exchanges, and a later division fails.
+        original = clusteralg.atlas.mutate
+        root = root_seed(ExchangeMatrix(MARKOV_ROWS), "trivial")
+        at_root = []
+
+        def wrong(seed, k):
+            child = original(seed, k)
+            if seed.x != root.x:
+                return child
+            at_root.append(k)
+            x = (original(seed, 2).x[1],) + child.x[1:]
+            return Seed(child.b, child.y, x)
+
+        monkeypatch.setattr(clusteralg.atlas, "mutate", wrong)
+        assert main(["explore", "--seed", seeds["markov"], "--max-depth", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("engine fault: (")
+        assert "is not divisible by" in captured.err
+        assert at_root == [1]
 
     def test_a_reverse_edge_that_is_not_the_parent_is_an_engine_fault(
         self, seeds, capsys, monkeypatch
@@ -742,6 +773,19 @@ class TestDeterminism:
                 "kron3",
                 ["--max-depth", "5"],
                 "10cda7b9b2a9b73ac9963d8b97b2c968f11326cb10bb56036114bd2bf0dfd6a5",
+            ),
+            # Pinned before exchanges were carried along the root's maps:
+            # Markov's rotations and swaps, and under principal coefficients
+            # D4's swap of two legs, y moving along.
+            (
+                "markov",
+                ["--max-depth", "5"],
+                "c166c8c437c3bec0ca88393c649aa499e715acc1402241bed90a268c27517c27",
+            ),
+            (
+                "d4p",
+                [],
+                "581bc666eeaafd1eb2aac4199ada7ebd23dc68b659c840369ca340d43f4b1558",
             ),
         ],
     )
